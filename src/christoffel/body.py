@@ -95,10 +95,7 @@ def forward_f(u: harmonics.SphericalField) -> harmonics.SphericalField:
     When u is a support function this is the sum of the two principal
     curvature radii at the point with outward normal x.
     """
-    coeffs = harmonics.require_coeffs(u)
-    return harmonics.synthesize(
-        harmonics.apply_spectrum(coeffs, lambda l: 2.0 - l * (l + 1.0)), u.grid
-    )
+    return harmonics.synthesize(harmonics.require_coeffs(u).apply_operator(), u.grid)
 
 
 @dataclass(frozen=True)

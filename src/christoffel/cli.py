@@ -15,15 +15,17 @@ constant:c=..., ellipsoid:a=..,b=..,c=.. (curvature data of the ellipsoid),
 harmonic:l=..,m=..,eps=..,base=...
 
 Exit codes: 0 success/holds, 2 a requested criterion fails, 3 inconclusive,
-1 error.  Reports are deterministic for a fixed config and seed (the
-timings block is excluded from that contract).
+1 error.  Errors include command-line usage errors (unknown flags, bad
+values), which print the usage and write no report; every other error is
+reported as {"type": ..., "message": ...} in the report's ``error`` field.
+Reports are deterministic for a fixed config and seed (the timings block is
+excluded from that contract).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
@@ -138,64 +140,75 @@ def _witness_json(witness):
     return {"x": list(x.coords), "xi": list(xi.dir)}
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Usage errors exit 1, the error code, not argparse's 2 ("fails")."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def _make_parser():
-    ap = argparse.ArgumentParser(
+    ap = _ArgumentParser(
         prog="christoffel",
         description="Christoffel problem toolkit: spectral solver, convexity "
         "criteria, kernels, L_p extension, and body reconstruction.",
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, with_input=True):
-        p.add_argument("--n", type=int, default=2, help="sphere dimension (kernels/gamma)")
-        p.add_argument("--L", type=int, default=harmonics.DEFAULT_GRID_L, help="grid resolution")
-        p.add_argument("--Lmax", type=int, default=harmonics.DEFAULT_L_MAX, help="band limit")
-        p.add_argument("--tol", type=float, default=1e-8)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker threads (informational; execution is deterministic)")
+    def command(name, summary, field=True, project=True):
+        p = sub.add_parser(name, help=summary)
         p.add_argument("--report", type=str, default=None, help="write JSON report here")
-        if with_input:
+        if field:
             p.add_argument("--input", type=str, default="family:constant:c=2",
                            help="field source: file:<path> or family:<name>:<params>")
-            p.add_argument("--project", action="store_true",
-                           help="project out the degree-1 component instead of erroring")
+            p.add_argument("--L", type=int, default=harmonics.DEFAULT_GRID_L,
+                           help="grid resolution")
+            p.add_argument("--Lmax", type=int, default=harmonics.DEFAULT_L_MAX,
+                           help="band limit")
+            p.add_argument("--tol", type=float, default=1e-8)
+            if project:
+                p.add_argument("--project", action="store_true",
+                               help="project out the degree-1 component instead of erroring")
+        else:
+            p.add_argument("--n", type=int, default=2, help="sphere dimension")
+        return p
 
-    p = sub.add_parser("solve", help="solve the linear problem and write u")
-    common(p)
+    p = command("solve", "solve the linear problem and write u")
     p.add_argument("--out", type=str, default=None, help="write u as CSV here")
 
-    p = sub.add_parser("check", help="convexity criteria and sufficient conditions")
-    common(p)
+    p = command("check", "convexity criteria and sufficient conditions")
     p.add_argument("--criteria", type=str, default="cr1,cr2")
-    p.add_argument("--dirs", type=int, default=8)
     p.add_argument("--alpha", type=float, default=0.5)
 
-    p = sub.add_parser("lp", help="solve the L_p problem")
-    common(p)
+    p = command("lp", "solve the L_p problem", project=False)
     p.add_argument("--p", type=float, default=4.0)
 
-    p = sub.add_parser("gamma", help="threshold constant gamma_{n, alpha}")
-    common(p, with_input=False)
+    p = command("gamma", "threshold constant gamma_{n, alpha}", field=False)
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--mc-samples", type=int, default=10**6)
+    p.add_argument("--seed", type=int, default=0)
 
-    p = sub.add_parser("kernels", help="dump kernel tables as CSV")
-    common(p, with_input=False)
+    p = command("kernels", "dump kernel tables as CSV", field=False)
     p.add_argument("--out", type=str, default=None, help="write the CSV here")
 
-    p = sub.add_parser("reconstruct", help="solve and export the body as OBJ")
-    common(p)
+    p = command("reconstruct", "solve and export the body as OBJ")
     p.add_argument("--obj", type=str, default=None, help="write the mesh here")
     p.add_argument("--out", type=str, default=None, help="write u as CSV here")
     return ap
 
 
 def _config_echo(args) -> dict:
-    cfg = {k: v for k, v in sorted(vars(args).items())}
-    if cfg.get("threads") is None:
-        cfg["threads"] = int(os.environ.get("CHRISTOFFEL_THREADS", "1"))
-    return cfg
+    return dict(sorted(vars(args).items()))
+
+
+def _criteria_names(spec: str) -> list:
+    names = [name.strip().lower() for name in spec.split(",")]
+    known = [c.value for c in convexity.Criterion]
+    for name in names:
+        if name not in known:
+            raise ParseError(f"unknown criterion {name!r} (choose from {', '.join(known)})")
+    return names
 
 
 def _solve_pipeline(args, report):
@@ -239,14 +252,14 @@ def run(args) -> tuple[dict, int]:
             report["u_csv"] = args.out
 
     elif args.command == "check":
+        names = _criteria_names(args.criteria)
         grid, f, u = _solve_pipeline(args, report)
         hmin, hwit = convexity.hessian_min(u)
         report["hessian_min"] = {"value": hmin, "witness": list(hwit.coords)}
         verdicts = []
         report["criteria"] = {}
-        for name in args.criteria.split(","):
-            name = name.strip().lower()
-            rep = convexity.sweep(f, name, n_dirs=args.dirs)
+        for name in names:
+            rep = convexity.sweep(f, name)
             report["criteria"][name] = {
                 "verdict": rep.verdicts[name],
                 "min_margin": rep.min_margin[name],

@@ -20,8 +20,8 @@ while leaving a bounded quadrature integrand.  The omitted cap then
 contributes O(delta^2) instead of O(delta).
 
 Both criteria are quadratic forms in xi, so the minimum over tangent
-directions at a node is an exact 2x2 eigenvalue; the discrete direction
-sweep is refined with that minimizer before reporting.
+directions at a node is the smaller eigenvalue of a 2x2 matrix, computed in
+closed form.
 
 Ground truth: hessian_min checks min eig(Hess u + u I) directly on the
 spectral solution.  The classical sufficient conditions (Hoelder threshold,
@@ -205,13 +205,17 @@ class CriterionEngine:
         return float(c_full + xic @ M_full @ xic + fx / 2.0)
 
 
+def _min_eig2(a, b, d):
+    """Smaller eigenvalue of the symmetric 2x2 matrices [[a, b], [b, d]],
+    elementwise over arrays."""
+    return 0.5 * (a + d) - np.sqrt(0.25 * (a - d) ** 2 + b * b)
+
+
 def _tangent_min(S, e1, e2):
     """Exact minimum of xi^T S xi over unit xi in span(e1, e2), with argmin."""
     E = np.stack([e1, e2], axis=1)
     T = E.T @ S @ E
-    tr = T[0, 0] + T[1, 1]
-    disc = np.sqrt(max(0.25 * (T[0, 0] - T[1, 1]) ** 2 + T[0, 1] ** 2, 0.0))
-    lam = 0.5 * tr - disc
+    lam = _min_eig2(T[0, 0], T[0, 1], T[1, 1])
     v = np.array([T[0, 1], lam - T[0, 0]])
     n = np.linalg.norm(v)
     if n < 1e-300:
@@ -221,49 +225,25 @@ def _tangent_min(S, e1, e2):
     return float(lam), v[0] * e1 + v[1] * e2
 
 
-def criterion_cr1(f, x, xi, table=kernels.DEFAULT_TABLE, delta: float | None = None) -> float:
-    """CR1 witness value at (x, xi); the solution is convex iff >= 0 for all
-    witnesses.  Scales like omega_2 * <U(x) xi, xi>."""
-    eng = CriterionEngine(f, table, delta)
-    xc = point_coords(x)
-    xic = direction_coords(xi)
-    S_full, _, _ = eng.cr1_forms(xc)
-    return float(xic @ S_full @ xic)
-
-
-def criterion_cr2(f, x, xi, table=kernels.DEFAULT_TABLE, delta: float | None = None) -> float:
-    """CR2 witness value at (x, xi); approximates <U(x) xi, xi> directly."""
-    eng = CriterionEngine(f, table, delta)
-    xc = point_coords(x)
-    xic = direction_coords(xi)
-    (c_full, M_full), _, fx = eng.cr2_forms(xc)
-    return float(c_full + xic @ M_full @ xic + fx / 2.0)
-
-
 def sweep(
     f,
     criterion: Criterion | str,
-    n_dirs: int = 8,
     table=kernels.DEFAULT_TABLE,
     delta: float | None = None,
 ) -> ConvexityReport:
-    """Evaluate a criterion at every grid node over a tangent direction fan.
+    """Evaluate a criterion at every grid node, minimized over all tangent
+    directions.
 
-    Directions cos(k pi/n_dirs) e1 + sin(k pi/n_dirs) e2 cover a half circle
-    for CR2 (the value is even in xi); CR1 uses the full circle.  The witness
-    is refined to the exact minimizing direction of the per-node quadratic
-    form.  Verdicts are banded: |margin| below 10x the estimated quadrature
+    At each node the criterion is a quadratic form in xi, so its minimum
+    over unit tangent xi and the minimizing direction are exact (see
+    _tangent_min); the witness is the node and direction of the smallest
+    value.  Verdicts are banded: |margin| below 10x the estimated quadrature
     error is inconclusive rather than a sign claim.
     """
     crit = Criterion(criterion) if not isinstance(criterion, Criterion) else criterion
-    if n_dirs < 2:
-        raise ValueError("need n_dirs >= 2")
     eng = CriterionEngine(f, table, delta)
     grid = f.grid
     e1s, e2s = tangent_bases(grid.nodes)
-    span = 2.0 * np.pi if crit is Criterion.CR1 else np.pi
-    angles = span * np.arange(n_dirs) / n_dirs
-    cos_a, sin_a = np.cos(angles), np.sin(angles)
 
     hess = eng._grid_hessians()
     best = np.inf
@@ -281,9 +261,7 @@ def sweep(
             (c_full, S_full), (c_half, S_half), _ = eng.cr2_forms(x, fx, gx, Hx)
             shift = fx / 2.0
         lam, ximin = _tangent_min(S_full, e1s[i], e2s[i])
-        dirs = cos_a[:, None] * e1s[i][None, :] + sin_a[:, None] * e2s[i][None, :]
-        fan = np.einsum("kj,jl,kl->k", dirs, S_full, dirs)
-        val = min(lam, float(np.min(fan))) + c_full + shift
+        val = lam + c_full + shift
         if val < best:
             lam_h, _ = _tangent_min(S_half, e1s[i], e2s[i])
             val_h = lam_h + c_half + shift
@@ -306,7 +284,7 @@ def sweep(
         min_margin={name: best},
         witness={name: witness},
         error_band={name: band},
-        grid_meta={"L": grid.L, "n_dirs": n_dirs, "delta": eng.delta},
+        grid_meta={"L": grid.L, "delta": eng.delta},
     )
 
 
@@ -321,10 +299,7 @@ def hessian_min(u):
     Returns (min_eig, witness SpherePoint).
     """
     H = harmonics.grid_hessian(u)
-    a = H[:, 0, 0] + u.values
-    d = H[:, 1, 1] + u.values
-    b = H[:, 0, 1]
-    mins = 0.5 * (a + d) - np.sqrt(0.25 * (a - d) ** 2 + b * b)
+    mins = _min_eig2(H[:, 0, 0] + u.values, H[:, 0, 1], H[:, 1, 1] + u.values)
     i = int(np.argmin(mins))
     return float(mins[i]), SpherePoint(u.grid.nodes[i])
 
@@ -422,8 +397,7 @@ def check_pogorelov(f):
     """
     _require_positive(f)
     H = harmonics.grid_hessian(f)
-    a, d, b = H[:, 0, 0], H[:, 1, 1], H[:, 0, 1]
-    hess_max = 0.5 * (a + d) + np.sqrt(0.25 * (a - d) ** 2 + b * b)
+    hess_max = -_min_eig2(-H[:, 0, 0], -H[:, 0, 1], -H[:, 1, 1])
     min_val = float(np.min(f.values - hess_max))
     return bool(min_val > 0.0), min_val
 
@@ -448,9 +422,6 @@ def check_guan_ma(f, band_factor: int = 2):
     inv = harmonics.SphericalField(grid=grid, values=vals,
                                    coeffs=harmonics.analyze(inv, L_target))
     H = harmonics.grid_hessian(inv)
-    a = H[:, 0, 0] + inv.values
-    d = H[:, 1, 1] + inv.values
-    b = H[:, 0, 1]
-    mins = 0.5 * (a + d) - np.sqrt(0.25 * (a - d) ** 2 + b * b)
+    mins = _min_eig2(H[:, 0, 0] + inv.values, H[:, 0, 1], H[:, 1, 1] + inv.values)
     min_eig = float(np.min(mins))
     return bool(min_eig >= -1e-8), min_eig

@@ -11,7 +11,7 @@ degree-1 harmonics spanning its kernel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -55,8 +55,23 @@ class HarmonicCoeffs:
     def get(self, l: int, m: int) -> float:
         return float(self.c[self.index(l, m)])
 
-    def degree_slice(self, l: int) -> slice:
-        return slice(l * l, (l + 1) * (l + 1))
+    def apply_operator(self) -> HarmonicCoeffs:
+        """Coefficients of (Laplacian + 2) applied to this expansion."""
+        return HarmonicCoeffs(L_max=self.L_max, c=self.c * operator_diagonal(self.L_max))
+
+    def invert_operator(self) -> HarmonicCoeffs:
+        """Inverse of (Laplacian + 2) off its kernel; degree 1 is set to 0."""
+        D = operator_diagonal(self.L_max)
+        D[1:4] = 1.0
+        c = self.c / D
+        c[1:4] = 0.0
+        return HarmonicCoeffs(L_max=self.L_max, c=c)
+
+
+def operator_diagonal(L_max: int) -> np.ndarray:
+    """Flat spectrum 2 - l(l+1) of (Laplacian + 2), one entry per coefficient."""
+    l = np.repeat(np.arange(L_max + 1), 2 * np.arange(L_max + 1) + 1)
+    return 2.0 - l * (l + 1.0)
 
 
 @dataclass(frozen=True)
@@ -443,6 +458,45 @@ def _frame_vectors(theta, phi):
     return e_th, e_ph
 
 
+def _frame_gradient(theta, phi, dth, dph):
+    """Ambient gradient e_theta d_theta + e_phi d_phi / sin(theta), (n, 3)."""
+    e_th, e_ph = _frame_vectors(theta, phi)
+    return e_th * dth[:, None] + e_ph * (dph / np.sin(theta))[:, None]
+
+
+# derivative tags whose values _frame_hessian takes, in its argument order
+_HESSIAN_TAGS = (1, "phi", 2, "thetaphi", "phiphi")
+
+
+def _frame_hessian(theta, phi, derivs, bases):
+    """Covariant Hessian from the _HESSIAN_TAGS derivatives, (n, 2, 2).
+
+    Formed in the (e_theta, e_phi) frame, then rotated into ``bases``.
+    """
+    dth, dph, dthth, dthph, dphph = derivs
+    s, c = np.sin(theta), np.cos(theta)
+    h11 = dthth
+    h12 = (dthph - (c / s) * dph) / s
+    h22 = dphph / (s * s) + (c / s) * dth
+    e1, e2 = bases
+    e_th, e_ph = _frame_vectors(theta, phi)
+    r11 = np.sum(e1 * e_th, axis=1)
+    r12 = np.sum(e1 * e_ph, axis=1)
+    r21 = np.sum(e2 * e_th, axis=1)
+    r22 = np.sum(e2 * e_ph, axis=1)
+    H = np.empty((len(theta), 2, 2))
+    H[:, 0, 0] = r11 * (r11 * h11 + r12 * h12) + r12 * (r11 * h12 + r12 * h22)
+    H[:, 0, 1] = r21 * (r11 * h11 + r12 * h12) + r22 * (r11 * h12 + r12 * h22)
+    H[:, 1, 0] = H[:, 0, 1]
+    H[:, 1, 1] = r21 * (r21 * h11 + r22 * h12) + r22 * (r21 * h12 + r22 * h22)
+    return H
+
+
+def _grid_angles(grid):
+    """(theta, phi) of every grid node in node order."""
+    return np.repeat(grid.thetas, grid.azimuth_count), np.tile(grid.phis, grid.L)
+
+
 def _circle_samples(coeffs, x, d, K):
     ts = 2.0 * np.pi * np.arange(K) / K
     pts = np.outer(np.cos(ts), x) + np.outer(np.sin(ts), d)
@@ -480,15 +534,13 @@ def gradient_at(coeffs: HarmonicCoeffs, points) -> np.ndarray:
 def values_and_gradient_at(coeffs: HarmonicCoeffs, points):
     """Field values and tangential gradients in one basis evaluation."""
     pts, theta, phi = _points_angles(points)
-    st = np.sin(theta)
-    safe = st > _SIN_GUARD_GRAD
+    safe = np.sin(theta) > _SIN_GUARD_GRAD
     vals = np.empty(len(pts))
     grad = np.zeros_like(pts)
     if np.any(safe):
         v, dth, dph = _chunked_point_eval(coeffs, theta[safe], phi[safe], (0, 1, "phi"))
         vals[safe] = v
-        e_th, e_ph = _frame_vectors(theta[safe], phi[safe])
-        grad[safe] = e_th * dth[:, None] + e_ph * (dph / st[safe])[:, None]
+        grad[safe] = _frame_gradient(theta[safe], phi[safe], dth, dph)
     if not np.all(safe):
         K = 2 * coeffs.L_max + 2
         unsafe = np.nonzero(~safe)[0]
@@ -512,28 +564,11 @@ def hessian_at(coeffs: HarmonicCoeffs, points, bases=None) -> np.ndarray:
     if bases is None:
         bases = tangent_bases(pts)
     e1, e2 = bases
-    st, ct = np.sin(theta), np.cos(theta)
-    safe = st > _SIN_GUARD_HESS
+    safe = np.sin(theta) > _SIN_GUARD_HESS
     H = np.zeros((len(pts), 2, 2))
     if np.any(safe):
-        idx = np.nonzero(safe)[0]
-        dth, dph, dthth, dthph, dphph = _chunked_point_eval(
-            coeffs, theta[idx], phi[idx], (1, "phi", 2, "thetaphi", "phiphi")
-        )
-        s, c = st[idx], ct[idx]
-        h11 = dthth
-        h12 = (dthph - (c / s) * dph) / s
-        h22 = dphph / (s * s) + (c / s) * dth
-        e_th, e_ph = _frame_vectors(theta[idx], phi[idx])
-        # rotate (e_theta, e_phi) frame into the requested bases
-        r11 = np.sum(e1[idx] * e_th, axis=1)
-        r12 = np.sum(e1[idx] * e_ph, axis=1)
-        r21 = np.sum(e2[idx] * e_th, axis=1)
-        r22 = np.sum(e2[idx] * e_ph, axis=1)
-        H[idx, 0, 0] = r11 * (r11 * h11 + r12 * h12) + r12 * (r11 * h12 + r12 * h22)
-        H[idx, 0, 1] = r21 * (r11 * h11 + r12 * h12) + r22 * (r11 * h12 + r12 * h22)
-        H[idx, 1, 0] = H[idx, 0, 1]
-        H[idx, 1, 1] = r21 * (r21 * h11 + r22 * h12) + r22 * (r21 * h12 + r22 * h22)
+        derivs = _chunked_point_eval(coeffs, theta[safe], phi[safe], _HESSIAN_TAGS)
+        H[safe] = _frame_hessian(theta[safe], phi[safe], derivs, (e1[safe], e2[safe]))
     if not np.all(safe):
         K = 2 * coeffs.L_max + 2
         for i in np.nonzero(~safe)[0]:
@@ -560,13 +595,9 @@ def sphere_hessian(coeffs: HarmonicCoeffs, x) -> np.ndarray:
 def grid_gradient(field: SphericalField) -> np.ndarray:
     """Spherical gradient at every grid node, shape (N, 3)."""
     coeffs = require_coeffs(field)
-    grid = field.grid
-    dth, dph = _grid_eval(coeffs, grid, (1, "phi"))
-    theta = np.repeat(grid.thetas, grid.azimuth_count)
-    phi = np.tile(grid.phis, grid.L)
-    e_th, e_ph = _frame_vectors(theta, phi)
-    st = np.sin(theta)
-    return e_th * dth.ravel()[:, None] + e_ph * (dph.ravel() / st)[:, None]
+    dth, dph = _grid_eval(coeffs, field.grid, (1, "phi"))
+    theta, phi = _grid_angles(field.grid)
+    return _frame_gradient(theta, phi, dth.ravel(), dph.ravel())
 
 
 def grid_hessian(field: SphericalField, bases=None) -> np.ndarray:
@@ -576,53 +607,11 @@ def grid_hessian(field: SphericalField, bases=None) -> np.ndarray:
     """
     coeffs = require_coeffs(field)
     grid = field.grid
-    dth, dph, dthth, dthph, dphph = _grid_eval(
-        coeffs, grid, (1, "phi", 2, "thetaphi", "phiphi")
-    )
-    theta = np.repeat(grid.thetas, grid.azimuth_count)
-    phi = np.tile(grid.phis, grid.L)
-    s, c = np.sin(theta), np.cos(theta)
-    h11 = dthth.ravel()
-    h12 = (dthph.ravel() - (c / s) * dph.ravel()) / s
-    h22 = dphph.ravel() / (s * s) + (c / s) * dth.ravel()
+    derivs = [d.ravel() for d in _grid_eval(coeffs, grid, _HESSIAN_TAGS)]
     if bases is None:
         bases = tangent_bases(grid.nodes)
-    e1, e2 = bases
-    e_th, e_ph = _frame_vectors(theta, phi)
-    r11 = np.sum(e1 * e_th, axis=1)
-    r12 = np.sum(e1 * e_ph, axis=1)
-    r21 = np.sum(e2 * e_th, axis=1)
-    r22 = np.sum(e2 * e_ph, axis=1)
-    H = np.empty((grid.node_count, 2, 2))
-    H[:, 0, 0] = r11 * (r11 * h11 + r12 * h12) + r12 * (r11 * h12 + r12 * h22)
-    H[:, 0, 1] = r21 * (r11 * h11 + r12 * h12) + r22 * (r11 * h12 + r12 * h22)
-    H[:, 1, 0] = H[:, 0, 1]
-    H[:, 1, 1] = r21 * (r21 * h11 + r22 * h12) + r22 * (r21 * h12 + r22 * h22)
-    return H
-
-
-def minus1_gradient_field(field: SphericalField) -> np.ndarray:
-    """Ambient gradient of the degree-(-1) extension at every node, (N, 3).
-
-    Row z equals grad_S f(z) - f(z) z; pairing it with a unit vector xi gives
-    the directional derivative of f(y/|y|)/|y| along xi at z.
-    """
-    grad = grid_gradient(field)
-    return grad - field.values[:, None] * field.grid.nodes
-
-
-def apply_spectrum(coeffs: HarmonicCoeffs, fn) -> HarmonicCoeffs:
-    """Multiply degree-l coefficients by fn(l)."""
-    c = coeffs.c.copy()
-    for l in range(coeffs.L_max + 1):
-        c[l * l : (l + 1) * (l + 1)] *= fn(l)
-    return HarmonicCoeffs(L_max=coeffs.L_max, c=c)
-
-
-def laplacian_values(field: SphericalField) -> np.ndarray:
-    """Laplace-Beltrami operator applied spectrally, sampled on the grid."""
-    coeffs = require_coeffs(field)
-    return synthesize(apply_spectrum(coeffs, lambda l: -l * (l + 1.0)), field.grid).values
+    theta, phi = _grid_angles(grid)
+    return _frame_hessian(theta, phi, derivs, bases)
 
 
 # ----------------------------------------------------------------------
@@ -671,8 +660,8 @@ def _real_y1(pts, m):
 
 def christoffel_residual(u: SphericalField, f: SphericalField) -> float:
     """Max-norm grid residual of (Laplacian + 2) u - f."""
-    lap = laplacian_values(u)
-    return float(np.max(np.abs(lap + 2.0 * u.values - f.values)))
+    lu = synthesize(require_coeffs(u).apply_operator(), u.grid).values
+    return float(np.max(np.abs(lu - f.values)))
 
 
 def solve_christoffel(
@@ -693,15 +682,7 @@ def solve_christoffel(
     if np.max(np.abs(defect)) > tol and not project:
         raise OrthogonalityViolation(defect)
     rhs = project_out_linear(f) if project else f
-    rhs_c = require_coeffs(rhs)
-    c = rhs_c.c.copy()
-    for l in range(rhs_c.L_max + 1):
-        sl = slice(l * l, (l + 1) * (l + 1))
-        if l == 1:
-            c[sl] = 0.0
-        else:
-            c[sl] /= 2.0 - l * (l + 1.0)
-    u = synthesize(HarmonicCoeffs(L_max=rhs_c.L_max, c=c), f.grid)
+    u = synthesize(require_coeffs(rhs).invert_operator(), f.grid)
     res = christoffel_residual(u, rhs)
     if res > 10.0 * max(tol, 1e-14):
         raise ChristoffelError(

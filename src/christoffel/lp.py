@@ -46,23 +46,9 @@ def _mean(f) -> float:
     return f.grid.integrate(f.values) / (4.0 * np.pi)
 
 
-def _spectral_division(coeffs: harmonics.HarmonicCoeffs) -> harmonics.HarmonicCoeffs:
-    """Invert (Laplacian + 2) on the non-degree-1 spectrum; degree 1 -> 0."""
-    c = coeffs.c.copy()
-    for l in range(coeffs.L_max + 1):
-        sl = slice(l * l, (l + 1) * (l + 1))
-        if l == 1:
-            c[sl] = 0.0
-        else:
-            c[sl] /= 2.0 - l * (l + 1.0)
-    return harmonics.HarmonicCoeffs(L_max=coeffs.L_max, c=c)
-
-
 def _operator_values(coeffs, grid):
     """(Laplacian + 2) u sampled on the grid."""
-    return harmonics.synthesize(
-        harmonics.apply_spectrum(coeffs, lambda l: 2.0 - l * (l + 1.0)), grid
-    ).values
+    return harmonics.synthesize(coeffs.apply_operator(), grid).values
 
 
 def lp_residual_values(u: harmonics.SphericalField, f: harmonics.SphericalField,
@@ -137,7 +123,7 @@ def solve_lp(
     uv = harmonics.synthesize(harmonics.HarmonicCoeffs(L_max=L_max, c=c), grid).values
     if np.min(uv) <= 0.0:
         raise PositivityLost("initial guess is not positive")
-    D = _degree_diagonal(L_max)
+    D = harmonics.operator_diagonal(L_max)
     area = 4.0 * np.pi
 
     def rhs_coeffs(uv_):
@@ -148,12 +134,7 @@ def solve_lp(
         return rc.c, harmonics.degree1_magnitude(rc)
 
     def residual_inf_of(c_, uv_):
-        vals = harmonics.synthesize(
-            harmonics.apply_spectrum(
-                harmonics.HarmonicCoeffs(L_max=L_max, c=c_), lambda l: 2.0 - l * (l + 1.0)
-            ),
-            grid,
-        ).values
+        vals = _operator_values(harmonics.HarmonicCoeffs(L_max=L_max, c=c_), grid)
         return float(np.max(np.abs(vals - f.values * uv_ ** (p - 1.0))))
 
     rhs_c, d1 = rhs_coeffs(uv)
@@ -211,13 +192,6 @@ def solve_lp(
     return sol
 
 
-def _degree_diagonal(L_max: int) -> np.ndarray:
-    D = np.empty((L_max + 1) ** 2)
-    for l in range(L_max + 1):
-        D[l * l : (l + 1) * (l + 1)] = 2.0 - l * (l + 1.0)
-    return D
-
-
 def solve_lp_eigen(
     f: harmonics.SphericalField,
     tol: float = 1e-8,
@@ -237,7 +211,7 @@ def solve_lp_eigen(
     L_max = coeffs.L_max
     K = (L_max + 1) ** 2
     B = harmonics.design_matrix(grid.L, L_max)
-    D = _degree_diagonal(L_max)
+    D = harmonics.operator_diagonal(L_max)
     M = B.T @ ((grid.weights * f.values)[:, None] * B)
     M = 0.5 * (M + M.T)
 

@@ -106,12 +106,12 @@ class TestCriterionValues:
     def test_not_positive_rejected(self, grid48):
         f = harmonic_field(grid48, 0.1, {(2, 0): 2.0}, L_max=16)
         with pytest.raises(NotPositive):
-            convexity.criterion_cr2(f, np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0]))
+            convexity.CriterionEngine(f, kernels.DEFAULT_TABLE, None)
 
 
 class TestSweep:
     def test_constant_field(self, const2_48):
-        rep = convexity.sweep(const2_48, "cr2", n_dirs=8)
+        rep = convexity.sweep(const2_48, "cr2")
         assert rep.verdicts["cr2"] == "holds"
         assert abs(rep.min_margin["cr2"] - 1.0) < 1e-8
         x, xi = rep.witness["cr2"]
@@ -123,7 +123,7 @@ class TestSweep:
         f = harmonic_field(grid48, 2.0, {(2, 0): -2.0}, L_max=32)
         u = harmonics.solve_christoffel(f)
         hmin, _ = convexity.hessian_min(u)
-        rep = convexity.sweep(f, convexity.Criterion.CR2, n_dirs=8)
+        rep = convexity.sweep(f, convexity.Criterion.CR2)
         assert np.sign(rep.min_margin["cr2"]) == np.sign(hmin)
         assert rep.verdicts["cr2"] == ("holds" if hmin > 0 else "fails")
 
@@ -133,7 +133,7 @@ class TestSweep:
         hmin, _ = convexity.hessian_min(u)
         assert hmin < -0.1
         for crit in ("cr1", "cr2"):
-            rep = convexity.sweep(f, crit, n_dirs=8)
+            rep = convexity.sweep(f, crit)
             assert rep.verdicts[crit] == "fails"
             assert rep.min_margin[crit] < 0
 
@@ -142,7 +142,7 @@ class TestSweep:
             f = harmonic_field(grid48, 2.0, {(2, 0): eps}, L_max=32)
             u = harmonics.solve_christoffel(f)
             hmin, _ = convexity.hessian_min(u)
-            rep = convexity.sweep(f, "cr2", n_dirs=8)
+            rep = convexity.sweep(f, "cr2")
             band = rep.error_band["cr2"]
             assert abs(rep.min_margin["cr2"] - hmin) < max(10 * band, 5e-3)
 
@@ -152,7 +152,7 @@ class TestSweep:
             f = harmonic_field(grid48, 2.0, seed_terms, L_max=32)
             u = harmonics.solve_christoffel(f)
             hmin, _ = convexity.hessian_min(u)
-            rep = convexity.sweep(f, "cr2", n_dirs=8)
+            rep = convexity.sweep(f, "cr2")
             assert abs(rep.min_margin["cr2"] - hmin) <= 10 * rep.error_band["cr2"]
 
     def test_inconclusive_near_boundary(self, grid48):
@@ -163,12 +163,46 @@ class TestSweep:
 
         eps_star = brentq(hm, 2.0, 3.2, xtol=1e-10)
         f = harmonic_field(grid48, 2.0, {(2, 0): eps_star}, L_max=16)
-        rep = convexity.sweep(f, "cr2", n_dirs=8)
+        rep = convexity.sweep(f, "cr2")
         assert rep.verdicts["cr2"] == "inconclusive"
 
-    def test_needs_two_directions(self, const2_48):
-        with pytest.raises(ValueError):
-            convexity.sweep(const2_48, "cr2", n_dirs=1)
+
+class TestTwoByTwo:
+    def test_min_eig_matches_eigvalsh(self):
+        rng = np.random.default_rng(31)
+        a, b, d = rng.standard_normal((3, 500)) * rng.uniform(1e-3, 1e3, (3, 500))
+        got = convexity._min_eig2(a, b, d)
+        want = np.linalg.eigvalsh(np.stack([np.stack([a, b], -1), np.stack([b, d], -1)], -2))
+        scale = np.maximum(np.abs(want[:, 0]), np.abs(want[:, 1]))
+        assert np.all(np.abs(got - want[:, 0]) <= 1e-13 * scale)
+
+    def test_min_eig_degenerate(self):
+        # diagonal (b = 0), equal diagonal (a = d), and both: a multiple of I
+        a = np.array([3.0, -2.0, 1.5, 0.0, -4.0])
+        b = np.array([0.0, 0.0, 0.7, -0.7, 0.0])
+        d = np.array([-1.0, 5.0, 1.5, 0.0, -4.0])
+        got = convexity._min_eig2(a, b, d)
+        want = np.linalg.eigvalsh(np.stack([np.stack([a, b], -1), np.stack([b, d], -1)], -2))
+        assert np.max(np.abs(got - want[:, 0])) <= 1e-15
+        assert np.array_equal(got[[0, 1, 4]], [-1.0, -2.0, -4.0])
+
+    def test_tangent_min_argmin_attains_minimum(self):
+        rng = np.random.default_rng(32)
+        for _ in range(50):
+            x, _ = random_witness(rng)
+            e1, e2 = sphere.tangent_basis(x)
+            A = rng.standard_normal((3, 3))
+            S = A + A.T
+            if rng.random() < 0.2:
+                S = np.eye(3) - np.outer(x, x)  # isotropic on the tangent plane
+            lam, xi = convexity._tangent_min(S, e1, e2)
+            assert abs(np.linalg.norm(xi) - 1.0) < 1e-12
+            assert abs(xi @ x) < 1e-12
+            assert abs(xi @ S @ xi - lam) <= 1e-12 * max(1.0, np.max(np.abs(S)))
+            angles = np.linspace(0.0, np.pi, 181)
+            fan = [(np.cos(t) * e1 + np.sin(t) * e2) @ S @ (np.cos(t) * e1 + np.sin(t) * e2)
+                   for t in angles]
+            assert lam <= min(fan) + 1e-12 * max(1.0, np.max(np.abs(S)))
 
 
 class TestHessianMin:

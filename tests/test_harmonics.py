@@ -174,8 +174,8 @@ class TestDerivatives:
         coeffs = random_coeffs(10, seed=12)
         f = harmonics.synthesize(coeffs, grid16)
         H = harmonics.grid_hessian(f)
-        lap = harmonics.laplacian_values(f)
-        assert np.max(np.abs(H[:, 0, 0] + H[:, 1, 1] - lap)) < 1e-9
+        lap2 = harmonics.synthesize(coeffs.apply_operator(), grid16).values
+        assert np.max(np.abs(H[:, 0, 0] + H[:, 1, 1] + 2.0 * f.values - lap2)) < 1e-9
 
     def test_requires_coeffs(self, grid16):
         f = harmonics.SphericalField(grid=grid16, values=np.ones(grid16.node_count))
@@ -220,6 +220,24 @@ class TestOrthogonality:
         g = harmonics.project_out_linear(f)
         removed = f.values - g.values
         assert np.max(np.abs(g.values + removed - f.values)) < 1e-14
+
+
+class TestOperator:
+    def test_diagonal(self):
+        D = harmonics.operator_diagonal(3)
+        assert D.shape == (16,)
+        for l in range(4):
+            assert np.all(D[l * l : (l + 1) ** 2] == 2.0 - l * (l + 1))
+
+    def test_invert_apply_round_trip(self):
+        # degree 1 spans the kernel: apply sends it to 0, invert leaves it 0
+        coeffs = random_coeffs(10, seed=15)
+        applied = coeffs.apply_operator()
+        assert np.all(applied.c[1:4] == 0.0)
+        back = applied.invert_operator()
+        assert np.all(back.c[1:4] == 0.0)
+        off = np.r_[0, 4:len(coeffs.c)]
+        assert np.max(np.abs(back.c[off] - coeffs.c[off])) <= 1e-15 * np.max(np.abs(coeffs.c))
 
 
 class TestSolver:
