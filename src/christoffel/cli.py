@@ -52,7 +52,33 @@ def _field_to_csv(field: harmonics.SphericalField) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _repeated_floats(tokens) -> np.ndarray:
+    """Parse a column of numbers that repeats few distinct strings, such as
+    the grid's angles, converting each distinct string once."""
+    parsed = {tok: float(tok) for tok in set(tokens)}
+    return np.fromiter(map(parsed.__getitem__, tokens), float, count=len(tokens))
+
+
+def _raise_first_bad_row(rows):
+    """ParseError naming the first data row that is not three numbers."""
+    for k, row in enumerate(rows):
+        parts = row.split(",")
+        if len(parts) != 3:
+            raise ParseError("expected three comma-separated fields", line=k + 2)
+        for part in parts:
+            try:
+                float(part)
+            except ValueError as exc:
+                raise ParseError(f"bad value {part!r}", line=k + 2) from exc
+    raise ParseError("rows are not three numbers each")
+
+
 def _field_from_csv(path: str, grid) -> harmonics.SphericalField:
+    """Read a theta,phi,value CSV whose rows are the grid's nodes in order.
+
+    Every row's angles must match its node's within 1e-9; the first row
+    that does not raises GridMismatch naming its line.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.read().splitlines()
@@ -65,15 +91,23 @@ def _field_from_csv(path: str, grid) -> harmonics.SphericalField:
         raise GridMismatch(
             f"file has {len(rows)} rows, grid expects {grid.node_count}"
         )
-    values = np.empty(grid.node_count)
-    for k, row in enumerate(rows):
-        parts = row.split(",")
-        if len(parts) != 3:
-            raise ParseError("expected three comma-separated fields", line=k + 2)
-        try:
-            values[k] = float(parts[2])
-        except ValueError as exc:
-            raise ParseError(f"bad value {parts[2]!r}", line=k + 2) from exc
+    fields = ",".join(rows).split(",")
+    try:
+        if len(fields) != 3 * len(rows):
+            raise ValueError("not three fields per row")
+        values = np.fromiter(map(float, fields[2::3]), float, count=len(rows))
+        thetas, phis = _repeated_floats(fields[0::3]), _repeated_floats(fields[1::3])
+    except ValueError:
+        _raise_first_bad_row(rows)
+    want_th = np.repeat(grid.thetas, grid.azimuth_count)
+    want_ph = np.tile(grid.phis, grid.L)
+    bad = np.nonzero(~((np.abs(thetas - want_th) <= 1e-9) & (np.abs(phis - want_ph) <= 1e-9)))[0]
+    if bad.size:
+        k = int(bad[0])
+        raise GridMismatch(
+            f"line {k + 2}: (theta, phi) = ({float(thetas[k])!r}, {float(phis[k])!r}) "
+            f"is not grid node {k} ({float(want_th[k])!r}, {float(want_ph[k])!r})"
+        )
     return harmonics.SphericalField(grid=grid, values=values)
 
 

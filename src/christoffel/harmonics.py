@@ -453,15 +453,16 @@ def synthesize_at(coeffs: HarmonicCoeffs, points) -> np.ndarray:
 def _frame_vectors(theta, phi):
     st, ct = np.sin(theta), np.cos(theta)
     cp, sp = np.cos(phi), np.sin(phi)
-    e_th = np.stack([ct * cp, ct * sp, -st], axis=1)
-    e_ph = np.stack([-sp, cp, np.zeros_like(sp)], axis=1)
+    e_th = np.stack([ct * cp, ct * sp, -st], axis=-1)
+    e_ph = np.stack([-sp, cp, np.zeros_like(sp)], axis=-1)
     return e_th, e_ph
 
 
 def _frame_gradient(theta, phi, dth, dph):
-    """Ambient gradient e_theta d_theta + e_phi d_phi / sin(theta), (n, 3)."""
+    """Ambient gradient e_theta d_theta + e_phi d_phi / sin(theta), shape
+    (*dth.shape, 3); the angles broadcast against the derivatives."""
     e_th, e_ph = _frame_vectors(theta, phi)
-    return e_th * dth[:, None] + e_ph * (dph / np.sin(theta))[:, None]
+    return e_th * dth[..., None] + e_ph * (dph / np.sin(theta))[..., None]
 
 
 # derivative tags whose values _frame_hessian takes, in its argument order
@@ -551,6 +552,61 @@ def values_and_gradient_at(coeffs: HarmonicCoeffs, points):
             g1 = _circle_d1(_circle_samples(coeffs, pts[i], e1, K))
             g2 = _circle_d1(_circle_samples(coeffs, pts[i], e2, K))
             grad[i] = g1 * e1 + g2 * e2
+    return vals, grad
+
+
+def _orbit_eval(coeffs, theta, phi, n_phi):
+    """Value, d/dtheta and d/dphi at (theta_p, phi_p + 2 pi j / n_phi) for
+    every point p and j < n_phi, each of shape (n_pts, n_phi).
+
+    A rotation about the z-axis multiplies order m by exp(i m phi), so the
+    Legendre profiles are evaluated once per point and one inverse FFT over
+    m gives the whole orbit (ring-wise synthesis, as in SHTns, Schaeffer
+    2013).  Orders m >= n_phi alias onto m mod n_phi on the ring.
+    """
+    L_max = coeffs.L_max
+    blocks = _legendre_blocks(np.cos(theta), L_max, 1)
+    cos_c, sin_c = _coeff_stacks(coeffs)
+    m = np.arange(L_max + 1)
+    # f = Re sum_m w_m (A_m - i B_m) e^{i m phi}, w_0 = 1, w_m = sqrt(2)
+    w = np.where(m > 0, np.sqrt(2.0), 1.0) * np.exp(1j * np.outer(phi, m))
+    profiles = [_synth_theta_stacks(blocks, cos_c, sin_c, L_max, d) for d in (0, 1)]
+    out = []
+    for (A, B), factor in ((profiles[0], 1.0), (profiles[1], 1.0), (profiles[0], 1j * m)):
+        c = factor * w * (A - 1j * B)
+        bins = np.zeros((len(theta), n_phi), dtype=complex)
+        for start in range(0, L_max + 1, n_phi):
+            part = c[:, start : start + n_phi]
+            bins[:, : part.shape[1]] += part
+        out.append(n_phi * np.fft.ifft(bins, axis=1).real)
+    return out
+
+
+def _orbit_values_and_gradient(coeffs: HarmonicCoeffs, points, n_phi: int):
+    """Values and tangential gradients on the z-rotation orbits of points.
+
+    Entry [p, j] is taken at points[p] rotated by 2 pi j / n_phi about the
+    z-axis; its gradient is rotated back by the same angle, so that it is
+    expressed at points[p].  Returns (values (n, n_phi), gradients
+    (n, n_phi, 3)).  Points within the pole guard take the exact path of
+    :func:`values_and_gradient_at` at every rotated point.
+    """
+    pts, theta, phi = _points_angles(points)
+    vals = np.empty((len(pts), n_phi))
+    grad = np.empty((len(pts), n_phi, 3))
+    safe = np.nonzero(np.sin(theta) > _SIN_GUARD_GRAD)[0]
+    for start in range(0, len(safe), _POINT_CHUNK):
+        idx = safe[start : start + _POINT_CHUNK]
+        v, dth, dph = _orbit_eval(coeffs, theta[idx], phi[idx], n_phi)
+        vals[idx] = v
+        grad[idx] = _frame_gradient(theta[idx, None], phi[idx, None], dth, dph)
+    ang = 2.0 * np.pi * np.arange(n_phi) / n_phi
+    c, s = np.cos(ang), np.sin(ang)
+    for p in np.nonzero(np.sin(theta) <= _SIN_GUARD_GRAD)[0]:
+        x, y, z = pts[p]
+        orbit = np.stack([c * x - s * y, s * x + c * y, np.full(n_phi, z)], axis=1)
+        vals[p], g = values_and_gradient_at(coeffs, orbit)
+        grad[p] = np.stack([c * g[:, 0] + s * g[:, 1], c * g[:, 1] - s * g[:, 0], g[:, 2]], axis=1)
     return vals, grad
 
 

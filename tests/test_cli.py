@@ -44,6 +44,24 @@ class TestFieldSources:
         back = cli._field_from_csv(str(path), grid16)
         assert np.array_equal(back.values, f.values)
 
+    def test_csv_rows_out_of_grid_order_rejected(self, grid16, tmp_path):
+        f, _ = cli.parse_field_source("family:harmonic:l=3,m=1,eps=0.2,base=2", grid16, 8)
+        lines = cli._field_to_csv(f).splitlines()
+        path = tmp_path / "reversed.csv"
+        path.write_text("\n".join([lines[0]] + lines[:0:-1]) + "\n")
+        with pytest.raises(GridMismatch, match="line 2:"):
+            cli._field_from_csv(str(path), grid16)
+
+    def test_csv_angles_within_tolerance_accepted(self, grid16, tmp_path):
+        f, _ = cli.parse_field_source("family:harmonic:l=3,m=1,eps=0.2,base=2", grid16, 8)
+        thetas = np.repeat(grid16.thetas, grid16.azimuth_count) + 1e-12
+        phis = np.tile(grid16.phis, grid16.L) - 1e-12
+        rows = [f"{t!r},{p!r},{v!r}"
+                for t, p, v in zip(thetas.tolist(), phis.tolist(), f.values.tolist())]
+        path = tmp_path / "near.csv"
+        path.write_text("\n".join(["theta,phi,value"] + rows) + "\n")
+        assert np.array_equal(cli._field_from_csv(str(path), grid16).values, f.values)
+
     def test_csv_errors(self, grid16, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("theta,phi,value\n1.0,2.0,oops\n")

@@ -167,6 +167,94 @@ class TestSweep:
         assert rep.verdicts["cr2"] == "inconclusive"
 
 
+def holder_pair_loop(f, alpha):
+    """Reference Hoelder estimate: every ordered node pair, separations
+    from the node coordinates."""
+    nodes, vals = f.grid.nodes, f.values
+    cos_min = np.cos(np.pi / f.grid.L)
+    best = 0.0
+    for a in range(len(nodes)):
+        for b in range(len(nodes)):
+            dot = min(max(float(nodes[a] @ nodes[b]), -1.0), 1.0)
+            if dot <= cos_min:
+                best = max(best, abs(vals[a] - vals[b]) / np.arccos(dot) ** alpha)
+    return best
+
+
+class TestRingPaths:
+    @pytest.mark.parametrize("L", [12, 13])
+    @pytest.mark.parametrize("crit", ["cr1", "cr2"])
+    def test_grid_forms_match_node_forms(self, L, crit):
+        # odd L puts a ring on the equator, where cap-mask ties are likeliest
+        grid = sphere.make_grid(L)
+        f = random_positive_field(grid, np.random.default_rng(40 + L), L_max=L - 1)
+        eng = convexity.CriterionEngine(f, kernels.DEFAULT_TABLE, None)
+        (c_full, S_full), (c_half, S_half) = eng.grid_forms(convexity.Criterion(crit))
+        for i, x in enumerate(grid.nodes):
+            if crit == "cr1":
+                A, B, _ = eng.cr1_forms(x)
+                a = b = 0.0
+            else:
+                (a, A), (b, B), _ = eng.cr2_forms(x)
+            scale = max(abs(a), abs(b), np.max(np.abs(A)), np.max(np.abs(B)))
+            assert np.max(np.abs(S_full[i] - A)) <= 1e-12 * scale
+            assert np.max(np.abs(S_half[i] - B)) <= 1e-12 * scale
+            assert abs(c_full[i] - a) <= 1e-12 * scale
+            assert abs(c_half[i] - b) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("L", [12, 13])
+    def test_holder_matches_pair_loop(self, L):
+        grid = sphere.make_grid(L)
+        f = random_positive_field(grid, np.random.default_rng(50 + L), L_max=L - 1)
+        for alpha in (0.3, 0.5, 1.0):
+            want = holder_pair_loop(f, alpha)
+            assert abs(convexity.holder_seminorm(f, alpha) - want) <= 1e-13 * want
+
+    def test_t33_orbits_match_point_evaluation(self, grid16):
+        f = random_positive_field(grid16, np.random.default_rng(60), L_max=15)
+        ts = np.geomspace(1e-2, 1e2, 4)
+        angles = np.pi * np.arange(3) / 3
+        vals, dxi = convexity._t33_samples(f.coeffs, grid16, ts, angles)
+        nodes = grid16.nodes
+        theta = np.arccos(nodes[:, 2])
+        phi = np.arctan2(nodes[:, 1], nodes[:, 0])
+        e_th = np.stack([np.cos(theta) * np.cos(phi), np.cos(theta) * np.sin(phi),
+                         -np.sin(theta)], axis=1)
+        e_ph = np.stack([-np.sin(phi), np.cos(phi), np.zeros_like(phi)], axis=1)
+        scale = np.max(np.abs(f.values))
+        for a, ang in enumerate(angles):
+            xi = np.cos(ang) * e_th + np.sin(ang) * e_ph
+            for k, t in enumerate(ts):
+                for s, sign in enumerate((1.0, -1.0)):
+                    q = (nodes + sign * t * xi) / np.sqrt(1.0 + t * t)
+                    v, g = harmonics.values_and_gradient_at(f.coeffs, q)
+                    assert np.max(np.abs(vals[a, k, s] - v)) <= 1e-12 * scale
+                    assert np.max(np.abs(dxi[a, k, s] - np.sum(g * xi, axis=1))) <= 1e-11 * scale
+
+
+class TestScaleInvariance:
+    """Verdicts and margin signs do not depend on the units of f.
+
+    The fields sit just past the T33 and Guan-Ma boundaries: their margins
+    are far below 1e-8 at one end of the scale range and far above it at
+    the other, so an absolute tolerance would flip the verdict.
+    """
+
+    @pytest.mark.parametrize(
+        "checker, target",
+        [(lambda f: convexity.check_T33(f, n_t=6, n_xi=2), 1e-7),
+         (convexity.check_guan_ma, -1e-7)],
+        ids=["t33", "guan_ma"],
+    )
+    def test_verdict_and_sign(self, grid24, checker, target):
+        def field(eps, c=1.0):
+            return harmonic_field(grid24, 2.0 * c, {(2, 0): eps * c}, L_max=12)
+
+        eps = brentq(lambda e: checker(field(e))[1] - target, 0.5, 1.0, xtol=1e-12)
+        results = [checker(field(eps, c)) for c in (1e-3, 1.0, 1e3)]
+        assert [(holds, np.sign(m)) for holds, m in results] == [(False, np.sign(target))] * 3
+
+
 class TestTwoByTwo:
     def test_min_eig_matches_eigvalsh(self):
         rng = np.random.default_rng(31)

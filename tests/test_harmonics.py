@@ -170,6 +170,23 @@ class TestDerivatives:
             assert abs((vp - vm) / (2 * h) - g @ d) < 1e-6
             assert abs((vp - 2 * v0 + vm) / h**2 - H[k, k]) < 1e-4
 
+    @pytest.mark.parametrize("L_max, n_phi", [(8, 20), (8, 12), (8, 6)])
+    def test_orbit_matches_rotated_points(self, L_max, n_phi):
+        # n_phi = 6 folds orders m >= 6 onto m - 6; the pole point takes the
+        # exact path
+        coeffs = random_coeffs(L_max, seed=13)
+        rng = np.random.default_rng(14)
+        pts = rng.standard_normal((5, 3))
+        pts[0] = [0.0, 0.0, 1.0]
+        pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+        vals, grads = harmonics._orbit_values_and_gradient(coeffs, pts, n_phi)
+        for j in range(n_phi):
+            a = 2 * np.pi * j / n_phi
+            R = np.array([[np.cos(a), -np.sin(a), 0], [np.sin(a), np.cos(a), 0], [0, 0, 1.0]])
+            v, g = harmonics.values_and_gradient_at(coeffs, pts @ R.T)
+            assert np.max(np.abs(vals[:, j] - v)) < 1e-12
+            assert np.max(np.abs(grads[:, j] - g @ R)) < 1e-11
+
     def test_grid_hessian_trace_matches_laplacian(self, grid16):
         coeffs = random_coeffs(10, seed=12)
         f = harmonics.synthesize(coeffs, grid16)
