@@ -126,8 +126,10 @@ def parse_field_source(spec: str, grid, L_max: int):
     """Build a positive field from a CLI field source string.
 
     Returns (field with coefficients, truncation error of the band-limit
-    re-analysis; zero for exactly band-limited families).
+    re-analysis; zero for exactly band-limited families).  Every source
+    raises BandLimitExceeded when the grid cannot resolve L_max.
     """
+    harmonics.require_band_limit(grid, L_max)
     if spec.startswith("file:"):
         raw = _field_from_csv(spec[5:], grid)
         if np.min(raw.values) <= 0.0:
@@ -339,6 +341,7 @@ def run(args) -> tuple[dict, int]:
             "lemma41": {"holds": holds41, "lhs": l41, "rhs": r41},
             "t41cond": {"holds": holdsc, "lhs": lc, "rhs": rc},
             "hessian_min": hmin,
+            "trace": list(sol.trace),
         }
 
     elif args.command == "gamma":

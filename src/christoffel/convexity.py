@@ -524,7 +524,7 @@ def check_guan_ma(f, band_factor: int = 2):
     grid = f.grid
     if grid.L < L_target + 1:
         grid = make_grid(L_target + 2)
-        vals = 1.0 / harmonics.synthesize_at(coeffs, grid.nodes)
+        vals = 1.0 / harmonics.synthesize(coeffs, grid).values
     else:
         vals = 1.0 / f.values
     inv = harmonics.SphericalField(grid=grid, values=vals)

@@ -255,6 +255,14 @@ def _synth_theta_stacks(blocks, cos_c, sin_c, L_max, deriv=0, lscale=None):
 # Grid transforms
 # ----------------------------------------------------------------------
 
+def require_band_limit(grid: SphereGrid, L_max: int) -> None:
+    """Raise BandLimitExceeded unless the grid resolves band limit L_max."""
+    if grid.L < L_max + 1:
+        raise BandLimitExceeded(
+            f"grid L={grid.L} cannot resolve L_max={L_max} (need L >= L_max + 1)"
+        )
+
+
 def analyze(field: SphericalField, L_max: int | None = None) -> HarmonicCoeffs:
     """Forward transform by quadrature; exact for band-limited fields.
 
@@ -263,10 +271,7 @@ def analyze(field: SphericalField, L_max: int | None = None) -> HarmonicCoeffs:
     grid = field.grid
     if L_max is None:
         L_max = min(DEFAULT_L_MAX, grid.L - 1)
-    if grid.L < L_max + 1:
-        raise BandLimitExceeded(
-            f"grid L={grid.L} cannot resolve L_max={L_max} (need L >= L_max + 1)"
-        )
+    require_band_limit(grid, L_max)
     n_phi = grid.azimuth_count
     vals = field.values.reshape(grid.L, n_phi)
     cos_t, sin_t = _azimuth_tables(grid.phis, L_max)
@@ -329,30 +334,72 @@ def _grid_eval(coeffs, grid, deriv=(0,), lscale=None):
     return out
 
 
-@lru_cache(maxsize=8)
-def design_matrix(L: int, L_max: int) -> np.ndarray:
-    """Basis evaluation matrix B with B[node, k] = Y_k(node) on make_grid(L).
+def galerkin_matrix(values: np.ndarray, grid: SphereGrid, L_max: int) -> np.ndarray:
+    """Galerkin matrix of multiplication by a grid function, shape (K, K).
 
-    Column order matches the flat coefficient packing; synthesis is B @ c and
-    quadrature analysis is B.T @ (weights * values).
+    M[k, k'] = sum over nodes of weight * value * Y_k * Y_k', in the flat
+    coefficient order: B^T diag(weights * values) B for the basis matrix B
+    of the grid, which is never formed.  On the Gauss-Legendre x
+    uniform-azimuth grid the azimuth sum of cos/sin factors of orders m and
+    m' is, by the product-to-sum identities, half the DFT of the ring's
+    weighted values at m - m' and m + m' (taken modulo 2L, so aliasing is
+    exact for any L).  In the packed m-major order the block row of order m
+    is then one matrix product over the rings (Driscoll & Healy 1994),
+    taken for orders m' >= m and mirrored; the order-m square is averaged
+    with its transpose, so M is exactly symmetric.  One permutation at the
+    end gives the flat order.
     """
-    grid = make_grid(L)
-    blocks = _grid_blocks(L, L_max, 0)
-    cos_t, sin_t = _azimuth_tables(grid.phis, L_max)
-    n_phi = grid.azimuth_count
-    B = np.empty((grid.node_count, (L_max + 1) ** 2))
-    for m in range(L_max + 1):
-        ls = np.arange(m, L_max + 1)
-        cols = (blocks[m][0][:, None, :] * cos_t[m][None, :, None]).reshape(
-            grid.node_count, len(ls)
-        )
-        B[:, ls * ls + ls + m] = cols
-        if m > 0:
-            cols = (blocks[m][0][:, None, :] * sin_t[m][None, :, None]).reshape(
-                grid.node_count, len(ls)
-            )
-            B[:, ls * ls + ls - m] = cols
-    return B
+    L, n_phi = grid.L, grid.azimuth_count
+    ring_dft = np.fft.fft((grid.weights * values).reshape(L, n_phi), axis=1)
+    m = np.arange(L_max + 1)
+    norm = np.where(m > 0, np.sqrt(2.0), 1.0)
+    half_norms = 0.5 * np.outer(norm, norm)
+    diff = ring_dft[:, (m[:, None] - m[None, :]) % n_phi]  # (L, m, m')
+    summ = ring_dft[:, (m[:, None] + m[None, :]) % n_phi]
+    plus, minus = (diff + summ) * half_norms, (diff - summ) * half_norms
+    # azimuth sums (L, m, 2 m' + s) for cosine rows and for sine rows, with
+    # s = 0 a cosine and s = 1 a sine column
+    cos_rows = np.stack([plus.real, minus.imag], axis=-1).reshape(L, L_max + 1, -1)
+    sin_rows = np.stack([-plus.imag, minus.real], axis=-1).reshape(L, L_max + 1, -1)
+
+    K = (L_max + 1) ** 2
+    l = np.repeat(m, 2 * m + 1)
+    signed = np.arange(K) - l * l - l  # flat index l^2 + l + m, m < 0 sine
+    order = np.abs(signed)
+    group = 2 * order + (signed < 0)  # the 2 m' + s column group
+    P = _legendre_packed(grid.polar_nodes, L_max)[0]
+    offsets = _pair_index(L_max)[2]
+    # packed order: by m, the cosine then the sine terms, each l-ascending;
+    # order m occupies [start[m], start[m + 1])
+    flat = np.lexsort((l, group))
+    groups = group[flat]
+    start = np.searchsorted(groups, 2 * np.arange(L_max + 2))
+    profiles = P[(offsets[order] + l - order)[flat]].T  # (L, K)
+    Mp = np.empty((K, K))
+    for mm in m:
+        a, b = start[mm], start[mm + 1]
+        P_m = P[offsets[mm] : offsets[mm + 1]]
+        tail, g = profiles[:, a:], groups[a:]
+        tables = (cos_rows, sin_rows)[: 2 if mm else 1]
+        block = np.concatenate([P_m @ (t[:, mm, g] * tail) for t in tables])
+        block[:, : b - a] = 0.5 * (block[:, : b - a] + block[:, : b - a].T)
+        Mp[a:b, a:] = block
+        Mp[a:, a:b] = block.T
+    pos = np.argsort(flat)
+    return Mp.take(pos, axis=0).take(pos, axis=1)
+
+
+def node_basis(grid: SphereGrid, node: int, L_max: int) -> np.ndarray:
+    """Every basis function at one grid node, in the flat coefficient order
+    (row ``node`` of the basis matrix B of :func:`galerkin_matrix`)."""
+    ring, j = divmod(node, grid.azimuth_count)
+    m_arr, _, _, _, cos_idx, sin_idx = _pair_index(L_max)
+    P = _legendre_packed(grid.polar_nodes[ring : ring + 1], L_max)[0][:, 0]
+    cos_t, sin_t = _azimuth_tables(grid.phis[j : j + 1], L_max)
+    row = np.empty((L_max + 1) ** 2)
+    row[sin_idx] = P * sin_t[m_arr, 0]
+    row[cos_idx] = P * cos_t[m_arr, 0]
+    return row
 
 
 def bandlimit(field: SphericalField, L_max: int | None = None):

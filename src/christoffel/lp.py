@@ -5,6 +5,11 @@ spectrally) with a Newton finisher on harmonic coefficients; the p = 2 case
 is the generalized eigenproblem (Laplacian + 2) u = lambda f u for the pair
 (lambda, u) with u > 0, solved by Newton on the augmented system with a
 max-node normalization pin (dense generalized eigensolver as fallback).
+The dense matrices are Galerkin matrices of multiplication by a grid
+function, assembled ring by ring by :func:`harmonics.galerkin_matrix`;
+the basis matrix of the grid is never formed.  Each solution carries a
+trace of its iterates: the residual after each accepted step and which
+path took it.
 
 The nonlinear right side is not a priori orthogonal to the degree-1
 harmonics; its degree-1 component is projected at every iteration and the
@@ -35,6 +40,12 @@ class LpSolution:
     iterations: int
     converged: bool
     degree1_magnitude: float = 0.0
+    # {"path", "residual_inf"} after each step.  solve_lp: one entry per
+    # iteration, path quasi_newton or dense, plus the "step_scale" left
+    # after backtracking (0.0: every trial was rejected, the iterate kept).
+    # solve_lp_eigen: path newton for each completed Newton step, then
+    # eigh_fallback if the dense eigensolver ran.
+    trace: tuple = ()
 
 
 def _require_positive_field(f):
@@ -94,8 +105,9 @@ def solve_lp(
     spectral diagonal 2 - l(l+1) - (p-1) mean(f u^(p-2)) approximates the
     Jacobian and is uniformly invertible; steps are backtracked on the
     pointwise residual and rejected if positivity would be lost.  If the
-    quasi-Newton step stalls the exact dense Jacobian
-    D - (p-1) B^T diag(w f u^(p-2)) B is factorized instead.
+    quasi-Newton step stalls the exact dense Jacobian D - (p-1) M is
+    factorized instead, where M is the Galerkin matrix of multiplication by
+    f u^(p-2) (:func:`harmonics.galerkin_matrix`).
 
     A plain damped fixed-point iteration on u <- G(f u^(p-1)) is unstable
     here: at a constant solution the damped map has multiplier
@@ -141,6 +153,7 @@ def solve_lp(
     res = residual_inf_of(c, uv)
     iterations = 0
     use_dense = False
+    trace = []
     while res > tol and iterations < max_iter:
         iterations += 1
         R = D * c - rhs_c
@@ -148,12 +161,12 @@ def solve_lp(
         if not use_dense:
             step = -R / (D - (p - 1.0) * gbar)
         else:
-            B = harmonics.design_matrix(grid.L, L_max)
-            mult = (p - 1.0) * f.values * uv ** (p - 2.0)
-            J = np.diag(D) - B.T @ ((grid.weights * mult)[:, None] * B)
+            J = harmonics.galerkin_matrix((p - 1.0) * f.values * uv ** (p - 2.0), grid, L_max)
+            np.negative(J, out=J)
+            J[np.diag_indices(len(D))] += D
             step = scipy.linalg.solve(J, -(D * c - rhs_c))
         accepted = False
-        for _ in range(25):
+        for halvings in range(25):
             c_try = c + step
             uv_try = harmonics.synthesize(
                 harmonics.HarmonicCoeffs(L_max=L_max, c=c_try), grid
@@ -166,6 +179,11 @@ def solve_lp(
                     accepted = True
                     break
             step = 0.5 * step
+        trace.append({
+            "path": "dense" if use_dense else "quasi_newton",
+            "step_scale": 0.5**halvings if accepted else 0.0,
+            "residual_inf": res,
+        })
         if np.max(uv) < 0.05 * u0:
             # u = 0 solves the equation too; an iterate sliding there will
             # satisfy the tolerance without being the positive solution
@@ -182,7 +200,7 @@ def solve_lp(
     )
     sol = LpSolution(
         u=u, p=p, lam=None, residual_inf=res, iterations=iterations,
-        converged=res <= tol, degree1_magnitude=d1,
+        converged=res <= tol, degree1_magnitude=d1, trace=tuple(trace),
     )
     if not sol.converged:
         raise NonConvergence(
@@ -200,6 +218,9 @@ def solve_lp_eigen(
 ) -> LpSolution:
     """Solve the p = 2 eigenproblem (Laplacian + 2) u = lambda f u.
 
+    In coefficients this is D c = lambda M c, with D the spectrum of the
+    operator and M the Galerkin matrix of multiplication by f, assembled
+    ring by ring from azimuthal FFTs (:func:`harmonics.galerkin_matrix`).
     Newton iteration on the augmented system {(D - lambda M) c = 0,
     u(pin node) = 1} from u = 1, lambda = 2/mean(f); falls back to the dense
     generalized symmetric eigensolver if Newton stalls.  The returned
@@ -210,10 +231,11 @@ def solve_lp_eigen(
     grid = f.grid
     L_max = coeffs.L_max
     K = (L_max + 1) ** 2
-    B = harmonics.design_matrix(grid.L, L_max)
     D = harmonics.operator_diagonal(L_max)
-    M = B.T @ ((grid.weights * f.values)[:, None] * B)
-    M = 0.5 * (M + M.T)
+    M = harmonics.galerkin_matrix(f.values, grid, L_max)
+
+    def values_of(c_):
+        return harmonics.synthesize(harmonics.HarmonicCoeffs(L_max=L_max, c=c_), grid).values
 
     if initial is None:
         c = np.zeros(K)
@@ -221,45 +243,54 @@ def solve_lp_eigen(
     else:
         c = np.asarray(initial, dtype=float).copy()
     lam = 2.0 / _mean(f)
-    uv = B @ c
-    pin = int(np.argmax(uv))
+    uv = values_of(c)
+    pin = harmonics.node_basis(grid, int(np.argmax(uv)), L_max)
 
     def residual_of(c_, lam_, uv_):
-        return float(np.max(np.abs((D * c_) @ B.T - lam_ * f.values * uv_)))
+        vals = _operator_values(harmonics.HarmonicCoeffs(L_max=L_max, c=c_), grid)
+        return float(np.max(np.abs(vals - lam_ * f.values * uv_)))
 
     res = residual_of(c, lam, uv)
     iterations = 0
+    trace = []
     ok = True
+    J = np.zeros((K + 1, K + 1))
+    J[K, :K] = pin
     while res > tol and iterations < max_iter:
         iterations += 1
-        J = np.zeros((K + 1, K + 1))
-        J[:K, :K] = np.diag(D) - lam * M
-        J[:K, K] = -(M @ c)
-        J[K, :K] = B[pin]
-        F = np.concatenate([D * c - lam * (M @ c), [B[pin] @ c - 1.0]])
+        Mc = M @ c
+        np.multiply(M, -lam, out=J[:K, :K])
+        J[np.diag_indices(K)] += D
+        J[:K, K] = -Mc
+        F = np.concatenate([D * c - lam * Mc, [pin @ c - 1.0]])
         try:
             step = scipy.linalg.solve(J, -F)
         except scipy.linalg.LinAlgError:
             ok = False
             break
+        if not np.all(np.isfinite(step)):
+            ok = False
+            break
         c = c + step[:K]
         lam = lam + step[K]
-        uv = B @ c
+        uv = values_of(c)
         res = residual_of(c, lam, uv)
         if not np.isfinite(res):
             ok = False
             break
+        trace.append({"path": "newton", "residual_inf": res})
 
     if not ok or res > tol or np.min(uv) <= 0.0:
         # dense generalized eigensolver: largest eigenvalue of D c = lam M c
         vals, vecs = scipy.linalg.eigh(np.diag(D), M)
         lam = float(vals[-1])
         c = vecs[:, -1]
-        uv = B @ c
+        uv = values_of(c)
         if np.max(uv) < -np.min(uv):
             c, uv = -c, -uv
         res = residual_of(c, lam, uv)
         iterations += 1
+        trace.append({"path": "eigh_fallback", "residual_inf": res})
     if np.min(uv) <= 0.0:
         raise PositivityLost("principal eigenfunction is not strictly positive")
     scale = float(np.max(uv))
@@ -272,6 +303,7 @@ def solve_lp_eigen(
     sol = LpSolution(
         u=u, p=2.0, lam=float(lam), residual_inf=res, iterations=iterations,
         converged=res <= tol, degree1_magnitude=float(np.linalg.norm(c[1:4])),
+        trace=tuple(trace),
     )
     if not sol.converged:
         raise NonConvergence(

@@ -164,6 +164,19 @@ class TestCommands:
         )
         assert abs(report["lp"]["lambda"] - 2.0) < 1e-10
 
+    @pytest.mark.parametrize("p, paths", [("4", {"quasi_newton"}), ("2", {"newton"})])
+    def test_lp_trace(self, p, paths, tmp_path):
+        report, code = run_cli(
+            ["lp", "--p", p, "--input", "family:harmonic:l=2,m=1,eps=0.1,base=2",
+             "--L", "16", "--Lmax", "8"],
+            tmp_path,
+        )
+        assert code == 0
+        trace = report["lp"]["trace"]
+        assert len(trace) == report["lp"]["iterations"] > 0
+        assert {t["path"] for t in trace} == paths
+        assert trace[-1]["residual_inf"] <= 1e-8
+
     def test_gamma_command(self, tmp_path):
         report, code = run_cli(
             ["gamma", "--n", "2", "--alpha", "1", "--mc-samples", "100000"],
@@ -232,6 +245,17 @@ class TestErrors:
         # validated before the solve: no partial results in the report
         assert set(report) == {"config", "error"}
 
+    @pytest.mark.parametrize("command", [["check"], ["lp", "--p", "2"]])
+    def test_unresolvable_band_limit_reported(self, command, tmp_path):
+        report, code = run_cli(
+            command + ["--L", "16", "--Lmax", "40",
+                       "--input", "family:harmonic:l=2,m=0,eps=0.1,base=2"],
+            tmp_path,
+        )
+        assert code == 1
+        assert report["error"]["type"] == "BandLimitExceeded"
+        assert "L_max=40" in report["error"]["message"]
+
     def test_settable_values(self):
         sub = cli._make_parser()._subparsers._group_actions[0].choices
         counts = {
@@ -266,4 +290,15 @@ class TestDeterminism:
         b.pop("timings")
         a["config"].pop("report")
         b["config"].pop("report")
+        assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+    def test_repeat_eigen_run_identical(self, tmp_path):
+        argv = ["lp", "--p", "2", "--input", "family:harmonic:l=2,m=1,eps=0.1,base=2",
+                "--L", "16", "--Lmax", "8"]
+        a, _ = run_cli(argv, tmp_path, "r1.json")
+        b, _ = run_cli(argv, tmp_path, "r2.json")
+        for doc in (a, b):
+            doc.pop("timings")
+            doc["config"].pop("report")
+        assert a["lp"]["trace"]
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)

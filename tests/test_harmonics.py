@@ -15,6 +15,15 @@ def random_coeffs(L_max, seed, decay=0.3):
     return harmonics.HarmonicCoeffs(L_max=L_max, c=c)
 
 
+def basis_matrix(grid, L_max):
+    """B[node, k] = Y_k(node), one synthesis per unit coefficient vector."""
+    K = (L_max + 1) ** 2
+    return np.stack([
+        harmonics.synthesize(harmonics.HarmonicCoeffs(L_max=L_max, c=e), grid).values
+        for e in np.eye(K)
+    ], axis=1)
+
+
 class TestTransforms:
     def test_constant_coefficient(self, grid16):
         f = harmonics.SphericalField(grid=grid16, values=np.ones(grid16.node_count))
@@ -75,11 +84,21 @@ class TestTransforms:
             ref = ylm.real * (-1) ** m * (np.sqrt(2.0) if m > 0 else 1.0)
             assert abs(ours - ref) < 1e-12, (l, m)
 
-    def test_design_matrix_matches_synthesis(self, grid16):
-        coeffs = random_coeffs(8, seed=3)
-        B = harmonics.design_matrix(16, 8)
-        direct = harmonics.synthesize(coeffs, grid16).values
-        assert np.max(np.abs(B @ coeffs.c - direct)) < 1e-12
+    # (12, 11) reaches orders m + m' = 22 near 2L = 24; odd L = 13; and
+    # L_max >= L, where orders m + m' >= 2L alias on the rings
+    @pytest.mark.parametrize("L, L_max", [(12, 11), (13, 8), (8, 10)])
+    def test_galerkin_matrix_matches_basis_matrix(self, L, L_max):
+        grid = sphere.make_grid(L)
+        g = np.random.default_rng(L).standard_normal(grid.node_count)
+        assert g.min() < 0 < g.max()
+        B = basis_matrix(grid, L_max)
+        ref = B.T @ ((grid.weights * g)[:, None] * B)
+        M = harmonics.galerkin_matrix(g, grid, L_max)
+        assert np.max(np.abs(M - ref)) <= 1e-13 * np.max(np.abs(ref))
+        assert np.array_equal(M, M.T)
+        for node in (0, 5, grid.node_count // 2 + 3, grid.node_count - 1):
+            row = harmonics.node_basis(grid, node, L_max)
+            assert np.max(np.abs(row - B[node])) < 1e-14
 
 
 class TestDerivatives:

@@ -58,6 +58,26 @@ class TestSolveLp:
         assert best is not None and not best.converged
         assert best.residual_inf > 0
 
+    def test_trace_records_every_iteration(self, grid24):
+        f = harmonic_field(grid24, 2.0, {(2, 0): 0.1}, L_max=12)
+        sol = lp.solve_lp(f, 4.0, tol=1e-9)
+        assert len(sol.trace) == sol.iterations > 0
+        assert {t["path"] for t in sol.trace} == {"quasi_newton"}
+        residuals = [t["residual_inf"] for t in sol.trace]
+        assert all(b < a for a, b in zip(residuals, residuals[1:]))
+        assert residuals[-1] == sol.residual_inf
+
+    def test_trace_shows_dense_fallback(self, grid24):
+        # below the band-limit floor of the pointwise residual the
+        # quasi-Newton step stalls, the dense Jacobian runs and stalls too
+        f = harmonic_field(grid24, 2.0, {(2, 0): 0.1, (3, 1): 0.05}, L_max=12)
+        with pytest.raises(NonConvergence) as exc:
+            lp.solve_lp(f, 4.0, tol=1e-14)
+        trace = exc.value.best.trace
+        assert len(trace) == exc.value.best.iterations
+        assert trace[-1]["path"] == "dense"
+        assert trace[-2]["path"] == "quasi_newton" and trace[-2]["step_scale"] == 0.0
+
     def test_insensitive_to_initial_guess(self, grid24):
         f = harmonic_field(grid24, 2.0, {(2, 0): 0.1}, L_max=16)
         sols = [
@@ -114,6 +134,15 @@ class TestEigen:
         b = lp.solve_lp_eigen(f, tol=1e-10, initial=2.0 * a.u.coeffs.c)
         assert abs(a.lam - b.lam) < 1e-9
         assert np.max(np.abs(a.u.values - b.u.values)) < 1e-8
+
+    def test_eigh_fallback_matches_newton(self, grid24):
+        f = harmonic_field(grid24, 1.0, {(2, 0): 0.05, (3, 1): 0.03, (4, -2): 0.02}, L_max=12)
+        newton = lp.solve_lp_eigen(f, tol=1e-10)
+        dense = lp.solve_lp_eigen(f, tol=1e-10, max_iter=0)
+        assert [t["path"] for t in newton.trace] == ["newton"] * newton.iterations
+        assert [t["path"] for t in dense.trace] == ["eigh_fallback"]
+        assert abs(dense.lam - newton.lam) < 1e-9
+        assert np.max(np.abs(dense.u.values - newton.u.values)) < 1e-9
 
     def test_lambda_bounds_on_seeded_fields(self, grid24):
         rng = np.random.default_rng(33)
