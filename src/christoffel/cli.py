@@ -341,6 +341,7 @@ def run(args) -> tuple[dict, int]:
             "lemma41": {"holds": holds41, "lhs": l41, "rhs": r41},
             "t41cond": {"holds": holdsc, "lhs": lc, "rhs": rc},
             "hessian_min": hmin,
+            "residual_on_refined_grid": lp.residual_on_refined_grid(sol, f),
             "trace": list(sol.trace),
         }
 

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import gamma as gamma_fn
 
 from .errors import InvalidDimension, InvalidParameter, SingularEvaluation
@@ -103,6 +102,8 @@ def omega_radial(s: float, params: KernelParams, cfg: RadialQuadratureConfig = D
 
     Adaptive quadrature in the substituted variable rho = (r - s)/sqrt(1-s^2).
     """
+    from scipy.integrate import quad
+
     _check_s(s)
     n = params.n
     q = math.sqrt(1.0 - s * s)
@@ -137,6 +138,8 @@ def _sin_power_integral(k: int, a: float, b: float) -> float:
             return -ct + 2.0 * ct**3 / 3.0 - ct**5 / 5.0
 
         return anti(b) - anti(a)
+    from scipy.integrate import quad
+
     val, _ = quad(lambda t: math.sin(t) ** k, a, b, epsabs=1e-13, epsrel=1e-13, limit=200)
     return val
 
@@ -156,6 +159,8 @@ def firey_theta(s: float, params: KernelParams) -> float:
     independent of :func:`omega_closed` so the identity between the two is a
     genuine cross-check.
     """
+    from scipy.integrate import quad
+
     _check_s(s)
     n = params.n
     theta = math.acos(s)
@@ -175,6 +180,8 @@ def hat_omega(s: float, c: float, params: KernelParams, cfg: RadialQuadratureCon
     reduced to the scalars s = <x, z>, c = <xi, z> (with x orthogonal to xi,
     all unit).  Uses the same rho substitution as :func:`omega_radial`.
     """
+    from scipy.integrate import quad
+
     _check_s(s)
     if s * s + c * c > 1.0 + 1e-12:
         raise SingularEvaluation("need s^2 + c^2 <= 1 for unit x, z and xi _|_ x")
@@ -278,6 +285,8 @@ def gamma_const_info(n: int, alpha: float, cfg: RadialQuadratureConfig = DEFAULT
 
     and gamma = omega_n / (n (n+1) I).  Returns (gamma, error_estimate).
     """
+    from scipy.integrate import quad
+
     if n < 2:
         raise InvalidDimension(f"gamma_const requires n >= 2, got {n}")
     if not (0.0 < alpha <= 1.0):

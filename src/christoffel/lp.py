@@ -3,13 +3,16 @@
 For p > 2 a damped fixed-point iteration (inverting the linear operator
 spectrally) with a Newton finisher on harmonic coefficients; the p = 2 case
 is the generalized eigenproblem (Laplacian + 2) u = lambda f u for the pair
-(lambda, u) with u > 0, solved by Newton on the augmented system with a
-max-node normalization pin (dense generalized eigensolver as fallback).
-The dense matrices are Galerkin matrices of multiplication by a grid
-function, assembled ring by ring by :func:`harmonics.galerkin_matrix`;
-the basis matrix of the grid is never formed.  Each solution carries a
-trace of its iterates: the residual after each accepted step and which
-path took it.
+(lambda, u) with u > 0, solved by Jacobian-free Newton-Krylov on the
+bordered system with a max-node normalization pin: GMRES whose products
+are transforms, analyze(f synthesize(x)), preconditioned by the exact
+O(K) inverse of the bordered matrix with f replaced by its mean (dense
+generalized eigensolver as fallback).  The dense matrices, the Jacobian of
+the dense p > 2 step and M in the eigensolver fallback, are Galerkin
+matrices of multiplication by a grid function, assembled ring by ring by
+:func:`harmonics.galerkin_matrix`; the basis matrix of the grid is never
+formed.  Each solution carries a trace of its iterates: the residual after
+each accepted step and which path took it.
 
 The nonlinear right side is not a priori orthogonal to the degree-1
 harmonics; its degree-1 component is projected at every iteration and the
@@ -28,6 +31,18 @@ from . import harmonics
 from .errors import InvalidParameter, NonConvergence, NotPositive, PositivityLost
 from .sphere import SphereGrid, make_grid
 
+# p = 2 Newton steps: GMRES to this relative residual, restarted after
+# _KRYLOV_RESTART iterations, for at most _KRYLOV_CYCLES cycles.  Newton
+# has stalled once _STALL_STEPS consecutive steps each failed to cut the
+# residual below _STALL_RATIO times the one before (at a band-limit floor
+# the residual still moves in its last digits, so plain "not decreased"
+# would keep it running).
+_KRYLOV_RTOL = 1e-12
+_KRYLOV_RESTART = 80
+_KRYLOV_CYCLES = 10
+_STALL_STEPS = 2
+_STALL_RATIO = 0.5
+
 
 @dataclass(frozen=True)
 class LpSolution:
@@ -43,8 +58,9 @@ class LpSolution:
     # {"path", "residual_inf"} after each step.  solve_lp: one entry per
     # iteration, path quasi_newton or dense, plus the "step_scale" left
     # after backtracking (0.0: every trial was rejected, the iterate kept).
-    # solve_lp_eigen: path newton for each completed Newton step, then
-    # eigh_fallback if the dense eigensolver ran.
+    # solve_lp_eigen: path newton for each completed Newton step, with the
+    # "krylov_iterations" of its GMRES solve, then eigh_fallback if the
+    # dense eigensolver ran.
     trace: tuple = ()
 
 
@@ -68,7 +84,8 @@ def lp_residual_values(u: harmonics.SphericalField, f: harmonics.SphericalField,
     """Pointwise residual (Laplacian + 2) u - (lambda) f u^(p-1) on a grid.
 
     Defaults to the solution's own grid; pass a finer grid for refinement
-    checks (both u and f are then evaluated from their coefficients).
+    checks (both u and f are then synthesized there from their
+    coefficients).
     """
     uc = harmonics.require_coeffs(u)
     scale = 1.0 if lam is None else lam
@@ -77,8 +94,8 @@ def lp_residual_values(u: harmonics.SphericalField, f: harmonics.SphericalField,
         uv = u.values
         fv = f.values
     else:
-        uv = harmonics.synthesize_at(uc, grid.nodes)
-        fv = harmonics.synthesize_at(harmonics.require_coeffs(f), grid.nodes)
+        uv = harmonics.synthesize(uc, grid).values
+        fv = harmonics.synthesize(harmonics.require_coeffs(f), grid).values
     lap2 = _operator_values(uc, grid)
     return lap2 - scale * fv * uv ** (p - 1.0)
 
@@ -210,6 +227,33 @@ def solve_lp(
     return sol
 
 
+def _mean_field_inverse(d, gc, pin):
+    """Exact inverse of the bordered matrix [[diag(d), -gc], [pin, 0]].
+
+    This is the p = 2 Newton matrix with M replaced by mean(f) I (d = D -
+    lambda mean(f), gc = mean(f) c); it preconditions the Krylov solve.
+    Entries k >= 1 are eliminated through d; the l = 0 entry d[0] vanishes
+    at the starting lambda = 2/mean(f), so (x[0], mu) come from the 2x2
+    Schur complement left by the elimination.
+    """
+    w = pin[1:] / d[1:]
+    a = w @ gc[1:]
+    det = d[0] * a + gc[0] * pin[0]
+
+    def apply(y):
+        r, rho = y[:-1], y[-1]
+        t = rho - w @ r[1:]
+        x0 = (r[0] * a + gc[0] * t) / det
+        mu = (d[0] * t - pin[0] * r[0]) / det
+        x = np.empty_like(y)
+        x[0] = x0
+        x[1:-1] = (r[1:] + gc[1:] * mu) / d[1:]
+        x[-1] = mu
+        return x
+
+    return apply
+
+
 def solve_lp_eigen(
     f: harmonics.SphericalField,
     tol: float = 1e-8,
@@ -219,30 +263,43 @@ def solve_lp_eigen(
     """Solve the p = 2 eigenproblem (Laplacian + 2) u = lambda f u.
 
     In coefficients this is D c = lambda M c, with D the spectrum of the
-    operator and M the Galerkin matrix of multiplication by f, assembled
-    ring by ring from azimuthal FFTs (:func:`harmonics.galerkin_matrix`).
-    Newton iteration on the augmented system {(D - lambda M) c = 0,
-    u(pin node) = 1} from u = 1, lambda = 2/mean(f); falls back to the dense
-    generalized symmetric eigensolver if Newton stalls.  The returned
-    solution is normalized to max u = 1 (the dilation freedom).
+    operator and M the Galerkin matrix of multiplication by f.  Newton
+    iteration on the bordered system {(D - lambda M) c = 0, u(pin node) =
+    1} from u = 1, lambda = 2/mean(f), Jacobian-free (Knoll & Keyes 2004):
+    each step is a GMRES solve whose products need no matrix, since M x =
+    analyze(f synthesize(x)) exactly.  The preconditioner is the exact
+    inverse of the same bordered matrix with M replaced by mean(f) I, which
+    costs O(K).  If a Krylov solve fails, a step is not finite, Newton
+    stalls (two steps in a row fail to halve the residual), runs out of
+    iterations or ends at a u that is not positive, the dense generalized
+    symmetric eigensolver decides; only then is M assembled
+    (:func:`harmonics.galerkin_matrix`).  The returned solution is
+    normalized to max u = 1 (the dilation freedom).
     """
+    from scipy.sparse.linalg import LinearOperator, gmres
+
     _require_positive_field(f)
     coeffs = harmonics.require_coeffs(f)
     grid = f.grid
     L_max = coeffs.L_max
     K = (L_max + 1) ** 2
     D = harmonics.operator_diagonal(L_max)
-    M = harmonics.galerkin_matrix(f.values, grid, L_max)
+    fbar = _mean(f)
 
     def values_of(c_):
         return harmonics.synthesize(harmonics.HarmonicCoeffs(L_max=L_max, c=c_), grid).values
+
+    def times_f(uv_):
+        """M x from the grid values of x."""
+        field = harmonics.SphericalField(grid=grid, values=f.values * uv_)
+        return harmonics.analyze(field, L_max).c
 
     if initial is None:
         c = np.zeros(K)
         c[0] = np.sqrt(4.0 * np.pi)
     else:
         c = np.asarray(initial, dtype=float).copy()
-    lam = 2.0 / _mean(f)
+    lam = 2.0 / fbar
     uv = values_of(c)
     pin = harmonics.node_basis(grid, int(np.argmax(uv)), L_max)
 
@@ -250,38 +307,50 @@ def solve_lp_eigen(
         vals = _operator_values(harmonics.HarmonicCoeffs(L_max=L_max, c=c_), grid)
         return float(np.max(np.abs(vals - lam_ * f.values * uv_)))
 
+    def jacobian_times(x):
+        # reads the current Newton iterate's lam and Mc
+        xc = x[:K]
+        return np.concatenate([
+            D * xc - lam * times_f(values_of(xc)) - x[K] * Mc, [pin @ xc],
+        ])
+
+    J = LinearOperator((K + 1, K + 1), matvec=jacobian_times, dtype=float)
     res = residual_of(c, lam, uv)
     iterations = 0
+    stalled = 0
     trace = []
     ok = True
-    J = np.zeros((K + 1, K + 1))
-    J[K, :K] = pin
-    while res > tol and iterations < max_iter:
+    while res > tol and iterations < max_iter and stalled < _STALL_STEPS:
         iterations += 1
-        Mc = M @ c
-        np.multiply(M, -lam, out=J[:K, :K])
-        J[np.diag_indices(K)] += D
-        J[:K, K] = -Mc
+        Mc = times_f(uv)
         F = np.concatenate([D * c - lam * Mc, [pin @ c - 1.0]])
-        try:
-            step = scipy.linalg.solve(J, -F)
-        except scipy.linalg.LinAlgError:
-            ok = False
-            break
-        if not np.all(np.isfinite(step)):
+        P = LinearOperator(
+            (K + 1, K + 1), matvec=_mean_field_inverse(D - lam * fbar, fbar * c, pin),
+            dtype=float,
+        )
+        krylov = []
+        step, info = gmres(
+            J, -F, rtol=_KRYLOV_RTOL, restart=_KRYLOV_RESTART, maxiter=_KRYLOV_CYCLES,
+            M=P, callback=krylov.append, callback_type="pr_norm",
+        )
+        if info != 0 or not np.all(np.isfinite(step)):
             ok = False
             break
         c = c + step[:K]
         lam = lam + step[K]
         uv = values_of(c)
-        res = residual_of(c, lam, uv)
+        res_prev, res = res, residual_of(c, lam, uv)
         if not np.isfinite(res):
             ok = False
             break
-        trace.append({"path": "newton", "residual_inf": res})
+        stalled = stalled + 1 if res > _STALL_RATIO * res_prev else 0
+        trace.append({
+            "path": "newton", "residual_inf": res, "krylov_iterations": len(krylov),
+        })
 
     if not ok or res > tol or np.min(uv) <= 0.0:
         # dense generalized eigensolver: largest eigenvalue of D c = lam M c
+        M = harmonics.galerkin_matrix(f.values, grid, L_max)
         vals, vecs = scipy.linalg.eigh(np.diag(D), M)
         lam = float(vals[-1])
         c = vecs[:, -1]

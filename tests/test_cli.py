@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -176,6 +179,22 @@ class TestCommands:
         assert len(trace) == report["lp"]["iterations"] > 0
         assert {t["path"] for t in trace} == paths
         assert trace[-1]["residual_inf"] <= 1e-8
+        if p == "2":
+            assert all(t["krylov_iterations"] >= 1 for t in trace)
+        assert 0.0 <= report["lp"]["residual_on_refined_grid"] <= 1e-8
+
+    def test_import_leaves_quadrature_out(self):
+        # scipy.integrate is imported by the kernels that call quad, not
+        # at import; scipy.sparse.linalg only by the p = 2 solver
+        code = (
+            "import sys, christoffel.cli; "
+            "print(sorted({'scipy.integrate', 'scipy.sparse.linalg'} & set(sys.modules)))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        assert out.stdout.strip() == "[]"
 
     def test_gamma_command(self, tmp_path):
         report, code = run_cli(

@@ -1,10 +1,28 @@
 import numpy as np
 import pytest
 
-from christoffel import convexity, harmonics, lp
+from christoffel import body, convexity, harmonics, lp, sphere
 from christoffel.errors import InvalidParameter, NonConvergence
 
 from conftest import constant_field, harmonic_field, random_positive_field
+
+
+def ellipsoid_field(grid, L_max, axes):
+    """Curvature data of the ellipsoid, as the ``family:ellipsoid`` source."""
+    u = body.support_function(body.Ellipsoid(*axes), grid, L_max)
+    return body.forward_f(u)
+
+
+def scattered_residual_inf(sol, f, grid):
+    """max |(Laplacian + 2) u - (lambda) f u^(p-1)| over the nodes of grid,
+    every factor evaluated point by point from its coefficients."""
+    nodes = grid.nodes
+    uc = sol.u.coeffs
+    lap2 = harmonics.synthesize_at(uc.apply_operator(), nodes)
+    uv = harmonics.synthesize_at(uc, nodes)
+    fv = harmonics.synthesize_at(f.coeffs, nodes)
+    scale = 1.0 if sol.lam is None else sol.lam
+    return float(np.max(np.abs(lap2 - scale * fv * uv ** (sol.p - 1.0))))
 
 
 class TestSolveLp:
@@ -135,14 +153,79 @@ class TestEigen:
         assert abs(a.lam - b.lam) < 1e-9
         assert np.max(np.abs(a.u.values - b.u.values)) < 1e-8
 
-    def test_eigh_fallback_matches_newton(self, grid24):
-        f = harmonic_field(grid24, 1.0, {(2, 0): 0.05, (3, 1): 0.03, (4, -2): 0.02}, L_max=12)
+    def test_eigh_fallback_matches_newton(self, grid24, grid48):
+        cases = [
+            (harmonic_field(grid24, 1.0, {(2, 0): 0.05, (3, 1): 0.03, (4, -2): 0.02}, L_max=12),
+             1e-10),
+            # anisotropic: the band-limit floor of its grid residual is 3.5e-8
+            (ellipsoid_field(grid48, 32, (0.8, 1.2, 1.6)), 1e-7),
+        ]
+        for f, tol in cases:
+            newton = lp.solve_lp_eigen(f, tol=tol)
+            dense = lp.solve_lp_eigen(f, tol=tol, max_iter=0)
+            assert [t["path"] for t in newton.trace] == ["newton"] * newton.iterations
+            assert [t["path"] for t in dense.trace] == ["eigh_fallback"]
+            assert abs(dense.lam - newton.lam) < 1e-9
+            assert np.max(np.abs(dense.u.values - newton.u.values)) < 1e-9
+
+    def test_preconditioner_inverts_mean_field_matrix(self):
+        rng = np.random.default_rng(7)
+        K = 16
+        D = harmonics.operator_diagonal(3)
+        fbar, lam = 1.3, 2.0 / 1.3  # d[0] = 0, as at the Newton start
+        c, pin = rng.normal(size=K), rng.normal(size=K)
+        A = np.zeros((K + 1, K + 1))
+        A[:K, :K] = np.diag(D - lam * fbar)
+        A[:K, K] = -fbar * c
+        A[K, :K] = pin
+        apply = lp._mean_field_inverse(D - lam * fbar, fbar * c, pin)
+        inv = np.column_stack([apply(e) for e in np.eye(K + 1)])
+        assert np.max(np.abs(inv @ A - np.eye(K + 1))) < 1e-12
+
+    def test_newton_path_never_assembles_galerkin(self, grid24, grid48, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("Galerkin matrix assembled on the Newton path")
+
+        monkeypatch.setattr(harmonics, "galerkin_matrix", refuse)
+        for f, tol in [
+            (harmonic_field(grid24, 1.0, {(2, 0): 0.05, (3, 1): 0.03}, L_max=12), 1e-10),
+            (ellipsoid_field(grid48, 32, (0.8, 1.2, 1.6)), 1e-7),
+        ]:
+            sol = lp.solve_lp_eigen(f, tol=tol)
+            assert sol.converged
+            assert [t["path"] for t in sol.trace] == ["newton"] * sol.iterations
+            assert all(t["krylov_iterations"] >= 1 for t in sol.trace)
+
+    def test_krylov_failure_falls_back(self, grid24, monkeypatch):
+        import scipy.sparse.linalg
+
+        f = harmonic_field(grid24, 1.0, {(2, 0): 0.05, (3, 1): 0.03}, L_max=12)
         newton = lp.solve_lp_eigen(f, tol=1e-10)
-        dense = lp.solve_lp_eigen(f, tol=1e-10, max_iter=0)
-        assert [t["path"] for t in newton.trace] == ["newton"] * newton.iterations
-        assert [t["path"] for t in dense.trace] == ["eigh_fallback"]
-        assert abs(dense.lam - newton.lam) < 1e-9
-        assert np.max(np.abs(dense.u.values - newton.u.values)) < 1e-9
+        monkeypatch.setattr(
+            scipy.sparse.linalg, "gmres", lambda A, b, **kwargs: (np.zeros_like(b), 1)
+        )
+        sol = lp.solve_lp_eigen(f, tol=1e-10)
+        assert [t["path"] for t in sol.trace] == ["eigh_fallback"]
+        assert abs(sol.lam - newton.lam) < 1e-9
+        assert np.max(np.abs(sol.u.values - newton.u.values)) < 1e-9
+
+    def test_stall_leaves_newton_early(self, grid48):
+        # at (48, 32) the grid residual of this ellipsoid has a band-limit
+        # floor of 6.8e-4: Newton reaches it in three steps, then stalls,
+        # and the dense eigensolver decides as it did after 60 steps
+        f = ellipsoid_field(grid48, 32, (0.5, 1.0, 2.0))
+        with pytest.raises(NonConvergence) as exc:
+            lp.solve_lp_eigen(f)
+        best = exc.value.best
+        paths = [t["path"] for t in best.trace]
+        n_newton = len(paths) - 1
+        assert paths == ["newton"] * n_newton + ["eigh_fallback"]
+        # three steps to the floor, then two that fail to halve the residual
+        assert n_newton <= 5
+        residuals = [t["residual_inf"] for t in best.trace[:-1]]
+        assert all(b > 0.5 * a for a, b in zip(residuals[-3:], residuals[-2:]))
+        assert abs(best.lam - 0.9307101208137636) < 1e-12
+        assert abs(best.residual_inf - 6.836257936320145e-4) < 1e-14
 
     def test_lambda_bounds_on_seeded_fields(self, grid24):
         rng = np.random.default_rng(33)
@@ -150,6 +233,20 @@ class TestEigen:
             f = random_positive_field(grid24, rng, base=1.0, amp=0.1, l_max_content=3, L_max=16)
             sol = lp.solve_lp_eigen(f, tol=1e-9)
             assert 2.0 / np.max(f.values) - 1e-9 <= sol.lam <= 2.0 / np.min(f.values) + 1e-9
+
+
+class TestRefinedResidual:
+    @pytest.mark.parametrize("L", [12, 13])
+    def test_matches_scattered_evaluation(self, L):
+        grid = sphere.make_grid(L)
+        f = harmonic_field(grid, 2.0, {(2, 0): 0.1, (3, 1): 0.05}, L_max=8)
+        grid2 = sphere.make_grid(2 * L)
+        # tolerances above the band-limit floors (1.4e-7 and 1.3e-8)
+        for sol in (lp.solve_lp(f, 4.0, tol=1e-6), lp.solve_lp_eigen(f, tol=1e-7)):
+            ref = scattered_residual_inf(sol, f, grid2)
+            new = lp.residual_on_refined_grid(sol, f)
+            assert abs(new - ref) <= 1e-12 * np.max(np.abs(f.values))
+            assert ref > 0.0
 
 
 class TestGradientBound:
