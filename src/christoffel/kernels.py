@@ -11,23 +11,27 @@ Closed forms: for n = 2 the ray kernel is omega(s) = -1/(1 - s), and the
 second-derivative kernel splits as hat_omega(s, c) = A(s) - 3 c^2 B(s) with
 A, B rational in s.  These exact forms back the default kernel table used by
 the criterion sweeps; direct quadrature is retained for validation.
+
+Imports: the module needs only numpy at import and on the production paths
+(the closed forms, the Berg functions and gamma_{n, alpha} by a fixed
+Gauss-Jacobi rule).  ``scipy.integrate.quad`` is imported inside the
+functions that validate by adaptive quadrature: ``omega_radial``,
+``firey_theta``, ``hat_omega`` and ``gamma_const_info``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-from scipy.special import gamma as gamma_fn
 
 from .errors import InvalidDimension, InvalidParameter, SingularEvaluation
 
 
 def sphere_surface_measure(n: int) -> float:
     """|S^n| = 2 pi^((n+1)/2) / Gamma((n+1)/2)."""
-    return 2.0 * math.pi ** ((n + 1) / 2.0) / gamma_fn((n + 1) / 2.0)
+    return 2.0 * math.pi ** ((n + 1) / 2.0) / math.gamma((n + 1) / 2.0)
 
 
 @dataclass(frozen=True)
@@ -121,7 +125,12 @@ def omega_radial(s: float, params: KernelParams, cfg: RadialQuadratureConfig = D
 
 
 def _sin_power_integral(k: int, a: float, b: float) -> float:
-    """int_a^b sin^k t dt, analytic for k <= 5, quadrature otherwise."""
+    """int_a^b sin^k t dt in closed form.
+
+    Explicit antiderivatives for k <= 5; above that the reduction formula
+    int sin^k = -sin^(k-1) cos / k + (k-1)/k int sin^(k-2), whose factor
+    (k-1)/k < 1 keeps the upward recursion stable.
+    """
     if k <= 5:
         def anti(t):
             ct, st = math.cos(t), math.sin(t)
@@ -138,10 +147,8 @@ def _sin_power_integral(k: int, a: float, b: float) -> float:
             return -ct + 2.0 * ct**3 / 3.0 - ct**5 / 5.0
 
         return anti(b) - anti(a)
-    from scipy.integrate import quad
-
-    val, _ = quad(lambda t: math.sin(t) ** k, a, b, epsabs=1e-13, epsrel=1e-13, limit=200)
-    return val
+    edge = math.sin(b) ** (k - 1) * math.cos(b) - math.sin(a) ** (k - 1) * math.cos(a)
+    return -edge / k + (k - 1) / k * _sin_power_integral(k - 2, a, b)
 
 
 def omega_closed(s: float, params: KernelParams) -> float:
@@ -224,37 +231,71 @@ def hat_omega_closed(s: float, c: float, params: KernelParams) -> float:
 # Berg's recursion
 # ----------------------------------------------------------------------
 
-@lru_cache(maxsize=32)
-def _berg_symbolic(n: int):
-    import sympy as sp
+def _berg_operator(n: int):
+    """(base, q, C) with g_n(t) = sum_i q[i] t^i g_base^(i)(t) + C t.
 
-    t = sp.symbols("t")
-    if n == 2:
-        return (sp.pi - sp.acos(t)) * sp.sqrt(1 - t**2) / sp.pi - t / (2 * sp.pi), t
-    if n == 3:
-        return 1 + t * sp.log(1 - t) + (sp.Rational(4, 3) - sp.log(2)) * t, t
-    prev, _ = _berg_symbolic(n - 2)
-    m = n - 2  # step the dimension recursion from g_m to g_{m+2}
-    expr = (
-        sp.Rational(m + 1, (m - 1) ** 2) * t * sp.diff(prev, t)
-        + sp.Rational(m + 1, m - 1) * prev
-        + t / sp.sqrt(sp.pi) * (m + 1) * sp.gamma(sp.Rational(m + 2, 2))
-        / ((m + 2) * sp.gamma(sp.Rational(m + 1, 2)))
-    )
-    return expr, t
+    Berg's dimension recursion g_{m+2} = (a_m theta + b_m) g_m + c_m t,
+    with theta = t d/dt, a_m = (m+1)/(m-1)^2, b_m = (m+1)/(m-1) and
+    c_m = (m+1) Gamma((m+2)/2) / (sqrt(pi) (m+2) Gamma((m+1)/2)), starts
+    from g_2 or g_3.  Since theta (t^i D^i) = i t^i D^i + t^(i+1) D^(i+1)
+    and theta t = t, each step maps q_i to (a_m i + b_m) q_i + a_m q_(i-1)
+    and C to (a_m + b_m) C + c_m.
+    """
+    base = 2 if n % 2 == 0 else 3
+    q = [1.0]
+    C = 0.0
+    for m in range(base, n, 2):
+        a = (m + 1) / (m - 1) ** 2
+        b = (m + 1) / (m - 1)
+        c = (m + 1) * math.gamma((m + 2) / 2) / (
+            math.sqrt(math.pi) * (m + 2) * math.gamma((m + 1) / 2)
+        )
+        q = q + [0.0]
+        q = [(a * i + b) * q[i] + (a * q[i - 1] if i else 0.0) for i in range(len(q))]
+        C = (a + b) * C + c
+    return base, q, C
 
 
-@lru_cache(maxsize=32)
-def _berg_lambdified(n: int):
-    import sympy as sp
+def _berg_base_derivatives(base: int, t: np.ndarray, order: int) -> list:
+    """g_base and its first ``order`` derivatives at t.
 
-    expr, t = _berg_symbolic(n)
-    return sp.lambdify(t, expr, modules="numpy")
+    g_2 = w/pi - t/(2 pi) with w = (pi - arccos t) sqrt(1 - t^2) = (1 - t^2) y,
+    where y = arccos(-t)/sqrt(1 - t^2) solves (1 - t^2) y' - t y = 1, so
+    (1 - t^2) y^(k+1) = (2k+1) t y^(k) + k^2 y^(k-1); Leibniz then gives
+    w^(k) = (1 - t^2) y^(k) - 2k t y^(k-1) - k(k-1) y^(k-2).
+    g_3 = 1 + t log(1 - t) + (4/3 - log 2) t, and for k >= 2
+    D^k [t log(1 - t)] = -(k-2)! (k - t)/(1 - t)^k.
+    """
+    if base == 2:
+        one_m = 1.0 - t * t
+        acos_neg = np.arccos(-t)
+        out = [acos_neg * np.sqrt(one_m) / np.pi - t / (2.0 * np.pi)]
+        y = [acos_neg / np.sqrt(one_m)]
+        y.append((1.0 + t * y[0]) / one_m)
+        for k in range(1, order):
+            y.append(((2 * k + 1) * t * y[k] + k * k * y[k - 1]) / one_m)
+        for k in range(1, order + 1):
+            w = one_m * y[k] - 2 * k * t * y[k - 1]
+            if k >= 2:
+                w = w - k * (k - 1) * y[k - 2]
+            out.append(w / np.pi - (1.0 / (2.0 * np.pi) if k == 1 else 0.0))
+        return out
+    one_m = 1.0 - t
+    log1m = np.log(one_m)
+    slope = 4.0 / 3.0 - math.log(2.0)
+    out = [1.0 + t * log1m + slope * t]
+    if order >= 1:
+        out.append(log1m - t / one_m + slope)
+    for k in range(2, order + 1):
+        out.append(-math.factorial(k - 2) * (k - t) / one_m**k)
+    return out
 
 
 def berg_g(n: int, t):
     """Berg's kernel functions g_n: explicit g_2 and g_3, higher orders via
-    the dimension recursion with the derivative taken symbolically.
+    the dimension recursion, evaluated as a differential operator applied
+    to g_2 or g_3 (:func:`_berg_operator`).  Numpy only: neither SymPy nor
+    SciPy is loaded; the symbolic derivation is the reference in the tests.
 
     Scalar or array ``t`` with |t| < 1.
     """
@@ -263,13 +304,22 @@ def berg_g(n: int, t):
     arr = np.asarray(t, dtype=float)
     if np.any(np.abs(arr) >= 1.0):
         raise SingularEvaluation("Berg g_n requires |t| < 1")
-    out = np.asarray(_berg_lambdified(n)(arr), dtype=float)
+    base, q, C = _berg_operator(n)
+    derivs = _berg_base_derivatives(base, arr, len(q) - 1)
+    out = C * arr + sum(qi * arr**i * d for i, (qi, d) in enumerate(zip(q, derivs)))
     return float(out) if arr.ndim == 0 else out
 
 
 # ----------------------------------------------------------------------
 # The quantitative threshold constant gamma_{n, alpha}
 # ----------------------------------------------------------------------
+
+def _check_gamma_args(n: int, alpha: float):
+    if n < 2:
+        raise InvalidDimension(f"gamma_const requires n >= 2, got {n}")
+    if not (0.0 < alpha <= 1.0):
+        raise InvalidParameter(f"alpha must lie in (0, 1], got {alpha}")
+
 
 def gamma_const_info(n: int, alpha: float, cfg: RadialQuadratureConfig = DEFAULT_CFG):
     """gamma_{n, alpha} with a 1D quadrature error estimate.
@@ -284,13 +334,13 @@ def gamma_const_info(n: int, alpha: float, cfg: RadialQuadratureConfig = DEFAULT
                           [int_theta^pi sin^(n-1) t dt] dtheta,
 
     and gamma = omega_n / (n (n+1) I).  Returns (gamma, error_estimate).
+    Adaptive quadrature (imports ``scipy.integrate``): this is the
+    validated reference that the ``gamma`` command reports and that
+    :func:`gamma_const` is tested against.
     """
     from scipy.integrate import quad
 
-    if n < 2:
-        raise InvalidDimension(f"gamma_const requires n >= 2, got {n}")
-    if not (0.0 < alpha <= 1.0):
-        raise InvalidParameter(f"alpha must lie in (0, 1], got {alpha}")
+    _check_gamma_args(n, alpha)
 
     def integrand(theta):
         return theta**alpha / math.sin(theta) * _sin_power_integral(n - 1, theta, math.pi)
@@ -305,9 +355,41 @@ def gamma_const_info(n: int, alpha: float, cfg: RadialQuadratureConfig = DEFAULT
     return K / I, K * omega_nm1 * err / I**2
 
 
-def gamma_const(n: int, alpha: float, cfg: RadialQuadratureConfig = DEFAULT_CFG) -> float:
-    """Quantitative convexity threshold gamma_{n, alpha} (1D quadrature)."""
-    return gamma_const_info(n, alpha, cfg)[0]
+_GAMMA_NODES = 40
+
+
+def _gauss_jacobi(m: int, beta: float):
+    """Nodes and weights of the m-point Gauss rule for the weight
+    (1 + x)^beta on [-1, 1], beta > -1: eigenvalues of the Jacobi matrix
+    of the monic Jacobi polynomials P^(0, beta) and the squared first
+    components of its eigenvectors (Golub & Welsch 1969).
+    """
+    k = np.arange(1, m, dtype=float)
+    s = 2.0 * k + beta
+    diag = np.empty(m)
+    diag[0] = beta / (beta + 2.0)
+    diag[1:] = beta * beta / (s * (s + 2.0))
+    off = 2.0 * k * (k + beta) / (s * np.sqrt(s * s - 1.0))
+    x, v = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    return x, 2.0 ** (beta + 1.0) / (beta + 1.0) * v[0] ** 2
+
+
+def gamma_const(n: int, alpha: float) -> float:
+    """Quantitative convexity threshold gamma_{n, alpha}, numpy only.
+
+    The 1D integral of :func:`gamma_const_info`, with theta = pi (1 + x)/2,
+    is (pi/2)^alpha int_{-1}^{1} (1 + x)^(alpha-1) h(theta) dx, where
+    h(theta) = theta / sin(theta) int_theta^pi sin^(n-1) is analytic on
+    [0, pi].  A fixed 40-node Gauss-Jacobi rule for the weight
+    (1 + x)^(alpha-1) integrates it to rounding, so the L_p condition and
+    the Hoelder threshold need no adaptive quadrature and no SciPy.
+    """
+    _check_gamma_args(n, alpha)
+    x, w = _gauss_jacobi(_GAMMA_NODES, alpha - 1.0)
+    theta = 0.5 * np.pi * (1.0 + x)
+    h = [t / math.sin(t) * _sin_power_integral(n - 1, t, math.pi) for t in theta]
+    I1 = (0.5 * np.pi) ** alpha * float(w @ h)
+    return sphere_surface_measure(n) / (n * (n + 1.0)) / (sphere_surface_measure(n - 1) * I1)
 
 
 def gamma_monte_carlo(

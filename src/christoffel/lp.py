@@ -14,6 +14,11 @@ matrices of multiplication by a grid function, assembled ring by ring by
 formed.  Each solution carries a trace of its iterates: the residual after
 each accepted step and which path took it.
 
+Imports: only numpy at import and on the quasi-Newton path of p > 2.  The
+p = 2 solver imports ``scipy.sparse.linalg`` for GMRES; ``scipy.linalg``
+is imported only inside the two dense branches, the dense p > 2 step and
+the eigensolver fallback.
+
 The nonlinear right side is not a priori orthogonal to the degree-1
 harmonics; its degree-1 component is projected at every iteration and the
 final projected magnitude is reported as a self-consistency diagnostic
@@ -25,9 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from . import harmonics
+from . import harmonics, kernels
 from .errors import InvalidParameter, NonConvergence, NotPositive, PositivityLost
 from .sphere import SphereGrid, make_grid
 
@@ -178,6 +182,8 @@ def solve_lp(
         if not use_dense:
             step = -R / (D - (p - 1.0) * gbar)
         else:
+            import scipy.linalg
+
             J = harmonics.galerkin_matrix((p - 1.0) * f.values * uv ** (p - 2.0), grid, L_max)
             np.negative(J, out=J)
             J[np.diag_indices(len(D))] += D
@@ -348,8 +354,11 @@ def solve_lp_eigen(
             "path": "newton", "residual_inf": res, "krylov_iterations": len(krylov),
         })
 
-    if not ok or res > tol or np.min(uv) <= 0.0:
+    fallback = not ok or res > tol or np.min(uv) <= 0.0
+    if fallback:
         # dense generalized eigensolver: largest eigenvalue of D c = lam M c
+        import scipy.linalg
+
         M = harmonics.galerkin_matrix(f.values, grid, L_max)
         vals, vecs = scipy.linalg.eigh(np.diag(D), M)
         lam = float(vals[-1])
@@ -357,15 +366,16 @@ def solve_lp_eigen(
         uv = values_of(c)
         if np.max(uv) < -np.min(uv):
             c, uv = -c, -uv
-        res = residual_of(c, lam, uv)
         iterations += 1
-        trace.append({"path": "eigh_fallback", "residual_inf": res})
     if np.min(uv) <= 0.0:
         raise PositivityLost("principal eigenfunction is not strictly positive")
     scale = float(np.max(uv))
     c = c / scale
     uv = uv / scale
     res = residual_of(c, lam, uv)
+    if fallback:
+        # in the reported normalization (max u = 1), so it equals residual_inf
+        trace.append({"path": "eigh_fallback", "residual_inf": res})
     u = harmonics.SphericalField(
         grid=grid, values=uv, coeffs=harmonics.HarmonicCoeffs(L_max=L_max, c=c)
     )
@@ -408,9 +418,7 @@ def check_T41_cond(f, p: float, gamma1: float | None = None):
     if p < 2.0:
         raise InvalidParameter("condition applies for p >= 2")
     if gamma1 is None:
-        from .kernels import gamma_const
-
-        gamma1 = gamma_const(2, 1.0)
+        gamma1 = kernels.gamma_const(2, 1.0)
     fmin = float(np.min(f.values))
     fmax = float(np.max(f.values))
     gf = harmonics.grid_gradient(f)

@@ -183,18 +183,37 @@ class TestCommands:
             assert all(t["krylov_iterations"] >= 1 for t in trace)
         assert 0.0 <= report["lp"]["residual_on_refined_grid"] <= 1e-8
 
-    def test_import_leaves_quadrature_out(self):
-        # scipy.integrate is imported by the kernels that call quad, not
-        # at import; scipy.sparse.linalg only by the p = 2 solver
-        code = (
-            "import sys, christoffel.cli; "
-            "print(sorted({'scipy.integrate', 'scipy.sparse.linalg'} & set(sys.modules)))"
+    @staticmethod
+    def _fresh_modules(code):
+        """Top-level packages among scipy and sympy loaded by ``code`` run in
+        a fresh interpreter (the last line of its stdout)."""
+        code += (
+            "; import sys; "
+            "print(sorted({m.split('.')[0] for m in sys.modules} & {'scipy', 'sympy'}))"
         )
         out = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, check=True,
             env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
         )
-        assert out.stdout.strip() == "[]"
+        return out.stdout.strip().splitlines()[-1]
+
+    def test_import_leaves_quadrature_out(self):
+        # SciPy is imported only by the paths that use it (adaptive
+        # quadrature, GMRES, the dense LAPACK branches); SymPy by none
+        assert self._fresh_modules("import christoffel.cli") == "[]"
+
+    @pytest.mark.parametrize("argv, loaded", [
+        (["solve", "--input", "family:ellipsoid:a=1,b=1.2,c=1.5", "--L", "16", "--Lmax", "10"],
+         "[]"),
+        (["lp", "--p", "4", "--input", "family:harmonic:l=2,m=1,eps=0.1,base=2",
+          "--L", "16", "--Lmax", "8"], "[]"),
+        # the kernel table validates omega by adaptive quadrature
+        (["kernels", "--n", "2"], "['scipy']"),
+    ], ids=["solve", "lp", "kernels"])
+    def test_fresh_command_modules(self, argv, loaded, tmp_path):
+        argv = argv + ["--report", str(tmp_path / "report.json")]
+        code = f"from christoffel import cli; assert cli.main({argv!r}) == 0"
+        assert self._fresh_modules(code) == loaded
 
     def test_gamma_command(self, tmp_path):
         report, code = run_cli(

@@ -64,6 +64,13 @@ class TestFundamental:
                 assert abs(kernels.fundamental_dir2(x, y, xi, params)) <= bound * (1 + 1e-12)
 
 
+@pytest.mark.parametrize("k", range(13))
+def test_sin_power_integral_matches_quadrature(k):
+    for a, b in [(0.0, math.pi), (0.3, 2.9), (2.5, math.pi), (1.0, 0.2)]:
+        ref, _ = quad(lambda t: math.sin(t) ** k, a, b, epsabs=1e-13, epsrel=1e-13, limit=200)
+        assert abs(kernels._sin_power_integral(k, a, b) - ref) < 1e-13
+
+
 def _omega_raw_quadrature(s, n):
     """Independent oracle: adaptive quadrature in the raw radial variable."""
     val, _ = quad(
@@ -170,7 +177,43 @@ class TestHatOmega:
         assert kernels.hat_omega(0.0, 1.0, P2) < 0
 
 
+def _berg_symbolic(n):
+    """Reference: Berg's dimension recursion with the derivative taken by
+    SymPy, from the explicit g_2 and g_3."""
+    import sympy as sp
+
+    t = sp.symbols("t")
+    if n == 2:
+        return (sp.pi - sp.acos(t)) * sp.sqrt(1 - t**2) / sp.pi - t / (2 * sp.pi), t
+    if n == 3:
+        return 1 + t * sp.log(1 - t) + (sp.Rational(4, 3) - sp.log(2)) * t, t
+    prev, _ = _berg_symbolic(n - 2)
+    m = n - 2  # step the dimension recursion from g_m to g_{m+2}
+    expr = (
+        sp.Rational(m + 1, (m - 1) ** 2) * t * sp.diff(prev, t)
+        + sp.Rational(m + 1, m - 1) * prev
+        + t / sp.sqrt(sp.pi) * (m + 1) * sp.gamma(sp.Rational(m + 2, 2))
+        / ((m + 2) * sp.gamma(sp.Rational(m + 1, 2)))
+    )
+    return expr, t
+
+
 class TestBerg:
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_matches_symbolic_recursion(self, n):
+        import mpmath
+        import sympy as sp
+
+        expr, t = _berg_symbolic(n)
+        ref_fn = sp.lambdify(t, expr, modules="mpmath")
+        s = np.linspace(-0.95, 0.95, 39)
+        with mpmath.workdps(30):
+            ref = np.array([float(ref_fn(mpmath.mpf(float(v)))) for v in s])
+        got = kernels.berg_g(n, s)
+        assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
+        assert kernels.berg_g(n, float(s[7])) == got[7]
+
+
     def test_g2_values(self):
         assert abs(kernels.berg_g(2, 0.0) - 0.5) < 1e-14
         assert abs(kernels.berg_g(2, 1.0 - 1e-12) + 1 / (2 * np.pi)) < 1e-5
@@ -197,9 +240,17 @@ class TestBerg:
 class TestGamma:
     def test_analytic_value_n2_alpha1(self):
         # the 1D reduction evaluates to 1 / (6 pi ln 2) for n=2, alpha=1
+        exact = 1.0 / (6 * np.pi * np.log(2))
         g, err = kernels.gamma_const_info(2, 1.0)
-        assert abs(g - 1.0 / (6 * np.pi * np.log(2))) < 1e-10
+        assert abs(g - exact) < 1e-10
         assert err < 1e-8
+        assert abs(kernels.gamma_const(2, 1.0) - exact) <= 2e-16 * exact
+
+    def test_gauss_jacobi_matches_adaptive_quadrature(self):
+        for n in (2, 3, 4, 5):
+            for a in (0.25, 0.5, 0.9, 1.0):
+                ref, _ = kernels.gamma_const_info(n, a)
+                assert abs(kernels.gamma_const(n, a) - ref) <= 1e-13 * ref
 
     def test_positive(self):
         for n, a in [(2, 1.0), (2, 0.5), (3, 1.0), (4, 0.7)]:

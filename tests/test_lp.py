@@ -209,6 +209,17 @@ class TestEigen:
         assert abs(sol.lam - newton.lam) < 1e-9
         assert np.max(np.abs(sol.u.values - newton.u.values)) < 1e-9
 
+    def test_fallback_trace_in_reported_normalization(self, grid48):
+        # the band-limit floor of this field's grid residual (3.5e-8) lies
+        # above the default tol, so the dense eigensolver decides; its trace
+        # entry must describe the returned u, normalized to max u = 1
+        f = ellipsoid_field(grid48, 32, (0.8, 1.2, 1.6))
+        with pytest.raises(NonConvergence) as exc:
+            lp.solve_lp_eigen(f)
+        best = exc.value.best
+        assert best.trace[-1]["path"] == "eigh_fallback"
+        assert best.trace[-1]["residual_inf"] == best.residual_inf
+
     def test_stall_leaves_newton_early(self, grid48):
         # at (48, 32) the grid residual of this ellipsoid has a band-limit
         # floor of 6.8e-4: Newton reaches it in three steps, then stalls,
