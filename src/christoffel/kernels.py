@@ -12,15 +12,17 @@ second-derivative kernel splits as hat_omega(s, c) = A(s) - 3 c^2 B(s) with
 A, B rational in s.  These exact forms back the default kernel table used by
 the criterion sweeps; direct quadrature is retained for validation.
 
-Imports: the module needs only numpy at import and on the production paths
-(the closed forms, the Berg functions and gamma_{n, alpha} by a fixed
-Gauss-Jacobi rule).  ``scipy.integrate.quad`` is imported inside the
-functions that validate by adaptive quadrature: ``omega_radial``,
-``firey_theta``, ``hat_omega`` and ``gamma_const_info``.
+Imports: the module needs only numpy, on every path.  The closed forms, the
+Berg functions and gamma_{n, alpha} by a fixed Gauss-Jacobi rule are direct
+formulas; the functions that validate by adaptive quadrature
+(``omega_radial``, ``firey_theta``, ``hat_omega`` and ``gamma_const_info``)
+share one numpy Gauss-Kronrod routine, :func:`_gauss_kronrod`, in place of
+``scipy.integrate.quad``.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 
@@ -48,21 +50,87 @@ class KernelParams:
             object.__setattr__(self, "omega_n", sphere_surface_measure(self.n))
 
 
-@dataclass(frozen=True)
-class RadialQuadratureConfig:
-    """Tolerances for the adaptive radial quadratures."""
+# ----------------------------------------------------------------------
+# Adaptive Gauss-Kronrod quadrature
+# ----------------------------------------------------------------------
 
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-10
-    max_subdivisions: int = 60
+# QUADPACK qk21 (Piessens et al., QUADPACK, 1983) on [-1, 1], positive half
+# in descending order: the 21-point Kronrod abscissae and weights, and the
+# 10-point Gauss weights, zero where the abscissa is not a Gauss node.
+_XGK = (
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+    0.0,
+)
+_WGK = (
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077208015764546, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821,
+)
+_WG = (
+    0.0, 0.066671344308688137593568809893332,
+    0.0, 0.149451349150580593145776339657697,
+    0.0, 0.219086362515982043995534934228163,
+    0.0, 0.269266719309996355091226921569469,
+    0.0, 0.295524224714752870173892994651338,
+    0.0,
+)
+# all 21 nodes in ascending order; the Kronrod (row 0) and Gauss (row 1)
+# weights on them
+_GK_NODES = np.array([-x for x in _XGK[:-1]] + list(_XGK[::-1]))
+_GK_WEIGHTS = np.array([list(w[:-1]) + list(w[::-1]) for w in (_WGK, _WG)])
 
-    def __post_init__(self):
-        for t in (self.abs_tol, self.rel_tol):
-            if not (0.0 < t <= 1e-2):
-                raise InvalidParameter(f"tolerance {t} outside (0, 1e-2]")
 
+def _gauss_kronrod(f, a: float, b: float, epsabs: float = 1e-10,
+                   epsrel: float = 1e-10, limit: int = 200):
+    """int_a^b f(x) dx by global adaptive Gauss-Kronrod quadrature.
 
-DEFAULT_CFG = RadialQuadratureConfig()
+    Returns (value, error_estimate).  Each panel is integrated by the
+    10/21-point Gauss-Kronrod pair, K21 giving the value and |K21 - G10|
+    the panel's error estimate (QUADPACK scales this difference down; the
+    raw difference is the more cautious bound).  The panel with the largest
+    estimate is bisected until the estimates sum to at most
+    max(epsabs, epsrel |value|) or ``limit`` panels exist; the panels are
+    summed with ``math.fsum``.  ``f`` is vectorized: it is called once per
+    panel, on the array of its 21 nodes, and never at an end point.
+    b = inf is mapped onto t in [0, 1) by x = a + t/(1 - t); b < a
+    integrates over [b, a] and negates.
+    """
+    if b < a:
+        val, err = _gauss_kronrod(f, b, a, epsabs, epsrel, limit)
+        return -val, err
+    if b == math.inf:
+        g, x0 = f, a
+
+        def f(t):
+            return g(x0 + t / (1.0 - t)) / (1.0 - t) ** 2
+
+        a, b = 0.0, 1.0
+
+    # heap entries (-error, lo, hi, value): the top panel has the largest error
+    def panel(lo, hi):
+        half = 0.5 * (hi - lo)
+        k, g10 = half * (_GK_WEIGHTS @ f(0.5 * (lo + hi) + half * _GK_NODES))
+        return (-abs(k - g10), lo, hi, k)
+
+    heap = [panel(a, b)]
+    total_val, total_err = heap[0][3], -heap[0][0]
+    while total_err > max(epsabs, epsrel * abs(total_val)) and len(heap) < limit:
+        neg_err, lo, hi, val = heapq.heappop(heap)
+        mid = 0.5 * (lo + hi)
+        for part in (panel(lo, mid), panel(mid, hi)):
+            heapq.heappush(heap, part)
+            total_val += part[3]
+            total_err -= part[0]
+        total_val -= val
+        total_err += neg_err
+    return math.fsum(p[3] for p in heap), math.fsum(-p[0] for p in heap)
 
 
 # ----------------------------------------------------------------------
@@ -101,26 +169,20 @@ def _check_s(s: float):
         raise SingularEvaluation(f"kernel argument must satisfy |s| < 1, got s={s}")
 
 
-def omega_radial(s: float, params: KernelParams, cfg: RadialQuadratureConfig = DEFAULT_CFG) -> float:
+def omega_radial(s: float, params: KernelParams) -> float:
     """Ray integral -int_0^inf r^(n-1) (r^2 - 2 s r + 1)^(-(n+1)/2) dr.
 
     Adaptive quadrature in the substituted variable rho = (r - s)/sqrt(1-s^2).
     """
-    from scipy.integrate import quad
-
     _check_s(s)
     n = params.n
     q = math.sqrt(1.0 - s * s)
-    rho0 = -s / q
 
     def integrand(rho):
         r = s + q * rho
         return r ** (n - 1) * (rho * rho + 1.0) ** (-(n + 1) / 2.0)
 
-    val, _ = quad(
-        integrand, rho0, np.inf,
-        epsabs=cfg.abs_tol, epsrel=cfg.rel_tol, limit=cfg.max_subdivisions,
-    )
+    val, _ = _gauss_kronrod(integrand, -s / q, math.inf)
     return -(q ** -n) * val
 
 
@@ -162,23 +224,20 @@ def omega_closed(s: float, params: KernelParams) -> float:
 def firey_theta(s: float, params: KernelParams) -> float:
     """Firey's kernel Theta(s) = (1-s^2)^(-n/2) int_pi^arccos(s) sin^(n-1) t dt.
 
-    Evaluated by direct numerical integration of the defining formula, kept
-    independent of :func:`omega_closed` so the identity between the two is a
-    genuine cross-check.
+    Evaluated by adaptive Gauss-Kronrod quadrature of the defining formula
+    (:func:`_gauss_kronrod`, tolerance 1e-13), kept independent of the
+    antiderivatives behind :func:`omega_closed` so the identity between the
+    two is a genuine cross-check.
     """
-    from scipy.integrate import quad
-
     _check_s(s)
     n = params.n
-    theta = math.acos(s)
-    val, _ = quad(
-        lambda t: math.sin(t) ** (n - 1), math.pi, theta,
-        epsabs=1e-13, epsrel=1e-13, limit=200,
+    val, _ = _gauss_kronrod(
+        lambda t: np.sin(t) ** (n - 1), math.pi, math.acos(s), epsabs=1e-13, epsrel=1e-13,
     )
     return (1.0 - s * s) ** (-n / 2.0) * val
 
 
-def hat_omega(s: float, c: float, params: KernelParams, cfg: RadialQuadratureConfig = DEFAULT_CFG) -> float:
+def hat_omega(s: float, c: float, params: KernelParams) -> float:
     """Second-derivative ray kernel
 
         (1/omega_n) int_0^inf (|x - rz|^2 - (n+1) <xi, rz>^2)
@@ -187,14 +246,11 @@ def hat_omega(s: float, c: float, params: KernelParams, cfg: RadialQuadratureCon
     reduced to the scalars s = <x, z>, c = <xi, z> (with x orthogonal to xi,
     all unit).  Uses the same rho substitution as :func:`omega_radial`.
     """
-    from scipy.integrate import quad
-
     _check_s(s)
     if s * s + c * c > 1.0 + 1e-12:
         raise SingularEvaluation("need s^2 + c^2 <= 1 for unit x, z and xi _|_ x")
     n = params.n
     q = math.sqrt(1.0 - s * s)
-    rho0 = -s / q
     c2 = c * c
 
     def integrand(rho):
@@ -202,10 +258,7 @@ def hat_omega(s: float, c: float, params: KernelParams, cfg: RadialQuadratureCon
         u = rho * rho + 1.0
         return (q * q * u - (n + 1) * c2 * r * r) * r ** (n - 1) * u ** (-(n + 3) / 2.0)
 
-    val, _ = quad(
-        integrand, rho0, np.inf,
-        epsabs=cfg.abs_tol, epsrel=cfg.rel_tol, limit=cfg.max_subdivisions,
-    )
+    val, _ = _gauss_kronrod(integrand, -s / q, math.inf)
     return val * q ** (-n - 2) / params.omega_n
 
 
@@ -321,34 +374,42 @@ def _check_gamma_args(n: int, alpha: float):
         raise InvalidParameter(f"alpha must lie in (0, 1], got {alpha}")
 
 
-def gamma_const_info(n: int, alpha: float, cfg: RadialQuadratureConfig = DEFAULT_CFG):
+def gamma_const_info(n: int, alpha: float):
     """gamma_{n, alpha} with a 1D quadrature error estimate.
 
     The defining (n+1)-dimensional integral
 
         I = int_{R^{n+1}} |y - e|^(-n-1) |y|^(-1) dist(y/|y|, e)^alpha dy
 
-    reduces in polar coordinates to the one-dimensional form
+    reduces in polar coordinates to I = omega_{n-1} I1 with
 
-        I = omega_{n-1} int_0^pi theta^alpha (sin theta)^(-1)
-                          [int_theta^pi sin^(n-1) t dt] dtheta,
+        I1 = int_0^pi theta^(alpha-1) h(theta) dtheta,
+        h(theta) = theta / sin(theta) int_theta^pi sin^(n-1) t dt,
 
     and gamma = omega_n / (n (n+1) I).  Returns (gamma, error_estimate).
-    Adaptive quadrature (imports ``scipy.integrate``): this is the
-    validated reference that the ``gamma`` command reports and that
-    :func:`gamma_const` is tested against.
-    """
-    from scipy.integrate import quad
+    The endpoint singularity theta^(alpha-1) is subtracted:
 
+        I1 = h(0) pi^alpha / alpha + int_0^pi theta^(alpha-1) (h(theta) - h(0)) dtheta,
+
+    with h(0) = int_0^pi sin^(n-1); the remaining integrand is
+    O(theta^(alpha+1)), so it stays resolvable as alpha -> 0, where gamma
+    tends to 0 like alpha.  That integral is done by adaptive Gauss-Kronrod
+    quadrature (:func:`_gauss_kronrod`), numpy only, and the error estimate
+    is its |K21 - G10| sum carried to gamma.  This is the reference that
+    the ``gamma`` command reports and that :func:`gamma_const` is tested
+    against; it shares with that fixed Gauss-Jacobi rule only the inner
+    antiderivative :func:`_sin_power_integral`.
+    """
     _check_gamma_args(n, alpha)
+    h0 = _sin_power_integral(n - 1, 0.0, math.pi)
 
     def integrand(theta):
-        return theta**alpha / math.sin(theta) * _sin_power_integral(n - 1, theta, math.pi)
+        inner = np.array([_sin_power_integral(n - 1, t, math.pi) for t in theta])
+        return theta ** (alpha - 1.0) * (theta / np.sin(theta) * inner - h0)
 
-    I1, err = quad(
-        integrand, 0.0, math.pi,
-        epsabs=cfg.abs_tol, epsrel=cfg.rel_tol, limit=max(cfg.max_subdivisions, 200),
-    )
+    # tighter than the default: gamma_const is held to 1e-13 against this
+    rest, err = _gauss_kronrod(integrand, 0.0, math.pi, epsabs=1e-12, epsrel=1e-12)
+    I1 = h0 * math.pi**alpha / alpha + rest
     omega_nm1 = sphere_surface_measure(n - 1)
     I = omega_nm1 * I1
     K = sphere_surface_measure(n) / (n * (n + 1.0))
@@ -411,6 +472,8 @@ def gamma_monte_carlo(
     """
     if not (0.0 < alpha <= 1.0):
         raise InvalidParameter(f"alpha must lie in (0, 1], got {alpha}")
+    if samples < 1:
+        raise InvalidParameter(f"Monte-Carlo needs at least one sample, got {samples}")
     dim = n + 1
     omega_n = sphere_surface_measure(n)
     if pole is None:
@@ -484,40 +547,6 @@ class ClosedFormKernelTable:
 
     def hat(self, s, c2):
         return self.hat_A(s) - 3.0 * c2 * self.hat_B(s)
-
-
-class QuadratureKernelTable:
-    """Kernel evaluations by direct adaptive quadrature (slow; validation).
-
-    hat_A and hat_B are recovered from hat_omega at c = 0 and at the extreme
-    tangential c (c^2 = 1 - s^2), using the exact affine dependence on c^2.
-    """
-
-    def __init__(self, params: KernelParams | None = None,
-                 cfg: RadialQuadratureConfig = DEFAULT_CFG):
-        self.params = params if params is not None else KernelParams(n=2)
-        self.cfg = cfg
-        self.n = self.params.n
-
-    def omega(self, s):
-        return np.vectorize(lambda v: omega_radial(v, self.params, self.cfg))(s)
-
-    def hat_A(self, s):
-        return np.vectorize(lambda v: hat_omega(v, 0.0, self.params, self.cfg))(s)
-
-    def hat_B(self, s):
-        def one(v):
-            cmax2 = max(1.0 - v * v, 1e-300)
-            lo = hat_omega(v, 0.0, self.params, self.cfg)
-            hi = hat_omega(v, math.sqrt(cmax2), self.params, self.cfg)
-            return (lo - hi) / ((self.n + 1) * cmax2)
-
-        return np.vectorize(one)(s)
-
-    def hat(self, s, c2):
-        return np.vectorize(
-            lambda v, w: hat_omega(v, math.sqrt(max(w, 0.0)), self.params, self.cfg)
-        )(s, c2)
 
 
 DEFAULT_TABLE = ClosedFormKernelTable()

@@ -59,7 +59,8 @@ class LpSolution:
     iterations: int
     converged: bool
     degree1_magnitude: float = 0.0
-    # {"path", "residual_inf"} after each step.  solve_lp: one entry per
+    # {"path", "residual_inf"} after each step, the residual in the
+    # normalization of the returned u.  solve_lp: one entry per
     # iteration, path quasi_newton or dense, plus the "step_scale" left
     # after backtracking (0.0: every trial was rejected, the iterate kept).
     # solve_lp_eigen: path newton for each completed Newton step, with the
@@ -350,8 +351,11 @@ def solve_lp_eigen(
             ok = False
             break
         stalled = stalled + 1 if res > _STALL_RATIO * res_prev else 0
+        # the residual is homogeneous of degree 1 in u: record it for max u = 1,
+        # the normalization of the reported residual_inf
         trace.append({
-            "path": "newton", "residual_inf": res, "krylov_iterations": len(krylov),
+            "path": "newton", "residual_inf": res / float(np.max(uv)),
+            "krylov_iterations": len(krylov),
         })
 
     fallback = not ok or res > tol or np.min(uv) <= 0.0
@@ -372,10 +376,13 @@ def solve_lp_eigen(
     scale = float(np.max(uv))
     c = c / scale
     uv = uv / scale
-    res = residual_of(c, lam, uv)
     if fallback:
         # in the reported normalization (max u = 1), so it equals residual_inf
+        res = residual_of(c, lam, uv)
         trace.append({"path": "eigh_fallback", "residual_inf": res})
+    else:
+        # the last Newton iterate's residual, rescaled like its trace entry
+        res = res / scale
     u = harmonics.SphericalField(
         grid=grid, values=uv, coeffs=harmonics.HarmonicCoeffs(L_max=L_max, c=c)
     )

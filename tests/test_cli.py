@@ -198,8 +198,8 @@ class TestCommands:
         return out.stdout.strip().splitlines()[-1]
 
     def test_import_leaves_quadrature_out(self):
-        # SciPy is imported only by the paths that use it (adaptive
-        # quadrature, GMRES, the dense LAPACK branches); SymPy by none
+        # SciPy is imported only by the paths that use it (GMRES, the dense
+        # LAPACK branches); SymPy by none
         assert self._fresh_modules("import christoffel.cli") == "[]"
 
     @pytest.mark.parametrize("argv, loaded", [
@@ -207,9 +207,13 @@ class TestCommands:
          "[]"),
         (["lp", "--p", "4", "--input", "family:harmonic:l=2,m=1,eps=0.1,base=2",
           "--L", "16", "--Lmax", "8"], "[]"),
-        # the kernel table validates omega by adaptive quadrature
-        (["kernels", "--n", "2"], "['scipy']"),
-    ], ids=["solve", "lp", "kernels"])
+        # the adaptive quadratures of kernels, gamma and the kernel
+        # equivalence in check are numpy Gauss-Kronrod
+        (["kernels", "--n", "2"], "[]"),
+        (["gamma", "--n", "2", "--alpha", "0.5", "--mc-samples", "1000"], "[]"),
+        (["check", "--input", "family:ellipsoid:a=1,b=1.2,c=1.5", "--L", "16", "--Lmax", "10"],
+         "[]"),
+    ], ids=["solve", "lp", "kernels", "gamma", "check"])
     def test_fresh_command_modules(self, argv, loaded, tmp_path):
         argv = argv + ["--report", str(tmp_path / "report.json")]
         code = f"from christoffel import cli; assert cli.main({argv!r}) == 0"
@@ -270,6 +274,13 @@ class TestErrors:
         with pytest.raises(SystemExit) as exc:
             cli.main(["check", "--help"])
         assert exc.value.code == 0
+
+    @pytest.mark.parametrize("samples", ["0", "-5"])
+    def test_monte_carlo_without_samples_reported(self, samples, tmp_path):
+        report, code = run_cli(["gamma", "--mc-samples", samples], tmp_path)
+        assert code == 1
+        assert report["error"]["type"] == "InvalidParameter"
+        assert set(report) == {"config", "error"}
 
     def test_unknown_criterion_reported(self, tmp_path):
         report, code = run_cli(

@@ -22,9 +22,51 @@ class TestParams:
         with pytest.raises(InvalidDimension):
             kernels.KernelParams(n=1)
 
-    def test_quadrature_config_gate(self):
-        with pytest.raises(InvalidParameter):
-            kernels.RadialQuadratureConfig(abs_tol=0.5)
+
+class TestGaussKronrod:
+    def test_rule_degrees(self):
+        # K21 integrates x^k exactly on [-1, 1] for k <= 31, G10 for k <= 19
+        x = kernels._GK_NODES
+        for k in range(32):
+            exact = (1.0 - (-1.0) ** (k + 1)) / (k + 1)
+            kron, gauss = kernels._GK_WEIGHTS @ x**k
+            assert abs(kron - exact) < 1e-15
+            if k < 20:
+                assert abs(gauss - exact) < 1e-15
+
+    def test_smooth_matches_quad(self):
+        f = lambda x: np.exp(-x) * np.cos(5.0 * x)
+        ref, _ = quad(f, 0.0, 3.0, epsabs=1e-14, epsrel=1e-14)
+        val, err = kernels._gauss_kronrod(f, 0.0, 3.0)
+        assert abs(val - ref) <= 1e-14
+        assert err <= 1e-10
+
+    def test_semi_infinite_matches_quad(self):
+        # x^-2 decay: the map x = a + t/(1 - t) leaves a bounded integrand
+        f = lambda x: 1.0 / (1.0 + x * x) + np.exp(-x * x)
+        for a in (-3.0, 0.0, 2.5):
+            ref, _ = quad(f, a, np.inf, epsabs=1e-13, epsrel=1e-13, limit=200)
+            val, err = kernels._gauss_kronrod(f, a, math.inf)
+            assert abs(val - ref) <= 1e-12 * abs(ref)
+            assert err <= 1e-10 * abs(val)
+
+    def test_reversed_limits(self):
+        f = lambda x: np.sin(x) ** 3
+        forward, err_f = kernels._gauss_kronrod(f, 0.4, 2.9)
+        backward, err_b = kernels._gauss_kronrod(f, 2.9, 0.4)
+        ref, _ = quad(f, 2.9, 0.4, epsabs=1e-13, epsrel=1e-13)
+        assert backward == -forward and err_b == err_f
+        assert abs(backward - ref) <= 1e-14
+
+    @pytest.mark.parametrize("limit", [1, 3, 10])
+    def test_estimate_bounds_true_error(self, limit):
+        # x^-1/2 defeats the rule near 0; with few panels the true error is
+        # far above rounding, and the estimate must not understate it
+        f = lambda x: x ** -0.5 + np.cos(30.0 * x)
+        exact = 2.0 + math.sin(30.0) / 30.0
+        val, err = kernels._gauss_kronrod(f, 0.0, 1.0, limit=limit)
+        assert abs(val - exact) > 1e-8
+        assert abs(val - exact) <= err
 
 
 class TestFundamental:
@@ -238,6 +280,14 @@ class TestBerg:
 
 
 class TestGamma:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_small_alpha_limit(self, n):
+        # I1 ~ h(0)/alpha and omega_{n-1} h(0) = omega_n: gamma ~ alpha/(n(n+1))
+        a = 1e-9
+        g, _ = kernels.gamma_const_info(n, a)
+        assert abs(g * n * (n + 1) / a - 1.0) < 1e-8
+
+
     def test_analytic_value_n2_alpha1(self):
         # the 1D reduction evaluates to 1 / (6 pi ln 2) for n=2, alpha=1
         exact = 1.0 / (6 * np.pi * np.log(2))
@@ -248,9 +298,14 @@ class TestGamma:
 
     def test_gauss_jacobi_matches_adaptive_quadrature(self):
         for n in (2, 3, 4, 5):
-            for a in (0.25, 0.5, 0.9, 1.0):
-                ref, _ = kernels.gamma_const_info(n, a)
-                assert abs(kernels.gamma_const(n, a) - ref) <= 1e-13 * ref
+            for a in (1e-3, 0.01, 0.25, 0.5, 0.9, 1.0):
+                ref, err = kernels.gamma_const_info(n, a)
+                gap = abs(kernels.gamma_const(n, a) - ref)
+                assert gap <= 1e-13 * ref
+                assert gap <= max(err, 1e-14 * ref)
+            # the Gauss-Jacobi rule itself is 2.8e-8 off at alpha = 1e-9
+            ref, _ = kernels.gamma_const_info(n, 1e-9)
+            assert abs(kernels.gamma_const(n, 1e-9) - ref) <= 1e-7 * ref
 
     def test_positive(self):
         for n, a in [(2, 1.0), (2, 0.5), (3, 1.0), (4, 0.7)]:
@@ -275,12 +330,47 @@ class TestGamma:
             kernels.gamma_const(2, 1.5)
         with pytest.raises(InvalidParameter):
             kernels.gamma_const(2, 0.0)
+        for samples in (0, -3):
+            with pytest.raises(InvalidParameter):
+                kernels.gamma_monte_carlo(2, 1.0, samples=samples)
+
+
+class QuadratureKernelTable:
+    """Reference kernel table by direct adaptive quadrature (slow).
+
+    hat_A and hat_B are recovered from hat_omega at c = 0 and at the extreme
+    tangential c (c^2 = 1 - s^2), using the exact affine dependence on c^2.
+    """
+
+    def __init__(self, params=P2):
+        self.params = params
+        self.n = params.n
+
+    def omega(self, s):
+        return np.vectorize(lambda v: kernels.omega_radial(v, self.params))(s)
+
+    def hat_A(self, s):
+        return np.vectorize(lambda v: kernels.hat_omega(v, 0.0, self.params))(s)
+
+    def hat_B(self, s):
+        def one(v):
+            cmax2 = max(1.0 - v * v, 1e-300)
+            lo = kernels.hat_omega(v, 0.0, self.params)
+            hi = kernels.hat_omega(v, math.sqrt(cmax2), self.params)
+            return (lo - hi) / ((self.n + 1) * cmax2)
+
+        return np.vectorize(one)(s)
+
+    def hat(self, s, c2):
+        return np.vectorize(
+            lambda v, w: kernels.hat_omega(v, math.sqrt(max(w, 0.0)), self.params)
+        )(s, c2)
 
 
 class TestTables:
     def test_closed_table_matches_quadrature_table(self):
         ct = kernels.ClosedFormKernelTable()
-        qt = kernels.QuadratureKernelTable()
+        qt = QuadratureKernelTable()
         for s in (-0.8, -0.2, 0.3, 0.9):
             assert abs(ct.omega(s) - qt.omega(s)) < 1e-8
             assert abs(ct.hat_A(s) - qt.hat_A(s)) < 1e-9

@@ -220,6 +220,14 @@ class TestEigen:
         assert best.trace[-1]["path"] == "eigh_fallback"
         assert best.trace[-1]["residual_inf"] == best.residual_inf
 
+    def test_newton_trace_in_reported_normalization(self, grid24):
+        # Newton pins u at one node; its trace entries are rescaled to the
+        # returned max u = 1, so the last one is the reported residual
+        f = harmonic_field(grid24, 1.0, {(2, 0): 0.05, (3, 1): 0.03}, L_max=12)
+        sol = lp.solve_lp_eigen(f, tol=1e-10)
+        assert sol.trace[-1]["path"] == "newton"
+        assert abs(sol.trace[-1]["residual_inf"] - sol.residual_inf) <= 1e-15 * sol.residual_inf
+
     def test_stall_leaves_newton_early(self, grid48):
         # at (48, 32) the grid residual of this ellipsoid has a band-limit
         # floor of 6.8e-4: Newton reaches it in three steps, then stalls,
