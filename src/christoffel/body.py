@@ -105,6 +105,13 @@ class SurfaceMesh:
     One vertex per grid node (Du at that node, normal = the node itself),
     plus two pole vertices closing the polar fans; those sit at the mean of
     the adjacent ring and carry the +-z normals.
+
+    Faces come two per grid quad, quads in (ring, azimuth) order, then one
+    (north, south) pair of fan triangles per azimuth.  Quad (i, j) with
+    corners a = (i, j), b = (i+1, j), c = (i+1, j+1), d = (i, j+1) is
+    split along its shorter diagonal: (a, b, c), (a, c, d) when |a - c| <=
+    |b - d|, so a tie goes to the a-c diagonal, else (b, c, d), (b, d, a).
+    :func:`write_obj` writes every float as its shortest round-trip repr.
     """
 
     vertices: np.ndarray   # (N + 2, 3)
@@ -113,11 +120,18 @@ class SurfaceMesh:
     node_vertex_count: int
 
 
+def _lengths(v: np.ndarray) -> np.ndarray:
+    """Length of each row of an (m, 3) array, bit for bit np.linalg.norm of
+    that row (einsum and norm(axis=1) are not, and flip tied splits)."""
+    return np.sqrt(v[:, None, :] @ v[:, :, None])[:, 0, 0]
+
+
 def embed(u: harmonics.SphericalField) -> SurfaceMesh:
     """Boundary surface M = {Du(x)}, Du = grad_S u + u x, triangulated.
 
     Grid quads are split along the shorter diagonal; the polar gaps are
-    closed with triangle fans to the mean of the adjacent ring.
+    closed with triangle fans to the mean of the adjacent ring.  Face order
+    is described in :class:`SurfaceMesh`.
     """
     grid = u.grid
     grad = harmonics.grid_gradient(u)
@@ -130,25 +144,25 @@ def embed(u: harmonics.SphericalField) -> SurfaceMesh:
     vertices = np.vstack([verts, north[None, :], south[None, :]])
     normals = np.vstack([grid.nodes, [[0.0, 0.0, 1.0]], [[0.0, 0.0, -1.0]]])
 
-    faces = []
-    idx = lambda i, j: i * n_phi + (j % n_phi)
-    for i in range(L - 1):
-        for j in range(n_phi):
-            a, b = idx(i, j), idx(i + 1, j)
-            c, d = idx(i + 1, j + 1), idx(i, j + 1)
-            if np.linalg.norm(verts[a] - verts[c]) <= np.linalg.norm(verts[b] - verts[d]):
-                faces.append((a, b, c))
-                faces.append((a, c, d))
-            else:
-                faces.append((b, c, d))
-                faces.append((b, d, a))
-    ni, si = len(verts), len(verts) + 1
-    for j in range(n_phi):
-        faces.append((ni, idx(0, j), idx(0, j + 1)))
-        faces.append((si, idx(L - 1, j + 1), idx(L - 1, j)))
+    # corners a, b, c, d of every quad, as in SurfaceMesh, azimuth wrapping
+    j0 = np.arange(n_phi)
+    j1 = np.roll(j0, -1)
+    start = np.arange(L - 1)[:, None] * n_phi
+    a, d = (start + j0).ravel(), (start + j1).ravel()
+    b, c = a + n_phi, d + n_phi
+    short_ac = (_lengths(verts[a] - verts[c]) <= _lengths(verts[b] - verts[d]))[:, None]
+    quads = np.stack([
+        np.where(short_ac, np.stack([a, b, c], 1), np.stack([b, c, d], 1)),
+        np.where(short_ac, np.stack([a, c, d], 1), np.stack([b, d, a], 1)),
+    ], axis=1)
+    last = (L - 1) * n_phi
+    fans = np.stack([
+        np.stack([np.full(n_phi, len(verts)), j0, j1], 1),
+        np.stack([np.full(n_phi, len(verts) + 1), last + j1, last + j0], 1),
+    ], axis=1)
     return SurfaceMesh(
         vertices=vertices,
-        faces=np.asarray(faces, dtype=int),
+        faces=np.concatenate([quads.reshape(-1, 3), fans.reshape(-1, 3)]),
         normals=normals,
         node_vertex_count=grid.node_count,
     )
@@ -165,21 +179,19 @@ def principal_radii(u: harmonics.SphericalField, x):
     return float(r[0]), float(r[1])
 
 
-def obj_text(mesh: SurfaceMesh) -> str:
-    """Wavefront OBJ: v lines, vn lines in vertex order, 1-based f lines."""
-    lines = []
-    for v in mesh.vertices:
-        lines.append(f"v {float(v[0])!r} {float(v[1])!r} {float(v[2])!r}")
-    for n in mesh.normals:
-        lines.append(f"vn {float(n[0])!r} {float(n[1])!r} {float(n[2])!r}")
-    for f in mesh.faces:
-        lines.append(f"f {f[0] + 1} {f[1] + 1} {f[2] + 1}")
-    return "\n".join(lines) + "\n"
+_OBJ_BLOCK_ROWS = 4096
 
 
 def write_obj(mesh: SurfaceMesh, path):
+    """Wavefront OBJ: v lines, vn lines in vertex order, 1-based f lines,
+    streamed to ``path`` with one format per block of rows."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(obj_text(mesh))
+        for line, rows in (("v %r %r %r\n", mesh.vertices),
+                           ("vn %r %r %r\n", mesh.normals),
+                           ("f %d %d %d\n", mesh.faces + 1)):
+            for k in range(0, len(rows), _OBJ_BLOCK_ROWS):
+                block = rows[k : k + _OBJ_BLOCK_ROWS]
+                fh.write(line * len(block) % tuple(block.ravel().tolist()))
 
 
 # ----------------------------------------------------------------------

@@ -19,13 +19,22 @@ Exit codes: 0 success/holds, 2 a requested criterion fails, 3 inconclusive,
 values), which print the usage and write no report; every other error is
 reported as {"type": ..., "message": ...} in the report's ``error`` field.
 Reports are deterministic for a fixed config and seed (the timings block is
-excluded from that contract).
+excluded from that contract).  A reader that closes stdout early (``| head``)
+ends the command with exit code 1 and no traceback.
+
+Output files are byte-deterministic too, every float written as its
+shortest round-trip ``repr``.  The u CSV has one theta,phi,value row per
+grid node in theta-major order.  The OBJ has v lines, vn lines in the same
+order, then 1-based f lines in the order of :class:`body.SurfaceMesh`:
+two per grid quad in (ring, azimuth) order, split along the shorter
+diagonal with ties to the a-c one, then the (north, south) polar fan pairs.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -43,13 +52,16 @@ from .sphere import make_grid
 
 
 def _field_to_csv(field: harmonics.SphericalField) -> str:
+    """theta,phi,value rows in theta-major grid order, formatted a ring at
+    a time: each phi's repr is taken once for all rings, each theta's once
+    for its ring."""
     grid = field.grid
-    lines = ["theta,phi,value"]
-    vals = field.values.reshape(grid.L, grid.azimuth_count)
-    for i, th in enumerate(grid.thetas):
-        for j, ph in enumerate(grid.phis):
-            lines.append(f"{float(th)!r},{float(ph)!r},{float(vals[i, j])!r}")
-    return "\n".join(lines) + "\n"
+    ring = "".join(f"%s,{ph!r},%%r\n" for ph in grid.phis.tolist())
+    vals = field.values.reshape(grid.L, grid.azimuth_count).tolist()
+    return "theta,phi,value\n" + "".join(
+        ring % ((repr(th),) * grid.azimuth_count) % tuple(row)
+        for th, row in zip(grid.thetas.tolist(), vals)
+    )
 
 
 def _repeated_floats(tokens) -> np.ndarray:
@@ -439,7 +451,7 @@ def _kernel_table_csv(n: int):
     return "\n".join(lines) + "\n", summary
 
 
-def main(argv=None) -> int:
+def _main(argv) -> int:
     args = _make_parser().parse_args(argv)
     try:
         report, code = run(args)
@@ -461,6 +473,20 @@ def main(argv=None) -> int:
             fh.write(text + "\n")
     else:
         print(text)
+    return code
+
+
+def main(argv=None) -> int:
+    """Run the CLI; a reader that closes stdout early ends it with exit code
+    1 and no traceback."""
+    try:
+        code = _main(argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the interpreter flushes stdout again at exit: point it at devnull
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
     return code
 
 

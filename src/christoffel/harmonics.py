@@ -22,7 +22,7 @@ from .errors import (
     NotAnalyzed,
     OrthogonalityViolation,
 )
-from .sphere import SphereGrid, make_grid, point_coords, tangent_bases
+from .sphere import SphereGrid, _polar_rule, point_coords, tangent_bases
 
 DEFAULT_L_MAX = 32
 DEFAULT_GRID_L = 48
@@ -202,8 +202,7 @@ def _legendre_blocks(t: np.ndarray, L_max: int, nderiv: int = 0):
 
 @lru_cache(maxsize=16)
 def _grid_blocks(L: int, L_max: int, nderiv: int):
-    grid = make_grid(L)
-    return _legendre_blocks(grid.polar_nodes, L_max, nderiv)
+    return _legendre_blocks(_polar_rule(L)[0], L_max, nderiv)
 
 
 def _azimuth_tables(phis: np.ndarray, L_max: int):

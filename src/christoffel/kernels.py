@@ -438,18 +438,27 @@ def _gauss_jacobi(m: int, beta: float):
 def gamma_const(n: int, alpha: float) -> float:
     """Quantitative convexity threshold gamma_{n, alpha}, numpy only.
 
-    The 1D integral of :func:`gamma_const_info`, with theta = pi (1 + x)/2,
-    is (pi/2)^alpha int_{-1}^{1} (1 + x)^(alpha-1) h(theta) dx, where
-    h(theta) = theta / sin(theta) int_theta^pi sin^(n-1) is analytic on
-    [0, pi].  A fixed 40-node Gauss-Jacobi rule for the weight
-    (1 + x)^(alpha-1) integrates it to rounding, so the L_p condition and
-    the Hoelder threshold need no adaptive quadrature and no SciPy.
+    The 1D integral of :func:`gamma_const_info`, with the same subtraction
+    of h(0) and theta = pi (1 + x)/2:
+
+        I1 = h(0) pi^alpha / alpha
+             + (pi/2)^alpha int_{-1}^{1} (1 + x)^(alpha+1) g(x) dx,
+
+    g = (h(theta) - h(0)) / (1 + x)^2.  h(theta) = theta / sin(theta)
+    int_theta^pi sin^(n-1) is analytic on [0, pi] with h - h(0) = O(theta^2)
+    for n >= 2, so g is analytic too, and a fixed 40-node Gauss-Jacobi rule
+    for the weight (1 + x)^(alpha+1) integrates it to rounding.  That
+    exponent stays in (1, 2], away from -1, where the rule's weights lose
+    digits as alpha -> 0.  So the L_p condition and the Hoelder threshold
+    need no adaptive quadrature and no SciPy.
     """
     _check_gamma_args(n, alpha)
-    x, w = _gauss_jacobi(_GAMMA_NODES, alpha - 1.0)
+    x, w = _gauss_jacobi(_GAMMA_NODES, alpha + 1.0)
     theta = 0.5 * np.pi * (1.0 + x)
-    h = [t / math.sin(t) * _sin_power_integral(n - 1, t, math.pi) for t in theta]
-    I1 = (0.5 * np.pi) ** alpha * float(w @ h)
+    h0 = _sin_power_integral(n - 1, 0.0, math.pi)
+    h = np.array([t / math.sin(t) * _sin_power_integral(n - 1, t, math.pi) for t in theta])
+    rest = (0.5 * np.pi) ** alpha * float(w @ ((h - h0) / (1.0 + x) ** 2))
+    I1 = h0 * math.pi**alpha / alpha + rest
     return sphere_surface_measure(n) / (n * (n + 1.0)) / (sphere_surface_measure(n - 1) * I1)
 
 
@@ -472,8 +481,9 @@ def gamma_monte_carlo(
     """
     if not (0.0 < alpha <= 1.0):
         raise InvalidParameter(f"alpha must lie in (0, 1], got {alpha}")
-    if samples < 1:
-        raise InvalidParameter(f"Monte-Carlo needs at least one sample, got {samples}")
+    if samples < 2:
+        # one sample has no variance estimate: its standard error would read 0
+        raise InvalidParameter(f"Monte-Carlo needs at least two samples, got {samples}")
     dim = n + 1
     omega_n = sphere_surface_measure(n)
     if pole is None:

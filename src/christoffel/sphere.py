@@ -10,6 +10,7 @@ only through the one-dimensional kernel reductions in :mod:`christoffel.kernels`
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -91,6 +92,16 @@ class SphereGrid:
         return float(self.weights @ np.asarray(values, dtype=float))
 
 
+@lru_cache(maxsize=8)
+def _polar_rule(L: int):
+    """The L-point Gauss-Legendre rule in cos(theta), ordered so that theta
+    ascends: (nodes, weights), shared read-only by every caller."""
+    t, wt = np.polynomial.legendre.leggauss(L)
+    t, wt = t[::-1].copy(), wt[::-1].copy()
+    t.flags.writeable = wt.flags.writeable = False
+    return t, wt
+
+
 def make_grid(L: int) -> SphereGrid:
     """Build the S^2 quadrature grid with L polar and 2L azimuthal nodes.
 
@@ -106,10 +117,7 @@ def make_grid(L: int) -> SphereGrid:
     """
     if L < 4:
         raise ResolutionTooLow(f"grid needs L >= 4, got {L}")
-    t, wt = np.polynomial.legendre.leggauss(L)
-    # leggauss returns ascending cos(theta); flip so theta is ascending
-    t = t[::-1].copy()
-    wt = wt[::-1].copy()
+    t, wt = (a.copy() for a in _polar_rule(L))
     thetas = np.arccos(t)
     n_phi = 2 * L
     phis = 2.0 * np.pi * np.arange(n_phi) / n_phi

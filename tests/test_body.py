@@ -7,6 +7,54 @@ from christoffel.errors import InvalidParameter
 from conftest import harmonic_field
 
 
+def loop_embed_faces(u):
+    """Reference triangulation: the quad loop that embed vectorises."""
+    grid = u.grid
+    verts = harmonics.grid_gradient(u) + u.values[:, None] * grid.nodes
+    n_phi, L = grid.azimuth_count, grid.L
+    faces = []
+    idx = lambda i, j: i * n_phi + (j % n_phi)
+    for i in range(L - 1):
+        for j in range(n_phi):
+            a, b = idx(i, j), idx(i + 1, j)
+            c, d = idx(i + 1, j + 1), idx(i, j + 1)
+            if np.linalg.norm(verts[a] - verts[c]) <= np.linalg.norm(verts[b] - verts[d]):
+                faces.append((a, b, c))
+                faces.append((a, c, d))
+            else:
+                faces.append((b, c, d))
+                faces.append((b, d, a))
+    ni, si = len(verts), len(verts) + 1
+    for j in range(n_phi):
+        faces.append((ni, idx(0, j), idx(0, j + 1)))
+        faces.append((si, idx(L - 1, j + 1), idx(L - 1, j)))
+    return np.asarray(faces, dtype=int)
+
+
+def loop_obj_text(mesh):
+    """Reference OBJ text, one line at a time."""
+    lines = []
+    for v in mesh.vertices:
+        lines.append(f"v {float(v[0])!r} {float(v[1])!r} {float(v[2])!r}")
+    for n in mesh.normals:
+        lines.append(f"vn {float(n[0])!r} {float(n[1])!r} {float(n[2])!r}")
+    for f in mesh.faces:
+        lines.append(f"f {f[0] + 1} {f[1] + 1} {f[2] + 1}")
+    return "\n".join(lines) + "\n"
+
+
+# a ball, where every quad's diagonals tie by symmetry, and two ellipsoids
+MESH_BODIES = [body.Sphere(1.0), body.Ellipsoid(1.0, 1.2, 1.5), body.Ellipsoid(0.5, 1.0, 2.0)]
+
+
+@pytest.fixture(scope="module", params=[
+    (L, b) for L in (16, 17, 48) for b in MESH_BODIES
+], ids=lambda p: f"L{p[0]}-{p[1]}")
+def mesh_u(request):
+    L, b = request.param
+    return body.support_function(b, sphere.make_grid(L), L_max=2 * L // 3)
+
+
 @pytest.fixture(scope="module")
 def ellipsoid():
     return body.Ellipsoid(1.0, 1.2, 0.8)
@@ -179,6 +227,29 @@ class TestRoundTrip:
         c[1:4] = u_exact.coeffs.c[1:4]
         aligned = harmonics.synthesize(harmonics.HarmonicCoeffs(L_max=12, c=c), grid24)
         assert np.max(np.abs(aligned.values - u_exact.values)) < 1e-10
+
+
+class TestLoopReference:
+    def test_faces_match_loop(self, mesh_u):
+        faces = body.embed(mesh_u).faces
+        ref = loop_embed_faces(mesh_u)
+        assert faces.dtype == ref.dtype and np.array_equal(faces, ref)
+
+    def test_obj_bytes_match_loop(self, mesh_u, tmp_path):
+        mesh = body.embed(mesh_u)
+        path = tmp_path / "body.obj"
+        body.write_obj(mesh, path)
+        assert path.read_bytes() == loop_obj_text(mesh).encode("utf-8")
+
+    @pytest.mark.parametrize("rows", [1, 7, 10**6])
+    def test_obj_independent_of_block_size(self, grid16, rows, tmp_path, monkeypatch):
+        mesh = body.embed(body.support_function(body.Ellipsoid(1.0, 1.2, 1.5), grid16, 10))
+        default = tmp_path / "default.obj"
+        body.write_obj(mesh, default)
+        monkeypatch.setattr(body, "_OBJ_BLOCK_ROWS", rows)
+        path = tmp_path / f"rows{rows}.obj"
+        body.write_obj(mesh, path)
+        assert path.read_bytes() == default.read_bytes()
 
 
 class TestObj:

@@ -6,9 +6,20 @@ import sys
 import numpy as np
 import pytest
 
-from christoffel import cli, harmonics
+from christoffel import body, cli, harmonics
 from christoffel.errors import GridMismatch, NotPositive, ParseError
 from christoffel.sphere import make_grid
+
+
+def loop_field_to_csv(field):
+    """Reference CSV text, one row at a time."""
+    grid = field.grid
+    lines = ["theta,phi,value"]
+    vals = field.values.reshape(grid.L, grid.azimuth_count)
+    for i, th in enumerate(grid.thetas):
+        for j, ph in enumerate(grid.phis):
+            lines.append(f"{float(th)!r},{float(ph)!r},{float(vals[i, j])!r}")
+    return "\n".join(lines) + "\n"
 
 
 def run_cli(argv, tmp_path, name="report.json"):
@@ -46,6 +57,14 @@ class TestFieldSources:
         path.write_text(cli._field_to_csv(f))
         back = cli._field_from_csv(str(path), grid16)
         assert np.array_equal(back.values, f.values)
+
+    @pytest.mark.parametrize("L", [16, 17, 48])
+    @pytest.mark.parametrize("shape", [
+        body.Sphere(1.0), body.Ellipsoid(1.0, 1.2, 1.5), body.Ellipsoid(0.5, 1.0, 2.0),
+    ], ids=repr)
+    def test_csv_text_matches_loop(self, L, shape):
+        u = body.support_function(shape, make_grid(L), L_max=2 * L // 3)
+        assert cli._field_to_csv(u) == loop_field_to_csv(u)
 
     def test_csv_rows_out_of_grid_order_rejected(self, grid16, tmp_path):
         f, _ = cli.parse_field_source("family:harmonic:l=3,m=1,eps=0.2,base=2", grid16, 8)
@@ -255,6 +274,22 @@ class TestCommands:
 
 
 class TestErrors:
+    def test_closed_stdout_ends_quietly(self):
+        # the reader has gone before the command writes anything, like
+        # `christoffel kernels --n 2 | head -1` once head has exited
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "christoffel.cli", "kernels", "--n", "2"],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120,
+                env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1
+        assert proc.stderr == ""
+
     @pytest.mark.parametrize("argv", [
         ["check", "--bogus", "1"],
         ["check", "--L", "many"],
@@ -275,7 +310,7 @@ class TestErrors:
             cli.main(["check", "--help"])
         assert exc.value.code == 0
 
-    @pytest.mark.parametrize("samples", ["0", "-5"])
+    @pytest.mark.parametrize("samples", ["0", "-5", "1"])
     def test_monte_carlo_without_samples_reported(self, samples, tmp_path):
         report, code = run_cli(["gamma", "--mc-samples", samples], tmp_path)
         assert code == 1

@@ -298,14 +298,11 @@ class TestGamma:
 
     def test_gauss_jacobi_matches_adaptive_quadrature(self):
         for n in (2, 3, 4, 5):
-            for a in (1e-3, 0.01, 0.25, 0.5, 0.9, 1.0):
+            for a in (1e-9, 1e-6, 1e-3, 0.01, 0.25, 0.5, 0.9, 1.0):
                 ref, err = kernels.gamma_const_info(n, a)
                 gap = abs(kernels.gamma_const(n, a) - ref)
                 assert gap <= 1e-13 * ref
                 assert gap <= max(err, 1e-14 * ref)
-            # the Gauss-Jacobi rule itself is 2.8e-8 off at alpha = 1e-9
-            ref, _ = kernels.gamma_const_info(n, 1e-9)
-            assert abs(kernels.gamma_const(n, 1e-9) - ref) <= 1e-7 * ref
 
     def test_positive(self):
         for n, a in [(2, 1.0), (2, 0.5), (3, 1.0), (4, 0.7)]:
@@ -330,7 +327,7 @@ class TestGamma:
             kernels.gamma_const(2, 1.5)
         with pytest.raises(InvalidParameter):
             kernels.gamma_const(2, 0.0)
-        for samples in (0, -3):
+        for samples in (0, -3, 1):
             with pytest.raises(InvalidParameter):
                 kernels.gamma_monte_carlo(2, 1.0, samples=samples)
 

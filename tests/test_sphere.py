@@ -30,6 +30,29 @@ class TestGrid:
         assert g.node_count == 32
         assert abs(g.weights.sum() - 4.0 * np.pi) < 1e-10
 
+    def test_one_legendre_rule_per_resolution(self, monkeypatch):
+        calls = []
+        leggauss = np.polynomial.legendre.leggauss
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss",
+                            lambda L: calls.append(L) or leggauss(L))
+        sphere._polar_rule.cache_clear()
+        harmonics._grid_blocks.cache_clear()
+        try:
+            grids = [sphere.make_grid(20) for _ in range(2)]
+            for L_max, nderiv in ((12, 0), (12, 2), (19, 1)):
+                harmonics._grid_blocks(20, L_max, nderiv)
+        finally:
+            sphere._polar_rule.cache_clear()
+            harmonics._grid_blocks.cache_clear()
+        assert calls == [20]
+        # each grid owns writable copies of the shared read-only rule
+        t, wt = np.polynomial.legendre.leggauss(20)
+        for g in grids:
+            assert np.array_equal(g.polar_nodes, t[::-1])
+            assert np.array_equal(g.polar_weights, wt[::-1])
+            assert g.polar_nodes.flags.writeable and g.polar_weights.flags.writeable
+        assert grids[0].polar_nodes is not grids[1].polar_nodes
+
     def test_resolution_gate(self):
         with pytest.raises(ResolutionTooLow):
             sphere.make_grid(3)
