@@ -109,8 +109,9 @@ class SurfaceMesh:
     Faces come two per grid quad, quads in (ring, azimuth) order, then one
     (north, south) pair of fan triangles per azimuth.  Quad (i, j) with
     corners a = (i, j), b = (i+1, j), c = (i+1, j+1), d = (i, j+1) is
-    split along its shorter diagonal: (a, b, c), (a, c, d) when |a - c| <=
-    |b - d|, so a tie goes to the a-c diagonal, else (b, c, d), (b, d, a).
+    split along its shorter diagonal: (a, b, c), (a, c, d) when |a - c|^2 <=
+    |b - d|^2, each squared length summed as dx*dx + dy*dy + dz*dz, so a tie
+    goes to the a-c diagonal, else (b, c, d), (b, d, a).
     :func:`write_obj` writes every float as its shortest round-trip repr.
     """
 
@@ -118,12 +119,6 @@ class SurfaceMesh:
     faces: np.ndarray      # (F, 3) int, valid indices
     normals: np.ndarray    # (N + 2, 3)
     node_vertex_count: int
-
-
-def _lengths(v: np.ndarray) -> np.ndarray:
-    """Length of each row of an (m, 3) array, bit for bit np.linalg.norm of
-    that row (einsum and norm(axis=1) are not, and flip tied splits)."""
-    return np.sqrt(v[:, None, :] @ v[:, :, None])[:, 0, 0]
 
 
 def embed(u: harmonics.SphericalField) -> SurfaceMesh:
@@ -150,7 +145,10 @@ def embed(u: harmonics.SphericalField) -> SurfaceMesh:
     start = np.arange(L - 1)[:, None] * n_phi
     a, d = (start + j0).ravel(), (start + j1).ravel()
     b, c = a + n_phi, d + n_phi
-    short_ac = (_lengths(verts[a] - verts[c]) <= _lengths(verts[b] - verts[d]))[:, None]
+    # squared lengths in elementwise ufuncs: no BLAS summation order decides a tie
+    ac, bd = (verts[a] - verts[c]).T, (verts[b] - verts[d]).T
+    short_ac = (ac[0] * ac[0] + ac[1] * ac[1] + ac[2] * ac[2]
+                <= bd[0] * bd[0] + bd[1] * bd[1] + bd[2] * bd[2])[:, None]
     quads = np.stack([
         np.where(short_ac, np.stack([a, b, c], 1), np.stack([b, c, d], 1)),
         np.where(short_ac, np.stack([a, c, d], 1), np.stack([b, d, a], 1)),

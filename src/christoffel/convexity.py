@@ -32,7 +32,7 @@ nodes it is a cyclic correlation in azimuth, one FFT per ring pair; see
 Driscoll & Healy 1994, "Computing Fourier transforms and convolutions on
 the 2-sphere".  The Hoelder estimate reads its separations from the same
 table, and the T33 samples of a ring are one rotated set, evaluated
-ring-wise by :func:`christoffel.harmonics._orbit_values_and_gradient`.
+ring-wise by :func:`christoffel.harmonics._orbit_values_and_slopes`.
 
 Ground truth: hessian_min checks min eig(Hess u + u I) directly on the
 spectral solution.  The classical sufficient conditions (Hoelder threshold,
@@ -448,8 +448,9 @@ def _t33_samples(coeffs, grid, ts, angles):
 
     The samples of a ring are its azimuth-0 samples rotated about the
     z-axis, together with their xi, so only the 2 n_t n_xi L azimuth-0
-    points are evaluated, each with its whole orbit.  Returns (values,
-    directional derivatives), each (n_xi, n_t, 2, N) in node order.
+    points are evaluated, each with its whole orbit and its slope along xi.
+    Returns (values, directional derivatives), each (n_xi, n_t, 2, N) in
+    node order.
     """
     t = grid.polar_nodes
     st = np.sqrt(1.0 - t * t)
@@ -461,11 +462,9 @@ def _t33_samples(coeffs, grid, ts, angles):
     signs = np.array([1.0, -1.0])
     step = (signs[None, :] * ts[:, None])[None, :, :, None, None] * xis[:, None, None]
     pts = (x0 + step) / np.sqrt(1.0 + ts**2)[None, :, None, None, None]  # (n_xi, n_t, 2, L, 3)
-    vals, grad = harmonics._orbit_values_and_gradient(
-        coeffs, pts.reshape(-1, 3), grid.azimuth_count
-    )
     xi_p = np.broadcast_to(xis[:, None, None], pts.shape).reshape(-1, 3)
-    dxi = np.einsum("pjc,pc->pj", grad, xi_p)
+    vals, dxi = harmonics._orbit_values_and_slopes(coeffs, pts.reshape(-1, 3), xi_p,
+                                                   grid.azimuth_count)
     shape = pts.shape[:3] + (grid.node_count,)
     return vals.reshape(shape), dxi.reshape(shape)
 
@@ -478,10 +477,11 @@ def check_T33(f, n_t: int = 12, n_xi: int = 4, rtol: float = 1e-8):
     Samples x over grid nodes, xi at the n_xi angles pi k / n_xi in the
     (e_theta, e_phi) frame of x, t over a logarithmic grid in [1e-3, 1e3];
     off-sphere evaluations reduce to sphere values by homogeneity.  The
-    samples of a ring are one set rotated about the z-axis, so the Legendre
-    profiles are evaluated at 2 n_t n_xi L points, not at 2 n_t n_xi N
-    (:func:`_t33_samples`).  Returns (holds, worst sampled value); holds
-    when worst <= rtol * max|f|.
+    samples of a ring are one set rotated about the z-axis, so theta
+    profiles are taken at 2 n_t n_xi L points, from L_max + 2 Legendre
+    colatitudes, and one azimuth FFT per point gives values and slopes on
+    all N nodes (:func:`_t33_samples`).  Returns (holds, worst sampled
+    value); holds when worst <= rtol * max|f|.
     """
     _require_positive(f)
     coeffs = harmonics.require_coeffs(f)

@@ -226,27 +226,20 @@ def _coeff_stacks(coeffs: HarmonicCoeffs):
     return cos_c, sin_c
 
 
-def _synth_theta_stacks(blocks, cos_c, sin_c, L_max, deriv=0, lscale=None):
+def _synth_theta_stacks(blocks, cos_c, sin_c, L_max, deriv=0):
     """Contract Legendre blocks with coefficients over l.
 
     Returns (A, B) of shape (n_pts, L_max + 1): theta profiles multiplying
-    the cos/sin azimuth rows.  ``lscale(l)`` optionally rescales degree l.
+    the cos/sin azimuth rows.
     """
     n_pts = blocks[0][0].shape[0]
     A = np.zeros((n_pts, L_max + 1))
     B = np.zeros((n_pts, L_max + 1))
     for m in range(L_max + 1):
         block = blocks[m][deriv]
-        cc = cos_c[m]
-        sc = sin_c[m]
-        if lscale is not None:
-            ls = np.arange(m, L_max + 1)
-            w = lscale(ls)
-            cc = cc * w
-            sc = None if sc is None else sc * w
-        A[:, m] = block @ cc
-        if sc is not None:
-            B[:, m] = block @ sc
+        A[:, m] = block @ cos_c[m]
+        if sin_c[m] is not None:
+            B[:, m] = block @ sin_c[m]
     return A, B
 
 
@@ -294,7 +287,7 @@ def synthesize(coeffs: HarmonicCoeffs, grid: SphereGrid) -> SphericalField:
     return SphericalField(grid=grid, values=vals.ravel(), coeffs=coeffs)
 
 
-def _grid_eval(coeffs, grid, deriv=(0,), lscale=None):
+def _grid_eval(coeffs, grid, deriv=(0,)):
     """Evaluate theta/phi derivative combinations on a full grid.
 
     ``deriv`` entries: 0 value, 1 d/dtheta, 2 d2/dtheta2, 'phi' d/dphi,
@@ -312,7 +305,7 @@ def _grid_eval(coeffs, grid, deriv=(0,), lscale=None):
 
     def stacks(d):
         if d not in cache:
-            cache[d] = _synth_theta_stacks(blocks, cos_c, sin_c, L_max, d, lscale)
+            cache[d] = _synth_theta_stacks(blocks, cos_c, sin_c, L_max, d)
         return cache[d]
 
     for d in deriv:
@@ -426,74 +419,85 @@ def field_from_function(grid: SphereGrid, fn, L_max: int | None = None) -> Spher
 
 def _points_angles(points):
     pts = np.asarray(points, dtype=float)
-    theta = np.arccos(np.clip(pts[:, 2], -1.0, 1.0))
+    # arctan2 keeps full relative accuracy near the poles, where arccos(z)
+    # loses about half the digits
+    theta = np.arctan2(np.hypot(pts[:, 0], pts[:, 1]), pts[:, 2])
     phi = np.arctan2(pts[:, 1], pts[:, 0])
     return pts, theta, phi
+
+
+def _theta_profiles(coeffs, theta, nderiv=0):
+    """Theta profiles of every order and their first ``nderiv``
+    theta-derivatives at arbitrary colatitudes: a list of ``nderiv + 1``
+    pairs (A, B), each (n_pts, L_max + 1), as :func:`_synth_theta_stacks`.
+
+    A_m(theta) = sum_l c_lm P_l^m(cos theta) is a trigonometric polynomial
+    of degree <= L_max, a cosine series for even m and a sine series for
+    odd m, with A_m(2 pi - theta) = (-1)^m A_m(theta) (the double Fourier
+    sphere of Townsend, Wilber & Wright 2016).  Its values at the L_max + 2
+    colatitudes pi j / (L_max + 1), mirrored onto the circle, give its
+    coefficients by one real FFT; derivatives map the (cos, sin)
+    coefficients (a_k, b_k) to (k b_k, -k a_k).  One real matrix product
+    with cos k theta and sin k theta then gives every profile at the points.
+    """
+    L_max = coeffs.L_max
+    n = L_max + 1
+    nodes = np.pi * np.arange(n + 1) / n
+    A, B = _synth_theta_stacks(_legendre_blocks(np.cos(nodes), L_max),
+                               *_coeff_stacks(coeffs), L_max)
+    prof = np.concatenate([A, B], axis=1)  # columns A_0..A_L, B_0..B_L
+    circle = np.concatenate([prof, np.tile((-1.0) ** np.arange(n), 2) * prof[-2:0:-1]])
+    F = np.fft.rfft(circle, axis=0)[:n] / n  # the Nyquist term is zero
+    F[0] *= 0.5
+    a, b = F.real, -F.imag
+    k = np.arange(n)
+    W = []
+    for _ in range(nderiv + 1):
+        W.append(np.stack([a, b], axis=1).reshape(2 * n, 2 * n))  # rows a_0 b_0 a_1 ...
+        a, b = k[:, None] * b, -k[:, None] * a
+    # exp(i k theta) viewed as float interleaves cos k theta and sin k theta
+    # in the row order of W
+    P = np.exp(1j * np.multiply.outer(theta, k)).view(float) @ np.concatenate(W, axis=1)
+    return [(P[:, 2 * n * d : 2 * n * d + n], P[:, 2 * n * d + n : 2 * n * (d + 1)])
+            for d in range(nderiv + 1)]
 
 
 def _point_eval(coeffs, theta, phi, deriv=(0,)):
     """Same derivative tags as _grid_eval, at scattered (theta, phi).
 
-    Packed evaluation: elementwise Legendre x gathered azimuth factors,
-    contracted against gathered coefficient vectors in single matvecs.
+    The theta profiles come from :func:`_theta_profiles` and are contracted
+    with the azimuth factors of each point; memory is O(n_pts L_max).
     """
     L_max = coeffs.L_max
     need2 = any(d in (2, "thetaphi") for d in deriv)
     need1 = need2 or any(d == 1 for d in deriv)
-    blocks = _legendre_blocks(np.cos(theta), L_max, 2 if need2 else (1 if need1 else 0))
-    cos_c, sin_c = _coeff_stacks(coeffs)
+    profiles = _theta_profiles(coeffs, theta, 2 if need2 else (1 if need1 else 0))
     m = np.arange(L_max + 1)[None, :]
-    scale = np.where(m > 0, np.sqrt(2.0), 1.0)
-    cos_t = scale * np.cos(m * phi[:, None])  # (n_pts, L_max + 1)
-    sin_t = scale * np.sin(m * phi[:, None])
-    cache = {}
-
-    def stacks(d):
-        if d not in cache:
-            cache[d] = _synth_theta_stacks(blocks, cos_c, sin_c, L_max, d)
-        return cache[d]
-
+    z = np.where(m > 0, np.sqrt(2.0), 1.0) * np.exp(1j * m * phi[:, None])
+    cos_t, sin_t = z.real, z.imag  # (n_pts, L_max + 1)
     out = []
     for d in deriv:
         if d in (0, 1, 2):
-            A, B = stacks(d)
+            A, B = profiles[d]
             out.append(np.sum(A * cos_t + B * sin_t, axis=1))
         elif d == "phi":
-            A, B = stacks(0)
+            A, B = profiles[0]
             out.append(np.sum(m * (B * cos_t - A * sin_t), axis=1))
         elif d == "phiphi":
-            A, B = stacks(0)
+            A, B = profiles[0]
             out.append(-np.sum(m * m * (A * cos_t + B * sin_t), axis=1))
         elif d == "thetaphi":
-            A, B = stacks(1)
+            A, B = profiles[1]
             out.append(np.sum(m * (B * cos_t - A * sin_t), axis=1))
         else:
             raise ValueError(f"unknown derivative tag {d!r}")
     return out
 
 
-# chunk size for scattered-point evaluation; keeps the per-order Legendre
-# work arrays cache-friendly (~20 MB at L_max = 32)
-_POINT_CHUNK = 4096
-
-
-def _chunked_point_eval(coeffs, theta, phi, deriv):
-    n = len(theta)
-    if n <= _POINT_CHUNK:
-        return _point_eval(coeffs, theta, phi, deriv)
-    outs = [np.empty(n) for _ in deriv]
-    for start in range(0, n, _POINT_CHUNK):
-        sl = slice(start, min(start + _POINT_CHUNK, n))
-        parts = _point_eval(coeffs, theta[sl], phi[sl], deriv)
-        for o, p in zip(outs, parts):
-            o[sl] = p
-    return outs
-
-
 def synthesize_at(coeffs: HarmonicCoeffs, points) -> np.ndarray:
     """Evaluate the expansion at arbitrary unit vectors, shape (N, 3)."""
     _, theta, phi = _points_angles(points)
-    return _chunked_point_eval(coeffs, theta, phi, (0,))[0]
+    return _point_eval(coeffs, theta, phi, (0,))[0]
 
 
 def _frame_vectors(theta, phi):
@@ -505,10 +509,12 @@ def _frame_vectors(theta, phi):
 
 
 def _frame_gradient(theta, phi, dth, dph):
-    """Ambient gradient e_theta d_theta + e_phi d_phi / sin(theta), shape
-    (*dth.shape, 3); the angles broadcast against the derivatives."""
+    """Ambient gradient e_theta d_theta + e_phi d_phi / sin(theta), (n, 3).
+
+    sin(theta) is floored at the pole guard; callers redo points inside it.
+    """
     e_th, e_ph = _frame_vectors(theta, phi)
-    return e_th * dth[..., None] + e_ph * (dph / np.sin(theta))[..., None]
+    return e_th * dth[:, None] + e_ph * (dph / np.maximum(np.sin(theta), _SIN_GUARD_GRAD))[:, None]
 
 
 # derivative tags whose values _frame_hessian takes, in its argument order
@@ -581,79 +587,62 @@ def gradient_at(coeffs: HarmonicCoeffs, points) -> np.ndarray:
 def values_and_gradient_at(coeffs: HarmonicCoeffs, points):
     """Field values and tangential gradients in one basis evaluation."""
     pts, theta, phi = _points_angles(points)
-    safe = np.sin(theta) > _SIN_GUARD_GRAD
-    vals = np.empty(len(pts))
-    grad = np.zeros_like(pts)
-    if np.any(safe):
-        v, dth, dph = _chunked_point_eval(coeffs, theta[safe], phi[safe], (0, 1, "phi"))
-        vals[safe] = v
-        grad[safe] = _frame_gradient(theta[safe], phi[safe], dth, dph)
-    if not np.all(safe):
-        K = 2 * coeffs.L_max + 2
-        unsafe = np.nonzero(~safe)[0]
-        vals[unsafe] = _chunked_point_eval(coeffs, theta[unsafe], phi[unsafe], (0,))[0]
-        for i in unsafe:
-            e1, e2 = tangent_bases(pts[i : i + 1])
-            e1, e2 = e1[0], e2[0]
-            g1 = _circle_d1(_circle_samples(coeffs, pts[i], e1, K))
-            g2 = _circle_d1(_circle_samples(coeffs, pts[i], e2, K))
-            grad[i] = g1 * e1 + g2 * e2
+    vals, dth, dph = _point_eval(coeffs, theta, phi, (0, 1, "phi"))
+    grad = _frame_gradient(theta, phi, dth, dph)
+    K = 2 * coeffs.L_max + 2
+    for i in np.nonzero(np.sin(theta) <= _SIN_GUARD_GRAD)[0]:
+        bases = [e[0] for e in tangent_bases(pts[i : i + 1])]
+        grad[i] = sum(_circle_d1(_circle_samples(coeffs, pts[i], e, K)) * e for e in bases)
     return vals, grad
 
 
-def _orbit_eval(coeffs, theta, phi, n_phi):
-    """Value, d/dtheta and d/dphi at (theta_p, phi_p + 2 pi j / n_phi) for
-    every point p and j < n_phi, each of shape (n_pts, n_phi).
-
-    A rotation about the z-axis multiplies order m by exp(i m phi), so the
-    Legendre profiles are evaluated once per point and one inverse FFT over
-    m gives the whole orbit (ring-wise synthesis, as in SHTns, Schaeffer
-    2013).  Orders m >= n_phi alias onto m mod n_phi on the ring.
-    """
-    L_max = coeffs.L_max
-    blocks = _legendre_blocks(np.cos(theta), L_max, 1)
-    cos_c, sin_c = _coeff_stacks(coeffs)
-    m = np.arange(L_max + 1)
-    # f = Re sum_m w_m (A_m - i B_m) e^{i m phi}, w_0 = 1, w_m = sqrt(2)
-    w = np.where(m > 0, np.sqrt(2.0), 1.0) * np.exp(1j * np.outer(phi, m))
-    profiles = [_synth_theta_stacks(blocks, cos_c, sin_c, L_max, d) for d in (0, 1)]
-    out = []
-    for (A, B), factor in ((profiles[0], 1.0), (profiles[1], 1.0), (profiles[0], 1j * m)):
-        c = factor * w * (A - 1j * B)
-        bins = np.zeros((len(theta), n_phi), dtype=complex)
-        for start in range(0, L_max + 1, n_phi):
-            part = c[:, start : start + n_phi]
-            bins[:, : part.shape[1]] += part
-        out.append(n_phi * np.fft.ifft(bins, axis=1).real)
-    return out
-
-
-def _orbit_values_and_gradient(coeffs: HarmonicCoeffs, points, n_phi: int):
-    """Values and tangential gradients on the z-rotation orbits of points.
+def _orbit_values_and_slopes(coeffs: HarmonicCoeffs, points, dirs, n_phi: int):
+    """Values and slopes on the z-rotation orbits of points.
 
     Entry [p, j] is taken at points[p] rotated by 2 pi j / n_phi about the
-    z-axis; its gradient is rotated back by the same angle, so that it is
-    expressed at points[p].  Returns (values (n, n_phi), gradients
-    (n, n_phi, 3)).  Points within the pole guard take the exact path of
+    z-axis, its slope along dirs[p] rotated with it.  A rotation about the
+    z-axis multiplies order m by exp(i m phi), so the theta profiles are
+    evaluated once per point and one inverse real FFT over m gives the
+    whole orbit (ring-wise synthesis, as in SHTns, Schaeffer 2013).  The
+    (e_theta, e_phi) frame turns with the point, so the slope is
+    alpha d_theta + beta d_phi / sin(theta) with alpha, beta fixed per
+    point: it is folded into the same azimuth spectrum.  Orders m >= n_phi
+    alias onto m mod n_phi.  Returns (values, slopes), each (n, n_phi).
+    Points within the pole guard take the exact path of
     :func:`values_and_gradient_at` at every rotated point.
     """
     pts, theta, phi = _points_angles(points)
-    vals = np.empty((len(pts), n_phi))
-    grad = np.empty((len(pts), n_phi, 3))
-    safe = np.nonzero(np.sin(theta) > _SIN_GUARD_GRAD)[0]
-    for start in range(0, len(safe), _POINT_CHUNK):
-        idx = safe[start : start + _POINT_CHUNK]
-        v, dth, dph = _orbit_eval(coeffs, theta[idx], phi[idx], n_phi)
-        vals[idx] = v
-        grad[idx] = _frame_gradient(theta[idx, None], phi[idx, None], dth, dph)
+    dirs = np.asarray(dirs, dtype=float)
+    e_th, e_ph = _frame_vectors(theta, phi)
+    alpha = np.sum(dirs * e_th, axis=1)[:, None]
+    beta = (np.sum(dirs * e_ph, axis=1) / np.maximum(np.sin(theta), _SIN_GUARD_GRAD))[:, None]
+    (A, B), (dA, dB) = _theta_profiles(coeffs, theta, 1)
+    m = np.arange(coeffs.L_max + 1)
+    r = m % n_phi
+    # f = Re sum_m w_m (A_m - i B_m) e^{i m phi}, w_0 = 1, w_m = sqrt(2),
+    # rescaled for irfft, which counts the bins other than 0 and n_phi / 2 twice
+    w = np.where(m > 0, np.sqrt(2.0), 1.0) * np.where(r * (n_phi - 2 * r) == 0, n_phi, 0.5 * n_phi)
+    spec = np.empty((2,) + A.shape, dtype=complex)
+    spec[0].real, spec[0].imag = A, -B
+    spec[1].real, spec[1].imag = alpha * dA + m * beta * B, m * beta * A - alpha * dB
+    spec *= w * np.exp(1j * np.multiply.outer(phi, m))
+    h = n_phi // 2 + 1
+    if len(m) > h:
+        # order m lands on bin r, or as its conjugate on bin n_phi - r
+        conj = 2 * r > n_phi
+        spec[..., conj] = spec[..., conj].conj()
+        half = np.zeros(spec.shape[:-1] + (h,), dtype=complex)
+        np.add.at(half.T, np.where(conj, n_phi - r, r), spec.T)
+        spec = half
+    out = np.fft.irfft(spec, n_phi, axis=-1)  # zero-pads up to bin n_phi / 2
     ang = 2.0 * np.pi * np.arange(n_phi) / n_phi
     c, s = np.cos(ang), np.sin(ang)
     for p in np.nonzero(np.sin(theta) <= _SIN_GUARD_GRAD)[0]:
-        x, y, z = pts[p]
-        orbit = np.stack([c * x - s * y, s * x + c * y, np.full(n_phi, z)], axis=1)
-        vals[p], g = values_and_gradient_at(coeffs, orbit)
-        grad[p] = np.stack([c * g[:, 0] + s * g[:, 1], c * g[:, 1] - s * g[:, 0], g[:, 2]], axis=1)
-    return vals, grad
+        (x, y, z), (u, v, t) = pts[p], dirs[p]
+        out[0, p], g = values_and_gradient_at(
+            coeffs, np.stack([c * x - s * y, s * x + c * y, np.full(n_phi, z)], axis=1))
+        out[1, p] = g[:, 0] * (c * u - s * v) + g[:, 1] * (s * u + c * v) + g[:, 2] * t
+    return out[0], out[1]
 
 
 def hessian_at(coeffs: HarmonicCoeffs, points, bases=None) -> np.ndarray:
@@ -669,7 +658,7 @@ def hessian_at(coeffs: HarmonicCoeffs, points, bases=None) -> np.ndarray:
     safe = np.sin(theta) > _SIN_GUARD_HESS
     H = np.zeros((len(pts), 2, 2))
     if np.any(safe):
-        derivs = _chunked_point_eval(coeffs, theta[safe], phi[safe], _HESSIAN_TAGS)
+        derivs = _point_eval(coeffs, theta[safe], phi[safe], _HESSIAN_TAGS)
         H[safe] = _frame_hessian(theta[safe], phi[safe], derivs, (e1[safe], e2[safe]))
     if not np.all(safe):
         K = 2 * coeffs.L_max + 2

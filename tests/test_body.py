@@ -18,7 +18,8 @@ def loop_embed_faces(u):
         for j in range(n_phi):
             a, b = idx(i, j), idx(i + 1, j)
             c, d = idx(i + 1, j + 1), idx(i, j + 1)
-            if np.linalg.norm(verts[a] - verts[c]) <= np.linalg.norm(verts[b] - verts[d]):
+            (x1, y1, z1), (x2, y2, z2) = (verts[a] - verts[c]).tolist(), (verts[b] - verts[d]).tolist()
+            if x1 * x1 + y1 * y1 + z1 * z1 <= x2 * x2 + y2 * y2 + z2 * z2:
                 faces.append((a, b, c))
                 faces.append((a, c, d))
             else:

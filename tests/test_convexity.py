@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from christoffel import body, convexity, harmonics, kernels, sphere
@@ -230,6 +232,51 @@ class TestRingPaths:
                     v, g = harmonics.values_and_gradient_at(f.coeffs, q)
                     assert np.max(np.abs(vals[a, k, s] - v)) <= 1e-12 * scale
                     assert np.max(np.abs(dxi[a, k, s] - np.sum(g * xi, axis=1))) <= 1e-11 * scale
+
+    def test_t33_legendre_work_bounded(self, grid16, monkeypatch):
+        # T33 takes its theta profiles from L_max + 2 Legendre colatitudes,
+        # however many points it samples
+        f = random_positive_field(grid16, np.random.default_rng(61), L_max=10)
+        sizes = []
+        packed = harmonics._legendre_packed
+
+        def spy(t, L_max, nderiv=0):
+            sizes.append(len(t))
+            return packed(t, L_max, nderiv)
+
+        monkeypatch.setattr(harmonics, "_legendre_packed", spy)
+        convexity.check_T33(f)
+        assert sizes and max(sizes) <= f.coeffs.L_max + 2
+
+
+def rotate_about_z(coeffs, angle):
+    """Coefficients of f(R^-1 x) for the rotation R by ``angle`` about z."""
+    c = coeffs.c.copy()
+    for l in range(coeffs.L_max + 1):
+        for m in range(1, l + 1):
+            a, b = coeffs.get(l, m), coeffs.get(l, -m)
+            c[l * l + l + m] = a * np.cos(m * angle) - b * np.sin(m * angle)
+            c[l * l + l - m] = a * np.sin(m * angle) + b * np.cos(m * angle)
+    return harmonics.HarmonicCoeffs(L_max=coeffs.L_max, c=c)
+
+
+class TestRotation:
+    @settings(max_examples=12, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), steps=st.integers(1, 23))
+    def test_grid_rotation_leaves_t33_and_hessian_min(self, seed, steps):
+        grid = sphere.make_grid(12)
+        f = random_positive_field(grid, np.random.default_rng(seed), L_max=8)
+        angle = steps * 2 * np.pi / grid.azimuth_count
+        g = harmonics.synthesize(rotate_about_z(f.coeffs, angle), grid)
+        tol = 1e-12 * np.max(np.abs(f.values))
+        # the rotation shifts every ring by ``steps`` nodes
+        F, G = f.values.reshape(grid.L, -1), g.values.reshape(grid.L, -1)
+        assert np.max(np.abs(G - np.roll(F, steps, axis=1))) <= tol
+        (holds_f, worst_f), (holds_g, worst_g) = convexity.check_T33(f), convexity.check_T33(g)
+        assert holds_f == holds_g and abs(worst_f - worst_g) <= tol
+        h_f = convexity.hessian_min(harmonics.solve_christoffel(f, project=True))[0]
+        h_g = convexity.hessian_min(harmonics.solve_christoffel(g, project=True))[0]
+        assert abs(h_f - h_g) <= tol
 
 
 class TestScaleInvariance:

@@ -198,13 +198,16 @@ class TestDerivatives:
         pts = rng.standard_normal((5, 3))
         pts[0] = [0.0, 0.0, 1.0]
         pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-        vals, grads = harmonics._orbit_values_and_gradient(coeffs, pts, n_phi)
+        e1, e2 = sphere.tangent_bases(pts)
+        angles = rng.uniform(0.0, 2 * np.pi, len(pts))[:, None]
+        dirs = np.cos(angles) * e1 + np.sin(angles) * e2
+        vals, slopes = harmonics._orbit_values_and_slopes(coeffs, pts, dirs, n_phi)
         for j in range(n_phi):
             a = 2 * np.pi * j / n_phi
             R = np.array([[np.cos(a), -np.sin(a), 0], [np.sin(a), np.cos(a), 0], [0, 0, 1.0]])
             v, g = harmonics.values_and_gradient_at(coeffs, pts @ R.T)
             assert np.max(np.abs(vals[:, j] - v)) < 1e-12
-            assert np.max(np.abs(grads[:, j] - g @ R)) < 1e-11
+            assert np.max(np.abs(slopes[:, j] - np.sum(g * (dirs @ R.T), axis=1))) < 1e-11
 
     def test_grid_hessian_trace_matches_laplacian(self, grid16):
         coeffs = random_coeffs(10, seed=12)
@@ -217,6 +220,38 @@ class TestDerivatives:
         f = harmonics.SphericalField(grid=grid16, values=np.ones(grid16.node_count))
         with pytest.raises(NotAnalyzed):
             harmonics.grid_gradient(f)
+
+
+class TestThetaProfiles:
+    @pytest.mark.parametrize("L_max", [0, 1, 2, 15, 32, 64])
+    def test_matches_legendre_recursion(self, L_max):
+        coeffs = random_coeffs(L_max, seed=20 + L_max)
+        theta = np.random.default_rng(21).uniform(0.05, np.pi - 0.05, 200)
+        got = harmonics._theta_profiles(coeffs, theta, 2)
+        blocks = harmonics._legendre_blocks(np.cos(theta), L_max, 2)
+        stacks = harmonics._coeff_stacks(coeffs)
+        for d, bound in enumerate((1e-13, 1e-12, 1e-11)):
+            want = harmonics._synth_theta_stacks(blocks, *stacks, L_max, d)
+            scale = max(np.max(np.abs(w)) for w in want)
+            for g, w in zip(got[d], want):
+                assert g.shape == w.shape
+                assert np.max(np.abs(g - w)) <= bound * scale
+
+    @pytest.mark.parametrize("theta", [1e-4, 1e-6, 1e-7])
+    @pytest.mark.parametrize("l", [1, 2])
+    def test_near_pole_values(self, l, theta):
+        # Y_1^1 = sqrt(3 / 4 pi) x and Y_2^1 = sqrt(15 / 4 pi) x z, at both
+        # poles; theta = arccos(z) alone would be off by about 1e-10 here
+        exact = {1: lambda p: np.sqrt(3 / (4 * np.pi)) * p[:, 0],
+                 2: lambda p: np.sqrt(15 / (4 * np.pi)) * p[:, 0] * p[:, 2]}[l]
+        c = np.zeros(81)
+        c[harmonics.HarmonicCoeffs.index(l, 1)] = 1.0
+        coeffs = harmonics.HarmonicCoeffs(L_max=8, c=c)
+        phi = 0.3 + 2 * np.pi * np.arange(7) / 7
+        for z in (np.cos(theta), -np.cos(theta)):
+            pts = np.stack([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi),
+                            np.full_like(phi, z)], axis=1)
+            assert np.max(np.abs(harmonics.synthesize_at(coeffs, pts) - exact(pts))) <= 1e-15
 
 
 class TestOrthogonality:
