@@ -304,10 +304,14 @@ def run(args) -> tuple[dict, int]:
         grid, f, u = _solve_pipeline(args, report)
         hmin, hwit = convexity.hessian_min(u)
         report["hessian_min"] = {"value": hmin, "witness": list(hwit.coords)}
+        # T33 has the largest arrays of a check: run it before the shared
+        # engine and its ring table exist, so their memory does not add up
+        holds33, worst33 = convexity.check_T33(f)
         verdicts = []
         report["criteria"] = {}
+        engine = convexity.CriterionEngine(f, kernels.DEFAULT_TABLE, None)
         for name in names:
-            rep = convexity.sweep(f, name)
+            rep = convexity.sweep(f, name, engine=engine)
             report["criteria"][name] = {
                 "verdict": rep.verdicts[name],
                 "min_margin": rep.min_margin[name],
@@ -316,9 +320,9 @@ def run(args) -> tuple[dict, int]:
                 "grid_meta": rep.grid_meta,
             }
             verdicts.append(rep.verdicts[name])
-        holds32, lhs32, rhs32 = convexity.check_T32(f, args.alpha)
-        holds33, worst33 = convexity.check_T33(f)
-        holds_pc, min_pc = convexity.check_pogorelov(f)
+        holds32, lhs32, rhs32 = convexity.check_T32(f, args.alpha, engine=engine)
+        holds_pc, min_pc = convexity.check_pogorelov(f, engine)
+        del engine  # Guan-Ma works on 1/f: free the tables of f first
         holds_gm, eig_gm = convexity.check_guan_ma(f)
         report["sufficient_conditions"] = {
             "holder_threshold": {

@@ -43,6 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -138,7 +139,9 @@ class CriterionEngine:
     over the cap-excluded nodes; :meth:`cr1_forms` / :meth:`cr2_forms` sum
     them for one witness, :meth:`grid_forms` for every node at once as ring
     correlations.  Reuse one engine when evaluating many witnesses of the
-    same field.
+    same field; :func:`sweep`, :func:`check_T32` and :func:`check_pogorelov`
+    take one, so a ``check`` forms the grid gradient and Hessian of f and
+    the ring table once.
     """
 
     def __init__(self, f, table, delta):
@@ -152,22 +155,25 @@ class CriterionEngine:
         self.V = self.grad - f.values[:, None] * self.grid.nodes
         e1, e2 = tangent_bases(self.grid.nodes)
         self._bases = (e1, e2)
-        self._hess = None
-        self._cosines = None
 
-    def _grid_hessians(self):
-        if self._hess is None:
-            H = harmonics.grid_hessian(self.f, bases=self._bases)
-            e1, e2 = self._bases
-            # ambient 3x3 form E H E^T acting on tangent vectors
-            E = np.stack([e1, e2], axis=2)  # (N, 3, 2)
-            self._hess = np.einsum("nik,nkl,njl->nij", E, H, E)
-        return self._hess
+    @cached_property
+    def ring_cosines(self):
+        """The :func:`ring_cosines` table of the grid."""
+        return ring_cosines(self.grid)
 
-    def _ring_cosines(self):
-        if self._cosines is None:
-            self._cosines = ring_cosines(self.grid)
-        return self._cosines
+    @cached_property
+    def tangent_hessians(self):
+        """Covariant Hessian of f at every node in the engine's tangent
+        bases, (N, 2, 2)."""
+        return harmonics.grid_hessian(self.f, bases=self._bases)
+
+    @cached_property
+    def _ambient_hessians(self):
+        """Ambient 3x3 forms E H E^T of the Hessians, acting on tangent
+        vectors."""
+        e1, e2 = self._bases
+        E = np.stack([e1, e2], axis=2)  # (N, 3, 2)
+        return np.einsum("nik,nkl,njl->nij", E, self.tangent_hessians, E)
 
     def _witness(self, x):
         """(<x, z> over the nodes z, f(x), grad f(x), ambient Hessian form).
@@ -181,8 +187,8 @@ class CriterionEngine:
         if s[i] > 1.0 - 1e-14:
             ring, az = divmod(i, grid.azimuth_count)
             offsets = (np.arange(grid.azimuth_count) - az) % grid.azimuth_count
-            s = self._ring_cosines()[ring][:, offsets].ravel()
-            return s, float(self.f.values[i]), self.grad[i], self._grid_hessians()[i]
+            s = self.ring_cosines[ring][:, offsets].ravel()
+            return s, float(self.f.values[i]), self.grad[i], self._ambient_hessians[i]
         fx = float(harmonics.synthesize_at(self.coeffs, x[None, :])[0])
         gx = harmonics.gradient_at(self.coeffs, x[None, :])[0]
         H2 = harmonics.sphere_hessian(self.coeffs, x)
@@ -273,7 +279,7 @@ class CriterionEngine:
         """
         grid = self.grid
         L, n = grid.L, grid.azimuth_count
-        s = self._ring_cosines()
+        s = self.ring_cosines
         w = grid.weights[::n][None, :, None]  # ring weight of z
         moments = np.concatenate(
             [_ring_correlate(self._kernel_weights(kernel, s, w), g.reshape(L, n, -1))
@@ -281,7 +287,7 @@ class CriterionEngine:
             axis=-1,
         ).reshape(2, grid.node_count, -1)
         return self._assemble(
-            crit, moments, grid.nodes, self.f.values, self.grad, self._grid_hessians()
+            crit, moments, grid.nodes, self.f.values, self.grad, self._ambient_hessians
         )
 
     def cr1_forms(self, x):
@@ -305,6 +311,11 @@ class CriterionEngine:
         (c_full, M_full), _, fx = self.cr2_forms(xc)
         xic = direction_coords(xi)
         return float(c_full + xic @ M_full @ xic + fx / 2.0)
+
+
+def _check_engine(f, engine):
+    if engine is not None and engine.f is not f:
+        raise ValueError("the engine was built for another field")
 
 
 def _min_eig2(a, b, d):
@@ -340,6 +351,7 @@ def sweep(
     criterion: Criterion | str,
     table=kernels.DEFAULT_TABLE,
     delta: float | None = None,
+    engine: CriterionEngine | None = None,
 ) -> ConvexityReport:
     """Evaluate a criterion at every grid node, minimized over all tangent
     directions.
@@ -353,10 +365,13 @@ def sweep(
     change with the summation order) and its exact minimizing direction.
     Verdicts are banded: |margin| below 10x the estimated quadrature error,
     the full-cap minus half-cap difference at the witness node, is
-    inconclusive rather than a sign claim.
+    inconclusive rather than a sign claim.  ``engine``, an engine of f
+    built with ``table`` and ``delta``, lends its grid data; without one, a
+    new engine is built.
     """
     crit = Criterion(criterion) if not isinstance(criterion, Criterion) else criterion
-    eng = CriterionEngine(f, table, delta)
+    _check_engine(f, engine)
+    eng = CriterionEngine(f, table, delta) if engine is None else engine
     grid = f.grid
     e1s, e2s = eng._bases
     (c_full, S_full), (c_half, S_half) = eng.grid_forms(crit)
@@ -402,20 +417,21 @@ def hessian_min(u):
     return float(mins[i]), SpherePoint(u.grid.nodes[i])
 
 
-def holder_seminorm(f, alpha: float, min_sep: float | None = None) -> float:
+def holder_seminorm(f, alpha: float, min_sep: float | None = None,
+                    cosines: np.ndarray | None = None) -> float:
     """Grid estimate of the C^alpha seminorm: max of |f(x) - f(z)|/dist^alpha
     over node pairs separated by at least the grid spacing.
 
     Separations and dist^alpha come from the shared ring table
-    (:func:`ring_cosines`), one entry per (ring, ring, azimuth offset); the
-    pairs only take value differences.  This is a lower bound of the true
-    seminorm, so threshold checks based on it are conservative only up to
-    discretization.
+    (:func:`ring_cosines`, or ``cosines`` when given), one entry per (ring,
+    ring, azimuth offset); the pairs only take value differences.  This is
+    a lower bound of the true seminorm, so threshold checks based on it are
+    conservative only up to discretization.
     """
     grid = f.grid
     if min_sep is None:
         min_sep = np.pi / grid.L
-    s = ring_cosines(grid)
+    s = ring_cosines(grid) if cosines is None else cosines
     ok = s <= np.cos(min_sep)
     dist_a = np.where(ok, np.arccos(np.clip(s, -1.0, 1.0)), 1.0) ** alpha
     n = grid.azimuth_count
@@ -429,15 +445,18 @@ def holder_seminorm(f, alpha: float, min_sep: float | None = None) -> float:
     return best
 
 
-def check_T32(f, alpha: float, gamma: float | None = None):
+def check_T32(f, alpha: float, gamma: float | None = None,
+              engine: CriterionEngine | None = None):
     """Hoelder-threshold sufficient condition: |f|_{C^alpha} <= gamma min f.
 
-    Returns (holds, lhs, rhs).  One-sided: holds=False makes no claim.
+    The ring table of a given ``engine`` of f is reused.  Returns (holds,
+    lhs, rhs).  One-sided: holds=False makes no claim.
     """
     _require_positive(f)
+    _check_engine(f, engine)
     if gamma is None:
         gamma = kernels.gamma_const(2, alpha)
-    lhs = holder_seminorm(f, alpha)
+    lhs = holder_seminorm(f, alpha, cosines=None if engine is None else engine.ring_cosines)
     rhs = gamma * float(np.min(f.values))
     return bool(lhs <= rhs), lhs, rhs
 
@@ -496,15 +515,17 @@ def check_T33(f, n_t: int = 12, n_xi: int = 4, rtol: float = 1e-8):
     return bool(worst <= rtol * float(np.max(np.abs(f.values)))), worst
 
 
-def check_pogorelov(f):
+def check_pogorelov(f, engine: CriterionEngine | None = None):
     """Arc-length condition f - f_ss > 0 on S^2 (two dimensions).
 
     f_ss along xi is the (xi, xi) entry of the covariant Hessian, so the
-    minimum over directions is f minus the largest Hessian eigenvalue.
-    Returns (holds, min value).
+    minimum over directions is f minus the largest Hessian eigenvalue; the
+    Hessians of a given ``engine`` of f are reused.  Returns (holds, min
+    value).
     """
     _require_positive(f)
-    H = harmonics.grid_hessian(f)
+    _check_engine(f, engine)
+    H = harmonics.grid_hessian(f) if engine is None else engine.tangent_hessians
     hess_max = -_min_eig2(-H[:, 0, 0], -H[:, 0, 1], -H[:, 1, 1])
     min_val = float(np.min(f.values - hess_max))
     return bool(min_val > 0.0), min_val

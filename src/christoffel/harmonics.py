@@ -7,12 +7,32 @@ l*l + l + m, m in [-l, l]; m > 0 are cosine terms, m < 0 sine terms.
 The solver inverts (Laplace-Beltrami + 2) on S^2 degree by degree:
 the operator acts on degree l as multiplication by 2 - l*(l+1), with the
 degree-1 harmonics spanning its kernel.
+
+Transform plan: every table a transform reads is built once per size and
+then shared, as in SHTns (Schaeffer 2013).  Module-level
+``functools.lru_cache`` entries hold, keyed by the band limit L_max, the
+packed (m, l) layout and the flat coefficient indices of each order
+(:func:`_pair_index`, :func:`_order_index`) and the Legendre values at the
+L_max + 2 colatitudes of the scattered-point profiles
+(:func:`_profile_blocks`); keyed by (L, L_max), the Legendre values at the
+Gauss nodes of grid L, one recursion whose theta-derivative tables are
+derived from it (:func:`_grid_legendre`, :func:`_grid_blocks`), and the
+azimuth tables with their phi-derivative factors (:func:`_azimuth_plan`);
+keyed by L, the node frame: sin and cos theta, e_theta, e_phi and the
+rotation coefficients of the default tangent bases (:func:`_grid_frame`).
+Each cache keeps the last 4 to 16 keys, enough for every size one command
+uses.  Every cached array is read-only, so a stray in-place write raises
+ValueError instead of corrupting later transforms.  The tables hold the
+values the transforms computed per call before, and the arithmetic on
+them is unchanged, so results are bit-identical to building the tables
+afresh on each call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,7 +42,14 @@ from .errors import (
     NotAnalyzed,
     OrthogonalityViolation,
 )
-from .sphere import SphereGrid, _polar_rule, point_coords, tangent_bases
+from .sphere import (
+    SphereGrid,
+    _azimuths,
+    _polar_rule,
+    make_grid,
+    point_coords,
+    tangent_bases,
+)
 
 DEFAULT_L_MAX = 32
 DEFAULT_GRID_L = 48
@@ -103,6 +130,13 @@ def require_coeffs(f: SphericalField) -> HarmonicCoeffs:
 # Associated Legendre recursions (fully normalized, no Condon-Shortley)
 # ----------------------------------------------------------------------
 
+def _read_only(*arrays):
+    """Mark arrays shared through a cache read-only; returns them as a tuple."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
 @lru_cache(maxsize=8)
 def _pair_index(L_max: int):
     """Packed (m, l) pair layout, m-major with l ascending within each m.
@@ -124,20 +158,28 @@ def _pair_index(L_max: int):
     prev = np.where(l_arr - 1 >= m_arr, np.arange(len(ms)) - 1, -1)
     cos_idx = l_arr * l_arr + l_arr + m_arr
     sin_idx = l_arr * l_arr + l_arr - m_arr
-    return m_arr, l_arr, offsets, prev, cos_idx, sin_idx
+    return _read_only(m_arr, l_arr, offsets, prev, cos_idx, sin_idx)
 
 
-def _legendre_packed(t: np.ndarray, L_max: int, nderiv: int = 0):
+@lru_cache(maxsize=8)
+def _order_index(L_max: int):
+    """Flat coefficient indices of each order m: (cos, sin) tuples indexed
+    by m, entry m listing (l, m) resp. (l, -m) for l = m..L_max."""
+    _, _, offsets, _, cos_idx, sin_idx = _pair_index(L_max)
+    orders = [slice(offsets[m], offsets[m + 1]) for m in range(L_max + 1)]
+    return tuple(cos_idx[o] for o in orders), tuple(sin_idx[o] for o in orders)
+
+
+def _legendre_packed(t: np.ndarray, L_max: int) -> np.ndarray:
     """Normalized associated Legendre values in the packed pair layout.
 
-    Returns ``nderiv + 1`` arrays of shape (n_pairs, len(t)) (pairs-major, so
-    each pair is a contiguous row); derivatives are with respect to theta
-    (t = cos theta).  Normalization: the basis function built from pair
-    (l, m) and its azimuth factor has unit L^2 norm on the sphere.  The
-    degree recursion is vectorized across all orders m one diagonal l - m
-    at a time.
+    Returns shape (n_pairs, len(t)) (pairs-major, so each pair is a
+    contiguous row), t = cos theta.  Normalization: the basis function built
+    from pair (l, m) and its azimuth factor has unit L^2 norm on the sphere.
+    The degree recursion is vectorized across all orders m one diagonal
+    l - m at a time.
     """
-    m_arr, l_arr, offsets, prev, _, _ = _pair_index(L_max)
+    m_arr, _, offsets, _, _, _ = _pair_index(L_max)
     t = np.asarray(t, dtype=float)
     s = np.sqrt(np.maximum(0.0, 1.0 - t * t))
     n_pts = t.shape[0]
@@ -159,71 +201,92 @@ def _legendre_packed(t: np.ndarray, L_max: int, nderiv: int = 0):
         b = np.sqrt(((lv - 1.0) ** 2 - mv * mv) / (4.0 * (lv - 1.0) ** 2 - 1.0))
         tgt = offsets[mv] + k
         P[tgt] = a[:, None] * (t[None, :] * P[tgt - 1] - b[:, None] * P[tgt - 2])
-    if nderiv == 0:
-        return (P,)
+    return P
 
-    # dP/dtheta = (l t P_l^m - c_lm P_{l-1}^m) / sin(theta)
+
+def _legendre_derivative(t: np.ndarray, tables, L_max: int) -> np.ndarray:
+    """The next theta-derivative of the packed Legendre values at t, from
+    ``tables`` = (P,) or (P, dP/dtheta): no second recursion."""
+    m_arr, l_arr, _, prev, _, _ = _pair_index(L_max)
+    s = np.sqrt(np.maximum(0.0, 1.0 - t * t))
     inv_s = np.where(s > 0, 1.0 / np.maximum(s, 1e-300), 0.0)
-    Pprev = np.empty_like(P)
-    valid = prev >= 0
-    Pprev[valid] = P[prev[valid]]
-    Pprev[~valid] = 0.0
-    c_lm = np.sqrt(
-        (2.0 * l_arr + 1.0) * (l_arr * l_arr - m_arr * m_arr)
-        / np.maximum(2.0 * l_arr - 1.0, 1.0)
-    )
-    D1 = (l_arr[:, None] * t[None, :] * P - c_lm[:, None] * Pprev) * inv_s[None, :]
-    if nderiv == 1:
-        return (P, D1)
-
+    P = tables[0]
+    if len(tables) == 1:
+        # dP/dtheta = (l t P_l^m - c_lm P_{l-1}^m) / sin(theta)
+        Pprev = np.empty_like(P)
+        valid = prev >= 0
+        Pprev[valid] = P[prev[valid]]
+        Pprev[~valid] = 0.0
+        c_lm = np.sqrt(
+            (2.0 * l_arr + 1.0) * (l_arr * l_arr - m_arr * m_arr)
+            / np.maximum(2.0 * l_arr - 1.0, 1.0)
+        )
+        return (l_arr[:, None] * t[None, :] * P - c_lm[:, None] * Pprev) * inv_s[None, :]
     # Legendre ODE in theta: P'' = -cot(theta) P' - (l(l+1) - m^2/sin^2) P
     cot = t * inv_s
-    D2 = (
-        -cot[None, :] * D1
+    return (
+        -cot[None, :] * tables[1]
         - (
             (l_arr * (l_arr + 1.0))[:, None]
             - (m_arr * m_arr)[:, None] * (inv_s * inv_s)[None, :]
         )
         * P
     )
-    return (P, D1, D2)
 
 
-def _legendre_blocks(t: np.ndarray, L_max: int, nderiv: int = 0):
-    """Per-order views of :func:`_legendre_packed`: entry m is a tuple of
-    ``nderiv + 1`` arrays of shape (len(t), L_max + 1 - m), column l - m."""
-    packed = _legendre_packed(t, L_max, nderiv)
+def _order_blocks(tables, L_max: int):
+    """Per-order views of packed tables: entry m is a tuple with one array
+    of shape (n_pts, L_max + 1 - m), column l - m, per table."""
     offsets = _pair_index(L_max)[2]
-    return [
-        tuple(arr[offsets[m] : offsets[m + 1], :].T for arr in packed)
+    return tuple(
+        tuple(arr[offsets[m] : offsets[m + 1], :].T for arr in tables)
         for m in range(L_max + 1)
-    ]
+    )
+
+
+@lru_cache(maxsize=16)
+def _grid_legendre(L: int, L_max: int, nderiv: int):
+    """Packed P and its first ``nderiv`` theta-derivatives at the Gauss
+    nodes of grid L.  Each level extends the one below it, so one recursion
+    per (L, L_max) serves every derivative order."""
+    t = _polar_rule(L)[0]
+    if nderiv == 0:
+        return _read_only(_legendre_packed(t, L_max))
+    lower = _grid_legendre(L, L_max, nderiv - 1)
+    return lower + _read_only(_legendre_derivative(t, lower, L_max))
 
 
 @lru_cache(maxsize=16)
 def _grid_blocks(L: int, L_max: int, nderiv: int):
-    return _legendre_blocks(_polar_rule(L)[0], L_max, nderiv)
+    return _order_blocks(_grid_legendre(L, L_max, nderiv), L_max)
 
 
-def _azimuth_tables(phis: np.ndarray, L_max: int):
-    """Cos/sin tables including the sqrt(2) factor for m > 0."""
+@lru_cache(maxsize=4)
+def _profile_blocks(L_max: int):
+    """Per-order Legendre blocks at the L_max + 2 colatitudes
+    pi j / (L_max + 1) of :func:`_theta_profiles`."""
+    n = L_max + 1
+    P = _legendre_packed(np.cos(np.pi * np.arange(n + 1) / n), L_max)
+    return _order_blocks(_read_only(P), L_max)
+
+
+@lru_cache(maxsize=8)
+def _azimuth_plan(L: int, L_max: int):
+    """Azimuth tables of grid L, each (L_max + 1, 2L): cos m phi and
+    sin m phi with the sqrt(2) factor for m > 0, then both times m and
+    times m^2 (the factors of the first and second phi-derivatives)."""
     m = np.arange(L_max + 1)[:, None]
-    arg = m * phis[None, :]
-    cos_t = np.cos(arg)
-    sin_t = np.sin(arg)
+    arg = m * _azimuths(L)[None, :]
     scale = np.where(m > 0, np.sqrt(2.0), 1.0)
-    return scale * cos_t, scale * sin_t
+    cos_t, sin_t = scale * np.cos(arg), scale * np.sin(arg)
+    return _read_only(cos_t, sin_t, m * cos_t, m * sin_t, m**2 * cos_t, m**2 * sin_t)
 
 
 def _coeff_stacks(coeffs: HarmonicCoeffs):
     """Per-order coefficient vectors: (cos, sin) lists indexed by m."""
-    L = coeffs.L_max
-    cos_c, sin_c = [], []
-    for m in range(L + 1):
-        ls = np.arange(m, L + 1)
-        cos_c.append(coeffs.c[ls * ls + ls + m])
-        sin_c.append(coeffs.c[ls * ls + ls - m] if m > 0 else None)
-    return cos_c, sin_c
+    cos_idx, sin_idx = _order_index(coeffs.L_max)
+    c = coeffs.c
+    return [c[i] for i in cos_idx], [None] + [c[i] for i in sin_idx[1:]]
 
 
 def _synth_theta_stacks(blocks, cos_c, sin_c, L_max, deriv=0):
@@ -264,20 +327,19 @@ def analyze(field: SphericalField, L_max: int | None = None) -> HarmonicCoeffs:
     if L_max is None:
         L_max = min(DEFAULT_L_MAX, grid.L - 1)
     require_band_limit(grid, L_max)
-    n_phi = grid.azimuth_count
-    vals = field.values.reshape(grid.L, n_phi)
-    cos_t, sin_t = _azimuth_tables(grid.phis, L_max)
+    vals = field.values.reshape(grid.L, grid.azimuth_count)
+    cos_t, sin_t = _azimuth_plan(grid.L, L_max)[:2]
     w_phi = np.pi / grid.L
     Fc = vals @ cos_t.T * w_phi  # (L, L_max+1)
     Fs = vals @ sin_t.T * w_phi
     blocks = _grid_blocks(grid.L, L_max, 0)
+    cos_idx, sin_idx = _order_index(L_max)
     wt = grid.polar_weights
     c = np.zeros((L_max + 1) ** 2)
     for m in range(L_max + 1):
-        ls = np.arange(m, L_max + 1)
-        c[ls * ls + ls + m] = blocks[m][0].T @ (wt * Fc[:, m])
+        c[cos_idx[m]] = blocks[m][0].T @ (wt * Fc[:, m])
         if m > 0:
-            c[ls * ls + ls - m] = blocks[m][0].T @ (wt * Fs[:, m])
+            c[sin_idx[m]] = blocks[m][0].T @ (wt * Fs[:, m])
     return HarmonicCoeffs(L_max=L_max, c=c)
 
 
@@ -298,8 +360,7 @@ def _grid_eval(coeffs, grid, deriv=(0,)):
     need1 = need2 or any(d == 1 for d in deriv)
     blocks = _grid_blocks(grid.L, L_max, 2 if need2 else (1 if need1 else 0))
     cos_c, sin_c = _coeff_stacks(coeffs)
-    cos_t, sin_t = _azimuth_tables(grid.phis, L_max)
-    m_row = np.arange(L_max + 1)[:, None]
+    cos_t, sin_t, m_cos, m_sin, m2_cos, m2_sin = _azimuth_plan(grid.L, L_max)
     out = []
     cache = {}
 
@@ -314,13 +375,13 @@ def _grid_eval(coeffs, grid, deriv=(0,)):
             out.append(A @ cos_t + B @ sin_t)
         elif d == "phi":
             A, B = stacks(0)
-            out.append(B @ (m_row * cos_t) - A @ (m_row * sin_t))
+            out.append(B @ m_cos - A @ m_sin)
         elif d == "phiphi":
             A, B = stacks(0)
-            out.append(-(A @ (m_row**2 * cos_t) + B @ (m_row**2 * sin_t)))
+            out.append(-(A @ m2_cos + B @ m2_sin))
         elif d == "thetaphi":
             A, B = stacks(1)
-            out.append(B @ (m_row * cos_t) - A @ (m_row * sin_t))
+            out.append(B @ m_cos - A @ m_sin)
         else:
             raise ValueError(f"unknown derivative tag {d!r}")
     return out
@@ -359,7 +420,7 @@ def galerkin_matrix(values: np.ndarray, grid: SphereGrid, L_max: int) -> np.ndar
     signed = np.arange(K) - l * l - l  # flat index l^2 + l + m, m < 0 sine
     order = np.abs(signed)
     group = 2 * order + (signed < 0)  # the 2 m' + s column group
-    P = _legendre_packed(grid.polar_nodes, L_max)[0]
+    P = _grid_legendre(L, L_max, 0)[0]
     offsets = _pair_index(L_max)[2]
     # packed order: by m, the cosine then the sine terms, each l-ascending;
     # order m occupies [start[m], start[m + 1])
@@ -386,11 +447,11 @@ def node_basis(grid: SphereGrid, node: int, L_max: int) -> np.ndarray:
     (row ``node`` of the basis matrix B of :func:`galerkin_matrix`)."""
     ring, j = divmod(node, grid.azimuth_count)
     m_arr, _, _, _, cos_idx, sin_idx = _pair_index(L_max)
-    P = _legendre_packed(grid.polar_nodes[ring : ring + 1], L_max)[0][:, 0]
-    cos_t, sin_t = _azimuth_tables(grid.phis[j : j + 1], L_max)
+    P = _grid_legendre(grid.L, L_max, 0)[0][:, ring]
+    cos_t, sin_t = _azimuth_plan(grid.L, L_max)[:2]
     row = np.empty((L_max + 1) ** 2)
-    row[sin_idx] = P * sin_t[m_arr, 0]
-    row[cos_idx] = P * cos_t[m_arr, 0]
+    row[sin_idx] = P * sin_t[m_arr, j]
+    row[cos_idx] = P * cos_t[m_arr, j]
     return row
 
 
@@ -442,9 +503,7 @@ def _theta_profiles(coeffs, theta, nderiv=0):
     """
     L_max = coeffs.L_max
     n = L_max + 1
-    nodes = np.pi * np.arange(n + 1) / n
-    A, B = _synth_theta_stacks(_legendre_blocks(np.cos(nodes), L_max),
-                               *_coeff_stacks(coeffs), L_max)
+    A, B = _synth_theta_stacks(_profile_blocks(L_max), *_coeff_stacks(coeffs), L_max)
     prof = np.concatenate([A, B], axis=1)  # columns A_0..A_L, B_0..B_L
     circle = np.concatenate([prof, np.tile((-1.0) ** np.arange(n), 2) * prof[-2:0:-1]])
     F = np.fft.rfft(circle, axis=0)[:n] / n  # the Nyquist term is zero
@@ -500,54 +559,74 @@ def synthesize_at(coeffs: HarmonicCoeffs, points) -> np.ndarray:
     return _point_eval(coeffs, theta, phi, (0,))[0]
 
 
-def _frame_vectors(theta, phi):
+class _Frame(NamedTuple):
+    """Frame of a set of points: sin and cos theta, e_theta and e_phi."""
+
+    sin: np.ndarray
+    cos: np.ndarray
+    e_th: np.ndarray
+    e_ph: np.ndarray
+
+
+def _frame(theta, phi) -> _Frame:
     st, ct = np.sin(theta), np.cos(theta)
     cp, sp = np.cos(phi), np.sin(phi)
     e_th = np.stack([ct * cp, ct * sp, -st], axis=-1)
     e_ph = np.stack([-sp, cp, np.zeros_like(sp)], axis=-1)
-    return e_th, e_ph
+    return _Frame(st, ct, e_th, e_ph)
 
 
-def _frame_gradient(theta, phi, dth, dph):
+def _rotation(bases, frame: _Frame):
+    """Coefficients (r11, r12, r21, r22) of tangent ``bases`` (e1, e2) in
+    the (e_theta, e_phi) frame: r11 = <e1, e_theta>, r12 = <e1, e_phi>, ..."""
+    e1, e2 = bases
+    return (np.sum(e1 * frame.e_th, axis=1), np.sum(e1 * frame.e_ph, axis=1),
+            np.sum(e2 * frame.e_th, axis=1), np.sum(e2 * frame.e_ph, axis=1))
+
+
+@lru_cache(maxsize=4)
+def _grid_frame(L: int):
+    """Frame of the nodes of grid L in node order and the rotation
+    coefficients of the default tangent bases
+    (:func:`christoffel.sphere.tangent_bases`): (frame, rotation)."""
+    grid = make_grid(L)
+    frame = _frame(np.repeat(grid.thetas, grid.azimuth_count), np.tile(grid.phis, L))
+    rot = _rotation(tangent_bases(grid.nodes), frame)
+    _read_only(*frame, *rot)
+    return frame, rot
+
+
+def _frame_gradient(frame: _Frame, dth, dph):
     """Ambient gradient e_theta d_theta + e_phi d_phi / sin(theta), (n, 3).
 
     sin(theta) is floored at the pole guard; callers redo points inside it.
     """
-    e_th, e_ph = _frame_vectors(theta, phi)
-    return e_th * dth[:, None] + e_ph * (dph / np.maximum(np.sin(theta), _SIN_GUARD_GRAD))[:, None]
+    return (frame.e_th * dth[:, None]
+            + frame.e_ph * (dph / np.maximum(frame.sin, _SIN_GUARD_GRAD))[:, None])
 
 
 # derivative tags whose values _frame_hessian takes, in its argument order
 _HESSIAN_TAGS = (1, "phi", 2, "thetaphi", "phiphi")
 
 
-def _frame_hessian(theta, phi, derivs, bases):
+def _frame_hessian(frame: _Frame, derivs, rot):
     """Covariant Hessian from the _HESSIAN_TAGS derivatives, (n, 2, 2).
 
-    Formed in the (e_theta, e_phi) frame, then rotated into ``bases``.
+    Formed in the (e_theta, e_phi) frame, then rotated by the coefficients
+    ``rot`` of :func:`_rotation` into the target bases.
     """
     dth, dph, dthth, dthph, dphph = derivs
-    s, c = np.sin(theta), np.cos(theta)
+    s, c = frame.sin, frame.cos
     h11 = dthth
     h12 = (dthph - (c / s) * dph) / s
     h22 = dphph / (s * s) + (c / s) * dth
-    e1, e2 = bases
-    e_th, e_ph = _frame_vectors(theta, phi)
-    r11 = np.sum(e1 * e_th, axis=1)
-    r12 = np.sum(e1 * e_ph, axis=1)
-    r21 = np.sum(e2 * e_th, axis=1)
-    r22 = np.sum(e2 * e_ph, axis=1)
-    H = np.empty((len(theta), 2, 2))
+    r11, r12, r21, r22 = rot
+    H = np.empty((len(s), 2, 2))
     H[:, 0, 0] = r11 * (r11 * h11 + r12 * h12) + r12 * (r11 * h12 + r12 * h22)
     H[:, 0, 1] = r21 * (r11 * h11 + r12 * h12) + r22 * (r11 * h12 + r12 * h22)
     H[:, 1, 0] = H[:, 0, 1]
     H[:, 1, 1] = r21 * (r21 * h11 + r22 * h12) + r22 * (r21 * h12 + r22 * h22)
     return H
-
-
-def _grid_angles(grid):
-    """(theta, phi) of every grid node in node order."""
-    return np.repeat(grid.thetas, grid.azimuth_count), np.tile(grid.phis, grid.L)
 
 
 def _circle_samples(coeffs, x, d, K):
@@ -588,9 +667,10 @@ def values_and_gradient_at(coeffs: HarmonicCoeffs, points):
     """Field values and tangential gradients in one basis evaluation."""
     pts, theta, phi = _points_angles(points)
     vals, dth, dph = _point_eval(coeffs, theta, phi, (0, 1, "phi"))
-    grad = _frame_gradient(theta, phi, dth, dph)
+    frame = _frame(theta, phi)
+    grad = _frame_gradient(frame, dth, dph)
     K = 2 * coeffs.L_max + 2
-    for i in np.nonzero(np.sin(theta) <= _SIN_GUARD_GRAD)[0]:
+    for i in np.nonzero(frame.sin <= _SIN_GUARD_GRAD)[0]:
         bases = [e[0] for e in tangent_bases(pts[i : i + 1])]
         grad[i] = sum(_circle_d1(_circle_samples(coeffs, pts[i], e, K)) * e for e in bases)
     return vals, grad
@@ -613,9 +693,9 @@ def _orbit_values_and_slopes(coeffs: HarmonicCoeffs, points, dirs, n_phi: int):
     """
     pts, theta, phi = _points_angles(points)
     dirs = np.asarray(dirs, dtype=float)
-    e_th, e_ph = _frame_vectors(theta, phi)
-    alpha = np.sum(dirs * e_th, axis=1)[:, None]
-    beta = (np.sum(dirs * e_ph, axis=1) / np.maximum(np.sin(theta), _SIN_GUARD_GRAD))[:, None]
+    frame = _frame(theta, phi)
+    alpha = np.sum(dirs * frame.e_th, axis=1)[:, None]
+    beta = (np.sum(dirs * frame.e_ph, axis=1) / np.maximum(frame.sin, _SIN_GUARD_GRAD))[:, None]
     (A, B), (dA, dB) = _theta_profiles(coeffs, theta, 1)
     m = np.arange(coeffs.L_max + 1)
     r = m % n_phi
@@ -637,7 +717,7 @@ def _orbit_values_and_slopes(coeffs: HarmonicCoeffs, points, dirs, n_phi: int):
     out = np.fft.irfft(spec, n_phi, axis=-1)  # zero-pads up to bin n_phi / 2
     ang = 2.0 * np.pi * np.arange(n_phi) / n_phi
     c, s = np.cos(ang), np.sin(ang)
-    for p in np.nonzero(np.sin(theta) <= _SIN_GUARD_GRAD)[0]:
+    for p in np.nonzero(frame.sin <= _SIN_GUARD_GRAD)[0]:
         (x, y, z), (u, v, t) = pts[p], dirs[p]
         out[0, p], g = values_and_gradient_at(
             coeffs, np.stack([c * x - s * y, s * x + c * y, np.full(n_phi, z)], axis=1))
@@ -659,7 +739,8 @@ def hessian_at(coeffs: HarmonicCoeffs, points, bases=None) -> np.ndarray:
     H = np.zeros((len(pts), 2, 2))
     if np.any(safe):
         derivs = _point_eval(coeffs, theta[safe], phi[safe], _HESSIAN_TAGS)
-        H[safe] = _frame_hessian(theta[safe], phi[safe], derivs, (e1[safe], e2[safe]))
+        frame = _frame(theta[safe], phi[safe])
+        H[safe] = _frame_hessian(frame, derivs, _rotation((e1[safe], e2[safe]), frame))
     if not np.all(safe):
         K = 2 * coeffs.L_max + 2
         for i in np.nonzero(~safe)[0]:
@@ -687,8 +768,8 @@ def grid_gradient(field: SphericalField) -> np.ndarray:
     """Spherical gradient at every grid node, shape (N, 3)."""
     coeffs = require_coeffs(field)
     dth, dph = _grid_eval(coeffs, field.grid, (1, "phi"))
-    theta, phi = _grid_angles(field.grid)
-    return _frame_gradient(theta, phi, dth.ravel(), dph.ravel())
+    frame, _ = _grid_frame(field.grid.L)
+    return _frame_gradient(frame, dth.ravel(), dph.ravel())
 
 
 def grid_hessian(field: SphericalField, bases=None) -> np.ndarray:
@@ -699,10 +780,10 @@ def grid_hessian(field: SphericalField, bases=None) -> np.ndarray:
     coeffs = require_coeffs(field)
     grid = field.grid
     derivs = [d.ravel() for d in _grid_eval(coeffs, grid, _HESSIAN_TAGS)]
-    if bases is None:
-        bases = tangent_bases(grid.nodes)
-    theta, phi = _grid_angles(grid)
-    return _frame_hessian(theta, phi, derivs, bases)
+    frame, rot = _grid_frame(grid.L)
+    if bases is not None:
+        rot = _rotation(bases, frame)
+    return _frame_hessian(frame, derivs, rot)
 
 
 # ----------------------------------------------------------------------

@@ -477,6 +477,14 @@ def gamma_monte_carlo(
     pole (radius density proportional to rho^(alpha - 1) inside a half-unit
     ball), which keeps the weights bounded near both singular sets.
 
+    A pole sample y = pole + rho dir keeps d = |y - pole| = rho exactly and
+    takes theta from the components of rho dir along and across the pole,
+    never from the rounded y.  For small alpha, rho = R (1 - u)^(1/alpha)
+    falls below the resolution of y and can underflow, so it is carried as
+    log(rho), and the weight theta^alpha / (|y| d^(n+1) q), q the mixture
+    density, is evaluated as (theta / d)^alpha / (|y| d^(n+1-alpha) q),
+    whose factors stay bounded as d -> 0.
+
     Returns (gamma_estimate, standard_error).
     """
     if not (0.0 < alpha <= 1.0):
@@ -493,36 +501,38 @@ def gamma_monte_carlo(
         pole = np.asarray(pole, dtype=float)
         pole = pole / np.linalg.norm(pole)
     R_near = 0.5
+    near_density = alpha / (R_near**alpha * omega_n)  # d^(n+1-alpha) p_near for d <= R_near
     rng = np.random.default_rng(seed)
     total = 0.0
     total_sq = 0.0
     count = 0
     while count < samples:
         m = min(chunk, samples - count)
-        pick_near = rng.random(m) < 0.5
+        near = rng.random(m) < 0.5
         u = rng.random(m)
         dirs = rng.standard_normal((m, dim))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        y = np.empty((m, dim))
-        far = ~pick_near
-        r_far = u[far] / (1.0 - u[far])
-        y[far] = dirs[far] * r_far[:, None]
-        rho = R_near * u[pick_near] ** (1.0 / alpha)
-        y[pick_near] = pole[None, :] + dirs[pick_near] * rho[:, None]
-
-        ry = np.linalg.norm(y, axis=1)
-        d = np.linalg.norm(y - pole[None, :], axis=1)
-        good = (ry > 0) & (d > 0)
+        along = dirs @ pole
+        across = np.linalg.norm(dirs - along[:, None] * pole[None, :], axis=1)
+        # far samples y = r dir: |y| = r, theta is the angle of dir to the pole
+        ry = u / (1.0 - u)
+        theta = np.arctan2(across, along)
+        d = np.linalg.norm(ry[:, None] * dirs - pole[None, :], axis=1)
+        log_d = np.log(np.maximum(d, 1e-300))
+        # pole samples y = pole + rho dir, rho = R_near (1 - u)^(1/alpha)
+        log_d[near] = math.log(R_near) + np.log1p(-u[near]) / alpha
+        d[near] = np.exp(log_d[near])
+        perp, par = d[near] * across[near], 1.0 + d[near] * along[near]
+        ry[near] = np.hypot(perp, par)
+        theta[near] = np.arctan2(perp, par)
+        # theta / d tends to `across` at the pole, its value below d = 1e-150
+        ratio = np.where(near & (d <= 1e-150), across, theta / np.maximum(d, 1e-300))
+        good = ry > 0
         ry_s = np.maximum(ry, 1e-300)
-        d_s = np.maximum(d, 1e-300)
-        theta = np.arccos(np.clip((y @ pole) / ry_s, -1.0, 1.0))
-        f = np.where(good, d_s ** (-dim) * theta**alpha / ry_s, 0.0)
-
-        p_far = 1.0 / (1.0 + ry) ** 2 / (omega_n * ry_s**n)
-        h = alpha * d_s ** (alpha - 1.0) / R_near**alpha
-        p_near = np.where(d < R_near, h / (omega_n * d_s**n), 0.0)
-        q = 0.5 * p_far + 0.5 * p_near
-        w = np.where(good, f / q, 0.0)
+        # d^(n+1) q / d^alpha, q = (p_far + p_near) / 2 the mixture density
+        far_part = np.exp((dim - alpha) * log_d) / ((1.0 + ry) ** 2 * omega_n * ry_s**n)
+        q_scaled = 0.5 * far_part + 0.5 * np.where(d <= R_near, near_density, 0.0)
+        w = np.where(good, ratio**alpha / (ry_s * q_scaled), 0.0)
         total += float(np.sum(w))
         total_sq += float(np.sum(w * w))
         count += m

@@ -102,6 +102,12 @@ def _polar_rule(L: int):
     return t, wt
 
 
+def _azimuths(L: int) -> np.ndarray:
+    """The 2L uniform azimuths 2 pi j / (2L) of grid L."""
+    n_phi = 2 * L
+    return 2.0 * np.pi * np.arange(n_phi) / n_phi
+
+
 def make_grid(L: int) -> SphereGrid:
     """Build the S^2 quadrature grid with L polar and 2L azimuthal nodes.
 
@@ -120,7 +126,7 @@ def make_grid(L: int) -> SphereGrid:
     t, wt = (a.copy() for a in _polar_rule(L))
     thetas = np.arccos(t)
     n_phi = 2 * L
-    phis = 2.0 * np.pi * np.arange(n_phi) / n_phi
+    phis = _azimuths(L)
     st = np.sqrt(1.0 - t**2)
     x = np.outer(st, np.cos(phis))
     y = np.outer(st, np.sin(phis))

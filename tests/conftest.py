@@ -1,7 +1,19 @@
+import sys
+
 import numpy as np
 import pytest
 
 from christoffel import harmonics, sphere
+
+
+def clear_program_caches():
+    """Empty every functools cache of the package, as a fresh process has
+    them."""
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("christoffel."):
+            for obj in vars(mod).values():
+                if hasattr(obj, "cache_clear") and getattr(obj, "__module__", None) == name:
+                    obj.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -6,9 +6,11 @@ import sys
 import numpy as np
 import pytest
 
-from christoffel import body, cli, harmonics
+from christoffel import body, cli, convexity, harmonics
 from christoffel.errors import GridMismatch, NotPositive, ParseError
 from christoffel.sphere import make_grid
+
+from conftest import clear_program_caches
 
 
 def loop_field_to_csv(field):
@@ -249,6 +251,19 @@ class TestCommands:
         assert abs(g["monte_carlo"]["estimate"] - g["value"]) < 4 * g["monte_carlo"]["standard_error"]
         assert "monte_carlo_random_pole" in g
 
+    def test_gamma_small_alpha_finite(self, tmp_path):
+        report, code = run_cli(
+            ["gamma", "--n", "2", "--alpha", "1e-3", "--mc-samples", "20000", "--seed", "3"],
+            tmp_path,
+        )
+        assert code == 0
+        g = report["gamma"]
+        for est in (g["monte_carlo"], g["monte_carlo_random_pole"]):
+            assert np.isfinite(est["estimate"]) and est["standard_error"] > 0.0
+            assert abs(est["estimate"] - g["value"]) < 4 * est["standard_error"]
+        se = g["monte_carlo"]["standard_error"]
+        assert g["z_score"] == (g["monte_carlo"]["estimate"] - g["value"]) / se
+
     def test_kernels_command(self, tmp_path):
         out = tmp_path / "kernels.csv"
         report, code = run_cli(["kernels", "--n", "2", "--out", str(out)], tmp_path)
@@ -386,3 +401,58 @@ class TestDeterminism:
             doc["config"].pop("report")
         assert a["lp"]["trace"]
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
+class TestSharedWork:
+    LP = ["lp", "--p", "4", "--input", "family:harmonic:l=2,m=0,eps=0.1,base=2",
+          "--L", "16", "--Lmax", "10"]
+    CHECK = ["check", "--input", "family:harmonic:l=2,m=0,eps=0.3,base=2",
+             "--L", "16", "--Lmax", "10"]
+
+    def test_check_forms_field_derivatives_once(self, tmp_path, monkeypatch):
+        # one CriterionEngine serves both sweeps and Pogorelov, and Hoelder
+        # reads the same ring table: each field's grid gradient and Hessian,
+        # and the table, are formed once per check
+        fields = {"grid_gradient": [], "grid_hessian": []}
+        for name, seen in fields.items():
+            def spy(field, *args, _real=getattr(harmonics, name), _seen=seen, **kwargs):
+                _seen.append(field)
+                return _real(field, *args, **kwargs)
+
+            monkeypatch.setattr(harmonics, name, spy)
+        tables = []
+        ring_cosines = convexity.ring_cosines
+        monkeypatch.setattr(convexity, "ring_cosines", lambda grid: tables.append(grid.L)
+                            or ring_cosines(grid))
+        clear_program_caches()
+        _, code = run_cli(self.CHECK, tmp_path)
+        assert code in (0, 3)
+        for name, seen in fields.items():
+            assert seen, name
+            assert len({id(f) for f in seen}) == len(seen), name
+        assert tables == [16]
+
+    def test_one_legendre_recursion_per_node_set(self, tmp_path, monkeypatch):
+        # the transform plan runs the P recursion once per (node set, L_max)
+        # in a command, derivative tables included, and emptying the caches
+        # leaves nothing behind for the next command
+        keys = []
+        packed = harmonics._legendre_packed
+
+        def spy(t, L_max, *args):
+            keys.append((np.asarray(t).tobytes(), L_max))
+            return packed(t, L_max, *args)
+
+        monkeypatch.setattr(harmonics, "_legendre_packed", spy)
+        runs = []
+        for _ in range(2):
+            counts = []
+            for argv in (self.LP, self.CHECK):
+                clear_program_caches()
+                keys.clear()
+                _, code = run_cli(argv, tmp_path)
+                assert code in (0, 3)
+                assert keys and len(keys) == len(set(keys)), argv[0]
+                counts.append(len(keys))
+            runs.append(counts)
+        assert runs[0] == runs[1]

@@ -7,7 +7,7 @@ from scipy.optimize import brentq
 from christoffel import body, convexity, harmonics, kernels, sphere
 from christoffel.errors import NotPositive
 
-from conftest import constant_field, harmonic_field, random_positive_field
+from conftest import clear_program_caches, constant_field, harmonic_field, random_positive_field
 
 
 def spectral_second_derivative(u, x, xi):
@@ -168,6 +168,24 @@ class TestSweep:
         rep = convexity.sweep(f, "cr2")
         assert rep.verdicts["cr2"] == "inconclusive"
 
+    def test_shared_engine_matches_fresh(self, grid24):
+        # one engine for both sweeps and Pogorelov gives the reports of
+        # separate engines bit for bit, and refuses another field
+        f = harmonic_field(grid24, 2.0, {(2, 0): 0.8, (3, 1): 0.2}, L_max=12)
+        eng = convexity.CriterionEngine(f, kernels.DEFAULT_TABLE, None)
+        for crit in ("cr1", "cr2"):
+            shared, fresh = convexity.sweep(f, crit, engine=eng), convexity.sweep(f, crit)
+            assert shared.min_margin == fresh.min_margin
+            assert shared.error_band == fresh.error_band
+            (x1, xi1), (x2, xi2) = shared.witness[crit], fresh.witness[crit]
+            assert np.array_equal(x1.coords, x2.coords) and np.array_equal(xi1.dir, xi2.dir)
+        assert convexity.check_pogorelov(f, eng) == convexity.check_pogorelov(f)
+        other = harmonic_field(grid24, 2.0, {(2, 0): 0.8}, L_max=12)
+        with pytest.raises(ValueError):
+            convexity.sweep(other, "cr2", engine=eng)
+        with pytest.raises(ValueError):
+            convexity.check_pogorelov(other, eng)
+
 
 def holder_pair_loop(f, alpha):
     """Reference Hoelder estimate: every ordered node pair, separations
@@ -240,11 +258,12 @@ class TestRingPaths:
         sizes = []
         packed = harmonics._legendre_packed
 
-        def spy(t, L_max, nderiv=0):
+        def spy(t, L_max):
             sizes.append(len(t))
-            return packed(t, L_max, nderiv)
+            return packed(t, L_max)
 
         monkeypatch.setattr(harmonics, "_legendre_packed", spy)
+        clear_program_caches()
         convexity.check_T33(f)
         assert sizes and max(sizes) <= f.coeffs.L_max + 2
 

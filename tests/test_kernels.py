@@ -315,6 +315,16 @@ class TestGamma:
             assert abs(gm - gq) / gq < 0.01
             assert abs(gm - gq) < 4 * se
 
+    @pytest.mark.parametrize("n, alpha", [(2, 0.05), (2, 1e-3), (3, 1e-6)])
+    def test_monte_carlo_small_alpha(self, n, alpha):
+        # pole samples closer to the pole than y resolves, or with rho below
+        # the smallest float, keep their exact distance and a finite weight
+        gq = kernels.gamma_const(n, alpha)
+        for pole in (None, np.random.default_rng(5).standard_normal(n + 1)):
+            gm, se = kernels.gamma_monte_carlo(n, alpha, samples=20000, seed=3, pole=pole)
+            assert math.isfinite(gm) and 0.0 < se < math.inf
+            assert abs(gm - gq) < 4 * se
+
     def test_pole_invariance(self):
         rng = np.random.default_rng(17)
         pole = rng.standard_normal(3)
