@@ -103,8 +103,8 @@ class SurfaceMesh:
     """Triangle mesh of a body boundary.
 
     One vertex per grid node (Du at that node, normal = the node itself),
-    plus two pole vertices closing the polar fans; those sit at the mean of
-    the adjacent ring and carry the +-z normals.
+    plus two pole vertices closing the polar fans; those are the boundary
+    points Du(+-e_z) and carry the +-z normals.
 
     Faces come two per grid quad, quads in (ring, azimuth) order, then one
     (north, south) pair of fan triangles per azimuth.  Quad (i, j) with
@@ -125,18 +125,16 @@ def embed(u: harmonics.SphericalField) -> SurfaceMesh:
     """Boundary surface M = {Du(x)}, Du = grad_S u + u x, triangulated.
 
     Grid quads are split along the shorter diagonal; the polar gaps are
-    closed with triangle fans to the mean of the adjacent ring.  Face order
-    is described in :class:`SurfaceMesh`.
+    closed with triangle fans to the apices Du(+-e_z)
+    (:func:`_pole_apices`).  Face order is described in
+    :class:`SurfaceMesh`.
     """
     grid = u.grid
-    grad = harmonics.grid_gradient(u)
-    verts = grad + u.values[:, None] * grid.nodes
+    verts = u.gradient + u.values[:, None] * grid.nodes
     n_phi = grid.azimuth_count
     L = grid.L
 
-    north = verts[:n_phi].mean(axis=0)
-    south = verts[-n_phi:].mean(axis=0)
-    vertices = np.vstack([verts, north[None, :], south[None, :]])
+    vertices = np.vstack([verts, _pole_apices(harmonics.require_coeffs(u))])
     normals = np.vstack([grid.nodes, [[0.0, 0.0, 1.0]], [[0.0, 0.0, -1.0]]])
 
     # corners a, b, c, d of every quad, as in SurfaceMesh, azimuth wrapping
@@ -166,14 +164,33 @@ def embed(u: harmonics.SphericalField) -> SurfaceMesh:
     )
 
 
+def _pole_apices(coeffs: harmonics.HarmonicCoeffs) -> np.ndarray:
+    """Du(e_z) and Du(-e_z), shape (2, 3), from the orders m = 0 and +-1.
+
+    At the poles Y_l^0 is sqrt((2l + 1) / 4 pi) (+-1)^l, and only Y_l^1 and
+    Y_l^-1 have a gradient there: sqrt((2l + 1) l (l + 1) / 8 pi) e_x
+    resp. e_y at e_z, times (-1)^(l+1) at -e_z, since the normalized
+    P_l^m(-t) is (-1)^(l+m) P_l^m(t).  Du = grad u + u x.
+    """
+    c = coeffs.c
+    l = np.arange(coeffs.L_max + 1)
+    parity = np.stack([np.ones(len(l)), (-1.0) ** l])  # rows e_z, -e_z
+    value = parity @ (np.sqrt((2 * l + 1) / (4 * np.pi)) * c[l * l + l])
+    l = l[1:]
+    slope = np.sqrt((2 * l + 1) * l * (l + 1) / (8 * np.pi))
+    grad = (parity[:, 1:] * [[1.0], [-1.0]]) @ (
+        slope[:, None] * c[np.stack([l * l + l + 1, l * l + l - 1], axis=1)])
+    return np.column_stack([grad, value * [1.0, -1.0]])
+
+
 def principal_radii(u: harmonics.SphericalField, x):
     """Principal curvature radii at normal direction x: the eigenvalues of
-    Hess_S u(x) + u(x) I, returned sorted ascending."""
-    coeffs = harmonics.require_coeffs(u)
+    D^2 U(x) on the tangent plane (U the 1-homogeneous extension of u),
+    which are those of Hess u(x) + u(x) I, returned sorted ascending."""
     xc = point_coords(x)
-    H = harmonics.sphere_hessian(coeffs, xc)
-    val = float(harmonics.synthesize_at(coeffs, xc[None, :])[0])
-    r = np.linalg.eigvalsh(H + val * np.eye(2))
+    E = np.stack(tangent_basis(xc), axis=1)
+    D2U = harmonics.extension_hessian_at(harmonics.require_coeffs(u), xc[None, :])[0]
+    r = np.linalg.eigvalsh(E.T @ D2U @ E)
     return float(r[0]), float(r[1])
 
 
@@ -190,36 +207,3 @@ def write_obj(mesh: SurfaceMesh, path):
             for k in range(0, len(rows), _OBJ_BLOCK_ROWS):
                 block = rows[k : k + _OBJ_BLOCK_ROWS]
                 fh.write(line * len(block) % tuple(block.ravel().tolist()))
-
-
-# ----------------------------------------------------------------------
-# Analytic ellipsoid oracles
-# ----------------------------------------------------------------------
-
-def ellipsoid_ambient_hessian(body: Ellipsoid, x) -> np.ndarray:
-    """Ambient Hessian of the 1-homogeneous support function at |x| = 1:
-    diag(a^2)/h - (a^2 x)(a^2 x)^T / h^3."""
-    xc = point_coords(x)
-    A = body.axes_sq
-    h = float(np.sqrt(xc**2 @ A))
-    v = A * xc
-    return np.diag(A) / h - np.outer(v, v) / h**3
-
-
-def ellipsoid_forward_f(body: Ellipsoid, points) -> np.ndarray:
-    """Analytic sum of principal radii: (a^2+b^2+c^2)/h - sum a_i^4 x_i^2 / h^3."""
-    pts = np.asarray(points, dtype=float)
-    A = body.axes_sq
-    h = np.sqrt(pts**2 @ A)
-    return A.sum() / h - (pts**2 @ A**2) / h**3
-
-
-def ellipsoid_principal_radii(body: Ellipsoid, x):
-    """Analytic principal radii: eigenvalues of the tangent-restricted
-    ambient Hessian of the support function."""
-    xc = point_coords(x)
-    H = ellipsoid_ambient_hessian(body, xc)
-    e1, e2 = tangent_basis(xc)
-    E = np.stack([e1, e2], axis=1)
-    r = np.linalg.eigvalsh(E.T @ H @ E)
-    return float(r[0]), float(r[1])

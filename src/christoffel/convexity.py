@@ -49,13 +49,13 @@ import numpy as np
 
 from . import harmonics, kernels
 from .errors import NotPositive
+from .harmonics import _SYM_COLS, _SYM_FULL, _SYM_ROWS
 from .sphere import (
     SpherePoint,
     TangentDirection,
     direction_coords,
     make_grid,
     point_coords,
-    tangent_basis,
     tangent_bases,
 )
 
@@ -124,11 +124,6 @@ def _ring_correlate(kernel_rings, data):
     return np.fft.irfft(np.moveaxis(K @ D, -3, -2), n, axis=-2)
 
 
-# packed symmetric 3x3 matrices: entries (0,0) (0,1) (0,2) (1,1) (1,2) (2,2)
-_SYM_ROWS, _SYM_COLS = np.triu_indices(3)
-_SYM_FULL = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])
-
-
 class CriterionEngine:
     """Shared precomputation for witness evaluations on one field.
 
@@ -151,10 +146,9 @@ class CriterionEngine:
         self.table = table
         self.delta = default_delta(f.grid) if delta is None else delta
         self.coeffs = harmonics.require_coeffs(f)
-        self.grad = harmonics.grid_gradient(f)
+        self.grad = f.gradient
         self.V = self.grad - f.values[:, None] * self.grid.nodes
-        e1, e2 = tangent_bases(self.grid.nodes)
-        self._bases = (e1, e2)
+        self._bases = tangent_bases(self.grid.nodes)
 
     @cached_property
     def ring_cosines(self):
@@ -164,8 +158,8 @@ class CriterionEngine:
     @cached_property
     def tangent_hessians(self):
         """Covariant Hessian of f at every node in the engine's tangent
-        bases, (N, 2, 2)."""
-        return harmonics.grid_hessian(self.f, bases=self._bases)
+        bases (those of :func:`harmonics.grid_hessian`), (N, 2, 2)."""
+        return harmonics.grid_hessian(self.f)
 
     @cached_property
     def _ambient_hessians(self):
@@ -180,6 +174,8 @@ class CriterionEngine:
 
         A node witness takes its data from the grid and its cosines from the
         ring table, so it sees exactly the cap masks of :meth:`grid_forms`.
+        Any other witness takes them from the extension channels of f: the
+        tangent form E H E^T of the Hessian is D^2 F(x) - f(x) (I - x x^T).
         """
         grid = self.grid
         s = grid.nodes @ x
@@ -189,12 +185,9 @@ class CriterionEngine:
             offsets = (np.arange(grid.azimuth_count) - az) % grid.azimuth_count
             s = self.ring_cosines[ring][:, offsets].ravel()
             return s, float(self.f.values[i]), self.grad[i], self._ambient_hessians[i]
-        fx = float(harmonics.synthesize_at(self.coeffs, x[None, :])[0])
-        gx = harmonics.gradient_at(self.coeffs, x[None, :])[0]
-        H2 = harmonics.sphere_hessian(self.coeffs, x)
-        e1, e2 = tangent_basis(x)
-        E = np.stack([e1, e2], axis=1)
-        return s, fx, gx, E @ H2 @ E.T
+        fx, gx = harmonics.values_and_gradient_at(self.coeffs, x[None, :])
+        D2F = harmonics.extension_hessian_at(self.coeffs, x[None, :])[0]
+        return s, float(fx[0]), gx[0], D2F - fx[0] * (np.eye(3) - np.outer(x, x))
 
     def _channels(self, crit):
         """[(kernel, data channels (N, C))] of a criterion.
@@ -499,19 +492,22 @@ def check_T33(f, n_t: int = 12, n_xi: int = 4, rtol: float = 1e-8):
     samples of a ring are one set rotated about the z-axis, so theta
     profiles are taken at 2 n_t n_xi L points, from L_max + 2 Legendre
     colatitudes, and one azimuth FFT per point gives values and slopes on
-    all N nodes (:func:`_t33_samples`).  Returns (holds, worst sampled
-    value); holds when worst <= rtol * max|f|.
+    all N nodes (:func:`_t33_samples`).  The directions are taken one at a
+    time, so only the (n_t, 2, N) samples of one exist at once.  Returns
+    (holds, worst sampled value); holds when worst <= rtol * max|f|.
     """
     _require_positive(f)
     coeffs = harmonics.require_coeffs(f)
     ts = np.geomspace(1e-3, 1e3, n_t)
     # the tested expression is even in xi, so a half circle of directions
     angles = np.pi * np.arange(n_xi) / n_xi
-    vals, dxi = _t33_samples(coeffs, f.grid, ts, angles)
     scale = np.sqrt(1.0 + ts**2)
     radial = np.array([1.0, -1.0])[None, :, None] * (ts / scale)[:, None, None]
-    d = (dxi - vals * radial) / (scale**2)[:, None, None]
-    worst = float(np.max(d[:, :, 0] - d[:, :, 1]))
+    worst = -np.inf
+    for k in range(n_xi):
+        vals, dxi = _t33_samples(coeffs, f.grid, ts, angles[k : k + 1])
+        d = (dxi[0] - vals[0] * radial) / (scale**2)[:, None, None]
+        worst = max(worst, float(np.max(d[:, 0] - d[:, 1])))
     return bool(worst <= rtol * float(np.max(np.abs(f.values)))), worst
 
 

@@ -26,12 +26,24 @@ ValueError instead of corrupting later transforms.  The tables hold the
 values the transforms computed per call before, and the arithmetic on
 them is unchanged, so results are bit-identical to building the tables
 afresh on each call.
+
+Off-grid derivatives come from one object, the derivative channels of the
+1-homogeneous extension G(y) = |y| g(y/|y|): on S^2, DG = grad g + g x and
+D^2 G = E (Hess g + g I) E^T for any tangent frame E (Schneider, "Convex
+Bodies", 2nd ed., 2014, section 2.5).  A degree-l term contributes only
+d_i h, x_i h, d_ij h, x_i d_j h and x_i x_j h of its solid harmonic h, so
+the 3 entries of DG are spherical polynomials of degree <= L_max + 1 and the
+6 entries of D^2 G of degree <= L_max + 2.  They are analyzed once per
+coefficient set (:attr:`HarmonicCoeffs.extension_channels`) from the grid
+derivatives on the Gauss grid L_max + 3, which integrates their products
+with the basis exactly.  Point gradients and Hessians then only synthesize
+channels: no (theta, phi) frame and no pole test.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -47,17 +59,19 @@ from .sphere import (
     _azimuths,
     _polar_rule,
     make_grid,
-    point_coords,
     tangent_bases,
 )
 
 DEFAULT_L_MAX = 32
 DEFAULT_GRID_L = 48
 
-# pole guard: below these sin(theta) values frame formulas lose accuracy and
-# single-point derivatives switch to exact great-circle differentiation
-_SIN_GUARD_GRAD = 1e-8
-_SIN_GUARD_HESS = 1e-4
+# pole guard of the T33 orbits: below this sin(theta) their rotating
+# (e_theta, e_phi) frame is undefined and the orbit takes point derivatives
+_SIN_GUARD = 1e-8
+
+# packed symmetric 3x3 matrices: entries (0,0) (0,1) (0,2) (1,1) (1,2) (2,2)
+_SYM_ROWS, _SYM_COLS = np.triu_indices(3)
+_SYM_FULL = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])
 
 
 @dataclass(frozen=True)
@@ -94,6 +108,19 @@ class HarmonicCoeffs:
         c[1:4] = 0.0
         return HarmonicCoeffs(L_max=self.L_max, c=c)
 
+    @cached_property
+    def extension_channels(self) -> ExtensionChannels:
+        """Derivative channels of the 1-homogeneous extension, built on
+        first use and kept with these coefficients."""
+        return _extension_channels(self)
+
+
+class ExtensionChannels(NamedTuple):
+    """Coefficients of the derivatives of G(y) = |y| g(y/|y|) on S^2."""
+
+    grad: tuple  # DG_i, i = 0..2, each HarmonicCoeffs at band L_max + 1
+    hess: tuple  # D^2 G_ij, i <= j packed as _SYM_ROWS/_SYM_COLS, band L_max + 2
+
 
 def operator_diagonal(L_max: int) -> np.ndarray:
     """Flat spectrum 2 - l(l+1) of (Laplacian + 2), one entry per coefficient."""
@@ -118,6 +145,11 @@ class SphericalField:
     @property
     def L_max(self):
         return None if self.coeffs is None else self.coeffs.L_max
+
+    @cached_property
+    def gradient(self) -> np.ndarray:
+        """:func:`grid_gradient` of this field, formed once and kept."""
+        return grid_gradient(self)
 
 
 def require_coeffs(f: SphericalField) -> HarmonicCoeffs:
@@ -521,42 +553,17 @@ def _theta_profiles(coeffs, theta, nderiv=0):
             for d in range(nderiv + 1)]
 
 
-def _point_eval(coeffs, theta, phi, deriv=(0,)):
-    """Same derivative tags as _grid_eval, at scattered (theta, phi).
+def synthesize_at(coeffs: HarmonicCoeffs, points) -> np.ndarray:
+    """Evaluate the expansion at arbitrary unit vectors, shape (N, 3).
 
     The theta profiles come from :func:`_theta_profiles` and are contracted
     with the azimuth factors of each point; memory is O(n_pts L_max).
     """
-    L_max = coeffs.L_max
-    need2 = any(d in (2, "thetaphi") for d in deriv)
-    need1 = need2 or any(d == 1 for d in deriv)
-    profiles = _theta_profiles(coeffs, theta, 2 if need2 else (1 if need1 else 0))
-    m = np.arange(L_max + 1)[None, :]
-    z = np.where(m > 0, np.sqrt(2.0), 1.0) * np.exp(1j * m * phi[:, None])
-    cos_t, sin_t = z.real, z.imag  # (n_pts, L_max + 1)
-    out = []
-    for d in deriv:
-        if d in (0, 1, 2):
-            A, B = profiles[d]
-            out.append(np.sum(A * cos_t + B * sin_t, axis=1))
-        elif d == "phi":
-            A, B = profiles[0]
-            out.append(np.sum(m * (B * cos_t - A * sin_t), axis=1))
-        elif d == "phiphi":
-            A, B = profiles[0]
-            out.append(-np.sum(m * m * (A * cos_t + B * sin_t), axis=1))
-        elif d == "thetaphi":
-            A, B = profiles[1]
-            out.append(np.sum(m * (B * cos_t - A * sin_t), axis=1))
-        else:
-            raise ValueError(f"unknown derivative tag {d!r}")
-    return out
-
-
-def synthesize_at(coeffs: HarmonicCoeffs, points) -> np.ndarray:
-    """Evaluate the expansion at arbitrary unit vectors, shape (N, 3)."""
     _, theta, phi = _points_angles(points)
-    return _point_eval(coeffs, theta, phi, (0,))[0]
+    (A, B), = _theta_profiles(coeffs, theta)
+    m = np.arange(coeffs.L_max + 1)[None, :]
+    z = np.where(m > 0, np.sqrt(2.0), 1.0) * np.exp(1j * m * phi[:, None])
+    return np.sum(A * z.real + B * z.imag, axis=1)
 
 
 class _Frame(NamedTuple):
@@ -576,104 +583,70 @@ def _frame(theta, phi) -> _Frame:
     return _Frame(st, ct, e_th, e_ph)
 
 
-def _rotation(bases, frame: _Frame):
-    """Coefficients (r11, r12, r21, r22) of tangent ``bases`` (e1, e2) in
-    the (e_theta, e_phi) frame: r11 = <e1, e_theta>, r12 = <e1, e_phi>, ..."""
-    e1, e2 = bases
-    return (np.sum(e1 * frame.e_th, axis=1), np.sum(e1 * frame.e_ph, axis=1),
-            np.sum(e2 * frame.e_th, axis=1), np.sum(e2 * frame.e_ph, axis=1))
-
-
 @lru_cache(maxsize=4)
 def _grid_frame(L: int):
-    """Frame of the nodes of grid L in node order and the rotation
-    coefficients of the default tangent bases
-    (:func:`christoffel.sphere.tangent_bases`): (frame, rotation)."""
+    """Frame of the nodes of grid L in node order and the coefficients
+    (r11, r12, r21, r22) = (<e1, e_theta>, <e1, e_phi>, <e2, e_theta>,
+    <e2, e_phi>) of the tangent bases (e1, e2) of
+    :func:`christoffel.sphere.tangent_bases`: (frame, rotation)."""
     grid = make_grid(L)
     frame = _frame(np.repeat(grid.thetas, grid.azimuth_count), np.tile(grid.phis, L))
-    rot = _rotation(tangent_bases(grid.nodes), frame)
+    rot = tuple(np.sum(e * v, axis=1) for e in tangent_bases(grid.nodes)
+                for v in (frame.e_th, frame.e_ph))
     _read_only(*frame, *rot)
     return frame, rot
 
 
-def _frame_gradient(frame: _Frame, dth, dph):
-    """Ambient gradient e_theta d_theta + e_phi d_phi / sin(theta), (n, 3).
+def _extension_channels(coeffs: HarmonicCoeffs) -> ExtensionChannels:
+    """DG and D^2 G of the 1-homogeneous extension from the grid gradient
+    and Hessian on the Gauss grid L_max + 3 (at least the smallest grid),
+    analyzed at their exact bands."""
+    L_max = coeffs.L_max
+    field = synthesize(coeffs, make_grid(max(L_max + 3, 4)))
+    grid, g = field.grid, field.values
+    DG = grid_gradient(field) + g[:, None] * grid.nodes
+    E = np.stack(tangent_bases(grid.nodes), axis=2)  # (N, 3, 2)
+    H = grid_hessian(field) + g[:, None, None] * np.eye(2)
+    D2G = np.einsum("nik,nkl,njl->nij", E, H, E)[:, _SYM_ROWS, _SYM_COLS]
 
-    sin(theta) is floored at the pole guard; callers redo points inside it.
-    """
-    return (frame.e_th * dth[:, None]
-            + frame.e_ph * (dph / np.maximum(frame.sin, _SIN_GUARD_GRAD))[:, None])
+    def channels(values, band):
+        return tuple(analyze(SphericalField(grid=grid, values=v), band) for v in values.T)
 
-
-# derivative tags whose values _frame_hessian takes, in its argument order
-_HESSIAN_TAGS = (1, "phi", 2, "thetaphi", "phiphi")
-
-
-def _frame_hessian(frame: _Frame, derivs, rot):
-    """Covariant Hessian from the _HESSIAN_TAGS derivatives, (n, 2, 2).
-
-    Formed in the (e_theta, e_phi) frame, then rotated by the coefficients
-    ``rot`` of :func:`_rotation` into the target bases.
-    """
-    dth, dph, dthth, dthph, dphph = derivs
-    s, c = frame.sin, frame.cos
-    h11 = dthth
-    h12 = (dthph - (c / s) * dph) / s
-    h22 = dphph / (s * s) + (c / s) * dth
-    r11, r12, r21, r22 = rot
-    H = np.empty((len(s), 2, 2))
-    H[:, 0, 0] = r11 * (r11 * h11 + r12 * h12) + r12 * (r11 * h12 + r12 * h22)
-    H[:, 0, 1] = r21 * (r11 * h11 + r12 * h12) + r22 * (r11 * h12 + r12 * h22)
-    H[:, 1, 0] = H[:, 0, 1]
-    H[:, 1, 1] = r21 * (r21 * h11 + r22 * h12) + r22 * (r21 * h12 + r22 * h22)
-    return H
+    return ExtensionChannels(grad=channels(DG, L_max + 1), hess=channels(D2G, L_max + 2))
 
 
-def _circle_samples(coeffs, x, d, K):
-    ts = 2.0 * np.pi * np.arange(K) / K
-    pts = np.outer(np.cos(ts), x) + np.outer(np.sin(ts), d)
-    return synthesize_at(coeffs, pts)
-
-
-def _circle_d1(vals):
-    K = len(vals)
-    F = np.fft.rfft(vals)
-    k = np.arange(len(F))
-    b = -2.0 * np.imag(F) / K
-    return float(np.sum(k * b))
-
-
-def _circle_d2(vals):
-    K = len(vals)
-    F = np.fft.rfft(vals)
-    k = np.arange(len(F))
-    a = 2.0 * np.real(F) / K
-    a[0] *= 0.5
-    if K % 2 == 0:
-        a[-1] *= 0.5
-    return float(-np.sum(k * k * a))
-
-
-def gradient_at(coeffs: HarmonicCoeffs, points) -> np.ndarray:
-    """Tangential (spherical) gradient as ambient 3-vectors, shape (N, 3).
-
-    Differentiates the basis analytically; points within ~1e-8 of a pole
-    fall back to exact great-circle spectral differentiation.
-    """
-    return values_and_gradient_at(coeffs, points)[1]
+def _synthesize_channels(channels, points) -> np.ndarray:
+    """Every channel at the points, shape (N, len(channels))."""
+    return np.stack([synthesize_at(c, points) for c in channels], axis=-1)
 
 
 def values_and_gradient_at(coeffs: HarmonicCoeffs, points):
-    """Field values and tangential gradients in one basis evaluation."""
-    pts, theta, phi = _points_angles(points)
-    vals, dth, dph = _point_eval(coeffs, theta, phi, (0, 1, "phi"))
-    frame = _frame(theta, phi)
-    grad = _frame_gradient(frame, dth, dph)
-    K = 2 * coeffs.L_max + 2
-    for i in np.nonzero(frame.sin <= _SIN_GUARD_GRAD)[0]:
-        bases = [e[0] for e in tangent_bases(pts[i : i + 1])]
-        grad[i] = sum(_circle_d1(_circle_samples(coeffs, pts[i], e, K)) * e for e in bases)
-    return vals, grad
+    """Field values and tangential gradients as ambient 3-vectors, (N,) and
+    (N, 3): grad g(x) = DG(x) - g(x) x."""
+    pts = np.asarray(points, dtype=float)
+    vals = synthesize_at(coeffs, pts)
+    DG = _synthesize_channels(coeffs.extension_channels.grad, pts)
+    return vals, DG - vals[:, None] * pts
+
+
+def extension_hessian_at(coeffs: HarmonicCoeffs, points) -> np.ndarray:
+    """Ambient Hessian D^2 G of the 1-homogeneous extension, (N, 3, 3).
+
+    On S^2 it is E (Hess g + g I) E^T: it annihilates x, and its eigenvalues
+    on the tangent plane are those of Hess g + g I (the principal radii when
+    g is a support function).
+    """
+    return _synthesize_channels(coeffs.extension_channels.hess, points)[:, _SYM_FULL]
+
+
+def hessian_at(coeffs: HarmonicCoeffs, points) -> np.ndarray:
+    """Covariant Hessian on S^2, shape (N, 2, 2), in the per-point tangent
+    bases E of :func:`christoffel.sphere.tangent_bases`: E^T D^2 G E - g I.
+    The trace equals the Laplace-Beltrami operator of the field."""
+    pts = np.asarray(points, dtype=float)
+    E = np.stack(tangent_bases(pts), axis=2)
+    T = np.einsum("nki,nkl,nlj->nij", E, extension_hessian_at(coeffs, pts), E)
+    return T - synthesize_at(coeffs, pts)[:, None, None] * np.eye(2)
 
 
 def _orbit_values_and_slopes(coeffs: HarmonicCoeffs, points, dirs, n_phi: int):
@@ -688,14 +661,15 @@ def _orbit_values_and_slopes(coeffs: HarmonicCoeffs, points, dirs, n_phi: int):
     alpha d_theta + beta d_phi / sin(theta) with alpha, beta fixed per
     point: it is folded into the same azimuth spectrum.  Orders m >= n_phi
     alias onto m mod n_phi.  Returns (values, slopes), each (n, n_phi).
-    Points within the pole guard take the exact path of
-    :func:`values_and_gradient_at` at every rotated point.
+    Points within the pole guard, where that frame is undefined, take
+    :func:`values_and_gradient_at` at every rotated point, so the
+    extension channels are built only when such a point occurs.
     """
     pts, theta, phi = _points_angles(points)
     dirs = np.asarray(dirs, dtype=float)
     frame = _frame(theta, phi)
     alpha = np.sum(dirs * frame.e_th, axis=1)[:, None]
-    beta = (np.sum(dirs * frame.e_ph, axis=1) / np.maximum(frame.sin, _SIN_GUARD_GRAD))[:, None]
+    beta = (np.sum(dirs * frame.e_ph, axis=1) / np.maximum(frame.sin, _SIN_GUARD))[:, None]
     (A, B), (dA, dB) = _theta_profiles(coeffs, theta, 1)
     m = np.arange(coeffs.L_max + 1)
     r = m % n_phi
@@ -717,7 +691,7 @@ def _orbit_values_and_slopes(coeffs: HarmonicCoeffs, points, dirs, n_phi: int):
     out = np.fft.irfft(spec, n_phi, axis=-1)  # zero-pads up to bin n_phi / 2
     ang = 2.0 * np.pi * np.arange(n_phi) / n_phi
     c, s = np.cos(ang), np.sin(ang)
-    for p in np.nonzero(frame.sin <= _SIN_GUARD_GRAD)[0]:
+    for p in np.nonzero(frame.sin <= _SIN_GUARD)[0]:
         (x, y, z), (u, v, t) = pts[p], dirs[p]
         out[0, p], g = values_and_gradient_at(
             coeffs, np.stack([c * x - s * y, s * x + c * y, np.full(n_phi, z)], axis=1))
@@ -725,65 +699,36 @@ def _orbit_values_and_slopes(coeffs: HarmonicCoeffs, points, dirs, n_phi: int):
     return out[0], out[1]
 
 
-def hessian_at(coeffs: HarmonicCoeffs, points, bases=None) -> np.ndarray:
-    """Covariant Hessian on S^2 in per-point tangent bases, shape (N, 2, 2).
-
-    ``bases`` defaults to :func:`christoffel.sphere.tangent_bases` at the
-    points.  The trace equals the Laplace-Beltrami operator of the field.
-    """
-    pts, theta, phi = _points_angles(points)
-    if bases is None:
-        bases = tangent_bases(pts)
-    e1, e2 = bases
-    safe = np.sin(theta) > _SIN_GUARD_HESS
-    H = np.zeros((len(pts), 2, 2))
-    if np.any(safe):
-        derivs = _point_eval(coeffs, theta[safe], phi[safe], _HESSIAN_TAGS)
-        frame = _frame(theta[safe], phi[safe])
-        H[safe] = _frame_hessian(frame, derivs, _rotation((e1[safe], e2[safe]), frame))
-    if not np.all(safe):
-        K = 2 * coeffs.L_max + 2
-        for i in np.nonzero(~safe)[0]:
-            b1, b2 = e1[i], e2[i]
-            h11 = _circle_d2(_circle_samples(coeffs, pts[i], b1, K))
-            h22 = _circle_d2(_circle_samples(coeffs, pts[i], b2, K))
-            diag = (b1 + b2) / np.sqrt(2.0)
-            hdd = _circle_d2(_circle_samples(coeffs, pts[i], diag, K))
-            h12 = hdd - 0.5 * (h11 + h22)
-            H[i] = [[h11, h12], [h12, h22]]
-    return H
-
-
-def sphere_gradient(coeffs: HarmonicCoeffs, x) -> np.ndarray:
-    """Spherical gradient at a single point, as an ambient tangent vector."""
-    return gradient_at(coeffs, point_coords(x)[None, :])[0]
-
-
-def sphere_hessian(coeffs: HarmonicCoeffs, x) -> np.ndarray:
-    """Covariant Hessian at a single point, 2x2 in tangent_basis(x)."""
-    return hessian_at(coeffs, point_coords(x)[None, :])[0]
-
-
 def grid_gradient(field: SphericalField) -> np.ndarray:
-    """Spherical gradient at every grid node, shape (N, 3)."""
+    """Spherical gradient at every grid node, shape (N, 3): e_theta d_theta
+    + e_phi d_phi / sin(theta), with no node at a pole."""
     coeffs = require_coeffs(field)
-    dth, dph = _grid_eval(coeffs, field.grid, (1, "phi"))
+    dth, dph = (d.ravel() for d in _grid_eval(coeffs, field.grid, (1, "phi")))
     frame, _ = _grid_frame(field.grid.L)
-    return _frame_gradient(frame, dth.ravel(), dph.ravel())
+    return frame.e_th * dth[:, None] + frame.e_ph * (dph / frame.sin)[:, None]
 
 
-def grid_hessian(field: SphericalField, bases=None) -> np.ndarray:
-    """Covariant Hessian at every grid node, shape (N, 2, 2).
+def grid_hessian(field: SphericalField) -> np.ndarray:
+    """Covariant Hessian at every grid node, shape (N, 2, 2), in the tangent
+    bases of :func:`christoffel.sphere.tangent_bases`.
 
-    Grid nodes never sit at the poles, so the frame formulas apply directly.
+    Formed in the (e_theta, e_phi) frame, which the grid nodes never leave
+    (no node sits at a pole), then rotated into those bases.
     """
     coeffs = require_coeffs(field)
-    grid = field.grid
-    derivs = [d.ravel() for d in _grid_eval(coeffs, grid, _HESSIAN_TAGS)]
-    frame, rot = _grid_frame(grid.L)
-    if bases is not None:
-        rot = _rotation(bases, frame)
-    return _frame_hessian(frame, derivs, rot)
+    dth, dph, dthth, dthph, dphph = (
+        d.ravel() for d in _grid_eval(coeffs, field.grid, (1, "phi", 2, "thetaphi", "phiphi")))
+    frame, (r11, r12, r21, r22) = _grid_frame(field.grid.L)
+    s, c = frame.sin, frame.cos
+    h11 = dthth
+    h12 = (dthph - (c / s) * dph) / s
+    h22 = dphph / (s * s) + (c / s) * dth
+    H = np.empty((len(s), 2, 2))
+    H[:, 0, 0] = r11 * (r11 * h11 + r12 * h12) + r12 * (r11 * h12 + r12 * h22)
+    H[:, 0, 1] = r21 * (r11 * h11 + r12 * h12) + r22 * (r11 * h12 + r12 * h22)
+    H[:, 1, 0] = H[:, 0, 1]
+    H[:, 1, 1] = r21 * (r21 * h11 + r22 * h12) + r22 * (r21 * h12 + r22 * h22)
+    return H
 
 
 # ----------------------------------------------------------------------

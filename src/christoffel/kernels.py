@@ -145,21 +145,6 @@ def fundamental(x, y, params: KernelParams) -> float:
     return d ** (1 - params.n) / ((1 - params.n) * params.omega_n)
 
 
-def fundamental_dir2(x, y, xi, params: KernelParams) -> float:
-    """Second directional derivative of F along xi:
-
-        F_xixi = (|x - y|^2 - (n+1) <xi, x - y>^2) / (omega_n |x - y|^(n+3)).
-    """
-    diff = np.asarray(x, float) - np.asarray(y, float)
-    d2 = float(diff @ diff)
-    if d2 == 0.0:
-        raise SingularEvaluation("kernel second derivative evaluated at x = y")
-    proj = float(np.asarray(xi, float) @ diff)
-    return (d2 - (params.n + 1) * proj * proj) / (
-        params.omega_n * d2 ** ((params.n + 3) / 2.0)
-    )
-
-
 # ----------------------------------------------------------------------
 # Ray kernels omega and hat-omega
 # ----------------------------------------------------------------------
@@ -260,24 +245,6 @@ def hat_omega(s: float, c: float, params: KernelParams) -> float:
 
     val, _ = _gauss_kronrod(integrand, -s / q, math.inf)
     return val * q ** (-n - 2) / params.omega_n
-
-
-def hat_omega_closed(s: float, c: float, params: KernelParams) -> float:
-    """Exact decomposition hat_omega(s, c) = A(s) - (n+1) c^2 B(s).
-
-    A(s) = -omega(s)/omega_n; B(s) = (1-s^2)^(-(n+2)/2)
-    int_0^(pi - arccos s) sin^(n+1) t dt / omega_n.
-    """
-    _check_s(s)
-    n = params.n
-    A = -omega_closed(s, params) / params.omega_n
-    theta = math.acos(s)
-    B = (
-        (1.0 - s * s) ** (-(n + 2) / 2.0)
-        * _sin_power_integral(n + 1, 0.0, math.pi - theta)
-        / params.omega_n
-    )
-    return A - (n + 1) * c * c * B
 
 
 # ----------------------------------------------------------------------

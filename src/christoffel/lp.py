@@ -406,10 +406,8 @@ def check_lemma41(sol: LpSolution, f):
     bound applies with f replaced by lambda f, which leaves the two sides'
     ratio unchanged.  Returns (holds, lhs, rhs).
     """
-    gu = harmonics.grid_gradient(sol.u)
-    lhs = float(np.max(np.linalg.norm(gu, axis=1) / sol.u.values))
-    gf = harmonics.grid_gradient(f)
-    rhs = 2.0 * float(np.max(np.linalg.norm(gf, axis=1))) / float(np.min(f.values))
+    lhs = float(np.max(np.linalg.norm(sol.u.gradient, axis=1) / sol.u.values))
+    rhs = 2.0 * float(np.max(np.linalg.norm(f.gradient, axis=1))) / float(np.min(f.values))
     return bool(lhs <= rhs + 1e-10 * max(1.0, rhs)), lhs, rhs
 
 
@@ -428,8 +426,7 @@ def check_T41_cond(f, p: float, gamma1: float | None = None):
         gamma1 = kernels.gamma_const(2, 1.0)
     fmin = float(np.min(f.values))
     fmax = float(np.max(f.values))
-    gf = harmonics.grid_gradient(f)
-    gmax = float(np.max(np.linalg.norm(gf, axis=1)))
+    gmax = float(np.max(np.linalg.norm(f.gradient, axis=1)))
     lhs = (
         (1.0 + 2.0 * (p - 1.0) * fmax / fmin)
         * np.exp(2.0 * np.pi * gmax / fmin) ** (p - 1.0)

@@ -1,7 +1,6 @@
 """Geometry of the unit sphere embedded in R^(n+1).
 
-Points, geodesic distance, tangent frames, quadrature grids on S^2, and the
-directional derivative of the degree-(-1) homogeneous extension of a field.
+Points, tangent frames and quadrature grids on S^2.
 
 The full pipeline is fixed to n = 2 (convex bodies in R^3); general n enters
 only through the one-dimensional kernel reductions in :mod:`christoffel.kernels`.
@@ -145,17 +144,6 @@ def make_grid(L: int) -> SphereGrid:
     )
 
 
-def geodesic_dist(x, z):
-    """Spherical distance arccos<x, z>, clamped for floating-point safety.
-
-    Broadcasts over leading axes; inputs may be SpherePoint or arrays.
-    """
-    xc = point_coords(x)
-    zc = point_coords(z)
-    dot = np.clip(np.sum(xc * zc, axis=-1), -1.0, 1.0)
-    return np.arccos(dot)
-
-
 def tangent_basis(x):
     """Deterministic orthonormal basis of the tangent plane at x (n = 2).
 
@@ -182,23 +170,3 @@ def tangent_bases(points: np.ndarray):
     e1 /= np.linalg.norm(e1, axis=1, keepdims=True)
     e2 = np.cross(pts, e1)
     return e1, e2
-
-
-def ambient_directional_derivative_minus1(f, z, xi) -> float:
-    """Directional derivative of the degree-(-1) homogeneous extension of f.
-
-    For F(y) = f(y/|y|)/|y| this is, at a sphere point z and ambient unit
-    vector xi (not necessarily tangent),
-
-        F_xi(z) = <grad_S f(z), xi> - f(z) <xi, z>.
-
-    Requires f to carry harmonic coefficients (for the spherical gradient).
-    """
-    from . import harmonics  # local import; harmonics depends on this module
-
-    zc = point_coords(z)
-    xic = direction_coords(xi)
-    coeffs = harmonics.require_coeffs(f)
-    grad = harmonics.gradient_at(coeffs, zc[None, :])[0]
-    val = harmonics.synthesize_at(coeffs, zc[None, :])[0]
-    return float(grad @ xic - val * (xic @ zc))

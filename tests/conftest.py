@@ -3,7 +3,7 @@ import sys
 import numpy as np
 import pytest
 
-from christoffel import harmonics, sphere
+from christoffel import body, harmonics, sphere
 
 
 def clear_program_caches():
@@ -69,3 +69,45 @@ def random_positive_field(grid, rng, base=2.0, amp=0.3, l_max_content=5, L_max=1
 @pytest.fixture(scope="session")
 def const2_48(grid48):
     return constant_field(grid48, 2.0, L_max=32)
+
+
+def rotate_about_z(coeffs, angle):
+    """Coefficients of f(R^-1 x) for the rotation R by ``angle`` about z."""
+    c = coeffs.c.copy()
+    for l in range(coeffs.L_max + 1):
+        for m in range(1, l + 1):
+            a, b = coeffs.get(l, m), coeffs.get(l, -m)
+            c[l * l + l + m] = a * np.cos(m * angle) - b * np.sin(m * angle)
+            c[l * l + l - m] = a * np.sin(m * angle) + b * np.cos(m * angle)
+    return harmonics.HarmonicCoeffs(L_max=coeffs.L_max, c=c)
+
+
+# ----------------------------------------------------------------------
+# Analytic ellipsoid oracles
+# ----------------------------------------------------------------------
+
+def ellipsoid_ambient_hessian(ell: body.Ellipsoid, x) -> np.ndarray:
+    """Ambient Hessian of the 1-homogeneous support function at |x| = 1:
+    diag(a^2)/h - (a^2 x)(a^2 x)^T / h^3."""
+    xc = np.asarray(x, dtype=float)
+    A = ell.axes_sq
+    h = float(np.sqrt(xc**2 @ A))
+    v = A * xc
+    return np.diag(A) / h - np.outer(v, v) / h**3
+
+
+def ellipsoid_forward_f(ell: body.Ellipsoid, points) -> np.ndarray:
+    """Analytic sum of principal radii: (a^2+b^2+c^2)/h - sum a_i^4 x_i^2 / h^3."""
+    pts = np.asarray(points, dtype=float)
+    A = ell.axes_sq
+    h = np.sqrt(pts**2 @ A)
+    return A.sum() / h - (pts**2 @ A**2) / h**3
+
+
+def ellipsoid_principal_radii(ell: body.Ellipsoid, x):
+    """Analytic principal radii: eigenvalues of the tangent-restricted
+    ambient Hessian of the support function."""
+    xc = np.asarray(x, dtype=float)
+    E = np.stack(sphere.tangent_basis(xc), axis=1)
+    r = np.linalg.eigvalsh(E.T @ ellipsoid_ambient_hessian(ell, xc) @ E)
+    return float(r[0]), float(r[1])

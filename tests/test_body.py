@@ -4,7 +4,7 @@ import pytest
 from christoffel import body, harmonics, sphere
 from christoffel.errors import InvalidParameter
 
-from conftest import harmonic_field
+from conftest import ellipsoid_forward_f, ellipsoid_principal_radii, harmonic_field
 
 
 def loop_embed_faces(u):
@@ -102,7 +102,7 @@ class TestForward:
 
     def test_ellipsoid_analytic(self, grid48, ellipsoid, ellipsoid_u):
         f = body.forward_f(ellipsoid_u)
-        analytic = body.ellipsoid_forward_f(ellipsoid, grid48.nodes)
+        analytic = ellipsoid_forward_f(ellipsoid, grid48.nodes)
         assert np.max(np.abs(f.values - analytic)) < 1e-6
 
 
@@ -180,7 +180,7 @@ class TestPrincipalRadii:
         for idx in (100, 1111, 3000):
             x = grid48.nodes[idx]
             r = body.principal_radii(ellipsoid_u, x)
-            ra = body.ellipsoid_principal_radii(ellipsoid, x)
+            ra = ellipsoid_principal_radii(ellipsoid, x)
             assert abs(r[0] - ra[0]) < 1e-6 and abs(r[1] - ra[1]) < 1e-6
 
     def test_trace_identity(self, grid48, ellipsoid_u):
@@ -228,6 +228,39 @@ class TestRoundTrip:
         c[1:4] = u_exact.coeffs.c[1:4]
         aligned = harmonics.synthesize(harmonics.HarmonicCoeffs(L_max=12, c=c), grid24)
         assert np.max(np.abs(aligned.values - u_exact.values)) < 1e-10
+
+
+def random_support(L, L_max, seed):
+    """u = 3 + a random expansion with every order, so Du(+-e_z) has
+    nonzero tangential parts of both parities."""
+    rng = np.random.default_rng(seed)
+    c = 0.3 * rng.standard_normal((L_max + 1) ** 2) / (1.0 + np.arange((L_max + 1) ** 2))
+    c[0] = 3.0 * np.sqrt(4.0 * np.pi)
+    return harmonics.synthesize(harmonics.HarmonicCoeffs(L_max=L_max, c=c), sphere.make_grid(L))
+
+
+class TestPoleApices:
+    @staticmethod
+    def assert_apices_are_du(u):
+        # the fan apices are the boundary points Du(+-e_z), as the extension
+        # channels give them
+        poles = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
+        vals, grad = harmonics.values_and_gradient_at(u.coeffs, poles)
+        du = grad + vals[:, None] * poles
+        mesh = body.embed(u)
+        scale = np.max(np.abs(mesh.vertices[: mesh.node_vertex_count]))
+        assert np.max(np.abs(mesh.vertices[-2:] - du)) <= 1e-12 * scale
+
+    def test_apices_are_du_at_the_poles(self, mesh_u):
+        self.assert_apices_are_du(mesh_u)
+
+    @pytest.mark.parametrize("L, L_max", [(16, 15), (17, 11), (48, 32)])
+    def test_apices_of_asymmetric_bodies(self, L, L_max):
+        self.assert_apices_are_du(random_support(L, L_max, seed=L))
+
+    def test_ellipsoid_apices_on_surface(self, ellipsoid, ellipsoid_u):
+        apices = body.embed(ellipsoid_u).vertices[-2:]
+        assert np.max(np.abs(apices - [[0.0, 0.0, ellipsoid.c], [0.0, 0.0, -ellipsoid.c]])) < 1e-6
 
 
 class TestLoopReference:

@@ -432,6 +432,38 @@ class TestSharedWork:
             assert len({id(f) for f in seen}) == len(seen), name
         assert tables == [16]
 
+    def test_lp_forms_each_gradient_once(self, tmp_path, monkeypatch):
+        # Lemma 4.1 and the T41 condition share the grid gradient of f
+        seen = []
+        real = harmonics.grid_gradient
+        monkeypatch.setattr(harmonics, "grid_gradient",
+                            lambda field: seen.append(field) or real(field))
+        for p in ("4", "2"):
+            seen.clear()
+            _, code = run_cli(self.LP[:2] + [p] + self.LP[3:], tmp_path)
+            assert code == 0
+            # f and the solution u, each once
+            assert len(seen) == 2 and len({id(f) for f in seen}) == 2, p
+
+    def test_commands_build_no_extension_channels(self, tmp_path, monkeypatch):
+        # every CLI output comes from grid derivatives; the off-grid
+        # derivative channels stay unbuilt
+        built = []
+        monkeypatch.setattr(harmonics, "_extension_channels",
+                            lambda coeffs: built.append(coeffs) or pytest.fail("built"))
+        for argv in (
+            ["solve", "--input", "family:ellipsoid:a=1,b=1.2,c=1.5", "--L", "16",
+             "--Lmax", "10", "--out", str(tmp_path / "u.csv")],
+            self.CHECK,
+            self.LP,
+            self.LP[:2] + ["2"] + self.LP[3:],
+            ["reconstruct", "--input", "family:ellipsoid:a=1,b=1.2,c=1.5", "--L", "16",
+             "--Lmax", "10", "--obj", str(tmp_path / "body.obj")],
+        ):
+            _, code = run_cli(argv, tmp_path)
+            assert code in (0, 3), argv[0]
+        assert built == []
+
     def test_one_legendre_recursion_per_node_set(self, tmp_path, monkeypatch):
         # the transform plan runs the P recursion once per (node set, L_max)
         # in a command, derivative tables included, and emptying the caches

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,13 +9,20 @@ from scipy.optimize import brentq
 from christoffel import body, convexity, harmonics, kernels, sphere
 from christoffel.errors import NotPositive
 
-from conftest import clear_program_caches, constant_field, harmonic_field, random_positive_field
+from conftest import (
+    clear_program_caches,
+    constant_field,
+    ellipsoid_principal_radii,
+    harmonic_field,
+    random_positive_field,
+    rotate_about_z,
+)
 
 
 def spectral_second_derivative(u, x, xi):
     """Ground truth <U(x) xi, xi> from the spectral solution's Hessian."""
     e1, e2 = sphere.tangent_basis(x)
-    H = harmonics.sphere_hessian(u.coeffs, x)
+    H = harmonics.hessian_at(u.coeffs, x[None, :])[0]
     uval = harmonics.synthesize_at(u.coeffs, x[None, :])[0]
     q = np.array([xi @ e1, xi @ e2])
     return float(q @ H @ q + uval * (q @ q))
@@ -251,6 +260,28 @@ class TestRingPaths:
                     assert np.max(np.abs(vals[a, k, s] - v)) <= 1e-12 * scale
                     assert np.max(np.abs(dxi[a, k, s] - np.sum(g * xi, axis=1))) <= 1e-11 * scale
 
+    def test_t33_one_direction_at_a_time(self, grid24):
+        # the heap peak stays near one direction's samples, far below the
+        # (n_xi, n_t, 2, N) arrays of all directions at once, and the worst
+        # value is the one those arrays give
+        f = body.forward_f(body.support_function(body.Ellipsoid(1.0, 1.2, 1.5), grid24, 16))
+        n_t, n_xi = 12, 4
+        ts = np.geomspace(1e-3, 1e3, n_t)
+        vals, dxi = convexity._t33_samples(f.coeffs, grid24, ts, np.pi * np.arange(n_xi) / n_xi)
+        scale = np.sqrt(1.0 + ts**2)
+        radial = np.array([1.0, -1.0])[None, :, None] * (ts / scale)[:, None, None]
+        d = (dxi - vals * radial) / (scale**2)[:, None, None]
+        whole = vals.nbytes
+        del vals, dxi
+        tracemalloc.start()
+        try:
+            _, worst = convexity.check_T33(f, n_t=n_t, n_xi=n_xi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert worst == float(np.max(d[:, :, 0] - d[:, :, 1]))
+        assert peak <= 3 * whole
+
     def test_t33_legendre_work_bounded(self, grid16, monkeypatch):
         # T33 takes its theta profiles from L_max + 2 Legendre colatitudes,
         # however many points it samples
@@ -266,17 +297,6 @@ class TestRingPaths:
         clear_program_caches()
         convexity.check_T33(f)
         assert sizes and max(sizes) <= f.coeffs.L_max + 2
-
-
-def rotate_about_z(coeffs, angle):
-    """Coefficients of f(R^-1 x) for the rotation R by ``angle`` about z."""
-    c = coeffs.c.copy()
-    for l in range(coeffs.L_max + 1):
-        for m in range(1, l + 1):
-            a, b = coeffs.get(l, m), coeffs.get(l, -m)
-            c[l * l + l + m] = a * np.cos(m * angle) - b * np.sin(m * angle)
-            c[l * l + l - m] = a * np.sin(m * angle) + b * np.cos(m * angle)
-    return harmonics.HarmonicCoeffs(L_max=coeffs.L_max, c=c)
 
 
 class TestRotation:
@@ -381,7 +401,7 @@ class TestHessianMin:
         assert hmin > 0
         # smallest principal radius over the grid, against the analytic radii
         analytic = min(
-            body.ellipsoid_principal_radii(ell, x)[0] for x in grid48.nodes[::37]
+            ellipsoid_principal_radii(ell, x)[0] for x in grid48.nodes[::37]
         )
         assert hmin <= analytic + 1e-9
         assert abs(hmin - ell.c**2 / ell.b) < 1e-3  # global min at the b-axis
@@ -424,9 +444,8 @@ class TestSufficientConditions:
         def dxi(y):
             r = np.linalg.norm(y)
             yh = y / r
-            g = harmonics.gradient_at(coeffs, yh[None, :])[0]
-            v = harmonics.synthesize_at(coeffs, yh[None, :])[0]
-            return (g @ xi - v * (yh @ xi)) / r**2
+            v, g = harmonics.values_and_gradient_at(coeffs, yh[None, :])
+            return (g[0] @ xi - v[0] * (yh @ xi)) / r**2
 
         lhs = dxi(x + t * xi) - dxi(x - t * xi)
         assert abs(lhs - 2 * dxi(x + t * xi)) < 1e-12

@@ -1,10 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from christoffel import harmonics, sphere
+from christoffel import body, harmonics, sphere
 from christoffel.errors import BandLimitExceeded, NotAnalyzed, OrthogonalityViolation
 
-from conftest import clear_program_caches, constant_field, harmonic_field
+from conftest import (
+    clear_program_caches,
+    constant_field,
+    ellipsoid_ambient_hessian,
+    harmonic_field,
+    random_positive_field,
+    rotate_about_z,
+)
 
 
 def random_coeffs(L_max, seed, decay=0.3):
@@ -165,14 +174,10 @@ def ref_grid_gradient(field):
     return e_th * dth[:, None] + e_ph * (dph / np.maximum(np.sin(theta), 1e-8))[:, None]
 
 
-def ref_grid_hessian(field, bases=None):
-    grid = field.grid
-    dth, dph, dthth, dthph, dphph = (
-        d.ravel() for d in ref_grid_eval(field.coeffs, grid, (1, "phi", 2, "thetaphi", "phiphi")))
-    if bases is None:
-        bases = sphere.tangent_bases(grid.nodes)
-    theta = np.repeat(grid.thetas, grid.azimuth_count)
-    phi = np.tile(grid.phis, grid.L)
+def ref_frame_hessian(theta, phi, derivs, bases):
+    """Covariant Hessian from (d_theta, d_phi, d_theta^2, d_theta d_phi,
+    d_phi^2) in the (e_theta, e_phi) frame, rotated into ``bases``."""
+    dth, dph, dthth, dthph, dphph = derivs
     s, c = np.sin(theta), np.cos(theta)
     h11 = dthth
     h12 = (dthph - (c / s) * dph) / s
@@ -189,6 +194,63 @@ def ref_grid_hessian(field, bases=None):
     H[:, 1, 0] = H[:, 0, 1]
     H[:, 1, 1] = r21 * (r21 * h11 + r22 * h12) + r22 * (r21 * h12 + r22 * h22)
     return H
+
+
+def ref_grid_hessian(field):
+    grid = field.grid
+    derivs = [d.ravel() for d in
+              ref_grid_eval(field.coeffs, grid, (1, "phi", 2, "thetaphi", "phiphi"))]
+    theta = np.repeat(grid.thetas, grid.azimuth_count)
+    phi = np.tile(grid.phis, grid.L)
+    return ref_frame_hessian(theta, phi, derivs, sphere.tangent_bases(grid.nodes))
+
+
+def ref_circle_derivatives(coeffs, x, d):
+    """First and second derivatives of the field along the great circle
+    cos(t) x + sin(t) d at t = 0, exact by one FFT of its samples (a
+    trigonometric polynomial of degree <= L_max)."""
+    K = 2 * coeffs.L_max + 2
+    ts = 2.0 * np.pi * np.arange(K) / K
+    F = np.fft.rfft(harmonics.synthesize_at(coeffs, np.outer(np.cos(ts), x) + np.outer(np.sin(ts), d)))
+    k = np.arange(len(F))
+    a = 2.0 * np.real(F) / K
+    a[0] *= 0.5
+    a[-1] *= 0.5  # K is even: the Nyquist term
+    return float(np.sum(k * (-2.0 * np.imag(F) / K))), float(-np.sum(k * k * a))
+
+
+def ref_point_derivatives(coeffs, points):
+    """Values, tangential gradients (N, 3) and covariant Hessians (N, 2, 2)
+    in the bases of :func:`sphere.tangent_bases`, from theta- and
+    phi-derivatives in the (e_theta, e_phi) frame; within sin(theta) <= 1e-8
+    (gradient) resp. 1e-4 (Hessian) of a pole, where that frame degrades,
+    from exact great-circle differentiation.  Independent of the extension
+    channels."""
+    pts = np.asarray(points, dtype=float)
+    theta = np.arctan2(np.hypot(pts[:, 0], pts[:, 1]), pts[:, 2])
+    phi = np.arctan2(pts[:, 1], pts[:, 0])
+    (A, B), (dA, dB), (d2A, d2B) = harmonics._theta_profiles(coeffs, theta, 2)
+    m = np.arange(coeffs.L_max + 1)[None, :]
+    z = np.where(m > 0, np.sqrt(2.0), 1.0) * np.exp(1j * m * phi[:, None])
+    c, s = z.real, z.imag
+    vals = np.sum(A * c + B * s, axis=1)
+    derivs = (np.sum(dA * c + dB * s, axis=1), np.sum(m * (B * c - A * s), axis=1),
+              np.sum(d2A * c + d2B * s, axis=1), np.sum(m * (dB * c - dA * s), axis=1),
+              -np.sum(m * m * (A * c + B * s), axis=1))
+    safe_theta = np.clip(theta, 1e-8, np.pi - 1e-8)
+    e_th, e_ph = ref_frame_vectors(safe_theta, phi)
+    grad = e_th * derivs[0][:, None] + e_ph * (derivs[1] / np.sin(safe_theta))[:, None]
+    bases = sphere.tangent_bases(pts)
+    H = ref_frame_hessian(safe_theta, phi, derivs, bases)
+    st = np.sin(theta)
+    for i in np.nonzero(st <= 1e-4)[0]:
+        e1, e2 = bases[0][i], bases[1][i]
+        (g1, h11), (g2, h22) = (ref_circle_derivatives(coeffs, pts[i], e) for e in (e1, e2))
+        hdd = ref_circle_derivatives(coeffs, pts[i], (e1 + e2) / np.sqrt(2.0))[1]
+        H[i] = [[h11, hdd - 0.5 * (h11 + h22)], [hdd - 0.5 * (h11 + h22), h22]]
+        if st[i] <= 1e-8:
+            grad[i] = g1 * e1 + g2 * e2
+    return vals, grad, H
 
 
 def ref_node_basis(grid, node, L_max):
@@ -340,7 +402,7 @@ class TestTransforms:
 class TestDerivatives:
     def test_gradient_constant(self, grid16):
         f = constant_field(grid16, 5.0, L_max=8)
-        g = harmonics.sphere_gradient(f.coeffs, grid16.nodes[7])
+        g = harmonics.values_and_gradient_at(f.coeffs, grid16.nodes[7:8])[1][0]
         assert np.linalg.norm(g) < 1e-12
 
     def test_gradient_linear_field(self):
@@ -348,7 +410,7 @@ class TestDerivatives:
         c = np.zeros(4)
         c[harmonics.HarmonicCoeffs.index(1, 0)] = np.sqrt(4 * np.pi / 3)
         coeffs = harmonics.HarmonicCoeffs(L_max=1, c=c)
-        g = harmonics.sphere_gradient(coeffs, np.array([1.0, 0.0, 0.0]))
+        g = harmonics.values_and_gradient_at(coeffs, np.array([[1.0, 0.0, 0.0]]))[1][0]
         assert np.max(np.abs(g - np.array([0.0, 0.0, 1.0]))) < 1e-12
 
     def test_gradient_finite_difference(self, grid16):
@@ -356,7 +418,7 @@ class TestDerivatives:
         rng = np.random.default_rng(8)
         pts = rng.standard_normal((10, 3))
         pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-        grads = harmonics.gradient_at(coeffs, pts)
+        grads = harmonics.values_and_gradient_at(coeffs, pts)[1]
         h = 1e-5
         for i, x in enumerate(pts):
             e1, e2 = sphere.tangent_basis(x)
@@ -371,7 +433,7 @@ class TestDerivatives:
 
     def test_hessian_constant(self, grid16):
         f = constant_field(grid16, 2.5, L_max=8)
-        H = harmonics.sphere_hessian(f.coeffs, grid16.nodes[3])
+        H = harmonics.hessian_at(f.coeffs, grid16.nodes[3:4])[0]
         assert np.max(np.abs(H)) < 1e-12
 
     def test_hessian_trace_is_eigenvalue(self, grid16):
@@ -382,7 +444,7 @@ class TestDerivatives:
             coeffs = harmonics.HarmonicCoeffs(L_max=5, c=c)
             for idx in (40, 222):
                 x = grid16.nodes[idx]
-                H = harmonics.sphere_hessian(coeffs, x)
+                H = harmonics.hessian_at(coeffs, x[None, :])[0]
                 y = harmonics.synthesize_at(coeffs, x[None, :])[0]
                 assert abs(H[0, 0] + H[1, 1] + l * (l + 1) * y) < 1e-8
 
@@ -409,10 +471,10 @@ class TestDerivatives:
                 assert abs(qv @ H[i] @ qv - fd2) < 1e-5
 
     def test_pole_evaluation(self):
-        # exact great-circle fallback at the poles
+        # the extension channels need no pole test
         coeffs = random_coeffs(8, seed=10)
         pole = np.array([[0.0, 0.0, 1.0]])
-        g = harmonics.gradient_at(coeffs, pole)[0]
+        g = harmonics.values_and_gradient_at(coeffs, pole)[1][0]
         H = harmonics.hessian_at(coeffs, pole)[0]
         e1, e2 = sphere.tangent_basis(pole[0])
         h = 1e-5
@@ -456,6 +518,99 @@ class TestDerivatives:
         f = harmonics.SphericalField(grid=grid16, values=np.ones(grid16.node_count))
         with pytest.raises(NotAnalyzed):
             harmonics.grid_gradient(f)
+
+
+def solved_pair(L, L_max, seed):
+    """(f, u) with (Laplacian + 2) u = f, f random up to degree L_max on grid L."""
+    c = random_coeffs(L_max, seed).c.copy()
+    c[0] = 10.0
+    c[1:4] = 0.0
+    f = harmonics.synthesize(harmonics.HarmonicCoeffs(L_max=L_max, c=c), sphere.make_grid(L))
+    return f, harmonics.solve_christoffel(f)
+
+
+def probe_points(n, seed):
+    """n random unit vectors, both poles and points 1e-9 from each pole."""
+    pts = np.random.default_rng(seed).standard_normal((n, 3))
+    near = [[np.sin(1e-9) * np.cos(a), np.sin(1e-9) * np.sin(a), z * np.cos(1e-9)]
+            for a in (0.0, 1.0, 4.0) for z in (1.0, -1.0)]
+    pts = np.vstack([pts / np.linalg.norm(pts, axis=1, keepdims=True),
+                     [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]], near])
+    return pts
+
+
+class TestExtensionChannels:
+    @pytest.mark.parametrize("L, L_max", [(16, 15), (17, 16), (48, 32), (96, 64)])
+    def test_matches_frame_oracle(self, L, L_max):
+        _, u = solved_pair(L, L_max, seed=L)
+        pts = probe_points(2000, seed=L)
+        scale = np.max(np.abs(harmonics.extension_hessian_at(u.coeffs, pts)))
+        vals, grad, H = ref_point_derivatives(u.coeffs, pts)
+        v, g = harmonics.values_and_gradient_at(u.coeffs, pts)
+        assert np.array_equal(v, vals)
+        assert np.max(np.abs(g - grad)) <= 1e-11 * scale
+        assert np.max(np.abs(harmonics.hessian_at(u.coeffs, pts) - H)) <= 1e-11 * scale
+
+    @pytest.mark.parametrize("L, L_max", [(16, 15), (48, 32)])
+    def test_trace_is_f_and_x_is_null(self, L, L_max):
+        # tr D^2 U = Laplacian u + 2 u = f, and D^2 U x = 0 by 1-homogeneity
+        f, u = solved_pair(L, L_max, seed=L + 1)
+        pts = probe_points(500, seed=L + 1)
+        D2U = harmonics.extension_hessian_at(u.coeffs, pts)
+        assert np.array_equal(D2U, np.swapaxes(D2U, 1, 2))
+        trace_err = np.trace(D2U, axis1=1, axis2=2) - harmonics.synthesize_at(f.coeffs, pts)
+        assert np.max(np.abs(trace_err)) <= 1e-11 * np.max(np.abs(f.values))
+        null = np.einsum("nij,nj->ni", D2U, pts)
+        assert np.max(np.abs(null)) <= 1e-13 * np.max(np.abs(D2U))
+
+    @pytest.mark.parametrize("L, L_max", [(24, 16), (48, 32)])
+    def test_ellipsoid_within_truncation_gap(self, L, L_max):
+        # off the grid, D^2 U stays as close to the analytic Hessian as the
+        # grid Hessian of the band-limited u is at the nodes
+        ell = body.Ellipsoid(1.0, 1.2, 1.5)
+        u = body.support_function(ell, sphere.make_grid(L), L_max=L_max)
+        nodes = u.grid.nodes
+        E = np.stack(sphere.tangent_bases(nodes), axis=2)
+        at_nodes = np.einsum("nik,nkl,njl->nij", E,
+                             harmonics.grid_hessian(u) + u.values[:, None, None] * np.eye(2), E)
+        gap = np.max(np.abs(at_nodes - [ellipsoid_ambient_hessian(ell, x) for x in nodes]))
+        pts = probe_points(500, seed=L)
+        analytic = np.stack([ellipsoid_ambient_hessian(ell, x) for x in pts])
+        assert np.max(np.abs(harmonics.extension_hessian_at(u.coeffs, pts) - analytic)) <= 2 * gap
+
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), steps=st.integers(1, 23))
+    def test_rotation_about_z(self, seed, steps):
+        # g(x) = f(R^-1 x) has D^2 G(R x) = R D^2 F(x) R^T
+        f = random_positive_field(sphere.make_grid(12), np.random.default_rng(seed), L_max=8)
+        angle = steps * 2 * np.pi / 24
+        R = np.array([[np.cos(angle), -np.sin(angle), 0.0],
+                      [np.sin(angle), np.cos(angle), 0.0], [0.0, 0.0, 1.0]])
+        pts = probe_points(50, seed)
+        D2F = harmonics.extension_hessian_at(f.coeffs, pts)
+        D2G = harmonics.extension_hessian_at(rotate_about_z(f.coeffs, angle), pts @ R.T)
+        assert np.max(np.abs(D2G - R @ D2F @ R.T)) <= 1e-12 * np.max(np.abs(D2F))
+
+    def test_built_once_per_coefficient_set(self, monkeypatch):
+        built = []
+        real = harmonics._extension_channels
+        monkeypatch.setattr(harmonics, "_extension_channels",
+                            lambda coeffs: built.append(coeffs) or real(coeffs))
+        coeffs = random_coeffs(6, seed=30)
+        pts = probe_points(5, seed=30)
+        harmonics.hessian_at(coeffs, pts)
+        harmonics.values_and_gradient_at(coeffs, pts)
+        harmonics.extension_hessian_at(coeffs, pts)
+        assert built == [coeffs]
+        harmonics.synthesize_at(random_coeffs(6, seed=31), pts)
+        assert built == [coeffs]
+
+    def test_low_band(self):
+        # L_max = 0: a constant c has D^2 U = c (I - x x^T)
+        coeffs = harmonics.HarmonicCoeffs(L_max=0, c=np.array([2.0 * np.sqrt(4 * np.pi)]))
+        pts = probe_points(20, seed=32)
+        want = 2.0 * (np.eye(3) - pts[:, :, None] * pts[:, None, :])
+        assert np.max(np.abs(harmonics.extension_hessian_at(coeffs, pts) - want)) <= 1e-14
 
 
 class TestThetaProfiles:
@@ -638,11 +793,6 @@ def assert_matches_reference(L, L_max, seed):
         assert np.array_equal(harmonics.analyze(field, L_max).c, ref_analyze(field, L_max))
     assert np.array_equal(harmonics.grid_gradient(f), ref_grid_gradient(f))
     assert np.array_equal(harmonics.grid_hessian(f), ref_grid_hessian(f))
-    e1, e2 = sphere.tangent_bases(grid.nodes)
-    assert np.array_equal(harmonics.grid_hessian(f, bases=(e1, e2)), ref_grid_hessian(f))
-    a = rng.uniform(0.0, 2.0 * np.pi, grid.node_count)[:, None]
-    turned = (np.cos(a) * e1 + np.sin(a) * e2, np.cos(a) * e2 - np.sin(a) * e1)
-    assert np.array_equal(harmonics.grid_hessian(f, bases=turned), ref_grid_hessian(f, turned))
     g = rng.standard_normal(grid.node_count)
     assert np.array_equal(harmonics.galerkin_matrix(g, grid, L_max),
                           ref_galerkin_matrix(g, grid, L_max))
