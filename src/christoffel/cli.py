@@ -3,7 +3,10 @@
 Commands
 --------
 solve        solve (Laplacian + 2) u = f and write u as CSV
-check        run convexity criteria and sufficient-condition checkers
+check        evaluate CR1 and CR2 at every node by their per-degree
+             multipliers (exact for the band-limited data, so the
+             error band is a rounding floor) and run the
+             sufficient-condition checkers
 lp           solve the L_p problem (p = 2 routes to the eigensolver)
 gamma        compute gamma_{n, alpha} with its Monte-Carlo cross-check
 kernels      dump kernel tables as CSV
@@ -304,14 +307,11 @@ def run(args) -> tuple[dict, int]:
         grid, f, u = _solve_pipeline(args, report)
         hmin, hwit = convexity.hessian_min(u)
         report["hessian_min"] = {"value": hmin, "witness": list(hwit.coords)}
-        # T33 has the largest arrays of a check: run it before the shared
-        # engine and its ring table exist, so their memory does not add up
         holds33, worst33 = convexity.check_T33(f)
         verdicts = []
         report["criteria"] = {}
-        engine = convexity.CriterionEngine(f, kernels.DEFAULT_TABLE, None)
         for name in names:
-            rep = convexity.sweep(f, name, engine=engine)
+            rep = convexity.sweep(f, name)
             report["criteria"][name] = {
                 "verdict": rep.verdicts[name],
                 "min_margin": rep.min_margin[name],
@@ -320,9 +320,8 @@ def run(args) -> tuple[dict, int]:
                 "grid_meta": rep.grid_meta,
             }
             verdicts.append(rep.verdicts[name])
-        holds32, lhs32, rhs32 = convexity.check_T32(f, args.alpha, engine=engine)
-        holds_pc, min_pc = convexity.check_pogorelov(f, engine)
-        del engine  # Guan-Ma works on 1/f: free the tables of f first
+        holds32, lhs32, rhs32 = convexity.check_T32(f, args.alpha)
+        holds_pc, min_pc = convexity.check_pogorelov(f)
         holds_gm, eig_gm = convexity.check_guan_ma(f)
         report["sufficient_conditions"] = {
             "holder_threshold": {

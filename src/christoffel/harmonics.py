@@ -597,22 +597,30 @@ def _grid_frame(L: int):
     return frame, rot
 
 
+def channel_grid(L_max: int) -> SphereGrid:
+    """The Gauss grid L_max + 3 (at least the smallest grid), on which the
+    derivative and product channels of a band-L_max field, of degree
+    <= L_max + 2, are analyzed exactly."""
+    return make_grid(max(L_max + 3, 4))
+
+
+def analyze_channels(grid: SphereGrid, values: np.ndarray, band: int) -> tuple:
+    """Coefficients at ``band`` of every column of ``values`` (N, C)."""
+    return tuple(analyze(SphericalField(grid=grid, values=v), band) for v in values.T)
+
+
 def _extension_channels(coeffs: HarmonicCoeffs) -> ExtensionChannels:
     """DG and D^2 G of the 1-homogeneous extension from the grid gradient
-    and Hessian on the Gauss grid L_max + 3 (at least the smallest grid),
-    analyzed at their exact bands."""
+    and Hessian on the :func:`channel_grid`, analyzed at their exact bands."""
     L_max = coeffs.L_max
-    field = synthesize(coeffs, make_grid(max(L_max + 3, 4)))
+    field = synthesize(coeffs, channel_grid(L_max))
     grid, g = field.grid, field.values
     DG = grid_gradient(field) + g[:, None] * grid.nodes
     E = np.stack(tangent_bases(grid.nodes), axis=2)  # (N, 3, 2)
     H = grid_hessian(field) + g[:, None, None] * np.eye(2)
     D2G = np.einsum("nik,nkl,njl->nij", E, H, E)[:, _SYM_ROWS, _SYM_COLS]
-
-    def channels(values, band):
-        return tuple(analyze(SphericalField(grid=grid, values=v), band) for v in values.T)
-
-    return ExtensionChannels(grad=channels(DG, L_max + 1), hess=channels(D2G, L_max + 2))
+    return ExtensionChannels(grad=analyze_channels(grid, DG, L_max + 1),
+                             hess=analyze_channels(grid, D2G, L_max + 2))
 
 
 def _synthesize_channels(channels, points) -> np.ndarray:

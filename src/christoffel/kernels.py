@@ -9,8 +9,11 @@ quadrature uniformly accurate as s -> 1.
 
 Closed forms: for n = 2 the ray kernel is omega(s) = -1/(1 - s), and the
 second-derivative kernel splits as hat_omega(s, c) = A(s) - 3 c^2 B(s) with
-A, B rational in s.  These exact forms back the default kernel table used by
-the criterion sweeps; direct quadrature is retained for validation.
+A, B rational in s.  These exact forms make up the default kernel table;
+the criterion sweeps evaluate the same integrals by their Funk-Hecke
+multipliers (:mod:`christoffel.convexity`), and the table backs the direct
+cap quadrature that the tests hold them to.  Direct quadrature of the ray
+integrals is retained for validation.
 
 Imports: the module needs only numpy, on every path.  The closed forms, the
 Berg functions and gamma_{n, alpha} by a fixed Gauss-Jacobi rule are direct
@@ -131,18 +134,6 @@ def _gauss_kronrod(f, a: float, b: float, epsabs: float = 1e-10,
         total_val -= val
         total_err += neg_err
     return math.fsum(p[3] for p in heap), math.fsum(-p[0] for p in heap)
-
-
-# ----------------------------------------------------------------------
-# Fundamental solution of the Laplacian on R^(n+1)
-# ----------------------------------------------------------------------
-
-def fundamental(x, y, params: KernelParams) -> float:
-    """Newtonian kernel F(x, y) = |x - y|^(1-n) / ((1 - n) omega_n)."""
-    d = float(np.linalg.norm(np.asarray(x, float) - np.asarray(y, float)))
-    if d == 0.0:
-        raise SingularEvaluation("fundamental solution evaluated at x = y")
-    return d ** (1 - params.n) / ((1 - params.n) * params.omega_n)
 
 
 # ----------------------------------------------------------------------
@@ -511,7 +502,7 @@ def gamma_monte_carlo(
 
 
 # ----------------------------------------------------------------------
-# Kernel tables for the criterion sweeps
+# Kernel table of the criterion integrals
 # ----------------------------------------------------------------------
 
 class ClosedFormKernelTable:
@@ -519,6 +510,10 @@ class ClosedFormKernelTable:
     hat_omega(s, c) = A(s) - 3 c^2 B(s) with
 
         A(s) = 1 / (4 pi (1 - s)),   B(s) = (2 - s) / (12 pi (1 - s)^2).
+
+    No command evaluates them: the criterion sweeps use their Funk-Hecke
+    multipliers.  The table is the kernel of the node-by-node quadrature
+    oracle in the tests, and ``bench/tracing.py`` wraps its methods.
     """
 
     n = 2

@@ -57,12 +57,6 @@ def point_coords(x) -> np.ndarray:
     return np.asarray(x, dtype=float)
 
 
-def direction_coords(xi) -> np.ndarray:
-    if isinstance(xi, TangentDirection):
-        return xi.dir
-    return np.asarray(xi, dtype=float)
-
-
 @dataclass(frozen=True)
 class SphereGrid:
     """Quadrature grid on S^2: Gauss-Legendre in cos(theta) x uniform azimuth.

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from christoffel import body, cli, convexity, harmonics
+from christoffel import body, cli, convexity, harmonics, kernels
 from christoffel.errors import GridMismatch, NotPositive, ParseError
 from christoffel.sphere import make_grid
 
@@ -410,9 +410,8 @@ class TestSharedWork:
              "--L", "16", "--Lmax", "10"]
 
     def test_check_forms_field_derivatives_once(self, tmp_path, monkeypatch):
-        # one CriterionEngine serves both sweeps and Pogorelov, and Hoelder
-        # reads the same ring table: each field's grid gradient and Hessian,
-        # and the table, are formed once per check
+        # each field's grid gradient and Hessian are formed at most once
+        # per check, and the Hoelder ring table once
         fields = {"grid_gradient": [], "grid_hessian": []}
         for name, seen in fields.items():
             def spy(field, *args, _real=getattr(harmonics, name), _seen=seen, **kwargs):
@@ -431,6 +430,15 @@ class TestSharedWork:
             assert seen, name
             assert len({id(f) for f in seen}) == len(seen), name
         assert tables == [16]
+
+    def test_check_evaluates_no_kernel_quadrature(self, tmp_path, monkeypatch):
+        # the criteria come from their Funk-Hecke multipliers; the kernel
+        # table only backs the quadrature oracle of the tests
+        for name in ("omega", "hat_A", "hat_B"):
+            monkeypatch.setattr(kernels.ClosedFormKernelTable, name,
+                                lambda *args, _name=name: pytest.fail(_name))
+        _, code = run_cli(self.CHECK, tmp_path)
+        assert code in (0, 3)
 
     def test_lp_forms_each_gradient_once(self, tmp_path, monkeypatch):
         # Lemma 4.1 and the T41 condition share the grid gradient of f
