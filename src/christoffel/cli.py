@@ -5,8 +5,9 @@ Commands
 solve        solve (Laplacian + 2) u = f and write u as CSV
 check        evaluate CR1 and CR2 at every node by their per-degree
              multipliers (exact for the band-limited data, so the
-             error band is a rounding floor) and run the
-             sufficient-condition checkers
+             error band is a rounding floor), report each one's
+             route_gap to min eig(Hess u + u I) over the nodes, and run
+             the sufficient-condition checkers
 lp           solve the L_p problem (p = 2 routes to the eigensolver)
 gamma        compute gamma_{n, alpha} with its Monte-Carlo cross-check
 kernels      dump kernel tables as CSV
@@ -271,10 +272,9 @@ def _solve_pipeline(args, report):
     projected = 0.0
     if args.project:
         projected = harmonics.degree1_magnitude(harmonics.require_coeffs(f))
-    u = harmonics.solve_christoffel(f, tol=args.tol, project=args.project)
-    rhs = harmonics.project_out_linear(f) if args.project else f
+    u, residual = harmonics.solve_christoffel(f, tol=args.tol, project=args.project)
     report["projected_degree1_magnitude"] = projected
-    report["solver_residual_inf"] = harmonics.christoffel_residual(u, rhs)
+    report["solver_residual_inf"] = residual
     return grid, f, u
 
 
@@ -305,7 +305,7 @@ def run(args) -> tuple[dict, int]:
     elif args.command == "check":
         names = _criteria_names(args.criteria)
         grid, f, u = _solve_pipeline(args, report)
-        hmin, hwit = convexity.hessian_min(u)
+        hmin, hwit, node_hmins = convexity.hessian_min(u)
         report["hessian_min"] = {"value": hmin, "witness": list(hwit.coords)}
         holds33, worst33 = convexity.check_T33(f)
         verdicts = []
@@ -316,6 +316,7 @@ def run(args) -> tuple[dict, int]:
                 "verdict": rep.verdicts[name],
                 "min_margin": rep.min_margin[name],
                 "error_band": rep.error_band[name],
+                "route_gap": convexity.route_gap(rep, node_hmins)[name],
                 "witness": _witness_json(rep.witness[name]),
                 "grid_meta": rep.grid_meta,
             }
@@ -345,7 +346,7 @@ def run(args) -> tuple[dict, int]:
             sol = lp.solve_lp(f, args.p, tol=args.tol)
         holds41, l41, r41 = lp.check_lemma41(sol, f)
         holdsc, lc, rc = lp.check_T41_cond(f, args.p)
-        hmin, _ = convexity.hessian_min(sol.u)
+        hmin = convexity.hessian_min(sol.u)[0]
         report["lp"] = {
             "p": sol.p,
             "lambda": sol.lam,

@@ -38,9 +38,12 @@ kernel quadrature of the integrals themselves stays in the tests, as the
 oracle for these forms.
 
 Ground truth: hessian_min checks min eig(Hess u + u I) directly on the
-spectral solution.  The classical sufficient conditions (Hoelder threshold,
-symmetry monotonicity, Pogorelov, Guan-Ma) are provided as checkers; the
-Hoelder estimate reads its node separations from :func:`ring_cosines`, and
+spectral solution, and :func:`route_gap` compares it node by node with the
+sweeps.  The classical sufficient conditions (Hoelder threshold, symmetry
+monotonicity, Pogorelov, Guan-Ma) are provided as checkers; the Hoelder
+grid seminorm reads its node separations from :func:`ring_cosines` and
+finds the largest pair by bound and prune, evaluating only the (ring, ring,
+azimuth offset) entries that triangle and range bounds cannot rule out, and
 the T33 samples of a ring are one rotated set, evaluated ring-wise by
 :func:`christoffel.harmonics._orbit_values_and_slopes`.
 """
@@ -59,6 +62,8 @@ from .sphere import SpherePoint, TangentDirection, make_grid, tangent_bases
 
 # rounding-floor factor of the sweep error band (see :func:`sweep`)
 _BAND_KAPPA = 4.0
+# node differences per chunk of the Hoelder search (see :func:`holder_seminorm`)
+_HOLDER_CHUNK = 1 << 18
 
 
 class Criterion(Enum):
@@ -73,6 +78,7 @@ class ConvexityReport:
     witness: dict
     error_band: dict
     grid_meta: dict
+    node_margins: dict  # criterion -> (N,) minimum over tangent xi at each node
 
 
 def _require_positive(f):
@@ -86,7 +92,9 @@ def ring_cosines(grid) -> np.ndarray:
     estimate, one entry per (ring, ring, azimuth offset)."""
     t = grid.polar_nodes
     st = np.sqrt(1.0 - t * t)
-    return np.multiply.outer(np.outer(st, st), np.cos(grid.phis)) + np.outer(t, t)[:, :, None]
+    s = np.multiply.outer(np.outer(st, st), np.cos(grid.phis))
+    s += np.outer(t, t)[:, :, None]
+    return s
 
 
 def _harmonic_numbers(L_max: int) -> np.ndarray:
@@ -213,7 +221,23 @@ def sweep(f, criterion: Criterion | str) -> ConvexityReport:
         witness={name: (wx, TangentDirection(wx, best_dir))},
         error_band={name: band},
         grid_meta={"L": grid.L},
+        node_margins={name: vals},
     )
+
+
+def route_gap(report: ConvexityReport, hessian_mins: np.ndarray) -> dict:
+    """Largest gap over the nodes between the node minima of a sweep, as
+    CR1 / (4 pi) resp. CR2, and ``hessian_mins``, min eig(Hess u + u I) at
+    each node of the solution (:func:`hessian_min`).
+
+    The criteria are built from f and the kernel multipliers, the Hessian
+    from the solve; the paper says CR1 = 4 pi <U xi, xi> and CR2 = <U xi,
+    xi>, so the gap is a self-check that should sit at rounding level,
+    within the sweep's error band.
+    """
+    scale = {Criterion.CR1.value: 4.0 * np.pi, Criterion.CR2.value: 1.0}
+    return {name: float(np.max(np.abs(vals / scale[name] - hessian_mins)))
+            for name, vals in report.node_margins.items()}
 
 
 # ----------------------------------------------------------------------
@@ -224,49 +248,101 @@ def hessian_min(u):
     """Minimum over grid nodes of the smaller eigenvalue of Hess u + u I.
 
     The direct convexity test for a candidate support function u.
-    Returns (min_eig, witness SpherePoint).
+    Returns (min_eig, witness SpherePoint, the (N,) smaller eigenvalue at
+    every node).
     """
     H = harmonics.grid_hessian(u)
     mins = _min_eig2(H[:, 0, 0] + u.values, H[:, 0, 1], H[:, 1, 1] + u.values)
     i = int(np.argmin(mins))
-    return float(mins[i]), SpherePoint(u.grid.nodes[i])
+    return float(mins[i]), SpherePoint(u.grid.nodes[i]), mins
 
 
-def holder_seminorm(f, alpha: float, min_sep: float | None = None) -> float:
+def holder_seminorm(f, alpha: float) -> float:
     """Grid estimate of the C^alpha seminorm: max of |f(x) - f(z)|/dist^alpha
-    over node pairs separated by at least the grid spacing.
+    over node pairs separated by at least the grid spacing pi / L.
 
-    Separations and dist^alpha come from the ring table
-    (:func:`ring_cosines`), one entry per (ring, ring, azimuth offset); the
-    pairs only take value differences.  This is a lower bound of the true
-    seminorm, so threshold checks based on it are conservative only up to
-    discretization.
+    With F[i, j] the value at ring i, azimuth j, the pairs form a table
+    with one entry per (ring i, ring k >= i, azimuth offset d):
+    v(i, k, d) = num(i, k, d) / dist^alpha, num(i, k, d) = max_j
+    |F[i, j] - F[k, j + d]|, the separations from :func:`ring_cosines`.
+    The maximum is found by bound and prune, as in Lipschitz global
+    optimization (Hansen & Jaumard, "Lipschitz optimization", 1995), not by
+    forming all O(L^2 n^2) differences:
+
+    * Seeds: the same-ring entries A_i(d) = num(i, i, d), symmetric in d so
+      half of them are formed, and the same-azimuth entries
+      D0(i, k) = num(i, k, 0) are evaluated; their maximum is the first
+      ``best``.
+    * Bound: num(i, k, d) <= min(R_ik, (D0(i, k) + min(A_i(d), A_k(d)))
+      (1 + 1e-12)), with R_ik = max(max F_i - min F_k, max F_k - min F_i)
+      the range of the two rings and the second term the triangle
+      inequality through node (i, j + d) or (k, j).
+    * Search: the entries whose bound / dist^alpha exceeds ``best`` are
+      evaluated in descending bound order, ``_HOLDER_CHUNK`` differences
+      at a time, each chunk re-pruned against ``best``; the search stops
+      at the first bound that does not exceed it.
+
+    The result is the full table's maximum to the last bit: evaluated
+    entries use the same float expression, rounding is monotone, and the
+    1e-12 margin covers the rounding of the bound's sum, so every pruned
+    entry has v <= bound <= best.  dist^alpha overwrites the separations in
+    place and the seeds and bounds are formed ring by ring, so the memory
+    is about one (L, L, n) table.
+
+    The grid value is a lower bound of the true seminorm, so threshold
+    checks based on it are conservative only up to discretization.
     """
     grid = f.grid
-    if min_sep is None:
-        min_sep = np.pi / grid.L
-    s = ring_cosines(grid)
-    ok = s <= np.cos(min_sep)
-    dist_a = np.where(ok, np.arccos(np.clip(s, -1.0, 1.0)), 1.0) ** alpha
-    n = grid.azimuth_count
-    F = f.values.reshape(grid.L, n)
-    shifted = F[:, (np.arange(n)[:, None] + np.arange(n)[None, :]) % n]  # [k, j, d] = f(k, j + d)
+    L, n = grid.L, grid.azimuth_count
+    F = f.values.reshape(L, n)
+    # [k, d, j] = F[k, j + d]: ring k turned by d azimuth steps, a view
+    shifted = np.lib.stride_tricks.sliding_window_view(
+        np.concatenate([F, F[:, :-1]], axis=1), n, axis=1)
+    fold = np.minimum(np.arange(n), n - np.arange(n))  # A_i(d) = A_i(n - d)
+    cos_min = np.cos(np.pi / L)
+    dist = ring_cosines(grid)  # dist^alpha for k >= i, inf below the spacing
+    A = np.empty((L, n))
+    D0 = np.empty((L, L))
     best = 0.0
-    for i in range(grid.L):
-        # rings k >= i: the pairs with ring k < i were taken at ring k
-        num = np.max(np.abs(F[i][None, :, None] - shifted[i:]), axis=1)  # (k, d): max over j
-        best = max(best, float(np.max(np.where(ok[i, i:], num / dist_a[i, i:], 0.0))))
+    for i in range(L):
+        s = dist[i, i:]
+        d_a = np.arccos(np.clip(s, -1.0, 1.0)) ** alpha
+        d_a[s > cos_min] = np.inf
+        s[...] = d_a
+        A[i] = np.max(np.abs(F[i] - shifted[i, : n // 2 + 1]), axis=1)[fold]
+        D0[i, i:] = np.max(np.abs(F[i] - F[i:]), axis=1)
+        best = max(best, float(np.max(A[i] / d_a[0])), float(np.max(D0[i, i:] / d_a[:, 0])))
+    hi, lo = np.max(F, axis=1), np.min(F, axis=1)
+    flat, bound = [], []
+    for i in range(L):
+        tri = (D0[i, i:, None] + np.minimum(A[i], A[i:])) * (1.0 + 1e-12)
+        rng = np.maximum(hi[i] - lo[i:], hi[i:] - lo[i])
+        ub = (np.minimum(rng[:, None], tri) / dist[i, i:]).ravel()
+        keep = np.flatnonzero(ub > best)
+        flat.append(keep + i * (L + 1) * n)
+        bound.append(ub[keep])
+    bound = np.concatenate(bound)
+    order = np.argsort(bound)[::-1]
+    flat, bound = np.concatenate(flat)[order], bound[order]
+    step = max(1, _HOLDER_CHUNK // n)
+    for start in range(0, len(flat), step):
+        if bound[start] <= best:
+            break
+        sel = flat[start : start + step][bound[start : start + step] > best]
+        i, k, d = np.unravel_index(sel, (L, L, n))
+        num = np.max(np.abs(F[i] - shifted[k, d]), axis=1)
+        best = max(best, float(np.max(num / dist[i, k, d])))
     return best
 
 
-def check_T32(f, alpha: float, gamma: float | None = None):
-    """Hoelder-threshold sufficient condition: |f|_{C^alpha} <= gamma min f.
+def check_T32(f, alpha: float):
+    """Hoelder-threshold sufficient condition: |f|_{C^alpha} <= gamma min f,
+    with gamma = gamma_{2, alpha} (:func:`kernels.gamma_const`).
 
     Returns (holds, lhs, rhs).  One-sided: holds=False makes no claim.
     """
     _require_positive(f)
-    if gamma is None:
-        gamma = kernels.gamma_const(2, alpha)
+    gamma = kernels.gamma_const(2, alpha)
     lhs = holder_seminorm(f, alpha)
     rhs = gamma * float(np.min(f.values))
     return bool(lhs <= rhs), lhs, rhs
@@ -343,17 +419,17 @@ def check_pogorelov(f):
     return bool(min_val > 0.0), min_val
 
 
-def check_guan_ma(f, band_factor: int = 2):
+def check_guan_ma(f):
     """Constant-rank condition: Hess(1/f) + (1/f) I >= 0 on S^2.
 
-    1/f is re-analyzed at ``band_factor`` times the field's band limit to
-    absorb the nonlinearity, on an internal finer grid when the field's own
-    grid cannot support that band.  Returns (holds, min eigenvalue); holds
-    when the minimum is at least -1e-8 max|1/f|.
+    1/f is re-analyzed at twice the field's band limit to absorb the
+    nonlinearity, on an internal finer grid when the field's own grid cannot
+    support that band.  Returns (holds, min eigenvalue); holds when the
+    minimum is at least -1e-8 max|1/f|.
     """
     _require_positive(f)
     coeffs = harmonics.require_coeffs(f)
-    L_target = band_factor * coeffs.L_max
+    L_target = 2 * coeffs.L_max
     grid = f.grid
     if grid.L < L_target + 1:
         grid = make_grid(L_target + 2)

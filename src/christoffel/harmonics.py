@@ -789,16 +789,26 @@ def christoffel_residual(u: SphericalField, f: SphericalField) -> float:
     return float(np.max(np.abs(lu - f.values)))
 
 
+class ChristoffelSolution(NamedTuple):
+    """Solution of (Laplacian + 2) u = f and its :func:`christoffel_residual`
+    against the right-hand side that was solved."""
+
+    u: SphericalField
+    residual_inf: float
+
+
 def solve_christoffel(
     f: SphericalField, tol: float | None = None, project: bool = False
-) -> SphericalField:
-    """Solve (Laplacian + 2) u = f on S^2 spectrally.
+) -> ChristoffelSolution:
+    """Solve (Laplacian + 2) u = f on S^2 spectrally; returns (u, residual).
 
     Degree-l coefficients are divided by 2 - l(l+1); the degree-1 component
     of the solution is set to zero (translation normalization).  The
     right-hand side must be orthogonal to the degree-1 harmonics: if its
     defect exceeds ``tol`` (default 1e-8 * max|f|) an OrthogonalityViolation
     is raised, unless ``project`` forces the defect to be projected away.
+    The residual is taken against the projected f then, and a residual
+    above 10 max(tol, 1e-14) raises ChristoffelError.
     """
     coeffs = require_coeffs(f)
     if tol is None:
@@ -813,4 +823,4 @@ def solve_christoffel(
         raise ChristoffelError(
             f"spectral solve residual {res:.3e} exceeds 10*tol={10 * tol:.3e}"
         )
-    return u
+    return ChristoffelSolution(u, res)

@@ -165,6 +165,7 @@ class TestCommands:
             assert entry["verdict"] in ("holds", "fails", "inconclusive")
             assert np.isfinite(entry["min_margin"])
             assert len(entry["witness"]["x"]) == 3
+            assert 0.0 <= entry["route_gap"] <= entry["error_band"]
         sc = report["sufficient_conditions"]
         assert set(sc) == {
             "holder_threshold", "symmetry_monotonicity", "pogorelov", "guan_ma"
@@ -430,6 +431,22 @@ class TestSharedWork:
             assert seen, name
             assert len({id(f) for f in seen}) == len(seen), name
         assert tables == [16]
+
+    def test_one_residual_per_solve(self, tmp_path, monkeypatch):
+        # the report's solver residual is the one the solve computed
+        seen = []
+        real = harmonics.christoffel_residual
+        monkeypatch.setattr(harmonics, "christoffel_residual",
+                            lambda u, f: seen.append(u) or real(u, f))
+        for argv in (["solve", "--input", "family:harmonic:l=1,m=0,eps=0.6,base=2",
+                      "--L", "16", "--Lmax", "8", "--project"], self.CHECK,
+                     ["reconstruct", "--input", "family:ellipsoid:a=1,b=1.2,c=1.5",
+                      "--L", "16", "--Lmax", "10"]):
+            seen.clear()
+            report, code = run_cli(argv, tmp_path)
+            assert code in (0, 3), argv[0]
+            assert len(seen) == 1, argv[0]
+            assert report["solver_residual_inf"] <= 1e-9
 
     def test_check_evaluates_no_kernel_quadrature(self, tmp_path, monkeypatch):
         # the criteria come from their Funk-Hecke multipliers; the kernel

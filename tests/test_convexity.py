@@ -121,7 +121,7 @@ class TestCriterionValues:
 
     def test_cr2_matches_spectral_truth(self, grid48):
         f = harmonic_field(grid48, 2.0, {(2, 0): 1.0, (4, -1): 0.2}, L_max=32)
-        u = harmonics.solve_christoffel(f)
+        u = harmonics.solve_christoffel(f).u
         tol = 1e-10 * np.max(np.abs(f.values))
         rng = np.random.default_rng(5)
         for _ in range(8):
@@ -200,7 +200,7 @@ class TestFunkHecke:
         # CR1 / (4 pi) and CR2 equal min eig(Hess u + u I) at every node to
         # rounding, and the reported band covers both gaps
         f = FIELD_CLASSES[kind](sphere.make_grid(L), L_max)
-        lam = lambda_min(harmonics.solve_christoffel(f))
+        lam = lambda_min(harmonics.solve_christoffel(f).u)
         scale = np.max(np.abs(f.values))
         gap1 = np.max(np.abs(node_minima(f, "cr1") - 4 * np.pi * lam))
         gap2 = np.max(np.abs(node_minima(f, "cr2") - lam))
@@ -208,6 +208,19 @@ class TestFunkHecke:
         assert gap2 <= 1e-10 * scale
         assert gap1 <= convexity.sweep(f, "cr1").error_band["cr1"]
         assert gap2 <= convexity.sweep(f, "cr2").error_band["cr2"]
+
+    @pytest.mark.parametrize("L, L_max", [(17, 16), (48, 32)])
+    @pytest.mark.parametrize("kind", ["ellipsoid", "bump", "random"])
+    def test_route_gap_within_band(self, L, L_max, kind):
+        # the f route (sweeps) and the u route (Hessian of the solution)
+        # agree within the sweep's error band, and the gap sees a shift
+        f = FIELD_CLASSES[kind](sphere.make_grid(L), L_max)
+        lam = convexity.hessian_min(harmonics.solve_christoffel(f).u)[2]
+        for crit in ("cr1", "cr2"):
+            rep = convexity.sweep(f, crit)
+            gap = convexity.route_gap(rep, lam)[crit]
+            assert 0.0 <= gap <= rep.error_band[crit]
+            assert convexity.route_gap(rep, lam + 1e-6)[crit] >= 1e-6 - gap
 
     @pytest.mark.parametrize("crit", ["cr1", "cr2"])
     def test_cap_quadrature_oracle(self, grid48, crit, monkeypatch):
@@ -251,16 +264,16 @@ class TestSweep:
     def test_single_mode_sign_agreement(self, grid48):
         # u = 1 + 0.5 Y_2^0 from f = 2 - 4 * 0.5 * Y_2^0: convex ground truth
         f = harmonic_field(grid48, 2.0, {(2, 0): -2.0}, L_max=32)
-        u = harmonics.solve_christoffel(f)
-        hmin, _ = convexity.hessian_min(u)
+        u = harmonics.solve_christoffel(f).u
+        hmin = convexity.hessian_min(u)[0]
         rep = convexity.sweep(f, convexity.Criterion.CR2)
         assert np.sign(rep.min_margin["cr2"]) == np.sign(hmin)
         assert rep.verdicts["cr2"] == ("holds" if hmin > 0 else "fails")
 
     def test_nonconvex_detected_by_both(self, grid48):
         f = harmonic_field(grid48, 2.0, {(2, 0): 3.5}, L_max=32)
-        u = harmonics.solve_christoffel(f)
-        hmin, _ = convexity.hessian_min(u)
+        u = harmonics.solve_christoffel(f).u
+        hmin = convexity.hessian_min(u)[0]
         assert hmin < -0.1
         for crit in ("cr1", "cr2"):
             rep = convexity.sweep(f, crit)
@@ -270,8 +283,8 @@ class TestSweep:
     def test_margin_tracks_hessian(self, grid48):
         for eps in (1.0, 3.5):
             f = harmonic_field(grid48, 2.0, {(2, 0): eps}, L_max=32)
-            u = harmonics.solve_christoffel(f)
-            hmin, _ = convexity.hessian_min(u)
+            u = harmonics.solve_christoffel(f).u
+            hmin = convexity.hessian_min(u)[0]
             rep = convexity.sweep(f, "cr2")
             band = rep.error_band["cr2"]
             assert abs(rep.min_margin["cr2"] - hmin) < max(10 * band, 5e-3)
@@ -280,8 +293,8 @@ class TestSweep:
         # the reported band must cover the actual deviation from ground truth
         for eps, seed_terms in [(1.0, {(2, 0): 1.0}), (2.0, {(2, 0): 2.0, (3, 1): 0.3})]:
             f = harmonic_field(grid48, 2.0, seed_terms, L_max=32)
-            u = harmonics.solve_christoffel(f)
-            hmin, _ = convexity.hessian_min(u)
+            u = harmonics.solve_christoffel(f).u
+            hmin = convexity.hessian_min(u)[0]
             rep = convexity.sweep(f, "cr2")
             assert abs(rep.min_margin["cr2"] - hmin) <= 10 * rep.error_band["cr2"]
 
@@ -289,7 +302,7 @@ class TestSweep:
         # tune eps to the convexity boundary; the verdict must not claim a sign
         def hm(eps):
             f = harmonic_field(grid48, 2.0, {(2, 0): eps}, L_max=16)
-            return convexity.hessian_min(harmonics.solve_christoffel(f))[0]
+            return convexity.hessian_min(harmonics.solve_christoffel(f).u)[0]
 
         eps_star = brentq(hm, 2.0, 3.2, xtol=1e-10)
         f = harmonic_field(grid48, 2.0, {(2, 0): eps_star}, L_max=16)
@@ -309,6 +322,66 @@ def holder_pair_loop(f, alpha):
             if dot <= cos_min:
                 best = max(best, abs(vals[a] - vals[b]) / np.arccos(dot) ** alpha)
     return best
+
+
+def ref_holder_seminorm(f, alpha):
+    """Reference Hoelder grid value: the full (ring, ring, azimuth offset)
+    table, every difference formed, rings k >= i."""
+    grid = f.grid
+    s = convexity.ring_cosines(grid)
+    ok = s <= np.cos(np.pi / grid.L)
+    dist_a = np.where(ok, np.arccos(np.clip(s, -1.0, 1.0)), 1.0) ** alpha
+    n = grid.azimuth_count
+    F = f.values.reshape(grid.L, n)
+    shifted = F[:, (np.arange(n)[:, None] + np.arange(n)[None, :]) % n]  # [k, j, d] = f(k, j + d)
+    best = 0.0
+    for i in range(grid.L):
+        num = np.max(np.abs(F[i][None, :, None] - shifted[i:]), axis=1)  # (k, d): max over j
+        best = max(best, float(np.max(np.where(ok[i, i:], num / dist_a[i, i:], 0.0))))
+    return best
+
+
+def random_even_field(grid, L_max, seed):
+    """Random field of even degrees only, so f(-x) = f(x) and many pairs tie."""
+    c = 0.05 * np.random.default_rng(seed).standard_normal((L_max + 1) ** 2)
+    for l in range(1, L_max + 1, 2):
+        c[l * l : (l + 1) ** 2] = 0.0
+    c[0] = 2.0 * np.sqrt(4.0 * np.pi)
+    return harmonics.synthesize(harmonics.HarmonicCoeffs(L_max=L_max, c=c), grid)
+
+
+HOLDER_FIELDS = {
+    "ellipsoid": FIELD_CLASSES["ellipsoid"],
+    "sectoral": lambda grid, L_max: harmonic_field(grid, 2.0, {(3, 3): 0.4}, L_max),
+    "random_even": lambda grid, L_max: random_even_field(grid, L_max, 5),
+    "constant": FIELD_CLASSES["constant"],
+}
+
+
+class TestHolderSearch:
+    @pytest.mark.parametrize("L, L_max", [(12, 11), (13, 12), (17, 16), (48, 32)])
+    @pytest.mark.parametrize("kind", sorted(HOLDER_FIELDS))
+    def test_equals_full_table(self, L, L_max, kind):
+        # the pruned search returns the full table's value to the last bit
+        f = HOLDER_FIELDS[kind](sphere.make_grid(L), L_max)
+        for alpha in (0.25, 0.5, 0.9, 1):
+            want = ref_holder_seminorm(f, alpha)
+            assert convexity.holder_seminorm(f, alpha) == want, alpha
+            if kind == "constant":
+                assert want == 0.0
+
+    def test_heap_below_one_pair_table(self):
+        # one (L, L, n) separation table and chunks of survivors, well below
+        # the (L, n, n) difference block of a full table row sweep
+        grid = sphere.make_grid(96)
+        f = random_even_field(grid, 64, 5)
+        tracemalloc.start()
+        try:
+            convexity.holder_seminorm(f, 0.5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < grid.L * (2 * grid.L) ** 2 * 8
 
 
 class TestRingPaths:
@@ -394,8 +467,8 @@ class TestRotation:
         assert np.max(np.abs(G - np.roll(F, steps, axis=1))) <= tol
         (holds_f, worst_f), (holds_g, worst_g) = convexity.check_T33(f), convexity.check_T33(g)
         assert holds_f == holds_g and abs(worst_f - worst_g) <= tol
-        h_f = convexity.hessian_min(harmonics.solve_christoffel(f, project=True))[0]
-        h_g = convexity.hessian_min(harmonics.solve_christoffel(g, project=True))[0]
+        h_f = convexity.hessian_min(harmonics.solve_christoffel(f, project=True).u)[0]
+        h_g = convexity.hessian_min(harmonics.solve_christoffel(g, project=True).u)[0]
         assert abs(h_f - h_g) <= tol
         for crit in ("cr1", "cr2"):
             rep_f, rep_g = convexity.sweep(f, crit), convexity.sweep(g, crit)
@@ -480,7 +553,7 @@ class TestTwoByTwo:
 class TestHessianMin:
     def test_unit_ball(self, grid24):
         u = constant_field(grid24, 1.0, L_max=12)
-        hmin, _ = convexity.hessian_min(u)
+        hmin = convexity.hessian_min(u)[0]
         assert abs(hmin - 1.0) < 1e-10
 
     def test_continuity_anchor(self, grid24):
@@ -495,7 +568,7 @@ class TestHessianMin:
     def test_ellipsoid_min_radius(self, grid48):
         ell = body.Ellipsoid(1.0, 1.2, 0.8)
         u = body.support_function(ell, grid48, L_max=32)
-        hmin, _ = convexity.hessian_min(u)
+        hmin = convexity.hessian_min(u)[0]
         assert hmin > 0
         # smallest principal radius over the grid, against the analytic radii
         analytic = min(
@@ -515,7 +588,7 @@ class TestSufficientConditions:
         f = harmonic_field(grid24, 2.0, {(2, 0): 0.05}, L_max=12)
         holds, lhs, rhs = convexity.check_T32(f, 0.5)
         assert holds and lhs <= rhs
-        u = harmonics.solve_christoffel(f)
+        u = harmonics.solve_christoffel(f).u
         assert convexity.hessian_min(u)[0] >= -1e-6
 
     def test_t32_one_sided(self, grid24):
@@ -555,7 +628,7 @@ class TestSufficientConditions:
             f = random_positive_field(grid24, rng, amp=rng.uniform(0.02, 0.6), L_max=12)
             holds, _ = convexity.check_T33(f, n_t=6, n_xi=2)
             if holds:
-                u = harmonics.solve_christoffel(f, project=True)
+                u = harmonics.solve_christoffel(f, project=True).u
                 assert convexity.hessian_min(u)[0] >= -1e-6
                 checked += 1
         assert checked >= 2
@@ -605,7 +678,7 @@ class TestSufficientConditions:
             f = random_positive_field(grid24, rng, amp=rng.uniform(0.02, 0.4), L_max=12)
             gm, _ = convexity.check_guan_ma(f)
             if gm:
-                u = harmonics.solve_christoffel(f, project=True)
+                u = harmonics.solve_christoffel(f, project=True).u
                 assert convexity.hessian_min(u)[0] >= -1e-6
                 implied += 1
         assert implied >= 3
