@@ -333,7 +333,8 @@ def run(args) -> tuple[dict, int]:
             "pogorelov": {"holds": holds_pc, "min": min_pc},
             "guan_ma": {"holds": holds_gm, "min_eig": eig_gm},
         }
-        report["kernel_equivalence"] = _kernel_equivalence_summary()
+        report["kernel_equivalence"] = _kernel_equivalence_summary(
+            {n: _kernel_rows(n) for n in (2, 3, 4)})
         code = _exit_code_from_verdicts(verdicts)
 
     elif args.command == "lp":
@@ -412,47 +413,34 @@ def run(args) -> tuple[dict, int]:
     return report, code
 
 
-def _kernel_equivalence_summary(s_values=None, ns=(2, 3, 4)) -> dict:
-    if s_values is None:
-        s_values = np.arange(-0.95, 0.951, 0.05)
-    worst_rc = 0.0
-    worst_cf = 0.0
-    for n in ns:
-        params = kernels.KernelParams(n=n)
-        for s in s_values:
-            oc = kernels.omega_closed(float(s), params)
-            worst_rc = max(worst_rc, abs(kernels.omega_radial(float(s), params) - oc))
-            worst_cf = max(worst_cf, abs(oc - kernels.firey_theta(float(s), params)))
+def _kernel_rows(n: int) -> list:
+    """(s, omega_radial, omega_closed, firey_theta) in dimension n at every
+    s of the kernel table, -0.95 to 0.95 in steps of 0.05."""
+    params = kernels.KernelParams(n=n)
+    return [(s, kernels.omega_radial(s, params), kernels.omega_closed(s, params),
+             kernels.firey_theta(s, params))
+            for s in map(float, np.arange(-0.95, 0.951, 0.05))]
+
+
+def _kernel_equivalence_summary(rows: dict) -> dict:
+    """Largest gaps between the three routes to omega over the
+    :func:`_kernel_rows` of each dimension in ``rows``."""
+    flat = [r for n_rows in rows.values() for r in n_rows]
     return {
-        "max_abs_radial_minus_closed": worst_rc,
-        "max_abs_closed_minus_firey": worst_cf,
-        "dimensions": list(ns),
+        "max_abs_radial_minus_closed": max([0.0] + [abs(rc - oc) for _, rc, oc, _ in flat]),
+        "max_abs_closed_minus_firey": max([0.0] + [abs(oc - ft) for _, _, oc, ft in flat]),
+        "dimensions": list(rows),
     }
 
 
 def _kernel_table_csv(n: int):
-    params = kernels.KernelParams(n=n)
-    s_values = np.arange(-0.95, 0.951, 0.05)
-    header = "s,omega_radial,omega_closed,firey_theta,berg_g2,berg_g3,berg_g4"
-    lines = [header]
-    for s in s_values:
-        s = float(s)
-        lines.append(
-            ",".join(
-                repr(v)
-                for v in (
-                    s,
-                    kernels.omega_radial(s, params),
-                    kernels.omega_closed(s, params),
-                    kernels.firey_theta(s, params),
-                    kernels.berg_g(2, s),
-                    kernels.berg_g(3, s),
-                    kernels.berg_g(4, s),
-                )
-            )
-        )
-    summary = _kernel_equivalence_summary(s_values, ns=(n,) if n != 2 else (2, 3, 4))
-    return "\n".join(lines) + "\n", summary
+    rows = {d: _kernel_rows(d) for d in ((n,) if n != 2 else (2, 3, 4))}
+    lines = ["s,omega_radial,omega_closed,firey_theta,berg_g2,berg_g3,berg_g4"]
+    for row in rows[n]:
+        s = row[0]
+        berg = (kernels.berg_g(2, s), kernels.berg_g(3, s), kernels.berg_g(4, s))
+        lines.append(",".join(repr(v) for v in row + berg))
+    return "\n".join(lines) + "\n", _kernel_equivalence_summary(rows)
 
 
 def _main(argv) -> int:

@@ -29,22 +29,25 @@ subtracted f(x), <z, grad f(x)> and x (x) V(x), and the z z^T and
 z_c z z^T moments act only along x, so they leave the tangent block.
 
 The 6 packed channels sym(z (x) V) resp. f z z^T are spherical polynomials
-of degree <= L_max + 2: they are formed on the internal Gauss grid
-:func:`harmonics.channel_grid`, analyzed exactly at that band, multiplied
-degree by degree (:func:`_multipliers`) and synthesized on the grid of f or
-at any points (:func:`criterion_forms`).  The minimum over unit tangent xi
-at a node is the smaller eigenvalue of a 2x2 matrix, in closed form.  The
-kernel quadrature of the integrals themselves stays in the tests, as the
-oracle for these forms.
+of degree <= L_max + 2: they are formed on the Gauss grid of
+:attr:`harmonics.HarmonicCoeffs.channel_field`, analyzed exactly at that
+band, multiplied degree by degree (:func:`_multipliers`) and synthesized on
+the grid of f or at any points (:func:`criterion_forms`).  The minimum over
+unit tangent xi at a node is the smaller eigenvalue of a 2x2 matrix, in
+closed form.  The kernel quadrature of the integrals themselves stays in
+the tests, as the oracle for these forms.
 
 Ground truth: hessian_min checks min eig(Hess u + u I) directly on the
 spectral solution, and :func:`route_gap` compares it node by node with the
 sweeps.  The classical sufficient conditions (Hoelder threshold, symmetry
-monotonicity, Pogorelov, Guan-Ma) are provided as checkers; the Hoelder
-grid seminorm reads its node separations from :func:`ring_cosines` and
-finds the largest pair by bound and prune, evaluating only the (ring, ring,
-azimuth offset) entries that triangle and range bounds cannot rule out, and
-the T33 samples of a ring are one rotated set, evaluated ring-wise by
+monotonicity, Pogorelov, Guan-Ma) are provided as checkers.  Pogorelov and
+Guan-Ma read one 2x2 form per node of f's grid from f's kept grid gradient
+and Hessian, Guan-Ma by the quotient rule, so neither needs another grid
+or transform.  The Hoelder grid seminorm reads its node separations from
+:func:`ring_cosines` and finds the largest pair by bound and prune,
+evaluating only the (ring, ring, azimuth offset) entries that triangle and
+range bounds cannot rule out, and the T33 samples of a ring are one
+rotated set, evaluated ring-wise by
 :func:`christoffel.harmonics._orbit_values_and_slopes`.
 """
 
@@ -58,7 +61,7 @@ import numpy as np
 from . import harmonics, kernels
 from .errors import NotPositive
 from .harmonics import _SYM_COLS, _SYM_FULL, _SYM_ROWS, HarmonicCoeffs
-from .sphere import SpherePoint, TangentDirection, make_grid, tangent_bases
+from .sphere import SpherePoint, TangentDirection, tangent_bases
 
 # rounding-floor factor of the sweep error band (see :func:`sweep`)
 _BAND_KAPPA = 4.0
@@ -122,10 +125,10 @@ def criterion_forms(f, criterion: Criterion | str, points=None):
     crit = Criterion(criterion)
     coeffs = harmonics.require_coeffs(f)
     L_max = coeffs.L_max
-    g = harmonics.synthesize(coeffs, harmonics.channel_grid(L_max))
+    g = coeffs.channel_field
     Z = g.grid.nodes
     if crit is Criterion.CR1:
-        V = harmonics.grid_gradient(g) - g.values[:, None] * Z
+        V = g.gradient - g.values[:, None] * Z
         cols = 0.5 * (Z[:, _SYM_ROWS] * V[:, _SYM_COLS] + Z[:, _SYM_COLS] * V[:, _SYM_ROWS])
     else:
         cols = g.values[:, None] * Z[:, _SYM_ROWS] * Z[:, _SYM_COLS]
@@ -133,15 +136,16 @@ def criterion_forms(f, criterion: Criterion | str, points=None):
     channels = [HarmonicCoeffs(L_max=L_max + 2, c=mu * ch.c)
                 for ch in harmonics.analyze_channels(g.grid, cols, L_max + 2)]
 
-    def at(ch):
+    def at(chs):
         if points is None:
-            return harmonics.synthesize(ch, f.grid).values
-        return harmonics.synthesize_at(ch, points)
+            return np.stack([harmonics.synthesize(ch, f.grid).values for ch in chs], axis=-1)
+        return harmonics.synthesize_at(chs, points)
 
-    S = np.stack([at(ch) for ch in channels], axis=-1)[:, _SYM_FULL]
+    S = at(channels)[:, _SYM_FULL]
     if crit is Criterion.CR1:
         return np.zeros(len(S)), S
-    return at(HarmonicCoeffs(L_max=L_max, c=-(_harmonic_numbers(L_max) + 0.5) * coeffs.c)), S
+    scalar = HarmonicCoeffs(L_max=L_max, c=-(_harmonic_numbers(L_max) + 0.5) * coeffs.c)
+    return at([scalar])[:, 0], S
 
 
 def _min_eig2(a, b, d):
@@ -251,7 +255,7 @@ def hessian_min(u):
     Returns (min_eig, witness SpherePoint, the (N,) smaller eigenvalue at
     every node).
     """
-    H = harmonics.grid_hessian(u)
+    H = u.hessian
     mins = _min_eig2(H[:, 0, 0] + u.values, H[:, 0, 1], H[:, 1, 1] + u.values)
     i = int(np.argmin(mins))
     return float(mins[i]), SpherePoint(u.grid.nodes[i]), mins
@@ -405,41 +409,46 @@ def check_T33(f, n_t: int = 12, n_xi: int = 4, rtol: float = 1e-8):
     return bool(worst <= rtol * float(np.max(np.abs(f.values)))), worst
 
 
+def _pogorelov_form(f):
+    """Entries (a, b, d) of the 2x2 form f I - Hess f at every node of f,
+    in the tangent bases of :func:`christoffel.sphere.tangent_bases`."""
+    H = f.hessian
+    return f.values - H[:, 0, 0], -H[:, 0, 1], f.values - H[:, 1, 1]
+
+
+def _guan_ma_form(f):
+    """Entries (a, b, d) of f^2 (Hess(1/f) + (1/f) I) = f I - Hess f +
+    2 grad f grad f^T / f at every node of f, in the bases of
+    :func:`_pogorelov_form`."""
+    a, b, d = _pogorelov_form(f)
+    g1, g2 = (np.sum(f.gradient * e, axis=1) for e in tangent_bases(f.grid.nodes))
+    w = 2.0 / f.values
+    return a + w * g1 * g1, b + w * g1 * g2, d + w * g2 * g2
+
+
 def check_pogorelov(f):
     """Arc-length condition f - f_ss > 0 on S^2 (two dimensions).
 
     f_ss along xi is the (xi, xi) entry of the covariant Hessian, so the
-    minimum over directions is f minus the largest Hessian eigenvalue.
-    Returns (holds, min value).
+    minimum over directions is the smaller eigenvalue of f I - Hess f
+    (:func:`_pogorelov_form`) at each node.  Returns (holds, min value).
     """
     _require_positive(f)
-    H = harmonics.grid_hessian(f)
-    hess_max = -_min_eig2(-H[:, 0, 0], -H[:, 0, 1], -H[:, 1, 1])
-    min_val = float(np.min(f.values - hess_max))
+    min_val = float(np.min(_min_eig2(*_pogorelov_form(f))))
     return bool(min_val > 0.0), min_val
 
 
 def check_guan_ma(f):
     """Constant-rank condition: Hess(1/f) + (1/f) I >= 0 on S^2.
 
-    1/f is re-analyzed at twice the field's band limit to absorb the
-    nonlinearity, on an internal finer grid when the field's own grid cannot
-    support that band.  Returns (holds, min eigenvalue); holds when the
-    minimum is at least -1e-8 max|1/f|.
+    By the quotient rule the form is (f I - Hess f + 2 grad f grad f^T /
+    f) / f^2 (:func:`_guan_ma_form`), exact at every node of f's grid from
+    f's grid gradient and Hessian: 1/f, which is not band-limited, is never
+    analyzed.  It is the Pogorelov form plus a positive semidefinite term,
+    over f^2, so Pogorelov implies Guan-Ma node by node.  Returns (holds,
+    min eigenvalue); holds when the minimum is at least -1e-8 max 1/f.
     """
     _require_positive(f)
-    coeffs = harmonics.require_coeffs(f)
-    L_target = 2 * coeffs.L_max
-    grid = f.grid
-    if grid.L < L_target + 1:
-        grid = make_grid(L_target + 2)
-        vals = 1.0 / harmonics.synthesize(coeffs, grid).values
-    else:
-        vals = 1.0 / f.values
-    inv = harmonics.SphericalField(grid=grid, values=vals)
-    inv = harmonics.SphericalField(grid=grid, values=vals,
-                                   coeffs=harmonics.analyze(inv, L_target))
-    H = harmonics.grid_hessian(inv)
-    mins = _min_eig2(H[:, 0, 0] + inv.values, H[:, 0, 1], H[:, 1, 1] + inv.values)
-    min_eig = float(np.min(mins))
-    return bool(min_eig >= -1e-8 * float(np.max(np.abs(vals)))), min_eig
+    v = f.values
+    min_eig = float(np.min(_min_eig2(*_guan_ma_form(f)) / (v * v)))
+    return bool(min_eig >= -1e-8 * (1.0 / float(np.min(v)))), min_eig

@@ -35,9 +35,12 @@ d_i h, x_i h, d_ij h, x_i d_j h and x_i x_j h of its solid harmonic h, so
 the 3 entries of DG are spherical polynomials of degree <= L_max + 1 and the
 6 entries of D^2 G of degree <= L_max + 2.  They are analyzed once per
 coefficient set (:attr:`HarmonicCoeffs.extension_channels`) from the grid
-derivatives on the Gauss grid L_max + 3, which integrates their products
-with the basis exactly.  Point gradients and Hessians then only synthesize
-channels: no (theta, phi) frame and no pole test.
+derivatives of :attr:`HarmonicCoeffs.channel_field`, the field on the Gauss
+grid L_max + 3, which integrates their products with the basis exactly.
+Point gradients and Hessians then only synthesize channels, all channels
+of one band from one set of theta profiles: no (theta, phi) frame and no
+pole test.  Grid derivatives are formed once per field and kept
+(:attr:`SphericalField.gradient`, :attr:`SphericalField.hessian`).
 """
 
 from __future__ import annotations
@@ -109,6 +112,15 @@ class HarmonicCoeffs:
         return HarmonicCoeffs(L_max=self.L_max, c=c)
 
     @cached_property
+    def channel_field(self) -> SphericalField:
+        """This expansion on the Gauss grid L_max + 3 (at least 4), which
+        analyzes its channels of degree <= L_max + 2 exactly.  It holds its
+        own coefficient object over the same c, so it forms no reference
+        cycle with these coefficients and is freed with them."""
+        own = HarmonicCoeffs(L_max=self.L_max, c=self.c)
+        return synthesize(own, make_grid(max(self.L_max + 3, 4)))
+
+    @cached_property
     def extension_channels(self) -> ExtensionChannels:
         """Derivative channels of the 1-homogeneous extension, built on
         first use and kept with these coefficients."""
@@ -148,8 +160,13 @@ class SphericalField:
 
     @cached_property
     def gradient(self) -> np.ndarray:
-        """:func:`grid_gradient` of this field, formed once and kept."""
-        return grid_gradient(self)
+        """:func:`grid_gradient` of this field, formed once, kept read-only."""
+        return _read_only(grid_gradient(self))[0]
+
+    @cached_property
+    def hessian(self) -> np.ndarray:
+        """:func:`grid_hessian` of this field, formed once, kept read-only."""
+        return _read_only(grid_hessian(self))[0]
 
 
 def require_coeffs(f: SphericalField) -> HarmonicCoeffs:
@@ -314,22 +331,23 @@ def _azimuth_plan(L: int, L_max: int):
     return _read_only(cos_t, sin_t, m * cos_t, m * sin_t, m**2 * cos_t, m**2 * sin_t)
 
 
-def _coeff_stacks(coeffs: HarmonicCoeffs):
-    """Per-order coefficient vectors: (cos, sin) lists indexed by m."""
-    cos_idx, sin_idx = _order_index(coeffs.L_max)
-    c = coeffs.c
+def _coeff_stacks(c: np.ndarray, L_max: int):
+    """Per-order coefficients of the flat array c, (K,) or (K, C) for C
+    channels: (cos, sin) lists indexed by m."""
+    cos_idx, sin_idx = _order_index(L_max)
     return [c[i] for i in cos_idx], [None] + [c[i] for i in sin_idx[1:]]
 
 
 def _synth_theta_stacks(blocks, cos_c, sin_c, L_max, deriv=0):
     """Contract Legendre blocks with coefficients over l.
 
-    Returns (A, B) of shape (n_pts, L_max + 1): theta profiles multiplying
-    the cos/sin azimuth rows.
+    Returns (A, B) of shape (n_pts, L_max + 1), with a trailing channel
+    axis when the coefficients have one: theta profiles multiplying the
+    cos/sin azimuth rows.
     """
-    n_pts = blocks[0][0].shape[0]
-    A = np.zeros((n_pts, L_max + 1))
-    B = np.zeros((n_pts, L_max + 1))
+    shape = (blocks[0][0].shape[0], L_max + 1) + cos_c[0].shape[1:]
+    A = np.zeros(shape)
+    B = np.zeros(shape)
     for m in range(L_max + 1):
         block = blocks[m][deriv]
         A[:, m] = block @ cos_c[m]
@@ -391,7 +409,7 @@ def _grid_eval(coeffs, grid, deriv=(0,)):
     need2 = any(d in (2, "thetaphi") for d in deriv)
     need1 = need2 or any(d == 1 for d in deriv)
     blocks = _grid_blocks(grid.L, L_max, 2 if need2 else (1 if need1 else 0))
-    cos_c, sin_c = _coeff_stacks(coeffs)
+    cos_c, sin_c = _coeff_stacks(coeffs.c, L_max)
     cos_t, sin_t, m_cos, m_sin, m2_cos, m2_sin = _azimuth_plan(grid.L, L_max)
     out = []
     cache = {}
@@ -523,6 +541,9 @@ def _theta_profiles(coeffs, theta, nderiv=0):
     """Theta profiles of every order and their first ``nderiv``
     theta-derivatives at arbitrary colatitudes: a list of ``nderiv + 1``
     pairs (A, B), each (n_pts, L_max + 1), as :func:`_synth_theta_stacks`.
+    ``coeffs`` is one coefficient set, or a sequence of sets of one band
+    whose profiles then carry a trailing channel axis: all channels share
+    one FFT and one product.
 
     A_m(theta) = sum_l c_lm P_l^m(cos theta) is a trigonometric polynomial
     of degree <= L_max, a cosine series for even m and a sine series for
@@ -533,36 +554,44 @@ def _theta_profiles(coeffs, theta, nderiv=0):
     coefficients (a_k, b_k) to (k b_k, -k a_k).  One real matrix product
     with cos k theta and sin k theta then gives every profile at the points.
     """
-    L_max = coeffs.L_max
+    if isinstance(coeffs, HarmonicCoeffs):
+        L_max, c = coeffs.L_max, coeffs.c
+    else:
+        L_max, c = coeffs[0].L_max, np.stack([ch.c for ch in coeffs], axis=1)
     n = L_max + 1
-    A, B = _synth_theta_stacks(_profile_blocks(L_max), *_coeff_stacks(coeffs), L_max)
+    A, B = _synth_theta_stacks(_profile_blocks(L_max), *_coeff_stacks(c, L_max), L_max)
     prof = np.concatenate([A, B], axis=1)  # columns A_0..A_L, B_0..B_L
-    circle = np.concatenate([prof, np.tile((-1.0) ** np.arange(n), 2) * prof[-2:0:-1]])
+    trail = (1,) * (c.ndim - 1)
+    sign = np.tile((-1.0) ** np.arange(n), 2).reshape((2 * n,) + trail)
+    circle = np.concatenate([prof, sign * prof[-2:0:-1]])
     F = np.fft.rfft(circle, axis=0)[:n] / n  # the Nyquist term is zero
     F[0] *= 0.5
     a, b = F.real, -F.imag
-    k = np.arange(n)
+    k = np.arange(n).reshape((n, 1) + trail)
     W = []
     for _ in range(nderiv + 1):
-        W.append(np.stack([a, b], axis=1).reshape(2 * n, 2 * n))  # rows a_0 b_0 a_1 ...
-        a, b = k[:, None] * b, -k[:, None] * a
+        W.append(np.stack([a, b], axis=1).reshape(2 * n, -1))  # rows a_0 b_0 a_1 ...
+        a, b = k * b, -k * a
     # exp(i k theta) viewed as float interleaves cos k theta and sin k theta
     # in the row order of W
-    P = np.exp(1j * np.multiply.outer(theta, k)).view(float) @ np.concatenate(W, axis=1)
-    return [(P[:, 2 * n * d : 2 * n * d + n], P[:, 2 * n * d + n : 2 * n * (d + 1)])
-            for d in range(nderiv + 1)]
+    P = np.exp(1j * np.multiply.outer(theta, np.arange(n))).view(float) @ np.concatenate(W, axis=1)
+    P = P.reshape((len(theta), nderiv + 1, 2, n) + c.shape[1:])
+    return [(P[:, d, 0], P[:, d, 1]) for d in range(nderiv + 1)]
 
 
-def synthesize_at(coeffs: HarmonicCoeffs, points) -> np.ndarray:
+def synthesize_at(coeffs, points) -> np.ndarray:
     """Evaluate the expansion at arbitrary unit vectors, shape (N, 3).
 
     The theta profiles come from :func:`_theta_profiles` and are contracted
     with the azimuth factors of each point; memory is O(n_pts L_max).
+    ``coeffs`` may also be a sequence of coefficient sets of one band: the
+    result is then (N, len(coeffs)), from one set of profiles for all.
     """
     _, theta, phi = _points_angles(points)
     (A, B), = _theta_profiles(coeffs, theta)
-    m = np.arange(coeffs.L_max + 1)[None, :]
+    m = np.arange(A.shape[1])[None, :]
     z = np.where(m > 0, np.sqrt(2.0), 1.0) * np.exp(1j * m * phi[:, None])
+    z = z.reshape(z.shape + (1,) * (A.ndim - 2))
     return np.sum(A * z.real + B * z.imag, axis=1)
 
 
@@ -597,13 +626,6 @@ def _grid_frame(L: int):
     return frame, rot
 
 
-def channel_grid(L_max: int) -> SphereGrid:
-    """The Gauss grid L_max + 3 (at least the smallest grid), on which the
-    derivative and product channels of a band-L_max field, of degree
-    <= L_max + 2, are analyzed exactly."""
-    return make_grid(max(L_max + 3, 4))
-
-
 def analyze_channels(grid: SphereGrid, values: np.ndarray, band: int) -> tuple:
     """Coefficients at ``band`` of every column of ``values`` (N, C)."""
     return tuple(analyze(SphericalField(grid=grid, values=v), band) for v in values.T)
@@ -611,21 +633,17 @@ def analyze_channels(grid: SphereGrid, values: np.ndarray, band: int) -> tuple:
 
 def _extension_channels(coeffs: HarmonicCoeffs) -> ExtensionChannels:
     """DG and D^2 G of the 1-homogeneous extension from the grid gradient
-    and Hessian on the :func:`channel_grid`, analyzed at their exact bands."""
+    and Hessian of :attr:`HarmonicCoeffs.channel_field`, analyzed at their
+    exact bands."""
     L_max = coeffs.L_max
-    field = synthesize(coeffs, channel_grid(L_max))
+    field = coeffs.channel_field
     grid, g = field.grid, field.values
-    DG = grid_gradient(field) + g[:, None] * grid.nodes
+    DG = field.gradient + g[:, None] * grid.nodes
     E = np.stack(tangent_bases(grid.nodes), axis=2)  # (N, 3, 2)
-    H = grid_hessian(field) + g[:, None, None] * np.eye(2)
+    H = field.hessian + g[:, None, None] * np.eye(2)
     D2G = np.einsum("nik,nkl,njl->nij", E, H, E)[:, _SYM_ROWS, _SYM_COLS]
     return ExtensionChannels(grad=analyze_channels(grid, DG, L_max + 1),
                              hess=analyze_channels(grid, D2G, L_max + 2))
-
-
-def _synthesize_channels(channels, points) -> np.ndarray:
-    """Every channel at the points, shape (N, len(channels))."""
-    return np.stack([synthesize_at(c, points) for c in channels], axis=-1)
 
 
 def values_and_gradient_at(coeffs: HarmonicCoeffs, points):
@@ -633,7 +651,7 @@ def values_and_gradient_at(coeffs: HarmonicCoeffs, points):
     (N, 3): grad g(x) = DG(x) - g(x) x."""
     pts = np.asarray(points, dtype=float)
     vals = synthesize_at(coeffs, pts)
-    DG = _synthesize_channels(coeffs.extension_channels.grad, pts)
+    DG = synthesize_at(coeffs.extension_channels.grad, pts)
     return vals, DG - vals[:, None] * pts
 
 
@@ -644,7 +662,7 @@ def extension_hessian_at(coeffs: HarmonicCoeffs, points) -> np.ndarray:
     on the tangent plane are those of Hess g + g I (the principal radii when
     g is a support function).
     """
-    return _synthesize_channels(coeffs.extension_channels.hess, points)[:, _SYM_FULL]
+    return synthesize_at(coeffs.extension_channels.hess, points)[:, _SYM_FULL]
 
 
 def hessian_at(coeffs: HarmonicCoeffs, points) -> np.ndarray:

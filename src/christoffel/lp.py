@@ -33,7 +33,7 @@ import numpy as np
 
 from . import harmonics, kernels
 from .errors import InvalidParameter, NonConvergence, NotPositive, PositivityLost
-from .sphere import SphereGrid, make_grid
+from .sphere import make_grid
 
 # p = 2 Newton steps: GMRES to this relative residual, restarted after
 # _KRYLOV_RESTART iterations, for at most _KRYLOV_CYCLES cycles.  Newton
@@ -78,39 +78,22 @@ def _mean(f) -> float:
     return f.grid.integrate(f.values) / (4.0 * np.pi)
 
 
-def _operator_values(coeffs, grid):
-    """(Laplacian + 2) u sampled on the grid."""
-    return harmonics.synthesize(coeffs.apply_operator(), grid).values
-
-
-def lp_residual_values(u: harmonics.SphericalField, f: harmonics.SphericalField,
-                       p: float, lam: float | None = None,
-                       grid: SphereGrid | None = None) -> np.ndarray:
-    """Pointwise residual (Laplacian + 2) u - (lambda) f u^(p-1) on a grid.
-
-    Defaults to the solution's own grid; pass a finer grid for refinement
-    checks (both u and f are then synthesized there from their
-    coefficients).
-    """
-    uc = harmonics.require_coeffs(u)
-    scale = 1.0 if lam is None else lam
-    if grid is None or grid is u.grid:
-        grid = u.grid
-        uv = u.values
-        fv = f.values
-    else:
-        uv = harmonics.synthesize(uc, grid).values
-        fv = harmonics.synthesize(harmonics.require_coeffs(f), grid).values
-    lap2 = _operator_values(uc, grid)
-    return lap2 - scale * fv * uv ** (p - 1.0)
+def _residual_inf(coeffs, grid, fv, uv, p: float, lam: float | None = None) -> float:
+    """Max-norm residual of (Laplacian + 2) u - (lambda) f u^(p-1) on a
+    grid, from the coefficients of u and the values fv, uv of f and u at
+    its nodes."""
+    lu = harmonics.synthesize(coeffs.apply_operator(), grid).values
+    return float(np.max(np.abs(lu - (1.0 if lam is None else lam) * fv * uv ** (p - 1.0))))
 
 
 def residual_on_refined_grid(sol: LpSolution, f, refine: int = 2) -> float:
-    """Max-norm residual re-evaluated on a ``refine``-times finer grid."""
+    """Max-norm residual re-evaluated on a ``refine``-times finer grid, with
+    u and f synthesized there from their coefficients."""
     grid2 = make_grid(refine * sol.u.grid.L)
-    return float(np.max(np.abs(
-        lp_residual_values(sol.u, f, sol.p, sol.lam, grid2)
-    )))
+    uc = harmonics.require_coeffs(sol.u)
+    uv = harmonics.synthesize(uc, grid2).values
+    fv = harmonics.synthesize(harmonics.require_coeffs(f), grid2).values
+    return _residual_inf(uc, grid2, fv, uv, sol.p, sol.lam)
 
 
 def solve_lp(
@@ -168,8 +151,7 @@ def solve_lp(
         return rc.c, harmonics.degree1_magnitude(rc)
 
     def residual_inf_of(c_, uv_):
-        vals = _operator_values(harmonics.HarmonicCoeffs(L_max=L_max, c=c_), grid)
-        return float(np.max(np.abs(vals - f.values * uv_ ** (p - 1.0))))
+        return _residual_inf(harmonics.HarmonicCoeffs(L_max=L_max, c=c_), grid, f.values, uv_, p)
 
     rhs_c, d1 = rhs_coeffs(uv)
     res = residual_inf_of(c, uv)
@@ -311,8 +293,8 @@ def solve_lp_eigen(
     pin = harmonics.node_basis(grid, int(np.argmax(uv)), L_max)
 
     def residual_of(c_, lam_, uv_):
-        vals = _operator_values(harmonics.HarmonicCoeffs(L_max=L_max, c=c_), grid)
-        return float(np.max(np.abs(vals - lam_ * f.values * uv_)))
+        return _residual_inf(harmonics.HarmonicCoeffs(L_max=L_max, c=c_), grid, f.values, uv_,
+                             2.0, lam_)
 
     def jacobian_times(x):
         # reads the current Newton iterate's lam and Mc

@@ -513,3 +513,33 @@ class TestSharedWork:
                 counts.append(len(keys))
             runs.append(counts)
         assert runs[0] == runs[1]
+
+    def test_check_builds_no_legendre_table_above_channel_band(self, tmp_path, monkeypatch):
+        # every transform of check stays within the channel band L_max + 2:
+        # no hidden re-analysis at a wider band
+        bands = []
+        packed = harmonics._legendre_packed
+
+        def spy(t, L_max, *args):
+            bands.append(L_max)
+            return packed(t, L_max, *args)
+
+        monkeypatch.setattr(harmonics, "_legendre_packed", spy)
+        clear_program_caches()
+        _, code = run_cli(self.CHECK, tmp_path)
+        assert code in (0, 3)
+        assert bands and max(bands) <= 10 + 2
+
+    @pytest.mark.parametrize("n, dims", [(2, 3), (3, 1)])
+    def test_kernels_evaluates_each_quadrature_once(self, tmp_path, monkeypatch, n, dims):
+        # the CSV rows and the kernel_equivalence summary share one
+        # evaluation per (dimension, s)
+        seen = []
+        real = kernels.omega_radial
+        monkeypatch.setattr(kernels, "omega_radial",
+                            lambda s, params: seen.append((params.n, s)) or real(s, params))
+        report, code = run_cli(["kernels", "--n", str(n), "--out", str(tmp_path / "k.csv")],
+                               tmp_path)
+        assert code == 0
+        assert len(seen) == len(set(seen)) == 39 * dims
+        assert report["kernel_equivalence"]["dimensions"] == ([2, 3, 4] if n == 2 else [n])

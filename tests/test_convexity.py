@@ -682,3 +682,55 @@ class TestSufficientConditions:
                 assert convexity.hessian_min(u)[0] >= -1e-6
                 implied += 1
         assert implied >= 3
+
+
+def zonal_guan_ma_min(grid, base, eps):
+    """Closed-form Guan-Ma minimum over the nodes for f = base + eps Y_2^0:
+    with g = 1/f(theta), the form Hess g + g I has the eigenvalues g'' + g
+    along e_theta and g' cot(theta) + g along e_phi."""
+    k = np.sqrt(5.0 / (16.0 * np.pi))
+    c = grid.nodes[:, 2]
+    s = np.sqrt(1.0 - c * c)
+    f = base + eps * k * (3.0 * c * c - 1.0)
+    df = -6.0 * eps * k * c * s
+    d2f = -6.0 * eps * k * (c * c - s * s)
+    g, dg, d2g = 1.0 / f, -df / f**2, -d2f / f**2 + 2.0 * df**2 / f**3
+    return float(np.min(np.minimum(d2g + g, dg * c / s + g))), float(np.max(g))
+
+
+class TestGuanMa:
+    @pytest.mark.parametrize("eps", [0.3, 0.8, 1.2, 2.5])
+    def test_zonal_closed_form(self, grid24, eps):
+        f = harmonic_field(grid24, 2.0, {(2, 0): eps}, L_max=12)
+        want, inv_max = zonal_guan_ma_min(grid24, 2.0, eps)
+        assert abs(convexity.check_guan_ma(f)[1] - want) <= 1e-12 * inv_max
+
+    @pytest.mark.parametrize("name", sorted(FIELD_CLASSES))
+    def test_pogorelov_implies_guan_ma_at_every_node(self, grid24, name):
+        # f^2 (Hess(1/f) + (1/f) I) is f I - Hess f plus a positive
+        # semidefinite rank-one term, so its smaller eigenvalue is at least
+        # the Pogorelov one at each node, not only in the minimum, up to the
+        # rounding of the 2x2 eigenvalue (a few ulps of the form's entries)
+        f = FIELD_CLASSES[name](grid24, 12)
+        pogorelov = convexity._min_eig2(*convexity._pogorelov_form(f))
+        form = convexity._guan_ma_form(f)
+        scaled = convexity._min_eig2(*form)
+        ulps = 4.0 * np.finfo(float).eps * sum(np.abs(x) for x in form)
+        assert np.all(scaled >= pogorelov - ulps)
+        assert convexity.check_pogorelov(f)[1] == float(np.min(pogorelov))
+        assert convexity.check_guan_ma(f)[1] == float(np.min(scaled / f.values**2))
+
+    def test_builds_no_grid_and_no_analysis(self, grid24, monkeypatch):
+        # the form is read on f's own nodes: no finer grid, no transform of 1/f
+        f = random_positive_field(grid24, np.random.default_rng(24), L_max=12)
+        calls = []
+        for mod in (sphere, harmonics, convexity):
+            if hasattr(mod, "make_grid"):
+                monkeypatch.setattr(mod, "make_grid",
+                                    lambda L, _real=mod.make_grid: calls.append(L) or _real(L))
+        monkeypatch.setattr(harmonics, "analyze",
+                            lambda *args, **kw: pytest.fail("analyze called"))
+        clear_program_caches()
+        convexity.check_guan_ma(f)
+        # the node frame of f's own grid is the only grid built
+        assert set(calls) <= {f.grid.L}

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -605,6 +608,22 @@ class TestExtensionChannels:
         harmonics.synthesize_at(random_coeffs(6, seed=31), pts)
         assert built == [coeffs]
 
+    def test_channel_field_freed_without_collector(self):
+        # the kept channel field holds no reference back to its
+        # coefficients, so they are freed when the last user drops them,
+        # not at the next full garbage collection
+        coeffs = random_coeffs(6, seed=33)
+        coeffs.channel_field.gradient
+        assert coeffs.channel_field.coeffs is not coeffs
+        assert np.shares_memory(coeffs.channel_field.coeffs.c, coeffs.c)
+        gc.disable()
+        try:
+            ref = weakref.ref(coeffs)
+            del coeffs
+            assert ref() is None
+        finally:
+            gc.enable()
+
     def test_low_band(self):
         # L_max = 0: a constant c has D^2 U = c (I - x x^T)
         coeffs = harmonics.HarmonicCoeffs(L_max=0, c=np.array([2.0 * np.sqrt(4 * np.pi)]))
@@ -627,6 +646,21 @@ class TestThetaProfiles:
             for g, w in zip(got[d], want):
                 assert g.shape == w.shape
                 assert np.max(np.abs(g - w)) <= bound * scale
+
+    @pytest.mark.parametrize("L_max", [0, 5, 32])
+    def test_channels_share_one_profile_pass(self, L_max, monkeypatch):
+        # a stack of channels takes one profile FFT and gives what
+        # synthesize_at gives channel by channel
+        channels = [random_coeffs(L_max, seed=40 + k) for k in range(6)]
+        pts = probe_points(300, seed=41)
+        want = np.stack([harmonics.synthesize_at(c, pts) for c in channels], axis=-1)
+        ffts = []
+        rfft = np.fft.rfft
+        monkeypatch.setattr(np.fft, "rfft", lambda *a, **kw: ffts.append(1) or rfft(*a, **kw))
+        got = harmonics.synthesize_at(channels, pts)
+        assert len(ffts) == 1
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("theta", [1e-4, 1e-6, 1e-7])
     @pytest.mark.parametrize("l", [1, 2])
