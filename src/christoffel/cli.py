@@ -307,7 +307,7 @@ def run(args) -> tuple[dict, int]:
         grid, f, u = _solve_pipeline(args, report)
         hmin, hwit, node_hmins = convexity.hessian_min(u)
         report["hessian_min"] = {"value": hmin, "witness": list(hwit.coords)}
-        holds33, worst33 = convexity.check_T33(f)
+        holds33, min33, wit33 = convexity.check_T33(f)
         verdicts = []
         report["criteria"] = {}
         for name in names:
@@ -322,15 +322,17 @@ def run(args) -> tuple[dict, int]:
             }
             verdicts.append(rep.verdicts[name])
         holds32, lhs32, rhs32 = convexity.check_T32(f, args.alpha)
-        holds_pc, min_pc = convexity.check_pogorelov(f)
+        holds_pc, min_pc, wit_pc = convexity.check_pogorelov(f)
         holds_gm, eig_gm = convexity.check_guan_ma(f)
         report["sufficient_conditions"] = {
             "holder_threshold": {
                 "holds": holds32, "lhs": lhs32, "rhs": rhs32, "alpha": args.alpha,
                 "seminorm_is_grid_lower_bound": True,
             },
-            "symmetry_monotonicity": {"holds": holds33, "worst": worst33},
-            "pogorelov": {"holds": holds_pc, "min": min_pc},
+            "symmetry_monotonicity": {"holds": holds33, "min": min33,
+                                      "witness": _witness_json(wit33),
+                                      "equivalent_to": "pogorelov"},
+            "pogorelov": {"holds": holds_pc, "min": min_pc, "witness": _witness_json(wit_pc)},
             "guan_ma": {"holds": holds_gm, "min_eig": eig_gm},
         }
         report["kernel_equivalence"] = _kernel_equivalence_summary(

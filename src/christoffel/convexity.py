@@ -43,12 +43,12 @@ sweeps.  The classical sufficient conditions (Hoelder threshold, symmetry
 monotonicity, Pogorelov, Guan-Ma) are provided as checkers.  Pogorelov and
 Guan-Ma read one 2x2 form per node of f's grid from f's kept grid gradient
 and Hessian, Guan-Ma by the quotient rule, so neither needs another grid
-or transform.  The Hoelder grid seminorm reads its node separations from
-:func:`ring_cosines` and finds the largest pair by bound and prune,
-evaluating only the (ring, ring, azimuth offset) entries that triangle and
-range bounds cannot rule out, and the T33 samples of a ring are one
-rotated set, evaluated ring-wise by
-:func:`christoffel.harmonics._orbit_values_and_slopes`.
+or transform.  On S^2 symmetry monotonicity (T33) is the non-strict
+Pogorelov condition (:func:`check_T33` gives the proof), so it is decided
+from the same form and evaluates f at no point off the grid.  The Hoelder
+grid seminorm reads its node separations from :func:`ring_cosines` and
+finds the largest pair by bound and prune, evaluating only the (ring, ring,
+azimuth offset) entries that triangle and range bounds cannot rule out.
 """
 
 from __future__ import annotations
@@ -67,6 +67,8 @@ from .sphere import SpherePoint, TangentDirection, tangent_bases
 _BAND_KAPPA = 4.0
 # node differences per chunk of the Hoelder search (see :func:`holder_seminorm`)
 _HOLDER_CHUNK = 1 << 18
+# relative tolerance of the T33 and Guan-Ma verdicts on their form minima
+_FORM_RTOL = 1e-8
 
 
 class Criterion(Enum):
@@ -154,26 +156,29 @@ def _min_eig2(a, b, d):
     return 0.5 * (a + d) - np.sqrt(0.25 * (a - d) ** 2 + b * b)
 
 
-def _tangent_mins(S, e1, e2):
-    """Minimum of xi^T S xi over unit xi in span(e1, e2), for stacks of
-    forms S (n, 3, 3) and bases (n, 3)."""
+def _tangent_form(S, e1, e2):
+    """Entries (a, b, d) of xi^T S xi on span(e1, e2), for stacks of forms
+    S (n, 3, 3) and bases (n, 3)."""
     Se1 = np.einsum("nij,nj->ni", S, e1)
     Se2 = np.einsum("nij,nj->ni", S, e2)
-    return _min_eig2(np.sum(e1 * Se1, axis=1), np.sum(e2 * Se1, axis=1), np.sum(e2 * Se2, axis=1))
+    return np.sum(e1 * Se1, axis=1), np.sum(e2 * Se1, axis=1), np.sum(e2 * Se2, axis=1)
 
 
-def _tangent_min(S, e1, e2):
-    """Exact minimum of xi^T S xi over unit xi in span(e1, e2), with argmin."""
-    E = np.stack([e1, e2], axis=1)
-    T = E.T @ S @ E
-    lam = _min_eig2(T[0, 0], T[0, 1], T[1, 1])
-    v = np.array([T[0, 1], lam - T[0, 0]])
+def _form_min(a, b, d, e1, e2, c=0.0):
+    """Minimum over unit xi of c + xi^T [[a, b], [b, d]] xi at every node,
+    for forms (a, b, d) in the bases (e1, e2), the node i of the smallest
+    (the first in node order on a tie) and its exact minimizing unit
+    direction xi: (values, i, xi)."""
+    vals = _min_eig2(a, b, d) + c
+    i = int(np.argmin(vals))
+    a, b, d = a[i], b[i], d[i]
+    v = np.array([b, _min_eig2(a, b, d) - a])
     n = np.linalg.norm(v)
     if n < 1e-300:
-        v = np.array([1.0, 0.0]) if T[0, 0] <= T[1, 1] else np.array([0.0, 1.0])
+        v = np.array([1.0, 0.0]) if a <= d else np.array([0.0, 1.0])
     else:
         v = v / n
-    return float(lam), v[0] * e1 + v[1] * e2
+    return vals, i, v[0] * e1[i] + v[1] * e2[i]
 
 
 def sweep(f, criterion: Criterion | str) -> ConvexityReport:
@@ -204,10 +209,8 @@ def sweep(f, criterion: Criterion | str) -> ConvexityReport:
     grid = f.grid
     e1s, e2s = tangent_bases(grid.nodes)
     c, S = criterion_forms(f, crit)
-    vals = _tangent_mins(S, e1s, e2s) + c
-    i = int(np.argmin(vals))
+    vals, i, best_dir = _form_min(*_tangent_form(S, e1s, e2s), e1s, e2s, c)
     best = float(vals[i])
-    _, best_dir = _tangent_min(S[i], e1s[i], e2s[i])
     wx = SpherePoint(grid.nodes[i])
     L_max = f.coeffs.L_max
     band = float(_BAND_KAPPA * np.finfo(float).eps * (L_max + 3)
@@ -352,63 +355,6 @@ def check_T32(f, alpha: float):
     return bool(lhs <= rhs), lhs, rhs
 
 
-def _t33_samples(coeffs, grid, ts, angles):
-    """f and <grad f, xi> at (x +- t xi) / sqrt(1 + t^2) for every node x,
-    t in ``ts`` and xi = cos(a) e_theta(x) + sin(a) e_phi(x), a in ``angles``.
-
-    The samples of a ring are its azimuth-0 samples rotated about the
-    z-axis, together with their xi, so only the 2 n_t n_xi L azimuth-0
-    points are evaluated, each with its whole orbit and its slope along xi.
-    Returns (values, directional derivatives), each (n_xi, n_t, 2, N) in
-    node order.
-    """
-    t = grid.polar_nodes
-    st = np.sqrt(1.0 - t * t)
-    zero, one = np.zeros_like(t), np.ones_like(t)
-    x0 = np.stack([st, zero, t], axis=1)  # the azimuth-0 node of each ring
-    e_th = np.stack([t, zero, -st], axis=1)
-    e_ph = np.stack([zero, one, zero], axis=1)
-    xis = np.cos(angles)[:, None, None] * e_th + np.sin(angles)[:, None, None] * e_ph
-    signs = np.array([1.0, -1.0])
-    step = (signs[None, :] * ts[:, None])[None, :, :, None, None] * xis[:, None, None]
-    pts = (x0 + step) / np.sqrt(1.0 + ts**2)[None, :, None, None, None]  # (n_xi, n_t, 2, L, 3)
-    xi_p = np.broadcast_to(xis[:, None, None], pts.shape).reshape(-1, 3)
-    vals, dxi = harmonics._orbit_values_and_slopes(coeffs, pts.reshape(-1, 3), xi_p,
-                                                   grid.azimuth_count)
-    shape = pts.shape[:3] + (grid.node_count,)
-    return vals.reshape(shape), dxi.reshape(shape)
-
-
-def check_T33(f, n_t: int = 12, n_xi: int = 4, rtol: float = 1e-8):
-    """Symmetry-monotonicity condition on the degree-(-1) extension:
-
-        d_xi f(x + t xi) - d_xi f(x - t xi) <= 0  for all t > 0, xi _|_ x.
-
-    Samples x over grid nodes, xi at the n_xi angles pi k / n_xi in the
-    (e_theta, e_phi) frame of x, t over a logarithmic grid in [1e-3, 1e3];
-    off-sphere evaluations reduce to sphere values by homogeneity.  The
-    samples of a ring are one set rotated about the z-axis, so theta
-    profiles are taken at 2 n_t n_xi L points, from L_max + 2 Legendre
-    colatitudes, and one azimuth FFT per point gives values and slopes on
-    all N nodes (:func:`_t33_samples`).  The directions are taken one at a
-    time, so only the (n_t, 2, N) samples of one exist at once.  Returns
-    (holds, worst sampled value); holds when worst <= rtol * max|f|.
-    """
-    _require_positive(f)
-    coeffs = harmonics.require_coeffs(f)
-    ts = np.geomspace(1e-3, 1e3, n_t)
-    # the tested expression is even in xi, so a half circle of directions
-    angles = np.pi * np.arange(n_xi) / n_xi
-    scale = np.sqrt(1.0 + ts**2)
-    radial = np.array([1.0, -1.0])[None, :, None] * (ts / scale)[:, None, None]
-    worst = -np.inf
-    for k in range(n_xi):
-        vals, dxi = _t33_samples(coeffs, f.grid, ts, angles[k : k + 1])
-        d = (dxi[0] - vals[0] * radial) / (scale**2)[:, None, None]
-        worst = max(worst, float(np.max(d[:, 0] - d[:, 1])))
-    return bool(worst <= rtol * float(np.max(np.abs(f.values)))), worst
-
-
 def _pogorelov_form(f):
     """Entries (a, b, d) of the 2x2 form f I - Hess f at every node of f,
     in the tangent bases of :func:`christoffel.sphere.tangent_bases`."""
@@ -426,16 +372,60 @@ def _guan_ma_form(f):
     return a + w * g1 * g1, b + w * g1 * g2, d + w * g2 * g2
 
 
+def _pogorelov_min(f):
+    """Smallest eigenvalue of f I - Hess f over the nodes of f, its node and
+    its exact minimizing tangent direction: (min, SpherePoint,
+    TangentDirection)."""
+    nodes = f.grid.nodes
+    e1s, e2s = tangent_bases(nodes)
+    vals, i, xi = _form_min(*_pogorelov_form(f), e1s, e2s)
+    x = SpherePoint(nodes[i])
+    return float(vals[i]), x, TangentDirection(x, xi)
+
+
+def check_T33(f):
+    """Symmetry-monotonicity condition on the degree-(-1) extension F:
+
+        d_xi F(x + t xi) - d_xi F(x - t xi) <= 0  for all t > 0, xi _|_ x.
+
+    On S^2 it is the Pogorelov condition f I - Hess f >= 0.  Take t = tan
+    theta, g(theta) = f(cos theta x + sin theta xi), G(theta) = (g(theta)
+    + g(-theta)) / 2 and E(theta) = cos theta G(theta); by homogeneity the
+    difference above is 2 cos^2 theta E'(theta), so T33 says that E does
+    not increase on (0, pi/2).
+
+    * T33 implies non-strict Pogorelov: E'(0) = 0 and E''(0) = Hess
+      f(xi, xi) - f(x), so E' <= 0 near 0 forces (f I - Hess f)(xi, xi)
+      >= 0.
+    * Strict Pogorelov implies T33: g'' < g on every great circle gives
+      G'' < G.  With r = G'/G, r(0) = 0 and r' = G''/G - r^2 < 1 <= (tan
+      theta)', so r < tan theta on (0, pi/2), and E' = G cos theta (r - tan
+      theta) < 0 as f > 0.
+
+    So the two verdicts can differ only at the boundary, inside the
+    tolerance: T33 holds when the smallest eigenvalue of the form over the
+    nodes (:func:`_pogorelov_min`) is at least -1e-8 max|f|.  The node form
+    is a sample of the form on each great circle, as for
+    :func:`check_pogorelov`.  Returns (holds, min, (x, xi)), the witness
+    node and its minimizing direction.
+    """
+    _require_positive(f)
+    min_val, x, xi = _pogorelov_min(f)
+    return bool(min_val >= -_FORM_RTOL * float(np.max(np.abs(f.values)))), min_val, (x, xi)
+
+
 def check_pogorelov(f):
     """Arc-length condition f - f_ss > 0 on S^2 (two dimensions).
 
     f_ss along xi is the (xi, xi) entry of the covariant Hessian, so the
     minimum over directions is the smaller eigenvalue of f I - Hess f
-    (:func:`_pogorelov_form`) at each node.  Returns (holds, min value).
+    (:func:`_pogorelov_form`) at each node.  Returns (holds, min, (x, xi)),
+    the node of the minimum and its exact minimizing direction; holds when
+    the minimum is positive.  Its non-strict form is :func:`check_T33`.
     """
     _require_positive(f)
-    min_val = float(np.min(_min_eig2(*_pogorelov_form(f))))
-    return bool(min_val > 0.0), min_val
+    min_val, x, xi = _pogorelov_min(f)
+    return bool(min_val > 0.0), min_val, (x, xi)
 
 
 def check_guan_ma(f):
@@ -451,4 +441,4 @@ def check_guan_ma(f):
     _require_positive(f)
     v = f.values
     min_eig = float(np.min(_min_eig2(*_guan_ma_form(f)) / (v * v)))
-    return bool(min_eig >= -1e-8 * (1.0 / float(np.min(v)))), min_eig
+    return bool(min_eig >= -_FORM_RTOL * (1.0 / float(np.min(v)))), min_eig

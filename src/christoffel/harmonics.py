@@ -38,8 +38,9 @@ coefficient set (:attr:`HarmonicCoeffs.extension_channels`) from the grid
 derivatives of :attr:`HarmonicCoeffs.channel_field`, the field on the Gauss
 grid L_max + 3, which integrates their products with the basis exactly.
 Point gradients and Hessians then only synthesize channels, all channels
-of one band from one set of theta profiles: no (theta, phi) frame and no
-pole test.  Grid derivatives are formed once per field and kept
+of one band from one set of theta profiles (:func:`hessian_at` pads the
+values to the D^2 G band to join them): no (theta, phi) frame and no pole
+test.  Grid derivatives are formed once per field and kept
 (:attr:`SphericalField.gradient`, :attr:`SphericalField.hessian`).
 """
 
@@ -67,10 +68,6 @@ from .sphere import (
 
 DEFAULT_L_MAX = 32
 DEFAULT_GRID_L = 48
-
-# pole guard of the T33 orbits: below this sin(theta) their rotating
-# (e_theta, e_phi) frame is undefined and the orbit takes point derivatives
-_SIN_GUARD = 1e-8
 
 # packed symmetric 3x3 matrices: entries (0,0) (0,1) (0,2) (1,1) (1,2) (2,2)
 _SYM_ROWS, _SYM_COLS = np.triu_indices(3)
@@ -668,61 +665,16 @@ def extension_hessian_at(coeffs: HarmonicCoeffs, points) -> np.ndarray:
 def hessian_at(coeffs: HarmonicCoeffs, points) -> np.ndarray:
     """Covariant Hessian on S^2, shape (N, 2, 2), in the per-point tangent
     bases E of :func:`christoffel.sphere.tangent_bases`: E^T D^2 G E - g I.
-    The trace equals the Laplace-Beltrami operator of the field."""
+    The trace equals the Laplace-Beltrami operator of the field.  g is
+    padded to the band of the D^2 G channels, so one set of theta profiles
+    serves all seven."""
     pts = np.asarray(points, dtype=float)
+    band = coeffs.L_max + 2
+    g = HarmonicCoeffs(L_max=band, c=np.pad(coeffs.c, (0, (band + 1) ** 2 - coeffs.c.size)))
+    chans = synthesize_at(coeffs.extension_channels.hess + (g,), pts)
     E = np.stack(tangent_bases(pts), axis=2)
-    T = np.einsum("nki,nkl,nlj->nij", E, extension_hessian_at(coeffs, pts), E)
-    return T - synthesize_at(coeffs, pts)[:, None, None] * np.eye(2)
-
-
-def _orbit_values_and_slopes(coeffs: HarmonicCoeffs, points, dirs, n_phi: int):
-    """Values and slopes on the z-rotation orbits of points.
-
-    Entry [p, j] is taken at points[p] rotated by 2 pi j / n_phi about the
-    z-axis, its slope along dirs[p] rotated with it.  A rotation about the
-    z-axis multiplies order m by exp(i m phi), so the theta profiles are
-    evaluated once per point and one inverse real FFT over m gives the
-    whole orbit (ring-wise synthesis, as in SHTns, Schaeffer 2013).  The
-    (e_theta, e_phi) frame turns with the point, so the slope is
-    alpha d_theta + beta d_phi / sin(theta) with alpha, beta fixed per
-    point: it is folded into the same azimuth spectrum.  Orders m >= n_phi
-    alias onto m mod n_phi.  Returns (values, slopes), each (n, n_phi).
-    Points within the pole guard, where that frame is undefined, take
-    :func:`values_and_gradient_at` at every rotated point, so the
-    extension channels are built only when such a point occurs.
-    """
-    pts, theta, phi = _points_angles(points)
-    dirs = np.asarray(dirs, dtype=float)
-    frame = _frame(theta, phi)
-    alpha = np.sum(dirs * frame.e_th, axis=1)[:, None]
-    beta = (np.sum(dirs * frame.e_ph, axis=1) / np.maximum(frame.sin, _SIN_GUARD))[:, None]
-    (A, B), (dA, dB) = _theta_profiles(coeffs, theta, 1)
-    m = np.arange(coeffs.L_max + 1)
-    r = m % n_phi
-    # f = Re sum_m w_m (A_m - i B_m) e^{i m phi}, w_0 = 1, w_m = sqrt(2),
-    # rescaled for irfft, which counts the bins other than 0 and n_phi / 2 twice
-    w = np.where(m > 0, np.sqrt(2.0), 1.0) * np.where(r * (n_phi - 2 * r) == 0, n_phi, 0.5 * n_phi)
-    spec = np.empty((2,) + A.shape, dtype=complex)
-    spec[0].real, spec[0].imag = A, -B
-    spec[1].real, spec[1].imag = alpha * dA + m * beta * B, m * beta * A - alpha * dB
-    spec *= w * np.exp(1j * np.multiply.outer(phi, m))
-    h = n_phi // 2 + 1
-    if len(m) > h:
-        # order m lands on bin r, or as its conjugate on bin n_phi - r
-        conj = 2 * r > n_phi
-        spec[..., conj] = spec[..., conj].conj()
-        half = np.zeros(spec.shape[:-1] + (h,), dtype=complex)
-        np.add.at(half.T, np.where(conj, n_phi - r, r), spec.T)
-        spec = half
-    out = np.fft.irfft(spec, n_phi, axis=-1)  # zero-pads up to bin n_phi / 2
-    ang = 2.0 * np.pi * np.arange(n_phi) / n_phi
-    c, s = np.cos(ang), np.sin(ang)
-    for p in np.nonzero(frame.sin <= _SIN_GUARD)[0]:
-        (x, y, z), (u, v, t) = pts[p], dirs[p]
-        out[0, p], g = values_and_gradient_at(
-            coeffs, np.stack([c * x - s * y, s * x + c * y, np.full(n_phi, z)], axis=1))
-        out[1, p] = g[:, 0] * (c * u - s * v) + g[:, 1] * (s * u + c * v) + g[:, 2] * t
-    return out[0], out[1]
+    T = np.einsum("nki,nkl,nlj->nij", E, chans[:, _SYM_FULL], E)
+    return T - chans[:, -1, None, None] * np.eye(2)
 
 
 def grid_gradient(field: SphericalField) -> np.ndarray:

@@ -111,3 +111,109 @@ def ellipsoid_principal_radii(ell: body.Ellipsoid, x):
     E = np.stack(sphere.tangent_basis(xc), axis=1)
     r = np.linalg.eigvalsh(E.T @ ellipsoid_ambient_hessian(ell, xc) @ E)
     return float(r[0]), float(r[1])
+
+
+# ----------------------------------------------------------------------
+# Sampled symmetry monotonicity (T33): the oracle of convexity.check_T33
+# ----------------------------------------------------------------------
+
+# below this sin(theta) the rotating (e_theta, e_phi) frame of an orbit is
+# undefined, and the orbit takes point derivatives instead
+SIN_GUARD = 1e-8
+
+
+def orbit_values_and_slopes(coeffs, points, dirs, n_phi):
+    """Values and slopes on the z-rotation orbits of points.
+
+    Entry [p, j] is taken at points[p] rotated by 2 pi j / n_phi about the
+    z-axis, its slope along dirs[p] rotated with it.  A rotation about the
+    z-axis multiplies order m by exp(i m phi), so the theta profiles are
+    evaluated once per point and one inverse real FFT over m gives the
+    whole orbit (ring-wise synthesis, as in SHTns, Schaeffer 2013).  The
+    (e_theta, e_phi) frame turns with the point, so the slope is
+    alpha d_theta + beta d_phi / sin(theta) with alpha, beta fixed per
+    point: it is folded into the same azimuth spectrum.  Orders m >= n_phi
+    alias onto m mod n_phi.  Returns (values, slopes), each (n, n_phi).
+    Points within SIN_GUARD of a pole take
+    :func:`harmonics.values_and_gradient_at` at every rotated point.
+    """
+    pts, theta, phi = harmonics._points_angles(points)
+    dirs = np.asarray(dirs, dtype=float)
+    st, _, e_th, e_ph = harmonics._frame(theta, phi)
+    alpha = np.sum(dirs * e_th, axis=1)[:, None]
+    beta = (np.sum(dirs * e_ph, axis=1) / np.maximum(st, SIN_GUARD))[:, None]
+    (A, B), (dA, dB) = harmonics._theta_profiles(coeffs, theta, 1)
+    m = np.arange(coeffs.L_max + 1)
+    r = m % n_phi
+    # f = Re sum_m w_m (A_m - i B_m) e^{i m phi}, w_0 = 1, w_m = sqrt(2),
+    # rescaled for irfft, which counts the bins other than 0 and n_phi / 2 twice
+    w = np.where(m > 0, np.sqrt(2.0), 1.0) * np.where(r * (n_phi - 2 * r) == 0, n_phi, 0.5 * n_phi)
+    spec = np.empty((2,) + A.shape, dtype=complex)
+    spec[0].real, spec[0].imag = A, -B
+    spec[1].real, spec[1].imag = alpha * dA + m * beta * B, m * beta * A - alpha * dB
+    spec *= w * np.exp(1j * np.multiply.outer(phi, m))
+    h = n_phi // 2 + 1
+    if len(m) > h:
+        # order m lands on bin r, or as its conjugate on bin n_phi - r
+        conj = 2 * r > n_phi
+        spec[..., conj] = spec[..., conj].conj()
+        half = np.zeros(spec.shape[:-1] + (h,), dtype=complex)
+        np.add.at(half.T, np.where(conj, n_phi - r, r), spec.T)
+        spec = half
+    out = np.fft.irfft(spec, n_phi, axis=-1)  # zero-pads up to bin n_phi / 2
+    ang = 2.0 * np.pi * np.arange(n_phi) / n_phi
+    c, s = np.cos(ang), np.sin(ang)
+    for p in np.nonzero(st <= SIN_GUARD)[0]:
+        (x, y, z), (u, v, t) = pts[p], dirs[p]
+        out[0, p], g = harmonics.values_and_gradient_at(
+            coeffs, np.stack([c * x - s * y, s * x + c * y, np.full(n_phi, z)], axis=1))
+        out[1, p] = g[:, 0] * (c * u - s * v) + g[:, 1] * (s * u + c * v) + g[:, 2] * t
+    return out[0], out[1]
+
+
+def t33_samples(coeffs, grid, ts, angles):
+    """f and <grad f, xi> at (x +- t xi) / sqrt(1 + t^2) for every node x,
+    t in ``ts`` and xi = cos(a) e_theta(x) + sin(a) e_phi(x), a in ``angles``.
+
+    The samples of a ring are its azimuth-0 samples rotated about the
+    z-axis, together with their xi, so only the 2 n_t n_xi L azimuth-0
+    points are evaluated, each with its whole orbit and its slope along xi.
+    Returns (values, directional derivatives), each (n_xi, n_t, 2, N) in
+    node order.
+    """
+    t = grid.polar_nodes
+    st = np.sqrt(1.0 - t * t)
+    zero, one = np.zeros_like(t), np.ones_like(t)
+    x0 = np.stack([st, zero, t], axis=1)  # the azimuth-0 node of each ring
+    e_th = np.stack([t, zero, -st], axis=1)
+    e_ph = np.stack([zero, one, zero], axis=1)
+    xis = np.cos(angles)[:, None, None] * e_th + np.sin(angles)[:, None, None] * e_ph
+    signs = np.array([1.0, -1.0])
+    step = (signs[None, :] * ts[:, None])[None, :, :, None, None] * xis[:, None, None]
+    pts = (x0 + step) / np.sqrt(1.0 + ts**2)[None, :, None, None, None]  # (n_xi, n_t, 2, L, 3)
+    xi_p = np.broadcast_to(xis[:, None, None], pts.shape).reshape(-1, 3)
+    vals, dxi = orbit_values_and_slopes(coeffs, pts.reshape(-1, 3), xi_p, grid.azimuth_count)
+    shape = pts.shape[:3] + (grid.node_count,)
+    return vals.reshape(shape), dxi.reshape(shape)
+
+
+def t33_differences(f, ts, angles):
+    """Sampled T33 quantity d_xi F(x + t xi) - d_xi F(x - t xi) of the
+    degree-(-1) extension F, (n_xi, n_t, N): off-sphere evaluations reduce
+    to sphere values by homogeneity."""
+    vals, dxi = t33_samples(f.coeffs, f.grid, ts, angles)
+    scale = np.sqrt(1.0 + ts**2)
+    radial = np.array([1.0, -1.0])[None, :, None] * (ts / scale)[:, None, None]
+    d = (dxi - vals * radial) / (scale**2)[:, None, None]
+    return d[:, :, 0] - d[:, :, 1]
+
+
+def t33_oracle(f, n_t=12, n_xi=4):
+    """Sampled T33: x over the grid nodes, xi at the n_xi angles pi k / n_xi
+    in the (e_theta, e_phi) frame of x (the tested expression is even in
+    xi), t over a logarithmic grid in [1e-3, 1e3].  Returns (holds, worst
+    sampled value); holds when worst <= 1e-8 max|f|."""
+    ts = np.geomspace(1e-3, 1e3, n_t)
+    angles = np.pi * np.arange(n_xi) / n_xi
+    worst = max(float(np.max(t33_differences(f, ts, angles[k : k + 1]))) for k in range(n_xi))
+    return bool(worst <= 1e-8 * float(np.max(np.abs(f.values)))), worst

@@ -171,6 +171,13 @@ class TestCommands:
             "holder_threshold", "symmetry_monotonicity", "pogorelov", "guan_ma"
         }
         assert sc["holder_threshold"]["seminorm_is_grid_lower_bound"] is True
+        t33, pc = sc["symmetry_monotonicity"], sc["pogorelov"]
+        assert set(t33) == {"holds", "min", "witness", "equivalent_to"}
+        assert set(pc) == {"holds", "min", "witness"}
+        assert t33["equivalent_to"] == "pogorelov"
+        assert t33["min"] == pc["min"] and t33["witness"] == pc["witness"]
+        assert set(pc["witness"]) == {"x", "xi"}
+        assert len(pc["witness"]["x"]) == 3 and len(pc["witness"]["xi"]) == 3
         assert report["kernel_equivalence"]["max_abs_radial_minus_closed"] < 1e-8
 
     def test_lp_command(self, tmp_path):

@@ -16,6 +16,9 @@ from conftest import (
     harmonic_field,
     random_positive_field,
     rotate_about_z,
+    t33_differences,
+    t33_oracle,
+    t33_samples,
 )
 
 
@@ -81,7 +84,15 @@ def criterion_value(f, crit, x, xi):
 def node_minima(f, crit):
     """The criterion minimized over tangent directions at every node."""
     c, S = convexity.criterion_forms(f, crit)
-    return convexity._tangent_mins(S, *sphere.tangent_bases(f.grid.nodes)) + c
+    return convexity._min_eig2(*convexity._tangent_form(S, *sphere.tangent_bases(f.grid.nodes))) + c
+
+
+def tangent_min(S, e1, e2):
+    """Minimum of xi^T S xi over unit xi in span(e1, e2), with argmin, for
+    one form S (3, 3)."""
+    e1, e2 = e1[None, :], e2[None, :]
+    vals, _, xi = convexity._form_min(*convexity._tangent_form(S[None], e1, e2), e1, e2)
+    return float(vals[0]), xi
 
 
 def lambda_min(u):
@@ -239,7 +250,7 @@ class TestFunkHecke:
         oracles = []
         for f in fields:
             forms = [cap_quadrature(f, i, crit) for i in nodes]
-            oracles.append(np.array([c + convexity._tangent_min(S, e1s[i], e2s[i])[0]
+            oracles.append(np.array([c + tangent_min(S, e1s[i], e2s[i])[0]
                                      for i, (c, S) in zip(nodes, forms)]))
         gaps = [np.max(np.abs(node_minima(f, crit)[nodes] - want)) / (unit * np.max(f.values))
                 for f, want in zip(fields, oracles)]
@@ -394,10 +405,12 @@ class TestRingPaths:
             assert abs(convexity.holder_seminorm(f, alpha) - want) <= 1e-13 * want
 
     def test_t33_orbits_match_point_evaluation(self, grid16):
+        # the T33 oracle's ring-wise orbits give the values and slopes of
+        # point evaluation
         f = random_positive_field(grid16, np.random.default_rng(60), L_max=15)
         ts = np.geomspace(1e-2, 1e2, 4)
         angles = np.pi * np.arange(3) / 3
-        vals, dxi = convexity._t33_samples(f.coeffs, grid16, ts, angles)
+        vals, dxi = t33_samples(f.coeffs, grid16, ts, angles)
         nodes = grid16.nodes
         theta = np.arccos(nodes[:, 2])
         phi = np.arctan2(nodes[:, 1], nodes[:, 0])
@@ -414,44 +427,6 @@ class TestRingPaths:
                     assert np.max(np.abs(vals[a, k, s] - v)) <= 1e-12 * scale
                     assert np.max(np.abs(dxi[a, k, s] - np.sum(g * xi, axis=1))) <= 1e-11 * scale
 
-    def test_t33_one_direction_at_a_time(self, grid24):
-        # the heap peak stays near one direction's samples, far below the
-        # (n_xi, n_t, 2, N) arrays of all directions at once, and the worst
-        # value is the one those arrays give
-        f = body.forward_f(body.support_function(body.Ellipsoid(1.0, 1.2, 1.5), grid24, 16))
-        n_t, n_xi = 12, 4
-        ts = np.geomspace(1e-3, 1e3, n_t)
-        vals, dxi = convexity._t33_samples(f.coeffs, grid24, ts, np.pi * np.arange(n_xi) / n_xi)
-        scale = np.sqrt(1.0 + ts**2)
-        radial = np.array([1.0, -1.0])[None, :, None] * (ts / scale)[:, None, None]
-        d = (dxi - vals * radial) / (scale**2)[:, None, None]
-        whole = vals.nbytes
-        del vals, dxi
-        tracemalloc.start()
-        try:
-            _, worst = convexity.check_T33(f, n_t=n_t, n_xi=n_xi)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert worst == float(np.max(d[:, :, 0] - d[:, :, 1]))
-        assert peak <= 3 * whole
-
-    def test_t33_legendre_work_bounded(self, grid16, monkeypatch):
-        # T33 takes its theta profiles from L_max + 2 Legendre colatitudes,
-        # however many points it samples
-        f = random_positive_field(grid16, np.random.default_rng(61), L_max=10)
-        sizes = []
-        packed = harmonics._legendre_packed
-
-        def spy(t, L_max):
-            sizes.append(len(t))
-            return packed(t, L_max)
-
-        monkeypatch.setattr(harmonics, "_legendre_packed", spy)
-        clear_program_caches()
-        convexity.check_T33(f)
-        assert sizes and max(sizes) <= f.coeffs.L_max + 2
-
 
 class TestRotation:
     @settings(max_examples=12, deadline=None)
@@ -465,8 +440,8 @@ class TestRotation:
         # the rotation shifts every ring by ``steps`` nodes
         F, G = f.values.reshape(grid.L, -1), g.values.reshape(grid.L, -1)
         assert np.max(np.abs(G - np.roll(F, steps, axis=1))) <= tol
-        (holds_f, worst_f), (holds_g, worst_g) = convexity.check_T33(f), convexity.check_T33(g)
-        assert holds_f == holds_g and abs(worst_f - worst_g) <= tol
+        (holds_f, min_f, _), (holds_g, min_g, _) = convexity.check_T33(f), convexity.check_T33(g)
+        assert holds_f == holds_g and abs(min_f - min_g) <= tol
         h_f = convexity.hessian_min(harmonics.solve_christoffel(f, project=True).u)[0]
         h_g = convexity.hessian_min(harmonics.solve_christoffel(g, project=True).u)[0]
         assert abs(h_f - h_g) <= tol
@@ -487,8 +462,7 @@ class TestScaleInvariance:
 
     @pytest.mark.parametrize(
         "checker, target",
-        [(lambda f: convexity.check_T33(f, n_t=6, n_xi=2), 1e-7),
-         (convexity.check_guan_ma, -1e-7)],
+        [(convexity.check_T33, -1e-7), (convexity.check_guan_ma, -1e-7)],
         ids=["t33", "guan_ma"],
     )
     def test_verdict_and_sign(self, grid24, checker, target):
@@ -497,7 +471,7 @@ class TestScaleInvariance:
 
         eps = brentq(lambda e: checker(field(e))[1] - target, 0.5, 1.0, xtol=1e-12)
         results = [checker(field(eps, c)) for c in (1e-3, 1.0, 1e3)]
-        assert [(holds, np.sign(m)) for holds, m in results] == [(False, np.sign(target))] * 3
+        assert [(r[0], np.sign(r[1])) for r in results] == [(False, np.sign(target))] * 3
 
     @pytest.mark.parametrize("eps", [0.8, 3.5], ids=["convex", "not_convex"])
     @pytest.mark.parametrize("crit", ["cr1", "cr2"])
@@ -540,7 +514,7 @@ class TestTwoByTwo:
             S = A + A.T
             if rng.random() < 0.2:
                 S = np.eye(3) - np.outer(x, x)  # isotropic on the tangent plane
-            lam, xi = convexity._tangent_min(S, e1, e2)
+            lam, xi = tangent_min(S, e1, e2)
             assert abs(np.linalg.norm(xi) - 1.0) < 1e-12
             assert abs(xi @ x) < 1e-12
             assert abs(xi @ S @ xi - lam) <= 1e-12 * max(1.0, np.max(np.abs(S)))
@@ -598,12 +572,15 @@ class TestSufficientConditions:
 
     def test_t33_constant_formula(self, grid24):
         f = constant_field(grid24, 2.0, L_max=12)
-        holds, worst = convexity.check_T33(f, n_t=6, n_xi=2)
+        holds, worst = t33_oracle(f, n_t=6, n_xi=2)
         assert holds
         # worst sampled value matches -2 c t/(1+t^2)^(3/2) at the best t
         ts = np.geomspace(1e-3, 1e3, 6)
         expected = np.max(-2 * 2.0 * ts / (1 + ts**2) ** 1.5)
         assert abs(worst - expected) < 1e-9
+        # and the form f I - Hess f is c I
+        holds, min_val, _ = convexity.check_T33(f)
+        assert holds and abs(min_val - 2.0) < 1e-10
 
     def test_t33_even_field_identity(self, grid24):
         f = harmonic_field(grid24, 2.0, {(2, 0): 0.3}, L_max=12)
@@ -626,8 +603,8 @@ class TestSufficientConditions:
         checked = 0
         for _ in range(6):
             f = random_positive_field(grid24, rng, amp=rng.uniform(0.02, 0.6), L_max=12)
-            holds, _ = convexity.check_T33(f, n_t=6, n_xi=2)
-            if holds:
+            sampled, _ = t33_oracle(f, n_t=6, n_xi=2)
+            if sampled or convexity.check_T33(f)[0]:
                 u = harmonics.solve_christoffel(f, project=True).u
                 assert convexity.hessian_min(u)[0] >= -1e-6
                 checked += 1
@@ -635,7 +612,7 @@ class TestSufficientConditions:
 
     def test_pogorelov_constant(self, grid24):
         f = constant_field(grid24, 2.0, L_max=12)
-        holds, min_val = convexity.check_pogorelov(f)
+        holds, min_val, _ = convexity.check_pogorelov(f)
         assert holds and abs(min_val - 2.0) < 1e-10
 
     def test_pogorelov_continuity(self, grid24):
@@ -664,7 +641,7 @@ class TestSufficientConditions:
         implied = 0
         for _ in range(8):
             f = random_positive_field(grid24, rng, amp=rng.uniform(0.02, 0.4), L_max=12)
-            pc, _ = convexity.check_pogorelov(f)
+            pc = convexity.check_pogorelov(f)[0]
             if pc:
                 gm, _ = convexity.check_guan_ma(f)
                 assert gm
@@ -734,3 +711,131 @@ class TestGuanMa:
         convexity.check_guan_ma(f)
         # the node frame of f's own grid is the only grid built
         assert set(calls) <= {f.grid.L}
+
+
+def baseline_t33_field(grid):
+    """The field at (24, 16) whose T33 failure four sampled directions per
+    node miss: c_00 = 7.09 and degrees 2 and 3 only."""
+    c = np.zeros(17**2)
+    c[0] = 7.09
+    for l, row in ((2, [0.1, -0.046, 0.086, -0.154, -0.042]),
+                   (3, [0.008, 0.09, -0.122, 0.167, 0.048, -0.053, 0.122])):
+        c[l * l : (l + 1) ** 2] = row
+    return harmonics.synthesize(harmonics.HarmonicCoeffs(L_max=16, c=c), grid)
+
+
+def scaled_past_threshold(f, delta):
+    """f = c + h rescaled to c + s h, with s = (1 + delta) times the s at
+    which the Pogorelov minimum is zero: the minimum is c + s m_h for every
+    s > 0, with m_h the minimum of h's form, so its node does not move."""
+    c = f.coeffs.c.copy()
+    base = c[0] / np.sqrt(4.0 * np.pi)
+    s_star = base / (base - convexity.check_pogorelov(f)[1])
+    c[1:] *= s_star * (1.0 + delta)
+    return harmonics.synthesize(harmonics.HarmonicCoeffs(L_max=f.coeffs.L_max, c=c), f.grid)
+
+
+def great_circle(x, xi, theta):
+    """Points cos(theta) x + sin(theta) xi and their theta-derivatives."""
+    c, s = np.cos(theta)[:, None], np.sin(theta)[:, None]
+    return c * x + s * xi, -s * x + c * xi
+
+
+class TestT33:
+    def test_baseline_field_does_not_hold(self, grid24):
+        # four sampled directions per node miss its failure; eight find it
+        f = baseline_t33_field(grid24)
+        holds, min_val, (x, xi) = convexity.check_T33(f)
+        assert not holds and min_val < -0.02
+        pc_min, (pc_x, pc_xi) = convexity.check_pogorelov(f)[1:]
+        assert pc_min == min_val
+        assert np.array_equal(pc_x.coords, x.coords) and np.array_equal(pc_xi.dir, xi.dir)
+        sampled, worst = t33_oracle(f, n_xi=8)
+        assert not sampled and worst > 0.0
+
+    def test_evaluates_no_point(self, grid24, monkeypatch):
+        # the verdict reads f's kept grid Hessian: no orbit and no point
+        f = random_positive_field(grid24, np.random.default_rng(25), L_max=16)
+        for name in ("_theta_profiles", "synthesize_at"):
+            monkeypatch.setattr(harmonics, name,
+                                lambda *a, _name=name, **kw: pytest.fail(f"{_name} called"))
+        clear_program_caches()
+        holds, min_val, _ = convexity.check_T33(f)
+        assert holds == (min_val >= -1e-8 * np.max(np.abs(f.values)))
+
+    @pytest.mark.parametrize(
+        "kind, k, delta",
+        [("random", k, d) for k in range(3) for d in (-0.1, 0.1)]
+        + [("sectoral", l, d) for l in range(2, 7) for d in (-1e-4, 1e-4)])
+    def test_oracle_agrees(self, grid24, kind, k, delta):
+        # each field lies delta past or short of the threshold, more than the
+        # 2e-5 relative within which the two tolerance rules may differ.
+        # The sectoral bumps take their minimum along a sampled direction;
+        # on random fields the 16 sampled directions miss the minimizing one
+        # by up to pi / 32, which lifts the sampled value by about 1e-2 of
+        # the form's spread, so they lie 10% off the threshold
+        if kind == "random":
+            f = random_positive_field(grid24, np.random.default_rng(k), L_max=16)
+        else:
+            f = harmonic_field(grid24, 2.0, {(k, k): 1.0}, L_max=16)
+        g = scaled_past_threshold(f, delta)
+        holds = convexity.check_T33(g)[0]
+        assert holds == (delta < 0)
+        assert t33_oracle(g, n_t=48, n_xi=16)[0] == holds
+
+    def test_tolerance_at_the_boundary(self, grid24):
+        # T33 is the non-strict form: a minimum just below zero, within
+        # 1e-8 max|f|, holds for T33 and fails for Pogorelov
+        f = harmonic_field(grid24, 2.0, {(3, 3): 1.0}, L_max=16)
+        for delta, t33 in ((1e-9, True), (1e-6, False)):
+            g = scaled_past_threshold(f, delta)
+            holds, min_val, _ = convexity.check_T33(g)
+            assert min_val < 0.0 and holds == t33
+            assert not convexity.check_pogorelov(g)[0]
+
+    def test_oracle_difference_is_E_prime(self, grid24):
+        # d_xi F(x + t xi) - d_xi F(x - t xi) = 2 cos^2(theta) E'(theta),
+        # t = tan(theta), E = cos(theta) (g(theta) + g(-theta)) / 2
+        f = random_positive_field(grid24, np.random.default_rng(26), amp=0.5, L_max=16)
+        ts = np.geomspace(1e-3, 1e3, 7)
+        angles = np.array([0.0, 0.9, 2.0])
+        d = t33_differences(f, ts, angles)
+        th = np.arctan(ts)
+        for i in (0, 333, 600, grid24.node_count - 1):
+            x = grid24.nodes[i]
+            theta, phi = np.arccos(x[2]), np.arctan2(x[1], x[0])
+            e_th = np.array([np.cos(theta) * np.cos(phi), np.cos(theta) * np.sin(phi), -np.sin(theta)])
+            e_ph = np.array([-np.sin(phi), np.cos(phi), 0.0])
+            for a, ang in enumerate(angles):
+                xi = np.cos(ang) * e_th + np.sin(ang) * e_ph
+                (p, dp), (q, dq) = great_circle(x, xi, th), great_circle(x, xi, -th)
+                (gp, grad_p), (gq, grad_q) = (harmonics.values_and_gradient_at(f.coeffs, y)
+                                              for y in (p, q))
+                G, dG = 0.5 * (gp + gq), 0.5 * (np.sum(grad_p * dp, 1) - np.sum(grad_q * dq, 1))
+                dE = np.cos(th) * dG - np.sin(th) * G
+                assert np.max(np.abs(d[a, :, i] - 2 * np.cos(th) ** 2 * dE)) <= 1e-12 * np.max(f.values)
+
+    def test_E_second_derivative_is_form(self, grid24):
+        # E''(0) = Hess f(xi, xi) - f(x), read from the great-circle
+        # polynomial g of degree <= L_max in theta: at the witness it is
+        # minus the form's minimum
+        f = random_positive_field(grid24, np.random.default_rng(27), amp=0.5, L_max=16)
+        n = 2 * f.coeffs.L_max + 2
+        k = np.fft.fftfreq(n, 1.0 / n)
+        a, b, d = convexity._pogorelov_form(f)
+        e1s, e2s = sphere.tangent_bases(grid24.nodes)
+        min_val, (x, xi) = convexity.check_T33(f)[1:]
+        witness = int(np.argmin(np.linalg.norm(grid24.nodes - x.coords, axis=1)))
+        rng = np.random.default_rng(28)
+        cases = [(witness, xi.dir)] + [
+            (i, np.cos(t) * e1s[i] + np.sin(t) * e2s[i])
+            for i, t in zip(rng.integers(0, grid24.node_count, 6), rng.uniform(0, np.pi, 6))]
+        forms = []
+        for i, direction in cases:
+            g = harmonics.synthesize_at(
+                f.coeffs, great_circle(grid24.nodes[i], direction, 2 * np.pi * np.arange(n) / n)[0])
+            E2 = float(np.real(np.sum(-k * k * np.fft.fft(g)) / n)) - f.values[i]
+            v1, v2 = direction @ e1s[i], direction @ e2s[i]
+            forms.append(a[i] * v1 * v1 + 2 * b[i] * v1 * v2 + d[i] * v2 * v2)
+            assert abs(E2 + forms[-1]) <= 1e-11 * np.max(f.values)
+        assert abs(forms[0] - min_val) <= 1e-12 * np.max(f.values)

@@ -14,6 +14,7 @@ from conftest import (
     constant_field,
     ellipsoid_ambient_hessian,
     harmonic_field,
+    orbit_values_and_slopes,
     random_positive_field,
     rotate_about_z,
 )
@@ -492,8 +493,8 @@ class TestDerivatives:
 
     @pytest.mark.parametrize("L_max, n_phi", [(8, 20), (8, 12), (8, 6)])
     def test_orbit_matches_rotated_points(self, L_max, n_phi):
-        # n_phi = 6 folds orders m >= 6 onto m - 6; the pole point takes the
-        # exact path
+        # the T33 oracle's orbits: n_phi = 6 folds orders m >= 6 onto m - 6;
+        # the pole point takes the exact path
         coeffs = random_coeffs(L_max, seed=13)
         rng = np.random.default_rng(14)
         pts = rng.standard_normal((5, 3))
@@ -502,7 +503,7 @@ class TestDerivatives:
         e1, e2 = sphere.tangent_bases(pts)
         angles = rng.uniform(0.0, 2 * np.pi, len(pts))[:, None]
         dirs = np.cos(angles) * e1 + np.sin(angles) * e2
-        vals, slopes = harmonics._orbit_values_and_slopes(coeffs, pts, dirs, n_phi)
+        vals, slopes = orbit_values_and_slopes(coeffs, pts, dirs, n_phi)
         for j in range(n_phi):
             a = 2 * np.pi * j / n_phi
             R = np.array([[np.cos(a), -np.sin(a), 0], [np.sin(a), np.cos(a), 0], [0, 0, 1.0]])
@@ -661,6 +662,20 @@ class TestThetaProfiles:
         assert len(ffts) == 1
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("L_max", [0, 5, 32])
+    def test_hessian_takes_one_profile_pass(self, L_max, monkeypatch):
+        # the values join the D^2 G channels at their band: one set of theta
+        # profiles per call
+        coeffs = random_coeffs(L_max, seed=42 + L_max)
+        pts = probe_points(50, seed=43)
+        coeffs.extension_channels  # built before counting
+        calls = []
+        profiles = harmonics._theta_profiles
+        monkeypatch.setattr(harmonics, "_theta_profiles",
+                            lambda *a, **kw: calls.append(1) or profiles(*a, **kw))
+        harmonics.hessian_at(coeffs, pts)
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("theta", [1e-4, 1e-6, 1e-7])
     @pytest.mark.parametrize("l", [1, 2])
