@@ -55,6 +55,7 @@ import numpy as np
 from .errors import (
     BandLimitExceeded,
     ChristoffelError,
+    InvalidParameter,
     NotAnalyzed,
     OrthogonalityViolation,
 )
@@ -170,6 +171,12 @@ def require_coeffs(f: SphericalField) -> HarmonicCoeffs:
     if f.coeffs is None:
         raise NotAnalyzed("field has no harmonic coefficients; analyze it first")
     return f.coeffs
+
+
+def require_tolerance(tol: float) -> None:
+    """Reject a tolerance outside 0 < tol < inf (NaN included)."""
+    if not 0.0 < tol < np.inf:
+        raise InvalidParameter(f"tolerance must satisfy 0 < tol < inf, got {tol}")
 
 
 # ----------------------------------------------------------------------
@@ -434,64 +441,9 @@ def _grid_eval(coeffs, grid, deriv=(0,)):
     return out
 
 
-def galerkin_matrix(values: np.ndarray, grid: SphereGrid, L_max: int) -> np.ndarray:
-    """Galerkin matrix of multiplication by a grid function, shape (K, K).
-
-    M[k, k'] = sum over nodes of weight * value * Y_k * Y_k', in the flat
-    coefficient order: B^T diag(weights * values) B for the basis matrix B
-    of the grid, which is never formed.  On the Gauss-Legendre x
-    uniform-azimuth grid the azimuth sum of cos/sin factors of orders m and
-    m' is, by the product-to-sum identities, half the DFT of the ring's
-    weighted values at m - m' and m + m' (taken modulo 2L, so aliasing is
-    exact for any L).  In the packed m-major order the block row of order m
-    is then one matrix product over the rings (Driscoll & Healy 1994),
-    taken for orders m' >= m and mirrored; the order-m square is averaged
-    with its transpose, so M is exactly symmetric.  One permutation at the
-    end gives the flat order.
-    """
-    L, n_phi = grid.L, grid.azimuth_count
-    ring_dft = np.fft.fft((grid.weights * values).reshape(L, n_phi), axis=1)
-    m = np.arange(L_max + 1)
-    norm = np.where(m > 0, np.sqrt(2.0), 1.0)
-    half_norms = 0.5 * np.outer(norm, norm)
-    diff = ring_dft[:, (m[:, None] - m[None, :]) % n_phi]  # (L, m, m')
-    summ = ring_dft[:, (m[:, None] + m[None, :]) % n_phi]
-    plus, minus = (diff + summ) * half_norms, (diff - summ) * half_norms
-    # azimuth sums (L, m, 2 m' + s) for cosine rows and for sine rows, with
-    # s = 0 a cosine and s = 1 a sine column
-    cos_rows = np.stack([plus.real, minus.imag], axis=-1).reshape(L, L_max + 1, -1)
-    sin_rows = np.stack([-plus.imag, minus.real], axis=-1).reshape(L, L_max + 1, -1)
-
-    K = (L_max + 1) ** 2
-    l = np.repeat(m, 2 * m + 1)
-    signed = np.arange(K) - l * l - l  # flat index l^2 + l + m, m < 0 sine
-    order = np.abs(signed)
-    group = 2 * order + (signed < 0)  # the 2 m' + s column group
-    P = _grid_legendre(L, L_max, 0)[0]
-    offsets = _pair_index(L_max)[2]
-    # packed order: by m, the cosine then the sine terms, each l-ascending;
-    # order m occupies [start[m], start[m + 1])
-    flat = np.lexsort((l, group))
-    groups = group[flat]
-    start = np.searchsorted(groups, 2 * np.arange(L_max + 2))
-    profiles = P[(offsets[order] + l - order)[flat]].T  # (L, K)
-    Mp = np.empty((K, K))
-    for mm in m:
-        a, b = start[mm], start[mm + 1]
-        P_m = P[offsets[mm] : offsets[mm + 1]]
-        tail, g = profiles[:, a:], groups[a:]
-        tables = (cos_rows, sin_rows)[: 2 if mm else 1]
-        block = np.concatenate([P_m @ (t[:, mm, g] * tail) for t in tables])
-        block[:, : b - a] = 0.5 * (block[:, : b - a] + block[:, : b - a].T)
-        Mp[a:b, a:] = block
-        Mp[a:, a:b] = block.T
-    pos = np.argsort(flat)
-    return Mp.take(pos, axis=0).take(pos, axis=1)
-
-
 def node_basis(grid: SphereGrid, node: int, L_max: int) -> np.ndarray:
     """Every basis function at one grid node, in the flat coefficient order
-    (row ``node`` of the basis matrix B of :func:`galerkin_matrix`)."""
+    (row ``node`` of the grid's basis matrix, which is never formed)."""
     ring, j = divmod(node, grid.azimuth_count)
     m_arr, _, _, _, cos_idx, sin_idx = _pair_index(L_max)
     P = _grid_legendre(grid.L, L_max, 0)[0][:, ring]
@@ -778,11 +730,14 @@ def solve_christoffel(
     defect exceeds ``tol`` (default 1e-8 * max|f|) an OrthogonalityViolation
     is raised, unless ``project`` forces the defect to be projected away.
     The residual is taken against the projected f then, and a residual
-    above 10 max(tol, 1e-14) raises ChristoffelError.
+    above 10 max(tol, 1e-14) raises ChristoffelError.  A ``tol`` outside
+    0 < tol < inf raises InvalidParameter.
     """
     coeffs = require_coeffs(f)
     if tol is None:
         tol = 1e-8 * float(np.max(np.abs(f.values)))
+    else:
+        require_tolerance(tol)
     defect = orthogonality_defect(f)
     if np.max(np.abs(defect)) > tol and not project:
         raise OrthogonalityViolation(defect)

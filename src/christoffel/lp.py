@@ -1,23 +1,20 @@
 """The L_p extension: (Laplacian + 2) u = f u^(p-1) on S^2, p >= 2.
 
-For p > 2 a damped fixed-point iteration (inverting the linear operator
-spectrally) with a Newton finisher on harmonic coefficients; the p = 2 case
-is the generalized eigenproblem (Laplacian + 2) u = lambda f u for the pair
-(lambda, u) with u > 0, solved by Jacobian-free Newton-Krylov on the
-bordered system with a max-node normalization pin: GMRES whose products
-are transforms, analyze(f synthesize(x)), preconditioned by the exact
-O(K) inverse of the bordered matrix with f replaced by its mean (dense
-generalized eigensolver as fallback).  The dense matrices, the Jacobian of
-the dense p > 2 step and M in the eigensolver fallback, are Galerkin
-matrices of multiplication by a grid function, assembled ring by ring by
-:func:`harmonics.galerkin_matrix`; the basis matrix of the grid is never
-formed.  Each solution carries a trace of its iterates: the residual after
-each accepted step and which path took it.
+For p > 2 damped quasi-Newton on harmonic coefficients, the Jacobian
+replaced by the spectral diagonal with f u^(p-2) taken at its mean; the
+p = 2 case is the generalized eigenproblem (Laplacian + 2) u = lambda f u
+for the pair (lambda, u) with u > 0, solved by Jacobian-free Newton-Krylov
+on the bordered system with a max-node normalization pin: GMRES whose
+products are transforms, analyze(f synthesize(x)), preconditioned by the
+exact O(K) inverse of the bordered matrix with f replaced by its mean.  No
+K x K matrix is formed.  A stall ends either solve: the pointwise residual
+has a band-limit floor that no iterate below the band of f can pass, so
+the solver raises NonConvergence with its best iterate and the reason it
+stopped.  Each solution carries a trace of its iterates: the residual
+after each accepted step and which path took it.
 
-Imports: only numpy at import and on the quasi-Newton path of p > 2.  The
-p = 2 solver imports ``scipy.sparse.linalg`` for GMRES; ``scipy.linalg``
-is imported only inside the two dense branches, the dense p > 2 step and
-the eigensolver fallback.
+Imports: only numpy at import and for p > 2; the p = 2 solver imports
+``scipy.sparse.linalg`` for GMRES.
 
 The nonlinear right side is not a priori orthogonal to the degree-1
 harmonics; its degree-1 component is projected at every iteration and the
@@ -60,12 +57,11 @@ class LpSolution:
     converged: bool
     degree1_magnitude: float = 0.0
     # {"path", "residual_inf"} after each step, the residual in the
-    # normalization of the returned u.  solve_lp: one entry per
-    # iteration, path quasi_newton or dense, plus the "step_scale" left
-    # after backtracking (0.0: every trial was rejected, the iterate kept).
+    # normalization of the returned u.  solve_lp: path quasi_newton for
+    # each iteration, plus the "step_scale" left after backtracking (0.0:
+    # every trial was rejected, the iterate kept, the solve stalled).
     # solve_lp_eigen: path newton for each completed Newton step, with the
-    # "krylov_iterations" of its GMRES solve, then eigh_fallback if the
-    # dense eigensolver ran.
+    # "krylov_iterations" of its GMRES solve.
     trace: tuple = ()
 
 
@@ -109,10 +105,8 @@ def solve_lp(
     guess (the constant balancing the equation for averaged data).  The
     spectral diagonal 2 - l(l+1) - (p-1) mean(f u^(p-2)) approximates the
     Jacobian and is uniformly invertible; steps are backtracked on the
-    pointwise residual and rejected if positivity would be lost.  If the
-    quasi-Newton step stalls the exact dense Jacobian D - (p-1) M is
-    factorized instead, where M is the Galerkin matrix of multiplication by
-    f u^(p-2) (:func:`harmonics.galerkin_matrix`).
+    pointwise residual and rejected if positivity would be lost.  A round
+    in which every trial is rejected is a stall and ends the solve.
 
     A plain damped fixed-point iteration on u <- G(f u^(p-1)) is unstable
     here: at a constant solution the damped map has multiplier
@@ -124,22 +118,36 @@ def solve_lp(
     of that right-side component is reported as a diagnostic (it vanishes
     at a true solution).
 
-    Raises NonConvergence (carrying the best iterate) or PositivityLost.
+    Raises InvalidParameter unless 2 < p < inf, 0 < tol < inf and the start
+    u0, f u0^(p-1) and (p-1) f u0^(p-2) are finite; NonConvergence on a
+    stall or at max_iter, carrying the best iterate and naming the reason;
+    PositivityLost if the iterate collapses toward u = 0.
     """
     _require_positive_field(f)
-    if p <= 2.0:
+    harmonics.require_tolerance(tol)
+    if not 2.0 < p < np.inf:
         raise InvalidParameter(
-            "solve_lp requires p > 2 (p = 2 is the eigenproblem: solve_lp_eigen)"
+            f"solve_lp requires 2 < p < inf, got p = {p} (p = 2 is the eigenproblem: "
+            "solve_lp_eigen)"
         )
     coeffs = harmonics.require_coeffs(f)
     grid = f.grid
     L_max = coeffs.L_max
-    u0 = (2.0 / _mean(f)) ** (1.0 / (p - 2.0)) if initial is None else float(initial)
+    try:
+        u0 = (2.0 / _mean(f)) ** (1.0 / (p - 2.0)) if initial is None else float(initial)
+    except OverflowError:
+        u0 = np.inf
+    if not np.isfinite(u0):
+        raise InvalidParameter(f"the start u0 of p = {p} is not finite")
     c = np.zeros((L_max + 1) ** 2)
     c[0] = u0 * np.sqrt(4.0 * np.pi)
     uv = harmonics.synthesize(harmonics.HarmonicCoeffs(L_max=L_max, c=c), grid).values
     if np.min(uv) <= 0.0:
         raise PositivityLost("initial guess is not positive")
+    with np.errstate(over="ignore", invalid="ignore"):
+        start = [f.values * uv ** (p - 1.0), (p - 1.0) * f.values * uv ** (p - 2.0)]
+    if not np.all(np.isfinite(start)):
+        raise InvalidParameter(f"f u0^(p-1) or its slope overflows at p = {p}, u0 = {u0}")
     D = harmonics.operator_diagonal(L_max)
     area = 4.0 * np.pi
 
@@ -155,22 +163,11 @@ def solve_lp(
 
     rhs_c, d1 = rhs_coeffs(uv)
     res = residual_inf_of(c, uv)
-    iterations = 0
-    use_dense = False
     trace = []
-    while res > tol and iterations < max_iter:
-        iterations += 1
-        R = D * c - rhs_c
+    stop = "iteration cap"
+    while res > tol and len(trace) < max_iter:
         gbar = grid.integrate(f.values * uv ** (p - 2.0)) / area
-        if not use_dense:
-            step = -R / (D - (p - 1.0) * gbar)
-        else:
-            import scipy.linalg
-
-            J = harmonics.galerkin_matrix((p - 1.0) * f.values * uv ** (p - 2.0), grid, L_max)
-            np.negative(J, out=J)
-            J[np.diag_indices(len(D))] += D
-            step = scipy.linalg.solve(J, -(D * c - rhs_c))
+        step = -(D * c - rhs_c) / (D - (p - 1.0) * gbar)
         accepted = False
         for halvings in range(25):
             c_try = c + step
@@ -186,7 +183,7 @@ def solve_lp(
                     break
             step = 0.5 * step
         trace.append({
-            "path": "dense" if use_dense else "quasi_newton",
+            "path": "quasi_newton",
             "step_scale": 0.5**halvings if accepted else 0.0,
             "residual_inf": res,
         })
@@ -198,19 +195,19 @@ def solve_lp(
                 "larger initial guess"
             )
         if not accepted:
-            if use_dense:
-                break
-            use_dense = True
+            stop = "stall"
+            break
     u = harmonics.SphericalField(
         grid=grid, values=uv, coeffs=harmonics.HarmonicCoeffs(L_max=L_max, c=c)
     )
     sol = LpSolution(
-        u=u, p=p, lam=None, residual_inf=res, iterations=iterations,
+        u=u, p=p, lam=None, residual_inf=res, iterations=len(trace),
         converged=res <= tol, degree1_magnitude=d1, trace=tuple(trace),
     )
     if not sol.converged:
         raise NonConvergence(
-            f"L_p solver: residual {res:.3e} > tol {tol:.3e} after {iterations} iterations",
+            f"L_p solver stopped ({stop}): residual {res:.3e} > tol {tol:.3e} "
+            f"after {len(trace)} iterations",
             best=sol,
         )
     return sol
@@ -258,16 +255,20 @@ def solve_lp_eigen(
     each step is a GMRES solve whose products need no matrix, since M x =
     analyze(f synthesize(x)) exactly.  The preconditioner is the exact
     inverse of the same bordered matrix with M replaced by mean(f) I, which
-    costs O(K).  If a Krylov solve fails, a step is not finite, Newton
-    stalls (two steps in a row fail to halve the residual), runs out of
-    iterations or ends at a u that is not positive, the dense generalized
-    symmetric eigensolver decides; only then is M assembled
-    (:func:`harmonics.galerkin_matrix`).  The returned solution is
-    normalized to max u = 1 (the dilation freedom).
+    costs O(K).  The residual is homogeneous of degree 1 in u, so the loop
+    tests and traces it for max u = 1, the normalization of the returned
+    solution.
+
+    Raises InvalidParameter unless 0 < tol < inf; PositivityLost if the
+    final u is not positive; NonConvergence, carrying the last Newton
+    iterate normalized to max u = 1 and naming the reason, if a Krylov
+    solve fails, a step is not finite, Newton stalls (two steps in a row
+    fail to halve the residual) or max_iter steps end above tol.
     """
     from scipy.sparse.linalg import LinearOperator, gmres
 
     _require_positive_field(f)
+    harmonics.require_tolerance(tol)
     coeffs = harmonics.require_coeffs(f)
     grid = f.grid
     L_max = coeffs.L_max
@@ -293,8 +294,9 @@ def solve_lp_eigen(
     pin = harmonics.node_basis(grid, int(np.argmax(uv)), L_max)
 
     def residual_of(c_, lam_, uv_):
-        return _residual_inf(harmonics.HarmonicCoeffs(L_max=L_max, c=c_), grid, f.values, uv_,
+        res_ = _residual_inf(harmonics.HarmonicCoeffs(L_max=L_max, c=c_), grid, f.values, uv_,
                              2.0, lam_)
+        return res_ / float(np.max(uv_))
 
     def jacobian_times(x):
         # reads the current Newton iterate's lam and Mc
@@ -305,12 +307,13 @@ def solve_lp_eigen(
 
     J = LinearOperator((K + 1, K + 1), matvec=jacobian_times, dtype=float)
     res = residual_of(c, lam, uv)
-    iterations = 0
     stalled = 0
     trace = []
-    ok = True
-    while res > tol and iterations < max_iter and stalled < _STALL_STEPS:
-        iterations += 1
+    stop = "iteration cap"
+    while res > tol and len(trace) < max_iter:
+        if stalled == _STALL_STEPS:
+            stop = "stall"
+            break
         Mc = times_f(uv)
         F = np.concatenate([D * c - lam * Mc, [pin @ c - 1.0]])
         P = LinearOperator(
@@ -323,59 +326,32 @@ def solve_lp_eigen(
             M=P, callback=krylov.append, callback_type="pr_norm",
         )
         if info != 0 or not np.all(np.isfinite(step)):
-            ok = False
+            stop = "Krylov failure" if info != 0 else "non-finite step"
             break
         c = c + step[:K]
         lam = lam + step[K]
         uv = values_of(c)
         res_prev, res = res, residual_of(c, lam, uv)
-        if not np.isfinite(res):
-            ok = False
-            break
         stalled = stalled + 1 if res > _STALL_RATIO * res_prev else 0
-        # the residual is homogeneous of degree 1 in u: record it for max u = 1,
-        # the normalization of the reported residual_inf
-        trace.append({
-            "path": "newton", "residual_inf": res / float(np.max(uv)),
-            "krylov_iterations": len(krylov),
-        })
+        trace.append({"path": "newton", "residual_inf": res, "krylov_iterations": len(krylov)})
 
-    fallback = not ok or res > tol or np.min(uv) <= 0.0
-    if fallback:
-        # dense generalized eigensolver: largest eigenvalue of D c = lam M c
-        import scipy.linalg
-
-        M = harmonics.galerkin_matrix(f.values, grid, L_max)
-        vals, vecs = scipy.linalg.eigh(np.diag(D), M)
-        lam = float(vals[-1])
-        c = vecs[:, -1]
-        uv = values_of(c)
-        if np.max(uv) < -np.min(uv):
-            c, uv = -c, -uv
-        iterations += 1
     if np.min(uv) <= 0.0:
         raise PositivityLost("principal eigenfunction is not strictly positive")
     scale = float(np.max(uv))
-    c = c / scale
-    uv = uv / scale
-    if fallback:
-        # in the reported normalization (max u = 1), so it equals residual_inf
-        res = residual_of(c, lam, uv)
-        trace.append({"path": "eigh_fallback", "residual_inf": res})
-    else:
-        # the last Newton iterate's residual, rescaled like its trace entry
-        res = res / scale
     u = harmonics.SphericalField(
-        grid=grid, values=uv, coeffs=harmonics.HarmonicCoeffs(L_max=L_max, c=c)
+        grid=grid, values=uv / scale,
+        coeffs=harmonics.HarmonicCoeffs(L_max=L_max, c=c / scale),
     )
     sol = LpSolution(
-        u=u, p=2.0, lam=float(lam), residual_inf=res, iterations=iterations,
-        converged=res <= tol, degree1_magnitude=float(np.linalg.norm(c[1:4])),
+        u=u, p=2.0, lam=float(lam), residual_inf=res, iterations=len(trace),
+        converged=res <= tol, degree1_magnitude=float(np.linalg.norm(c[1:4] / scale)),
         trace=tuple(trace),
     )
     if not sol.converged:
         raise NonConvergence(
-            f"eigen solver: residual {res:.3e} > tol {tol:.3e}", best=sol
+            f"eigen solver stopped ({stop}): residual {res:.3e} > tol {tol:.3e} "
+            f"after {len(trace)} Newton steps",
+            best=sol,
         )
     return sol
 

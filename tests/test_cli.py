@@ -227,8 +227,8 @@ class TestCommands:
         return out.stdout.strip().splitlines()[-1]
 
     def test_import_leaves_quadrature_out(self):
-        # SciPy is imported only by the paths that use it (GMRES, the dense
-        # LAPACK branches); SymPy by none
+        # SciPy is imported only by the path that uses it, the GMRES of
+        # lp --p 2; SymPy by none
         assert self._fresh_modules("import christoffel.cli") == "[]"
 
     @pytest.mark.parametrize("argv, loaded", [
@@ -350,6 +350,35 @@ class TestErrors:
         assert report["error"]["type"] == "ParseError"
         assert "cr3" in report["error"]["message"]
         # validated before the solve: no partial results in the report
+        assert set(report) == {"config", "error"}
+
+    @pytest.mark.parametrize("p, source", [
+        ("nan", "family:ellipsoid:a=1,b=1.2,c=1.5"),
+        ("inf", "family:ellipsoid:a=1,b=1.2,c=1.5"),
+        ("1e308", "family:ellipsoid:a=1,b=1.2,c=1.5"),
+        # u0 = (2 / mean f)^(1 / (p - 2)) overflows
+        ("2.000001", "family:harmonic:l=2,m=0,eps=0.3,base=1.5"),
+    ])
+    def test_bad_lp_p_reported(self, p, source, tmp_path):
+        report, code = run_cli(
+            ["lp", "--p", p, "--input", source, "--L", "16", "--Lmax", "8"], tmp_path
+        )
+        assert code == 1
+        assert report["error"]["type"] == "InvalidParameter"
+        assert set(report) == {"config", "error"}
+
+    @pytest.mark.parametrize("tol", ["nan", "0", "-1"])
+    @pytest.mark.parametrize("command", [["solve"], ["lp", "--p", "4"], ["lp", "--p", "2"]],
+                             ids=["solve", "lp4", "lp2"])
+    def test_bad_tol_reported(self, command, tol, tmp_path):
+        # the field has a degree-1 part: a NaN tol would let solve pass it
+        report, code = run_cli(
+            command + ["--tol=" + tol, "--input", "family:harmonic:l=1,m=0,eps=0.1,base=2",
+                       "--L", "16", "--Lmax", "8"],
+            tmp_path,
+        )
+        assert code == 1
+        assert report["error"]["type"] == "InvalidParameter"
         assert set(report) == {"config", "error"}
 
     @pytest.mark.parametrize("command", [["check"], ["lp", "--p", "2"]])

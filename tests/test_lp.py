@@ -1,10 +1,14 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import christoffel
 from christoffel import body, convexity, harmonics, lp, sphere
 from christoffel.errors import InvalidParameter, NonConvergence
 
-from conftest import constant_field, harmonic_field, random_positive_field
+from conftest import constant_field, dense_eigenpair, harmonic_field, random_positive_field
 
 
 def ellipsoid_field(grid, L_max, axes):
@@ -63,10 +67,9 @@ class TestSolveLp:
 
     def test_p_gate(self, grid24):
         f = constant_field(grid24, 2.0, L_max=12)
-        with pytest.raises(InvalidParameter):
-            lp.solve_lp(f, 2.0)
-        with pytest.raises(InvalidParameter):
-            lp.solve_lp(f, 1.5)
+        for p in (2.0, 1.5, np.nan, np.inf):
+            with pytest.raises(InvalidParameter):
+                lp.solve_lp(f, p)
 
     def test_nonconvergence_carries_best(self, grid24):
         f = harmonic_field(grid24, 2.0, {(2, 0): 0.3}, L_max=12)
@@ -85,16 +88,38 @@ class TestSolveLp:
         assert all(b < a for a, b in zip(residuals, residuals[1:]))
         assert residuals[-1] == sol.residual_inf
 
-    def test_trace_shows_dense_fallback(self, grid24):
-        # below the band-limit floor of the pointwise residual the
-        # quasi-Newton step stalls, the dense Jacobian runs and stalls too
+    def test_trace_ends_on_stall(self, grid24):
+        # below the band-limit floor of the pointwise residual every
+        # quasi-Newton trial is rejected, and that stall ends the solve
         f = harmonic_field(grid24, 2.0, {(2, 0): 0.1, (3, 1): 0.05}, L_max=12)
-        with pytest.raises(NonConvergence) as exc:
+        with pytest.raises(NonConvergence, match=r"\(stall\)") as exc:
             lp.solve_lp(f, 4.0, tol=1e-14)
         trace = exc.value.best.trace
         assert len(trace) == exc.value.best.iterations
-        assert trace[-1]["path"] == "dense"
-        assert trace[-2]["path"] == "quasi_newton" and trace[-2]["step_scale"] == 0.0
+        assert {t["path"] for t in trace} == {"quasi_newton"}
+        assert trace[-1]["step_scale"] == 0.0
+        assert all(t["step_scale"] > 0.0 for t in trace[:-1])
+        assert trace[-1]["residual_inf"] == exc.value.best.residual_inf
+
+    def test_iteration_cap_named(self, grid24):
+        f = harmonic_field(grid24, 2.0, {(2, 0): 0.3}, L_max=12)
+        with pytest.raises(NonConvergence, match=r"\(iteration cap\)"):
+            lp.solve_lp(f, 4.0, tol=1e-13, max_iter=2)
+
+    @pytest.mark.parametrize("p, base", [(2.000001, 1.5), (1e308, 2.0)])
+    def test_overflowing_start_rejected(self, grid24, p, base):
+        # u0 = (2 / mean f)^(1 / (p - 2)) overflows for p just above 2;
+        # for huge p, (p - 1) f u0^(p-2) does
+        with pytest.raises(InvalidParameter):
+            lp.solve_lp(constant_field(grid24, base, L_max=12), p)
+
+    @pytest.mark.parametrize("tol", [np.nan, 0.0, -1.0, np.inf])
+    def test_bad_tol_rejected(self, grid24, tol):
+        f = constant_field(grid24, 2.0, L_max=12)
+        with pytest.raises(InvalidParameter):
+            lp.solve_lp(f, 4.0, tol=tol)
+        with pytest.raises(InvalidParameter):
+            lp.solve_lp_eigen(f, tol=tol)
 
     def test_insensitive_to_initial_guess(self, grid24):
         f = harmonic_field(grid24, 2.0, {(2, 0): 0.1}, L_max=16)
@@ -153,7 +178,7 @@ class TestEigen:
         assert abs(a.lam - b.lam) < 1e-9
         assert np.max(np.abs(a.u.values - b.u.values)) < 1e-8
 
-    def test_eigh_fallback_matches_newton(self, grid24, grid48):
+    def test_newton_matches_dense_eigh(self, grid24, grid48):
         cases = [
             (harmonic_field(grid24, 1.0, {(2, 0): 0.05, (3, 1): 0.03, (4, -2): 0.02}, L_max=12),
              1e-10),
@@ -162,11 +187,11 @@ class TestEigen:
         ]
         for f, tol in cases:
             newton = lp.solve_lp_eigen(f, tol=tol)
-            dense = lp.solve_lp_eigen(f, tol=tol, max_iter=0)
+            lam, uv = dense_eigenpair(f)
             assert [t["path"] for t in newton.trace] == ["newton"] * newton.iterations
-            assert [t["path"] for t in dense.trace] == ["eigh_fallback"]
-            assert abs(dense.lam - newton.lam) < 1e-9
-            assert np.max(np.abs(dense.u.values - newton.u.values)) < 1e-9
+            assert all(t["krylov_iterations"] >= 1 for t in newton.trace)
+            assert abs(lam - newton.lam) < 1e-9
+            assert np.max(np.abs(uv - newton.u.values)) < 1e-9
 
     def test_preconditioner_inverts_mean_field_matrix(self):
         rng = np.random.default_rng(7)
@@ -182,43 +207,53 @@ class TestEigen:
         inv = np.column_stack([apply(e) for e in np.eye(K + 1)])
         assert np.max(np.abs(inv @ A - np.eye(K + 1))) < 1e-12
 
-    def test_newton_path_never_assembles_galerkin(self, grid24, grid48, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("Galerkin matrix assembled on the Newton path")
-
-        monkeypatch.setattr(harmonics, "galerkin_matrix", refuse)
-        for f, tol in [
-            (harmonic_field(grid24, 1.0, {(2, 0): 0.05, (3, 1): 0.03}, L_max=12), 1e-10),
-            (ellipsoid_field(grid48, 32, (0.8, 1.2, 1.6)), 1e-7),
-        ]:
-            sol = lp.solve_lp_eigen(f, tol=tol)
-            assert sol.converged
-            assert [t["path"] for t in sol.trace] == ["newton"] * sol.iterations
-            assert all(t["krylov_iterations"] >= 1 for t in sol.trace)
-
-    def test_krylov_failure_falls_back(self, grid24, monkeypatch):
+    def test_krylov_failure_raises_with_best(self, grid24, monkeypatch):
         import scipy.sparse.linalg
 
         f = harmonic_field(grid24, 1.0, {(2, 0): 0.05, (3, 1): 0.03}, L_max=12)
-        newton = lp.solve_lp_eigen(f, tol=1e-10)
-        monkeypatch.setattr(
-            scipy.sparse.linalg, "gmres", lambda A, b, **kwargs: (np.zeros_like(b), 1)
-        )
-        sol = lp.solve_lp_eigen(f, tol=1e-10)
-        assert [t["path"] for t in sol.trace] == ["eigh_fallback"]
-        assert abs(sol.lam - newton.lam) < 1e-9
-        assert np.max(np.abs(sol.u.values - newton.u.values)) < 1e-9
+        real_gmres = scipy.sparse.linalg.gmres
+        calls = []
+
+        def fail_second(A, b, **kwargs):
+            calls.append(1)
+            return real_gmres(A, b, **kwargs) if len(calls) == 1 else (np.zeros_like(b), 1)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "gmres", fail_second)
+        with pytest.raises(NonConvergence, match=r"\(Krylov failure\)") as exc:
+            lp.solve_lp_eigen(f, tol=1e-10)
+        best = exc.value.best
+        # the one completed Newton step is the best iterate, for max u = 1:
+        # the same one a cap of one step returns
+        assert best.iterations == len(best.trace) == 1
+        assert best.trace[-1]["residual_inf"] == best.residual_inf > 1e-10
+        assert np.max(best.u.values) == 1.0
+        monkeypatch.setattr(scipy.sparse.linalg, "gmres", real_gmres)
+        with pytest.raises(NonConvergence, match=r"\(iteration cap\)") as cap:
+            lp.solve_lp_eigen(f, tol=1e-10, max_iter=1)
+        assert best.lam == cap.value.best.lam
+        assert np.array_equal(best.u.values, cap.value.best.u.values)
 
     def test_fallback_trace_in_reported_normalization(self, grid48):
         # the band-limit floor of this field's grid residual (3.5e-8) lies
-        # above the default tol, so the dense eigensolver decides; its trace
-        # entry must describe the returned u, normalized to max u = 1
+        # above the default tol, so Newton stops short of it; the last
+        # trace entry describes the returned u, normalized to max u = 1
         f = ellipsoid_field(grid48, 32, (0.8, 1.2, 1.6))
         with pytest.raises(NonConvergence) as exc:
             lp.solve_lp_eigen(f)
         best = exc.value.best
-        assert best.trace[-1]["path"] == "eigh_fallback"
+        assert best.trace[-1]["path"] == "newton"
         assert best.trace[-1]["residual_inf"] == best.residual_inf
+        assert np.max(best.u.values) == 1.0
+
+    def test_stops_in_reported_normalization(self, grid24):
+        # the loop tests the residual for max u = 1, the traced one: a tol
+        # just above step k's traced residual ends the solve at step k
+        f = harmonic_field(grid24, 1.0, {(2, 0): 0.05, (3, 1): 0.03}, L_max=12)
+        trace = lp.solve_lp_eigen(f, tol=1e-10).trace
+        assert len(trace) >= 2
+        for k, entry in enumerate(trace, start=1):
+            sol = lp.solve_lp_eigen(f, tol=1.01 * entry["residual_inf"])
+            assert sol.iterations == k
 
     def test_newton_trace_in_reported_normalization(self, grid24):
         # Newton pins u at one node; its trace entries are rescaled to the
@@ -231,20 +266,20 @@ class TestEigen:
     def test_stall_leaves_newton_early(self, grid48):
         # at (48, 32) the grid residual of this ellipsoid has a band-limit
         # floor of 6.8e-4: Newton reaches it in three steps, then stalls,
-        # and the dense eigensolver decides as it did after 60 steps
+        # and the stall ends the solve
         f = ellipsoid_field(grid48, 32, (0.5, 1.0, 2.0))
-        with pytest.raises(NonConvergence) as exc:
+        with pytest.raises(NonConvergence, match=r"\(stall\)") as exc:
             lp.solve_lp_eigen(f)
         best = exc.value.best
         paths = [t["path"] for t in best.trace]
-        n_newton = len(paths) - 1
-        assert paths == ["newton"] * n_newton + ["eigh_fallback"]
+        assert paths == ["newton"] * best.iterations
         # three steps to the floor, then two that fail to halve the residual
-        assert n_newton <= 5
-        residuals = [t["residual_inf"] for t in best.trace[:-1]]
+        assert len(paths) <= 5
+        residuals = [t["residual_inf"] for t in best.trace]
         assert all(b > 0.5 * a for a, b in zip(residuals[-3:], residuals[-2:]))
-        assert abs(best.lam - 0.9307101208137636) < 1e-12
-        assert abs(best.residual_inf - 6.836257936320145e-4) < 1e-14
+        assert abs(best.lam - dense_eigenpair(f)[0]) < 1e-9
+        assert abs(best.lam - 0.9307101208137644) < 1e-12
+        assert abs(best.residual_inf - 6.836257935815092e-4) < 1e-14
 
     def test_lambda_bounds_on_seeded_fields(self, grid24):
         rng = np.random.default_rng(33)
@@ -252,6 +287,29 @@ class TestEigen:
             f = random_positive_field(grid24, rng, base=1.0, amp=0.1, l_max_content=3, L_max=16)
             sol = lp.solve_lp_eigen(f, tol=1e-9)
             assert 2.0 / np.max(f.values) - 1e-9 <= sol.lam <= 2.0 / np.min(f.values) + 1e-9
+
+
+def imported_modules(tree):
+    """Dotted names of every module an ``import`` in ``tree`` loads, with
+    ``from a import b`` counted as a.b."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            yield node.module
+            yield from (f"{node.module}.{alias.name}" for alias in node.names)
+
+
+def test_no_dense_path_in_package():
+    # the L_p solvers form no K x K matrix: nothing imports the dense
+    # LAPACK wrappers, and the Galerkin matrix lives only in the tests
+    sources = sorted(Path(christoffel.__file__).parent.glob("*.py"))
+    assert any(path.name == "lp.py" for path in sources)
+    dense = [f"{path.name}: {name}" for path in sources
+             for name in imported_modules(ast.parse(path.read_text(encoding="utf-8")))
+             if name == "scipy.linalg" or name.startswith("scipy.linalg.")]
+    assert dense == []
+    assert not hasattr(harmonics, "galerkin_matrix")
 
 
 class TestRefinedResidual:
