@@ -13,7 +13,7 @@ import numpy as np
 
 from . import harmonics
 from .errors import InvalidParameter
-from .sphere import SphereGrid, point_coords, tangent_basis
+from .sphere import SphereGrid, point_coords, tangent_bases
 
 
 @dataclass(frozen=True)
@@ -188,7 +188,7 @@ def principal_radii(u: harmonics.SphericalField, x):
     D^2 U(x) on the tangent plane (U the 1-homogeneous extension of u),
     which are those of Hess u(x) + u(x) I, returned sorted ascending."""
     xc = point_coords(x)
-    E = np.stack(tangent_basis(xc), axis=1)
+    E = np.stack(tangent_bases(xc[None]), axis=2)[0]
     D2U = harmonics.extension_hessian_at(harmonics.require_coeffs(u), xc[None, :])[0]
     r = np.linalg.eigvalsh(E.T @ D2U @ E)
     return float(r[0]), float(r[1])

@@ -34,7 +34,9 @@ of degree <= L_max + 2: they are formed on the Gauss grid of
 band, multiplied degree by degree (:func:`_multipliers`) and synthesized on
 the grid of f or at any points (:func:`criterion_forms`).  The minimum over
 unit tangent xi at a node is the smaller eigenvalue of a 2x2 matrix, in
-closed form.  The kernel quadrature of the integrals themselves stays in
+closed form.  It does not depend on the tangent frame, so every node form
+is read in the node's own (e_theta, e_phi) frame (:attr:`SphereGrid.frame`),
+where the grid derivatives are formed.  The kernel quadrature of the integrals themselves stays in
 the tests, as the oracle for these forms.
 
 Ground truth: hessian_min checks min eig(Hess u + u I) directly on the
@@ -61,7 +63,8 @@ import numpy as np
 from . import harmonics, kernels
 from .errors import NotPositive
 from .harmonics import _SYM_COLS, _SYM_FULL, _SYM_ROWS, HarmonicCoeffs
-from .sphere import SpherePoint, TangentDirection, tangent_bases
+# tangent_bases is unused here; bench/tests/test_bench.py reads this binding
+from .sphere import SpherePoint, TangentDirection, tangent_bases  # noqa: F401
 
 # rounding-floor factor of the sweep error band (see :func:`sweep`)
 _BAND_KAPPA = 4.0
@@ -168,14 +171,17 @@ def _form_min(a, b, d, e1, e2, c=0.0):
     """Minimum over unit xi of c + xi^T [[a, b], [b, d]] xi at every node,
     for forms (a, b, d) in the bases (e1, e2), the node i of the smallest
     (the first in node order on a tie) and its exact minimizing unit
-    direction xi: (values, i, xi)."""
+    direction xi: (values, i, xi).  The direction is the eigenvector (h -
+    r, b) if h = (a - d) / 2 <= 0, else (b, -h - r), r = sqrt(h^2 + b^2):
+    neither sum cancels, so a nearly diagonal form keeps its direction."""
     vals = _min_eig2(a, b, d) + c
     i = int(np.argmin(vals))
-    a, b, d = a[i], b[i], d[i]
-    v = np.array([b, _min_eig2(a, b, d) - a])
+    h, b = 0.5 * (a[i] - d[i]), b[i]
+    r = np.hypot(h, b)
+    v = np.array([h - r, b]) if h <= 0.0 else np.array([b, -h - r])
     n = np.linalg.norm(v)
     if n < 1e-300:
-        v = np.array([1.0, 0.0]) if a <= d else np.array([0.0, 1.0])
+        v = np.array([1.0, 0.0]) if h <= 0.0 else np.array([0.0, 1.0])
     else:
         v = v / n
     return vals, i, v[0] * e1[i] + v[1] * e2[i]
@@ -207,9 +213,9 @@ def sweep(f, criterion: Criterion | str) -> ConvexityReport:
     crit = Criterion(criterion)
     _require_positive(f)
     grid = f.grid
-    e1s, e2s = tangent_bases(grid.nodes)
+    e_th, e_ph = grid.frame.e_th, grid.frame.e_ph
     c, S = criterion_forms(f, crit)
-    vals, i, best_dir = _form_min(*_tangent_form(S, e1s, e2s), e1s, e2s, c)
+    vals, i, best_dir = _form_min(*_tangent_form(S, e_th, e_ph), e_th, e_ph, c)
     best = float(vals[i])
     wx = SpherePoint(grid.nodes[i])
     L_max = f.coeffs.L_max
@@ -357,7 +363,7 @@ def check_T32(f, alpha: float):
 
 def _pogorelov_form(f):
     """Entries (a, b, d) of the 2x2 form f I - Hess f at every node of f,
-    in the tangent bases of :func:`christoffel.sphere.tangent_bases`."""
+    in the node frame (e_theta, e_phi) of :func:`harmonics.grid_hessian`."""
     H = f.hessian
     return f.values - H[:, 0, 0], -H[:, 0, 1], f.values - H[:, 1, 1]
 
@@ -365,9 +371,9 @@ def _pogorelov_form(f):
 def _guan_ma_form(f):
     """Entries (a, b, d) of f^2 (Hess(1/f) + (1/f) I) = f I - Hess f +
     2 grad f grad f^T / f at every node of f, in the bases of
-    :func:`_pogorelov_form`."""
+    :func:`_pogorelov_form`, the node frame (e_theta, e_phi)."""
     a, b, d = _pogorelov_form(f)
-    g1, g2 = (np.sum(f.gradient * e, axis=1) for e in tangent_bases(f.grid.nodes))
+    g1, g2 = (np.sum(f.gradient * e, axis=1) for e in (f.grid.frame.e_th, f.grid.frame.e_ph))
     w = 2.0 / f.values
     return a + w * g1 * g1, b + w * g1 * g2, d + w * g2 * g2
 
@@ -376,10 +382,9 @@ def _pogorelov_min(f):
     """Smallest eigenvalue of f I - Hess f over the nodes of f, its node and
     its exact minimizing tangent direction: (min, SpherePoint,
     TangentDirection)."""
-    nodes = f.grid.nodes
-    e1s, e2s = tangent_bases(nodes)
-    vals, i, xi = _form_min(*_pogorelov_form(f), e1s, e2s)
-    x = SpherePoint(nodes[i])
+    frame = f.grid.frame
+    vals, i, xi = _form_min(*_pogorelov_form(f), frame.e_th, frame.e_ph)
+    x = SpherePoint(f.grid.nodes[i])
     return float(vals[i]), x, TangentDirection(x, xi)
 
 

@@ -17,15 +17,14 @@ L_max + 2 colatitudes of the scattered-point profiles
 (:func:`_profile_blocks`); keyed by (L, L_max), the Legendre values at the
 Gauss nodes of grid L, one recursion whose theta-derivative tables are
 derived from it (:func:`_grid_legendre`, :func:`_grid_blocks`), and the
-azimuth tables with their phi-derivative factors (:func:`_azimuth_plan`);
-keyed by L, the node frame: sin and cos theta, e_theta, e_phi and the
-rotation coefficients of the default tangent bases (:func:`_grid_frame`).
+azimuth tables with their phi-derivative factors (:func:`_azimuth_plan`).
 Each cache keeps the last 4 to 16 keys, enough for every size one command
 uses.  Every cached array is read-only, so a stray in-place write raises
 ValueError instead of corrupting later transforms.  The tables hold the
 values the transforms computed per call before, and the arithmetic on
 them is unchanged, so results are bit-identical to building the tables
-afresh on each call.
+afresh on each call.  Grid derivatives are formed in the node frame
+(e_theta, e_phi) that each grid keeps (:attr:`SphereGrid.frame`).
 
 Off-grid derivatives come from one object, the derivative channels of the
 1-homogeneous extension G(y) = |y| g(y/|y|): on S^2, DG = grad g + g x and
@@ -40,7 +39,9 @@ grid L_max + 3, which integrates their products with the basis exactly.
 Point gradients and Hessians then only synthesize channels, all channels
 of one band from one set of theta profiles (:func:`hessian_at` pads the
 values to the D^2 G band to join them): no (theta, phi) frame and no pole
-test.  Grid derivatives are formed once per field and kept
+test.  Off the grid a point may be a pole, so :func:`hessian_at` projects
+D^2 G on the bases of :func:`christoffel.sphere.tangent_bases`, which are
+defined there.  Grid derivatives are formed once per field and kept
 (:attr:`SphericalField.gradient`, :attr:`SphericalField.hessian`).
 """
 
@@ -59,13 +60,7 @@ from .errors import (
     NotAnalyzed,
     OrthogonalityViolation,
 )
-from .sphere import (
-    SphereGrid,
-    _azimuths,
-    _polar_rule,
-    make_grid,
-    tangent_bases,
-)
+from .sphere import SphereGrid, _azimuths, _polar_rule, make_grid, tangent_bases
 
 DEFAULT_L_MAX = 32
 DEFAULT_GRID_L = 48
@@ -486,10 +481,9 @@ def _points_angles(points):
     return pts, theta, phi
 
 
-def _theta_profiles(coeffs, theta, nderiv=0):
-    """Theta profiles of every order and their first ``nderiv``
-    theta-derivatives at arbitrary colatitudes: a list of ``nderiv + 1``
-    pairs (A, B), each (n_pts, L_max + 1), as :func:`_synth_theta_stacks`.
+def _theta_profiles(coeffs, theta):
+    """Theta profiles of every order at arbitrary colatitudes: (A, B), each
+    (n_pts, L_max + 1), as :func:`_synth_theta_stacks`.
     ``coeffs`` is one coefficient set, or a sequence of sets of one band
     whose profiles then carry a trailing channel axis: all channels share
     one FFT and one product.
@@ -499,9 +493,8 @@ def _theta_profiles(coeffs, theta, nderiv=0):
     odd m, with A_m(2 pi - theta) = (-1)^m A_m(theta) (the double Fourier
     sphere of Townsend, Wilber & Wright 2016).  Its values at the L_max + 2
     colatitudes pi j / (L_max + 1), mirrored onto the circle, give its
-    coefficients by one real FFT; derivatives map the (cos, sin)
-    coefficients (a_k, b_k) to (k b_k, -k a_k).  One real matrix product
-    with cos k theta and sin k theta then gives every profile at the points.
+    coefficients by one real FFT.  One real matrix product with cos k theta
+    and sin k theta then gives every profile at the points.
     """
     if isinstance(coeffs, HarmonicCoeffs):
         L_max, c = coeffs.L_max, coeffs.c
@@ -515,17 +508,12 @@ def _theta_profiles(coeffs, theta, nderiv=0):
     circle = np.concatenate([prof, sign * prof[-2:0:-1]])
     F = np.fft.rfft(circle, axis=0)[:n] / n  # the Nyquist term is zero
     F[0] *= 0.5
-    a, b = F.real, -F.imag
-    k = np.arange(n).reshape((n, 1) + trail)
-    W = []
-    for _ in range(nderiv + 1):
-        W.append(np.stack([a, b], axis=1).reshape(2 * n, -1))  # rows a_0 b_0 a_1 ...
-        a, b = k * b, -k * a
+    W = np.stack([F.real, -F.imag], axis=1).reshape(2 * n, -1)  # rows a_0 b_0 a_1 ...
     # exp(i k theta) viewed as float interleaves cos k theta and sin k theta
     # in the row order of W
-    P = np.exp(1j * np.multiply.outer(theta, np.arange(n))).view(float) @ np.concatenate(W, axis=1)
-    P = P.reshape((len(theta), nderiv + 1, 2, n) + c.shape[1:])
-    return [(P[:, d, 0], P[:, d, 1]) for d in range(nderiv + 1)]
+    P = np.exp(1j * np.multiply.outer(theta, np.arange(n))).view(float) @ W
+    P = P.reshape((len(theta), 2, n) + c.shape[1:])
+    return P[:, 0], P[:, 1]
 
 
 def synthesize_at(coeffs, points) -> np.ndarray:
@@ -537,42 +525,11 @@ def synthesize_at(coeffs, points) -> np.ndarray:
     result is then (N, len(coeffs)), from one set of profiles for all.
     """
     _, theta, phi = _points_angles(points)
-    (A, B), = _theta_profiles(coeffs, theta)
+    A, B = _theta_profiles(coeffs, theta)
     m = np.arange(A.shape[1])[None, :]
     z = np.where(m > 0, np.sqrt(2.0), 1.0) * np.exp(1j * m * phi[:, None])
     z = z.reshape(z.shape + (1,) * (A.ndim - 2))
     return np.sum(A * z.real + B * z.imag, axis=1)
-
-
-class _Frame(NamedTuple):
-    """Frame of a set of points: sin and cos theta, e_theta and e_phi."""
-
-    sin: np.ndarray
-    cos: np.ndarray
-    e_th: np.ndarray
-    e_ph: np.ndarray
-
-
-def _frame(theta, phi) -> _Frame:
-    st, ct = np.sin(theta), np.cos(theta)
-    cp, sp = np.cos(phi), np.sin(phi)
-    e_th = np.stack([ct * cp, ct * sp, -st], axis=-1)
-    e_ph = np.stack([-sp, cp, np.zeros_like(sp)], axis=-1)
-    return _Frame(st, ct, e_th, e_ph)
-
-
-@lru_cache(maxsize=4)
-def _grid_frame(L: int):
-    """Frame of the nodes of grid L in node order and the coefficients
-    (r11, r12, r21, r22) = (<e1, e_theta>, <e1, e_phi>, <e2, e_theta>,
-    <e2, e_phi>) of the tangent bases (e1, e2) of
-    :func:`christoffel.sphere.tangent_bases`: (frame, rotation)."""
-    grid = make_grid(L)
-    frame = _frame(np.repeat(grid.thetas, grid.azimuth_count), np.tile(grid.phis, L))
-    rot = tuple(np.sum(e * v, axis=1) for e in tangent_bases(grid.nodes)
-                for v in (frame.e_th, frame.e_ph))
-    _read_only(*frame, *rot)
-    return frame, rot
 
 
 def analyze_channels(grid: SphereGrid, values: np.ndarray, band: int) -> tuple:
@@ -588,7 +545,7 @@ def _extension_channels(coeffs: HarmonicCoeffs) -> ExtensionChannels:
     field = coeffs.channel_field
     grid, g = field.grid, field.values
     DG = field.gradient + g[:, None] * grid.nodes
-    E = np.stack(tangent_bases(grid.nodes), axis=2)  # (N, 3, 2)
+    E = np.stack([grid.frame.e_th, grid.frame.e_ph], axis=2)  # (N, 3, 2)
     H = field.hessian + g[:, None, None] * np.eye(2)
     D2G = np.einsum("nik,nkl,njl->nij", E, H, E)[:, _SYM_ROWS, _SYM_COLS]
     return ExtensionChannels(grad=analyze_channels(grid, DG, L_max + 1),
@@ -617,9 +574,11 @@ def extension_hessian_at(coeffs: HarmonicCoeffs, points) -> np.ndarray:
 def hessian_at(coeffs: HarmonicCoeffs, points) -> np.ndarray:
     """Covariant Hessian on S^2, shape (N, 2, 2), in the per-point tangent
     bases E of :func:`christoffel.sphere.tangent_bases`: E^T D^2 G E - g I.
-    The trace equals the Laplace-Beltrami operator of the field.  g is
-    padded to the band of the D^2 G channels, so one set of theta profiles
-    serves all seven."""
+    The points may be poles, where no (e_theta, e_phi) frame exists; grid
+    nodes never are, and :func:`grid_hessian` needs no rotation.  The
+    trace equals the Laplace-Beltrami operator of the field.  g is padded to
+    the band of the D^2 G channels, so one set of theta profiles serves all
+    seven."""
     pts = np.asarray(points, dtype=float)
     band = coeffs.L_max + 2
     g = HarmonicCoeffs(L_max=band, c=np.pad(coeffs.c, (0, (band + 1) ** 2 - coeffs.c.size)))
@@ -634,30 +593,25 @@ def grid_gradient(field: SphericalField) -> np.ndarray:
     + e_phi d_phi / sin(theta), with no node at a pole."""
     coeffs = require_coeffs(field)
     dth, dph = (d.ravel() for d in _grid_eval(coeffs, field.grid, (1, "phi")))
-    frame, _ = _grid_frame(field.grid.L)
+    frame = field.grid.frame
     return frame.e_th * dth[:, None] + frame.e_ph * (dph / frame.sin)[:, None]
 
 
 def grid_hessian(field: SphericalField) -> np.ndarray:
-    """Covariant Hessian at every grid node, shape (N, 2, 2), in the tangent
-    bases of :func:`christoffel.sphere.tangent_bases`.
-
-    Formed in the (e_theta, e_phi) frame, which the grid nodes never leave
-    (no node sits at a pole), then rotated into those bases.
+    """Covariant Hessian at every grid node, shape (N, 2, 2), in the node
+    frame (e_theta, e_phi) of :attr:`SphereGrid.frame`: h_thth = f_thth,
+    h_thph = (f_thph - cot(theta) f_ph) / sin(theta) and h_phph = f_phph /
+    sin^2(theta) + cot(theta) f_th.  No node sits at a pole, so the frame
+    holds at every node and needs no rotation.
     """
     coeffs = require_coeffs(field)
     dth, dph, dthth, dthph, dphph = (
         d.ravel() for d in _grid_eval(coeffs, field.grid, (1, "phi", 2, "thetaphi", "phiphi")))
-    frame, (r11, r12, r21, r22) = _grid_frame(field.grid.L)
-    s, c = frame.sin, frame.cos
-    h11 = dthth
-    h12 = (dthph - (c / s) * dph) / s
-    h22 = dphph / (s * s) + (c / s) * dth
+    s, c = field.grid.frame.sin, field.grid.frame.cos
     H = np.empty((len(s), 2, 2))
-    H[:, 0, 0] = r11 * (r11 * h11 + r12 * h12) + r12 * (r11 * h12 + r12 * h22)
-    H[:, 0, 1] = r21 * (r11 * h11 + r12 * h12) + r22 * (r11 * h12 + r12 * h22)
-    H[:, 1, 0] = H[:, 0, 1]
-    H[:, 1, 1] = r21 * (r21 * h11 + r22 * h12) + r22 * (r21 * h12 + r22 * h22)
+    H[:, 0, 0] = dthth
+    H[:, 0, 1] = H[:, 1, 0] = (dthph - (c / s) * dph) / s
+    H[:, 1, 1] = dphph / (s * s) + (c / s) * dth
     return H
 
 
@@ -705,10 +659,11 @@ def _real_y1(pts, m):
     return k * pts[:, comp]
 
 
-def christoffel_residual(u: SphericalField, f: SphericalField) -> float:
-    """Max-norm grid residual of (Laplacian + 2) u - f."""
-    lu = synthesize(require_coeffs(u).apply_operator(), u.grid).values
-    return float(np.max(np.abs(lu - f.values)))
+def christoffel_residual(coeffs: HarmonicCoeffs, grid: SphereGrid, rhs) -> float:
+    """Max-norm grid residual of (Laplacian + 2) u - rhs, from the
+    coefficients of u and the values of the right-hand side at the nodes."""
+    lu = synthesize(coeffs.apply_operator(), grid).values
+    return float(np.max(np.abs(lu - rhs)))
 
 
 class ChristoffelSolution(NamedTuple):
@@ -742,8 +697,9 @@ def solve_christoffel(
     if np.max(np.abs(defect)) > tol and not project:
         raise OrthogonalityViolation(defect)
     rhs = project_out_linear(f) if project else f
-    u = synthesize(require_coeffs(rhs).invert_operator(), f.grid)
-    res = christoffel_residual(u, rhs)
+    uc = require_coeffs(rhs).invert_operator()
+    u = synthesize(uc, f.grid)
+    res = christoffel_residual(uc, f.grid, rhs.values)
     if res > 10.0 * max(tol, 1e-14):
         raise ChristoffelError(
             f"spectral solve residual {res:.3e} exceeds 10*tol={10 * tol:.3e}"

@@ -74,14 +74,6 @@ def _mean(f) -> float:
     return f.grid.integrate(f.values) / (4.0 * np.pi)
 
 
-def _residual_inf(coeffs, grid, fv, uv, p: float, lam: float | None = None) -> float:
-    """Max-norm residual of (Laplacian + 2) u - (lambda) f u^(p-1) on a
-    grid, from the coefficients of u and the values fv, uv of f and u at
-    its nodes."""
-    lu = harmonics.synthesize(coeffs.apply_operator(), grid).values
-    return float(np.max(np.abs(lu - (1.0 if lam is None else lam) * fv * uv ** (p - 1.0))))
-
-
 def residual_on_refined_grid(sol: LpSolution, f, refine: int = 2) -> float:
     """Max-norm residual re-evaluated on a ``refine``-times finer grid, with
     u and f synthesized there from their coefficients."""
@@ -89,7 +81,8 @@ def residual_on_refined_grid(sol: LpSolution, f, refine: int = 2) -> float:
     uc = harmonics.require_coeffs(sol.u)
     uv = harmonics.synthesize(uc, grid2).values
     fv = harmonics.synthesize(harmonics.require_coeffs(f), grid2).values
-    return _residual_inf(uc, grid2, fv, uv, sol.p, sol.lam)
+    lam = 1.0 if sol.lam is None else sol.lam
+    return harmonics.christoffel_residual(uc, grid2, lam * fv * uv ** (sol.p - 1.0))
 
 
 def solve_lp(
@@ -159,7 +152,8 @@ def solve_lp(
         return rc.c, harmonics.degree1_magnitude(rc)
 
     def residual_inf_of(c_, uv_):
-        return _residual_inf(harmonics.HarmonicCoeffs(L_max=L_max, c=c_), grid, f.values, uv_, p)
+        return harmonics.christoffel_residual(harmonics.HarmonicCoeffs(L_max=L_max, c=c_), grid,
+                                              f.values * uv_ ** (p - 1.0))
 
     rhs_c, d1 = rhs_coeffs(uv)
     res = residual_inf_of(c, uv)
@@ -294,8 +288,8 @@ def solve_lp_eigen(
     pin = harmonics.node_basis(grid, int(np.argmax(uv)), L_max)
 
     def residual_of(c_, lam_, uv_):
-        res_ = _residual_inf(harmonics.HarmonicCoeffs(L_max=L_max, c=c_), grid, f.values, uv_,
-                             2.0, lam_)
+        res_ = harmonics.christoffel_residual(harmonics.HarmonicCoeffs(L_max=L_max, c=c_), grid,
+                                              lam_ * f.values * uv_)
         return res_ / float(np.max(uv_))
 
     def jacobian_times(x):

@@ -9,7 +9,8 @@ only through the one-dimensional kernel reductions in :mod:`christoffel.kernels`
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -57,6 +58,16 @@ def point_coords(x) -> np.ndarray:
     return np.asarray(x, dtype=float)
 
 
+class NodeFrame(NamedTuple):
+    """The (e_theta, e_phi) frame of the nodes of a grid, in node order:
+    sin and cos theta (N,), e_theta and e_phi (N, 3)."""
+
+    sin: np.ndarray
+    cos: np.ndarray
+    e_th: np.ndarray
+    e_ph: np.ndarray
+
+
 @dataclass(frozen=True)
 class SphereGrid:
     """Quadrature grid on S^2: Gauss-Legendre in cos(theta) x uniform azimuth.
@@ -79,6 +90,20 @@ class SphereGrid:
     @property
     def node_count(self) -> int:
         return self.nodes.shape[0]
+
+    @cached_property
+    def frame(self) -> NodeFrame:
+        """The frame of every node, formed once per grid, read-only: no node
+        is a pole, so every grid derivative and 2x2 form lives in it."""
+        theta = np.repeat(self.thetas, self.azimuth_count)
+        phi = np.tile(self.phis, self.L)
+        st, ct = np.sin(theta), np.cos(theta)
+        cp, sp = np.cos(phi), np.sin(phi)
+        e_th = np.stack([ct * cp, ct * sp, -st], axis=-1)
+        e_ph = np.stack([-sp, cp, np.zeros_like(sp)], axis=-1)
+        for a in (st, ct, e_th, e_ph):
+            a.flags.writeable = False
+        return NodeFrame(st, ct, e_th, e_ph)
 
     def integrate(self, values) -> float:
         """Quadrature sum over the grid (fixed, deterministic order)."""
@@ -138,24 +163,13 @@ def make_grid(L: int) -> SphereGrid:
     )
 
 
-def tangent_basis(x):
-    """Deterministic orthonormal basis of the tangent plane at x (n = 2).
-
-    Gram-Schmidt of the coordinate axis least aligned with x, completed by
-    the cross product, so the frame (e1, e2, x) is right-handed.
-    """
-    xc = point_coords(x)
-    k = int(np.argmin(np.abs(xc)))
-    a = np.zeros(3)
-    a[k] = 1.0
-    e1 = a - (a @ xc) * xc
-    e1 /= np.linalg.norm(e1)
-    e2 = np.cross(xc, e1)
-    return e1, e2
-
-
 def tangent_bases(points: np.ndarray):
-    """Vectorized :func:`tangent_basis` for an (N, 3) array of unit vectors."""
+    """Deterministic orthonormal bases (e1, e2) of the tangent planes at an
+    (N, 3) array of unit vectors, each (N, 3): Gram-Schmidt of the
+    coordinate axis least aligned with the point, completed by the cross
+    product, so each frame (e1, e2, x) is right-handed.  Defined at the
+    poles too; grid nodes use :attr:`SphereGrid.frame` instead.
+    """
     pts = np.asarray(points, dtype=float)
     k = np.argmin(np.abs(pts), axis=1)
     a = np.zeros_like(pts)

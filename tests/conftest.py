@@ -180,9 +180,53 @@ def ellipsoid_principal_radii(ell: body.Ellipsoid, x):
     """Analytic principal radii: eigenvalues of the tangent-restricted
     ambient Hessian of the support function."""
     xc = np.asarray(x, dtype=float)
-    E = np.stack(sphere.tangent_basis(xc), axis=1)
+    E = np.stack(sphere.tangent_bases(xc[None]), axis=2)[0]
     r = np.linalg.eigvalsh(E.T @ ellipsoid_ambient_hessian(ell, xc) @ E)
     return float(r[0]), float(r[1])
+
+
+def frame_vectors(theta, phi):
+    """e_theta and e_phi at colatitudes theta and azimuths phi, each (n, 3)."""
+    st, ct = np.sin(theta), np.cos(theta)
+    cp, sp = np.cos(phi), np.sin(phi)
+    return (np.stack([ct * cp, ct * sp, -st], axis=-1),
+            np.stack([-sp, cp, np.zeros_like(sp)], axis=-1))
+
+
+def rotate_forms(H, frame, bases):
+    """2x2 forms H (n, 2, 2) written in the frame (f1, f2), rewritten in the
+    bases (e1, e2): R H R^T with R[i, j] = <e_i, f_j>, all (n, 3)."""
+    R = np.stack([np.stack([np.sum(e * f, axis=1) for f in frame], axis=1) for e in bases],
+                 axis=1)
+    return R @ H @ np.swapaxes(R, 1, 2)
+
+
+def theta_profile_derivatives(coeffs, theta, nderiv):
+    """The first ``nderiv`` theta-derivatives of the profiles that
+    :func:`harmonics._theta_profiles` evaluates, at colatitudes ``theta``: a
+    list of ``nderiv`` pairs (A, B), each (n_pts, L_max + 1).
+
+    Each profile is a series sum_k a_k cos k theta + b_k sin k theta, from
+    one real FFT of its values at the L_max + 2 colatitudes pi j / (L_max +
+    1) mirrored onto the circle, as in the program; a derivative maps the
+    coefficients (a_k, b_k) to (k b_k, -k a_k).
+    """
+    L_max, n = coeffs.L_max, coeffs.L_max + 1
+    A, B = harmonics._synth_theta_stacks(harmonics._profile_blocks(L_max),
+                                         *harmonics._coeff_stacks(coeffs.c, L_max), L_max)
+    prof = np.concatenate([A, B], axis=1)
+    circle = np.concatenate([prof, np.tile((-1.0) ** np.arange(n), 2) * prof[-2:0:-1]])
+    F = np.fft.rfft(circle, axis=0)[:n] / n
+    F[0] *= 0.5
+    a, b = F.real, -F.imag
+    k = np.arange(n)[:, None]
+    kt = np.multiply.outer(theta, np.arange(n))
+    out = []
+    for _ in range(nderiv):
+        a, b = k * b, -k * a
+        P = np.cos(kt) @ a + np.sin(kt) @ b
+        out.append((P[:, :n], P[:, n:]))
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -211,10 +255,12 @@ def orbit_values_and_slopes(coeffs, points, dirs, n_phi):
     """
     pts, theta, phi = harmonics._points_angles(points)
     dirs = np.asarray(dirs, dtype=float)
-    st, _, e_th, e_ph = harmonics._frame(theta, phi)
+    st = np.sin(theta)
+    e_th, e_ph = frame_vectors(theta, phi)
     alpha = np.sum(dirs * e_th, axis=1)[:, None]
     beta = (np.sum(dirs * e_ph, axis=1) / np.maximum(st, SIN_GUARD))[:, None]
-    (A, B), (dA, dB) = harmonics._theta_profiles(coeffs, theta, 1)
+    A, B = harmonics._theta_profiles(coeffs, theta)
+    (dA, dB), = theta_profile_derivatives(coeffs, theta, 1)
     m = np.arange(coeffs.L_max + 1)
     r = m % n_phi
     # f = Re sum_m w_m (A_m - i B_m) e^{i m phi}, w_0 = 1, w_m = sqrt(2),

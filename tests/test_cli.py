@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from christoffel import body, cli, convexity, harmonics, kernels
+from christoffel import body, cli, convexity, harmonics, kernels, sphere
 from christoffel.errors import GridMismatch, NotPositive, ParseError
 from christoffel.sphere import make_grid
 
@@ -468,12 +468,31 @@ class TestSharedWork:
             assert len({id(f) for f in seen}) == len(seen), name
         assert tables == [16]
 
+    def test_no_tangent_basis_on_grid_nodes(self, tmp_path, monkeypatch):
+        # every grid form is read in the node frame (e_theta, e_phi): no
+        # command builds the tangent bases that off-grid points use
+        calls = []
+        real = sphere.tangent_bases
+        for mod in (sphere, harmonics, convexity, body):
+            if getattr(mod, "tangent_bases", None) is real:
+                monkeypatch.setattr(mod, "tangent_bases",
+                                    lambda pts: calls.append(len(pts)) or real(pts))
+        for argv in (self.CHECK, self.LP, self.LP[:2] + ["2"] + self.LP[3:],
+                     ["reconstruct", "--input", "family:ellipsoid:a=1,b=1.2,c=1.5",
+                      "--L", "16", "--Lmax", "10", "--obj", str(tmp_path / "body.obj")]):
+            _, code = run_cli(argv, tmp_path)
+            assert code in (0, 2, 3), argv[0]
+        assert calls == []
+        # off-grid points, the poles among them, do use them
+        harmonics.hessian_at(harmonics.HarmonicCoeffs(L_max=2, c=np.arange(9.0)), np.eye(3))
+        assert calls == [3]
+
     def test_one_residual_per_solve(self, tmp_path, monkeypatch):
         # the report's solver residual is the one the solve computed
         seen = []
         real = harmonics.christoffel_residual
         monkeypatch.setattr(harmonics, "christoffel_residual",
-                            lambda u, f: seen.append(u) or real(u, f))
+                            lambda *a: seen.append(a[0]) or real(*a))
         for argv in (["solve", "--input", "family:harmonic:l=1,m=0,eps=0.6,base=2",
                       "--L", "16", "--Lmax", "8", "--project"], self.CHECK,
                      ["reconstruct", "--input", "family:ellipsoid:a=1,b=1.2,c=1.5",

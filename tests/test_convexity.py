@@ -16,6 +16,7 @@ from conftest import (
     harmonic_field,
     random_positive_field,
     rotate_about_z,
+    rotate_forms,
     t33_differences,
     t33_oracle,
     t33_samples,
@@ -24,7 +25,7 @@ from conftest import (
 
 def spectral_second_derivative(u, x, xi):
     """Ground truth <U(x) xi, xi> from the spectral solution's Hessian."""
-    e1, e2 = sphere.tangent_basis(x)
+    e1, e2 = (e[0] for e in sphere.tangent_bases(x[None]))
     H = harmonics.hessian_at(u.coeffs, x[None, :])[0]
     uval = harmonics.synthesize_at(u.coeffs, x[None, :])[0]
     q = np.array([xi @ e1, xi @ e2])
@@ -34,7 +35,7 @@ def spectral_second_derivative(u, x, xi):
 def random_witness(rng):
     x = rng.standard_normal(3)
     x /= np.linalg.norm(x)
-    e1, e2 = sphere.tangent_basis(x)
+    e1, e2 = (e[0] for e in sphere.tangent_bases(x[None]))
     a = rng.uniform(0, 2 * np.pi)
     return x, np.cos(a) * e1 + np.sin(a) * e2
 
@@ -63,7 +64,7 @@ def cap_quadrature(f, i, crit, delta=None):
     out = s <= np.cos(delta)
     s, Zo, wo = s[out], Z[out], w[out]
     fx, gx = f.values[i], f.gradient[i]
-    E = np.stack([e[i] for e in sphere.tangent_bases(Z)], axis=1)
+    E = np.stack([f.grid.frame.e_th[i], f.grid.frame.e_ph[i]], axis=1)
     Hx = E @ harmonics.grid_hessian(f)[i] @ E.T  # ambient form of the Hessian
     proj = np.eye(3) - np.outer(x, x)
     if crit == "cr1":
@@ -84,7 +85,8 @@ def criterion_value(f, crit, x, xi):
 def node_minima(f, crit):
     """The criterion minimized over tangent directions at every node."""
     c, S = convexity.criterion_forms(f, crit)
-    return convexity._min_eig2(*convexity._tangent_form(S, *sphere.tangent_bases(f.grid.nodes))) + c
+    frame = f.grid.frame
+    return convexity._min_eig2(*convexity._tangent_form(S, frame.e_th, frame.e_ph)) + c
 
 
 def tangent_min(S, e1, e2):
@@ -245,7 +247,7 @@ class TestFunkHecke:
                   FIELD_CLASSES["bump"](grid48, 32),
                   random_positive_field(grid48, np.random.default_rng(3), L_max=32)]
         nodes = np.arange(0, grid48.node_count, 37)
-        e1s, e2s = sphere.tangent_bases(grid48.nodes)
+        e1s, e2s = grid48.frame.e_th, grid48.frame.e_ph
         unit = 4 * np.pi if crit == "cr1" else 1.0
         oracles = []
         for f in fields:
@@ -509,7 +511,7 @@ class TestTwoByTwo:
         rng = np.random.default_rng(32)
         for _ in range(50):
             x, _ = random_witness(rng)
-            e1, e2 = sphere.tangent_basis(x)
+            e1, e2 = (e[0] for e in sphere.tangent_bases(x[None]))
             A = rng.standard_normal((3, 3))
             S = A + A.T
             if rng.random() < 0.2:
@@ -522,6 +524,20 @@ class TestTwoByTwo:
             fan = [(np.cos(t) * e1 + np.sin(t) * e2) @ S @ (np.cos(t) * e1 + np.sin(t) * e2)
                    for t in angles]
             assert lam <= min(fan) + 1e-12 * max(1.0, np.max(np.abs(S)))
+
+
+    @pytest.mark.parametrize("b", [1e-12, -3.9e-10, 1e-8, 0.0])
+    def test_argmin_of_nearly_diagonal_form(self, b):
+        # a form that is diagonal up to b, as in the node frame of an
+        # axis-aligned ellipsoid: the direction is formed without the
+        # cancellation of lambda - a, so its value is the minimum to rounding
+        e1, e2 = np.eye(3)[None, 0], np.eye(3)[None, 1]
+        for a, d in ((-2.1093370742239883, 3.1913415820743065), (3.19, -2.1), (1.0, 1.0)):
+            A, B, D = np.array([a]), np.array([b]), np.array([d])
+            vals, _, xi = convexity._form_min(A, B, D, e1, e2)
+            value = a * xi[0] ** 2 + 2 * b * xi[0] * xi[1] + d * xi[1] ** 2
+            assert abs(np.linalg.norm(xi) - 1.0) <= 1e-15
+            assert abs(value - vals[0]) <= 4 * np.finfo(float).eps * max(abs(a), abs(d))
 
 
 class TestHessianMin:
@@ -550,6 +566,35 @@ class TestHessianMin:
         )
         assert hmin <= analytic + 1e-9
         assert abs(hmin - ell.c**2 / ell.b) < 1e-3  # global min at the b-axis
+
+
+class TestNodeFrame:
+    @pytest.mark.parametrize("L, L_max", [(24, 16), (48, 32)])
+    @pytest.mark.parametrize("kind", ["ellipsoid", "bump", "random"])
+    def test_minima_match_tangent_bases_rotation(self, L, L_max, kind):
+        # every node minimum is read in the node frame (e_theta, e_phi); the
+        # same forms rewritten in the bases of sphere.tangent_bases, the
+        # frame they were once rotated into, give the same minima
+        f = FIELD_CLASSES[kind](sphere.make_grid(L), L_max)
+        frame = (f.grid.frame.e_th, f.grid.frame.e_ph)
+        bases = sphere.tangent_bases(f.grid.nodes)
+        H = rotate_forms(f.hessian, frame, bases)
+        v = f.values
+        g1, g2 = (np.sum(f.gradient * e, axis=1) for e in bases)
+        pogorelov = (v - H[:, 0, 0], -H[:, 0, 1], v - H[:, 1, 1])
+        guan_ma = tuple(p + 2.0 / v * q for p, q in zip(pogorelov, (g1 * g1, g1 * g2, g2 * g2)))
+        pairs = [(convexity.hessian_min(f)[2],
+                  convexity._min_eig2(H[:, 0, 0] + v, H[:, 0, 1], H[:, 1, 1] + v)),
+                 (convexity._min_eig2(*convexity._pogorelov_form(f)),
+                  convexity._min_eig2(*pogorelov)),
+                 (convexity._min_eig2(*convexity._guan_ma_form(f)), convexity._min_eig2(*guan_ma))]
+        for crit in ("cr1", "cr2"):
+            c, S = convexity.criterion_forms(f, crit)
+            pairs.append((convexity.sweep(f, crit).node_margins[crit],
+                          convexity._min_eig2(*convexity._tangent_form(S, *bases)) + c))
+        for got, want in pairs:
+            scale = np.max(np.abs(want))
+            assert np.max(np.abs(got - want)) <= 1e-13 * scale
 
 
 class TestSufficientConditions:
@@ -823,7 +868,7 @@ class TestT33:
         n = 2 * f.coeffs.L_max + 2
         k = np.fft.fftfreq(n, 1.0 / n)
         a, b, d = convexity._pogorelov_form(f)
-        e1s, e2s = sphere.tangent_bases(grid24.nodes)
+        e1s, e2s = grid24.frame.e_th, grid24.frame.e_ph
         min_val, (x, xi) = convexity.check_T33(f)[1:]
         witness = int(np.argmin(np.linalg.norm(grid24.nodes - x.coords, axis=1)))
         rng = np.random.default_rng(28)

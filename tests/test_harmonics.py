@@ -18,11 +18,14 @@ from conftest import (
     clear_program_caches,
     constant_field,
     ellipsoid_ambient_hessian,
+    frame_vectors,
     galerkin_matrix,
     harmonic_field,
     orbit_values_and_slopes,
     random_positive_field,
     rotate_about_z,
+    rotate_forms,
+    theta_profile_derivatives,
 )
 
 
@@ -168,41 +171,24 @@ def ref_grid_eval(coeffs, grid, deriv):
     return out
 
 
-def ref_frame_vectors(theta, phi):
-    st, ct = np.sin(theta), np.cos(theta)
-    cp, sp = np.cos(phi), np.sin(phi)
-    return (np.stack([ct * cp, ct * sp, -st], axis=-1),
-            np.stack([-sp, cp, np.zeros_like(sp)], axis=-1))
-
-
 def ref_grid_gradient(field):
     grid = field.grid
     dth, dph = (d.ravel() for d in ref_grid_eval(field.coeffs, grid, (1, "phi")))
     theta = np.repeat(grid.thetas, grid.azimuth_count)
     phi = np.tile(grid.phis, grid.L)
-    e_th, e_ph = ref_frame_vectors(theta, phi)
+    e_th, e_ph = frame_vectors(theta, phi)
     return e_th * dth[:, None] + e_ph * (dph / np.maximum(np.sin(theta), 1e-8))[:, None]
 
 
-def ref_frame_hessian(theta, phi, derivs, bases):
-    """Covariant Hessian from (d_theta, d_phi, d_theta^2, d_theta d_phi,
-    d_phi^2) in the (e_theta, e_phi) frame, rotated into ``bases``."""
+def ref_frame_hessian(theta, derivs):
+    """Covariant Hessian in the (e_theta, e_phi) frame from (d_theta,
+    d_phi, d_theta^2, d_theta d_phi, d_phi^2)."""
     dth, dph, dthth, dthph, dphph = derivs
     s, c = np.sin(theta), np.cos(theta)
-    h11 = dthth
-    h12 = (dthph - (c / s) * dph) / s
-    h22 = dphph / (s * s) + (c / s) * dth
-    e1, e2 = bases
-    e_th, e_ph = ref_frame_vectors(theta, phi)
-    r11 = np.sum(e1 * e_th, axis=1)
-    r12 = np.sum(e1 * e_ph, axis=1)
-    r21 = np.sum(e2 * e_th, axis=1)
-    r22 = np.sum(e2 * e_ph, axis=1)
     H = np.empty((len(theta), 2, 2))
-    H[:, 0, 0] = r11 * (r11 * h11 + r12 * h12) + r12 * (r11 * h12 + r12 * h22)
-    H[:, 0, 1] = r21 * (r11 * h11 + r12 * h12) + r22 * (r11 * h12 + r12 * h22)
-    H[:, 1, 0] = H[:, 0, 1]
-    H[:, 1, 1] = r21 * (r21 * h11 + r22 * h12) + r22 * (r21 * h12 + r22 * h22)
+    H[:, 0, 0] = dthth
+    H[:, 0, 1] = H[:, 1, 0] = (dthph - (c / s) * dph) / s
+    H[:, 1, 1] = dphph / (s * s) + (c / s) * dth
     return H
 
 
@@ -210,9 +196,7 @@ def ref_grid_hessian(field):
     grid = field.grid
     derivs = [d.ravel() for d in
               ref_grid_eval(field.coeffs, grid, (1, "phi", 2, "thetaphi", "phiphi"))]
-    theta = np.repeat(grid.thetas, grid.azimuth_count)
-    phi = np.tile(grid.phis, grid.L)
-    return ref_frame_hessian(theta, phi, derivs, sphere.tangent_bases(grid.nodes))
+    return ref_frame_hessian(np.repeat(grid.thetas, grid.azimuth_count), derivs)
 
 
 def ref_circle_derivatives(coeffs, x, d):
@@ -239,7 +223,8 @@ def ref_point_derivatives(coeffs, points):
     pts = np.asarray(points, dtype=float)
     theta = np.arctan2(np.hypot(pts[:, 0], pts[:, 1]), pts[:, 2])
     phi = np.arctan2(pts[:, 1], pts[:, 0])
-    (A, B), (dA, dB), (d2A, d2B) = harmonics._theta_profiles(coeffs, theta, 2)
+    A, B = harmonics._theta_profiles(coeffs, theta)
+    (dA, dB), (d2A, d2B) = theta_profile_derivatives(coeffs, theta, 2)
     m = np.arange(coeffs.L_max + 1)[None, :]
     z = np.where(m > 0, np.sqrt(2.0), 1.0) * np.exp(1j * m * phi[:, None])
     c, s = z.real, z.imag
@@ -248,10 +233,10 @@ def ref_point_derivatives(coeffs, points):
               np.sum(d2A * c + d2B * s, axis=1), np.sum(m * (dB * c - dA * s), axis=1),
               -np.sum(m * m * (A * c + B * s), axis=1))
     safe_theta = np.clip(theta, 1e-8, np.pi - 1e-8)
-    e_th, e_ph = ref_frame_vectors(safe_theta, phi)
+    e_th, e_ph = frame_vectors(safe_theta, phi)
     grad = e_th * derivs[0][:, None] + e_ph * (derivs[1] / np.sin(safe_theta))[:, None]
     bases = sphere.tangent_bases(pts)
-    H = ref_frame_hessian(safe_theta, phi, derivs, bases)
+    H = rotate_forms(ref_frame_hessian(safe_theta, derivs), (e_th, e_ph), bases)
     st = np.sin(theta)
     for i in np.nonzero(st <= 1e-4)[0]:
         e1, e2 = bases[0][i], bases[1][i]
@@ -395,7 +380,7 @@ class TestDerivatives:
         grads = harmonics.values_and_gradient_at(coeffs, pts)[1]
         h = 1e-5
         for i, x in enumerate(pts):
-            e1, e2 = sphere.tangent_basis(x)
+            e1, e2 = (e[0] for e in sphere.tangent_bases(x[None]))
             for d in (e1, e2):
                 plus = np.cos(h) * x + np.sin(h) * d
                 minus = np.cos(h) * x - np.sin(h) * d
@@ -430,7 +415,7 @@ class TestDerivatives:
         H = harmonics.hessian_at(coeffs, pts)
         h = 1e-4
         for i, x in enumerate(pts):
-            e1, e2 = sphere.tangent_basis(x)
+            e1, e2 = (e[0] for e in sphere.tangent_bases(x[None]))
             f0 = harmonics.synthesize_at(coeffs, x[None, :])[0]
             for q, d in [((1.0, 0.0), e1), ((0.0, 1.0), e2),
                          ((1 / np.sqrt(2), 1 / np.sqrt(2)), (e1 + e2) / np.sqrt(2))]:
@@ -450,7 +435,7 @@ class TestDerivatives:
         pole = np.array([[0.0, 0.0, 1.0]])
         g = harmonics.values_and_gradient_at(coeffs, pole)[1][0]
         H = harmonics.hessian_at(coeffs, pole)[0]
-        e1, e2 = sphere.tangent_basis(pole[0])
+        e1, e2 = (e[0] for e in sphere.tangent_bases(pole))
         h = 1e-5
         for k, d in enumerate((e1, e2)):
             plus = np.cos(h) * pole[0] + np.sin(h) * d
@@ -544,7 +529,7 @@ class TestExtensionChannels:
         ell = body.Ellipsoid(1.0, 1.2, 1.5)
         u = body.support_function(ell, sphere.make_grid(L), L_max=L_max)
         nodes = u.grid.nodes
-        E = np.stack(sphere.tangent_bases(nodes), axis=2)
+        E = np.stack([u.grid.frame.e_th, u.grid.frame.e_ph], axis=2)
         at_nodes = np.einsum("nik,nkl,njl->nij", E,
                              harmonics.grid_hessian(u) + u.values[:, None, None] * np.eye(2), E)
         gap = np.max(np.abs(at_nodes - [ellipsoid_ambient_hessian(ell, x) for x in nodes]))
@@ -608,7 +593,8 @@ class TestThetaProfiles:
     def test_matches_legendre_recursion(self, L_max):
         coeffs = random_coeffs(L_max, seed=20 + L_max)
         theta = np.random.default_rng(21).uniform(0.05, np.pi - 0.05, 200)
-        got = harmonics._theta_profiles(coeffs, theta, 2)
+        got = [harmonics._theta_profiles(coeffs, theta)]
+        got += theta_profile_derivatives(coeffs, theta, 2)
         blocks = ref_legendre_blocks(np.cos(theta), L_max, 2)
         stacks = ref_coeff_stacks(coeffs)
         for d, bound in enumerate((1e-13, 1e-12, 1e-11)):
@@ -763,7 +749,7 @@ class TestSolver:
         c[1:4] = 0.0
         f = harmonics.synthesize(harmonics.HarmonicCoeffs(L_max=10, c=c), grid16)
         u, residual = harmonics.solve_christoffel(f, tol=1e-6)
-        assert residual == harmonics.christoffel_residual(u, f) < 1e-9
+        assert residual == harmonics.christoffel_residual(u.coeffs, u.grid, f.values) < 1e-9
 
     def test_linearity(self, grid16):
         fa = harmonic_field(grid16, 1.0, {(2, 1): 0.2}, L_max=8)
@@ -858,7 +844,6 @@ class TestTransformPlan:
         calls = {
             "_pair_index": (8,), "_order_index": (8,), "_grid_legendre": (12, 8, 2),
             "_grid_blocks": (12, 8, 2), "_profile_blocks": (8,), "_azimuth_plan": (12, 8),
-            "_grid_frame": (12,),
         }
         caches = plan_caches()
         assert set(caches) == set(calls)
@@ -877,6 +862,6 @@ class TestTransformPlan:
                 with pytest.raises(ValueError):
                     arr.flat[0] = 1.0
         t, wt = sphere._polar_rule(12)
-        for arr in (t, wt):
+        for arr in (t, wt, *sphere.make_grid(12).frame):
             with pytest.raises(ValueError):
                 arr[0] = 0.0

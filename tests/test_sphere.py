@@ -83,6 +83,21 @@ class TestGrid:
     def test_no_poles_among_nodes(self, grid16):
         assert np.max(np.abs(grid16.nodes[:, 2])) < 1.0
 
+    def test_node_frame(self, grid16):
+        # (e_theta, e_phi, x) is a right-handed orthonormal frame at every
+        # node, formed once per grid and read-only
+        frame = grid16.frame
+        assert grid16.frame is frame
+        x = grid16.nodes
+        assert np.max(np.abs(np.cross(frame.e_th, frame.e_ph) - x)) <= 1e-15
+        for e in (frame.e_th, frame.e_ph):
+            assert np.max(np.abs(np.sum(e * x, axis=1))) <= 1e-15
+            assert np.max(np.abs(np.linalg.norm(e, axis=1) - 1.0)) <= 1e-15
+        assert np.max(np.abs(frame.sin - np.hypot(x[:, 0], x[:, 1]))) <= 1e-15
+        assert np.max(np.abs(frame.cos - x[:, 2])) <= 1e-15
+        for arr in frame:
+            assert not arr.flags.writeable
+
     def test_harmonic_exactness_up_to_2L_minus_1(self):
         # quadrature integrates all Y_l^m with l <= 2L-1 exactly
         L = 6
@@ -122,12 +137,12 @@ class TestGeodesic:
 
 class TestTangentBasis:
     def test_axis_case(self):
-        e1, e2 = sphere.tangent_basis(np.array([0.0, 0.0, 1.0]))
+        e1, e2 = (e[0] for e in sphere.tangent_bases(np.array([[0.0, 0.0, 1.0]])))
         assert np.allclose(e1, [1, 0, 0])
         assert np.allclose(e2, [0, 1, 0])
 
     def test_x_axis_case(self):
-        e1, e2 = sphere.tangent_basis(np.array([1.0, 0.0, 0.0]))
+        e1, e2 = (e[0] for e in sphere.tangent_bases(np.array([[1.0, 0.0, 0.0]])))
         # orthonormal pair spanning the y-z plane
         assert abs(e1[0]) < 1e-15 and abs(e2[0]) < 1e-15
         assert abs(e1 @ e2) < 1e-15
@@ -143,15 +158,6 @@ class TestTangentBasis:
                 assert abs(v @ pts[i]) < 1e-12
             assert abs(e1[i] @ e2[i]) < 1e-12
 
-    def test_vectorized_matches_scalar(self):
-        rng = np.random.default_rng(11)
-        pts = rng.standard_normal((20, 3))
-        pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-        e1v, e2v = sphere.tangent_bases(pts)
-        for i in range(20):
-            e1, e2 = sphere.tangent_basis(pts[i])
-            assert np.allclose(e1, e1v[i]) and np.allclose(e2, e2v[i])
-
 
 class TestMinus1Derivative:
     def test_constant_radial(self, grid16):
@@ -165,7 +171,7 @@ class TestMinus1Derivative:
     def test_constant_tangent_direction(self, grid16):
         f = constant_field(grid16, 3.0, L_max=8)
         z = grid16.nodes[100]
-        e1, _ = sphere.tangent_basis(z)
+        e1 = sphere.tangent_bases(z[None])[0][0]
         assert abs(ambient_directional_derivative_minus1(f, z, e1)) < 1e-12
 
     def test_finite_difference_oracle(self, grid16):
