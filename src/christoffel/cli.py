@@ -8,7 +8,7 @@ check        evaluate CR1 and CR2 at every node by their per-degree
              error band is a rounding floor), report each one's
              route_gap to min eig(Hess u + u I) over the nodes, and run
              the sufficient-condition checkers
-lp           solve the L_p problem (p = 2 routes to the eigensolver)
+lp           solve the L_p problem for p >= 2 (lambda reported at p = 2)
 gamma        compute gamma_{n, alpha} with its Monte-Carlo cross-check
 kernels      dump kernel tables as CSV
 reconstruct  solve and export the body surface as a Wavefront OBJ
@@ -48,6 +48,7 @@ from . import body, convexity, harmonics, kernels, lp
 from .errors import (
     ChristoffelError,
     GridMismatch,
+    NonConvergence,
     NotPositive,
     OrthogonalityViolation,
     ParseError,
@@ -343,25 +344,15 @@ def run(args) -> tuple[dict, int]:
         grid = make_grid(args.L)
         f, trunc = parse_field_source(args.input, grid, args.Lmax)
         report["band_limit_truncation_error"] = trunc
-        if args.p == 2.0:
-            sol = lp.solve_lp_eigen(f, tol=args.tol)
-        else:
-            sol = lp.solve_lp(f, args.p, tol=args.tol)
+        sol = lp.solve_lp(f, args.p, tol=args.tol)
         holds41, l41, r41 = lp.check_lemma41(sol, f)
         holdsc, lc, rc = lp.check_T41_cond(f, args.p)
-        hmin = convexity.hessian_min(sol.u)[0]
         report["lp"] = {
-            "p": sol.p,
-            "lambda": sol.lam,
-            "residual_inf": sol.residual_inf,
-            "iterations": sol.iterations,
-            "converged": sol.converged,
-            "degree1_magnitude": sol.degree1_magnitude,
+            **_lp_solution_json(sol),
             "lemma41": {"holds": holds41, "lhs": l41, "rhs": r41},
             "t41cond": {"holds": holdsc, "lhs": lc, "rhs": rc},
-            "hessian_min": hmin,
+            "hessian_min": convexity.hessian_min(sol.u)[0],
             "residual_on_refined_grid": lp.residual_on_refined_grid(sol, f),
-            "trace": list(sol.trace),
         }
 
     elif args.command == "gamma":
@@ -415,6 +406,13 @@ def run(args) -> tuple[dict, int]:
     return report, code
 
 
+def _lp_solution_json(sol: lp.LpSolution) -> dict:
+    """The solver's own figures and trace for a converged or best iterate."""
+    return {"p": sol.p, "lambda": sol.lam, "residual_inf": sol.residual_inf,
+            "iterations": sol.iterations, "converged": sol.converged,
+            "degree1_magnitude": sol.degree1_magnitude, "trace": list(sol.trace)}
+
+
 def _kernel_rows(n: int) -> list:
     """(s, omega_radial, omega_closed, firey_theta) in dimension n at every
     s of the kernel table, -0.95 to 0.95 in steps of 0.05."""
@@ -460,6 +458,9 @@ def _main(argv) -> int:
             "config": _config_echo(args),
             "error": {"type": type(exc).__name__, "message": str(exc)},
         }
+        if isinstance(exc, NonConvergence):
+            # the best iterate's figures and trace explain the failure
+            report["lp"] = _lp_solution_json(exc.best)
         code = 1
     text = _full_json(report)
     if getattr(args, "report", None):

@@ -6,7 +6,7 @@ import pytest
 
 import christoffel
 from christoffel import body, convexity, harmonics, lp, sphere
-from christoffel.errors import InvalidParameter, NonConvergence
+from christoffel.errors import InvalidParameter, NonConvergence, PositivityLost
 
 from conftest import constant_field, dense_eigenpair, harmonic_field, random_positive_field
 
@@ -67,7 +67,7 @@ class TestSolveLp:
 
     def test_p_gate(self, grid24):
         f = constant_field(grid24, 2.0, L_max=12)
-        for p in (2.0, 1.5, np.nan, np.inf):
+        for p in (1.5, np.nan, np.inf):
             with pytest.raises(InvalidParameter):
                 lp.solve_lp(f, p)
 
@@ -83,22 +83,24 @@ class TestSolveLp:
         f = harmonic_field(grid24, 2.0, {(2, 0): 0.1}, L_max=12)
         sol = lp.solve_lp(f, 4.0, tol=1e-9)
         assert len(sol.trace) == sol.iterations > 0
-        assert {t["path"] for t in sol.trace} == {"quasi_newton"}
+        assert {t["path"] for t in sol.trace} == {"newton"}
+        assert all(t["krylov_iterations"] >= 1 for t in sol.trace)
         residuals = [t["residual_inf"] for t in sol.trace]
         assert all(b < a for a, b in zip(residuals, residuals[1:]))
         assert residuals[-1] == sol.residual_inf
 
     def test_trace_ends_on_stall(self, grid24):
-        # below the band-limit floor of the pointwise residual every
-        # quasi-Newton trial is rejected, and that stall ends the solve
+        # below the band-limit floor of the pointwise residual (1.59e-11,
+        # the truncated tail of f u^3) two Newton steps in a row fail to
+        # halve the residual, and that stall ends the solve
         f = harmonic_field(grid24, 2.0, {(2, 0): 0.1, (3, 1): 0.05}, L_max=12)
         with pytest.raises(NonConvergence, match=r"\(stall\)") as exc:
             lp.solve_lp(f, 4.0, tol=1e-14)
         trace = exc.value.best.trace
         assert len(trace) == exc.value.best.iterations
-        assert {t["path"] for t in trace} == {"quasi_newton"}
-        assert trace[-1]["step_scale"] == 0.0
-        assert all(t["step_scale"] > 0.0 for t in trace[:-1])
+        assert {t["path"] for t in trace} == {"newton"}
+        residuals = [t["residual_inf"] for t in trace]
+        assert all(b > 0.5 * a for a, b in zip(residuals[-3:], residuals[-2:]))
         assert trace[-1]["residual_inf"] == exc.value.best.residual_inf
 
     def test_iteration_cap_named(self, grid24):
@@ -123,21 +125,38 @@ class TestSolveLp:
 
     def test_insensitive_to_initial_guess(self, grid24):
         f = harmonic_field(grid24, 2.0, {(2, 0): 0.1}, L_max=16)
+        one = constant_field(grid24, 1.0, L_max=16).coeffs.c
         sols = [
-            lp.solve_lp(f, 4.0, tol=1e-11, initial=g).u.values
+            lp.solve_lp(f, 4.0, tol=1e-11, initial=g * one).u.values
             for g in (0.8, 0.9, 1.0, 1.3, 2.0)
         ]
         for s in sols[1:]:
             assert np.max(np.abs(s - sols[0])) < 1e-9
 
     def test_zero_collapse_guarded(self, grid24):
-        # u = 0 solves the equation; a start below the Newton separatrix must
-        # be rejected rather than returned as a "solution"
-        from christoffel.errors import PositivityLost
-
+        # u = 0 solves the equation, but v is pinned to 1 at a node: a small
+        # start reaches the positive solution, and a start that is not
+        # positive is rejected
         f = harmonic_field(grid24, 2.0, {(2, 0): 0.1}, L_max=16)
+        one = constant_field(grid24, 1.0, L_max=16).coeffs.c
+        ref = lp.solve_lp(f, 4.0, tol=1e-11)
+        small = lp.solve_lp(f, 4.0, tol=1e-11, initial=0.4 * one)
+        assert np.min(small.u.values) > 0
+        assert np.max(np.abs(small.u.values - ref.u.values)) < 1e-9
         with pytest.raises(PositivityLost):
-            lp.solve_lp(f, 4.0, tol=1e-11, initial=0.4)
+            lp.solve_lp(f, 4.0, initial=-one)
+
+    @pytest.mark.parametrize("p", [2.01, 2.05, 2.1])
+    def test_converges_near_p_2(self, grid48, p):
+        # the l = 0 entry 2 - 2 (p - 1) of a mean-field Jacobian in u
+        # vanishes as p -> 2; the scaled problem in (v, lambda) keeps it
+        # bordered, so Newton converges just above p = 2 as at p = 2
+        f = harmonics.synthesize(
+            body.HarmonicBump(l=6, m=6, eps=1.5, base=2.0).coeffs(32), grid48)
+        sol = lp.solve_lp(f, p)
+        assert sol.converged and sol.residual_inf <= 1e-8
+        assert np.min(sol.u.values) > 0
+        assert lp.check_lemma41(sol, f)[0]
 
 
 class TestEigen:
@@ -208,17 +227,17 @@ class TestEigen:
         assert np.max(np.abs(inv @ A - np.eye(K + 1))) < 1e-12
 
     def test_krylov_failure_raises_with_best(self, grid24, monkeypatch):
-        import scipy.sparse.linalg
-
         f = harmonic_field(grid24, 1.0, {(2, 0): 0.05, (3, 1): 0.03}, L_max=12)
-        real_gmres = scipy.sparse.linalg.gmres
+        real_gmres = lp._gmres
         calls = []
 
-        def fail_second(A, b, **kwargs):
+        def fail_second(matvec, b, precond, rtol):
             calls.append(1)
-            return real_gmres(A, b, **kwargs) if len(calls) == 1 else (np.zeros_like(b), 1)
+            if len(calls) == 1:
+                return real_gmres(matvec, b, precond, rtol)
+            return np.zeros_like(b), 0, False
 
-        monkeypatch.setattr(scipy.sparse.linalg, "gmres", fail_second)
+        monkeypatch.setattr(lp, "_gmres", fail_second)
         with pytest.raises(NonConvergence, match=r"\(Krylov failure\)") as exc:
             lp.solve_lp_eigen(f, tol=1e-10)
         best = exc.value.best
@@ -227,7 +246,7 @@ class TestEigen:
         assert best.iterations == len(best.trace) == 1
         assert best.trace[-1]["residual_inf"] == best.residual_inf > 1e-10
         assert np.max(best.u.values) == 1.0
-        monkeypatch.setattr(scipy.sparse.linalg, "gmres", real_gmres)
+        monkeypatch.setattr(lp, "_gmres", real_gmres)
         with pytest.raises(NonConvergence, match=r"\(iteration cap\)") as cap:
             lp.solve_lp_eigen(f, tol=1e-10, max_iter=1)
         assert best.lam == cap.value.best.lam
@@ -301,15 +320,58 @@ def imported_modules(tree):
 
 
 def test_no_dense_path_in_package():
-    # the L_p solvers form no K x K matrix: nothing imports the dense
-    # LAPACK wrappers, and the Galerkin matrix lives only in the tests
+    # the L_p solver forms no K x K matrix and its GMRES is numpy: no
+    # module imports SciPy, and the Galerkin matrix lives only in the tests
     sources = sorted(Path(christoffel.__file__).parent.glob("*.py"))
     assert any(path.name == "lp.py" for path in sources)
-    dense = [f"{path.name}: {name}" for path in sources
-             for name in imported_modules(ast.parse(path.read_text(encoding="utf-8")))
-             if name == "scipy.linalg" or name.startswith("scipy.linalg.")]
-    assert dense == []
+    scipy_imports = [f"{path.name}: {name}" for path in sources
+                     for name in imported_modules(ast.parse(path.read_text(encoding="utf-8")))
+                     if name == "scipy" or name.startswith("scipy.")]
+    assert scipy_imports == []
     assert not hasattr(harmonics, "galerkin_matrix")
+
+
+class TestGmres:
+    @staticmethod
+    def system(n=40, seed=3):
+        """A nonsymmetric, diagonally dominated system and its Jacobi
+        preconditioner."""
+        rng = np.random.default_rng(seed)
+        A = np.diag(np.linspace(1.0, 50.0, n)) + rng.normal(scale=0.5, size=(n, n))
+        return A, rng.normal(size=n), (lambda y, d=np.diag(A): y / d)
+
+    def test_matches_direct_solve(self):
+        A, b, jacobi = self.system()
+        x, iterations, converged = lp._gmres(lambda v: A @ v, b, jacobi, 1e-12)
+        assert converged and 1 <= iterations <= b.size
+        assert np.linalg.norm(b - A @ x) <= 1e-12 * np.linalg.norm(b) * 1.01
+        assert np.max(np.abs(x - np.linalg.solve(A, b))) < 1e-10
+
+    def test_restarts_reach_tolerance(self, monkeypatch):
+        # cycles of 4 iterations: the restart builds on the last cycle's x
+        monkeypatch.setattr(lp, "_KRYLOV_RESTART", 4)
+        A, b, jacobi = self.system()
+        x, iterations, converged = lp._gmres(lambda v: A @ v, b, jacobi, 1e-6)
+        assert converged and iterations > 4
+        assert np.linalg.norm(b - A @ x) <= 1e-6 * np.linalg.norm(b) * 1.01
+
+    def test_reports_failure_after_last_cycle(self, monkeypatch):
+        monkeypatch.setattr(lp, "_KRYLOV_RESTART", 2)
+        monkeypatch.setattr(lp, "_KRYLOV_CYCLES", 1)
+        A, b, _ = self.system()
+        x, iterations, converged = lp._gmres(lambda v: A @ v, b, lambda y: y, 1e-12)
+        assert not converged and iterations == 2
+        assert np.all(np.isfinite(x))
+
+    def test_matches_scipy_reference(self):
+        from scipy.sparse.linalg import LinearOperator, gmres
+
+        A, b, jacobi = self.system(n=60, seed=5)
+        x, _, converged = lp._gmres(lambda v: A @ v, b, jacobi, 1e-12)
+        ref, info = gmres(A, b, rtol=1e-12, restart=80,
+                          M=LinearOperator(A.shape, matvec=jacobi, dtype=float))
+        assert converged and info == 0
+        assert np.max(np.abs(x - ref)) < 1e-10 * np.max(np.abs(ref))
 
 
 class TestRefinedResidual:
