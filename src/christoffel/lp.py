@@ -180,12 +180,13 @@ def solve_lp(
     lambda (p-1) (f v^(p-2) synthesize(x))_lm - x_lambda (f v^(p-1))_lm
     are transforms; :func:`_mean_field_inverse` preconditions it.
 
-    Raises InvalidParameter unless 2 <= p < inf, 0 < tol < inf and, for
-    p > 2, the start's scale (2/mean f)^(1/(p-2)) and (p-1) f are finite;
-    PositivityLost if an iterate is not positive at every node;
-    NonConvergence, carrying the last iterate and naming the reason, if a
-    Krylov solve fails, a step is not finite, Newton stalls (two steps in a
-    row fail to halve the residual) or max_iter steps end above tol.
+    Raises InvalidParameter unless 2 <= p < inf, 0 < tol < inf, (p-1) f
+    is finite and the start's s and 1/s are positive and finite (s =
+    (2/mean f)^(1/(p-2)) for p > 2); PositivityLost if the returned u, or
+    for p > 2 any iterate, is not positive; NonConvergence, carrying the
+    last iterate and naming the reason, if a Krylov solve fails, a step is
+    not finite (its s or 1/s included), Newton stalls (two steps in a row
+    fail to halve the residual) or max_iter steps end above tol.
     """
     _require_positive_field(f)
     harmonics.require_tolerance(tol)
@@ -196,11 +197,9 @@ def solve_lp(
     K = (L_max + 1) ** 2
     D = harmonics.operator_diagonal(L_max)
     lam = 2.0 / _mean(grid, f.values)
-    if p > 2.0:
-        with np.errstate(over="ignore"):
-            start = [np.float64(lam) ** (1.0 / (p - 2.0)), (p - 1.0) * f.values]
-        if not all(np.all(np.isfinite(a)) for a in start):
-            raise InvalidParameter(f"the start's scale or (p-1) f overflows at p = {p}")
+    with np.errstate(over="ignore"):
+        if not np.all(np.isfinite((p - 1.0) * f.values)):
+            raise InvalidParameter(f"(p-1) f overflows at p = {p}")
 
     def values_of(c_):
         return harmonics.synthesize(harmonics.HarmonicCoeffs(L_max=L_max, c=c_), grid).values
@@ -209,18 +208,17 @@ def solve_lp(
         return harmonics.analyze(harmonics.SphericalField(grid=grid, values=values), L_max).c
 
     def dilation(lam_, uv_):
-        # 1/s: max v for p = 2, lambda^(1/(2-p)) for p > 2 (NaN if lambda <= 0)
-        if p == 2.0:
-            return float(np.max(uv_))
+        # 1/s: max v for p = 2, lambda^(1/(2-p)) for p > 2; None unless s and 1/s are > 0 and finite
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            return float(np.float64(lam_) ** (1.0 / (2.0 - p)))
+            r_ = float(np.max(uv_) if p == 2.0 else np.float64(lam_) ** (1.0 / (2.0 - p)))
+        return r_ if 0.0 < r_ < np.inf and 1.0 / r_ < np.inf else None
 
-    def accept(c_, lam_, uv_):
-        """(f v^(p-1))_lm and the residual of u for one iterate."""
+    def accept(c_, lam_, uv_, r_):
+        """(f v^(p-1))_lm and the residual of u = v / r_ for one iterate."""
         fv = f.values * uv_ ** (p - 1.0)
         res_ = harmonics.christoffel_residual(harmonics.HarmonicCoeffs(L_max=L_max, c=c_), grid,
                                               lam_ * fv)
-        return analyze_values(fv), res_ / dilation(lam_, uv_)
+        return analyze_values(fv), res_ / r_
 
     def jacobian_times(x):
         # reads the current Newton iterate's lam, slope and rhs
@@ -236,10 +234,14 @@ def solve_lp(
     else:
         c = np.asarray(initial, dtype=float).copy()
     uv = values_of(c)
-    if np.min(uv) <= 0.0:
+    # v^(p-1) is NaN below 0 for p > 2; at p = 2 only the returned u must be positive
+    if p > 2.0 and np.min(uv) <= 0.0:
         raise PositivityLost("the start is not positive")
+    r = dilation(lam, uv)
+    if r is None:
+        raise InvalidParameter(f"the start's scale is 0 or not finite at p = {p}")
     pin = harmonics.node_basis(grid, int(np.argmax(uv)), L_max)
-    rhs, res = accept(c, lam, uv)
+    rhs, res = accept(c, lam, uv, r)
     stalled = 0
     trace = []
     stop = "iteration cap"
@@ -257,19 +259,21 @@ def solve_lp(
             break
         c_new, lam_new = c + step[:K], lam + step[K]
         uv_new = values_of(c_new)
-        if np.min(uv_new) <= 0.0:
+        if p > 2.0 and np.min(uv_new) <= 0.0:
             raise PositivityLost(f"Newton iterate {len(trace) + 1} is not positive")
-        rhs_new, res_new = accept(c_new, lam_new, uv_new)
+        r_new = dilation(lam_new, uv_new)
+        rhs_new, res_new = accept(c_new, lam_new, uv_new, r_new) if r_new else (None, np.nan)
         if not np.isfinite(res_new):
             stop = "non-finite step"
             break
-        c, lam, uv, rhs = c_new, lam_new, uv_new, rhs_new
+        c, lam, uv, r, rhs = c_new, lam_new, uv_new, r_new, rhs_new
         res_prev, res = res, res_new
         stalled = stalled + 1 if res > _STALL_RATIO * res_prev else 0
         trace.append({"path": "newton", "residual_inf": res,
                       "krylov_iterations": krylov_iterations})
 
-    r = dilation(lam, uv)
+    if np.min(uv) <= 0.0:
+        raise PositivityLost("u is not strictly positive")
     u = harmonics.SphericalField(
         grid=grid, values=uv / r, coeffs=harmonics.HarmonicCoeffs(L_max=L_max, c=c / r),
     )

@@ -369,6 +369,17 @@ class TestErrors:
         assert report["error"]["type"] == "InvalidParameter"
         assert set(report) == {"config", "error"}
 
+    def test_underflowing_lp_start_reported(self, tmp_path):
+        # u0 = (2/3)^10000 underflows to 0, which solves the equation: it is
+        # refused, not reported as converged
+        report, code = run_cli(
+            ["lp", "--p", "2.0001", "--input", "family:constant:c=3", "--L", "16", "--Lmax",
+             "8"], tmp_path
+        )
+        assert code == 1
+        assert report["error"]["type"] == "InvalidParameter"
+        assert set(report) == {"config", "error"}
+
     def test_failed_lp_keeps_evidence(self, tmp_path):
         # the band-limit floor of this ellipsoid's grid residual (5.0e-8)
         # lies above the default tol: the solve stalls, and the report keeps

@@ -115,6 +115,29 @@ class TestSolveLp:
         with pytest.raises(InvalidParameter):
             lp.solve_lp(constant_field(grid24, base, L_max=12), p)
 
+    @pytest.mark.parametrize("p, base", [(2.000001, 2.5), (2.0001, 3.0)])
+    def test_underflowing_start_rejected(self, grid24, p, base):
+        # u0 = (2 / mean f)^(1 / (p - 2)) underflows to 0 for p just above 2
+        # and mean f > 2; u = 0 solves the equation, so it must not pass
+        with pytest.raises(InvalidParameter):
+            lp.solve_lp(constant_field(grid24, base, L_max=12), p)
+
+    def test_underflowing_scale_stops_newton(self, grid24, monkeypatch):
+        # a step that drives lambda^(1/(p-2)) past overflow (1/s to 0) is
+        # not finite: it ends the solve before any division by 1/s
+        f = harmonic_field(grid24, 2.0, {(2, 0): 0.1}, L_max=12)
+        K = f.coeffs.c.size
+
+        def raise_lambda(matvec, b, precond, rtol):
+            step = np.zeros(K + 1)
+            step[K] = 100.0
+            return step, 1, True
+
+        monkeypatch.setattr(lp, "_gmres", raise_lambda)
+        with pytest.raises(NonConvergence, match=r"\(non-finite step\)") as exc:
+            lp.solve_lp(f, 2.001)
+        assert exc.value.best.iterations == 0
+
     @pytest.mark.parametrize("tol", [np.nan, 0.0, -1.0, np.inf])
     def test_bad_tol_rejected(self, grid24, tol):
         f = constant_field(grid24, 2.0, L_max=12)
@@ -196,6 +219,21 @@ class TestEigen:
         b = lp.solve_lp_eigen(f, tol=1e-10, initial=2.0 * a.u.coeffs.c)
         assert abs(a.lam - b.lam) < 1e-9
         assert np.max(np.abs(a.u.values - b.u.values)) < 1e-8
+
+    def test_start_below_zero_recovers(self, grid24):
+        # at p = 2, v^(p-1) = v is defined below 0, so only the returned u
+        # must be positive: a start negative at some nodes reaches the same
+        # principal eigenpair
+        f = harmonic_field(grid24, 2.0, {(2, 0): 0.3, (3, 1): 0.2}, L_max=12)
+        start = constant_field(grid24, 1.0, L_max=12).coeffs.c.copy()
+        start[harmonics.HarmonicCoeffs.index(2, 0)] += 5.0
+        assert np.min(harmonics.synthesize(harmonics.HarmonicCoeffs(L_max=12, c=start),
+                                           grid24).values) < 0
+        ref = lp.solve_lp_eigen(f, tol=1e-10)
+        sol = lp.solve_lp_eigen(f, tol=1e-10, initial=start)
+        assert abs(sol.lam - ref.lam) < 1e-9 * ref.lam
+        assert np.min(sol.u.values) > 0
+        assert np.max(np.abs(sol.u.values - ref.u.values)) < 1e-8
 
     def test_newton_matches_dense_eigh(self, grid24, grid48):
         cases = [
