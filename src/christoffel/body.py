@@ -1,8 +1,8 @@
 """Forward and inverse geometry of convex bodies in R^3.
 
 Generates curvature data f from analytic bodies, recovers the boundary
-surface {Du(x) : x in S^2} from a support function, computes principal
-curvature radii, and exports watertight triangle meshes in Wavefront OBJ.
+surface {Du(x) : x in S^2} from a support function, and exports watertight
+triangle meshes in Wavefront OBJ.
 """
 
 from __future__ import annotations
@@ -13,21 +13,7 @@ import numpy as np
 
 from . import harmonics
 from .errors import InvalidParameter
-from .sphere import SphereGrid, point_coords, tangent_bases
-
-
-@dataclass(frozen=True)
-class Sphere:
-    """Ball of radius R; support function u = R."""
-
-    R: float
-
-    def __post_init__(self):
-        if self.R <= 0:
-            raise InvalidParameter("sphere radius must be positive")
-
-    def support_values(self, points):
-        return np.full(len(points), float(self.R))
+from .sphere import SphereGrid
 
 
 @dataclass(frozen=True)
@@ -39,8 +25,11 @@ class Ellipsoid:
     c: float
 
     def __post_init__(self):
-        if min(self.a, self.b, self.c) <= 0:
-            raise InvalidParameter("ellipsoid semi-axes must be positive")
+        # the support function sums the squares: each must be finite
+        if not all(0.0 < v and v * v < np.inf for v in (self.a, self.b, self.c)):
+            raise InvalidParameter(
+                "ellipsoid semi-axes must be positive with finite squares, got "
+                f"({self.a!r}, {self.b!r}, {self.c!r})")
 
     @property
     def axes_sq(self):
@@ -76,12 +65,11 @@ class HarmonicBump:
         return harmonics.HarmonicCoeffs(L_max=L_max, c=c)
 
 
-AnalyticBody = Sphere | Ellipsoid | HarmonicBump
-
-
-def support_function(body: AnalyticBody, grid: SphereGrid,
+def support_function(body, grid: SphereGrid,
                      L_max: int | None = None) -> harmonics.SphericalField:
-    """Sample the support function of an analytic body on a grid (analyzed)."""
+    """Sample the support function of an analytic body on a grid (analyzed):
+    a HarmonicBump is synthesized from its coefficients, any other body
+    (an Ellipsoid) sampled by its ``support_values(points)``."""
     if isinstance(body, HarmonicBump):
         if L_max is None:
             L_max = max(min(harmonics.DEFAULT_L_MAX, grid.L - 1), body.l)
@@ -181,17 +169,6 @@ def _pole_apices(coeffs: harmonics.HarmonicCoeffs) -> np.ndarray:
     grad = (parity[:, 1:] * [[1.0], [-1.0]]) @ (
         slope[:, None] * c[np.stack([l * l + l + 1, l * l + l - 1], axis=1)])
     return np.column_stack([grad, value * [1.0, -1.0]])
-
-
-def principal_radii(u: harmonics.SphericalField, x):
-    """Principal curvature radii at normal direction x: the eigenvalues of
-    D^2 U(x) on the tangent plane (U the 1-homogeneous extension of u),
-    which are those of Hess u(x) + u(x) I, returned sorted ascending."""
-    xc = point_coords(x)
-    E = np.stack(tangent_bases(xc[None]), axis=2)[0]
-    D2U = harmonics.extension_hessian_at(harmonics.require_coeffs(u), xc[None, :])[0]
-    r = np.linalg.eigvalsh(E.T @ D2U @ E)
-    return float(r[0]), float(r[1])
 
 
 _OBJ_BLOCK_ROWS = 4096

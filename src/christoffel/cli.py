@@ -48,6 +48,7 @@ from . import body, convexity, harmonics, kernels, lp
 from .errors import (
     ChristoffelError,
     GridMismatch,
+    InvalidParameter,
     NonConvergence,
     NotPositive,
     OrthogonalityViolation,
@@ -94,7 +95,8 @@ def _field_from_csv(path: str, grid) -> harmonics.SphericalField:
     """Read a theta,phi,value CSV whose rows are the grid's nodes in order.
 
     Every row's angles must match its node's within 1e-9; the first row
-    that does not raises GridMismatch naming its line.
+    that does not raises GridMismatch naming its line, and the first value
+    that is not finite ParseError.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -125,17 +127,25 @@ def _field_from_csv(path: str, grid) -> harmonics.SphericalField:
             f"line {k + 2}: (theta, phi) = ({float(thetas[k])!r}, {float(phis[k])!r}) "
             f"is not grid node {k} ({float(want_th[k])!r}, {float(want_ph[k])!r})"
         )
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise ParseError(f"value {float(values[bad[0]])!r} is not finite", line=int(bad[0]) + 2)
     return harmonics.SphericalField(grid=grid, values=values)
 
 
 def _parse_params(spec: str):
+    """``key=number`` pairs: a number that does not parse is a ParseError,
+    one that is not finite an InvalidParameter."""
     out = {}
-    if spec:
-        for item in spec.split(","):
-            if "=" not in item:
-                raise ParseError(f"malformed parameter {item!r}")
-            key, val = item.split("=", 1)
-            out[key.strip()] = float(val)
+    for item in spec.split(",") if spec else ():
+        key, _, val = item.partition("=")
+        try:
+            value = float(val)  # "" when the item has no "="
+        except ValueError as exc:
+            raise ParseError(f"malformed parameter {item!r}") from exc
+        if not np.isfinite(value):
+            raise InvalidParameter(f"parameter {item!r} is not finite")
+        out[key.strip()] = value
     return out
 
 
@@ -314,14 +324,14 @@ def run(args) -> tuple[dict, int]:
         for name in names:
             rep = convexity.sweep(f, name)
             report["criteria"][name] = {
-                "verdict": rep.verdicts[name],
-                "min_margin": rep.min_margin[name],
-                "error_band": rep.error_band[name],
-                "route_gap": convexity.route_gap(rep, node_hmins)[name],
-                "witness": _witness_json(rep.witness[name]),
-                "grid_meta": rep.grid_meta,
+                "verdict": rep.verdict,
+                "min_margin": rep.min_margin,
+                "error_band": rep.error_band,
+                "route_gap": convexity.route_gap(rep, node_hmins),
+                "witness": _witness_json(rep.witness),
+                "grid_meta": {"L": grid.L},
             }
-            verdicts.append(rep.verdicts[name])
+            verdicts.append(rep.verdict)
         holds32, lhs32, rhs32 = convexity.check_T32(f, args.alpha)
         holds_pc, min_pc, wit_pc = convexity.check_pogorelov(f)
         holds_gm, eig_gm = convexity.check_guan_ma(f)

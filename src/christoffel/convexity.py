@@ -32,12 +32,12 @@ The 6 packed channels sym(z (x) V) resp. f z z^T are spherical polynomials
 of degree <= L_max + 2: they are formed on the Gauss grid of
 :attr:`harmonics.HarmonicCoeffs.channel_field`, analyzed exactly at that
 band, multiplied degree by degree (:func:`_multipliers`) and synthesized on
-the grid of f or at any points (:func:`criterion_forms`).  The minimum over
-unit tangent xi at a node is the smaller eigenvalue of a 2x2 matrix, in
-closed form.  It does not depend on the tangent frame, so every node form
-is read in the node's own (e_theta, e_phi) frame (:attr:`SphereGrid.frame`),
-where the grid derivatives are formed.  The kernel quadrature of the integrals themselves stays in
-the tests, as the oracle for these forms.
+the grid of f (:func:`criterion_forms`).  The minimum over unit tangent xi
+at a node is the smaller eigenvalue of a 2x2 matrix, in closed form.  It
+does not depend on the tangent frame, so every node form is read in the
+node's own (e_theta, e_phi) frame (:attr:`sphere.SphereGrid.frame`), where
+the grid derivatives are formed.  The kernel quadrature of the integrals
+themselves stays in the tests, as the oracle for these forms.
 
 Ground truth: hessian_min checks min eig(Hess u + u I) directly on the
 spectral solution, and :func:`route_gap` compares it node by node with the
@@ -55,8 +55,8 @@ azimuth offset) entries that triangle and range bounds cannot rule out.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -79,14 +79,15 @@ class Criterion(Enum):
     CR2 = "cr2"
 
 
-@dataclass(frozen=True)
-class ConvexityReport:
-    verdicts: dict
-    min_margin: dict
-    witness: dict
-    error_band: dict
-    grid_meta: dict
-    node_margins: dict  # criterion -> (N,) minimum over tangent xi at each node
+class SweepResult(NamedTuple):
+    """One criterion's :func:`sweep` over the nodes of f's grid."""
+
+    criterion: Criterion
+    verdict: str  # "holds", "fails" or "inconclusive"
+    min_margin: float
+    witness: tuple  # (SpherePoint, TangentDirection) of the smallest value
+    error_band: float
+    node_margins: np.ndarray  # (N,) minimum over tangent xi at each node
 
 
 def _require_positive(f):
@@ -122,10 +123,10 @@ def _multipliers(crit: Criterion, L_max: int) -> np.ndarray:
     return 0.5 * harmonics.operator_diagonal(band) * H
 
 
-def criterion_forms(f, criterion: Criterion | str, points=None):
+def criterion_forms(f, criterion: Criterion | str):
     """(c, S) with criterion(x, xi) = c(x) + xi^T S(x) xi for unit xi
-    tangent at x: c (n,) and S (n, 3, 3), at the grid nodes of f, or at
-    ``points`` (n, 3) when given.  c is zero for CR1.
+    tangent at x: c (N,) and S (N, 3, 3) at the N grid nodes of f.  c is
+    zero for CR1.
     """
     crit = Criterion(criterion)
     coeffs = harmonics.require_coeffs(f)
@@ -141,16 +142,12 @@ def criterion_forms(f, criterion: Criterion | str, points=None):
     channels = [HarmonicCoeffs(L_max=L_max + 2, c=mu * ch.c)
                 for ch in harmonics.analyze_channels(g.grid, cols, L_max + 2)]
 
-    def at(chs):
-        if points is None:
-            return np.stack([harmonics.synthesize(ch, f.grid).values for ch in chs], axis=-1)
-        return harmonics.synthesize_at(chs, points)
-
-    S = at(channels)[:, _SYM_FULL]
+    S = np.stack([harmonics.synthesize(ch, f.grid).values for ch in channels],
+                 axis=-1)[:, _SYM_FULL]
     if crit is Criterion.CR1:
         return np.zeros(len(S)), S
     scalar = HarmonicCoeffs(L_max=L_max, c=-(_harmonic_numbers(L_max) + 0.5) * coeffs.c)
-    return at([scalar])[:, 0], S
+    return harmonics.synthesize(scalar, f.grid).values, S
 
 
 def _min_eig2(a, b, d):
@@ -187,7 +184,7 @@ def _form_min(a, b, d, e1, e2, c=0.0):
     return vals, i, v[0] * e1[i] + v[1] * e2[i]
 
 
-def sweep(f, criterion: Criterion | str) -> ConvexityReport:
+def sweep(f, criterion: Criterion | str) -> SweepResult:
     """Evaluate a criterion at every grid node, minimized over all tangent
     directions.
 
@@ -208,7 +205,7 @@ def sweep(f, criterion: Criterion | str) -> ConvexityReport:
     constant and random fields at (L, L_max) from (17, 16) to (96, 64) it
     is at least 4x the largest gap, over all nodes, to min eig(Hess u + u I)
     (4 pi times that for CR1).  |margin| below 10x the band is inconclusive
-    rather than a sign claim.
+    rather than a sign claim.  Returns a :class:`SweepResult`.
     """
     crit = Criterion(criterion)
     _require_positive(f)
@@ -227,18 +224,10 @@ def sweep(f, criterion: Criterion | str) -> ConvexityReport:
         verdict = "fails"
     else:
         verdict = "inconclusive"
-    name = crit.value
-    return ConvexityReport(
-        verdicts={name: verdict},
-        min_margin={name: best},
-        witness={name: (wx, TangentDirection(wx, best_dir))},
-        error_band={name: band},
-        grid_meta={"L": grid.L},
-        node_margins={name: vals},
-    )
+    return SweepResult(crit, verdict, best, (wx, TangentDirection(wx, best_dir)), band, vals)
 
 
-def route_gap(report: ConvexityReport, hessian_mins: np.ndarray) -> dict:
+def route_gap(result: SweepResult, hessian_mins: np.ndarray) -> float:
     """Largest gap over the nodes between the node minima of a sweep, as
     CR1 / (4 pi) resp. CR2, and ``hessian_mins``, min eig(Hess u + u I) at
     each node of the solution (:func:`hessian_min`).
@@ -248,9 +237,8 @@ def route_gap(report: ConvexityReport, hessian_mins: np.ndarray) -> dict:
     xi>, so the gap is a self-check that should sit at rounding level,
     within the sweep's error band.
     """
-    scale = {Criterion.CR1.value: 4.0 * np.pi, Criterion.CR2.value: 1.0}
-    return {name: float(np.max(np.abs(vals / scale[name] - hessian_mins)))
-            for name, vals in report.node_margins.items()}
+    scale = 4.0 * np.pi if result.criterion is Criterion.CR1 else 1.0
+    return float(np.max(np.abs(result.node_margins / scale - hessian_mins)))
 
 
 # ----------------------------------------------------------------------

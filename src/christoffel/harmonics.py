@@ -36,12 +36,10 @@ the 3 entries of DG are spherical polynomials of degree <= L_max + 1 and the
 coefficient set (:attr:`HarmonicCoeffs.extension_channels`) from the grid
 derivatives of :attr:`HarmonicCoeffs.channel_field`, the field on the Gauss
 grid L_max + 3, which integrates their products with the basis exactly.
-Point gradients and Hessians then only synthesize channels, all channels
-of one band from one set of theta profiles (:func:`hessian_at` pads the
-values to the D^2 G band to join them): no (theta, phi) frame and no pole
-test.  Off the grid a point may be a pole, so :func:`hessian_at` projects
-D^2 G on the bases of :func:`christoffel.sphere.tangent_bases`, which are
-defined there.  Grid derivatives are formed once per field and kept
+Point gradients and ambient Hessians then only synthesize channels, all
+channels of one band from one set of theta profiles: no (theta, phi) frame,
+no tangent basis and no pole test, so the points may be poles.  Grid
+derivatives are formed once per field and kept
 (:attr:`SphericalField.gradient`, :attr:`SphericalField.hessian`).
 """
 
@@ -60,7 +58,7 @@ from .errors import (
     NotAnalyzed,
     OrthogonalityViolation,
 )
-from .sphere import SphereGrid, _azimuths, _polar_rule, make_grid, tangent_bases
+from .sphere import SphereGrid, _azimuths, _polar_rule, make_grid
 
 DEFAULT_L_MAX = 32
 DEFAULT_GRID_L = 48
@@ -82,15 +80,12 @@ class HarmonicCoeffs:
         if c.shape != ((self.L_max + 1) ** 2,):
             raise ValueError("coefficient array has wrong length for L_max")
         if not np.all(np.isfinite(c)):
-            raise ValueError("coefficients must be finite")
+            raise InvalidParameter("coefficients must be finite")
         object.__setattr__(self, "c", c)
 
     @staticmethod
     def index(l: int, m: int) -> int:
         return l * l + l + m
-
-    def get(self, l: int, m: int) -> float:
-        return float(self.c[self.index(l, m)])
 
     def apply_operator(self) -> HarmonicCoeffs:
         """Coefficients of (Laplacian + 2) applied to this expansion."""
@@ -146,10 +141,6 @@ class SphericalField:
         if v.shape != (self.grid.node_count,):
             raise ValueError("values length does not match grid node count")
         object.__setattr__(self, "values", v)
-
-    @property
-    def L_max(self):
-        return None if self.coeffs is None else self.coeffs.L_max
 
     @cached_property
     def gradient(self) -> np.ndarray:
@@ -360,7 +351,10 @@ def _synth_theta_stacks(blocks, cos_c, sin_c, L_max, deriv=0):
 # ----------------------------------------------------------------------
 
 def require_band_limit(grid: SphereGrid, L_max: int) -> None:
-    """Raise BandLimitExceeded unless the grid resolves band limit L_max."""
+    """Raise InvalidParameter for a band limit L_max < 0 and
+    BandLimitExceeded unless the grid resolves L_max."""
+    if L_max < 0:
+        raise InvalidParameter(f"band limit must satisfy L_max >= 0, got {L_max}")
     if grid.L < L_max + 1:
         raise BandLimitExceeded(
             f"grid L={grid.L} cannot resolve L_max={L_max} (need L >= L_max + 1)"
@@ -370,7 +364,10 @@ def require_band_limit(grid: SphereGrid, L_max: int) -> None:
 def analyze(field: SphericalField, L_max: int | None = None) -> HarmonicCoeffs:
     """Forward transform by quadrature; exact for band-limited fields.
 
-    Requires grid resolution L >= L_max + 1.
+    Requires grid resolution L >= L_max + 1.  Values that are not finite,
+    or so large that the quadrature sums overflow, give coefficients that
+    are not finite: :class:`HarmonicCoeffs` rejects them with
+    InvalidParameter.
     """
     grid = field.grid
     if L_max is None:
@@ -379,16 +376,17 @@ def analyze(field: SphericalField, L_max: int | None = None) -> HarmonicCoeffs:
     vals = field.values.reshape(grid.L, grid.azimuth_count)
     cos_t, sin_t = _azimuth_plan(grid.L, L_max)[:2]
     w_phi = np.pi / grid.L
-    Fc = vals @ cos_t.T * w_phi  # (L, L_max+1)
-    Fs = vals @ sin_t.T * w_phi
     blocks = _grid_blocks(grid.L, L_max, 0)
     cos_idx, sin_idx = _order_index(L_max)
     wt = grid.polar_weights
     c = np.zeros((L_max + 1) ** 2)
-    for m in range(L_max + 1):
-        c[cos_idx[m]] = blocks[m][0].T @ (wt * Fc[:, m])
-        if m > 0:
-            c[sin_idx[m]] = blocks[m][0].T @ (wt * Fs[:, m])
+    with np.errstate(over="ignore", invalid="ignore"):
+        Fc = vals @ cos_t.T * w_phi  # (L, L_max+1)
+        Fs = vals @ sin_t.T * w_phi
+        for m in range(L_max + 1):
+            c[cos_idx[m]] = blocks[m][0].T @ (wt * Fc[:, m])
+            if m > 0:
+                c[sin_idx[m]] = blocks[m][0].T @ (wt * Fs[:, m])
     return HarmonicCoeffs(L_max=L_max, c=c)
 
 
@@ -569,23 +567,6 @@ def extension_hessian_at(coeffs: HarmonicCoeffs, points) -> np.ndarray:
     g is a support function).
     """
     return synthesize_at(coeffs.extension_channels.hess, points)[:, _SYM_FULL]
-
-
-def hessian_at(coeffs: HarmonicCoeffs, points) -> np.ndarray:
-    """Covariant Hessian on S^2, shape (N, 2, 2), in the per-point tangent
-    bases E of :func:`christoffel.sphere.tangent_bases`: E^T D^2 G E - g I.
-    The points may be poles, where no (e_theta, e_phi) frame exists; grid
-    nodes never are, and :func:`grid_hessian` needs no rotation.  The
-    trace equals the Laplace-Beltrami operator of the field.  g is padded to
-    the band of the D^2 G channels, so one set of theta profiles serves all
-    seven."""
-    pts = np.asarray(points, dtype=float)
-    band = coeffs.L_max + 2
-    g = HarmonicCoeffs(L_max=band, c=np.pad(coeffs.c, (0, (band + 1) ** 2 - coeffs.c.size)))
-    chans = synthesize_at(coeffs.extension_channels.hess + (g,), pts)
-    E = np.stack(tangent_bases(pts), axis=2)
-    T = np.einsum("nki,nkl,nlj->nij", E, chans[:, _SYM_FULL], E)
-    return T - chans[:, -1, None, None] * np.eye(2)
 
 
 def grid_gradient(field: SphericalField) -> np.ndarray:

@@ -18,8 +18,8 @@ integrals is retained for validation.
 Imports: the module needs only numpy, on every path.  The closed forms, the
 Berg functions and gamma_{n, alpha} by a fixed Gauss-Jacobi rule are direct
 formulas; the functions that validate by adaptive quadrature
-(``omega_radial``, ``firey_theta``, ``hat_omega`` and ``gamma_const_info``)
-share one numpy Gauss-Kronrod routine, :func:`_gauss_kronrod`, in place of
+(``omega_radial``, ``firey_theta`` and ``gamma_const_info``) share one
+numpy Gauss-Kronrod routine, :func:`_gauss_kronrod`, in place of
 ``scipy.integrate.quad``.
 """
 
@@ -41,16 +41,13 @@ def sphere_surface_measure(n: int) -> float:
 
 @dataclass(frozen=True)
 class KernelParams:
-    """Dimension and surface measure bundle for the kernel family."""
+    """Dimension n >= 2 of the kernel family."""
 
     n: int
-    omega_n: float = None
 
     def __post_init__(self):
         if self.n < 2:
             raise InvalidDimension(f"kernels require n >= 2, got {self.n}")
-        if self.omega_n is None:
-            object.__setattr__(self, "omega_n", sphere_surface_measure(self.n))
 
 
 # ----------------------------------------------------------------------
@@ -88,10 +85,11 @@ _WG = (
 # weights on them
 _GK_NODES = np.array([-x for x in _XGK[:-1]] + list(_XGK[::-1]))
 _GK_WEIGHTS = np.array([list(w[:-1]) + list(w[::-1]) for w in (_WGK, _WG)])
+# most panels of one adaptive integral
+_GK_LIMIT = 200
 
 
-def _gauss_kronrod(f, a: float, b: float, epsabs: float = 1e-10,
-                   epsrel: float = 1e-10, limit: int = 200):
+def _gauss_kronrod(f, a: float, b: float, epsabs: float = 1e-10, epsrel: float = 1e-10):
     """int_a^b f(x) dx by global adaptive Gauss-Kronrod quadrature.
 
     Returns (value, error_estimate).  Each panel is integrated by the
@@ -99,14 +97,14 @@ def _gauss_kronrod(f, a: float, b: float, epsabs: float = 1e-10,
     the panel's error estimate (QUADPACK scales this difference down; the
     raw difference is the more cautious bound).  The panel with the largest
     estimate is bisected until the estimates sum to at most
-    max(epsabs, epsrel |value|) or ``limit`` panels exist; the panels are
+    max(epsabs, epsrel |value|) or ``_GK_LIMIT`` panels exist; the panels are
     summed with ``math.fsum``.  ``f`` is vectorized: it is called once per
     panel, on the array of its 21 nodes, and never at an end point.
     b = inf is mapped onto t in [0, 1) by x = a + t/(1 - t); b < a
     integrates over [b, a] and negates.
     """
     if b < a:
-        val, err = _gauss_kronrod(f, b, a, epsabs, epsrel, limit)
+        val, err = _gauss_kronrod(f, b, a, epsabs, epsrel)
         return -val, err
     if b == math.inf:
         g, x0 = f, a
@@ -124,7 +122,7 @@ def _gauss_kronrod(f, a: float, b: float, epsabs: float = 1e-10,
 
     heap = [panel(a, b)]
     total_val, total_err = heap[0][3], -heap[0][0]
-    while total_err > max(epsabs, epsrel * abs(total_val)) and len(heap) < limit:
+    while total_err > max(epsabs, epsrel * abs(total_val)) and len(heap) < _GK_LIMIT:
         neg_err, lo, hi, val = heapq.heappop(heap)
         mid = 0.5 * (lo + hi)
         for part in (panel(lo, mid), panel(mid, hi)):
@@ -211,31 +209,6 @@ def firey_theta(s: float, params: KernelParams) -> float:
         lambda t: np.sin(t) ** (n - 1), math.pi, math.acos(s), epsabs=1e-13, epsrel=1e-13,
     )
     return (1.0 - s * s) ** (-n / 2.0) * val
-
-
-def hat_omega(s: float, c: float, params: KernelParams) -> float:
-    """Second-derivative ray kernel
-
-        (1/omega_n) int_0^inf (|x - rz|^2 - (n+1) <xi, rz>^2)
-                               r^(n-1) |x - rz|^(-(n+3)) dr
-
-    reduced to the scalars s = <x, z>, c = <xi, z> (with x orthogonal to xi,
-    all unit).  Uses the same rho substitution as :func:`omega_radial`.
-    """
-    _check_s(s)
-    if s * s + c * c > 1.0 + 1e-12:
-        raise SingularEvaluation("need s^2 + c^2 <= 1 for unit x, z and xi _|_ x")
-    n = params.n
-    q = math.sqrt(1.0 - s * s)
-    c2 = c * c
-
-    def integrand(rho):
-        r = s + q * rho
-        u = rho * rho + 1.0
-        return (q * q * u - (n + 1) * c2 * r * r) * r ** (n - 1) * u ** (-(n + 3) / 2.0)
-
-    val, _ = _gauss_kronrod(integrand, -s / q, math.inf)
-    return val * q ** (-n - 2) / params.omega_n
 
 
 # ----------------------------------------------------------------------
@@ -420,13 +393,17 @@ def gamma_const(n: int, alpha: float) -> float:
     return sphere_surface_measure(n) / (n * (n + 1.0)) / (sphere_surface_measure(n - 1) * I1)
 
 
+# samples per batch of gamma_monte_carlo, which bounds its memory; the
+# batches split the generator's stream, so for a seed the estimate depends on it
+_MC_CHUNK = 10**6
+
+
 def gamma_monte_carlo(
     n: int,
     alpha: float,
     samples: int = 10**7,
     seed: int = 0,
     pole=None,
-    chunk: int = 10**6,
 ):
     """Monte-Carlo oracle for gamma_{n, alpha} over R^(n+1).
 
@@ -465,7 +442,7 @@ def gamma_monte_carlo(
     total_sq = 0.0
     count = 0
     while count < samples:
-        m = min(chunk, samples - count)
+        m = min(_MC_CHUNK, samples - count)
         near = rng.random(m) < 0.5
         u = rng.random(m)
         dirs = rng.standard_normal((m, dim))
@@ -516,8 +493,6 @@ class ClosedFormKernelTable:
     oracle in the tests, and ``bench/tracing.py`` wraps its methods.
     """
 
-    n = 2
-
     def omega(self, s):
         return -1.0 / (1.0 - s)
 
@@ -526,9 +501,6 @@ class ClosedFormKernelTable:
 
     def hat_B(self, s):
         return (2.0 - s) / (12.0 * np.pi * (1.0 - s) ** 2)
-
-    def hat(self, s, c2):
-        return self.hat_A(s) - 3.0 * c2 * self.hat_B(s)
 
 
 DEFAULT_TABLE = ClosedFormKernelTable()

@@ -159,7 +159,6 @@ def solve_lp(
     p: float,
     tol: float = 1e-8,
     max_iter: int = 60,
-    initial: np.ndarray | None = None,
 ) -> LpSolution:
     """Solve (Laplacian + 2) u = f u^(p-1) with u > 0, for 2 <= p < inf.
 
@@ -174,8 +173,8 @@ def solve_lp(
 
     Newton on (c, lambda), c the coefficients of v, for F = [D c - lambda
     (f v^(p-1))_lm, v(pin) - 1], D the spectrum of the operator, from v = 1
-    (or the v of ``initial``, harmonic coefficients) and lambda =
-    2/mean(f), pinned at the start's max node.  Each full step is a GMRES
+    and lambda = 2/mean(f), pinned at the start's first maximum, node 0
+    (v = 1 synthesizes to one value at every node).  Each full step is a GMRES
     solve to relative residual min(0.1, |F|), whose products x -> D x -
     lambda (p-1) (f v^(p-2) synthesize(x))_lm - x_lambda (f v^(p-1))_lm
     are transforms; :func:`_mean_field_inverse` preconditions it.
@@ -183,7 +182,7 @@ def solve_lp(
     Raises InvalidParameter unless 2 <= p < inf, 0 < tol < inf, (p-1) f
     is finite and the start's s and 1/s are positive and finite (s =
     (2/mean f)^(1/(p-2)) for p > 2); PositivityLost if the returned u, or
-    for p > 2 any iterate, is not positive; NonConvergence, carrying the
+    for p > 2 any Newton iterate, is not positive; NonConvergence, carrying the
     last iterate and naming the reason, if a Krylov solve fails, a step is
     not finite (its s or 1/s included), Newton stalls (two steps in a row
     fail to halve the residual) or max_iter steps end above tol.
@@ -228,15 +227,9 @@ def solve_lp(
             [pin @ xc],
         ])
 
-    if initial is None:
-        c = np.zeros(K)
-        c[0] = np.sqrt(4.0 * np.pi)
-    else:
-        c = np.asarray(initial, dtype=float).copy()
+    c = np.zeros(K)
+    c[0] = np.sqrt(4.0 * np.pi)
     uv = values_of(c)
-    # v^(p-1) is NaN below 0 for p > 2; at p = 2 only the returned u must be positive
-    if p > 2.0 and np.min(uv) <= 0.0:
-        raise PositivityLost("the start is not positive")
     r = dilation(lam, uv)
     if r is None:
         raise InvalidParameter(f"the start's scale is 0 or not finite at p = {p}")
@@ -259,6 +252,7 @@ def solve_lp(
             break
         c_new, lam_new = c + step[:K], lam + step[K]
         uv_new = values_of(c_new)
+        # v^(p-1) is NaN below 0 for p > 2; at p = 2 only the returned u must be positive
         if p > 2.0 and np.min(uv_new) <= 0.0:
             raise PositivityLost(f"Newton iterate {len(trace) + 1} is not positive")
         r_new = dilation(lam_new, uv_new)
@@ -294,8 +288,8 @@ def solve_lp(
 
 
 # the bench worker wraps lp.solve_lp_eigen by name, so the p = 2 case keeps it
-def solve_lp_eigen(f, tol=1e-8, max_iter=60, initial=None) -> LpSolution:
-    return solve_lp(f, 2.0, tol, max_iter, initial)
+def solve_lp_eigen(f, tol=1e-8, max_iter=60) -> LpSolution:
+    return solve_lp(f, 2.0, tol, max_iter)
 
 
 def check_lemma41(sol: LpSolution, f):
@@ -311,19 +305,17 @@ def check_lemma41(sol: LpSolution, f):
     return bool(lhs <= rhs + 1e-10 * max(1.0, rhs)), lhs, rhs
 
 
-def check_T41_cond(f, p: float, gamma1: float | None = None):
+def check_T41_cond(f, p: float):
     """Quantitative convexity condition for the L_p problem (n = 2):
 
         (1 + 2 (p-1) max f / min f) * exp(2 pi max|grad f| / min f)^(p-1)
-            * max|grad f|  <=  gamma_{2,1} min f.
+            * max|grad f|  <=  gamma_{2,1} min f,
 
-    Returns (holds, lhs, rhs).
+    gamma_{2,1} from :func:`kernels.gamma_const`.  Returns (holds, lhs, rhs).
     """
     _require_positive_field(f)
     if p < 2.0:
         raise InvalidParameter("condition applies for p >= 2")
-    if gamma1 is None:
-        gamma1 = kernels.gamma_const(2, 1.0)
     fmin = float(np.min(f.values))
     fmax = float(np.max(f.values))
     gmax = float(np.max(np.linalg.norm(f.gradient, axis=1)))
@@ -332,5 +324,5 @@ def check_T41_cond(f, p: float, gamma1: float | None = None):
         * np.exp(2.0 * np.pi * gmax / fmin) ** (p - 1.0)
         * gmax
     )
-    rhs = gamma1 * fmin
+    rhs = kernels.gamma_const(2, 1.0) * fmin
     return bool(lhs <= rhs), float(lhs), float(rhs)

@@ -51,13 +51,6 @@ class TangentDirection:
         object.__setattr__(self, "dir", d)
 
 
-def point_coords(x) -> np.ndarray:
-    """Coerce a SpherePoint or array-like to a coordinate array."""
-    if isinstance(x, SpherePoint):
-        return x.coords
-    return np.asarray(x, dtype=float)
-
-
 class NodeFrame(NamedTuple):
     """The (e_theta, e_phi) frame of the nodes of a grid, in node order:
     sin and cos theta (N,), e_theta and e_phi (N, 3)."""
@@ -83,7 +76,6 @@ class SphereGrid:
     polar_nodes: np.ndarray      # (L,) Gauss-Legendre nodes in cos(theta), theta-ascending
     polar_weights: np.ndarray    # (L,) matching Gauss-Legendre weights
     azimuth_count: int
-    n: int = 2
     thetas: np.ndarray = field(default=None, repr=False)
     phis: np.ndarray = field(default=None, repr=False)
 

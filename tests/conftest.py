@@ -1,9 +1,11 @@
 import sys
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from christoffel import body, harmonics, sphere
+from christoffel.errors import InvalidParameter
 
 
 def clear_program_caches():
@@ -76,10 +78,58 @@ def rotate_about_z(coeffs, angle):
     c = coeffs.c.copy()
     for l in range(coeffs.L_max + 1):
         for m in range(1, l + 1):
-            a, b = coeffs.get(l, m), coeffs.get(l, -m)
+            a, b = coeffs.c[coeffs.index(l, m)], coeffs.c[coeffs.index(l, -m)]
             c[l * l + l + m] = a * np.cos(m * angle) - b * np.sin(m * angle)
             c[l * l + l - m] = a * np.sin(m * angle) + b * np.cos(m * angle)
     return harmonics.HarmonicCoeffs(L_max=coeffs.L_max, c=c)
+
+
+@dataclass(frozen=True)
+class Sphere:
+    """Ball of radius R, support function u = R: a body for
+    :func:`body.support_function`, which samples its ``support_values``."""
+
+    R: float
+
+    def __post_init__(self):
+        if self.R <= 0:
+            raise InvalidParameter("sphere radius must be positive")
+
+    def support_values(self, points):
+        return np.full(len(points), float(self.R))
+
+
+# ----------------------------------------------------------------------
+# Off-grid Hessians in tangent bases: oracles of the grid Hessian
+# ----------------------------------------------------------------------
+
+def hessian_at(coeffs, points):
+    """Covariant Hessian on S^2, shape (N, 2, 2), in the per-point tangent
+    bases E of :func:`christoffel.sphere.tangent_bases`: E^T D^2 G E - g I,
+    D^2 G the ambient Hessian of the 1-homogeneous extension.  The points
+    may be poles, where no (e_theta, e_phi) frame exists.  The trace equals
+    the Laplace-Beltrami operator of the field.  g is padded to the band of
+    the D^2 G channels, so one set of theta profiles serves all seven.
+    ``sphere.tangent_bases`` is read through the module, so a test that
+    patches it sees the call."""
+    pts = np.asarray(points, dtype=float)
+    band = coeffs.L_max + 2
+    g = harmonics.HarmonicCoeffs(L_max=band, c=np.pad(coeffs.c, (0, (band + 1) ** 2 - coeffs.c.size)))
+    chans = harmonics.synthesize_at(coeffs.extension_channels.hess + (g,), pts)
+    E = np.stack(sphere.tangent_bases(pts), axis=2)
+    T = np.einsum("nki,nkl,nlj->nij", E, chans[:, harmonics._SYM_FULL], E)
+    return T - chans[:, -1, None, None] * np.eye(2)
+
+
+def principal_radii(u, x):
+    """Principal curvature radii at normal direction x: the eigenvalues of
+    D^2 U(x) on the tangent plane (U the 1-homogeneous extension of u),
+    which are those of Hess u(x) + u(x) I, returned sorted ascending."""
+    xc = np.asarray(x, dtype=float)
+    E = np.stack(sphere.tangent_bases(xc[None]), axis=2)[0]
+    D2U = harmonics.extension_hessian_at(harmonics.require_coeffs(u), xc[None, :])[0]
+    r = np.linalg.eigvalsh(E.T @ D2U @ E)
+    return float(r[0]), float(r[1])
 
 
 # ----------------------------------------------------------------------

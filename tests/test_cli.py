@@ -10,7 +10,7 @@ from christoffel import body, cli, convexity, harmonics, kernels, sphere
 from christoffel.errors import GridMismatch, NotPositive, ParseError
 from christoffel.sphere import make_grid
 
-from conftest import clear_program_caches
+from conftest import Sphere, clear_program_caches, hessian_at
 
 
 def loop_field_to_csv(field):
@@ -62,7 +62,7 @@ class TestFieldSources:
 
     @pytest.mark.parametrize("L", [16, 17, 48])
     @pytest.mark.parametrize("shape", [
-        body.Sphere(1.0), body.Ellipsoid(1.0, 1.2, 1.5), body.Ellipsoid(0.5, 1.0, 2.0),
+        Sphere(1.0), body.Ellipsoid(1.0, 1.2, 1.5), body.Ellipsoid(0.5, 1.0, 2.0),
     ], ids=repr)
     def test_csv_text_matches_loop(self, L, shape):
         u = body.support_function(shape, make_grid(L), L_max=2 * L // 3)
@@ -380,6 +380,37 @@ class TestErrors:
         assert report["error"]["type"] == "InvalidParameter"
         assert set(report) == {"config", "error"}
 
+    @pytest.mark.parametrize("source, kind", [
+        ("family:ellipsoid:a=nan", "InvalidParameter"),
+        ("family:ellipsoid:a=1e200", "InvalidParameter"),
+        ("family:constant:c=1e308", "InvalidParameter"),
+        ("family:harmonic:l=2,m=0,eps=0.1,base=nan", "InvalidParameter"),
+        ("family:constant:c=two", "ParseError"),
+        ("file", "ParseError"),
+    ])
+    def test_bad_field_source_reported(self, source, kind, tmp_path):
+        # not-finite parameters and values, and ones whose transform
+        # overflows, end in a typed error in the report, not a traceback
+        if source == "file":
+            f, _ = cli.parse_field_source("family:constant:c=2", make_grid(16), 8)
+            lines = cli._field_to_csv(f).splitlines()
+            lines[5] = lines[5].rsplit(",", 1)[0] + ",nan"
+            (tmp_path / "nan.csv").write_text("\n".join(lines) + "\n")
+            source = f"file:{tmp_path / 'nan.csv'}"
+        report, code = run_cli(["solve", "--input", source, "--L", "16", "--Lmax", "8"],
+                               tmp_path)
+        assert code == 1
+        assert report["error"]["type"] == kind
+        assert set(report) == {"config", "error"}
+        if kind == "ParseError" and "nan" in source:
+            assert report["error"]["message"].startswith("line 6:")
+
+    def test_negative_band_limit_reported(self, tmp_path):
+        report, code = run_cli(["solve", "--L", "16", "--Lmax", "-1"], tmp_path)
+        assert code == 1
+        assert report["error"]["type"] == "InvalidParameter"
+        assert "L_max >= 0" in report["error"]["message"]
+
     def test_failed_lp_keeps_evidence(self, tmp_path):
         # the band-limit floor of this ellipsoid's grid residual (5.0e-8)
         # lies above the default tol: the solve stalls, and the report keeps
@@ -515,8 +546,9 @@ class TestSharedWork:
             _, code = run_cli(argv, tmp_path)
             assert code in (0, 2, 3), argv[0]
         assert calls == []
-        # off-grid points, the poles among them, do use them
-        harmonics.hessian_at(harmonics.HarmonicCoeffs(L_max=2, c=np.arange(9.0)), np.eye(3))
+        # off-grid points, the poles among them, do use them: the tests'
+        # oracle of the grid Hessian is seen to call them
+        hessian_at(harmonics.HarmonicCoeffs(L_max=2, c=np.arange(9.0)), np.eye(3))
         assert calls == [3]
 
     def test_one_residual_per_solve(self, tmp_path, monkeypatch):

@@ -14,6 +14,7 @@ from conftest import (
     constant_field,
     ellipsoid_principal_radii,
     harmonic_field,
+    hessian_at,
     random_positive_field,
     rotate_about_z,
     rotate_forms,
@@ -26,7 +27,7 @@ from conftest import (
 def spectral_second_derivative(u, x, xi):
     """Ground truth <U(x) xi, xi> from the spectral solution's Hessian."""
     e1, e2 = (e[0] for e in sphere.tangent_bases(x[None]))
-    H = harmonics.hessian_at(u.coeffs, x[None, :])[0]
+    H = hessian_at(u.coeffs, x[None, :])[0]
     uval = harmonics.synthesize_at(u.coeffs, x[None, :])[0]
     q = np.array([xi @ e1, xi @ e2])
     return float(q @ H @ q + uval * (q @ q))
@@ -38,6 +39,13 @@ def random_witness(rng):
     e1, e2 = (e[0] for e in sphere.tangent_bases(x[None]))
     a = rng.uniform(0, 2 * np.pi)
     return x, np.cos(a) * e1 + np.sin(a) * e2
+
+
+def random_node_witness(grid, rng):
+    """A random node i of the grid and a random unit xi tangent there."""
+    i = int(rng.integers(grid.node_count))
+    a = rng.uniform(0, 2 * np.pi)
+    return i, np.cos(a) * grid.frame.e_th[i] + np.sin(a) * grid.frame.e_ph[i]
 
 
 def cap_quadrature(f, i, crit, delta=None):
@@ -77,9 +85,10 @@ def cap_quadrature(f, i, crit, delta=None):
     return c, -3.0 * P + delta**2 * (np.trace(Hx) * proj - 2.0 * Hx) / 16.0
 
 
-def criterion_value(f, crit, x, xi):
-    c, S = convexity.criterion_forms(f, crit, x[None, :])
-    return float(c[0] + xi @ S[0] @ xi)
+def criterion_value(f, crit, i, xi):
+    """The criterion at node i of f's grid along the unit tangent xi."""
+    c, S = convexity.criterion_forms(f, crit)
+    return float(c[i] + xi @ S[i] @ xi)
 
 
 def node_minima(f, crit):
@@ -107,20 +116,20 @@ class TestCriterionValues:
     def test_cr2_constant_exact(self, const2_48):
         rng = np.random.default_rng(1)
         for _ in range(5):
-            x, xi = random_witness(rng)
-            assert abs(criterion_value(const2_48, "cr2", x, xi) - 1.0) < 1e-10
+            i, xi = random_node_witness(const2_48.grid, rng)
+            assert abs(criterion_value(const2_48, "cr2", i, xi) - 1.0) < 1e-10
 
     def test_cr2_constant_family(self, grid48):
         f5 = constant_field(grid48, 5.0, L_max=32)
-        x, xi = random_witness(np.random.default_rng(2))
-        assert abs(criterion_value(f5, "cr2", x, xi) - 2.5) < 1e-10
+        i, xi = random_node_witness(grid48, np.random.default_rng(2))
+        assert abs(criterion_value(f5, "cr2", i, xi) - 2.5) < 1e-10
 
     def test_cr1_constant_sign_and_scale(self, const2_48):
         # integrand -2 omega <xi,z>^2 >= 0; value = omega_2 * 1
         rng = np.random.default_rng(3)
         for _ in range(3):
-            x, xi = random_witness(rng)
-            assert abs(criterion_value(const2_48, "cr1", x, xi) - 4 * np.pi) < 4 * np.pi * 2e-12
+            i, xi = random_node_witness(const2_48.grid, rng)
+            assert abs(criterion_value(const2_48, "cr1", i, xi) - 4 * np.pi) < 4 * np.pi * 2e-12
 
     def test_cr1_vs_cr2_consistency(self, grid48):
         # both criteria give the same second derivative, CR1 scaled by omega_2
@@ -128,8 +137,8 @@ class TestCriterionValues:
         tol = 1e-10 * np.max(np.abs(f.values))
         rng = np.random.default_rng(4)
         for _ in range(5):
-            x, xi = random_witness(rng)
-            cr1, cr2 = criterion_value(f, "cr1", x, xi), criterion_value(f, "cr2", x, xi)
+            i, xi = random_node_witness(grid48, rng)
+            cr1, cr2 = criterion_value(f, "cr1", i, xi), criterion_value(f, "cr2", i, xi)
             assert abs(cr1 / (4 * np.pi) - cr2) < tol
 
     def test_cr2_matches_spectral_truth(self, grid48):
@@ -138,20 +147,22 @@ class TestCriterionValues:
         tol = 1e-10 * np.max(np.abs(f.values))
         rng = np.random.default_rng(5)
         for _ in range(8):
-            x, xi = random_witness(rng)
-            truth = spectral_second_derivative(u, x, xi)
-            assert abs(criterion_value(f, "cr2", x, xi) - truth) < tol
+            i, xi = random_node_witness(grid48, rng)
+            truth = spectral_second_derivative(u, grid48.nodes[i], xi)
+            assert abs(criterion_value(f, "cr2", i, xi) - truth) < tol
 
     def test_ellipsoid_cr1_nonnegative_200_witnesses(self, grid48):
         # CR1 / (4 pi) is a second derivative of the support function: at
-        # least the smallest principal radius c^2 / b, up to band truncation
+        # least the smallest principal radius c^2 / b, up to band truncation,
+        # at 200 nodes along random tangent directions
         ell = body.Ellipsoid(1.0, 1.2, 0.8)
         u = body.support_function(ell, grid48, L_max=32)
         f = body.forward_f(u)
         rng = np.random.default_rng(6)
-        X = np.array([random_witness(rng) for _ in range(200)])
-        c, S = convexity.criterion_forms(f, "cr1", X[:, 0])
-        cr1 = c + np.einsum("ni,nij,nj->n", X[:, 1], S, X[:, 1])
+        nodes, xis = zip(*(random_node_witness(grid48, rng) for _ in range(200)))
+        c, S = convexity.criterion_forms(f, "cr1")
+        xis = np.array(xis)
+        cr1 = c[list(nodes)] + np.einsum("ni,nij,nj->n", xis, S[list(nodes)], xis)
         assert np.min(cr1) / (4 * np.pi) >= ell.c**2 / ell.b - 1e-6
 
     def test_rotation_equivariance(self, grid48):
@@ -173,11 +184,14 @@ class TestCriterionValues:
         )
         scale = np.max(np.abs(f.values))
         rng = np.random.default_rng(7)
+        n = grid48.azimuth_count
         for _ in range(4):
-            x, xi = random_witness(rng)
+            i, xi = random_node_witness(grid48, rng)
+            i_rot = i - i % n + (i + k) % n  # the node R x, k azimuth steps on
+            assert np.allclose(grid48.nodes[i_rot], R @ grid48.nodes[i], rtol=0, atol=1e-14)
             for crit, tol in (("cr2", 1e-10), ("cr1", 4 * np.pi * 1e-12)):
-                rotated = criterion_value(fr, crit, R @ x, R @ xi)
-                assert abs(rotated - criterion_value(f, crit, x, xi)) < tol * scale
+                rotated = criterion_value(fr, crit, i_rot, R @ xi)
+                assert abs(rotated - criterion_value(f, crit, i, xi)) < tol * scale
 
     def test_not_positive_rejected(self, grid48):
         f = harmonic_field(grid48, 0.1, {(2, 0): 2.0}, L_max=16)
@@ -219,8 +233,8 @@ class TestFunkHecke:
         gap2 = np.max(np.abs(node_minima(f, "cr2") - lam))
         assert gap1 <= 4 * np.pi * 1e-12 * scale
         assert gap2 <= 1e-10 * scale
-        assert gap1 <= convexity.sweep(f, "cr1").error_band["cr1"]
-        assert gap2 <= convexity.sweep(f, "cr2").error_band["cr2"]
+        assert gap1 <= convexity.sweep(f, "cr1").error_band
+        assert gap2 <= convexity.sweep(f, "cr2").error_band
 
     @pytest.mark.parametrize("L, L_max", [(17, 16), (48, 32)])
     @pytest.mark.parametrize("kind", ["ellipsoid", "bump", "random"])
@@ -231,9 +245,9 @@ class TestFunkHecke:
         lam = convexity.hessian_min(harmonics.solve_christoffel(f).u)[2]
         for crit in ("cr1", "cr2"):
             rep = convexity.sweep(f, crit)
-            gap = convexity.route_gap(rep, lam)[crit]
-            assert 0.0 <= gap <= rep.error_band[crit]
-            assert convexity.route_gap(rep, lam + 1e-6)[crit] >= 1e-6 - gap
+            gap = convexity.route_gap(rep, lam)
+            assert 0.0 <= gap <= rep.error_band
+            assert convexity.route_gap(rep, lam + 1e-6) >= 1e-6 - gap
 
     @pytest.mark.parametrize("crit", ["cr1", "cr2"])
     def test_cap_quadrature_oracle(self, grid48, crit, monkeypatch):
@@ -268,9 +282,10 @@ class TestFunkHecke:
 class TestSweep:
     def test_constant_field(self, const2_48):
         rep = convexity.sweep(const2_48, "cr2")
-        assert rep.verdicts["cr2"] == "holds"
-        assert abs(rep.min_margin["cr2"] - 1.0) < 1e-8
-        x, xi = rep.witness["cr2"]
+        assert rep.criterion is convexity.Criterion.CR2
+        assert rep.verdict == "holds"
+        assert abs(rep.min_margin - 1.0) < 1e-8
+        x, xi = rep.witness
         assert abs(np.linalg.norm(x.coords) - 1) < 1e-12
         assert abs(x.coords @ xi.dir) < 1e-12
 
@@ -280,8 +295,8 @@ class TestSweep:
         u = harmonics.solve_christoffel(f).u
         hmin = convexity.hessian_min(u)[0]
         rep = convexity.sweep(f, convexity.Criterion.CR2)
-        assert np.sign(rep.min_margin["cr2"]) == np.sign(hmin)
-        assert rep.verdicts["cr2"] == ("holds" if hmin > 0 else "fails")
+        assert np.sign(rep.min_margin) == np.sign(hmin)
+        assert rep.verdict == ("holds" if hmin > 0 else "fails")
 
     def test_nonconvex_detected_by_both(self, grid48):
         f = harmonic_field(grid48, 2.0, {(2, 0): 3.5}, L_max=32)
@@ -290,8 +305,8 @@ class TestSweep:
         assert hmin < -0.1
         for crit in ("cr1", "cr2"):
             rep = convexity.sweep(f, crit)
-            assert rep.verdicts[crit] == "fails"
-            assert rep.min_margin[crit] < 0
+            assert rep.verdict == "fails"
+            assert rep.min_margin < 0
 
     def test_margin_tracks_hessian(self, grid48):
         for eps in (1.0, 3.5):
@@ -299,8 +314,8 @@ class TestSweep:
             u = harmonics.solve_christoffel(f).u
             hmin = convexity.hessian_min(u)[0]
             rep = convexity.sweep(f, "cr2")
-            band = rep.error_band["cr2"]
-            assert abs(rep.min_margin["cr2"] - hmin) < max(10 * band, 5e-3)
+            band = rep.error_band
+            assert abs(rep.min_margin - hmin) < max(10 * band, 5e-3)
 
     def test_error_band_honest(self, grid48):
         # the reported band must cover the actual deviation from ground truth
@@ -309,7 +324,7 @@ class TestSweep:
             u = harmonics.solve_christoffel(f).u
             hmin = convexity.hessian_min(u)[0]
             rep = convexity.sweep(f, "cr2")
-            assert abs(rep.min_margin["cr2"] - hmin) <= 10 * rep.error_band["cr2"]
+            assert abs(rep.min_margin - hmin) <= 10 * rep.error_band
 
     def test_inconclusive_near_boundary(self, grid48):
         # tune eps to the convexity boundary; the verdict must not claim a sign
@@ -320,7 +335,7 @@ class TestSweep:
         eps_star = brentq(hm, 2.0, 3.2, xtol=1e-10)
         f = harmonic_field(grid48, 2.0, {(2, 0): eps_star}, L_max=16)
         rep = convexity.sweep(f, "cr2")
-        assert rep.verdicts["cr2"] == "inconclusive"
+        assert rep.verdict == "inconclusive"
 
 
 def holder_pair_loop(f, alpha):
@@ -449,8 +464,8 @@ class TestRotation:
         assert abs(h_f - h_g) <= tol
         for crit in ("cr1", "cr2"):
             rep_f, rep_g = convexity.sweep(f, crit), convexity.sweep(g, crit)
-            assert rep_f.verdicts == rep_g.verdicts
-            assert abs(rep_f.min_margin[crit] - rep_g.min_margin[crit]) <= rep_f.error_band[crit]
+            assert rep_f.verdict == rep_g.verdict
+            assert abs(rep_f.min_margin - rep_g.min_margin) <= rep_f.error_band
 
 
 class TestScaleInvariance:
@@ -481,11 +496,11 @@ class TestScaleInvariance:
         reps = {c: convexity.sweep(harmonic_field(grid24, 2.0 * c, {(2, 0): eps * c}, L_max=12),
                                    crit) for c in (1e-3, 1.0, 1e3)}
         one = reps[1.0]
-        assert one.verdicts[crit] == ("holds" if eps < 1 else "fails")
+        assert one.verdict == ("holds" if eps < 1 else "fails")
         for c, rep in reps.items():
-            assert rep.verdicts == one.verdicts
-            assert abs(rep.min_margin[crit] - c * one.min_margin[crit]) <= c * one.error_band[crit]
-            assert abs(rep.error_band[crit] - c * one.error_band[crit]) <= 1e-14 * c * one.error_band[crit]
+            assert rep.verdict == one.verdict
+            assert abs(rep.min_margin - c * one.min_margin) <= c * one.error_band
+            assert abs(rep.error_band - c * one.error_band) <= 1e-14 * c * one.error_band
 
 
 class TestTwoByTwo:
@@ -590,7 +605,7 @@ class TestNodeFrame:
                  (convexity._min_eig2(*convexity._guan_ma_form(f)), convexity._min_eig2(*guan_ma))]
         for crit in ("cr1", "cr2"):
             c, S = convexity.criterion_forms(f, crit)
-            pairs.append((convexity.sweep(f, crit).node_margins[crit],
+            pairs.append((convexity.sweep(f, crit).node_margins,
                           convexity._min_eig2(*convexity._tangent_form(S, *bases)) + c))
         for got, want in pairs:
             scale = np.max(np.abs(want))

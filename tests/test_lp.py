@@ -8,13 +8,38 @@ import christoffel
 from christoffel import body, convexity, harmonics, lp, sphere
 from christoffel.errors import InvalidParameter, NonConvergence, PositivityLost
 
-from conftest import constant_field, dense_eigenpair, harmonic_field, random_positive_field
+from conftest import (
+    constant_field,
+    dense_eigenpair,
+    harmonic_field,
+    random_positive_field,
+    rotate_about_z,
+)
 
 
 def ellipsoid_field(grid, L_max, axes):
     """Curvature data of the ellipsoid, as the ``family:ellipsoid`` source."""
     u = body.support_function(body.Ellipsoid(*axes), grid, L_max)
     return body.forward_f(u)
+
+
+def turned_solutions(f, p, steps, tol):
+    """u of f turned about the z-axis by each of ``steps`` azimuth steps,
+    turned back onto the nodes of u(f): (lambdas, u at the pinned node 0
+    of each solve, u values (len(steps), L, 2L)).  Every solve starts from v = 1 and pins v
+    to 1 at node 0; turning f turns the solution under the fixed pin, so
+    the pinned problem's solution, and so the start's distance to it,
+    differs from turn to turn."""
+    grid = f.grid
+    lams, pinned, us = [], [], []
+    for k in steps:
+        g = harmonics.synthesize(
+            rotate_about_z(f.coeffs, 2 * np.pi * k / grid.azimuth_count), grid)
+        sol = lp.solve_lp(g, p, tol=tol)
+        lams.append(sol.lam)
+        pinned.append(sol.u.values[0])
+        us.append(np.roll(sol.u.values.reshape(grid.L, -1), -k, axis=1))
+    return lams, np.array(pinned), np.array(us)
 
 
 def scattered_residual_inf(sol, f, grid):
@@ -147,27 +172,36 @@ class TestSolveLp:
             lp.solve_lp_eigen(f, tol=tol)
 
     def test_insensitive_to_initial_guess(self, grid24):
-        f = harmonic_field(grid24, 2.0, {(2, 0): 0.1}, L_max=16)
-        one = constant_field(grid24, 1.0, L_max=16).coeffs.c
-        sols = [
-            lp.solve_lp(f, 4.0, tol=1e-11, initial=g * one).u.values
-            for g in (0.8, 0.9, 1.0, 1.3, 2.0)
-        ]
-        for s in sols[1:]:
-            assert np.max(np.abs(s - sols[0])) < 1e-9
+        # the fixed start v = 1 lies at a different distance from the pinned
+        # solution of each turned field: all of them reach the same u
+        f = harmonic_field(grid24, 2.0, {(2, 0): 0.1, (3, 1): 0.1, (2, -2): 0.05}, L_max=16)
+        _, pinned, us = turned_solutions(f, 4.0, (0, 3, 7, 12, 20), tol=1e-11)
+        assert np.ptp(pinned) > 1e-3
+        for u in us[1:]:
+            assert np.max(np.abs(u - us[0])) < 1e-9
 
-    def test_zero_collapse_guarded(self, grid24):
-        # u = 0 solves the equation, but v is pinned to 1 at a node: a small
-        # start reaches the positive solution, and a start that is not
-        # positive is rejected
+    def test_zero_collapse_guarded(self, grid24, monkeypatch):
+        # u = 0 solves the equation, but v is pinned to 1 at a node: f scaled
+        # by 1e4 has the small solution u = 1e-2 u(f) (u scales as f^(-1/2) at
+        # p = 4), which the solve reaches; a Newton step that leaves v not
+        # positive is refused
         f = harmonic_field(grid24, 2.0, {(2, 0): 0.1}, L_max=16)
-        one = constant_field(grid24, 1.0, L_max=16).coeffs.c
         ref = lp.solve_lp(f, 4.0, tol=1e-11)
-        small = lp.solve_lp(f, 4.0, tol=1e-11, initial=0.4 * one)
+        big = harmonics.SphericalField(
+            grid=grid24, values=1e4 * f.values,
+            coeffs=harmonics.HarmonicCoeffs(L_max=16, c=1e4 * f.coeffs.c))
+        small = lp.solve_lp(big, 4.0, tol=1e-13)
         assert np.min(small.u.values) > 0
-        assert np.max(np.abs(small.u.values - ref.u.values)) < 1e-9
-        with pytest.raises(PositivityLost):
-            lp.solve_lp(f, 4.0, initial=-one)
+        assert np.max(np.abs(1e2 * small.u.values - ref.u.values)) < 1e-9
+
+        def flip_sign(matvec, b, precond, rtol):
+            step = np.zeros_like(b)
+            step[0] = -2.0 * np.sqrt(4.0 * np.pi)  # v = 1 becomes v = -1
+            return step, 1, True
+
+        monkeypatch.setattr(lp, "_gmres", flip_sign)
+        with pytest.raises(PositivityLost, match="Newton iterate 1"):
+            lp.solve_lp(f, 4.0)
 
     @pytest.mark.parametrize("p", [2.01, 2.05, 2.1])
     def test_converges_near_p_2(self, grid48, p):
@@ -213,27 +247,16 @@ class TestEigen:
         assert abs(sol_s.lam - sol.lam / s) < 1e-9
 
     def test_dilation_freedom(self, grid24):
-        # u and 2u solve the same problem; normalization picks max u = 1
-        f = harmonic_field(grid24, 1.0, {(2, 0): 0.05}, L_max=12)
-        a = lp.solve_lp_eigen(f, tol=1e-10)
-        b = lp.solve_lp_eigen(f, tol=1e-10, initial=2.0 * a.u.coeffs.c)
-        assert abs(a.lam - b.lam) < 1e-9
-        assert np.max(np.abs(a.u.values - b.u.values)) < 1e-8
-
-    def test_start_below_zero_recovers(self, grid24):
-        # at p = 2, v^(p-1) = v is defined below 0, so only the returned u
-        # must be positive: a start negative at some nodes reaches the same
-        # principal eigenpair
-        f = harmonic_field(grid24, 2.0, {(2, 0): 0.3, (3, 1): 0.2}, L_max=12)
-        start = constant_field(grid24, 1.0, L_max=12).coeffs.c.copy()
-        start[harmonics.HarmonicCoeffs.index(2, 0)] += 5.0
-        assert np.min(harmonics.synthesize(harmonics.HarmonicCoeffs(L_max=12, c=start),
-                                           grid24).values) < 0
-        ref = lp.solve_lp_eigen(f, tol=1e-10)
-        sol = lp.solve_lp_eigen(f, tol=1e-10, initial=start)
-        assert abs(sol.lam - ref.lam) < 1e-9 * ref.lam
-        assert np.min(sol.u.values) > 0
-        assert np.max(np.abs(sol.u.values - ref.u.values)) < 1e-8
+        # u and 2u solve the same problem: the pin v = 1 at node 0 picks a
+        # different multiple of the eigenfunction for each turned field, and
+        # normalization picks max u = 1 for all of them
+        f = harmonic_field(grid24, 1.0, {(2, 0): 0.05, (3, 1): 0.05}, L_max=12)
+        lams, pinned, us = turned_solutions(f, 2.0, (0, 5, 11, 17), tol=1e-10)
+        assert np.ptp(pinned) > 1e-3
+        for lam, u in zip(lams[1:], us[1:]):
+            assert abs(lam - lams[0]) < 1e-9
+            assert np.max(np.abs(u - us[0])) < 1e-8
+        assert np.max(np.abs(np.max(us, axis=(1, 2)) - 1.0)) < 1e-12
 
     def test_newton_matches_dense_eigh(self, grid24, grid48):
         cases = [
