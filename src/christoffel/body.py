@@ -57,23 +57,20 @@ class HarmonicBump:
             raise InvalidParameter("harmonic bump needs 0 <= |m| <= l")
 
     def coeffs(self, L_max: int) -> harmonics.HarmonicCoeffs:
+        """Coefficients at band L_max; ones that overflow are an InvalidParameter."""
         if L_max < self.l:
             raise InvalidParameter(f"band limit {L_max} below bump degree {self.l}")
         c = np.zeros((L_max + 1) ** 2)
-        c[0] = self.base * np.sqrt(4.0 * np.pi)
-        c[harmonics.HarmonicCoeffs.index(self.l, self.m)] += self.eps
+        with np.errstate(over="ignore"):
+            c[0] = self.base * np.sqrt(4.0 * np.pi)
+            c[harmonics.HarmonicCoeffs.index(self.l, self.m)] += self.eps
         return harmonics.HarmonicCoeffs(L_max=L_max, c=c)
 
 
-def support_function(body, grid: SphereGrid,
-                     L_max: int | None = None) -> harmonics.SphericalField:
-    """Sample the support function of an analytic body on a grid (analyzed):
-    a HarmonicBump is synthesized from its coefficients, any other body
-    (an Ellipsoid) sampled by its ``support_values(points)``."""
-    if isinstance(body, HarmonicBump):
-        if L_max is None:
-            L_max = max(min(harmonics.DEFAULT_L_MAX, grid.L - 1), body.l)
-        return harmonics.synthesize(body.coeffs(L_max), grid)
+def support_function(body, grid: SphereGrid, L_max: int) -> harmonics.SphericalField:
+    """Sample the support function of an analytic body (an Ellipsoid, or any
+    object with ``support_values(points)``) on a grid and analyze it at band
+    limit L_max."""
     return harmonics.field_from_function(grid, body.support_values, L_max)
 
 
@@ -83,7 +80,7 @@ def forward_f(u: harmonics.SphericalField) -> harmonics.SphericalField:
     When u is a support function this is the sum of the two principal
     curvature radii at the point with outward normal x.
     """
-    return harmonics.synthesize(harmonics.require_coeffs(u).apply_operator(), u.grid)
+    return harmonics.synthesize(u.coeffs.apply_operator(), u.grid)
 
 
 @dataclass(frozen=True)
@@ -122,7 +119,7 @@ def embed(u: harmonics.SphericalField) -> SurfaceMesh:
     n_phi = grid.azimuth_count
     L = grid.L
 
-    vertices = np.vstack([verts, _pole_apices(harmonics.require_coeffs(u))])
+    vertices = np.vstack([verts, _pole_apices(u.coeffs)])
     normals = np.vstack([grid.nodes, [[0.0, 0.0, 1.0]], [[0.0, 0.0, -1.0]]])
 
     # corners a, b, c, d of every quad, as in SurfaceMesh, azimuth wrapping

@@ -91,8 +91,9 @@ def _raise_first_bad_row(rows):
     raise ParseError("rows are not three numbers each")
 
 
-def _field_from_csv(path: str, grid) -> harmonics.SphericalField:
-    """Read a theta,phi,value CSV whose rows are the grid's nodes in order.
+def _field_from_csv(path: str, grid) -> np.ndarray:
+    """Read a theta,phi,value CSV whose rows are the grid's nodes in order
+    and return its values.
 
     Every row's angles must match its node's within 1e-9; the first row
     that does not raises GridMismatch naming its line, and the first value
@@ -130,7 +131,7 @@ def _field_from_csv(path: str, grid) -> harmonics.SphericalField:
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
         raise ParseError(f"value {float(values[bad[0]])!r} is not finite", line=int(bad[0]) + 2)
-    return harmonics.SphericalField(grid=grid, values=values)
+    return values
 
 
 def _parse_params(spec: str):
@@ -149,6 +150,14 @@ def _parse_params(spec: str):
     return out
 
 
+def _integer_param(kv: dict, key: str, default: int) -> int:
+    """Parameter ``key`` as an int; a fractional value is an InvalidParameter."""
+    value = kv.get(key, default)
+    if value != int(value):
+        raise InvalidParameter(f"parameter {key}={value!r} is not an integer")
+    return int(value)
+
+
 def parse_field_source(spec: str, grid, L_max: int):
     """Build a positive field from a CLI field source string.
 
@@ -158,10 +167,10 @@ def parse_field_source(spec: str, grid, L_max: int):
     """
     harmonics.require_band_limit(grid, L_max)
     if spec.startswith("file:"):
-        raw = _field_from_csv(spec[5:], grid)
-        if np.min(raw.values) <= 0.0:
+        values = _field_from_csv(spec[5:], grid)
+        if np.min(values) <= 0.0:
             raise NotPositive("input field must be strictly positive")
-        return harmonics.bandlimit(raw, L_max)
+        return harmonics.bandlimit(grid, values, L_max)
     if not spec.startswith("family:"):
         raise ParseError(f"unknown field source {spec!r}")
     rest = spec[7:]
@@ -184,7 +193,7 @@ def parse_field_source(spec: str, grid, L_max: int):
         return field, 0.0
     if name == "harmonic":
         bump = body.HarmonicBump(
-            l=int(kv.get("l", 2)), m=int(kv.get("m", 0)),
+            l=_integer_param(kv, "l", 2), m=_integer_param(kv, "m", 0),
             eps=kv.get("eps", 0.1), base=kv.get("base", 2.0),
         )
         field = harmonics.synthesize(bump.coeffs(L_max), grid)
@@ -219,7 +228,9 @@ def _make_parser():
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def command(name, summary, field=True, project=True):
+    def command(name, summary, field=True, linear=True):
+        # field commands other than lp solve (Laplacian + 2) u = f: they
+        # take --project, and a --tol relative to max|f|
         p = sub.add_parser(name, help=summary)
         p.add_argument("--report", type=str, default=None, help="write JSON report here")
         if field:
@@ -229,8 +240,11 @@ def _make_parser():
                            help="grid resolution")
             p.add_argument("--Lmax", type=int, default=harmonics.DEFAULT_L_MAX,
                            help="band limit")
-            p.add_argument("--tol", type=float, default=1e-8)
-            if project:
+            p.add_argument("--tol", type=float, default=1e-8, help=(
+                "tolerance relative to max|f|: the degree-1 defect may not exceed "
+                "tol*max|f|, the residual 10*tol*max|f|" if linear else
+                "absolute tolerance of the max-norm residual"))
+            if linear:
                 p.add_argument("--project", action="store_true",
                                help="project out the degree-1 component instead of erroring")
         else:
@@ -241,16 +255,20 @@ def _make_parser():
     p.add_argument("--out", type=str, default=None, help="write u as CSV here")
 
     p = command("check", "convexity criteria and sufficient conditions")
-    p.add_argument("--criteria", type=str, default="cr1,cr2")
-    p.add_argument("--alpha", type=float, default=0.5)
+    p.add_argument("--criteria", type=str, default="cr1,cr2",
+                   help="comma-separated criteria to sweep (cr1, cr2)")
+    p.add_argument("--alpha", type=float, default=0.5,
+                   help="Hoelder exponent of the threshold condition")
 
-    p = command("lp", "solve the L_p problem", project=False)
-    p.add_argument("--p", type=float, default=4.0)
+    p = command("lp", "solve the L_p problem", linear=False)
+    p.add_argument("--p", type=float, default=4.0,
+                   help="exponent p >= 2 (p = 2 is the eigenproblem)")
 
     p = command("gamma", "threshold constant gamma_{n, alpha}", field=False)
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--mc-samples", type=int, default=10**6)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--alpha", type=float, default=1.0, help="Hoelder exponent alpha")
+    p.add_argument("--mc-samples", type=int, default=10**6,
+                   help="Monte-Carlo samples of each cross-check")
+    p.add_argument("--seed", type=int, default=0, help="seed of the Monte-Carlo cross-checks")
 
     p = command("kernels", "dump kernel tables as CSV", field=False)
     p.add_argument("--out", type=str, default=None, help="write the CSV here")
@@ -280,10 +298,8 @@ def _solve_pipeline(args, report):
     defect = harmonics.orthogonality_defect(f)
     report["orthogonality_defect"] = list(defect)
     report["band_limit_truncation_error"] = trunc
-    projected = 0.0
-    if args.project:
-        projected = harmonics.degree1_magnitude(harmonics.require_coeffs(f))
-    u, residual = harmonics.solve_christoffel(f, tol=args.tol, project=args.project)
+    projected = harmonics.degree1_magnitude(f.coeffs) if args.project else 0.0
+    u, residual = harmonics.solve_christoffel(f, rtol=args.tol, project=args.project)
     report["projected_degree1_magnitude"] = projected
     report["solver_residual_inf"] = residual
     return grid, f, u
@@ -346,8 +362,7 @@ def run(args) -> tuple[dict, int]:
             "pogorelov": {"holds": holds_pc, "min": min_pc, "witness": _witness_json(wit_pc)},
             "guan_ma": {"holds": holds_gm, "min_eig": eig_gm},
         }
-        report["kernel_equivalence"] = _kernel_equivalence_summary(
-            {n: _kernel_rows(n) for n in (2, 3, 4)})
+        report["kernel_equivalence"] = kernels.kernel_table(2)[1]
         code = _exit_code_from_verdicts(verdicts)
 
     elif args.command == "lp":
@@ -386,8 +401,12 @@ def run(args) -> tuple[dict, int]:
         }
 
     elif args.command == "kernels":
-        csv_text, summary = _kernel_table_csv(args.n)
-        report["kernel_equivalence"] = summary
+        rows, report["kernel_equivalence"] = kernels.kernel_table(args.n)
+        lines = ["s,omega_radial,omega_closed,firey_theta,berg_g2,berg_g3,berg_g4"]
+        for row in rows:
+            berg = tuple(kernels.berg_g(d, row[0]) for d in (2, 3, 4))
+            lines.append(",".join(repr(v) for v in row + berg))
+        csv_text = "\n".join(lines) + "\n"
         if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(csv_text)
@@ -421,36 +440,6 @@ def _lp_solution_json(sol: lp.LpSolution) -> dict:
     return {"p": sol.p, "lambda": sol.lam, "residual_inf": sol.residual_inf,
             "iterations": sol.iterations, "converged": sol.converged,
             "degree1_magnitude": sol.degree1_magnitude, "trace": list(sol.trace)}
-
-
-def _kernel_rows(n: int) -> list:
-    """(s, omega_radial, omega_closed, firey_theta) in dimension n at every
-    s of the kernel table, -0.95 to 0.95 in steps of 0.05."""
-    params = kernels.KernelParams(n=n)
-    return [(s, kernels.omega_radial(s, params), kernels.omega_closed(s, params),
-             kernels.firey_theta(s, params))
-            for s in map(float, np.arange(-0.95, 0.951, 0.05))]
-
-
-def _kernel_equivalence_summary(rows: dict) -> dict:
-    """Largest gaps between the three routes to omega over the
-    :func:`_kernel_rows` of each dimension in ``rows``."""
-    flat = [r for n_rows in rows.values() for r in n_rows]
-    return {
-        "max_abs_radial_minus_closed": max([0.0] + [abs(rc - oc) for _, rc, oc, _ in flat]),
-        "max_abs_closed_minus_firey": max([0.0] + [abs(oc - ft) for _, _, oc, ft in flat]),
-        "dimensions": list(rows),
-    }
-
-
-def _kernel_table_csv(n: int):
-    rows = {d: _kernel_rows(d) for d in ((n,) if n != 2 else (2, 3, 4))}
-    lines = ["s,omega_radial,omega_closed,firey_theta,berg_g2,berg_g3,berg_g4"]
-    for row in rows[n]:
-        s = row[0]
-        berg = (kernels.berg_g(2, s), kernels.berg_g(3, s), kernels.berg_g(4, s))
-        lines.append(",".join(repr(v) for v in row + berg))
-    return "\n".join(lines) + "\n", _kernel_equivalence_summary(rows)
 
 
 def _main(argv) -> int:

@@ -129,7 +129,7 @@ def criterion_forms(f, criterion: Criterion | str):
     zero for CR1.
     """
     crit = Criterion(criterion)
-    coeffs = harmonics.require_coeffs(f)
+    coeffs = f.coeffs
     L_max = coeffs.L_max
     g = coeffs.channel_field
     Z = g.grid.nodes

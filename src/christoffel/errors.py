@@ -13,10 +13,6 @@ class BandLimitExceeded(ChristoffelError):
     """Requested band limit not resolvable on the given grid."""
 
 
-class NotAnalyzed(ChristoffelError):
-    """Operation requires spherical-harmonic coefficients, none attached."""
-
-
 class OrthogonalityViolation(ChristoffelError):
     """Right-hand side has a degree-1 component, so no solution exists.
 

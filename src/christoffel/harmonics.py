@@ -1,5 +1,10 @@
 """Real spherical-harmonic analysis on S^2 and the spectral Laplace solver.
 
+Every :class:`SphericalField` is a band-limited expansion together with
+its grid values: it always carries its coefficients.  Raw samples enter as
+value arrays through :func:`analyze`, :func:`bandlimit` or
+:func:`field_from_function`, which attach them.
+
 Basis: real, fully normalized over the sphere (the square of every basis
 function integrates to 1).  Coefficients are packed flat with index
 l*l + l + m, m in [-l, l]; m > 0 are cosine terms, m < 0 sine terms.
@@ -55,7 +60,6 @@ from .errors import (
     BandLimitExceeded,
     ChristoffelError,
     InvalidParameter,
-    NotAnalyzed,
     OrthogonalityViolation,
 )
 from .sphere import SphereGrid, _azimuths, _polar_rule, make_grid
@@ -130,16 +134,20 @@ def operator_diagonal(L_max: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SphericalField:
-    """Real function on S^2: grid samples plus optional coefficients."""
+    """Real function on S^2: its values at the grid nodes and the harmonic
+    coefficients they come from or were analyzed into.  Both are always
+    present; a field without coefficients cannot be built."""
 
     grid: SphereGrid
     values: np.ndarray
-    coeffs: HarmonicCoeffs | None = None
+    coeffs: HarmonicCoeffs
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
         if v.shape != (self.grid.node_count,):
             raise ValueError("values length does not match grid node count")
+        if not isinstance(self.coeffs, HarmonicCoeffs):
+            raise TypeError("a field needs its HarmonicCoeffs")
         object.__setattr__(self, "values", v)
 
     @cached_property
@@ -151,12 +159,6 @@ class SphericalField:
     def hessian(self) -> np.ndarray:
         """:func:`grid_hessian` of this field, formed once, kept read-only."""
         return _read_only(grid_hessian(self))[0]
-
-
-def require_coeffs(f: SphericalField) -> HarmonicCoeffs:
-    if f.coeffs is None:
-        raise NotAnalyzed("field has no harmonic coefficients; analyze it first")
-    return f.coeffs
 
 
 def require_tolerance(tol: float) -> None:
@@ -361,19 +363,17 @@ def require_band_limit(grid: SphereGrid, L_max: int) -> None:
         )
 
 
-def analyze(field: SphericalField, L_max: int | None = None) -> HarmonicCoeffs:
-    """Forward transform by quadrature; exact for band-limited fields.
+def analyze(grid: SphereGrid, values: np.ndarray, L_max: int) -> HarmonicCoeffs:
+    """Forward transform of the samples ``values`` at the grid nodes by
+    quadrature; exact for band-limited fields.
 
     Requires grid resolution L >= L_max + 1.  Values that are not finite,
     or so large that the quadrature sums overflow, give coefficients that
     are not finite: :class:`HarmonicCoeffs` rejects them with
     InvalidParameter.
     """
-    grid = field.grid
-    if L_max is None:
-        L_max = min(DEFAULT_L_MAX, grid.L - 1)
     require_band_limit(grid, L_max)
-    vals = field.values.reshape(grid.L, grid.azimuth_count)
+    vals = values.reshape(grid.L, grid.azimuth_count)
     cos_t, sin_t = _azimuth_plan(grid.L, L_max)[:2]
     w_phi = np.pi / grid.L
     blocks = _grid_blocks(grid.L, L_max, 0)
@@ -447,23 +447,23 @@ def node_basis(grid: SphereGrid, node: int, L_max: int) -> np.ndarray:
     return row
 
 
-def bandlimit(field: SphericalField, L_max: int | None = None):
-    """Analyze and re-synthesize a field at band limit L_max.
+def bandlimit(grid: SphereGrid, values: np.ndarray, L_max: int):
+    """Analyze the samples ``values`` at band limit L_max and re-synthesize
+    them on the grid.
 
     Returns (band-limited field, max-norm truncation error on the grid).
     For band-limited inputs the error is at rounding level.
     """
-    coeffs = analyze(field, L_max)
-    out = synthesize(coeffs, field.grid)
-    err = float(np.max(np.abs(out.values - field.values)))
+    out = synthesize(analyze(grid, values, L_max), grid)
+    err = float(np.max(np.abs(out.values - values)))
     return out, err
 
 
-def field_from_function(grid: SphereGrid, fn, L_max: int | None = None) -> SphericalField:
-    """Sample fn(nodes) -> values on the grid and attach coefficients."""
+def field_from_function(grid: SphereGrid, fn, L_max: int) -> SphericalField:
+    """Sample fn(nodes) -> values on the grid and attach their coefficients
+    at band limit L_max."""
     values = np.asarray(fn(grid.nodes), dtype=float)
-    f = SphericalField(grid=grid, values=values)
-    return SphericalField(grid=grid, values=values, coeffs=analyze(f, L_max))
+    return SphericalField(grid=grid, values=values, coeffs=analyze(grid, values, L_max))
 
 
 # ----------------------------------------------------------------------
@@ -532,7 +532,7 @@ def synthesize_at(coeffs, points) -> np.ndarray:
 
 def analyze_channels(grid: SphereGrid, values: np.ndarray, band: int) -> tuple:
     """Coefficients at ``band`` of every column of ``values`` (N, C)."""
-    return tuple(analyze(SphericalField(grid=grid, values=v), band) for v in values.T)
+    return tuple(analyze(grid, v, band) for v in values.T)
 
 
 def _extension_channels(coeffs: HarmonicCoeffs) -> ExtensionChannels:
@@ -572,8 +572,7 @@ def extension_hessian_at(coeffs: HarmonicCoeffs, points) -> np.ndarray:
 def grid_gradient(field: SphericalField) -> np.ndarray:
     """Spherical gradient at every grid node, shape (N, 3): e_theta d_theta
     + e_phi d_phi / sin(theta), with no node at a pole."""
-    coeffs = require_coeffs(field)
-    dth, dph = (d.ravel() for d in _grid_eval(coeffs, field.grid, (1, "phi")))
+    dth, dph = (d.ravel() for d in _grid_eval(field.coeffs, field.grid, (1, "phi")))
     frame = field.grid.frame
     return frame.e_th * dth[:, None] + frame.e_ph * (dph / frame.sin)[:, None]
 
@@ -585,9 +584,8 @@ def grid_hessian(field: SphericalField) -> np.ndarray:
     sin^2(theta) + cot(theta) f_th.  No node sits at a pole, so the frame
     holds at every node and needs no rotation.
     """
-    coeffs = require_coeffs(field)
-    dth, dph, dthth, dthph, dphph = (
-        d.ravel() for d in _grid_eval(coeffs, field.grid, (1, "phi", 2, "thetaphi", "phiphi")))
+    dth, dph, dthth, dthph, dphph = (d.ravel() for d in _grid_eval(
+        field.coeffs, field.grid, (1, "phi", 2, "thetaphi", "phiphi")))
     s, c = field.grid.frame.sin, field.grid.frame.cos
     H = np.empty((len(s), 2, 2))
     H[:, 0, 0] = dthth
@@ -615,22 +613,20 @@ def project_out_linear(f: SphericalField) -> SphericalField:
     """Remove the degree-1 harmonic component from a field.
 
     The removed part is re-synthesized on the grid and subtracted from the
-    sample values, so field = result + removed holds exactly in values.
+    sample values, so field = result + removed holds exactly in values; the
+    coefficients lose their degree-1 entries.
     """
     grid = f.grid
-    # degree-1 analysis only; cheap and needs no stored coefficients
+    # degree-1 analysis only, by the quadrature of the three basis functions
     basis = np.stack(
         [_real_y1(grid.nodes, m) for m in (-1, 0, 1)], axis=1
     )  # (N, 3)
     c1 = basis.T @ (grid.weights * f.values)
     linear_vals = basis @ c1
-    values = f.values - linear_vals
-    coeffs = f.coeffs
-    if coeffs is not None:
-        c = coeffs.c.copy()
-        c[1:4] = 0.0
-        coeffs = HarmonicCoeffs(L_max=coeffs.L_max, c=c)
-    return SphericalField(grid=grid, values=values, coeffs=coeffs)
+    c = f.coeffs.c.copy()
+    c[1:4] = 0.0
+    return SphericalField(grid=grid, values=f.values - linear_vals,
+                          coeffs=HarmonicCoeffs(L_max=f.coeffs.L_max, c=c))
 
 
 def _real_y1(pts, m):
@@ -656,29 +652,26 @@ class ChristoffelSolution(NamedTuple):
 
 
 def solve_christoffel(
-    f: SphericalField, tol: float | None = None, project: bool = False
+    f: SphericalField, rtol: float = 1e-8, project: bool = False
 ) -> ChristoffelSolution:
     """Solve (Laplacian + 2) u = f on S^2 spectrally; returns (u, residual).
 
     Degree-l coefficients are divided by 2 - l(l+1); the degree-1 component
     of the solution is set to zero (translation normalization).  The
     right-hand side must be orthogonal to the degree-1 harmonics: if its
-    defect exceeds ``tol`` (default 1e-8 * max|f|) an OrthogonalityViolation
-    is raised, unless ``project`` forces the defect to be projected away.
-    The residual is taken against the projected f then, and a residual
-    above 10 max(tol, 1e-14) raises ChristoffelError.  A ``tol`` outside
-    0 < tol < inf raises InvalidParameter.
+    defect exceeds tol = ``rtol`` * max|f| an OrthogonalityViolation is
+    raised, unless ``project`` forces the defect to be projected away.  The
+    residual is taken against the projected f then, and a residual above
+    10 max(tol, 1e-14) raises ChristoffelError.  An ``rtol`` outside
+    0 < rtol < inf raises InvalidParameter.
     """
-    coeffs = require_coeffs(f)
-    if tol is None:
-        tol = 1e-8 * float(np.max(np.abs(f.values)))
-    else:
-        require_tolerance(tol)
+    require_tolerance(rtol)
+    tol = rtol * float(np.max(np.abs(f.values)))
     defect = orthogonality_defect(f)
     if np.max(np.abs(defect)) > tol and not project:
         raise OrthogonalityViolation(defect)
     rhs = project_out_linear(f) if project else f
-    uc = require_coeffs(rhs).invert_operator()
+    uc = rhs.coeffs.invert_operator()
     u = synthesize(uc, f.grid)
     res = christoffel_residual(uc, f.grid, rhs.values)
     if res > 10.0 * max(tol, 1e-14):

@@ -211,6 +211,24 @@ def firey_theta(s: float, params: KernelParams) -> float:
     return (1.0 - s * s) ** (-n / 2.0) * val
 
 
+def kernel_table(n: int):
+    """The three routes to omega in dimension n, cross-checked.
+
+    Returns (rows, summary): rows (s, omega_radial, omega_closed,
+    firey_theta) at s = -0.95 to 0.95 in steps of 0.05, each quadrature
+    evaluated once, and their largest gaps ``max_abs_radial_minus_closed``
+    and ``max_abs_closed_minus_firey`` with ``dimensions`` [n].
+    """
+    params = KernelParams(n=n)
+    rows = [(s, omega_radial(s, params), omega_closed(s, params), firey_theta(s, params))
+            for s in map(float, np.arange(-0.95, 0.951, 0.05))]
+    return rows, {
+        "max_abs_radial_minus_closed": max(abs(rc - oc) for _, rc, oc, _ in rows),
+        "max_abs_closed_minus_firey": max(abs(oc - ft) for _, _, oc, ft in rows),
+        "dimensions": [n],
+    }
+
+
 # ----------------------------------------------------------------------
 # Berg's recursion
 # ----------------------------------------------------------------------

@@ -69,9 +69,9 @@ def residual_on_refined_grid(sol: LpSolution, f) -> float:
     """Max-norm residual re-evaluated on a twice finer grid, with u and f
     synthesized there from their coefficients."""
     grid2 = make_grid(2 * sol.u.grid.L)
-    uc = harmonics.require_coeffs(sol.u)
+    uc = sol.u.coeffs
     uv = harmonics.synthesize(uc, grid2).values
-    fv = harmonics.synthesize(harmonics.require_coeffs(f), grid2).values
+    fv = harmonics.synthesize(f.coeffs, grid2).values
     lam = 1.0 if sol.lam is None else sol.lam
     return harmonics.christoffel_residual(uc, grid2, lam * fv * uv ** (sol.p - 1.0))
 
@@ -192,7 +192,7 @@ def solve_lp(
     if not 2.0 <= p < np.inf:
         raise InvalidParameter(f"solve_lp requires 2 <= p < inf, got p = {p}")
     grid = f.grid
-    L_max = harmonics.require_coeffs(f).L_max
+    L_max = f.coeffs.L_max
     K = (L_max + 1) ** 2
     D = harmonics.operator_diagonal(L_max)
     lam = 2.0 / _mean(grid, f.values)
@@ -204,7 +204,7 @@ def solve_lp(
         return harmonics.synthesize(harmonics.HarmonicCoeffs(L_max=L_max, c=c_), grid).values
 
     def analyze_values(values):
-        return harmonics.analyze(harmonics.SphericalField(grid=grid, values=values), L_max).c
+        return harmonics.analyze(grid, values, L_max).c
 
     def dilation(lam_, uv_):
         # 1/s: max v for p = 2, lambda^(1/(2-p)) for p > 2; None unless s and 1/s are > 0 and finite

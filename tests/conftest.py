@@ -42,6 +42,13 @@ def harmonic_field(grid, base, terms, L_max=16):
     return harmonics.synthesize(harmonics.HarmonicCoeffs(L_max=L_max, c=c), grid)
 
 
+def sampled_field(grid, values, L_max):
+    """The field of the samples ``values`` at the grid nodes, with their
+    coefficients at band limit L_max (not exact unless band-limited)."""
+    return harmonics.SphericalField(grid=grid, values=values,
+                                    coeffs=harmonics.analyze(grid, values, L_max))
+
+
 def constant_field(grid, value, L_max=16):
     return harmonic_field(grid, value, {}, L_max)
 
@@ -127,7 +134,7 @@ def principal_radii(u, x):
     which are those of Hess u(x) + u(x) I, returned sorted ascending."""
     xc = np.asarray(x, dtype=float)
     E = np.stack(sphere.tangent_bases(xc[None]), axis=2)[0]
-    D2U = harmonics.extension_hessian_at(harmonics.require_coeffs(u), xc[None, :])[0]
+    D2U = harmonics.extension_hessian_at(u.coeffs, xc[None, :])[0]
     r = np.linalg.eigvalsh(E.T @ D2U @ E)
     return float(r[0]), float(r[1])
 

@@ -18,6 +18,7 @@ from conftest import (
     random_positive_field,
     rotate_about_z,
     rotate_forms,
+    sampled_field,
     t33_differences,
     t33_oracle,
     t33_samples,
@@ -178,10 +179,7 @@ class TestCriterionValues:
         )
         vals = f.values.reshape(grid48.L, grid48.azimuth_count)
         rolled = np.roll(vals, k, axis=1).ravel()
-        fr = harmonics.SphericalField(grid=grid48, values=rolled)
-        fr = harmonics.SphericalField(
-            grid=grid48, values=rolled, coeffs=harmonics.analyze(fr, 32)
-        )
+        fr = sampled_field(grid48, rolled, 32)
         scale = np.max(np.abs(f.values))
         rng = np.random.default_rng(7)
         n = grid48.azimuth_count

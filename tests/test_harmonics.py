@@ -10,7 +10,6 @@ from christoffel import body, harmonics, sphere
 from christoffel.errors import (
     BandLimitExceeded,
     InvalidParameter,
-    NotAnalyzed,
     OrthogonalityViolation,
 )
 
@@ -26,6 +25,7 @@ from conftest import (
     random_positive_field,
     rotate_about_z,
     rotate_forms,
+    sampled_field,
     theta_profile_derivatives,
 )
 
@@ -130,9 +130,8 @@ def ref_theta_stacks(blocks, cos_c, sin_c, L_max, deriv=0):
     return A, B
 
 
-def ref_analyze(field, L_max):
-    grid = field.grid
-    vals = field.values.reshape(grid.L, grid.azimuth_count)
+def ref_analyze(grid, values, L_max):
+    vals = values.reshape(grid.L, grid.azimuth_count)
     cos_t, sin_t = ref_azimuth_tables(grid.phis, L_max)
     w_phi = np.pi / grid.L
     Fc = vals @ cos_t.T * w_phi
@@ -284,14 +283,13 @@ def ref_synthesize_at(coeffs, points):
 
 class TestTransforms:
     def test_constant_coefficient(self, grid16):
-        f = harmonics.SphericalField(grid=grid16, values=np.ones(grid16.node_count))
-        c = harmonics.analyze(f, 8)
+        c = harmonics.analyze(grid16, np.ones(grid16.node_count), 8)
         assert abs(c.c[c.index(0, 0)] - np.sqrt(4 * np.pi)) < 1e-12
         assert np.max(np.abs(c.c[1:])) < 1e-10
 
     def test_single_mode_orthonormality(self, grid16):
         f = harmonic_field(grid16, 0.0, {(2, 1): 1.0}, L_max=8)
-        c = harmonics.analyze(f, 8)
+        c = harmonics.analyze(grid16, f.values, 8)
         assert abs(c.c[c.index(2, 1)] - 1.0) < 1e-12
         rest = c.c.copy()
         rest[harmonics.HarmonicCoeffs.index(2, 1)] = 0.0
@@ -300,7 +298,7 @@ class TestTransforms:
     def test_round_trip_random(self, grid16):
         coeffs = random_coeffs(12, seed=1)
         f = harmonics.synthesize(coeffs, grid16)
-        back = harmonics.analyze(f, 12)
+        back = harmonics.analyze(grid16, f.values, 12)
         assert np.max(np.abs(back.c - coeffs.c)) < 1e-9
 
     def test_parseval(self, grid16):
@@ -309,9 +307,8 @@ class TestTransforms:
         assert abs(np.sum(coeffs.c**2) - grid16.integrate(f.values**2)) < 1e-8
 
     def test_band_limit_gate(self, grid16):
-        f = harmonics.SphericalField(grid=grid16, values=np.ones(grid16.node_count))
         with pytest.raises(BandLimitExceeded):
-            harmonics.analyze(f, 16)
+            harmonics.analyze(grid16, np.ones(grid16.node_count), 16)
 
     def test_synthesize_zero(self, grid16):
         c = harmonics.HarmonicCoeffs(L_max=4, c=np.zeros(25))
@@ -474,10 +471,13 @@ class TestDerivatives:
         lap2 = harmonics.synthesize(coeffs.apply_operator(), grid16).values
         assert np.max(np.abs(H[:, 0, 0] + H[:, 1, 1] + 2.0 * f.values - lap2)) < 1e-9
 
-    def test_requires_coeffs(self, grid16):
-        f = harmonics.SphericalField(grid=grid16, values=np.ones(grid16.node_count))
-        with pytest.raises(NotAnalyzed):
-            harmonics.grid_gradient(f)
+    def test_field_needs_coeffs(self, grid16):
+        # every field is an expansion with its values: none without coefficients
+        ones = np.ones(grid16.node_count)
+        with pytest.raises(TypeError):
+            harmonics.SphericalField(grid=grid16, values=ones)
+        with pytest.raises(TypeError):
+            harmonics.SphericalField(grid=grid16, values=ones, coeffs=None)
 
 
 def solved_pair(L, L_max, seed):
@@ -662,22 +662,25 @@ class TestOrthogonality:
     def test_linear_component_defect(self, grid16):
         # f = 2 + x3: third component of the defect is int x3^2 = 4 pi / 3
         vals = 2.0 + grid16.nodes[:, 2]
-        f = harmonics.SphericalField(grid=grid16, values=vals)
+        f = sampled_field(grid16, vals, 8)
         d = harmonics.orthogonality_defect(f)
         assert abs(d[2] - 4 * np.pi / 3) < 1e-8
         assert abs(d[0]) < 1e-10 and abs(d[1]) < 1e-10
 
     def test_even_field_defect_zero(self, grid16):
         vals = 1.0 + grid16.nodes[:, 0] ** 2
-        f = harmonics.SphericalField(grid=grid16, values=vals)
+        f = sampled_field(grid16, vals, 8)
         assert np.max(np.abs(harmonics.orthogonality_defect(f))) < 1e-10
 
     def test_projection_removes_linear(self, grid16):
         vals = 2.0 + grid16.nodes[:, 2]
-        f = harmonics.SphericalField(grid=grid16, values=vals)
+        f = sampled_field(grid16, vals, 8)
         g = harmonics.project_out_linear(f)
         assert np.max(np.abs(g.values - 2.0)) < 1e-12
         assert np.max(np.abs(harmonics.orthogonality_defect(g))) < 1e-10
+        # the coefficients lose their degree-1 entries and keep the rest
+        assert np.all(g.coeffs.c[1:4] == 0.0)
+        assert np.array_equal(np.delete(g.coeffs.c, [1, 2, 3]), np.delete(f.coeffs.c, [1, 2, 3]))
 
     def test_projection_identity_when_orthogonal(self, grid16):
         f = harmonic_field(grid16, 2.0, {(2, 0): 0.4}, L_max=8)
@@ -687,7 +690,7 @@ class TestOrthogonality:
     def test_projection_decomposition_exact(self, grid16):
         rng = np.random.default_rng(13)
         vals = 2.0 + 0.3 * rng.standard_normal(grid16.node_count)
-        f = harmonics.SphericalField(grid=grid16, values=vals)
+        f = sampled_field(grid16, vals, 8)
         g = harmonics.project_out_linear(f)
         removed = f.values - g.values
         assert np.max(np.abs(g.values + removed - f.values)) < 1e-14
@@ -726,9 +729,7 @@ class TestSolver:
         assert np.max(np.abs(u.values - expected.values)) < 1e-12
 
     def test_kernel_direction_rejected(self, grid16):
-        vals = grid16.nodes[:, 0].copy()
-        f = harmonics.SphericalField(grid=grid16, values=vals)
-        f = harmonics.SphericalField(grid=grid16, values=vals, coeffs=harmonics.analyze(f, 8))
+        f = sampled_field(grid16, grid16.nodes[:, 0].copy(), 8)
         with pytest.raises(OrthogonalityViolation) as exc:
             harmonics.solve_christoffel(f)
         assert np.max(np.abs(exc.value.defect)) > 1e-2
@@ -738,12 +739,10 @@ class TestSolver:
         # a NaN tol would disable the orthogonality check on this field
         f = harmonic_field(grid16, 2.0, {(1, 0): 0.1}, L_max=8)
         with pytest.raises(InvalidParameter):
-            harmonics.solve_christoffel(f, tol=tol)
+            harmonics.solve_christoffel(f, rtol=tol)
 
     def test_project_flag_solves(self, grid16):
-        vals = 2.0 + 0.3 * grid16.nodes[:, 2]
-        f = harmonics.SphericalField(grid=grid16, values=vals)
-        f = harmonics.SphericalField(grid=grid16, values=vals, coeffs=harmonics.analyze(f, 8))
+        f = sampled_field(grid16, 2.0 + 0.3 * grid16.nodes[:, 2], 8)
         u = harmonics.solve_christoffel(f, project=True).u
         assert np.max(np.abs(u.values - 1.0)) < 1e-10
 
@@ -752,7 +751,7 @@ class TestSolver:
         c = coeffs.c.copy()
         c[1:4] = 0.0
         f = harmonics.synthesize(harmonics.HarmonicCoeffs(L_max=10, c=c), grid16)
-        u, residual = harmonics.solve_christoffel(f, tol=1e-6)
+        u, residual = harmonics.solve_christoffel(f, rtol=1e-6)
         assert residual == harmonics.christoffel_residual(u.coeffs, u.grid, f.values) < 1e-9
 
     def test_linearity(self, grid16):
@@ -780,8 +779,7 @@ class TestSolver:
 
     def test_bandlimit_reports_truncation(self, grid16):
         vals = np.exp(grid16.nodes[:, 2] * 3.0)
-        f = harmonics.SphericalField(grid=grid16, values=vals)
-        g, err = harmonics.bandlimit(f, 8)
+        g, err = harmonics.bandlimit(grid16, vals, 8)
         assert err > 0
         assert np.max(np.abs(g.values - vals)) <= err + 1e-12
         resynth = harmonics.synthesize(g.coeffs, grid16)
@@ -804,9 +802,9 @@ def assert_matches_reference(L, L_max, seed):
     for tag, want in zip(_ALL_TAGS, ref_vals):
         assert np.array_equal(harmonics._grid_eval(coeffs, grid, (tag,))[0], want), tag
     rng = np.random.default_rng(seed)
-    raw = harmonics.SphericalField(grid=grid, values=rng.standard_normal(grid.node_count))
-    for field in (f, raw):
-        assert np.array_equal(harmonics.analyze(field, L_max).c, ref_analyze(field, L_max))
+    for values in (f.values, rng.standard_normal(grid.node_count)):
+        assert np.array_equal(harmonics.analyze(grid, values, L_max).c,
+                              ref_analyze(grid, values, L_max))
     assert np.array_equal(harmonics.grid_gradient(f), ref_grid_gradient(f))
     assert np.array_equal(harmonics.grid_hessian(f), ref_grid_hessian(f))
     for node in (0, 7, grid.node_count // 2 + 3, grid.node_count - 1):

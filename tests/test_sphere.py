@@ -18,7 +18,7 @@ def ambient_directional_derivative_minus1(f, z, xi) -> float:
     F(y) = f(y/|y|)/|y| at a sphere point z along an ambient unit vector xi
     (not necessarily tangent): <grad_S f(z), xi> - f(z) <xi, z>."""
     z, xi = np.asarray(z, float), np.asarray(xi, float)
-    val, grad = harmonics.values_and_gradient_at(harmonics.require_coeffs(f), z[None, :])
+    val, grad = harmonics.values_and_gradient_at(f.coeffs, z[None, :])
     return float(grad[0] @ xi - val[0] * (xi @ z))
 
 
