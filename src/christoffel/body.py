@@ -42,9 +42,12 @@ class Ellipsoid:
 
 @dataclass(frozen=True)
 class HarmonicBump:
-    """Support-function candidate base + eps * Y_l^m.
+    """Curvature data f = base + eps * Y_l^m, the right-hand side of
+    (Laplacian + 2) u = f (``family:harmonic`` synthesizes it as f).
 
-    Convex only for small eps; larger eps builds non-convex test cases.
+    For l != 1 its solution is the support-function candidate u = base/2 +
+    eps * Y_l^m / (2 - l(l+1)); l = 1 violates the orthogonality condition.
+    u is convex only for small eps; larger eps builds non-convex test cases.
     """
 
     l: int

@@ -28,8 +28,19 @@ uses.  Every cached array is read-only, so a stray in-place write raises
 ValueError instead of corrupting later transforms.  The tables hold the
 values the transforms computed per call before, and the arithmetic on
 them is unchanged, so results are bit-identical to building the tables
-afresh on each call.  Grid derivatives are formed in the node frame
-(e_theta, e_phi) that each grid keeps (:attr:`SphereGrid.frame`).
+afresh on each call.
+
+Grid derivatives are taken by order.  :func:`_grid_profiles` contracts the
+coefficients with the Legendre tables of theta-derivative orders 0..k;
+:func:`synthesize` reads order 0, :func:`grid_gradient` orders <= 1 and
+:func:`grid_hessian` orders <= 2, each times the azimuth rows, or their
+m and m^2 multiples for phi-derivatives.  They are formed in the node
+frame (e_theta, e_phi) that each grid keeps (:attr:`SphereGrid.frame`).
+
+The solvability condition int x f = 0 concerns the degree-1 part of f
+alone, and the real Y_1^m are sqrt(3/4pi) (x_2, x_3, x_1): so
+:func:`orthogonality_defect` and :func:`project_out_linear` read it from
+the coefficients and run no quadrature.
 
 Off-grid derivatives come from one object, the derivative channels of the
 1-homogeneous extension G(y) = |y| g(y/|y|): on S^2, DG = grad g + g x and
@@ -70,6 +81,8 @@ DEFAULT_GRID_L = 48
 # packed symmetric 3x3 matrices: entries (0,0) (0,1) (0,2) (1,1) (1,2) (2,2)
 _SYM_ROWS, _SYM_COLS = np.triu_indices(3)
 _SYM_FULL = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])
+# sqrt(3/4pi): the real Y_1^m, m = -1, 0, 1, are _Y1_NORM (x_2, x_3, x_1)
+_Y1_NORM = np.sqrt(3.0 / (4.0 * np.pi))
 
 
 @dataclass(frozen=True)
@@ -392,46 +405,18 @@ def analyze(grid: SphereGrid, values: np.ndarray, L_max: int) -> HarmonicCoeffs:
 
 def synthesize(coeffs: HarmonicCoeffs, grid: SphereGrid) -> SphericalField:
     """Evaluate the expansion on a grid; attaches the coefficients."""
-    vals = _grid_eval(coeffs, grid, deriv=(0,))[0]
+    A, B = _grid_profiles(coeffs, grid, 0)[0]
+    cos_t, sin_t = _azimuth_plan(grid.L, coeffs.L_max)[:2]
+    vals = A @ cos_t + B @ sin_t
     return SphericalField(grid=grid, values=vals.ravel(), coeffs=coeffs)
 
 
-def _grid_eval(coeffs, grid, deriv=(0,)):
-    """Evaluate theta/phi derivative combinations on a full grid.
-
-    ``deriv`` entries: 0 value, 1 d/dtheta, 2 d2/dtheta2, 'phi' d/dphi,
-    'phiphi' d2/dphi2, 'thetaphi' mixed.  Returns arrays (L, n_phi).
-    """
-    L_max = coeffs.L_max
-    need2 = any(d in (2, "thetaphi") for d in deriv)
-    need1 = need2 or any(d == 1 for d in deriv)
-    blocks = _grid_blocks(grid.L, L_max, 2 if need2 else (1 if need1 else 0))
-    cos_c, sin_c = _coeff_stacks(coeffs.c, L_max)
-    cos_t, sin_t, m_cos, m_sin, m2_cos, m2_sin = _azimuth_plan(grid.L, L_max)
-    out = []
-    cache = {}
-
-    def stacks(d):
-        if d not in cache:
-            cache[d] = _synth_theta_stacks(blocks, cos_c, sin_c, L_max, d)
-        return cache[d]
-
-    for d in deriv:
-        if d in (0, 1, 2):
-            A, B = stacks(d)
-            out.append(A @ cos_t + B @ sin_t)
-        elif d == "phi":
-            A, B = stacks(0)
-            out.append(B @ m_cos - A @ m_sin)
-        elif d == "phiphi":
-            A, B = stacks(0)
-            out.append(-(A @ m2_cos + B @ m2_sin))
-        elif d == "thetaphi":
-            A, B = stacks(1)
-            out.append(B @ m_cos - A @ m_sin)
-        else:
-            raise ValueError(f"unknown derivative tag {d!r}")
-    return out
+def _grid_profiles(coeffs: HarmonicCoeffs, grid: SphereGrid, order: int) -> list:
+    """Theta profiles (A, B) of the theta-derivatives 0..``order`` at the
+    rings of ``grid``, as :func:`_synth_theta_stacks`, entry d the d-th."""
+    blocks = _grid_blocks(grid.L, coeffs.L_max, order)
+    cos_c, sin_c = _coeff_stacks(coeffs.c, coeffs.L_max)
+    return [_synth_theta_stacks(blocks, cos_c, sin_c, coeffs.L_max, d) for d in range(order + 1)]
 
 
 def node_basis(grid: SphereGrid, node: int, L_max: int) -> np.ndarray:
@@ -572,7 +557,10 @@ def extension_hessian_at(coeffs: HarmonicCoeffs, points) -> np.ndarray:
 def grid_gradient(field: SphericalField) -> np.ndarray:
     """Spherical gradient at every grid node, shape (N, 3): e_theta d_theta
     + e_phi d_phi / sin(theta), with no node at a pole."""
-    dth, dph = (d.ravel() for d in _grid_eval(field.coeffs, field.grid, (1, "phi")))
+    (A0, B0), (A1, B1) = _grid_profiles(field.coeffs, field.grid, 1)
+    cos_t, sin_t, m_cos, m_sin = _azimuth_plan(field.grid.L, field.coeffs.L_max)[:4]
+    dth = (A1 @ cos_t + B1 @ sin_t).ravel()
+    dph = (B0 @ m_cos - A0 @ m_sin).ravel()
     frame = field.grid.frame
     return frame.e_th * dth[:, None] + frame.e_ph * (dph / frame.sin)[:, None]
 
@@ -584,8 +572,13 @@ def grid_hessian(field: SphericalField) -> np.ndarray:
     sin^2(theta) + cot(theta) f_th.  No node sits at a pole, so the frame
     holds at every node and needs no rotation.
     """
-    dth, dph, dthth, dthph, dphph = (d.ravel() for d in _grid_eval(
-        field.coeffs, field.grid, (1, "phi", 2, "thetaphi", "phiphi")))
+    (A0, B0), (A1, B1), (A2, B2) = _grid_profiles(field.coeffs, field.grid, 2)
+    cos_t, sin_t, m_cos, m_sin, m2_cos, m2_sin = _azimuth_plan(field.grid.L, field.coeffs.L_max)
+    dth = (A1 @ cos_t + B1 @ sin_t).ravel()
+    dph = (B0 @ m_cos - A0 @ m_sin).ravel()
+    dthth = (A2 @ cos_t + B2 @ sin_t).ravel()
+    dthph = (B1 @ m_cos - A1 @ m_sin).ravel()
+    dphph = -(A0 @ m2_cos + B0 @ m2_sin).ravel()
     s, c = field.grid.frame.sin, field.grid.frame.cos
     H = np.empty((len(s), 2, 2))
     H[:, 0, 0] = dthth
@@ -599,9 +592,10 @@ def grid_hessian(field: SphericalField) -> np.ndarray:
 # ----------------------------------------------------------------------
 
 def orthogonality_defect(f: SphericalField) -> np.ndarray:
-    """Quadrature of (x_1 f, x_2 f, x_3 f) over the sphere, shape (3,)."""
-    w = f.grid.weights * f.values
-    return f.grid.nodes.T @ w
+    """The moments (int x_1 f, int x_2 f, int x_3 f) over the sphere, shape
+    (3,), read from the degree-1 coefficients (c_11, c_1-1, c_10) /
+    sqrt(3/4pi)."""
+    return f.coeffs.c[[3, 1, 2]] / _Y1_NORM
 
 
 def degree1_magnitude(coeffs: HarmonicCoeffs) -> float:
@@ -612,28 +606,16 @@ def degree1_magnitude(coeffs: HarmonicCoeffs) -> float:
 def project_out_linear(f: SphericalField) -> SphericalField:
     """Remove the degree-1 harmonic component from a field.
 
-    The removed part is re-synthesized on the grid and subtracted from the
-    sample values, so field = result + removed holds exactly in values; the
-    coefficients lose their degree-1 entries.
+    The removed part, the linear function x -> <x, sqrt(3/4pi) (c_11,
+    c_1-1, c_10)>, is evaluated at the nodes from the degree-1 coefficients
+    and subtracted from the values; the coefficients lose their degree-1
+    entries and keep the rest.
     """
-    grid = f.grid
-    # degree-1 analysis only, by the quadrature of the three basis functions
-    basis = np.stack(
-        [_real_y1(grid.nodes, m) for m in (-1, 0, 1)], axis=1
-    )  # (N, 3)
-    c1 = basis.T @ (grid.weights * f.values)
-    linear_vals = basis @ c1
     c = f.coeffs.c.copy()
+    linear_vals = f.grid.nodes @ (_Y1_NORM * c[[3, 1, 2]])
     c[1:4] = 0.0
-    return SphericalField(grid=grid, values=f.values - linear_vals,
+    return SphericalField(grid=f.grid, values=f.values - linear_vals,
                           coeffs=HarmonicCoeffs(L_max=f.coeffs.L_max, c=c))
-
-
-def _real_y1(pts, m):
-    # degree-1 real harmonics: sqrt(3/4pi) * (y, z, x) for m = -1, 0, 1
-    k = np.sqrt(3.0 / (4.0 * np.pi))
-    comp = {-1: 1, 0: 2, 1: 0}[m]
-    return k * pts[:, comp]
 
 
 def christoffel_residual(coeffs: HarmonicCoeffs, grid: SphereGrid, rhs) -> float:

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,15 +38,10 @@ def sphere_surface_measure(n: int) -> float:
     return 2.0 * math.pi ** ((n + 1) / 2.0) / math.gamma((n + 1) / 2.0)
 
 
-@dataclass(frozen=True)
-class KernelParams:
-    """Dimension n >= 2 of the kernel family."""
-
-    n: int
-
-    def __post_init__(self):
-        if self.n < 2:
-            raise InvalidDimension(f"kernels require n >= 2, got {self.n}")
+def _require_dimension(n: int) -> None:
+    """The one dimension check of every kernel: InvalidDimension below n = 2."""
+    if n < 2:
+        raise InvalidDimension(f"kernels require n >= 2, got {n}")
 
 
 # ----------------------------------------------------------------------
@@ -143,13 +137,13 @@ def _check_s(s: float):
         raise SingularEvaluation(f"kernel argument must satisfy |s| < 1, got s={s}")
 
 
-def omega_radial(s: float, params: KernelParams) -> float:
+def omega_radial(s: float, n: int) -> float:
     """Ray integral -int_0^inf r^(n-1) (r^2 - 2 s r + 1)^(-(n+1)/2) dr.
 
     Adaptive quadrature in the substituted variable rho = (r - s)/sqrt(1-s^2).
     """
+    _require_dimension(n)
     _check_s(s)
-    n = params.n
     q = math.sqrt(1.0 - s * s)
 
     def integrand(rho):
@@ -187,15 +181,15 @@ def _sin_power_integral(k: int, a: float, b: float) -> float:
     return -edge / k + (k - 1) / k * _sin_power_integral(k - 2, a, b)
 
 
-def omega_closed(s: float, params: KernelParams) -> float:
+def omega_closed(s: float, n: int) -> float:
     """Closed form -(1 - s^2)^(-n/2) int_arccos(s)^pi sin^(n-1) t dt."""
+    _require_dimension(n)
     _check_s(s)
-    n = params.n
     theta = math.acos(s)
     return -((1.0 - s * s) ** (-n / 2.0)) * _sin_power_integral(n - 1, theta, math.pi)
 
 
-def firey_theta(s: float, params: KernelParams) -> float:
+def firey_theta(s: float, n: int) -> float:
     """Firey's kernel Theta(s) = (1-s^2)^(-n/2) int_pi^arccos(s) sin^(n-1) t dt.
 
     Evaluated by adaptive Gauss-Kronrod quadrature of the defining formula
@@ -203,8 +197,8 @@ def firey_theta(s: float, params: KernelParams) -> float:
     antiderivatives behind :func:`omega_closed` so the identity between the
     two is a genuine cross-check.
     """
+    _require_dimension(n)
     _check_s(s)
-    n = params.n
     val, _ = _gauss_kronrod(
         lambda t: np.sin(t) ** (n - 1), math.pi, math.acos(s), epsabs=1e-13, epsrel=1e-13,
     )
@@ -219,8 +213,7 @@ def kernel_table(n: int):
     evaluated once, and their largest gaps ``max_abs_radial_minus_closed``
     and ``max_abs_closed_minus_firey`` with ``dimensions`` [n].
     """
-    params = KernelParams(n=n)
-    rows = [(s, omega_radial(s, params), omega_closed(s, params), firey_theta(s, params))
+    rows = [(s, omega_radial(s, n), omega_closed(s, n), firey_theta(s, n))
             for s in map(float, np.arange(-0.95, 0.951, 0.05))]
     return rows, {
         "max_abs_radial_minus_closed": max(abs(rc - oc) for _, rc, oc, _ in rows),
@@ -301,8 +294,7 @@ def berg_g(n: int, t):
 
     Scalar or array ``t`` with |t| < 1.
     """
-    if n < 2:
-        raise InvalidDimension(f"Berg functions start at n = 2, got {n}")
+    _require_dimension(n)
     arr = np.asarray(t, dtype=float)
     if np.any(np.abs(arr) >= 1.0):
         raise SingularEvaluation("Berg g_n requires |t| < 1")
@@ -316,11 +308,16 @@ def berg_g(n: int, t):
 # The quantitative threshold constant gamma_{n, alpha}
 # ----------------------------------------------------------------------
 
+# smallest alpha of gamma_{n, alpha}: the integral I grows like omega_n /
+# alpha, and below about 1e-150 its square, the quadrature error estimate of
+# gamma_const_info and the squared Monte-Carlo weights overflow
+_ALPHA_MIN = 1e-100
+
+
 def _check_gamma_args(n: int, alpha: float):
-    if n < 2:
-        raise InvalidDimension(f"gamma_const requires n >= 2, got {n}")
-    if not (0.0 < alpha <= 1.0):
-        raise InvalidParameter(f"alpha must lie in (0, 1], got {alpha}")
+    _require_dimension(n)
+    if not (_ALPHA_MIN <= alpha <= 1.0):
+        raise InvalidParameter(f"alpha must lie in [{_ALPHA_MIN:g}, 1], got {alpha}")
 
 
 def gamma_const_info(n: int, alpha: float):
@@ -438,10 +435,13 @@ def gamma_monte_carlo(
     density, is evaluated as (theta / d)^alpha / (|y| d^(n+1-alpha) q),
     whose factors stay bounded as d -> 0.
 
-    Returns (gamma_estimate, standard_error).
+    Returns (gamma_estimate, standard_error).  Raises as
+    :func:`gamma_const` for n and alpha, and InvalidParameter for a
+    negative seed or fewer than two samples.
     """
-    if not (0.0 < alpha <= 1.0):
-        raise InvalidParameter(f"alpha must lie in (0, 1], got {alpha}")
+    _check_gamma_args(n, alpha)
+    if seed < 0:
+        raise InvalidParameter(f"the Monte-Carlo seed must be >= 0, got {seed}")
     if samples < 2:
         # one sample has no variance estimate: its standard error would read 0
         raise InvalidParameter(f"Monte-Carlo needs at least two samples, got {samples}")

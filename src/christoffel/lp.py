@@ -38,6 +38,8 @@ _KRYLOV_RESTART = 80
 _KRYLOV_CYCLES = 10
 _STALL_STEPS = 2
 _STALL_RATIO = 0.5
+# most Newton steps of one solve
+_MAX_NEWTON_STEPS = 60
 
 
 @dataclass(frozen=True)
@@ -50,10 +52,10 @@ class LpSolution:
     residual_inf: float
     iterations: int
     converged: bool
-    degree1_magnitude: float = 0.0
+    degree1_magnitude: float
     # {"path": "newton", "residual_inf", "krylov_iterations"} after each
     # Newton step, the residual that of the returned u
-    trace: tuple = ()
+    trace: tuple
 
 
 def _require_positive_field(f):
@@ -158,7 +160,6 @@ def solve_lp(
     f: harmonics.SphericalField,
     p: float,
     tol: float = 1e-8,
-    max_iter: int = 60,
 ) -> LpSolution:
     """Solve (Laplacian + 2) u = f u^(p-1) with u > 0, for 2 <= p < inf.
 
@@ -185,7 +186,7 @@ def solve_lp(
     for p > 2 any Newton iterate, is not positive; NonConvergence, carrying the
     last iterate and naming the reason, if a Krylov solve fails, a step is
     not finite (its s or 1/s included), Newton stalls (two steps in a row
-    fail to halve the residual) or max_iter steps end above tol.
+    fail to halve the residual) or ``_MAX_NEWTON_STEPS`` steps end above tol.
     """
     _require_positive_field(f)
     harmonics.require_tolerance(tol)
@@ -238,7 +239,7 @@ def solve_lp(
     stalled = 0
     trace = []
     stop = "iteration cap"
-    while res > tol and len(trace) < max_iter:
+    while res > tol and len(trace) < _MAX_NEWTON_STEPS:
         if stalled == _STALL_STEPS:
             stop = "stall"
             break
@@ -288,8 +289,8 @@ def solve_lp(
 
 
 # the bench worker wraps lp.solve_lp_eigen by name, so the p = 2 case keeps it
-def solve_lp_eigen(f, tol=1e-8, max_iter=60) -> LpSolution:
-    return solve_lp(f, 2.0, tol, max_iter)
+def solve_lp_eigen(f, tol=1e-8) -> LpSolution:
+    return solve_lp(f, 2.0, tol)
 
 
 def check_lemma41(sol: LpSolution, f):

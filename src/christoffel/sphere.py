@@ -76,8 +76,8 @@ class SphereGrid:
     polar_nodes: np.ndarray      # (L,) Gauss-Legendre nodes in cos(theta), theta-ascending
     polar_weights: np.ndarray    # (L,) matching Gauss-Legendre weights
     azimuth_count: int
-    thetas: np.ndarray = field(default=None, repr=False)
-    phis: np.ndarray = field(default=None, repr=False)
+    thetas: np.ndarray = field(repr=False)
+    phis: np.ndarray = field(repr=False)
 
     @property
     def node_count(self) -> int:

@@ -355,6 +355,16 @@ class TestErrors:
         assert report["error"]["type"] == "InvalidParameter"
         assert set(report) == {"config", "error"}
 
+    @pytest.mark.parametrize("flags", [
+        ["--seed", "-1"],       # a seed the random generator refuses
+        ["--alpha", "1e-200"],  # gamma's integral and its square overflow
+    ])
+    def test_gamma_out_of_range_reported(self, flags, tmp_path):
+        report, code = run_cli(["gamma", "--mc-samples", "100", *flags], tmp_path)
+        assert code == 1
+        assert report["error"]["type"] == "InvalidParameter"
+        assert set(report) == {"config", "error"}
+
     def test_unknown_criterion_reported(self, tmp_path):
         report, code = run_cli(
             ["check", "--input", "family:constant:c=2", "--L", "16", "--Lmax", "8",
@@ -481,6 +491,15 @@ class TestErrors:
         }
         assert counts == {"solve": 7, "check": 8, "lp": 6, "gamma": 5,
                           "kernels": 3, "reconstruct": 8}
+
+
+    def test_every_option_has_help(self):
+        parser = cli._make_parser()
+        commands = parser._subparsers._group_actions[0]
+        assert [c.dest for c in commands._choices_actions if not c.help] == []
+        missing = [f"{name} {a.option_strings[0]}" for name, p in commands.choices.items()
+                   for a in p._actions if a.option_strings and not a.help]
+        assert missing == []
 
 
 class TestDeterminism:
@@ -674,7 +693,7 @@ class TestSharedWork:
         seen = []
         real = kernels.omega_radial
         monkeypatch.setattr(kernels, "omega_radial",
-                            lambda s, params: seen.append((params.n, s)) or real(s, params))
+                            lambda s, dim: seen.append((dim, s)) or real(s, dim))
         report, code = run_cli(["kernels", "--n", str(n), "--out", str(tmp_path / "k.csv")],
                                tmp_path)
         assert code == 0

@@ -7,20 +7,18 @@ from scipy.integrate import quad
 from christoffel import kernels
 from christoffel.errors import InvalidDimension, InvalidParameter, SingularEvaluation
 
-P2 = kernels.KernelParams(n=2)
-P3 = kernels.KernelParams(n=3)
-P4 = kernels.KernelParams(n=4)
+P2, P3, P4 = 2, 3, 4
 
 
-def fundamental(x, y, params):
+def fundamental(x, y, n):
     """Newtonian kernel F(x, y) = |x - y|^(1-n) / ((1 - n) omega_n)."""
     d = float(np.linalg.norm(np.asarray(x, float) - np.asarray(y, float)))
     if d == 0.0:
         raise SingularEvaluation("fundamental solution evaluated at x = y")
-    return d ** (1 - params.n) / ((1 - params.n) * kernels.sphere_surface_measure(params.n))
+    return d ** (1 - n) / ((1 - n) * kernels.sphere_surface_measure(n))
 
 
-def fundamental_dir2(x, y, xi, params):
+def fundamental_dir2(x, y, xi, n):
     """Second directional derivative of F along xi:
 
         F_xixi = (|x - y|^2 - (n+1) <xi, x - y>^2) / (omega_n |x - y|^(n+3)).
@@ -28,12 +26,12 @@ def fundamental_dir2(x, y, xi, params):
     diff = np.asarray(x, float) - np.asarray(y, float)
     d2 = float(diff @ diff)
     proj = float(np.asarray(xi, float) @ diff)
-    return (d2 - (params.n + 1) * proj * proj) / (
-        kernels.sphere_surface_measure(params.n) * d2 ** ((params.n + 3) / 2.0)
+    return (d2 - (n + 1) * proj * proj) / (
+        kernels.sphere_surface_measure(n) * d2 ** ((n + 3) / 2.0)
     )
 
 
-def hat_omega(s, c, params):
+def hat_omega(s, c, n):
     """Second-derivative ray kernel by adaptive quadrature, the oracle of
     the closed-form table:
 
@@ -47,7 +45,6 @@ def hat_omega(s, c, params):
     kernels._check_s(s)
     if s * s + c * c > 1.0 + 1e-12:
         raise SingularEvaluation("need s^2 + c^2 <= 1 for unit x, z and xi _|_ x")
-    n = params.n
     q = math.sqrt(1.0 - s * s)
     c2 = c * c
 
@@ -60,18 +57,17 @@ def hat_omega(s, c, params):
     return val * q ** (-n - 2) / kernels.sphere_surface_measure(n)
 
 
-def hat_omega_closed(s, c, params):
+def hat_omega_closed(s, c, n):
     """Exact decomposition hat_omega(s, c) = A(s) - (n+1) c^2 B(s).
 
     A(s) = -omega(s)/omega_n; B(s) = (1-s^2)^(-(n+2)/2)
     int_0^(pi - arccos s) sin^(n+1) t dt / omega_n.
     """
-    n = params.n
-    A = -kernels.omega_closed(s, params) / kernels.sphere_surface_measure(params.n)
+    A = -kernels.omega_closed(s, n) / kernels.sphere_surface_measure(n)
     B = (
         (1.0 - s * s) ** (-(n + 2) / 2.0)
         * kernels._sin_power_integral(n + 1, 0.0, math.pi - math.acos(s))
-        / kernels.sphere_surface_measure(params.n)
+        / kernels.sphere_surface_measure(n)
     )
     return A - (n + 1) * c * c * B
 
@@ -83,8 +79,14 @@ class TestParams:
         assert abs(kernels.sphere_surface_measure(3) - 2 * np.pi**2) < 1e-12
 
     def test_dimension_gate(self):
-        with pytest.raises(InvalidDimension):
-            kernels.KernelParams(n=1)
+        # one check serves every kernel, the Monte-Carlo oracle included
+        for call in (lambda: kernels.omega_radial(0.0, 1), lambda: kernels.omega_closed(0.0, 1),
+                     lambda: kernels.firey_theta(0.0, 1), lambda: kernels.kernel_table(1),
+                     lambda: kernels.berg_g(1, 0.0), lambda: kernels.gamma_const(1, 0.5),
+                     lambda: kernels.gamma_const_info(1, 0.5),
+                     lambda: kernels.gamma_monte_carlo(1, 0.5, samples=100)):
+            with pytest.raises(InvalidDimension):
+                call()
 
 
 class TestGaussKronrod:
@@ -157,8 +159,8 @@ class TestFundamental:
     def test_second_derivative_bound(self):
         # |F_xixi| <= (n+1) / (omega_n |x-y|^(n+1)) on random configurations
         rng = np.random.default_rng(0)
-        for params in (P2, P3):
-            dim = params.n + 1
+        for n in (P2, P3):
+            dim = n + 1
             for _ in range(100):
                 x = rng.standard_normal(dim)
                 y = rng.standard_normal(dim)
@@ -167,8 +169,8 @@ class TestFundamental:
                 xi = rng.standard_normal(dim)
                 xi /= np.linalg.norm(xi)
                 d = np.linalg.norm(x - y)
-                bound = (params.n + 1) / (kernels.sphere_surface_measure(params.n) * d ** (params.n + 1))
-                assert abs(fundamental_dir2(x, y, xi, params)) <= bound * (1 + 1e-12)
+                bound = (n + 1) / (kernels.sphere_surface_measure(n) * d ** (n + 1))
+                assert abs(fundamental_dir2(x, y, xi, n)) <= bound * (1 + 1e-12)
 
 
 @pytest.mark.parametrize("k", range(13))
@@ -201,19 +203,19 @@ class TestOmega:
         assert abs(kernels.omega_closed(0.0, P3) + np.pi / 4) < 1e-14
 
     def test_radial_matches_closed_all_dims(self):
-        for params in (P2, P3, P4):
+        for n in (P2, P3, P4):
             for s in np.arange(-0.95, 0.951, 0.05):
                 s = float(s)
                 assert abs(
-                    kernels.omega_radial(s, params) - kernels.omega_closed(s, params)
+                    kernels.omega_radial(s, n) - kernels.omega_closed(s, n)
                 ) < 1e-8
 
     def test_firey_identity(self):
-        for params in (P2, P3, P4):
+        for n in (P2, P3, P4):
             for s in np.arange(-0.95, 0.951, 0.05):
                 s = float(s)
                 assert abs(
-                    kernels.omega_closed(s, params) - kernels.firey_theta(s, params)
+                    kernels.omega_closed(s, n) - kernels.firey_theta(s, n)
                 ) < 1e-10
 
     def test_firey_negative(self):
@@ -227,9 +229,9 @@ class TestOmega:
 
     def test_singularity_order_general_n(self):
         # |omega(cos eps)| * eps^n bounded above and below on [0.01, 0.3]
-        for params in (P2, P3, P4):
+        for n in (P2, P3, P4):
             vals = [
-                abs(kernels.omega_closed(math.cos(e), params)) * e**params.n
+                abs(kernels.omega_closed(math.cos(e), n)) * e**n
                 for e in np.linspace(0.01, 0.3, 12)
             ]
             assert 0.1 < min(vals) and max(vals) < 10.0
@@ -267,13 +269,13 @@ class TestHatOmega:
         assert abs(val + 1 / (4 * np.pi)) < 1e-12
 
     def test_closed_form_matches_quadrature(self):
-        for params in (P2, P3):
+        for n in (P2, P3):
             for s in (-0.9, -0.3, 0.2, 0.8):
                 cmax = math.sqrt(1 - s * s)
                 for c in (0.0, 0.4 * cmax, cmax):
                     assert abs(
-                        hat_omega(s, c, params)
-                        - hat_omega_closed(s, c, params)
+                        hat_omega(s, c, n)
+                        - hat_omega_closed(s, c, n)
                     ) < 1e-9
 
     def test_negative_tail_at_equator(self):
@@ -405,6 +407,18 @@ class TestGamma:
         for samples in (0, -3, 1):
             with pytest.raises(InvalidParameter):
                 kernels.gamma_monte_carlo(2, 1.0, samples=samples)
+        with pytest.raises(InvalidParameter):
+            kernels.gamma_monte_carlo(2, 1.0, samples=100, seed=-1)
+
+    def test_alpha_floor(self):
+        # below the floor the error estimate and the squared Monte-Carlo
+        # weights overflow (alpha = 1e-200: I is about 1e201); at the floor
+        # every route is finite, with no RuntimeWarning
+        for route in (kernels.gamma_const, kernels.gamma_const_info,
+                      lambda n, a: kernels.gamma_monte_carlo(n, a, samples=1000)):
+            with pytest.raises(InvalidParameter):
+                route(2, 1e-200)
+            assert np.all(np.isfinite(route(2, kernels._ALPHA_MIN)))
 
 
 class QuadratureKernelTable:
@@ -414,28 +428,27 @@ class QuadratureKernelTable:
     tangential c (c^2 = 1 - s^2), using the exact affine dependence on c^2.
     """
 
-    def __init__(self, params=P2):
-        self.params = params
-        self.n = params.n
+    def __init__(self, n=P2):
+        self.n = n
 
     def omega(self, s):
-        return np.vectorize(lambda v: kernels.omega_radial(v, self.params))(s)
+        return np.vectorize(lambda v: kernels.omega_radial(v, self.n))(s)
 
     def hat_A(self, s):
-        return np.vectorize(lambda v: hat_omega(v, 0.0, self.params))(s)
+        return np.vectorize(lambda v: hat_omega(v, 0.0, self.n))(s)
 
     def hat_B(self, s):
         def one(v):
             cmax2 = max(1.0 - v * v, 1e-300)
-            lo = hat_omega(v, 0.0, self.params)
-            hi = hat_omega(v, math.sqrt(cmax2), self.params)
+            lo = hat_omega(v, 0.0, self.n)
+            hi = hat_omega(v, math.sqrt(cmax2), self.n)
             return (lo - hi) / ((self.n + 1) * cmax2)
 
         return np.vectorize(one)(s)
 
     def hat(self, s, c2):
         return np.vectorize(
-            lambda v, w: hat_omega(v, math.sqrt(max(w, 0.0)), self.params)
+            lambda v, w: hat_omega(v, math.sqrt(max(w, 0.0)), self.n)
         )(s, c2)
 
 

@@ -96,10 +96,11 @@ class TestSolveLp:
             with pytest.raises(InvalidParameter):
                 lp.solve_lp(f, p)
 
-    def test_nonconvergence_carries_best(self, grid24):
+    def test_nonconvergence_carries_best(self, grid24, monkeypatch):
         f = harmonic_field(grid24, 2.0, {(2, 0): 0.3}, L_max=12)
+        monkeypatch.setattr(lp, "_MAX_NEWTON_STEPS", 2)
         with pytest.raises(NonConvergence) as exc:
-            lp.solve_lp(f, 4.0, tol=1e-13, max_iter=2)
+            lp.solve_lp(f, 4.0, tol=1e-13)
         best = exc.value.best
         assert best is not None and not best.converged
         assert best.residual_inf > 0
@@ -128,10 +129,11 @@ class TestSolveLp:
         assert all(b > 0.5 * a for a, b in zip(residuals[-3:], residuals[-2:]))
         assert trace[-1]["residual_inf"] == exc.value.best.residual_inf
 
-    def test_iteration_cap_named(self, grid24):
+    def test_iteration_cap_named(self, grid24, monkeypatch):
         f = harmonic_field(grid24, 2.0, {(2, 0): 0.3}, L_max=12)
+        monkeypatch.setattr(lp, "_MAX_NEWTON_STEPS", 2)
         with pytest.raises(NonConvergence, match=r"\(iteration cap\)"):
-            lp.solve_lp(f, 4.0, tol=1e-13, max_iter=2)
+            lp.solve_lp(f, 4.0, tol=1e-13)
 
     @pytest.mark.parametrize("p, base", [(2.000001, 1.5), (1e308, 2.0)])
     def test_overflowing_start_rejected(self, grid24, p, base):
@@ -308,8 +310,9 @@ class TestEigen:
         assert best.trace[-1]["residual_inf"] == best.residual_inf > 1e-10
         assert np.max(best.u.values) == 1.0
         monkeypatch.setattr(lp, "_gmres", real_gmres)
+        monkeypatch.setattr(lp, "_MAX_NEWTON_STEPS", 1)
         with pytest.raises(NonConvergence, match=r"\(iteration cap\)") as cap:
-            lp.solve_lp_eigen(f, tol=1e-10, max_iter=1)
+            lp.solve_lp_eigen(f, tol=1e-10)
         assert best.lam == cap.value.best.lam
         assert np.array_equal(best.u.values, cap.value.best.u.values)
 
