@@ -21,7 +21,9 @@ harmonic:l=..,m=..,eps=..,base=...
 Exit codes: 0 success/holds, 2 a requested criterion fails, 3 inconclusive,
 1 error.  Errors include command-line usage errors (unknown flags, bad
 values), which print the usage and write no report; every other error is
-reported as {"type": ..., "message": ...} in the report's ``error`` field.
+reported as {"type": ..., "message": ...} in the report's ``error`` field,
+an unwritable output file as its OSError, which names the path; an
+unwritable ``--report`` path prints that error as one line to stderr.
 Reports are deterministic for a fixed config and seed (the timings block is
 excluded from that contract).  A reader that closes stdout early (``| head``)
 ends the command with exit code 1 and no traceback.
@@ -134,6 +136,11 @@ def _field_from_csv(path: str, grid) -> np.ndarray:
     return values
 
 
+# range of every value of a field source: below it f^2 in the Guan-Ma form
+# is subnormal and 2/f overflows, above it squared Hessian entries overflow
+_F_MIN, _F_MAX = 1e-100, 1e100
+
+
 def _parse_params(spec: str):
     """``key=number`` pairs: a number that does not parse is a ParseError,
     one that is not finite an InvalidParameter."""
@@ -158,18 +165,28 @@ def _integer_param(kv: dict, key: str, default: int) -> int:
     return int(value)
 
 
+def _require_range(values, not_positive: str) -> None:
+    """NotPositive unless every value is > 0, InvalidParameter unless in [_F_MIN, _F_MAX]."""
+    lo, hi = float(np.min(values)), float(np.max(values))
+    if lo <= 0.0:
+        raise NotPositive(not_positive)
+    if not (_F_MIN <= lo and hi <= _F_MAX):
+        raise InvalidParameter(
+            f"field values must lie in [{_F_MIN:g}, {_F_MAX:g}], got [{lo!r}, {hi!r}]")
+
+
 def parse_field_source(spec: str, grid, L_max: int):
     """Build a positive field from a CLI field source string.
 
     Returns (field with coefficients, truncation error of the band-limit
     re-analysis; zero for exactly band-limited families).  Every source
-    raises BandLimitExceeded when the grid cannot resolve L_max.
+    raises BandLimitExceeded when the grid cannot resolve L_max, and
+    InvalidParameter when a value of f lies outside [_F_MIN, _F_MAX].
     """
     harmonics.require_band_limit(grid, L_max)
     if spec.startswith("file:"):
         values = _field_from_csv(spec[5:], grid)
-        if np.min(values) <= 0.0:
-            raise NotPositive("input field must be strictly positive")
+        _require_range(values, "input field must be strictly positive")
         return harmonics.bandlimit(grid, values, L_max)
     if not spec.startswith("family:"):
         raise ParseError(f"unknown field source {spec!r}")
@@ -178,29 +195,25 @@ def parse_field_source(spec: str, grid, L_max: int):
     kv = _parse_params(params)
     if name == "constant":
         c = kv.get("c", 2.0)
-        if c <= 0:
-            raise NotPositive("constant family needs c > 0")
         field = harmonics.field_from_function(
             grid, lambda p: np.full(len(p), float(c)), L_max
         )
-        return field, 0.0
-    if name == "ellipsoid":
+        not_positive = "constant family needs c > 0"
+    elif name == "ellipsoid":
         ell = body.Ellipsoid(kv.get("a", 1.0), kv.get("b", 1.0), kv.get("c", 1.0))
-        u = body.support_function(ell, grid, L_max)
-        field = body.forward_f(u)
-        if np.min(field.values) <= 0.0:
-            raise NotPositive("ellipsoid curvature data not positive on the grid")
-        return field, 0.0
-    if name == "harmonic":
+        field = body.forward_f(body.support_function(ell, grid, L_max))
+        not_positive = "ellipsoid curvature data not positive on the grid"
+    elif name == "harmonic":
         bump = body.HarmonicBump(
             l=_integer_param(kv, "l", 2), m=_integer_param(kv, "m", 0),
             eps=kv.get("eps", 0.1), base=kv.get("base", 2.0),
         )
         field = harmonics.synthesize(bump.coeffs(L_max), grid)
-        if np.min(field.values) <= 0.0:
-            raise NotPositive("harmonic family is not positive at this eps/base")
-        return field, 0.0
-    raise ParseError(f"unknown family {name!r}")
+        not_positive = "harmonic family is not positive at this eps/base"
+    else:
+        raise ParseError(f"unknown family {name!r}")
+    _require_range(field.values, not_positive)
+    return field, 0.0
 
 
 def _full_json(obj) -> str:
@@ -452,7 +465,9 @@ def _main(argv) -> int:
             "error": {"type": "OrthogonalityViolation", "defect": list(exc.defect)},
         }
         code = 1
-    except ChristoffelError as exc:
+    except (ChristoffelError, OSError) as exc:
+        # a failed read is a ParseError, so an OSError is an output file
+        # that cannot be written; its message names the path
         report = {
             "config": _config_echo(args),
             "error": {"type": type(exc).__name__, "message": str(exc)},
@@ -463,8 +478,12 @@ def _main(argv) -> int:
         code = 1
     text = _full_json(report)
     if getattr(args, "report", None):
-        with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.report, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            print(f"christoffel: {exc}", file=sys.stderr)
+            return 1
     else:
         print(text)
     return code

@@ -419,19 +419,6 @@ def _grid_profiles(coeffs: HarmonicCoeffs, grid: SphereGrid, order: int) -> list
     return [_synth_theta_stacks(blocks, cos_c, sin_c, coeffs.L_max, d) for d in range(order + 1)]
 
 
-def node_basis(grid: SphereGrid, node: int, L_max: int) -> np.ndarray:
-    """Every basis function at one grid node, in the flat coefficient order
-    (row ``node`` of the grid's basis matrix, which is never formed)."""
-    ring, j = divmod(node, grid.azimuth_count)
-    m_arr, _, _, _, cos_idx, sin_idx = _pair_index(L_max)
-    P = _grid_legendre(grid.L, L_max, 0)[0][:, ring]
-    cos_t, sin_t = _azimuth_plan(grid.L, L_max)[:2]
-    row = np.empty((L_max + 1) ** 2)
-    row[sin_idx] = P * sin_t[m_arr, j]
-    row[cos_idx] = P * cos_t[m_arr, j]
-    return row
-
-
 def bandlimit(grid: SphereGrid, values: np.ndarray, L_max: int):
     """Analyze the samples ``values`` at band limit L_max and re-synthesize
     them on the grid.
@@ -591,11 +578,16 @@ def grid_hessian(field: SphericalField) -> np.ndarray:
 # Kernel orthogonality and the spectral solver
 # ----------------------------------------------------------------------
 
+def _degree1(c: np.ndarray) -> np.ndarray:
+    """(c_11, c_1-1, c_10) of the flat array c; zeros at band limit 0."""
+    return c[[3, 1, 2]] if c.size > 1 else np.zeros(3)
+
+
 def orthogonality_defect(f: SphericalField) -> np.ndarray:
     """The moments (int x_1 f, int x_2 f, int x_3 f) over the sphere, shape
     (3,), read from the degree-1 coefficients (c_11, c_1-1, c_10) /
     sqrt(3/4pi)."""
-    return f.coeffs.c[[3, 1, 2]] / _Y1_NORM
+    return _degree1(f.coeffs.c) / _Y1_NORM
 
 
 def degree1_magnitude(coeffs: HarmonicCoeffs) -> float:
@@ -612,7 +604,7 @@ def project_out_linear(f: SphericalField) -> SphericalField:
     entries and keep the rest.
     """
     c = f.coeffs.c.copy()
-    linear_vals = f.grid.nodes @ (_Y1_NORM * c[[3, 1, 2]])
+    linear_vals = f.grid.nodes @ (_Y1_NORM * _degree1(c))
     c[1:4] = 0.0
     return SphericalField(grid=f.grid, values=f.values - linear_vals,
                           coeffs=HarmonicCoeffs(L_max=f.coeffs.L_max, c=c))

@@ -1,12 +1,13 @@
 """The L_p extension: (Laplacian + 2) u = f u^(p-1) on S^2, p >= 2.
 
 One solver, :func:`solve_lp`, serves every 2 <= p < inf: Jacobian-free
-Newton-Krylov (Knoll & Keyes 2004) on the scaled, pinned problem
-(Laplacian + 2) v = lambda f v^(p-1), whose p = 2 case is the eigenproblem.
-No K x K matrix is formed.  A stall ends the solve: the pointwise residual
-has a band-limit floor that no iterate below the band of f can pass, so
-the solver raises NonConvergence with its best iterate and the reason it
-stopped.  Each solution carries a trace of its Newton steps.
+Newton-Krylov (Knoll & Keyes 2004) on the scaled problem (Laplacian + 2) v
+= lambda f v^(p-1), whose p = 2 case is the eigenproblem, with v normalized
+to mean 1: the one coefficient c_0 = sqrt(4 pi) at every band and on every
+grid.  No K x K matrix is formed.  A stall ends the solve: the pointwise
+residual has a band-limit floor that no iterate below the band of f can
+pass, so the solver raises NonConvergence with its best iterate and the
+reason it stopped.  Each solution carries a trace of its Newton steps.
 
 Imports: only numpy, on every path; :func:`_gmres` is a numpy GMRES.
 
@@ -27,15 +28,14 @@ from . import harmonics, kernels
 from .errors import InvalidParameter, NonConvergence, NotPositive, PositivityLost
 from .sphere import make_grid
 
-# Newton steps: GMRES to the relative residual min(_KRYLOV_RTOL_MAX, |F|),
-# restarted after _KRYLOV_RESTART iterations, for at most _KRYLOV_CYCLES
-# cycles.  Newton has stalled once _STALL_STEPS consecutive steps each
-# failed to cut the residual below _STALL_RATIO times the one before (at a
-# band-limit floor the residual still moves in its last digits, so plain
-# "not decreased" would keep it running).
+# Newton steps: GMRES to the relative residual min(_KRYLOV_RTOL_MAX, |F|)
+# in at most _KRYLOV_MAX_ITER iterations, with no restart.  Newton has
+# stalled once _STALL_STEPS consecutive steps each failed to cut the
+# residual below _STALL_RATIO times the one before (at a band-limit floor
+# the residual still moves in its last digits, so plain "not decreased"
+# would keep it running).
 _KRYLOV_RTOL_MAX = 0.1
-_KRYLOV_RESTART = 80
-_KRYLOV_CYCLES = 10
+_KRYLOV_MAX_ITER = 80
 _STALL_STEPS = 2
 _STALL_RATIO = 0.5
 # most Newton steps of one solve
@@ -79,78 +79,67 @@ def residual_on_refined_grid(sol: LpSolution, f) -> float:
 
 
 def _gmres(matvec, b, precond, rtol):
-    """Restarted GMRES(_KRYLOV_RESTART) for A x = b, right-preconditioned,
-    with Givens rotations (Saad & Schultz 1986).
+    """GMRES for A x = b, right-preconditioned, with Givens rotations (Saad
+    & Schultz 1986): one Arnoldi cycle of at most _KRYLOV_MAX_ITER
+    iterations from x = 0, never restarted.
 
     ``matvec`` applies A and ``precond`` an approximate inverse of A.
-    Returns (x, iterations, converged) after at most _KRYLOV_CYCLES cycles;
-    converged means |b - A x| <= rtol |b| by the rotated least-squares
-    residual, which right preconditioning keeps equal to the residual of x.
-    Arnoldi vectors are orthogonalized by classical Gram-Schmidt, twice.
+    Returns (x, iterations, converged); converged means |b - A x| <= rtol
+    |b| by the rotated least-squares residual, which right preconditioning
+    keeps equal to the residual of x.  Arnoldi vectors are orthogonalized
+    by classical Gram-Schmidt, twice.
     """
-    m = _KRYLOV_RESTART
-    x = np.zeros_like(b)
-    target = rtol * np.linalg.norm(b)
-    iterations = 0
-    for cycle in range(_KRYLOV_CYCLES):
-        r = b - matvec(x) if cycle else b
-        beta = np.linalg.norm(r)
-        if beta <= target:
-            return x, iterations, True
-        V = np.empty((m + 1, b.size))
-        H = np.zeros((m + 1, m))
-        rotations = np.empty((m, 2))
-        g = np.zeros(m + 1)
-        g[0] = beta
-        V[0] = r / beta
-        for j in range(m):
-            w = matvec(precond(V[j]))
-            for _ in range(2):
-                h = V[: j + 1] @ w
-                w = w - h @ V[: j + 1]
-                H[: j + 1, j] += h
-            H[j + 1, j] = np.linalg.norm(w)
-            if H[j + 1, j] > 0.0:
-                V[j + 1] = w / H[j + 1, j]
-            for i, (cs, sn) in enumerate(rotations[:j]):
-                hi, hn = H[i, j], H[i + 1, j]
-                H[i, j], H[i + 1, j] = cs * hi + sn * hn, cs * hn - sn * hi
-            r_jj = np.hypot(H[j, j], H[j + 1, j])
-            rotations[j] = H[j, j] / r_jj, H[j + 1, j] / r_jj
-            H[j, j], H[j + 1, j] = r_jj, 0.0
-            g[j], g[j + 1] = rotations[j, 0] * g[j], -rotations[j, 1] * g[j]
-            iterations += 1
-            if abs(g[j + 1]) <= target:
-                break
-        k = j + 1
-        x = x + precond(np.linalg.solve(H[:k, :k], g[:k]) @ V[:k])
-        if abs(g[k]) <= target:
-            return x, iterations, True
-    return x, iterations, False
+    m = _KRYLOV_MAX_ITER
+    beta = np.linalg.norm(b)
+    target = rtol * beta
+    if beta <= target:
+        return np.zeros_like(b), 0, True
+    V = np.empty((m + 1, b.size))
+    H = np.zeros((m + 1, m))
+    rotations = np.empty((m, 2))
+    g = np.zeros(m + 1)
+    g[0] = beta
+    V[0] = b / beta
+    for j in range(m):
+        w = matvec(precond(V[j]))
+        for _ in range(2):
+            h = V[: j + 1] @ w
+            w = w - h @ V[: j + 1]
+            H[: j + 1, j] += h
+        H[j + 1, j] = np.linalg.norm(w)
+        if H[j + 1, j] > 0.0:
+            V[j + 1] = w / H[j + 1, j]
+        for i, (cs, sn) in enumerate(rotations[:j]):
+            hi, hn = H[i, j], H[i + 1, j]
+            H[i, j], H[i + 1, j] = cs * hi + sn * hn, cs * hn - sn * hi
+        r_jj = np.hypot(H[j, j], H[j + 1, j])
+        rotations[j] = H[j, j] / r_jj, H[j + 1, j] / r_jj
+        H[j, j], H[j + 1, j] = r_jj, 0.0
+        g[j], g[j + 1] = rotations[j, 0] * g[j], -rotations[j, 1] * g[j]
+        if abs(g[j + 1]) <= target:
+            break
+    k = j + 1
+    x = precond(np.linalg.solve(H[:k, :k], g[:k]) @ V[:k])
+    return x, k, bool(abs(g[k]) <= target)
 
 
-def _mean_field_inverse(d, gc, pin):
-    """Exact inverse of the bordered matrix [[diag(d), -gc], [pin, 0]].
+def _mean_field_inverse(d, gc):
+    """Exact inverse of the bordered matrix [[diag(d), -gc], [e_0^T, 0]].
 
     This is the Newton matrix of :func:`solve_lp` with f v^(p-2) replaced
     by its mean g (d = D - lambda (p-1) g, gc = (f v^(p-1))_lm); it
-    preconditions the Krylov solve.  Entries k >= 1 are eliminated through
-    d; the l = 0 entry d[0] = 2 (2 - p) at the start vanishes for p = 2, so
-    (x[0], mu) come from the 2x2 Schur complement left by the elimination.
+    preconditions the Krylov solve.  The border row reads x[0], the mean of
+    v times sqrt(4 pi), so y = (r, rho) gives x[0] = rho, mu = (d[0] rho -
+    r[0]) / gc[0] and x[k] = (r[k] + gc[k] mu) / d[k]: no Schur complement,
+    and d[0] = 2 (2 - p) at the start, 0 for p = 2, is never a divisor,
+    while gc[0] = sqrt(4 pi) mean(f v^(p-1)) > 0 for positive v.
     """
-    w = pin[1:] / d[1:]
-    a = w @ gc[1:]
-    det = d[0] * a + gc[0] * pin[0]
 
     def apply(y):
-        r, rho = y[:-1], y[-1]
-        t = rho - w @ r[1:]
-        x0 = (r[0] * a + gc[0] * t) / det
-        mu = (d[0] * t - pin[0] * r[0]) / det
         x = np.empty_like(y)
-        x[0] = x0
-        x[1:-1] = (r[1:] + gc[1:] * mu) / d[1:]
-        x[-1] = mu
+        x[0] = y[-1]
+        x[-1] = mu = (d[0] * y[-1] - y[0]) / gc[0]
+        x[1:-1] = (y[1:-1] + gc[1:] * mu) / d[1:]
         return x
 
     return apply
@@ -173,12 +162,12 @@ def solve_lp(
     product, so tol bounds the absolute residual of u for every p.
 
     Newton on (c, lambda), c the coefficients of v, for F = [D c - lambda
-    (f v^(p-1))_lm, v(pin) - 1], D the spectrum of the operator, from v = 1
-    and lambda = 2/mean(f), pinned at the start's first maximum, node 0
-    (v = 1 synthesizes to one value at every node).  Each full step is a GMRES
-    solve to relative residual min(0.1, |F|), whose products x -> D x -
-    lambda (p-1) (f v^(p-2) synthesize(x))_lm - x_lambda (f v^(p-1))_lm
-    are transforms; :func:`_mean_field_inverse` preconditions it.
+    (f v^(p-1))_lm, c_0 - sqrt(4 pi)], D the spectrum of the operator, from
+    v = 1 and lambda = 2/mean(f): the border normalizes v by its mean, mean
+    v = c_0 / sqrt(4 pi) = 1.  Each full step is one GMRES cycle to relative
+    residual min(0.1, |F|), whose products x -> D x - lambda (p-1) (f
+    v^(p-2) synthesize(x))_lm - x_lambda (f v^(p-1))_lm are transforms;
+    :func:`_mean_field_inverse` preconditions it.
 
     Raises InvalidParameter unless 2 <= p < inf, 0 < tol < inf, (p-1) f
     is finite and the start's s and 1/s are positive and finite (s =
@@ -225,16 +214,15 @@ def solve_lp(
         xc = x[:K]
         return np.concatenate([
             D * xc - lam * (p - 1.0) * analyze_values(slope * values_of(xc)) - x[K] * rhs,
-            [pin @ xc],
+            xc[:1],
         ])
 
     c = np.zeros(K)
-    c[0] = np.sqrt(4.0 * np.pi)
+    c[0] = c0 = np.sqrt(4.0 * np.pi)
     uv = values_of(c)
     r = dilation(lam, uv)
     if r is None:
         raise InvalidParameter(f"the start's scale is 0 or not finite at p = {p}")
-    pin = harmonics.node_basis(grid, int(np.argmax(uv)), L_max)
     rhs, res = accept(c, lam, uv, r)
     stalled = 0
     trace = []
@@ -244,8 +232,8 @@ def solve_lp(
             stop = "stall"
             break
         slope = f.values * uv ** (p - 2.0)
-        F = np.concatenate([D * c - lam * rhs, [pin @ c - 1.0]])
-        precond = _mean_field_inverse(D - lam * (p - 1.0) * _mean(grid, slope), rhs, pin)
+        F = np.concatenate([D * c - lam * rhs, [c[0] - c0]])
+        precond = _mean_field_inverse(D - lam * (p - 1.0) * _mean(grid, slope), rhs)
         step, krylov_iterations, solved = _gmres(
             jacobian_times, -F, precond, min(_KRYLOV_RTOL_MAX, np.linalg.norm(F)))
         if not solved or not np.all(np.isfinite(step)):

@@ -30,6 +30,37 @@ def run_cli(argv, tmp_path, name="report.json"):
     return json.loads(report_path.read_text()), code
 
 
+# edge inputs at the ends of the documented ranges: band limit 0, field
+# scales outside and at the ends of [cli._F_MIN, cli._F_MAX], and output
+# paths in a directory that does not exist ("{missing}")
+FIELD_COMMANDS = [["solve"], ["check"], ["reconstruct"], ["lp", "--p", "2"], ["lp", "--p", "4"]]
+PROJECTED = [["solve", "--project"], ["check", "--project"], ["reconstruct", "--project"]]
+BAND_LIMIT_0 = ["--input", "family:constant:c=2", "--L", "4", "--Lmax", "0"]
+OUT_OF_SCALE = ["1e-160", "1e-300", "1e-310", "1e300"]
+UNWRITABLE = [
+    ["solve", "--L", "16", "--Lmax", "8", "--out", "{missing}"],
+    ["kernels", "--n", "2", "--out", "{missing}"],
+    ["reconstruct", "--L", "16", "--Lmax", "8", "--obj", "{missing}"],
+    ["reconstruct", "--L", "16", "--Lmax", "8", "--out", "{missing}"],
+]
+
+
+def scaled(command, c):
+    return command + ["--input", f"family:constant:c={c}", "--L", "8", "--Lmax", "4"]
+
+
+EDGE_INPUTS = (
+    [command + BAND_LIMIT_0 for command in FIELD_COMMANDS + PROJECTED]
+    + [scaled(command, c) for command in FIELD_COMMANDS
+       for c in OUT_OF_SCALE + ["1e-100", "1e100"]]
+    + UNWRITABLE
+)
+
+
+def with_missing_dir(argv, tmp_path):
+    return [str(tmp_path / "missing" / "out") if a == "{missing}" else a for a in argv]
+
+
 class TestFieldSources:
     def test_constant_family(self, grid16):
         f, trunc = cli.parse_field_source("family:constant:c=2", grid16, 8)
@@ -433,6 +464,61 @@ class TestErrors:
         if kind == "ParseError" and "nan" in source:
             assert report["error"]["message"].startswith("line 6:")
 
+    @pytest.mark.parametrize("command", FIELD_COMMANDS + PROJECTED, ids=" ".join)
+    def test_band_limit_zero(self, command, tmp_path):
+        # L_max = 0 has no degree-1 part, so the defect is 0 and every
+        # command runs, with or without --project
+        report, code = run_cli(command + BAND_LIMIT_0, tmp_path)
+        assert code == 0 and report["error"] is None
+        if command[0] != "lp":
+            assert report["orthogonality_defect"] == [0.0, 0.0, 0.0]
+
+    @pytest.mark.parametrize("c", OUT_OF_SCALE)
+    @pytest.mark.parametrize("command", FIELD_COMMANDS, ids=" ".join)
+    def test_field_scale_out_of_range_reported(self, command, c, tmp_path):
+        # f^2 goes subnormal, 1/f or squared Hessian entries overflow
+        report, code = run_cli(scaled(command, c), tmp_path)
+        assert code == 1
+        assert report["error"]["type"] == "InvalidParameter"
+        assert "field values must lie in [1e-100, 1e+100]" in report["error"]["message"]
+        assert set(report) == {"config", "error"}
+
+    @pytest.mark.parametrize("c", [1e-100, 1e100])
+    def test_field_scale_range_ends_exact(self, c, tmp_path):
+        # on the constant field c, Hess u + u I = c/2 I and the Guan-Ma form
+        # is I / c
+        report, code = run_cli(scaled(["check"], repr(c)), tmp_path)
+        assert code == 0
+        assert abs(report["hessian_min"]["value"] / (c / 2) - 1.0) < 1e-12
+        guan_ma = report["sufficient_conditions"]["guan_ma"]
+        assert guan_ma["holds"] and abs(guan_ma["min_eig"] * c - 1.0) < 1e-12
+
+    def test_file_scale_out_of_range_reported(self, tmp_path):
+        f, _ = cli.parse_field_source("family:constant:c=2", make_grid(8), 4)
+        path = tmp_path / "tiny.csv"
+        path.write_text(cli._field_to_csv(harmonics.SphericalField(
+            grid=f.grid, values=1e-200 * f.values, coeffs=f.coeffs)))
+        report, code = run_cli(["solve", "--input", f"file:{path}", "--L", "8", "--Lmax", "4"],
+                               tmp_path)
+        assert code == 1 and report["error"]["type"] == "InvalidParameter"
+
+    @pytest.mark.parametrize("argv", UNWRITABLE, ids=lambda a: f"{a[0]} {a[-2]}")
+    def test_unwritable_output_reported(self, argv, tmp_path):
+        argv = with_missing_dir(argv, tmp_path)
+        report, code = run_cli(argv, tmp_path)
+        # the report names the path and the OSError's type
+        assert code == 1
+        assert report["error"]["type"] == "FileNotFoundError"
+        assert argv[-1] in report["error"]["message"]
+        assert not (tmp_path / "missing").exists()
+
+    def test_unwritable_report_one_line(self, tmp_path, capsys):
+        path = str(tmp_path / "missing" / "report.json")
+        code = cli.main(["solve", "--L", "16", "--Lmax", "8", "--report", path])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and path in err and "Traceback" not in err
+
     def test_negative_band_limit_reported(self, tmp_path):
         report, code = run_cli(["solve", "--L", "16", "--Lmax", "-1"], tmp_path)
         assert code == 1
@@ -500,6 +586,23 @@ class TestErrors:
         missing = [f"{name} {a.option_strings[0]}" for name, p in commands.choices.items()
                    for a in p._actions if a.option_strings and not a.help]
         assert missing == []
+
+
+class TestStrictReports:
+    @staticmethod
+    def refuse(constant):
+        raise ValueError(f"report holds {constant}")
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("argv", EDGE_INPUTS, ids=" ".join)
+    def test_edge_input_report_is_strict_json(self, argv, tmp_path):
+        # no warning, no traceback, no NaN or Infinity in the report, and an
+        # exit code the CLI documents
+        path = tmp_path / "report.json"
+        code = cli.main(with_missing_dir(argv, tmp_path) + ["--report", str(path)])
+        report = json.loads(path.read_text(), parse_constant=self.refuse)
+        assert code in {0, 1, 2, 3}
+        assert (report["error"] is None) == (code != 1)
 
 
 class TestDeterminism:

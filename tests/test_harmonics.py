@@ -248,17 +248,6 @@ def ref_point_derivatives(coeffs, points):
     return vals, grad, H
 
 
-def ref_node_basis(grid, node, L_max):
-    ring, j = divmod(node, grid.azimuth_count)
-    m_arr, _, _, _, cos_idx, sin_idx = harmonics._pair_index(L_max)
-    P = ref_legendre_packed(grid.polar_nodes[ring : ring + 1], L_max)[0][:, 0]
-    cos_t, sin_t = ref_azimuth_tables(grid.phis[j : j + 1], L_max)
-    row = np.empty((L_max + 1) ** 2)
-    row[sin_idx] = P * sin_t[m_arr, 0]
-    row[cos_idx] = P * cos_t[m_arr, 0]
-    return row
-
-
 def ref_synthesize_at(coeffs, points):
     pts = np.asarray(points, dtype=float)
     theta = np.arctan2(np.hypot(pts[:, 0], pts[:, 1]), pts[:, 2])
@@ -351,9 +340,6 @@ class TestTransforms:
         M = galerkin_matrix(g, grid, L_max)
         assert np.max(np.abs(M - ref)) <= 1e-13 * np.max(np.abs(ref))
         assert np.array_equal(M, M.T)
-        for node in (0, 5, grid.node_count // 2 + 3, grid.node_count - 1):
-            row = harmonics.node_basis(grid, node, L_max)
-            assert np.max(np.abs(row - B[node])) < 1e-14
 
 
 class TestDerivatives:
@@ -816,9 +802,6 @@ def assert_matches_reference(L, L_max, seed):
                               ref_analyze(grid, values, L_max))
     assert np.array_equal(harmonics.grid_gradient(f), ref_grid_gradient(f))
     assert np.array_equal(harmonics.grid_hessian(f), ref_grid_hessian(f))
-    for node in (0, 7, grid.node_count // 2 + 3, grid.node_count - 1):
-        assert np.array_equal(harmonics.node_basis(grid, node, L_max),
-                              ref_node_basis(grid, node, L_max))
     pts = rng.standard_normal((50, 3))
     pts /= np.linalg.norm(pts, axis=1, keepdims=True)
     assert np.array_equal(harmonics.synthesize_at(coeffs, pts), ref_synthesize_at(coeffs, pts))
