@@ -9,7 +9,9 @@ check        evaluate CR1 and CR2 at every node by their per-degree
              route_gap to min eig(Hess u + u I) over the nodes, and run
              the sufficient-condition checkers
 lp           solve the L_p problem for p >= 2 (lambda reported at p = 2)
-gamma        compute gamma_{n, alpha} with its Monte-Carlo cross-check
+gamma        compute gamma_{n, alpha} by the Gauss-Jacobi rule that the
+             Hoelder threshold uses, with adaptive-quadrature and
+             Monte-Carlo cross-checks
 kernels      dump kernel tables as CSV
 reconstruct  solve and export the body surface as a Wavefront OBJ
 
@@ -261,7 +263,8 @@ def _make_parser():
                 p.add_argument("--project", action="store_true",
                                help="project out the degree-1 component instead of erroring")
         else:
-            p.add_argument("--n", type=int, default=2, help="sphere dimension")
+            p.add_argument("--n", type=int, default=2,
+                           help=f"sphere dimension, 2 to {kernels.N_MAX}")
         return p
 
     p = command("solve", "solve the linear problem and write u")
@@ -394,7 +397,8 @@ def run(args) -> tuple[dict, int]:
         }
 
     elif args.command == "gamma":
-        value, err = kernels.gamma_const_info(args.n, args.alpha)
+        value = kernels.gamma_const(args.n, args.alpha)
+        adaptive, err = kernels.gamma_const_info(args.n, args.alpha)
         mc, se = kernels.gamma_monte_carlo(
             args.n, args.alpha, samples=args.mc_samples, seed=args.seed
         )
@@ -407,6 +411,7 @@ def run(args) -> tuple[dict, int]:
             "n": args.n,
             "alpha": args.alpha,
             "value": value,
+            "adaptive_quadrature": {"value": adaptive, "gap": abs(value - adaptive)},
             "quadrature_error_estimate": err,
             "monte_carlo": {"estimate": mc, "standard_error": se},
             "monte_carlo_random_pole": {"estimate": mc2, "standard_error": se2},
@@ -415,10 +420,10 @@ def run(args) -> tuple[dict, int]:
 
     elif args.command == "kernels":
         rows, report["kernel_equivalence"] = kernels.kernel_table(args.n)
+        s = np.array([row[0] for row in rows])
+        berg = zip(*(kernels.berg_g(d, s).tolist() for d in (2, 3, 4)))
         lines = ["s,omega_radial,omega_closed,firey_theta,berg_g2,berg_g3,berg_g4"]
-        for row in rows:
-            berg = tuple(kernels.berg_g(d, row[0]) for d in (2, 3, 4))
-            lines.append(",".join(repr(v) for v in row + berg))
+        lines += [",".join(map(repr, row + g)) for row, g in zip(rows, berg)]
         csv_text = "\n".join(lines) + "\n"
         if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:

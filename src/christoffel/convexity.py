@@ -48,9 +48,9 @@ and Hessian, Guan-Ma by the quotient rule, so neither needs another grid
 or transform.  On S^2 symmetry monotonicity (T33) is the non-strict
 Pogorelov condition (:func:`check_T33` gives the proof), so it is decided
 from the same form and evaluates f at no point off the grid.  The Hoelder
-grid seminorm reads its node separations from :func:`ring_cosines` and
-finds the largest pair by bound and prune, evaluating only the (ring, ring,
-azimuth offset) entries that triangle and range bounds cannot rule out.
+grid seminorm finds the largest pair by bound and prune, evaluating only
+the (ring, ring, azimuth offset) entries that triangle and range bounds
+cannot rule out, and forms each node separation where it reads it.
 """
 
 from __future__ import annotations
@@ -93,17 +93,6 @@ class SweepResult(NamedTuple):
 def _require_positive(f):
     if np.min(f.values) <= 0.0:
         raise NotPositive("field must be strictly positive at every node")
-
-
-def ring_cosines(grid) -> np.ndarray:
-    """Table s[i, k, d] = <x, z> for x on ring i and z on ring k, d azimuth
-    steps apart, shape (L, L, 2L): every node separation of the Hoelder
-    estimate, one entry per (ring, ring, azimuth offset)."""
-    t = grid.polar_nodes
-    st = np.sqrt(1.0 - t * t)
-    s = np.multiply.outer(np.outer(st, st), np.cos(grid.phis))
-    s += np.outer(t, t)[:, :, None]
-    return s
 
 
 def _harmonic_numbers(L_max: int) -> np.ndarray:
@@ -265,7 +254,9 @@ def holder_seminorm(f, alpha: float) -> float:
     With F[i, j] the value at ring i, azimuth j, the pairs form a table
     with one entry per (ring i, ring k >= i, azimuth offset d):
     v(i, k, d) = num(i, k, d) / dist^alpha, num(i, k, d) = max_j
-    |F[i, j] - F[k, j + d]|, the separations from :func:`ring_cosines`.
+    |F[i, j] - F[k, j + d]|.  With t the polar nodes, the separation
+    dist(i, k, d) = arccos((sqrt(1 - t_i^2) sqrt(1 - t_k^2)) cos phi_d +
+    t_i t_k) is formed only where it is read.
     The maximum is found by bound and prune, as in Lipschitz global
     optimization (Hansen & Jaumard, "Lipschitz optimization", 1995), not by
     forming all O(L^2 n^2) differences:
@@ -286,9 +277,8 @@ def holder_seminorm(f, alpha: float) -> float:
     The result is the full table's maximum to the last bit: evaluated
     entries use the same float expression, rounding is monotone, and the
     1e-12 margin covers the rounding of the bound's sum, so every pruned
-    entry has v <= bound <= best.  dist^alpha overwrites the separations in
-    place and the seeds and bounds are formed ring by ring, so the memory
-    is about one (L, L, n) table.
+    entry has v <= bound <= best.  The bounds are formed ring by ring, so
+    the memory is O(L n) per ring plus the kept bounds.
 
     The grid value is a lower bound of the true seminorm, so threshold
     checks based on it are conservative only up to discretization.
@@ -299,26 +289,34 @@ def holder_seminorm(f, alpha: float) -> float:
     # [k, d, j] = F[k, j + d]: ring k turned by d azimuth steps, a view
     shifted = np.lib.stride_tricks.sliding_window_view(
         np.concatenate([F, F[:, :-1]], axis=1), n, axis=1)
-    fold = np.minimum(np.arange(n), n - np.arange(n))  # A_i(d) = A_i(n - d)
+    az = np.arange(n)
+    fold = np.minimum(az, n - az)  # A_i(d) = A_i(n - d)
+    t = grid.polar_nodes
+    st = np.sqrt(1.0 - t * t)
+    cos_d = np.cos(grid.phis)
     cos_min = np.cos(np.pi / L)
-    dist = ring_cosines(grid)  # dist^alpha for k >= i, inf below the spacing
+
+    def dist_alpha(i, k, d):
+        # dist^alpha of rings i and k, d azimuth steps apart; inf below pi / L
+        s = (st[i] * st[k]) * cos_d[d] + t[i] * t[k]
+        out = np.arccos(np.clip(s, -1.0, 1.0)) ** alpha
+        out[s > cos_min] = np.inf
+        return out
+
     A = np.empty((L, n))
-    D0 = np.empty((L, L))
-    best = 0.0
+    D0 = np.zeros((L, L))  # k >= i; the zeros below add nothing to the seed
     for i in range(L):
-        s = dist[i, i:]
-        d_a = np.arccos(np.clip(s, -1.0, 1.0)) ** alpha
-        d_a[s > cos_min] = np.inf
-        s[...] = d_a
         A[i] = np.max(np.abs(F[i] - shifted[i, : n // 2 + 1]), axis=1)[fold]
         D0[i, i:] = np.max(np.abs(F[i] - F[i:]), axis=1)
-        best = max(best, float(np.max(A[i] / d_a[0])), float(np.max(D0[i, i:] / d_a[:, 0])))
+    rings = np.arange(L)[:, None]
+    best = max(float(np.max(A / dist_alpha(rings, rings, az))),
+               float(np.max(D0 / dist_alpha(rings, rings.T, 0))))
     hi, lo = np.max(F, axis=1), np.min(F, axis=1)
     flat, bound = [], []
     for i in range(L):
         tri = (D0[i, i:, None] + np.minimum(A[i], A[i:])) * (1.0 + 1e-12)
         rng = np.maximum(hi[i] - lo[i:], hi[i:] - lo[i])
-        ub = (np.minimum(rng[:, None], tri) / dist[i, i:]).ravel()
+        ub = (np.minimum(rng[:, None], tri) / dist_alpha(i, rings[i:], az)).ravel()
         keep = np.flatnonzero(ub > best)
         flat.append(keep + i * (L + 1) * n)
         bound.append(ub[keep])
@@ -332,7 +330,7 @@ def holder_seminorm(f, alpha: float) -> float:
         sel = flat[start : start + step][bound[start : start + step] > best]
         i, k, d = np.unravel_index(sel, (L, L, n))
         num = np.max(np.abs(F[i] - shifted[k, d]), axis=1)
-        best = max(best, float(np.max(num / dist[i, k, d])))
+        best = max(best, float(np.max(num / dist_alpha(i, k, d))))
     return best
 
 

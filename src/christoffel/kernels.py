@@ -1,4 +1,4 @@
-"""Kernel functions for the convexity analysis, general dimension n >= 2.
+"""Kernel functions for the convexity analysis, sphere dimension 2 <= n <= N_MAX.
 
 All two-point kernels on the sphere depend only on the scalar s = <x, z>
 (and c = <xi, z> for the second-derivative kernel), so they are exposed in
@@ -38,10 +38,19 @@ def sphere_surface_measure(n: int) -> float:
     return 2.0 * math.pi ** ((n + 1) / 2.0) / math.gamma((n + 1) / 2.0)
 
 
+# largest sphere dimension of the kernels: the three routes of
+# :func:`kernel_table` agree within 1e-10 relative up to it (1.8e-11 at
+# n = 12).  Above it the absolute tolerance 1e-10 of :func:`omega_radial`
+# exceeds 1e-10 of its integral, which falls like (1 - s^2)^(n/2) at
+# s = -0.95 (2.1e-10 relative at n = 14, 7e-6 at n = 32)
+N_MAX = 12
+
+
 def _require_dimension(n: int) -> None:
-    """The one dimension check of every kernel: InvalidDimension below n = 2."""
-    if n < 2:
-        raise InvalidDimension(f"kernels require n >= 2, got {n}")
+    """The one dimension check of every kernel: InvalidDimension outside
+    2 <= n <= N_MAX."""
+    if not 2 <= n <= N_MAX:
+        raise InvalidDimension(f"kernels require 2 <= n <= {N_MAX}, got {n}")
 
 
 # ----------------------------------------------------------------------
@@ -154,12 +163,63 @@ def omega_radial(s: float, n: int) -> float:
     return -(q ** -n) * val
 
 
-def _sin_power_integral(k: int, a: float, b: float) -> float:
-    """int_a^b sin^k t dt in closed form.
+def _hypergeometric_1(b: float, c: float, w: float) -> float:
+    """Gauss's 2F1(1, b; c; w) = sum_m (b)_m / (c)_m w^m for 0 <= w < 1,
+    b, c > 0: positive terms, summed until they no longer change the sum."""
+    total, term, m = 1.0, 1.0, 0
+    while term > 1e-17 * total:
+        term *= (b + m) / (c + m) * w
+        total += term
+        m += 1
+    return total
 
-    Explicit antiderivatives for k <= 5; above that the reduction formula
-    int sin^k = -sin^(k-1) cos / k + (k-1)/k int sin^(k-2), whose factor
-    (k-1)/k < 1 keeps the upward recursion stable.
+
+def _wallis(k: int) -> float:
+    """W_k = int_0^(pi/2) sin^k t dt = pi/2 resp. 1 times (j - 1)/j for
+    j = k, k - 2, ... down to 2 resp. 3, a product of positive factors."""
+    w = 0.5 * math.pi if k % 2 == 0 else 1.0
+    for j in range(k, 1, -2):
+        w *= (j - 1) / j
+    return w
+
+
+def _sin_power_from_end(k: int, x: float) -> float:
+    """int_0^y sin^k t dt for y = min(x, pi - x), x in [0, pi]: the
+    integral from the nearer end of [0, pi], to full relative accuracy.
+
+    With z = sin^2 x it is (1/2) B(z; (k + 1)/2, 1/2), the incomplete beta
+    function, taken by the rule of Numerical Recipes (sec. 6.4): for z <=
+    (k + 3)/(k + 6)
+
+        sin^(k+1) x |cos x| / (k + 1) 2F1(1, k/2 + 1; k/2 + 3/2; z),
+
+    and above it W_k (:func:`_wallis`) minus the integral over [y, pi/2],
+
+        sin^(k+1) x |cos x| 2F1(1, k/2 + 1; 3/2; cos^2 x).
+
+    Every term is positive, so nothing cancels but that one difference, and
+    it keeps more than 8% of W_k (I_z((k + 1)/2, 1/2) at the switch falls
+    from 0.17 at k = 6 towards 0.083), so it costs at most about one digit.
+    """
+    sx, cx = math.sin(x), abs(math.cos(x))
+    z = sx * sx
+    edge = sx ** (k + 1) * cx
+    if z <= (k + 3) / (k + 6):
+        return edge / (k + 1) * _hypergeometric_1(0.5 * k + 1.0, 0.5 * k + 1.5, z)
+    return _wallis(k) - edge * _hypergeometric_1(0.5 * k + 1.0, 1.5, cx * cx)
+
+
+def _sin_power_integral(k: int, a: float, b: float) -> float:
+    """int_a^b sin^k t dt in closed form, for a, b in [0, pi].
+
+    Explicit antiderivatives for k <= 5.  Above that the integral is
+    P(b) - P(a) with P(x) = int_0^x sin^k: P is the integral from the
+    nearer end (:func:`_sin_power_from_end`), taken from 2 W_k beyond pi/2,
+    and the 2 W_k cancel exactly when a and b lie on the same side.  So a
+    tail near either end keeps its relative accuracy, where the upward
+    reduction formula int sin^k = -sin^(k-1) cos / k + (k-1)/k int sin^(k-2)
+    loses it: its two terms cancel beyond pi/2, and the error it starts
+    with grows relative to the tail like sin^-k.
     """
     if k <= 5:
         def anti(t):
@@ -177,8 +237,14 @@ def _sin_power_integral(k: int, a: float, b: float) -> float:
             return -ct + 2.0 * ct**3 / 3.0 - ct**5 / 5.0
 
         return anti(b) - anti(a)
-    edge = math.sin(b) ** (k - 1) * math.cos(b) - math.sin(a) ** (k - 1) * math.cos(a)
-    return -edge / k + (k - 1) / k * _sin_power_integral(k - 2, a, b)
+
+    def split(x):
+        # P(x) as (whole multiple of 2 W_k, signed integral from the nearer end)
+        e = _sin_power_from_end(k, x)
+        return (0.0, e) if x <= 0.5 * math.pi else (2.0 * _wallis(k), -e)
+
+    (wb, eb), (wa, ea) = split(b), split(a)
+    return (wb - wa) + (eb - ea)
 
 
 def omega_closed(s: float, n: int) -> float:
@@ -341,10 +407,10 @@ def gamma_const_info(n: int, alpha: float):
     O(theta^(alpha+1)), so it stays resolvable as alpha -> 0, where gamma
     tends to 0 like alpha.  That integral is done by adaptive Gauss-Kronrod
     quadrature (:func:`_gauss_kronrod`), numpy only, and the error estimate
-    is its |K21 - G10| sum carried to gamma.  This is the reference that
-    the ``gamma`` command reports and that :func:`gamma_const` is tested
-    against; it shares with that fixed Gauss-Jacobi rule only the inner
-    antiderivative :func:`_sin_power_integral`.
+    is its |K21 - G10| sum carried to gamma.  This is the cross-check of
+    :func:`gamma_const` that the ``gamma`` command reports with their gap;
+    it shares with that fixed Gauss-Jacobi rule only the inner closed form
+    :func:`_sin_power_integral`.
     """
     _check_gamma_args(n, alpha)
     h0 = _sin_power_integral(n - 1, 0.0, math.pi)
@@ -396,7 +462,8 @@ def gamma_const(n: int, alpha: float) -> float:
     for the weight (1 + x)^(alpha+1) integrates it to rounding.  That
     exponent stays in (1, 2], away from -1, where the rule's weights lose
     digits as alpha -> 0.  So the L_p condition and the Hoelder threshold
-    need no adaptive quadrature and no SciPy.
+    need no adaptive quadrature and no SciPy, and the ``gamma`` command
+    reports the same value they use.
     """
     _check_gamma_args(n, alpha)
     x, w = _gauss_jacobi(_GAMMA_NODES, alpha + 1.0)

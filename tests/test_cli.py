@@ -31,8 +31,9 @@ def run_cli(argv, tmp_path, name="report.json"):
 
 
 # edge inputs at the ends of the documented ranges: band limit 0, field
-# scales outside and at the ends of [cli._F_MIN, cli._F_MAX], and output
-# paths in a directory that does not exist ("{missing}")
+# scales outside and at the ends of [cli._F_MIN, cli._F_MAX], sphere
+# dimensions at and beyond kernels.N_MAX, and output paths in a directory
+# that does not exist ("{missing}")
 FIELD_COMMANDS = [["solve"], ["check"], ["reconstruct"], ["lp", "--p", "2"], ["lp", "--p", "4"]]
 PROJECTED = [["solve", "--project"], ["check", "--project"], ["reconstruct", "--project"]]
 BAND_LIMIT_0 = ["--input", "family:constant:c=2", "--L", "4", "--Lmax", "0"]
@@ -45,6 +46,14 @@ UNWRITABLE = [
 ]
 
 
+# the largest accepted dimension, and dimensions beyond it whose reports
+# held NaN (kernels 144, gamma 139) or that ended in an OverflowError
+# traceback (kernels 1000, gamma 400)
+LARGE_N = [str(kernels.N_MAX), str(kernels.N_MAX + 1), "32", "139", "144", "400", "1000"]
+DIMENSIONS = ([["kernels", "--n", n] for n in LARGE_N]
+              + [["gamma", "--n", n, "--mc-samples", "2000"] for n in LARGE_N])
+
+
 def scaled(command, c):
     return command + ["--input", f"family:constant:c={c}", "--L", "8", "--Lmax", "4"]
 
@@ -53,6 +62,7 @@ EDGE_INPUTS = (
     [command + BAND_LIMIT_0 for command in FIELD_COMMANDS + PROJECTED]
     + [scaled(command, c) for command in FIELD_COMMANDS
        for c in OUT_OF_SCALE + ["1e-100", "1e100"]]
+    + DIMENSIONS
     + UNWRITABLE
 )
 
@@ -305,6 +315,29 @@ class TestCommands:
         assert abs(g["monte_carlo"]["estimate"] - g["value"]) < 4 * g["monte_carlo"]["standard_error"]
         assert "monte_carlo_random_pole" in g
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_gamma_reports_threshold_constant(self, n, tmp_path):
+        # the value is the Gauss-Jacobi constant that T32 and t41cond use,
+        # with the adaptive route as its cross-check
+        for alpha in (1.0, 0.5, 1e-3):
+            report, code = run_cli(["gamma", "--n", str(n), "--alpha", repr(alpha),
+                                    "--mc-samples", "2000"], tmp_path)
+            assert code == 0
+            g = report["gamma"]
+            assert g["value"] == kernels.gamma_const(n, alpha)
+            adaptive = g["adaptive_quadrature"]
+            assert adaptive["value"] == kernels.gamma_const_info(n, alpha)[0]
+            assert adaptive["gap"] == abs(g["value"] - adaptive["value"])
+            assert adaptive["gap"] <= 1e-13 * g["value"]
+
+    @pytest.mark.parametrize("argv", [["kernels"], ["gamma", "--mc-samples", "2000"]],
+                             ids=["kernels", "gamma"])
+    def test_dimension_out_of_range_reported(self, argv, tmp_path):
+        for n in (-1, 0, 1, kernels.N_MAX + 1, 139, 1000):
+            report, code = run_cli(argv + ["--n", str(n)], tmp_path)
+            assert code == 1
+            assert report["error"]["type"] == "InvalidDimension"
+
     def test_gamma_small_alpha_finite(self, tmp_path):
         report, code = run_cli(
             ["gamma", "--n", "2", "--alpha", "1e-3", "--mc-samples", "20000", "--seed", "3"],
@@ -327,6 +360,20 @@ class TestCommands:
         assert len(lines) == 40  # header + 39 s-values
         row = dict(zip(lines[0].split(","), (float(x) for x in lines[20].split(","))))
         assert abs(row["omega_radial"] - row["omega_closed"]) < 1e-8
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_kernels_csv_matches_row_evaluation(self, n, tmp_path):
+        # the Berg columns come from one array call per dimension; the CSV
+        # is the per-row scalar evaluation, repr for repr
+        out = tmp_path / "kernels.csv"
+        _, code = run_cli(["kernels", "--n", str(n), "--out", str(out)], tmp_path)
+        assert code == 0
+        rows, _ = kernels.kernel_table(n)
+        lines = ["s,omega_radial,omega_closed,firey_theta,berg_g2,berg_g3,berg_g4"]
+        for row in rows:
+            berg = tuple(kernels.berg_g(d, row[0]) for d in (2, 3, 4))
+            lines.append(",".join(repr(v) for v in row + berg))
+        assert out.read_text() == "\n".join(lines) + "\n"
 
     def test_reconstruct_command(self, tmp_path):
         obj = tmp_path / "body.obj"
@@ -651,7 +698,7 @@ class TestSharedWork:
 
     def test_check_forms_field_derivatives_once(self, tmp_path, monkeypatch):
         # each field's grid gradient and Hessian are formed at most once
-        # per check, and the Hoelder ring table once
+        # per check
         fields = {"grid_gradient": [], "grid_hessian": []}
         for name, seen in fields.items():
             def spy(field, *args, _real=getattr(harmonics, name), _seen=seen, **kwargs):
@@ -659,17 +706,12 @@ class TestSharedWork:
                 return _real(field, *args, **kwargs)
 
             monkeypatch.setattr(harmonics, name, spy)
-        tables = []
-        ring_cosines = convexity.ring_cosines
-        monkeypatch.setattr(convexity, "ring_cosines", lambda grid: tables.append(grid.L)
-                            or ring_cosines(grid))
         clear_program_caches()
         _, code = run_cli(self.CHECK, tmp_path)
         assert code in (0, 3)
         for name, seen in fields.items():
             assert seen, name
             assert len({id(f) for f in seen}) == len(seen), name
-        assert tables == [16]
 
     def test_no_tangent_basis_on_grid_nodes(self, tmp_path, monkeypatch):
         # every grid form is read in the node frame (e_theta, e_phi): no

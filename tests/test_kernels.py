@@ -79,14 +79,17 @@ class TestParams:
         assert abs(kernels.sphere_surface_measure(3) - 2 * np.pi**2) < 1e-12
 
     def test_dimension_gate(self):
-        # one check serves every kernel, the Monte-Carlo oracle included
-        for call in (lambda: kernels.omega_radial(0.0, 1), lambda: kernels.omega_closed(0.0, 1),
-                     lambda: kernels.firey_theta(0.0, 1), lambda: kernels.kernel_table(1),
-                     lambda: kernels.berg_g(1, 0.0), lambda: kernels.gamma_const(1, 0.5),
-                     lambda: kernels.gamma_const_info(1, 0.5),
-                     lambda: kernels.gamma_monte_carlo(1, 0.5, samples=100)):
-            with pytest.raises(InvalidDimension):
-                call()
+        # one check serves every kernel, the Monte-Carlo oracle included:
+        # N_MAX is accepted, 1 and N_MAX + 1 are not
+        for call in (lambda n: kernels.omega_radial(0.0, n), lambda n: kernels.omega_closed(0.0, n),
+                     lambda n: kernels.firey_theta(0.0, n), lambda n: kernels.kernel_table(n),
+                     lambda n: kernels.berg_g(n, 0.0), lambda n: kernels.gamma_const(n, 0.5),
+                     lambda n: kernels.gamma_const_info(n, 0.5),
+                     lambda n: kernels.gamma_monte_carlo(n, 0.5, samples=100)):
+            call(kernels.N_MAX)
+            for n in (1, kernels.N_MAX + 1):
+                with pytest.raises(InvalidDimension):
+                    call(n)
 
 
 class TestGaussKronrod:
@@ -180,6 +183,49 @@ def test_sin_power_integral_matches_quadrature(k):
         assert abs(kernels._sin_power_integral(k, a, b) - ref) < 1e-13
 
 
+def sin_power_near(k, x):
+    """The integral of sin^k from the nearer end of [0, pi] to x by the
+    regularized incomplete beta function: (1/2) B((k+1)/2, 1/2)
+    I_(sin^2 x)((k+1)/2, 1/2)."""
+    from scipy.special import beta, betainc
+
+    a = 0.5 * (k + 1)
+    return 0.5 * beta(a, 0.5) * betainc(a, 0.5, math.sin(x) ** 2)
+
+
+TABLE_S = [float(s) for s in np.arange(-0.95, 0.951, 0.05)]
+
+
+@pytest.mark.parametrize("n", range(2, kernels.N_MAX + 1))
+def test_closed_form_matches_incomplete_beta(n):
+    # omega_closed keeps its relative accuracy as s -> -1, where the upward
+    # reduction formula cancelled (5.6e-10 relative at n = 12, 9e-4 at 24)
+    k = n - 1
+    whole = 2.0 * sin_power_near(k, 0.5 * math.pi)
+    for s in TABLE_S:
+        x = math.acos(abs(s))  # the tail over [arccos s, pi] for s <= 0
+        tail = sin_power_near(k, x) if s <= 0.0 else whole - sin_power_near(k, x)
+        want = -((1.0 - s * s) ** (-n / 2.0)) * tail
+        assert abs(kernels.omega_closed(s, n) - want) <= 1e-12 * abs(want), s
+
+
+@pytest.mark.parametrize("k", [6, 11, 31, 64])
+def test_sin_power_integral_both_ends(k):
+    # integrals from either end, across pi/2 and between two points on
+    # one side, against the incomplete beta function
+    for x in (1e-3, 0.05, 0.3, 1.2, 0.5 * math.pi):
+        near = sin_power_near(k, x)
+        assert abs(kernels._sin_power_integral(k, 0.0, x) - near) <= 1e-12 * near, x
+        near = sin_power_near(k, math.pi - x)
+        assert abs(kernels._sin_power_integral(k, math.pi - x, math.pi) - near) <= 1e-12 * near, x
+    whole = 2.0 * sin_power_near(k, 0.5 * math.pi)
+    assert abs(kernels._sin_power_integral(k, 0.0, math.pi) - whole) <= 1e-13 * whole
+    got = kernels._sin_power_integral(k, 0.3, 1.2)
+    want = sin_power_near(k, 1.2) - sin_power_near(k, 0.3)
+    assert abs(got - want) <= 1e-12 * want
+    assert kernels._sin_power_integral(k, 1.2, 0.3) == -got
+
+
 def _omega_raw_quadrature(s, n):
     """Independent oracle: adaptive quadrature in the raw radial variable."""
     val, _ = quad(
@@ -194,6 +240,14 @@ class TestOmega:
         assert abs(kernels.omega_radial(0.0, P2) - _omega_raw_quadrature(0.0, 2)) < 1e-10
         assert abs(kernels.omega_radial(0.0, P2) + 1.0) < 1e-10
         assert abs(kernels.omega_radial(0.5, P2) + 2.0) < 1e-10
+
+    @pytest.mark.parametrize("n", range(2, kernels.N_MAX + 1))
+    def test_routes_agree_up_to_max_dimension(self, n):
+        # the three routes of the kernels table agree within 1e-10 relative
+        rows, _ = kernels.kernel_table(n)
+        for s, radial, closed, firey in rows:
+            assert abs(radial - closed) <= 1e-10 * abs(closed), s
+            assert abs(firey - closed) <= 1e-10 * abs(closed), s
 
     def test_closed_form_n2(self):
         for s in np.arange(-0.95, 0.951, 0.05):
