@@ -24,8 +24,9 @@ Exit codes: 0 success/holds, 2 a requested criterion fails, 3 inconclusive,
 1 error.  Errors include command-line usage errors (unknown flags, bad
 values), which print the usage and write no report; every other error is
 reported as {"type": ..., "message": ...} in the report's ``error`` field,
-an unwritable output file as its OSError, which names the path; an
-unwritable ``--report`` path prints that error as one line to stderr.
+an unwritable output file as its OSError, which names the path, and a size
+too large for memory as a MemoryError; an unwritable ``--report`` path
+prints that error as one line to stderr.
 Reports are deterministic for a fixed config and seed (the timings block is
 excluded from that contract).  A reader that closes stdout early (``| head``)
 ends the command with exit code 1 and no traceback.
@@ -300,7 +301,8 @@ def _config_echo(args) -> dict:
 
 
 def _criteria_names(spec: str) -> list:
-    names = [name.strip().lower() for name in spec.split(",")]
+    """The criteria of ``spec`` in order, each once."""
+    names = list(dict.fromkeys(name.strip().lower() for name in spec.split(",")))
     known = [c.value for c in convexity.Criterion]
     for name in names:
         if name not in known:
@@ -470,12 +472,15 @@ def _main(argv) -> int:
             "error": {"type": "OrthogonalityViolation", "defect": list(exc.defect)},
         }
         code = 1
-    except (ChristoffelError, OSError) as exc:
+    except (ChristoffelError, OSError, MemoryError) as exc:
         # a failed read is a ParseError, so an OSError is an output file
-        # that cannot be written; its message names the path
+        # that cannot be written; its message names the path.  A
+        # MemoryError is a size beyond the machine, such as the grid of a
+        # huge --L, reported under the base name whatever subclass raised it
+        name = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
         report = {
             "config": _config_echo(args),
-            "error": {"type": type(exc).__name__, "message": str(exc)},
+            "error": {"type": name, "message": str(exc)},
         }
         if isinstance(exc, NonConvergence):
             # the best iterate's figures and trace explain the failure

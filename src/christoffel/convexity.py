@@ -29,10 +29,13 @@ subtracted f(x), <z, grad f(x)> and x (x) V(x), and the z z^T and
 z_c z z^T moments act only along x, so they leave the tangent block.
 
 The 6 packed channels sym(z (x) V) resp. f z z^T are spherical polynomials
-of degree <= L_max + 2: they are formed on the Gauss grid of
-:attr:`harmonics.HarmonicCoeffs.channel_field`, analyzed exactly at that
-band, multiplied degree by degree (:func:`_multipliers`) and synthesized on
-the grid of f (:func:`criterion_forms`).  The minimum over unit tangent xi
+of degree <= L_max + 2, and each is f times coordinates: their coefficients
+come from those of f by multiplication by the coordinates, which moves each
+degree to its two neighbours (:func:`harmonics.coordinate_product`; V by
+:func:`harmonics.ambient_gradient`).  They are multiplied degree by degree
+(:func:`_multipliers`) and synthesized on the grid of f in one stacked
+transform (:func:`criterion_forms`), with no other grid and no
+quadrature.  The minimum over unit tangent xi
 at a node is the smaller eigenvalue of a 2x2 matrix, in closed form.  It
 does not depend on the tangent frame, so every node form is read in the
 node's own (e_theta, e_phi) frame (:attr:`sphere.SphereGrid.frame`), where
@@ -62,7 +65,7 @@ import numpy as np
 
 from . import harmonics, kernels
 from .errors import NotPositive
-from .harmonics import _SYM_COLS, _SYM_FULL, _SYM_ROWS, HarmonicCoeffs
+from .harmonics import _SYM_FULL, HarmonicCoeffs, _sym_pack
 # tangent_bases is unused here; bench/tests/test_bench.py reads this binding
 from .sphere import SpherePoint, TangentDirection, tangent_bases  # noqa: F401
 
@@ -120,19 +123,13 @@ def criterion_forms(f, criterion: Criterion | str):
     crit = Criterion(criterion)
     coeffs = f.coeffs
     L_max = coeffs.L_max
-    g = coeffs.channel_field
-    Z = g.grid.nodes
     if crit is Criterion.CR1:
-        V = g.gradient - g.values[:, None] * Z
-        cols = 0.5 * (Z[:, _SYM_ROWS] * V[:, _SYM_COLS] + Z[:, _SYM_COLS] * V[:, _SYM_ROWS])
+        inner = harmonics.ambient_gradient(coeffs.c, -1)  # V = Df
     else:
-        cols = g.values[:, None] * Z[:, _SYM_ROWS] * Z[:, _SYM_COLS]
-    mu = _multipliers(crit, L_max)
-    channels = [HarmonicCoeffs(L_max=L_max + 2, c=mu * ch.c)
-                for ch in harmonics.analyze_channels(g.grid, cols, L_max + 2)]
-
-    S = np.stack([harmonics.synthesize(ch, f.grid).values for ch in channels],
-                 axis=-1)[:, _SYM_FULL]
+        inner = np.sum(harmonics.coordinate_product(coeffs.c), axis=0)  # f z
+    channels = _sym_pack(np.sum(harmonics.coordinate_product(inner), axis=0))
+    channels *= _multipliers(crit, L_max)[:, None]
+    S = harmonics.synthesize_channels(channels, f.grid)[:, _SYM_FULL]
     if crit is Criterion.CR1:
         return np.zeros(len(S)), S
     scalar = HarmonicCoeffs(L_max=L_max, c=-(_harmonic_numbers(L_max) + 0.5) * coeffs.c)
@@ -190,11 +187,14 @@ def sweep(f, criterion: Criterion | str) -> SweepResult:
     4, eps the float64 machine epsilon and mu_l the criterion's
     :func:`_multipliers` (the scalar multipliers H_l + 1/2 of CR2 are
     smaller).  It grows with the largest multiplier, as the rounding of the
-    analyzed channels is amplified degree by degree.  On ellipsoids, bumps,
-    constant and random fields at (L, L_max) from (17, 16) to (96, 64) it
-    is at least 4x the largest gap, over all nodes, to min eig(Hess u + u I)
-    (4 pi times that for CR1).  |margin| below 10x the band is inconclusive
-    rather than a sign claim.  Returns a :class:`SweepResult`.
+    channel coefficients is amplified degree by degree.  On ellipsoids,
+    bumps, constant and random fields at (L, L_max) from (17, 16) to (96,
+    64) it is at least 8x the largest gap, over all nodes, to min eig(Hess
+    u + u I) (4 pi times that for CR1), and most of that gap is the
+    rounding of the Hessian's own grid route: on the bump at (128, 32) CR1
+    is within 0.01 band of the closed form and the Hessian 0.3 band off it.
+    |margin| below 10x the band is inconclusive rather than a sign claim.
+    Returns a :class:`SweepResult`.
     """
     crit = Criterion(criterion)
     _require_positive(f)

@@ -19,10 +19,12 @@ then shared, as in SHTns (Schaeffer 2013).  Module-level
 packed (m, l) layout and the flat coefficient indices of each order
 (:func:`_pair_index`, :func:`_order_index`) and the Legendre values at the
 L_max + 2 colatitudes of the scattered-point profiles
-(:func:`_profile_blocks`); keyed by (L, L_max), the Legendre values at the
-Gauss nodes of grid L, one recursion whose theta-derivative tables are
-derived from it (:func:`_grid_legendre`, :func:`_grid_blocks`), and the
-azimuth tables with their phi-derivative factors (:func:`_azimuth_plan`).
+(:func:`_profile_blocks`) and the gather tables of multiplication by the
+coordinates (:func:`_coordinate_plan`); keyed by (L, L_max), the Legendre
+values at the Gauss nodes of grid L, one recursion whose theta-derivative
+tables are derived from it (:func:`_grid_legendre`, :func:`_grid_blocks`),
+and the azimuth tables with their phi-derivative factors
+(:func:`_azimuth_plan`).
 Each cache keeps the last 4 to 16 keys, enough for every size one command
 uses.  Every cached array is read-only, so a stray in-place write raises
 ValueError instead of corrupting later transforms.  The tables hold the
@@ -48,19 +50,22 @@ D^2 G = E (Hess g + g I) E^T for any tangent frame E (Schneider, "Convex
 Bodies", 2nd ed., 2014, section 2.5).  A degree-l term contributes only
 d_i h, x_i h, d_ij h, x_i d_j h and x_i x_j h of its solid harmonic h, so
 the 3 entries of DG are spherical polynomials of degree <= L_max + 1 and the
-6 entries of D^2 G of degree <= L_max + 2.  They are analyzed once per
-coefficient set (:attr:`HarmonicCoeffs.extension_channels`) from the grid
-derivatives of :attr:`HarmonicCoeffs.channel_field`, the field on the Gauss
-grid L_max + 3, which integrates their products with the basis exactly.
-Point gradients and ambient Hessians then only synthesize channels, all
-channels of one band from one set of theta profiles: no (theta, phi) frame,
-no tangent basis and no pole test, so the points may be poles.  Grid
-derivatives are formed once per field and kept
+6 entries of D^2 G of degree <= L_max + 2.  Their coefficients come from
+the coefficients of g alone, once per coefficient set
+(:attr:`HarmonicCoeffs.extension_channels`): multiplication by a coordinate
+x_j moves each degree to its two neighbours (:func:`coordinate_product`),
+and the ambient derivatives of a homogeneous extension are weighted sums of
+those two parts (:func:`ambient_gradient`), so no grid and no quadrature is
+involved.  Point gradients and ambient Hessians then only synthesize
+channels, all channels of one band from one set of theta profiles: no
+(theta, phi) frame, no tangent basis and no pole test, so the points may be
+poles.  Grid derivatives are formed once per field and kept
 (:attr:`SphericalField.gradient`, :attr:`SphericalField.hessian`).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import NamedTuple
@@ -73,7 +78,7 @@ from .errors import (
     InvalidParameter,
     OrthogonalityViolation,
 )
-from .sphere import SphereGrid, _azimuths, _polar_rule, make_grid
+from .sphere import SphereGrid, _azimuths, _polar_rule
 
 DEFAULT_L_MAX = 32
 DEFAULT_GRID_L = 48
@@ -115,15 +120,6 @@ class HarmonicCoeffs:
         c = self.c / D
         c[1:4] = 0.0
         return HarmonicCoeffs(L_max=self.L_max, c=c)
-
-    @cached_property
-    def channel_field(self) -> SphericalField:
-        """This expansion on the Gauss grid L_max + 3 (at least 4), which
-        analyzes its channels of degree <= L_max + 2 exactly.  It holds its
-        own coefficient object over the same c, so it forms no reference
-        cycle with these coefficients and is freed with them."""
-        own = HarmonicCoeffs(L_max=self.L_max, c=self.c)
-        return synthesize(own, make_grid(max(self.L_max + 3, 4)))
 
     @cached_property
     def extension_channels(self) -> ExtensionChannels:
@@ -411,6 +407,16 @@ def synthesize(coeffs: HarmonicCoeffs, grid: SphereGrid) -> SphericalField:
     return SphericalField(grid=grid, values=vals.ravel(), coeffs=coeffs)
 
 
+def synthesize_channels(c: np.ndarray, grid: SphereGrid) -> np.ndarray:
+    """Values (N, C) on the grid of the C expansions whose flat coefficients
+    are the columns of c (K, C): one contraction per order for all."""
+    band = math.isqrt(c.shape[0]) - 1
+    A, B = _synth_theta_stacks(_grid_blocks(grid.L, band, 0), *_coeff_stacks(c, band), band)
+    cos_t, sin_t = _azimuth_plan(grid.L, band)[:2]
+    vals = np.swapaxes(A, 1, 2) @ cos_t + np.swapaxes(B, 1, 2) @ sin_t  # (L, C, 2L)
+    return np.swapaxes(vals, 1, 2).reshape(grid.node_count, -1)
+
+
 def _grid_profiles(coeffs: HarmonicCoeffs, grid: SphereGrid, order: int) -> list:
     """Theta profiles (A, B) of the theta-derivatives 0..``order`` at the
     rings of ``grid``, as :func:`_synth_theta_stacks`, entry d the d-th."""
@@ -436,6 +442,109 @@ def field_from_function(grid: SphereGrid, fn, L_max: int) -> SphericalField:
     at band limit L_max."""
     values = np.asarray(fn(grid.nodes), dtype=float)
     return SphericalField(grid=grid, values=values, coeffs=analyze(grid, values, L_max))
+
+
+# ----------------------------------------------------------------------
+# Multiplication by the coordinates
+# ----------------------------------------------------------------------
+
+@lru_cache(maxsize=4)
+def _coordinate_plan(band: int):
+    """Gather tables of multiplication by x_0, x_1, x_2 from band ``band``
+    to band + 1: (src, w, degree).  src and w are (2, 2, K, 3), axes (the
+    lowering and the raising part, source slot, target flat index,
+    coordinate j): target t of part p is sum_s w[p, s, t, j] c[src[p, s, t,
+    j]].  degree (K,) is the degree of each target.
+
+    In the complex basis Y_l^k = P_l^|k| e^{i k phi}, multiplication by z
+    keeps the order, with coefficient Z, and x + iy resp. x - iy move order
+    k to k + 1 resp. k - 1 with coefficients P resp. Q.  From source degree
+    l and order k >= 0 the raising part (to l + 1) has P = A, Q = -C and Z
+    = sqrt(((l + 1)^2 - k^2) / ((2l + 1)(2l + 3))), the lowering part (to l
+    - 1) P = -B, Q = D and Z = sqrt((l^2 - k^2) / ((2l - 1)(2l + 1))), with
+
+        A = sqrt((l + k + 1)(l + k + 2) / ((2l + 1)(2l + 3))),
+        B = sqrt((l - k)(l - k - 1) / ((2l - 1)(2l + 1))),
+        C = sqrt((l - k + 1)(l - k + 2) / ((2l + 1)(2l + 3))),
+        D = sqrt((l + k)(l + k - 1) / ((2l - 1)(2l + 1))).
+
+    With x = ((x + iy) + (x - iy)) / 2, y = ((x + iy) - (x - iy)) / 2i and
+    the complex coefficients a_0 = c_0, a_{+-k} = (c_k -+ i c_{-k}) /
+    sqrt(2) of a real expansion, target order m of x c and y c draws on
+    source order |m| - 1 (slot 0, times P / 2) and |m| + 1 (slot 1, times
+    Q / 2).  x keeps cosine and sine terms, y swaps them and negates slot 0
+    into a cosine and slot 1 into a sine target.  A cosine source of order
+    0 weighs sqrt(2) and a sine one does not exist; target order 0 takes
+    slot 1 alone, times sqrt(2).  z c draws on order m in slot 0.
+    """
+    n = band + 2
+    l = np.repeat(np.arange(n), 2 * np.arange(n) + 1)
+    m = np.arange(n * n) - l * l - l
+    mu, sine = np.abs(m), m < 0
+    step = np.array([[-1], [1]])  # the lowering and the raising part
+    ls = l - step  # source degree, (2, K)
+    den = (2 * ls + 1) * (2 * ls + 1 + 2 * step)
+
+    def root(num):
+        return np.sqrt(np.maximum(num / den, 0.0))
+
+    up, k, q = step > 0, mu - 1, mu + 1
+    P = np.where(up, root((ls + k + 1) * (ls + k + 2)), -root((ls - k) * (ls - k - 1)))
+    Q = np.where(up, -root((ls - q + 1) * (ls - q + 2)), root((ls + q) * (ls + q - 1)))
+    Z = root(np.where(up, (ls + 1) ** 2, ls * ls) - mu * mu)
+    orders = np.empty((2, n * n, 3), dtype=int)
+    weights = np.zeros((2, 2, n * n, 3))
+    for j, from_sine in ((0, sine), (1, ~sine)):
+        # the factors of slot 0 and slot 1 at each target
+        f0 = np.where(m == 0, 0.0, np.where(k == 0, np.where(from_sine, 0.0, np.sqrt(2.0)), 1.0))
+        f1 = np.where(m == 0, np.sqrt(2.0), 1.0)
+        if j == 1:
+            f0, f1 = np.where(m > 0, -f0, f0), np.where(sine, -f1, f1)
+        orders[0, :, j] = np.where(from_sine, -k, k)
+        orders[1, :, j] = np.where(from_sine, -q, q)
+        weights[:, 0, :, j] = 0.5 * f0 * P
+        weights[:, 1, :, j] = 0.5 * f1 * Q
+    orders[0, :, 2], orders[1, :, 2] = m, 0
+    weights[:, 0, :, 2] = Z
+    ls = ls[:, None, :, None]
+    ok = (ls >= 0) & (ls <= band) & (np.abs(orders) <= ls) & (weights != 0.0)
+    src = np.where(ok, ls * ls + ls + orders, 0)
+    return _read_only(src, np.where(ok, weights, 0.0), l)
+
+
+def coordinate_product(c: np.ndarray) -> np.ndarray:
+    """Products x_j g, j = 0, 1, 2, of the expansion g with flat
+    coefficients c at band L, (K,) or (K, C) for C channels.
+
+    Multiplication by a coordinate moves degree l to l - 1 and l + 1 only
+    (as the spectral operators of SHTns, Schaeffer 2013), by the gather
+    tables of :func:`_coordinate_plan`.  Returns the lowering and the
+    raising part apart, stacked (2, K', 3, ...) with K' = (L + 2)^2 at band
+    L + 1 and the coordinate j on the axis after it: x_j g is their sum.
+    The operator is symmetric, so the lowering part from band L + 1 is the
+    transpose of the raising part from band L.
+    """
+    c = np.asarray(c)
+    src, w, _ = _coordinate_plan(math.isqrt(c.shape[0]) - 1)
+    terms = np.take(c, src, axis=0) * w.reshape(w.shape + (1,) * (c.ndim - 1))
+    return terms[:, 0] + terms[:, 1]
+
+
+def ambient_gradient(c: np.ndarray, d: int) -> np.ndarray:
+    """Ambient gradient on S^2 of the d-homogeneous extension |y|^d g(y/|y|)
+    of the expansion g with flat coefficients c (K,) or (K, C): grad g +
+    d g x, at band L + 1, (K', 3, ...) with the component j second.
+
+    With g_k the degree-k part, the solid harmonic |y|^k g_k has d_j =
+    (2k + 1) [x_j g_k]_{k-1} on S^2 (its derivative is a solid harmonic of
+    degree k - 1), and the extension of g_k is |y|^{d-k} times it; so d_j =
+    (k + d + 1) [x_j g_k]_{k-1} + (d - k) [x_j g_k]_{k+1}, weighted by the
+    source degree k, from the two parts of :func:`coordinate_product`.
+    """
+    lower, upper = coordinate_product(c)
+    l = _coordinate_plan(math.isqrt(np.shape(c)[0]) - 1)[2]
+    l = l.reshape((-1,) + (1,) * (lower.ndim - 1))
+    return (l + d + 2) * lower + (d + 1 - l) * upper
 
 
 # ----------------------------------------------------------------------
@@ -502,24 +611,20 @@ def synthesize_at(coeffs, points) -> np.ndarray:
     return np.sum(A * z.real + B * z.imag, axis=1)
 
 
-def analyze_channels(grid: SphereGrid, values: np.ndarray, band: int) -> tuple:
-    """Coefficients at ``band`` of every column of ``values`` (N, C)."""
-    return tuple(analyze(grid, v, band) for v in values.T)
+def _sym_pack(P: np.ndarray) -> np.ndarray:
+    """Symmetric parts of stacks of 3x3 matrices P (..., 3, 3), packed
+    (..., 6) in the order of _SYM_ROWS/_SYM_COLS."""
+    return 0.5 * (P[..., _SYM_ROWS, _SYM_COLS] + P[..., _SYM_COLS, _SYM_ROWS])
 
 
 def _extension_channels(coeffs: HarmonicCoeffs) -> ExtensionChannels:
-    """DG and D^2 G of the 1-homogeneous extension from the grid gradient
-    and Hessian of :attr:`HarmonicCoeffs.channel_field`, analyzed at their
-    exact bands."""
-    L_max = coeffs.L_max
-    field = coeffs.channel_field
-    grid, g = field.grid, field.values
-    DG = field.gradient + g[:, None] * grid.nodes
-    E = np.stack([grid.frame.e_th, grid.frame.e_ph], axis=2)  # (N, 3, 2)
-    H = field.hessian + g[:, None, None] * np.eye(2)
-    D2G = np.einsum("nik,nkl,njl->nij", E, H, E)[:, _SYM_ROWS, _SYM_COLS]
-    return ExtensionChannels(grad=analyze_channels(grid, DG, L_max + 1),
-                             hess=analyze_channels(grid, D2G, L_max + 2))
+    """DG and D^2 G of the 1-homogeneous extension by
+    :func:`ambient_gradient`: DG_i at d = 1, D^2 G_ij = d_j DG_i at d = 0."""
+    DG = ambient_gradient(coeffs.c, 1)
+    D2G = _sym_pack(ambient_gradient(DG, 0))
+    return ExtensionChannels(
+        grad=tuple(HarmonicCoeffs(L_max=coeffs.L_max + 1, c=ch) for ch in DG.T),
+        hess=tuple(HarmonicCoeffs(L_max=coeffs.L_max + 2, c=ch) for ch in D2G.T))
 
 
 def values_and_gradient_at(coeffs: HarmonicCoeffs, points):

@@ -4,7 +4,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from christoffel import body, harmonics, sphere
+from christoffel import body, convexity, harmonics, sphere
 from christoffel.errors import InvalidParameter
 
 
@@ -126,6 +126,68 @@ def hessian_at(coeffs, points):
     E = np.stack(sphere.tangent_bases(pts), axis=2)
     T = np.einsum("nki,nkl,nlj->nij", E, chans[:, harmonics._SYM_FULL], E)
     return T - chans[:, -1, None, None] * np.eye(2)
+
+
+# ----------------------------------------------------------------------
+# Channels on a second Gauss grid: the oracle of multiplication by the
+# coordinates, of the extension channels and of the criterion forms
+# ----------------------------------------------------------------------
+
+def channel_grid(L_max):
+    """The Gauss grid L_max + 3 (at least 4): it analyzes every product of
+    an expansion of band L_max with two coordinates, of degree <= L_max +
+    2, exactly."""
+    return sphere.make_grid(max(L_max + 3, 4))
+
+
+def grid_coordinate_product(c, j, grid):
+    """Coefficients of x_j g at band L + 1, for g with flat coefficients c
+    at band L: x_j times g's values at the nodes of ``grid``, analyzed."""
+    L_max = int(np.sqrt(len(c))) - 1
+    g = harmonics.synthesize(harmonics.HarmonicCoeffs(L_max=L_max, c=c), grid)
+    return harmonics.analyze(grid, grid.nodes[:, j] * g.values, L_max + 1).c
+
+
+def grid_extension_channels(coeffs):
+    """DG and D^2 G of the 1-homogeneous extension from the grid gradient
+    and Hessian of g on :func:`channel_grid`, analyzed at their exact
+    bands: (DG (K1, 3), D^2 G (K2, 6) packed as harmonics._SYM_ROWS/COLS)."""
+    L_max = coeffs.L_max
+    field = harmonics.synthesize(coeffs, channel_grid(L_max))
+    grid, g = field.grid, field.values
+    DG = field.gradient + g[:, None] * grid.nodes
+    E = np.stack([grid.frame.e_th, grid.frame.e_ph], axis=2)  # (N, 3, 2)
+    H = field.hessian + g[:, None, None] * np.eye(2)
+    D2G = np.einsum("nik,nkl,njl->nij", E, H, E)[:, harmonics._SYM_ROWS, harmonics._SYM_COLS]
+    return (np.stack([harmonics.analyze(grid, v, L_max + 1).c for v in DG.T], axis=1),
+            np.stack([harmonics.analyze(grid, v, L_max + 2).c for v in D2G.T], axis=1))
+
+
+def grid_criterion_forms(f, criterion):
+    """:func:`convexity.criterion_forms` with the channels sym(z (x) V) resp.
+    f z z^T formed on :func:`channel_grid` from f's values and grid
+    gradient there, analyzed at band L_max + 2 and synthesized channel by
+    channel on f's grid."""
+    crit = convexity.Criterion(criterion)
+    coeffs = f.coeffs
+    L_max = coeffs.L_max
+    g = harmonics.synthesize(coeffs, channel_grid(L_max))
+    Z = g.grid.nodes
+    rows, cols = harmonics._SYM_ROWS, harmonics._SYM_COLS
+    if crit is convexity.Criterion.CR1:
+        V = g.gradient - g.values[:, None] * Z
+        chans = 0.5 * (Z[:, rows] * V[:, cols] + Z[:, cols] * V[:, rows])
+    else:
+        chans = g.values[:, None] * Z[:, rows] * Z[:, cols]
+    mu = convexity._multipliers(crit, L_max)
+    S = np.stack([harmonics.synthesize(harmonics.HarmonicCoeffs(
+        L_max=L_max + 2, c=mu * harmonics.analyze(g.grid, v, L_max + 2).c), f.grid).values
+        for v in chans.T], axis=-1)[:, harmonics._SYM_FULL]
+    if crit is convexity.Criterion.CR1:
+        return np.zeros(len(S)), S
+    scalar = harmonics.HarmonicCoeffs(
+        L_max=L_max, c=-(convexity._harmonic_numbers(L_max) + 0.5) * coeffs.c)
+    return harmonics.synthesize(scalar, f.grid).values, S
 
 
 def principal_radii(u, x):

