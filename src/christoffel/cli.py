@@ -139,6 +139,11 @@ def _field_from_csv(path: str, grid) -> np.ndarray:
     return values
 
 
+# largest --L: 8x the largest grid of the tests and workloads (256).  Grid L
+# has 2 L^2 nodes of a dozen floats each (0.8 GB at 2048) and its
+# Gauss-Legendre rule forms an (L, L) matrix: a larger L is refused at once
+MAX_GRID_L = 2048
+
 # range of every value of a field source: below it f^2 in the Guan-Ma form
 # is subnormal and 2/f overflows, above it squared Hessian entries overflow
 _F_MIN, _F_MAX = 1e-100, 1e100
@@ -253,7 +258,7 @@ def _make_parser():
             p.add_argument("--input", type=str, default="family:constant:c=2",
                            help="field source: file:<path> or family:<name>:<params>")
             p.add_argument("--L", type=int, default=harmonics.DEFAULT_GRID_L,
-                           help="grid resolution")
+                           help=f"grid resolution, 4 to {MAX_GRID_L}")
             p.add_argument("--Lmax", type=int, default=harmonics.DEFAULT_L_MAX,
                            help="band limit")
             p.add_argument("--tol", type=float, default=1e-8, help=(
@@ -337,6 +342,8 @@ def run(args) -> tuple[dict, int]:
     timings = {}
     t_start = time.perf_counter()
     code = 0
+    if getattr(args, "L", 0) > MAX_GRID_L:  # before make_grid allocates anything
+        raise InvalidParameter(f"grid needs L <= {MAX_GRID_L}, got {args.L}")
 
     if args.command == "solve":
         _, f, u = _solve_pipeline(args, report)

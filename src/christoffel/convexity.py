@@ -189,10 +189,10 @@ def sweep(f, criterion: Criterion | str) -> SweepResult:
     smaller).  It grows with the largest multiplier, as the rounding of the
     channel coefficients is amplified degree by degree.  On ellipsoids,
     bumps, constant and random fields at (L, L_max) from (17, 16) to (96,
-    64) it is at least 8x the largest gap, over all nodes, to min eig(Hess
+    64) it is at least 9x the largest gap, over all nodes, to min eig(Hess
     u + u I) (4 pi times that for CR1), and most of that gap is the
     rounding of the Hessian's own grid route: on the bump at (128, 32) CR1
-    is within 0.01 band of the closed form and the Hessian 0.3 band off it.
+    is within 0.01 band of the closed form and the Hessian 0.07 band off it.
     |margin| below 10x the band is inconclusive rather than a sign claim.
     Returns a :class:`SweepResult`.
     """

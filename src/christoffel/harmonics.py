@@ -14,30 +14,29 @@ the operator acts on degree l as multiplication by 2 - l*(l+1), with the
 degree-1 harmonics spanning its kernel.
 
 Transform plan: every table a transform reads is built once per size and
-then shared, as in SHTns (Schaeffer 2013).  Module-level
-``functools.lru_cache`` entries hold, keyed by the band limit L_max, the
-packed (m, l) layout and the flat coefficient indices of each order
-(:func:`_pair_index`, :func:`_order_index`) and the Legendre values at the
-L_max + 2 colatitudes of the scattered-point profiles
+then shared, as in SHTns (Schaeffer 2013), in module-level
+``functools.lru_cache`` entries that keep the last 4 to 16 keys, enough
+for every size one command uses.  Keyed by the band limit L_max: the
+packed (m, l) layout (:func:`_pair_index`, :func:`_order_index`), the
+Legendre values at the colatitudes of the scattered-point profiles
 (:func:`_profile_blocks`) and the gather tables of multiplication by the
-coordinates (:func:`_coordinate_plan`); keyed by (L, L_max), the Legendre
-values at the Gauss nodes of grid L, one recursion whose theta-derivative
-tables are derived from it (:func:`_grid_legendre`, :func:`_grid_blocks`),
-and the azimuth tables with their phi-derivative factors
-(:func:`_azimuth_plan`).
-Each cache keeps the last 4 to 16 keys, enough for every size one command
-uses.  Every cached array is read-only, so a stray in-place write raises
-ValueError instead of corrupting later transforms.  The tables hold the
-values the transforms computed per call before, and the arithmetic on
-them is unchanged, so results are bit-identical to building the tables
-afresh on each call.
+coordinates (:func:`_coordinate_plan`) and of the grid-derivative columns
+(:func:`_ladder_plan`).  Keyed by (L, L_max): the one Legendre table at the
+Gauss nodes of grid L (:func:`_grid_legendre`, per order
+:func:`_grid_blocks`) and the azimuth tables cos m phi and sin m phi
+(:func:`_azimuth_plan`).  Every cached array is read-only, so a stray
+in-place write raises ValueError instead of corrupting later transforms,
+and results are bit-identical to building the tables afresh on each call.
 
-Grid derivatives are taken by order.  :func:`_grid_profiles` contracts the
-coefficients with the Legendre tables of theta-derivative orders 0..k;
-:func:`synthesize` reads order 0, :func:`grid_gradient` orders <= 1 and
-:func:`grid_hessian` orders <= 2, each times the azimuth rows, or their
-m and m^2 multiples for phi-derivatives.  They are formed in the node
-frame (e_theta, e_phi) that each grid keeps (:attr:`SphereGrid.frame`).
+Grid derivatives read the same Legendre table.  The theta-derivative of
+P_l^m combines P_l^(m-1) and P_l^(m+1), the order ladder, so it is a
+gather in coefficient space, as is the Laplacian -l(l + 1) c
+(:func:`_ladder_plan`).  One contraction per order with those columns
+gives the profiles (:attr:`SphericalField._profiles`) of both
+:func:`grid_gradient` and :func:`grid_hessian`; phi-derivatives multiply
+them by m and m^2, and the theta-theta entry is the Laplacian minus the
+phi-phi entry.  Each field keeps its derivatives in its node frame
+(:attr:`SphericalField.gradient`, :attr:`SphericalField.hessian`).
 
 The solvability condition int x f = 0 concerns the degree-1 part of f
 alone, and the real Y_1^m are sqrt(3/4pi) (x_2, x_3, x_1): so
@@ -59,8 +58,7 @@ those two parts (:func:`ambient_gradient`), so no grid and no quadrature is
 involved.  Point gradients and ambient Hessians then only synthesize
 channels, all channels of one band from one set of theta profiles: no
 (theta, phi) frame, no tangent basis and no pole test, so the points may be
-poles.  Grid derivatives are formed once per field and kept
-(:attr:`SphericalField.gradient`, :attr:`SphericalField.hessian`).
+poles.
 """
 
 from __future__ import annotations
@@ -160,6 +158,20 @@ class SphericalField:
         object.__setattr__(self, "values", v)
 
     @cached_property
+    def _profiles(self) -> np.ndarray:
+        """Profiles (L, 2, 4, L_max + 1) of the :func:`_ladder_plan` columns
+        at the rings, one pass for the gradient and the Hessian: cosine and
+        sine (axis 1) of value, Laplacian, down and up rung (axis 2)."""
+        L, L_max = self.grid.L, self.coeffs.L_max
+        src, w = _ladder_plan(L_max)
+        cols = self.coeffs.c[src] * w
+        offsets = _pair_index(L_max)[2]
+        prof = np.empty((L, 8, L_max + 1))
+        for m, block in enumerate(_grid_blocks(L, L_max)):
+            prof[:, :, m] = block @ cols[offsets[m] : offsets[m + 1]]
+        return _read_only(prof.reshape(L, 2, 4, L_max + 1))[0]
+
+    @cached_property
     def gradient(self) -> np.ndarray:
         """:func:`grid_gradient` of this field, formed once, kept read-only."""
         return _read_only(grid_gradient(self))[0]
@@ -191,33 +203,23 @@ def _read_only(*arrays):
 def _pair_index(L_max: int):
     """Packed (m, l) pair layout, m-major with l ascending within each m.
 
-    Returns (m_arr, l_arr, offsets, prev_col, cos_idx, sin_idx): prev_col is
-    the packed column of (l-1, m) or -1, cos/sin_idx map pairs to flat
-    coefficient indices (l, +-m).
+    Returns (m_arr, l_arr, offsets, cos_idx, sin_idx): cos/sin_idx map
+    pairs to flat coefficient indices (l, +-m).
     """
-    ms, ls = [], []
-    for m in range(L_max + 1):
-        for l in range(m, L_max + 1):
-            ms.append(m)
-            ls.append(l)
-    m_arr = np.array(ms, dtype=int)
-    l_arr = np.array(ls, dtype=int)
-    offsets = np.zeros(L_max + 2, dtype=int)
-    for m in range(L_max + 1):
-        offsets[m + 1] = offsets[m] + (L_max + 1 - m)
-    prev = np.where(l_arr - 1 >= m_arr, np.arange(len(ms)) - 1, -1)
+    counts = np.arange(L_max + 1, 0, -1)  # L_max + 1 - m degrees of order m
+    offsets = np.concatenate([[0], np.cumsum(counts)])
+    m_arr = np.repeat(np.arange(L_max + 1), counts)
+    l_arr = np.arange(offsets[-1]) - offsets[m_arr] + m_arr
     cos_idx = l_arr * l_arr + l_arr + m_arr
     sin_idx = l_arr * l_arr + l_arr - m_arr
-    return _read_only(m_arr, l_arr, offsets, prev, cos_idx, sin_idx)
+    return _read_only(m_arr, l_arr, offsets, cos_idx, sin_idx)
 
 
 @lru_cache(maxsize=8)
 def _order_index(L_max: int):
     """Flat coefficient indices of each order m: (cos, sin) tuples indexed
     by m, entry m listing (l, m) resp. (l, -m) for l = m..L_max."""
-    _, _, offsets, _, cos_idx, sin_idx = _pair_index(L_max)
-    orders = [slice(offsets[m], offsets[m + 1]) for m in range(L_max + 1)]
-    return tuple(cos_idx[o] for o in orders), tuple(sin_idx[o] for o in orders)
+    return tuple(_order_blocks(idx, L_max) for idx in _pair_index(L_max)[3:])
 
 
 def _legendre_packed(t: np.ndarray, L_max: int) -> np.ndarray:
@@ -229,7 +231,7 @@ def _legendre_packed(t: np.ndarray, L_max: int) -> np.ndarray:
     The degree recursion is vectorized across all orders m one diagonal
     l - m at a time.
     """
-    m_arr, _, offsets, _, _, _ = _pair_index(L_max)
+    m_arr, _, offsets, _, _ = _pair_index(L_max)
     t = np.asarray(t, dtype=float)
     s = np.sqrt(np.maximum(0.0, 1.0 - t * t))
     n_pts = t.shape[0]
@@ -254,61 +256,23 @@ def _legendre_packed(t: np.ndarray, L_max: int) -> np.ndarray:
     return P
 
 
-def _legendre_derivative(t: np.ndarray, tables, L_max: int) -> np.ndarray:
-    """The next theta-derivative of the packed Legendre values at t, from
-    ``tables`` = (P,) or (P, dP/dtheta): no second recursion."""
-    m_arr, l_arr, _, prev, _, _ = _pair_index(L_max)
-    s = np.sqrt(np.maximum(0.0, 1.0 - t * t))
-    inv_s = np.where(s > 0, 1.0 / np.maximum(s, 1e-300), 0.0)
-    P = tables[0]
-    if len(tables) == 1:
-        # dP/dtheta = (l t P_l^m - c_lm P_{l-1}^m) / sin(theta)
-        Pprev = np.empty_like(P)
-        valid = prev >= 0
-        Pprev[valid] = P[prev[valid]]
-        Pprev[~valid] = 0.0
-        c_lm = np.sqrt(
-            (2.0 * l_arr + 1.0) * (l_arr * l_arr - m_arr * m_arr)
-            / np.maximum(2.0 * l_arr - 1.0, 1.0)
-        )
-        return (l_arr[:, None] * t[None, :] * P - c_lm[:, None] * Pprev) * inv_s[None, :]
-    # Legendre ODE in theta: P'' = -cot(theta) P' - (l(l+1) - m^2/sin^2) P
-    cot = t * inv_s
-    return (
-        -cot[None, :] * tables[1]
-        - (
-            (l_arr * (l_arr + 1.0))[:, None]
-            - (m_arr * m_arr)[:, None] * (inv_s * inv_s)[None, :]
-        )
-        * P
-    )
-
-
-def _order_blocks(tables, L_max: int):
-    """Per-order views of packed tables: entry m is a tuple with one array
-    of shape (n_pts, L_max + 1 - m), column l - m, per table."""
+def _order_blocks(P: np.ndarray, L_max: int):
+    """Per-order views of a packed table (n_pairs, n_pts) or index array:
+    entry m is (n_pts, L_max + 1 - m) resp. (L_max + 1 - m,), index l - m."""
     offsets = _pair_index(L_max)[2]
-    return tuple(
-        tuple(arr[offsets[m] : offsets[m + 1], :].T for arr in tables)
-        for m in range(L_max + 1)
-    )
+    return tuple(P[offsets[m] : offsets[m + 1]].T for m in range(L_max + 1))
 
 
 @lru_cache(maxsize=16)
-def _grid_legendre(L: int, L_max: int, nderiv: int):
-    """Packed P and its first ``nderiv`` theta-derivatives at the Gauss
-    nodes of grid L.  Each level extends the one below it, so one recursion
-    per (L, L_max) serves every derivative order."""
-    t = _polar_rule(L)[0]
-    if nderiv == 0:
-        return _read_only(_legendre_packed(t, L_max))
-    lower = _grid_legendre(L, L_max, nderiv - 1)
-    return lower + _read_only(_legendre_derivative(t, lower, L_max))
+def _grid_legendre(L: int, L_max: int) -> np.ndarray:
+    """Packed P at the Gauss nodes of grid L: the one table that every grid
+    transform of band L_max reads."""
+    return _read_only(_legendre_packed(_polar_rule(L)[0], L_max))[0]
 
 
 @lru_cache(maxsize=16)
-def _grid_blocks(L: int, L_max: int, nderiv: int):
-    return _order_blocks(_grid_legendre(L, L_max, nderiv), L_max)
+def _grid_blocks(L: int, L_max: int):
+    return _order_blocks(_grid_legendre(L, L_max), L_max)
 
 
 @lru_cache(maxsize=4)
@@ -317,19 +281,41 @@ def _profile_blocks(L_max: int):
     pi j / (L_max + 1) of :func:`_theta_profiles`."""
     n = L_max + 1
     P = _legendre_packed(np.cos(np.pi * np.arange(n + 1) / n), L_max)
-    return _order_blocks(_read_only(P), L_max)
+    return _order_blocks(_read_only(P)[0], L_max)
 
 
 @lru_cache(maxsize=8)
 def _azimuth_plan(L: int, L_max: int):
-    """Azimuth tables of grid L, each (L_max + 1, 2L): cos m phi and
-    sin m phi with the sqrt(2) factor for m > 0, then both times m and
-    times m^2 (the factors of the first and second phi-derivatives)."""
+    """The two azimuth tables of grid L, each (L_max + 1, 2L): cos m phi and
+    sin m phi with the sqrt(2) factor for m > 0.  Every transform reads
+    them; a phi-derivative multiplies the profiles by m, not the tables."""
     m = np.arange(L_max + 1)[:, None]
     arg = m * _azimuths(L)[None, :]
     scale = np.where(m > 0, np.sqrt(2.0), 1.0)
-    cos_t, sin_t = scale * np.cos(arg), scale * np.sin(arg)
-    return _read_only(cos_t, sin_t, m * cos_t, m * sin_t, m**2 * cos_t, m**2 * sin_t)
+    return _read_only(scale * np.cos(arg), scale * np.sin(arg))
+
+
+@lru_cache(maxsize=8)
+def _ladder_plan(L_max: int):
+    """Gather table (src, w), each (n_pairs, 8), of the columns that grid
+    derivatives contract with the Legendre table: column k of pair (m, l)
+    is w[p, k] c[src[p, k]].  Columns 0-3 take cosine, 4-7 sine terms: c_lm,
+    -l(l + 1) c_lm, the down rung a_l(m+1) c_l(m+1) / 2 of order m + 1 and
+    the up rung -a_lm c_l(m-1) / 2 of order m - 1 (-a_l1 c_l0 at m = 1),
+    with a_lm = sqrt((l + m)(l - m + 1)), from the order ladder d_theta
+    P_l^m = (a_lm P_l^(m-1) - a_l(m+1) P_l^(m+1)) / 2, d_theta P_l^0 =
+    -a_l1 P_l^1, which has no 1/sin(theta) (cf. SHTns, Schaeffer 2013).
+    """
+    m, l, _, _, _ = _pair_index(L_max)
+    flat = l * l + l
+    lap = -(l * (l + 1.0))
+    down = 0.5 * np.sqrt((l + m + 1.0) * (l - m))
+    up = -np.where(m == 1, 1.0, 0.5) * np.sqrt((l + m) * (l - m + 1.0))
+    src = np.stack([flat + m, flat + m, flat + m + 1, flat + m - 1,
+                    flat - m, flat - m, flat - m - 1, flat - m + 1], axis=1)
+    w = np.stack([np.ones(len(m)), lap, down, np.where(m > 0, up, 0.0),
+                  m > 0, np.where(m > 0, lap, 0.0), down, np.where(m > 1, up, 0.0)], axis=1)
+    return _read_only(np.where(w != 0.0, src, 0), w)
 
 
 def _coeff_stacks(c: np.ndarray, L_max: int):
@@ -339,21 +325,20 @@ def _coeff_stacks(c: np.ndarray, L_max: int):
     return [c[i] for i in cos_idx], [None] + [c[i] for i in sin_idx[1:]]
 
 
-def _synth_theta_stacks(blocks, cos_c, sin_c, L_max, deriv=0):
+def _synth_theta_stacks(blocks, cos_c, sin_c, L_max):
     """Contract Legendre blocks with coefficients over l.
 
     Returns (A, B) of shape (n_pts, L_max + 1), with a trailing channel
     axis when the coefficients have one: theta profiles multiplying the
     cos/sin azimuth rows.
     """
-    shape = (blocks[0][0].shape[0], L_max + 1) + cos_c[0].shape[1:]
+    shape = (blocks[0].shape[0], L_max + 1) + cos_c[0].shape[1:]
     A = np.zeros(shape)
     B = np.zeros(shape)
     for m in range(L_max + 1):
-        block = blocks[m][deriv]
-        A[:, m] = block @ cos_c[m]
+        A[:, m] = blocks[m] @ cos_c[m]
         if sin_c[m] is not None:
-            B[:, m] = block @ sin_c[m]
+            B[:, m] = blocks[m] @ sin_c[m]
     return A, B
 
 
@@ -383,9 +368,9 @@ def analyze(grid: SphereGrid, values: np.ndarray, L_max: int) -> HarmonicCoeffs:
     """
     require_band_limit(grid, L_max)
     vals = values.reshape(grid.L, grid.azimuth_count)
-    cos_t, sin_t = _azimuth_plan(grid.L, L_max)[:2]
+    cos_t, sin_t = _azimuth_plan(grid.L, L_max)
     w_phi = np.pi / grid.L
-    blocks = _grid_blocks(grid.L, L_max, 0)
+    blocks = _grid_blocks(grid.L, L_max)
     cos_idx, sin_idx = _order_index(L_max)
     wt = grid.polar_weights
     c = np.zeros((L_max + 1) ** 2)
@@ -393,16 +378,17 @@ def analyze(grid: SphereGrid, values: np.ndarray, L_max: int) -> HarmonicCoeffs:
         Fc = vals @ cos_t.T * w_phi  # (L, L_max+1)
         Fs = vals @ sin_t.T * w_phi
         for m in range(L_max + 1):
-            c[cos_idx[m]] = blocks[m][0].T @ (wt * Fc[:, m])
+            c[cos_idx[m]] = blocks[m].T @ (wt * Fc[:, m])
             if m > 0:
-                c[sin_idx[m]] = blocks[m][0].T @ (wt * Fs[:, m])
+                c[sin_idx[m]] = blocks[m].T @ (wt * Fs[:, m])
     return HarmonicCoeffs(L_max=L_max, c=c)
 
 
 def synthesize(coeffs: HarmonicCoeffs, grid: SphereGrid) -> SphericalField:
     """Evaluate the expansion on a grid; attaches the coefficients."""
-    A, B = _grid_profiles(coeffs, grid, 0)[0]
-    cos_t, sin_t = _azimuth_plan(grid.L, coeffs.L_max)[:2]
+    L_max = coeffs.L_max
+    A, B = _synth_theta_stacks(_grid_blocks(grid.L, L_max), *_coeff_stacks(coeffs.c, L_max), L_max)
+    cos_t, sin_t = _azimuth_plan(grid.L, L_max)
     vals = A @ cos_t + B @ sin_t
     return SphericalField(grid=grid, values=vals.ravel(), coeffs=coeffs)
 
@@ -411,18 +397,10 @@ def synthesize_channels(c: np.ndarray, grid: SphereGrid) -> np.ndarray:
     """Values (N, C) on the grid of the C expansions whose flat coefficients
     are the columns of c (K, C): one contraction per order for all."""
     band = math.isqrt(c.shape[0]) - 1
-    A, B = _synth_theta_stacks(_grid_blocks(grid.L, band, 0), *_coeff_stacks(c, band), band)
-    cos_t, sin_t = _azimuth_plan(grid.L, band)[:2]
+    A, B = _synth_theta_stacks(_grid_blocks(grid.L, band), *_coeff_stacks(c, band), band)
+    cos_t, sin_t = _azimuth_plan(grid.L, band)
     vals = np.swapaxes(A, 1, 2) @ cos_t + np.swapaxes(B, 1, 2) @ sin_t  # (L, C, 2L)
     return np.swapaxes(vals, 1, 2).reshape(grid.node_count, -1)
-
-
-def _grid_profiles(coeffs: HarmonicCoeffs, grid: SphereGrid, order: int) -> list:
-    """Theta profiles (A, B) of the theta-derivatives 0..``order`` at the
-    rings of ``grid``, as :func:`_synth_theta_stacks`, entry d the d-th."""
-    blocks = _grid_blocks(grid.L, coeffs.L_max, order)
-    cos_c, sin_c = _coeff_stacks(coeffs.c, coeffs.L_max)
-    return [_synth_theta_stacks(blocks, cos_c, sin_c, coeffs.L_max, d) for d in range(order + 1)]
 
 
 def bandlimit(grid: SphereGrid, values: np.ndarray, L_max: int):
@@ -646,36 +624,47 @@ def extension_hessian_at(coeffs: HarmonicCoeffs, points) -> np.ndarray:
     return synthesize_at(coeffs.extension_channels.hess, points)[:, _SYM_FULL]
 
 
+def _grid_derivatives(field: SphericalField, hessian: bool) -> np.ndarray:
+    """Rows f_theta, f_phi and, with ``hessian``, f_theta_phi, f_phi_phi and
+    the Laplacian at the grid nodes, (2 or 5, N), from the field's profiles:
+    d_theta of order m sums the down rung of order m - 1 and the up rung of
+    order m + 1; d_phi maps the cosine and sine profiles (X, Y) to m (Y, -X)."""
+    prof = field._profiles
+    n = prof.shape[-1]
+    m = np.arange(n)
+    turn = m * np.array([[1.0], [-1.0]])
+    val = prof[:, :, 0]
+    dth = np.zeros_like(val)
+    dth[..., 1:] = prof[:, :, 2, :-1]
+    dth[..., :-1] += prof[:, :, 3, 1:]
+    rows = [dth, turn * val[:, ::-1]]
+    if hessian:
+        rows += [turn * dth[:, ::-1], -(m * m) * val, prof[:, :, 1]]
+    X = np.stack(rows).reshape(len(rows) * len(val), 2 * n)  # cosine, sine per ring
+    return (X @ np.concatenate(_azimuth_plan(field.grid.L, n - 1))).reshape(len(rows), -1)
+
+
 def grid_gradient(field: SphericalField) -> np.ndarray:
     """Spherical gradient at every grid node, shape (N, 3): e_theta d_theta
     + e_phi d_phi / sin(theta), with no node at a pole."""
-    (A0, B0), (A1, B1) = _grid_profiles(field.coeffs, field.grid, 1)
-    cos_t, sin_t, m_cos, m_sin = _azimuth_plan(field.grid.L, field.coeffs.L_max)[:4]
-    dth = (A1 @ cos_t + B1 @ sin_t).ravel()
-    dph = (B0 @ m_cos - A0 @ m_sin).ravel()
+    dth, dph = _grid_derivatives(field, hessian=False)
     frame = field.grid.frame
     return frame.e_th * dth[:, None] + frame.e_ph * (dph / frame.sin)[:, None]
 
 
 def grid_hessian(field: SphericalField) -> np.ndarray:
     """Covariant Hessian at every grid node, shape (N, 2, 2), in the node
-    frame (e_theta, e_phi) of :attr:`SphereGrid.frame`: h_thth = f_thth,
-    h_thph = (f_thph - cot(theta) f_ph) / sin(theta) and h_phph = f_phph /
-    sin^2(theta) + cot(theta) f_th.  No node sits at a pole, so the frame
-    holds at every node and needs no rotation.
+    frame (e_theta, e_phi) of :attr:`SphereGrid.frame`: h_thph = (f_thph -
+    cot(theta) f_ph) / sin(theta), h_phph = f_phph / sin^2(theta) +
+    cot(theta) f_th and, by the trace, h_thth = Laplacian f - h_phph.  No
+    node sits at a pole, so the frame holds at every node unrotated.
     """
-    (A0, B0), (A1, B1), (A2, B2) = _grid_profiles(field.coeffs, field.grid, 2)
-    cos_t, sin_t, m_cos, m_sin, m2_cos, m2_sin = _azimuth_plan(field.grid.L, field.coeffs.L_max)
-    dth = (A1 @ cos_t + B1 @ sin_t).ravel()
-    dph = (B0 @ m_cos - A0 @ m_sin).ravel()
-    dthth = (A2 @ cos_t + B2 @ sin_t).ravel()
-    dthph = (B1 @ m_cos - A1 @ m_sin).ravel()
-    dphph = -(A0 @ m2_cos + B0 @ m2_sin).ravel()
+    dth, dph, dthph, dphph, lap = _grid_derivatives(field, hessian=True)
     s, c = field.grid.frame.sin, field.grid.frame.cos
     H = np.empty((len(s), 2, 2))
-    H[:, 0, 0] = dthth
     H[:, 0, 1] = H[:, 1, 0] = (dthph - (c / s) * dph) / s
     H[:, 1, 1] = dphph / (s * s) + (c / s) * dth
+    H[:, 0, 0] = lap - H[:, 1, 1]
     return H
 
 

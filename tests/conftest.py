@@ -129,6 +129,67 @@ def hessian_at(coeffs, points):
 
 
 # ----------------------------------------------------------------------
+# Theta-derivative tables: the oracle of the grid derivatives
+# ----------------------------------------------------------------------
+
+def legendre_theta_tables(t, L_max):
+    """Packed P and its first two theta-derivatives at t = cos theta, as
+    three tables: dP/dtheta = (l t P_l^m - c_lm P_(l-1)^m) / sin(theta)
+    entry by entry and d^2P/dtheta^2 by the Legendre ODE, P'' = -cot(theta)
+    P' - (l(l + 1) - m^2 / sin^2(theta)) P.  Both divide by sin(theta),
+    where the program's order ladder does not."""
+    m_arr, l_arr, offsets = harmonics._pair_index(L_max)[:3]
+    t = np.asarray(t, dtype=float)
+    P = harmonics._legendre_packed(t, L_max)
+    s = np.sqrt(np.maximum(0.0, 1.0 - t * t))
+    inv_s = np.where(s > 0, 1.0 / np.maximum(s, 1e-300), 0.0)
+    has_prev = l_arr > m_arr
+    P_prev = np.zeros_like(P)
+    P_prev[has_prev] = P[np.flatnonzero(has_prev) - 1]
+    c_lm = np.sqrt((2.0 * l_arr + 1.0) * (l_arr * l_arr - m_arr * m_arr)
+                   / np.maximum(2.0 * l_arr - 1.0, 1.0))
+    D1 = (l_arr[:, None] * t[None, :] * P - c_lm[:, None] * P_prev) * inv_s[None, :]
+    D2 = (-(t * inv_s)[None, :] * D1
+          - ((l_arr * (l_arr + 1.0))[:, None]
+             - (m_arr * m_arr)[:, None] * (inv_s * inv_s)[None, :]) * P)
+    return P, D1, D2
+
+
+def table_profiles(coeffs, t):
+    """Theta profiles (A, B) of the field and of its first two
+    theta-derivatives at t = cos theta, from :func:`legendre_theta_tables`:
+    three pairs, each (n_pts, L_max + 1)."""
+    L_max = coeffs.L_max
+    stacks = harmonics._coeff_stacks(coeffs.c, L_max)
+    return [harmonics._synth_theta_stacks(harmonics._order_blocks(table, L_max), *stacks, L_max)
+            for table in legendre_theta_tables(t, L_max)]
+
+
+def table_grid_derivatives(field):
+    """Gradient (N, 3) and covariant Hessian (N, 2, 2) at the grid nodes in
+    the node frame, from the three tables of :func:`legendre_theta_tables`,
+    the theta-theta entry from the second-derivative table."""
+    grid, L_max = field.grid, field.coeffs.L_max
+    (A0, B0), (A1, B1), (A2, B2) = table_profiles(field.coeffs, grid.polar_nodes)
+    cos_t, sin_t = harmonics._azimuth_plan(grid.L, L_max)
+    m = np.arange(L_max + 1)[None, :]
+
+    def synth(A, B):
+        return (A @ cos_t + B @ sin_t).ravel()
+
+    dth, dph = synth(A1, B1), synth(m * B0, -m * A0)
+    dthth, dthph, dphph = synth(A2, B2), synth(m * B1, -m * A1), synth(-m * m * A0, -m * m * B0)
+    frame = grid.frame
+    s, c = frame.sin, frame.cos
+    grad = frame.e_th * dth[:, None] + frame.e_ph * (dph / s)[:, None]
+    H = np.empty((len(s), 2, 2))
+    H[:, 0, 0] = dthth
+    H[:, 0, 1] = H[:, 1, 0] = (dthph - (c / s) * dph) / s
+    H[:, 1, 1] = dphph / (s * s) + (c / s) * dth
+    return grad, H
+
+
+# ----------------------------------------------------------------------
 # Channels on a second Gauss grid: the oracle of multiplication by the
 # coordinates, of the extension channels and of the criterion forms
 # ----------------------------------------------------------------------
@@ -237,7 +298,7 @@ def galerkin_matrix(values, grid, L_max):
     signed = np.arange(K) - l * l - l  # flat index l^2 + l + m, m < 0 sine
     order = np.abs(signed)
     group = 2 * order + (signed < 0)  # the 2 m' + s column group
-    P = harmonics._grid_legendre(L, L_max, 0)[0]
+    P = harmonics._grid_legendre(L, L_max)
     offsets = harmonics._pair_index(L_max)[2]
     # packed order: by m, the cosine then the sine terms, each l-ascending;
     # order m occupies [start[m], start[m + 1])

@@ -2,6 +2,8 @@ import json
 import os
 import subprocess
 import sys
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -482,11 +484,30 @@ class TestErrors:
             raise ArrayMemoryError(f"Unable to allocate the grid of L={L}")
 
         monkeypatch.setattr(cli, "make_grid", refuse)
-        report, code = run_cli(command + ["--L", "400000000"], tmp_path)
+        report, code = run_cli(command + ["--L", str(cli.MAX_GRID_L)], tmp_path)
         assert code == 1
         assert report["error"] == {"type": "MemoryError",
-                                   "message": "Unable to allocate the grid of L=400000000"}
+                                   "message": f"Unable to allocate the grid of L={cli.MAX_GRID_L}"}
         assert set(report) == {"config", "error"}
+
+    @pytest.mark.parametrize("command", [["check"], ["solve"], ["lp", "--p", "4"]])
+    def test_huge_grid_refused_before_allocation(self, command, tmp_path):
+        # an --L beyond the documented bound is a typed error, reported at
+        # once: no grid, no Gauss-Legendre rule
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            report, code = run_cli(command + ["--L", "400000000"], tmp_path)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        assert report["error"] == {"type": "InvalidParameter",
+                                   "message": f"grid needs L <= {cli.MAX_GRID_L}, got 400000000"}
+        assert set(report) == {"config", "error"}
+        assert peak < 50 * 2**20
+        assert elapsed < 1.0
 
     @pytest.mark.parametrize("p, source", [
         ("nan", "family:ellipsoid:a=1,b=1.2,c=1.5"),

@@ -604,6 +604,22 @@ class TestHessianMin:
         assert hmin <= analytic + 1e-9
         assert abs(hmin - ell.c**2 / ell.b) < 1e-3  # global min at the b-axis
 
+    @pytest.mark.parametrize("L, L_max", [(48, 32), (128, 32), (192, 128)])
+    def test_zonal_closed_form_within_band(self, L, L_max):
+        # f = 2 + 3.5 Y_2^0 solves to u = 1 + k P_2(cos theta), k = -3.5
+        # sqrt(5 / 4 pi) / 4, with principal radii u_thth + u and u_th
+        # cot(theta) + u; hessian_min is within 0.15 CR1 band (the sweep's
+        # error band / 4 pi) of their minimum at every node (measured at most
+        # 0.073 band, at (128, 32))
+        f = harmonic_field(sphere.make_grid(L), 2.0, {(2, 0): 3.5}, L_max)
+        t = f.grid.nodes[:, 2]
+        k = -3.5 / 4.0 * np.sqrt(5.0 / (4.0 * np.pi))
+        u = 1.0 + k * 0.5 * (3.0 * t * t - 1.0)
+        exact = np.minimum(u - 3.0 * k * (2.0 * t * t - 1.0), u - 3.0 * k * t * t)
+        mins = convexity.hessian_min(harmonics.solve_christoffel(f).u)[2]
+        band = convexity.sweep(f, "cr1").error_band / (4.0 * np.pi)
+        assert np.max(np.abs(mins - exact)) <= 0.15 * band
+
 
 class TestNodeFrame:
     @pytest.mark.parametrize("L, L_max", [(24, 16), (48, 32)])

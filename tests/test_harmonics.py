@@ -1,9 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from christoffel import body, harmonics, sphere
+from christoffel import body, cli, harmonics, sphere
 from christoffel.errors import (
     BandLimitExceeded,
     InvalidParameter,
@@ -25,6 +27,8 @@ from conftest import (
     rotate_about_z,
     rotate_forms,
     sampled_field,
+    table_grid_derivatives,
+    table_profiles,
     theta_profile_derivatives,
 )
 
@@ -52,8 +56,8 @@ def basis_matrix(grid, L_max):
 # which must reproduce them bit for bit
 # ----------------------------------------------------------------------
 
-def ref_legendre_packed(t, L_max, nderiv=0):
-    m_arr, l_arr, offsets, prev, _, _ = (np.array(a) for a in harmonics._pair_index(L_max))
+def ref_legendre_packed(t, L_max):
+    m_arr, l_arr, offsets = (np.array(a) for a in harmonics._pair_index(L_max)[:3])
     t = np.asarray(t, dtype=float)
     s = np.sqrt(np.maximum(0.0, 1.0 - t * t))
     n_pts = t.shape[0]
@@ -74,30 +78,13 @@ def ref_legendre_packed(t, L_max, nderiv=0):
         b = np.sqrt(((lv - 1.0) ** 2 - mv * mv) / (4.0 * (lv - 1.0) ** 2 - 1.0))
         tgt = offsets[mv] + k
         P[tgt] = a[:, None] * (t[None, :] * P[tgt - 1] - b[:, None] * P[tgt - 2])
-    if nderiv == 0:
-        return (P,)
-    inv_s = np.where(s > 0, 1.0 / np.maximum(s, 1e-300), 0.0)
-    Pprev = np.empty_like(P)
-    valid = prev >= 0
-    Pprev[valid] = P[prev[valid]]
-    Pprev[~valid] = 0.0
-    c_lm = np.sqrt((2.0 * l_arr + 1.0) * (l_arr * l_arr - m_arr * m_arr)
-                   / np.maximum(2.0 * l_arr - 1.0, 1.0))
-    D1 = (l_arr[:, None] * t[None, :] * P - c_lm[:, None] * Pprev) * inv_s[None, :]
-    if nderiv == 1:
-        return (P, D1)
-    cot = t * inv_s
-    D2 = (-cot[None, :] * D1
-          - ((l_arr * (l_arr + 1.0))[:, None]
-             - (m_arr * m_arr)[:, None] * (inv_s * inv_s)[None, :]) * P)
-    return (P, D1, D2)
+    return P
 
 
-def ref_legendre_blocks(t, L_max, nderiv=0):
-    packed = ref_legendre_packed(t, L_max, nderiv)
+def ref_legendre_blocks(t, L_max):
+    packed = ref_legendre_packed(t, L_max)
     offsets = harmonics._pair_index(L_max)[2]
-    return [tuple(arr[offsets[m] : offsets[m + 1], :].T for arr in packed)
-            for m in range(L_max + 1)]
+    return [packed[offsets[m] : offsets[m + 1], :].T for m in range(L_max + 1)]
 
 
 def ref_azimuth_tables(phis, L_max):
@@ -117,15 +104,14 @@ def ref_coeff_stacks(coeffs):
     return cos_c, sin_c
 
 
-def ref_theta_stacks(blocks, cos_c, sin_c, L_max, deriv=0):
-    n_pts = blocks[0][0].shape[0]
+def ref_theta_stacks(blocks, cos_c, sin_c, L_max):
+    n_pts = blocks[0].shape[0]
     A = np.zeros((n_pts, L_max + 1))
     B = np.zeros((n_pts, L_max + 1))
     for m in range(L_max + 1):
-        block = blocks[m][deriv]
-        A[:, m] = block @ cos_c[m]
+        A[:, m] = blocks[m] @ cos_c[m]
         if sin_c[m] is not None:
-            B[:, m] = block @ sin_c[m]
+            B[:, m] = blocks[m] @ sin_c[m]
     return A, B
 
 
@@ -140,43 +126,87 @@ def ref_analyze(grid, values, L_max):
     c = np.zeros((L_max + 1) ** 2)
     for m in range(L_max + 1):
         ls = np.arange(m, L_max + 1)
-        c[ls * ls + ls + m] = blocks[m][0].T @ (wt * Fc[:, m])
+        c[ls * ls + ls + m] = blocks[m].T @ (wt * Fc[:, m])
         if m > 0:
-            c[ls * ls + ls - m] = blocks[m][0].T @ (wt * Fs[:, m])
+            c[ls * ls + ls - m] = blocks[m].T @ (wt * Fs[:, m])
     return c
 
 
-def ref_grid_eval(coeffs, grid, deriv):
-    L_max = coeffs.L_max
-    blocks = ref_legendre_blocks(grid.polar_nodes, L_max, 2)
-    cos_c, sin_c = ref_coeff_stacks(coeffs)
-    cos_t, sin_t = ref_azimuth_tables(grid.phis, L_max)
-    m_row = np.arange(L_max + 1)[:, None]
-    stacks = [ref_theta_stacks(blocks, cos_c, sin_c, L_max, d) for d in range(3)]
-    out = []
-    for d in deriv:
-        if d in (0, 1, 2):
-            A, B = stacks[d]
-            out.append(A @ cos_t + B @ sin_t)
-        elif d == "phi":
-            A, B = stacks[0]
-            out.append(B @ (m_row * cos_t) - A @ (m_row * sin_t))
-        elif d == "phiphi":
-            A, B = stacks[0]
-            out.append(-(A @ (m_row**2 * cos_t) + B @ (m_row**2 * sin_t)))
-        else:
-            A, B = stacks[1]
-            out.append(B @ (m_row * cos_t) - A @ (m_row * sin_t))
-    return out
+def ref_synthesize(coeffs, grid):
+    A, B = ref_theta_stacks(ref_legendre_blocks(grid.polar_nodes, coeffs.L_max),
+                            *ref_coeff_stacks(coeffs), coeffs.L_max)
+    cos_t, sin_t = ref_azimuth_tables(grid.phis, coeffs.L_max)
+    return (A @ cos_t + B @ sin_t).ravel()
+
+
+def ref_ladder_columns(c, L_max):
+    """The 8 grid-derivative columns of every packed pair (m, l), entry by
+    entry: for the cosine and then the sine terms, c_lm, -l(l + 1) c_lm,
+    the down rung a_l(m+1) c_l(m+1) / 2 and the up rung -a_lm c_l(m-1) / 2
+    (-a_l1 c_l0 at m = 1), with a_lm = sqrt((l + m)(l - m + 1))."""
+    def coef(l, k):
+        # c_lk with k signed (k < 0 a sine term), 0 where no such term
+        return c[l * l + l + k] if abs(k) <= l else 0.0
+
+    rows = []
+    for m in range(L_max + 1):
+        for l in range(m, L_max + 1):
+            down = 0.5 * math.sqrt((l + m + 1.0) * (l - m))
+            up = -(1.0 if m == 1 else 0.5) * math.sqrt((l + m) * (l - m + 1.0))
+            lap = -(l * (l + 1.0))
+            row = []
+            for sgn in (1, -1):
+                if sgn == -1 and m == 0:
+                    row += [0.0, 0.0, coef(l, -1) * down, 0.0]
+                    continue
+                row += [coef(l, sgn * m), coef(l, sgn * m) * lap, coef(l, sgn * (m + 1)) * down,
+                        coef(l, sgn * (m - 1)) * up if m - (sgn < 0) > 0 else 0.0]
+            rows.append(row)
+    return np.array(rows)
+
+
+def ref_derivative_rows(field, hessian):
+    """Grid rows f_theta, f_phi and, with ``hessian``, f_theta_phi,
+    f_phi_phi and the Laplacian, by the order-ladder route with every table
+    built afresh."""
+    grid, L_max = field.grid, field.coeffs.L_max
+    cols = ref_ladder_columns(field.coeffs.c, L_max)
+    offsets = harmonics._pair_index(L_max)[2]
+    prof = np.empty((grid.L, 8, L_max + 1))
+    for m, block in enumerate(ref_legendre_blocks(grid.polar_nodes, L_max)):
+        prof[:, :, m] = block @ cols[offsets[m] : offsets[m + 1]]
+    prof = prof.reshape(grid.L, 2, 4, L_max + 1)
+    m = np.arange(L_max + 1)
+    turn = m * np.array([[1.0], [-1.0]])
+    val = prof[:, :, 0]
+    dth = np.zeros_like(val)
+    dth[..., 1:] = prof[:, :, 2, :-1]
+    dth[..., :-1] += prof[:, :, 3, 1:]
+    rows = [dth, turn * val[:, ::-1]]
+    if hessian:
+        rows += [turn * dth[:, ::-1], -(m * m) * val, prof[:, :, 1]]
+    X = np.stack(rows).reshape(len(rows) * grid.L, 2 * (L_max + 1))
+    return (X @ np.concatenate(ref_azimuth_tables(grid.phis, L_max))).reshape(len(rows), -1)
 
 
 def ref_grid_gradient(field):
     grid = field.grid
-    dth, dph = (d.ravel() for d in ref_grid_eval(field.coeffs, grid, (1, "phi")))
+    dth, dph = ref_derivative_rows(field, hessian=False)
     theta = np.repeat(grid.thetas, grid.azimuth_count)
-    phi = np.tile(grid.phis, grid.L)
-    e_th, e_ph = frame_vectors(theta, phi)
-    return e_th * dth[:, None] + e_ph * (dph / np.maximum(np.sin(theta), 1e-8))[:, None]
+    e_th, e_ph = frame_vectors(theta, np.tile(grid.phis, grid.L))
+    return e_th * dth[:, None] + e_ph * (dph / np.sin(theta))[:, None]
+
+
+def ref_grid_hessian(field):
+    grid = field.grid
+    dth, dph, dthph, dphph, lap = ref_derivative_rows(field, hessian=True)
+    theta = np.repeat(grid.thetas, grid.azimuth_count)
+    s, c = np.sin(theta), np.cos(theta)
+    H = np.empty((len(s), 2, 2))
+    H[:, 0, 1] = H[:, 1, 0] = (dthph - (c / s) * dph) / s
+    H[:, 1, 1] = dphph / (s * s) + (c / s) * dth
+    H[:, 0, 0] = lap - H[:, 1, 1]
+    return H
 
 
 def ref_frame_hessian(theta, derivs):
@@ -189,13 +219,6 @@ def ref_frame_hessian(theta, derivs):
     H[:, 0, 1] = H[:, 1, 0] = (dthph - (c / s) * dph) / s
     H[:, 1, 1] = dphph / (s * s) + (c / s) * dth
     return H
-
-
-def ref_grid_hessian(field):
-    grid = field.grid
-    derivs = [d.ravel() for d in
-              ref_grid_eval(field.coeffs, grid, (1, "phi", 2, "thetaphi", "phiphi"))]
-    return ref_frame_hessian(np.repeat(grid.thetas, grid.azimuth_count), derivs)
 
 
 def ref_circle_derivatives(coeffs, x, d):
@@ -484,6 +507,51 @@ def probe_points(n, seed):
     return pts
 
 
+def frame_truth(f):
+    """Grid gradient and Hessian of f in the node frame from the extension
+    channels, synthesized on f's grid: no theta-derivative at all."""
+    grid = f.grid
+    E = np.stack([grid.frame.e_th, grid.frame.e_ph], axis=2)
+    grad = harmonics.synthesize_channels(harmonics.ambient_gradient(f.coeffs.c, 0), grid)
+    hess = np.stack([ch.c for ch in f.coeffs.extension_channels.hess], axis=1)
+    D2G = harmonics.synthesize_channels(hess, grid)[:, harmonics._SYM_FULL]
+    return grad, np.einsum("nki,nkl,nlj->nij", E, D2G, E) - f.values[:, None, None] * np.eye(2)
+
+
+class TestGridDerivatives:
+    @pytest.mark.parametrize("L, L_max", [(4, 0), (4, 1), (4, 2), (5, 2), (4, 3), (17, 16),
+                                          (49, 48)])
+    def test_edge_bands_match_table_oracle(self, L, L_max):
+        # band 0 is the ladder's order-0 rung alone, bands 1 and 2 add the
+        # sine of order 1 and the top orders; L = L_max + 1 is the smallest
+        # grid of a band
+        f = harmonics.synthesize(random_coeffs(L_max, seed=70 + L, decay=0.0), sphere.make_grid(L))
+        grad, H = table_grid_derivatives(f)
+        scale = max(np.max(np.abs(H)), np.max(np.abs(f.values)))
+        assert np.max(np.abs(harmonics.grid_gradient(f) - grad)) <= 1e-13 * scale
+        assert np.max(np.abs(harmonics.grid_hessian(f) - H)) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("L, L_max", [(17, 16), (48, 32), (96, 64), (128, 32)])
+    def test_no_less_accurate_than_tables(self, L, L_max):
+        # against the extension channels, the order ladder and the trace stay
+        # within twice the error of the theta-derivative tables
+        f = harmonics.synthesize(random_coeffs(L_max, seed=L, decay=0.0), sphere.make_grid(L))
+        grad, H = frame_truth(f)
+        table_grad, table_H = table_grid_derivatives(f)
+        assert (np.max(np.abs(harmonics.grid_gradient(f) - grad))
+                <= 2.0 * np.max(np.abs(table_grad - grad)))
+        assert np.max(np.abs(harmonics.grid_hessian(f) - H)) <= 2.0 * np.max(np.abs(table_H - H))
+
+    def test_gradient_and_hessian_share_one_profile_pass(self, grid16, monkeypatch):
+        f = harmonics.synthesize(random_coeffs(8, seed=71), grid16)
+        calls = []
+        real = harmonics._grid_blocks
+        monkeypatch.setattr(harmonics, "_grid_blocks", lambda *key: calls.append(key) or real(*key))
+        assert f.gradient.shape == (grid16.node_count, 3)
+        assert f.hessian.shape == (grid16.node_count, 2, 2)
+        assert calls == [(16, 8)]
+
+
 class TestExtensionChannels:
     @pytest.mark.parametrize("L, L_max", [(16, 15), (17, 16), (48, 32), (96, 64)])
     def test_matches_frame_oracle(self, L, L_max):
@@ -653,12 +721,10 @@ class TestThetaProfiles:
         theta = np.random.default_rng(21).uniform(0.05, np.pi - 0.05, 200)
         got = [harmonics._theta_profiles(coeffs, theta)]
         got += theta_profile_derivatives(coeffs, theta, 2)
-        blocks = ref_legendre_blocks(np.cos(theta), L_max, 2)
-        stacks = ref_coeff_stacks(coeffs)
-        for d, bound in enumerate((1e-13, 1e-12, 1e-11)):
-            want = ref_theta_stacks(blocks, *stacks, L_max, d)
+        for bound, got_d, want in zip((1e-13, 1e-12, 1e-11), got,
+                                      table_profiles(coeffs, np.cos(theta))):
             scale = max(np.max(np.abs(w)) for w in want)
-            for g, w in zip(got[d], want):
+            for g, w in zip(got_d, want):
                 assert g.shape == w.shape
                 assert np.max(np.abs(g - w)) <= bound * scale
 
@@ -863,7 +929,7 @@ def assert_matches_reference(L, L_max, seed):
     grid = sphere.make_grid(L)
     coeffs = random_coeffs(L_max, seed)
     f = harmonics.synthesize(coeffs, grid)
-    assert np.array_equal(f.values, ref_grid_eval(coeffs, grid, (0,))[0].ravel())
+    assert np.array_equal(f.values, ref_synthesize(coeffs, grid))
     rng = np.random.default_rng(seed)
     for values in (f.values, rng.standard_normal(grid.node_count)):
         assert np.array_equal(harmonics.analyze(grid, values, L_max).c,
@@ -902,11 +968,30 @@ class TestTransformPlan:
             harmonics.synthesize_at(coeffs, grid.nodes[:3])
         assert_matches_reference(L, L_max, seed=4)
 
+    def test_check_reads_one_table_per_grid(self, tmp_path, monkeypatch):
+        # from empty caches, a check builds a single Legendre table per (L,
+        # L_max) and the two azimuth tables per grid: no derivative tables
+        clear_program_caches()
+        built = {"_grid_legendre": [], "_azimuth_plan": []}
+        for name, entries in built.items():
+            real = getattr(harmonics, name)
+            monkeypatch.setattr(harmonics, name, lambda *key, real=real, entries=entries:
+                                entries.append((key, real(*key))) or entries[-1][1])
+        assert cli.main(["check", "--L", "16", "--Lmax", "8",
+                         "--report", str(tmp_path / "report.json")]) == 0
+        assert built["_grid_legendre"] and built["_azimuth_plan"]
+        for (L, L_max), P in built["_grid_legendre"]:
+            assert isinstance(P, np.ndarray)
+            assert P.shape == ((L_max + 1) * (L_max + 2) // 2, L)
+        for (L, L_max), tables in built["_azimuth_plan"]:
+            assert len(tables) == 2
+            assert all(t.shape == (L_max + 1, 2 * L) for t in tables)
+
     def test_cached_tables_read_only(self):
         calls = {
-            "_pair_index": (8,), "_order_index": (8,), "_grid_legendre": (12, 8, 2),
-            "_grid_blocks": (12, 8, 2), "_profile_blocks": (8,), "_azimuth_plan": (12, 8),
-            "_coordinate_plan": (8,),
+            "_pair_index": (8,), "_order_index": (8,), "_grid_legendre": (12, 8),
+            "_grid_blocks": (12, 8), "_profile_blocks": (8,), "_azimuth_plan": (12, 8),
+            "_coordinate_plan": (8,), "_ladder_plan": (8,),
         }
         caches = plan_caches()
         assert set(caches) == set(calls)
