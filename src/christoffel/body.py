@@ -98,8 +98,9 @@ class SurfaceMesh:
     (north, south) pair of fan triangles per azimuth.  Quad (i, j) with
     corners a = (i, j), b = (i+1, j), c = (i+1, j+1), d = (i, j+1) is
     split along its shorter diagonal: (a, b, c), (a, c, d) when |a - c|^2 <=
-    |b - d|^2, each squared length summed as dx*dx + dy*dy + dz*dz, so a tie
-    goes to the a-c diagonal, else (b, c, d), (b, d, a).
+    |b - d|^2 (1 + 1e-12), each squared length summed as dx*dx + dy*dy +
+    dz*dz, so a tie to rounding goes to the a-c diagonal, else (b, c, d),
+    (b, d, a).
     :func:`write_obj` writes every float as its shortest round-trip repr.
     """
 
@@ -131,10 +132,10 @@ def embed(u: harmonics.SphericalField) -> SurfaceMesh:
     start = np.arange(L - 1)[:, None] * n_phi
     a, d = (start + j0).ravel(), (start + j1).ravel()
     b, c = a + n_phi, d + n_phi
-    # squared lengths in elementwise ufuncs: no BLAS summation order decides a tie
+    # elementwise squared lengths; a tie to 1e-12 relative, as rounding makes, goes to a-c
     ac, bd = (verts[a] - verts[c]).T, (verts[b] - verts[d]).T
     short_ac = (ac[0] * ac[0] + ac[1] * ac[1] + ac[2] * ac[2]
-                <= bd[0] * bd[0] + bd[1] * bd[1] + bd[2] * bd[2])[:, None]
+                <= (bd[0] * bd[0] + bd[1] * bd[1] + bd[2] * bd[2]) * (1.0 + 1e-12))[:, None]
     quads = np.stack([
         np.where(short_ac, np.stack([a, b, c], 1), np.stack([b, c, d], 1)),
         np.where(short_ac, np.stack([a, c, d], 1), np.stack([b, d, a], 1)),

@@ -36,7 +36,8 @@ shortest round-trip ``repr``.  The u CSV has one theta,phi,value row per
 grid node in theta-major order.  The OBJ has v lines, vn lines in the same
 order, then 1-based f lines in the order of :class:`body.SurfaceMesh`:
 two per grid quad in (ring, azimuth) order, split along the shorter
-diagonal with ties to the a-c one, then the (north, south) polar fan pairs.
+diagonal with ties to 1e-12 relative to the a-c one, then the (north,
+south) polar fan pairs.
 """
 
 from __future__ import annotations

@@ -16,26 +16,28 @@ degree-1 harmonics spanning its kernel.
 Transform plan: every table a transform reads is built once per size and
 then shared, as in SHTns (Schaeffer 2013), in module-level
 ``functools.lru_cache`` entries that keep the last 4 to 16 keys, enough
-for every size one command uses.  Keyed by the band limit L_max: the
-packed (m, l) layout (:func:`_pair_index`, :func:`_order_index`), the
-Legendre values at the colatitudes of the scattered-point profiles
-(:func:`_profile_blocks`) and the gather tables of multiplication by the
-coordinates (:func:`_coordinate_plan`) and of the grid-derivative columns
-(:func:`_ladder_plan`).  Keyed by (L, L_max): the one Legendre table at the
-Gauss nodes of grid L (:func:`_grid_legendre`, per order
-:func:`_grid_blocks`) and the azimuth tables cos m phi and sin m phi
-(:func:`_azimuth_plan`).  Every cached array is read-only, so a stray
-in-place write raises ValueError instead of corrupting later transforms,
-and results are bit-identical to building the tables afresh on each call.
+for every size one command uses: per band limit L_max the pair layout
+(:func:`_pair_index`), the one coefficient gather (:func:`_ladder_plan`),
+the Legendre blocks of the off-grid profiles (:func:`_profile_blocks`) and
+the gathers of multiplication by the coordinates (:func:`_coordinate_plan`);
+per (L, L_max) the one Legendre table at the Gauss nodes of grid L
+(:func:`_grid_legendre`, per order :func:`_grid_blocks`) and the one
+azimuth table (:func:`_azimuth_plan`).  Every cached array is read-only,
+so a stray in-place write raises ValueError instead of corrupting later
+transforms, and results are bit-identical to building the tables afresh.
 
-Grid derivatives read the same Legendre table.  The theta-derivative of
-P_l^m combines P_l^(m-1) and P_l^(m+1), the order ladder, so it is a
-gather in coefficient space, as is the Laplacian -l(l + 1) c
-(:func:`_ladder_plan`).  One contraction per order with those columns
-gives the profiles (:attr:`SphericalField._profiles`) of both
-:func:`grid_gradient` and :func:`grid_hessian`; phi-derivatives multiply
-them by m and m^2, and the theta-theta entry is the Laplacian minus the
-phi-phi entry.  Each field keeps its derivatives in its node frame
+Every transform runs on one core.  The gather packs the coefficients into
+columns per (m, l) pair: c_lm and c_l,-m for values, and for derivatives
+the Laplacian -l(l + 1) c and the rungs of the order ladder (the
+theta-derivative of P_l^m combines P_l^(m-1) and P_l^(m+1)).  One product
+per order of the Legendre block with those columns (:func:`_contract`)
+gives the theta profiles of one expansion or of a stack of channels, on
+the grid (:func:`synthesize_channels`, :attr:`SphericalField._profiles`)
+or off it (:func:`_theta_profiles`).  One product with the azimuth table
+turns grid profiles into values; :func:`analyze` is the adjoint, with the
+same table, blocks and gather.  phi-derivatives multiply the profiles by
+m and m^2, and the theta-theta entry is the Laplacian minus the phi-phi
+entry; each field keeps its derivatives in its node frame
 (:attr:`SphericalField.gradient`, :attr:`SphericalField.hessian`).
 
 The solvability condition int x f = 0 concerns the degree-1 part of f
@@ -159,17 +161,19 @@ class SphericalField:
 
     @cached_property
     def _profiles(self) -> np.ndarray:
-        """Profiles (L, 2, 4, L_max + 1) of the :func:`_ladder_plan` columns
-        at the rings, one pass for the gradient and the Hessian: cosine and
-        sine (axis 1) of value, Laplacian, down and up rung (axis 2)."""
-        L, L_max = self.grid.L, self.coeffs.L_max
+        """Profiles (L_max + 1, 2, 4, L) of the :func:`_ladder_plan`
+        columns at the rings, order-major, one pass for the gradient and
+        the Hessian: cosine and sine (axis 1) of value, Laplacian, down and
+        up rung (axis 2)."""
+        L_max = self.coeffs.L_max
         src, w = _ladder_plan(L_max)
-        cols = self.coeffs.c[src] * w
-        offsets = _pair_index(L_max)[2]
-        prof = np.empty((L, 8, L_max + 1))
-        for m, block in enumerate(_grid_blocks(L, L_max)):
-            prof[:, :, m] = block @ cols[offsets[m] : offsets[m + 1]]
-        return _read_only(prof.reshape(L, 2, 4, L_max + 1))[0]
+        prof = _contract(_grid_blocks(self.grid.L, L_max), self.coeffs.c[src] * w, L_max)
+        return _read_only(prof.reshape(L_max + 1, 2, 4, self.grid.L))[0]
+
+    @cached_property
+    def _slopes(self) -> np.ndarray:
+        """Rows f_theta, f_phi (2, N) of gradient and Hessian, kept read-only."""
+        return _read_only(_grid_derivatives(self, hessian=False))[0]
 
     @cached_property
     def gradient(self) -> np.ndarray:
@@ -203,23 +207,14 @@ def _read_only(*arrays):
 def _pair_index(L_max: int):
     """Packed (m, l) pair layout, m-major with l ascending within each m.
 
-    Returns (m_arr, l_arr, offsets, cos_idx, sin_idx): cos/sin_idx map
-    pairs to flat coefficient indices (l, +-m).
+    Returns (m_arr, l_arr, offsets): the order and degree of each pair,
+    and the pairs offsets[m]..offsets[m + 1] of order m.
     """
     counts = np.arange(L_max + 1, 0, -1)  # L_max + 1 - m degrees of order m
     offsets = np.concatenate([[0], np.cumsum(counts)])
     m_arr = np.repeat(np.arange(L_max + 1), counts)
     l_arr = np.arange(offsets[-1]) - offsets[m_arr] + m_arr
-    cos_idx = l_arr * l_arr + l_arr + m_arr
-    sin_idx = l_arr * l_arr + l_arr - m_arr
-    return _read_only(m_arr, l_arr, offsets, cos_idx, sin_idx)
-
-
-@lru_cache(maxsize=8)
-def _order_index(L_max: int):
-    """Flat coefficient indices of each order m: (cos, sin) tuples indexed
-    by m, entry m listing (l, m) resp. (l, -m) for l = m..L_max."""
-    return tuple(_order_blocks(idx, L_max) for idx in _pair_index(L_max)[3:])
+    return _read_only(m_arr, l_arr, offsets)
 
 
 def _legendre_packed(t: np.ndarray, L_max: int) -> np.ndarray:
@@ -231,7 +226,7 @@ def _legendre_packed(t: np.ndarray, L_max: int) -> np.ndarray:
     The degree recursion is vectorized across all orders m one diagonal
     l - m at a time.
     """
-    m_arr, _, offsets, _, _ = _pair_index(L_max)
+    m_arr, _, offsets = _pair_index(L_max)
     t = np.asarray(t, dtype=float)
     s = np.sqrt(np.maximum(0.0, 1.0 - t * t))
     n_pts = t.shape[0]
@@ -257,10 +252,10 @@ def _legendre_packed(t: np.ndarray, L_max: int) -> np.ndarray:
 
 
 def _order_blocks(P: np.ndarray, L_max: int):
-    """Per-order views of a packed table (n_pairs, n_pts) or index array:
-    entry m is (n_pts, L_max + 1 - m) resp. (L_max + 1 - m,), index l - m."""
+    """Per-order views of a packed table (n_pairs, n_pts): entry m is
+    (L_max + 1 - m, n_pts), row l - m."""
     offsets = _pair_index(L_max)[2]
-    return tuple(P[offsets[m] : offsets[m + 1]].T for m in range(L_max + 1))
+    return tuple(P[offsets[m] : offsets[m + 1]] for m in range(L_max + 1))
 
 
 @lru_cache(maxsize=16)
@@ -286,13 +281,16 @@ def _profile_blocks(L_max: int):
 
 @lru_cache(maxsize=8)
 def _azimuth_plan(L: int, L_max: int):
-    """The two azimuth tables of grid L, each (L_max + 1, 2L): cos m phi and
-    sin m phi with the sqrt(2) factor for m > 0.  Every transform reads
-    them; a phi-derivative multiplies the profiles by m, not the tables."""
+    """The azimuth table of grid L, (2(L_max + 1), 2L): rows 2m and 2m + 1
+    are cos m phi and sin m phi with the sqrt(2) factor for m > 0, in the
+    row order of the profiles of :func:`_contract`, so that synthesis and
+    the grid derivatives take one product with it and :func:`analyze` one
+    with its transpose, with no reordering copy."""
     m = np.arange(L_max + 1)[:, None]
     arg = m * _azimuths(L)[None, :]
     scale = np.where(m > 0, np.sqrt(2.0), 1.0)
-    return _read_only(scale * np.cos(arg), scale * np.sin(arg))
+    table = np.stack([scale * np.cos(arg), scale * np.sin(arg)], axis=1)
+    return _read_only(table.reshape(2 * (L_max + 1), -1))[0]
 
 
 @lru_cache(maxsize=8)
@@ -306,7 +304,7 @@ def _ladder_plan(L_max: int):
     P_l^m = (a_lm P_l^(m-1) - a_l(m+1) P_l^(m+1)) / 2, d_theta P_l^0 =
     -a_l1 P_l^1, which has no 1/sin(theta) (cf. SHTns, Schaeffer 2013).
     """
-    m, l, _, _, _ = _pair_index(L_max)
+    m, l, _ = _pair_index(L_max)
     flat = l * l + l
     lap = -(l * (l + 1.0))
     down = 0.5 * np.sqrt((l + m + 1.0) * (l - m))
@@ -318,28 +316,24 @@ def _ladder_plan(L_max: int):
     return _read_only(np.where(w != 0.0, src, 0), w)
 
 
-def _coeff_stacks(c: np.ndarray, L_max: int):
-    """Per-order coefficients of the flat array c, (K,) or (K, C) for C
-    channels: (cos, sin) lists indexed by m."""
-    cos_idx, sin_idx = _order_index(L_max)
-    return [c[i] for i in cos_idx], [None] + [c[i] for i in sin_idx[1:]]
+def _value_columns(c: np.ndarray, L_max: int) -> np.ndarray:
+    """Packed pair columns (n_pairs, 2C) of the flat coefficients c, (K,)
+    or (K, C) for C channels: c_lm of every channel, then c_l,-m (0 at m =
+    0), by columns 0 and 4 of :func:`_ladder_plan`."""
+    src, w = (a[:, (0, 4)] for a in _ladder_plan(L_max))
+    return (c[src] * w.reshape(w.shape + (1,) * (c.ndim - 1))).reshape(len(src), -1)
 
 
-def _synth_theta_stacks(blocks, cos_c, sin_c, L_max):
-    """Contract Legendre blocks with coefficients over l.
-
-    Returns (A, B) of shape (n_pts, L_max + 1), with a trailing channel
-    axis when the coefficients have one: theta profiles multiplying the
-    cos/sin azimuth rows.
-    """
-    shape = (blocks[0].shape[0], L_max + 1) + cos_c[0].shape[1:]
-    A = np.zeros(shape)
-    B = np.zeros(shape)
-    for m in range(L_max + 1):
-        A[:, m] = blocks[m] @ cos_c[m]
-        if sin_c[m] is not None:
-            B[:, m] = blocks[m] @ sin_c[m]
-    return A, B
+def _contract(blocks, cols: np.ndarray, L_max: int) -> np.ndarray:
+    """Theta profiles of the packed pair columns cols (n_pairs, W): one
+    product per order m of the transposed rows of its pairs with its
+    Legendre block (L_max + 1 - m, n_pts), each written into one contiguous
+    slab of the order-major result (L_max + 1, W, n_pts)."""
+    offsets = _pair_index(L_max)[2]
+    out = np.empty((L_max + 1, cols.shape[1], blocks[0].shape[1]))
+    for m, block in enumerate(blocks):
+        np.matmul(cols[offsets[m] : offsets[m + 1]].T, block, out=out[m])
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -367,40 +361,39 @@ def analyze(grid: SphereGrid, values: np.ndarray, L_max: int) -> HarmonicCoeffs:
     InvalidParameter.
     """
     require_band_limit(grid, L_max)
-    vals = values.reshape(grid.L, grid.azimuth_count)
-    cos_t, sin_t = _azimuth_plan(grid.L, L_max)
-    w_phi = np.pi / grid.L
-    blocks = _grid_blocks(grid.L, L_max)
-    cos_idx, sin_idx = _order_index(L_max)
-    wt = grid.polar_weights
-    c = np.zeros((L_max + 1) ** 2)
+    n = L_max + 1
+    src = _ladder_plan(L_max)[0]
+    offsets = _pair_index(L_max)[2]
+    out = np.empty((len(src), 2))
     with np.errstate(over="ignore", invalid="ignore"):
-        Fc = vals @ cos_t.T * w_phi  # (L, L_max+1)
-        Fs = vals @ sin_t.T * w_phi
-        for m in range(L_max + 1):
-            c[cos_idx[m]] = blocks[m].T @ (wt * Fc[:, m])
-            if m > 0:
-                c[sin_idx[m]] = blocks[m].T @ (wt * Fs[:, m])
+        F = values.reshape(grid.L, -1) @ _azimuth_plan(grid.L, L_max).T * (np.pi / grid.L)
+        F *= grid.polar_weights[:, None]
+        F = F.reshape(grid.L, n, 2)  # (ring, order, cosine and sine)
+        for m, block in enumerate(_grid_blocks(grid.L, L_max)):
+            np.matmul(block, F[:, m], out=out[offsets[m] : offsets[m + 1]])
+    c = np.empty(n * n)
+    # the order-0 sine column lands on src 0, where the cosine scatter,
+    # which comes second, writes c_00
+    c[src[:, 4]] = out[:, 1]
+    c[src[:, 0]] = out[:, 0]
     return HarmonicCoeffs(L_max=L_max, c=c)
 
 
 def synthesize(coeffs: HarmonicCoeffs, grid: SphereGrid) -> SphericalField:
     """Evaluate the expansion on a grid; attaches the coefficients."""
-    L_max = coeffs.L_max
-    A, B = _synth_theta_stacks(_grid_blocks(grid.L, L_max), *_coeff_stacks(coeffs.c, L_max), L_max)
-    cos_t, sin_t = _azimuth_plan(grid.L, L_max)
-    vals = A @ cos_t + B @ sin_t
-    return SphericalField(grid=grid, values=vals.ravel(), coeffs=coeffs)
+    return SphericalField(grid=grid, values=synthesize_channels(coeffs.c, grid), coeffs=coeffs)
 
 
 def synthesize_channels(c: np.ndarray, grid: SphereGrid) -> np.ndarray:
-    """Values (N, C) on the grid of the C expansions whose flat coefficients
-    are the columns of c (K, C): one contraction per order for all."""
-    band = math.isqrt(c.shape[0]) - 1
-    A, B = _synth_theta_stacks(_grid_blocks(grid.L, band), *_coeff_stacks(c, band), band)
-    cos_t, sin_t = _azimuth_plan(grid.L, band)
-    vals = np.swapaxes(A, 1, 2) @ cos_t + np.swapaxes(B, 1, 2) @ sin_t  # (L, C, 2L)
-    return np.swapaxes(vals, 1, 2).reshape(grid.node_count, -1)
+    """Values on the grid of the expansion with flat coefficients c, (K,)
+    -> (N,), or of the C expansions that are the columns of c, (K, C) ->
+    (N, C): one product per order for all channels (:func:`_contract`),
+    then one with the azimuth table."""
+    L_max = math.isqrt(c.shape[0]) - 1
+    prof = _contract(_grid_blocks(grid.L, L_max), _value_columns(c, L_max), L_max)
+    # rows (order, cosine and sine) as the table's, columns (channel, ring)
+    vals = prof.reshape(2 * (L_max + 1), -1).T @ _azimuth_plan(grid.L, L_max)
+    return np.moveaxis(vals.reshape(c.shape[1:] + (grid.node_count,)), -1, 0)
 
 
 def bandlimit(grid: SphereGrid, values: np.ndarray, L_max: int):
@@ -539,38 +532,40 @@ def _points_angles(points):
 
 
 def _theta_profiles(coeffs, theta):
-    """Theta profiles of every order at arbitrary colatitudes: (A, B), each
-    (n_pts, L_max + 1), as :func:`_synth_theta_stacks`.
-    ``coeffs`` is one coefficient set, or a sequence of sets of one band
-    whose profiles then carry a trailing channel axis: all channels share
-    one FFT and one product.
+    """Theta profiles of every order at arbitrary colatitudes: (A, B), the
+    cosine and the sine profiles, each (n_pts, L_max + 1).  ``coeffs`` is
+    one coefficient set, or a sequence of sets of one band whose profiles
+    then carry a trailing channel axis: all channels share one FFT and one
+    product.
 
     A_m(theta) = sum_l c_lm P_l^m(cos theta) is a trigonometric polynomial
     of degree <= L_max, a cosine series for even m and a sine series for
     odd m, with A_m(2 pi - theta) = (-1)^m A_m(theta) (the double Fourier
     sphere of Townsend, Wilber & Wright 2016).  Its values at the L_max + 2
-    colatitudes pi j / (L_max + 1), mirrored onto the circle, give its
-    coefficients by one real FFT.  One real matrix product with cos k theta
-    and sin k theta then gives every profile at the points.
+    colatitudes pi j / (L_max + 1), from the one per-order product of
+    :func:`_contract` with the blocks of :func:`_profile_blocks`, mirrored
+    onto the circle, give its coefficients by one real FFT.  One real
+    matrix product with cos k theta and sin k theta then gives every
+    profile at the points.
     """
     if isinstance(coeffs, HarmonicCoeffs):
         L_max, c = coeffs.L_max, coeffs.c
     else:
         L_max, c = coeffs[0].L_max, np.stack([ch.c for ch in coeffs], axis=1)
     n = L_max + 1
-    A, B = _synth_theta_stacks(_profile_blocks(L_max), *_coeff_stacks(c, L_max), L_max)
-    prof = np.concatenate([A, B], axis=1)  # columns A_0..A_L, B_0..B_L
-    trail = (1,) * (c.ndim - 1)
-    sign = np.tile((-1.0) ** np.arange(n), 2).reshape((2 * n,) + trail)
-    circle = np.concatenate([prof, sign * prof[-2:0:-1]])
-    F = np.fft.rfft(circle, axis=0)[:n] / n  # the Nyquist term is zero
-    F[0] *= 0.5
-    W = np.stack([F.real, -F.imag], axis=1).reshape(2 * n, -1)  # rows a_0 b_0 a_1 ...
+    # (order, column, colatitude): columns c_lm, then c_l,-m of each channel
+    prof = _contract(_profile_blocks(L_max), _value_columns(c, L_max), L_max)
+    sign = ((-1.0) ** np.arange(n))[:, None, None]
+    circle = np.concatenate([prof, sign * prof[..., -2:0:-1]], axis=-1)
+    F = np.fft.rfft(circle)[..., :n] / n  # the Nyquist term is zero
+    F[..., 0] *= 0.5
+    # rows a_0 b_0 a_1 ..., columns (order, column)
+    W = np.moveaxis(np.stack([F.real, -F.imag], axis=-1), (2, 3), (0, 1)).reshape(2 * n, -1)
     # exp(i k theta) viewed as float interleaves cos k theta and sin k theta
     # in the row order of W
     P = np.exp(1j * np.multiply.outer(theta, np.arange(n))).view(float) @ W
-    P = P.reshape((len(theta), 2, n) + c.shape[1:])
-    return P[:, 0], P[:, 1]
+    P = P.reshape((len(theta), n, 2) + c.shape[1:])
+    return P[:, :, 0], P[:, :, 1]
 
 
 def synthesize_at(coeffs, points) -> np.ndarray:
@@ -625,29 +620,30 @@ def extension_hessian_at(coeffs: HarmonicCoeffs, points) -> np.ndarray:
 
 
 def _grid_derivatives(field: SphericalField, hessian: bool) -> np.ndarray:
-    """Rows f_theta, f_phi and, with ``hessian``, f_theta_phi, f_phi_phi and
-    the Laplacian at the grid nodes, (2 or 5, N), from the field's profiles:
-    d_theta of order m sums the down rung of order m - 1 and the up rung of
-    order m + 1; d_phi maps the cosine and sine profiles (X, Y) to m (Y, -X)."""
+    """Rows f_theta and f_phi or, with ``hessian``, f_theta_phi, f_phi_phi
+    and the Laplacian at the grid nodes, (2 or 3, N), from the field's
+    profiles: d_theta of order m sums the down rung of order m - 1 and the
+    up rung of order m + 1; d_phi maps the cosine and sine profiles (X, Y)
+    to m (Y, -X)."""
     prof = field._profiles
-    n = prof.shape[-1]
-    m = np.arange(n)
+    n = prof.shape[0]
+    m = np.arange(n)[:, None, None]
     turn = m * np.array([[1.0], [-1.0]])
     val = prof[:, :, 0]
     dth = np.zeros_like(val)
-    dth[..., 1:] = prof[:, :, 2, :-1]
-    dth[..., :-1] += prof[:, :, 3, 1:]
-    rows = [dth, turn * val[:, ::-1]]
-    if hessian:
-        rows += [turn * dth[:, ::-1], -(m * m) * val, prof[:, :, 1]]
-    X = np.stack(rows).reshape(len(rows) * len(val), 2 * n)  # cosine, sine per ring
-    return (X @ np.concatenate(_azimuth_plan(field.grid.L, n - 1))).reshape(len(rows), -1)
+    dth[1:] = prof[:-1, :, 2]
+    dth[:-1] += prof[1:, :, 3]
+    rows = ([turn * dth[:, ::-1], -(m * m) * val, prof[:, :, 1]] if hessian
+            else [dth, turn * val[:, ::-1]])
+    # rows (order, cosine and sine) as the table's, columns (row, ring)
+    X = np.stack(rows, axis=2).reshape(2 * n, -1)
+    return (X.T @ _azimuth_plan(field.grid.L, n - 1)).reshape(len(rows), -1)
 
 
 def grid_gradient(field: SphericalField) -> np.ndarray:
     """Spherical gradient at every grid node, shape (N, 3): e_theta d_theta
     + e_phi d_phi / sin(theta), with no node at a pole."""
-    dth, dph = _grid_derivatives(field, hessian=False)
+    dth, dph = field._slopes
     frame = field.grid.frame
     return frame.e_th * dth[:, None] + frame.e_ph * (dph / frame.sin)[:, None]
 
@@ -659,7 +655,8 @@ def grid_hessian(field: SphericalField) -> np.ndarray:
     cot(theta) f_th and, by the trace, h_thth = Laplacian f - h_phph.  No
     node sits at a pole, so the frame holds at every node unrotated.
     """
-    dth, dph, dthph, dphph, lap = _grid_derivatives(field, hessian=True)
+    dth, dph = field._slopes
+    dthph, dphph, lap = _grid_derivatives(field, hessian=True)
     s, c = field.grid.frame.sin, field.grid.frame.cos
     H = np.empty((len(s), 2, 2))
     H[:, 0, 1] = H[:, 1, 0] = (dthph - (c / s) * dph) / s

@@ -155,13 +155,40 @@ def legendre_theta_tables(t, L_max):
     return P, D1, D2
 
 
+def ref_coeff_stacks(coeffs):
+    """Per-order coefficients (cos, sin) of the expansion, lists indexed by
+    m: entry m lists c_lm resp. c_l,-m for l = m..L_max (None for the sine
+    of order 0)."""
+    L = coeffs.L_max
+    cos_c, sin_c = [], []
+    for m in range(L + 1):
+        ls = np.arange(m, L + 1)
+        cos_c.append(coeffs.c[ls * ls + ls + m])
+        sin_c.append(coeffs.c[ls * ls + ls - m] if m > 0 else None)
+    return cos_c, sin_c
+
+
+def ref_theta_stacks(blocks, cos_c, sin_c, L_max):
+    """Theta profiles (A, B), each (n_pts, L_max + 1), of the per-order
+    coefficients of :func:`ref_coeff_stacks`: two vector-matrix products per
+    order with the Legendre blocks (L_max + 1 - m, n_pts)."""
+    n_pts = blocks[0].shape[1]
+    A = np.zeros((n_pts, L_max + 1))
+    B = np.zeros((n_pts, L_max + 1))
+    for m in range(L_max + 1):
+        A[:, m] = cos_c[m] @ blocks[m]
+        if sin_c[m] is not None:
+            B[:, m] = sin_c[m] @ blocks[m]
+    return A, B
+
+
 def table_profiles(coeffs, t):
     """Theta profiles (A, B) of the field and of its first two
     theta-derivatives at t = cos theta, from :func:`legendre_theta_tables`:
     three pairs, each (n_pts, L_max + 1)."""
     L_max = coeffs.L_max
-    stacks = harmonics._coeff_stacks(coeffs.c, L_max)
-    return [harmonics._synth_theta_stacks(harmonics._order_blocks(table, L_max), *stacks, L_max)
+    stacks = ref_coeff_stacks(coeffs)
+    return [ref_theta_stacks(harmonics._order_blocks(table, L_max), *stacks, L_max)
             for table in legendre_theta_tables(t, L_max)]
 
 
@@ -171,7 +198,8 @@ def table_grid_derivatives(field):
     the theta-theta entry from the second-derivative table."""
     grid, L_max = field.grid, field.coeffs.L_max
     (A0, B0), (A1, B1), (A2, B2) = table_profiles(field.coeffs, grid.polar_nodes)
-    cos_t, sin_t = harmonics._azimuth_plan(grid.L, L_max)
+    table = harmonics._azimuth_plan(grid.L, L_max)
+    cos_t, sin_t = table[0::2], table[1::2]
     m = np.arange(L_max + 1)[None, :]
 
     def synth(A, B):
@@ -392,8 +420,7 @@ def theta_profile_derivatives(coeffs, theta, nderiv):
     coefficients (a_k, b_k) to (k b_k, -k a_k).
     """
     L_max, n = coeffs.L_max, coeffs.L_max + 1
-    A, B = harmonics._synth_theta_stacks(harmonics._profile_blocks(L_max),
-                                         *harmonics._coeff_stacks(coeffs.c, L_max), L_max)
+    A, B = ref_theta_stacks(harmonics._profile_blocks(L_max), *ref_coeff_stacks(coeffs), L_max)
     prof = np.concatenate([A, B], axis=1)
     circle = np.concatenate([prof, np.tile((-1.0) ** np.arange(n), 2) * prof[-2:0:-1]])
     F = np.fft.rfft(circle, axis=0)[:n] / n

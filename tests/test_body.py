@@ -25,7 +25,8 @@ def loop_embed_faces(u):
             a, b = idx(i, j), idx(i + 1, j)
             c, d = idx(i + 1, j + 1), idx(i, j + 1)
             (x1, y1, z1), (x2, y2, z2) = (verts[a] - verts[c]).tolist(), (verts[b] - verts[d]).tolist()
-            if x1 * x1 + y1 * y1 + z1 * z1 <= x2 * x2 + y2 * y2 + z2 * z2:
+            ac, bd = x1 * x1 + y1 * y1 + z1 * z1, x2 * x2 + y2 * y2 + z2 * z2
+            if ac <= bd * (1.0 + 1e-12):
                 faces.append((a, b, c))
                 faces.append((a, c, d))
             else:
@@ -273,6 +274,19 @@ class TestLoopReference:
         faces = body.embed(mesh_u).faces
         ref = loop_embed_faces(mesh_u)
         assert faces.dtype == ref.dtype and np.array_equal(faces, ref)
+
+    @pytest.mark.parametrize("L, L_max", [(16, 10), (48, 32)])
+    def test_faces_ignore_rounding_of_u(self, L, L_max):
+        # the two diagonals of the equatorial quads of a symmetric body tie:
+        # a u whose coefficients come again from its own synthesized values,
+        # equal up to rounding, keeps every face
+        grid = sphere.make_grid(L)
+        coeffs = body.support_function(body.Ellipsoid(1.0, 1.2, 1.5), grid, L_max).coeffs
+        u = harmonics.synthesize(coeffs, grid)
+        again = harmonics.synthesize(harmonics.analyze(grid, u.values, L_max), grid)
+        assert not np.array_equal(again.coeffs.c, coeffs.c)
+        assert np.max(np.abs(again.values - u.values)) <= 1e-11 * np.max(u.values)
+        assert np.array_equal(body.embed(again).faces, body.embed(u).faces)
 
     def test_obj_bytes_match_loop(self, mesh_u, tmp_path):
         mesh = body.embed(mesh_u)

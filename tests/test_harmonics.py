@@ -84,59 +84,44 @@ def ref_legendre_packed(t, L_max):
 def ref_legendre_blocks(t, L_max):
     packed = ref_legendre_packed(t, L_max)
     offsets = harmonics._pair_index(L_max)[2]
-    return [packed[offsets[m] : offsets[m + 1], :].T for m in range(L_max + 1)]
+    return [packed[offsets[m] : offsets[m + 1], :] for m in range(L_max + 1)]
 
 
-def ref_azimuth_tables(phis, L_max):
+def ref_azimuth_table(phis, L_max):
     m = np.arange(L_max + 1)[:, None]
     arg = m * phis[None, :]
     scale = np.where(m > 0, np.sqrt(2.0), 1.0)
-    return scale * np.cos(arg), scale * np.sin(arg)
+    table = np.empty((2 * (L_max + 1), len(phis)))
+    table[0::2], table[1::2] = scale * np.cos(arg), scale * np.sin(arg)
+    return table
 
 
-def ref_coeff_stacks(coeffs):
-    L = coeffs.L_max
-    cos_c, sin_c = [], []
-    for m in range(L + 1):
-        ls = np.arange(m, L + 1)
-        cos_c.append(coeffs.c[ls * ls + ls + m])
-        sin_c.append(coeffs.c[ls * ls + ls - m] if m > 0 else None)
-    return cos_c, sin_c
-
-
-def ref_theta_stacks(blocks, cos_c, sin_c, L_max):
-    n_pts = blocks[0].shape[0]
-    A = np.zeros((n_pts, L_max + 1))
-    B = np.zeros((n_pts, L_max + 1))
-    for m in range(L_max + 1):
-        A[:, m] = blocks[m] @ cos_c[m]
-        if sin_c[m] is not None:
-            B[:, m] = blocks[m] @ sin_c[m]
-    return A, B
+def ref_profiles(blocks, cols, L_max):
+    """Order-major profiles (L_max + 1, W, n_pts) of the pair columns cols
+    (n_pairs, W), one product per order."""
+    offsets = harmonics._pair_index(L_max)[2]
+    return np.stack([cols[offsets[m] : offsets[m + 1]].T @ block for m, block in enumerate(blocks)])
 
 
 def ref_analyze(grid, values, L_max):
-    vals = values.reshape(grid.L, grid.azimuth_count)
-    cos_t, sin_t = ref_azimuth_tables(grid.phis, L_max)
-    w_phi = np.pi / grid.L
-    Fc = vals @ cos_t.T * w_phi
-    Fs = vals @ sin_t.T * w_phi
-    blocks = ref_legendre_blocks(grid.polar_nodes, L_max)
-    wt = grid.polar_weights
-    c = np.zeros((L_max + 1) ** 2)
-    for m in range(L_max + 1):
-        ls = np.arange(m, L_max + 1)
-        c[ls * ls + ls + m] = blocks[m].T @ (wt * Fc[:, m])
+    n = L_max + 1
+    F = values.reshape(grid.L, -1) @ ref_azimuth_table(grid.phis, L_max).T * (np.pi / grid.L)
+    F = (F * grid.polar_weights[:, None]).reshape(grid.L, n, 2)
+    c = np.zeros(n * n)
+    for m, block in enumerate(ref_legendre_blocks(grid.polar_nodes, L_max)):
+        ls = np.arange(m, n)
+        pair = block @ F[:, m]
+        c[ls * ls + ls + m] = pair[:, 0]
         if m > 0:
-            c[ls * ls + ls - m] = blocks[m].T @ (wt * Fs[:, m])
+            c[ls * ls + ls - m] = pair[:, 1]
     return c
 
 
 def ref_synthesize(coeffs, grid):
-    A, B = ref_theta_stacks(ref_legendre_blocks(grid.polar_nodes, coeffs.L_max),
-                            *ref_coeff_stacks(coeffs), coeffs.L_max)
-    cos_t, sin_t = ref_azimuth_tables(grid.phis, coeffs.L_max)
-    return (A @ cos_t + B @ sin_t).ravel()
+    L_max = coeffs.L_max
+    cols = ref_ladder_columns(coeffs.c, L_max)[:, [0, 4]]
+    prof = ref_profiles(ref_legendre_blocks(grid.polar_nodes, L_max), cols, L_max)
+    return (prof.reshape(2 * (L_max + 1), grid.L).T @ ref_azimuth_table(grid.phis, L_max)).ravel()
 
 
 def ref_ladder_columns(c, L_max):
@@ -165,33 +150,31 @@ def ref_ladder_columns(c, L_max):
     return np.array(rows)
 
 
-def ref_derivative_rows(field, hessian):
-    """Grid rows f_theta, f_phi and, with ``hessian``, f_theta_phi,
-    f_phi_phi and the Laplacian, by the order-ladder route with every table
-    built afresh."""
+def ref_derivative_rows(field):
+    """Grid rows f_theta, f_phi, f_theta_phi, f_phi_phi and the Laplacian,
+    by the order-ladder route with every table built afresh: the first two
+    and the last three from one product each."""
     grid, L_max = field.grid, field.coeffs.L_max
     cols = ref_ladder_columns(field.coeffs.c, L_max)
-    offsets = harmonics._pair_index(L_max)[2]
-    prof = np.empty((grid.L, 8, L_max + 1))
-    for m, block in enumerate(ref_legendre_blocks(grid.polar_nodes, L_max)):
-        prof[:, :, m] = block @ cols[offsets[m] : offsets[m + 1]]
-    prof = prof.reshape(grid.L, 2, 4, L_max + 1)
-    m = np.arange(L_max + 1)
+    prof = ref_profiles(ref_legendre_blocks(grid.polar_nodes, L_max), cols, L_max)
+    prof = prof.reshape(L_max + 1, 2, 4, grid.L)
+    m = np.arange(L_max + 1)[:, None, None]
     turn = m * np.array([[1.0], [-1.0]])
     val = prof[:, :, 0]
     dth = np.zeros_like(val)
-    dth[..., 1:] = prof[:, :, 2, :-1]
-    dth[..., :-1] += prof[:, :, 3, 1:]
-    rows = [dth, turn * val[:, ::-1]]
-    if hessian:
-        rows += [turn * dth[:, ::-1], -(m * m) * val, prof[:, :, 1]]
-    X = np.stack(rows).reshape(len(rows) * grid.L, 2 * (L_max + 1))
-    return (X @ np.concatenate(ref_azimuth_tables(grid.phis, L_max))).reshape(len(rows), -1)
+    dth[1:] = prof[:-1, :, 2]
+    dth[:-1] += prof[1:, :, 3]
+    table = ref_azimuth_table(grid.phis, L_max)
+    out = []
+    for rows in ([dth, turn * val[:, ::-1]], [turn * dth[:, ::-1], -(m * m) * val, prof[:, :, 1]]):
+        X = np.stack(rows, axis=2).reshape(2 * (L_max + 1), -1)
+        out += list((X.T @ table).reshape(len(rows), -1))
+    return out
 
 
 def ref_grid_gradient(field):
     grid = field.grid
-    dth, dph = ref_derivative_rows(field, hessian=False)
+    dth, dph = ref_derivative_rows(field)[:2]
     theta = np.repeat(grid.thetas, grid.azimuth_count)
     e_th, e_ph = frame_vectors(theta, np.tile(grid.phis, grid.L))
     return e_th * dth[:, None] + e_ph * (dph / np.sin(theta))[:, None]
@@ -199,7 +182,7 @@ def ref_grid_gradient(field):
 
 def ref_grid_hessian(field):
     grid = field.grid
-    dth, dph, dthph, dphph, lap = ref_derivative_rows(field, hessian=True)
+    dth, dph, dthph, dphph, lap = ref_derivative_rows(field)
     theta = np.repeat(grid.thetas, grid.azimuth_count)
     s, c = np.sin(theta), np.cos(theta)
     H = np.empty((len(s), 2, 2))
@@ -277,16 +260,14 @@ def ref_synthesize_at(coeffs, points):
     L_max = coeffs.L_max
     n = L_max + 1
     nodes = np.pi * np.arange(n + 1) / n
-    A, B = ref_theta_stacks(ref_legendre_blocks(np.cos(nodes), L_max),
-                            *ref_coeff_stacks(coeffs), L_max)
-    prof = np.concatenate([A, B], axis=1)
-    circle = np.concatenate([prof, np.tile((-1.0) ** np.arange(n), 2) * prof[-2:0:-1]])
-    F = np.fft.rfft(circle, axis=0)[:n] / n
-    F[0] *= 0.5
-    W = np.stack([F.real, -F.imag], axis=1).reshape(2 * n, 2 * n)
-    k = np.arange(n)
-    P = np.exp(1j * np.multiply.outer(theta, k)).view(float) @ W
-    A, B = P[:, :n], P[:, n:]
+    cols = ref_ladder_columns(coeffs.c, L_max)[:, [0, 4]]
+    prof = ref_profiles(ref_legendre_blocks(np.cos(nodes), L_max), cols, L_max)
+    sign = ((-1.0) ** np.arange(n))[:, None, None]
+    F = np.fft.rfft(np.concatenate([prof, sign * prof[..., -2:0:-1]], axis=-1))[..., :n] / n
+    F[..., 0] *= 0.5
+    W = np.stack([F.real, -F.imag], axis=-1).transpose(2, 3, 0, 1).reshape(2 * n, 2 * n)
+    P = np.exp(1j * np.multiply.outer(theta, np.arange(n))).view(float) @ W
+    A, B = P[:, 0::2], P[:, 1::2]
     m = np.arange(L_max + 1)[None, :]
     z = np.where(m > 0, np.sqrt(2.0), 1.0) * np.exp(1j * m * phi[:, None])
     return np.sum(A * z.real + B * z.imag, axis=1)
@@ -316,6 +297,19 @@ class TestTransforms:
         coeffs = random_coeffs(10, seed=2)
         f = harmonics.synthesize(coeffs, grid16)
         assert abs(np.sum(coeffs.c**2) - grid16.integrate(f.values**2)) < 1e-8
+
+    @pytest.mark.parametrize("L, L_max", [(4, 0), (5, 4), (17, 16), (48, 32)])
+    def test_analyze_is_adjoint_of_synthesize(self, L, L_max):
+        # <synthesize(a), g> by quadrature equals a . analyze(g) for node
+        # values g that are not band-limited: the transposed azimuth
+        # product, the per-order adjoint products and the order-0 scatter
+        grid = sphere.make_grid(L)
+        rng = np.random.default_rng(L)
+        a = rng.standard_normal((L_max + 1) ** 2)
+        g = rng.standard_normal(grid.node_count)
+        lhs = grid.integrate(harmonics.synthesize(harmonics.HarmonicCoeffs(L_max=L_max, c=a), grid).values * g)
+        rhs = a @ harmonics.analyze(grid, g, L_max).c
+        assert abs(lhs - rhs) <= 1e-13 * abs(rhs)
 
     def test_band_limit_gate(self, grid16):
         with pytest.raises(BandLimitExceeded):
@@ -712,6 +706,10 @@ class TestCoordinateProduct:
                          for v in c.T], axis=1)
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+        # a flat (K,) array is one expansion: (N,), the values of synthesize
+        single = harmonics.synthesize_channels(c[:, 0], grid)
+        assert single.shape == (grid.node_count,)
+        assert np.array_equal(single, want[:, 0])
 
 
 class TestThetaProfiles:
@@ -970,7 +968,7 @@ class TestTransformPlan:
 
     def test_check_reads_one_table_per_grid(self, tmp_path, monkeypatch):
         # from empty caches, a check builds a single Legendre table per (L,
-        # L_max) and the two azimuth tables per grid: no derivative tables
+        # L_max) and one stacked azimuth table per grid: no derivative tables
         clear_program_caches()
         built = {"_grid_legendre": [], "_azimuth_plan": []}
         for name, entries in built.items():
@@ -983,13 +981,13 @@ class TestTransformPlan:
         for (L, L_max), P in built["_grid_legendre"]:
             assert isinstance(P, np.ndarray)
             assert P.shape == ((L_max + 1) * (L_max + 2) // 2, L)
-        for (L, L_max), tables in built["_azimuth_plan"]:
-            assert len(tables) == 2
-            assert all(t.shape == (L_max + 1, 2 * L) for t in tables)
+        for (L, L_max), table in built["_azimuth_plan"]:
+            assert isinstance(table, np.ndarray)
+            assert table.shape == (2 * (L_max + 1), 2 * L)
 
     def test_cached_tables_read_only(self):
         calls = {
-            "_pair_index": (8,), "_order_index": (8,), "_grid_legendre": (12, 8),
+            "_pair_index": (8,), "_grid_legendre": (12, 8),
             "_grid_blocks": (12, 8), "_profile_blocks": (8,), "_azimuth_plan": (12, 8),
             "_coordinate_plan": (8,), "_ladder_plan": (8,),
         }
