@@ -102,6 +102,10 @@ class SurfaceMesh:
     dz*dz, so a tie to rounding goes to the a-c diagonal, else (b, c, d),
     (b, d, a).
     :func:`write_obj` writes every float as its shortest round-trip repr.
+    The normals are grid nodes, whose coordinates repeat by the mirror
+    symmetries of the grid (13,176 distinct of 55,302 at L = 96), so it
+    formats each distinct one once; the vertices depend on u and are all
+    distinct, so it formats them one by one.
     """
 
     vertices: np.ndarray   # (N + 2, 3)
@@ -177,11 +181,23 @@ _OBJ_BLOCK_ROWS = 4096
 
 def write_obj(mesh: SurfaceMesh, path):
     """Wavefront OBJ: v lines, vn lines in vertex order, 1-based f lines,
-    streamed to ``path`` with one format per block of rows."""
+    streamed to ``path`` with one format per block of rows.
+
+    The normals are the grid nodes, whose coordinates repeat (z per ring,
+    x and y by the mirror symmetries of the azimuths), so each distinct bit
+    pattern is formatted once and the vn lines are built from those
+    strings; -0.0 and 0.0 are different patterns and keep their own repr.
+    The vertex coordinates are all distinct, where finding the repeats
+    would cost more than it saves, so the v lines format every value.
+    """
+    bits, index = np.unique(mesh.normals.view(np.int64), return_inverse=True)
+    reprs = np.array(list(map(repr, bits.view(float).tolist())), dtype=object)
     with open(path, "w", encoding="utf-8") as fh:
-        for line, rows in (("v %r %r %r\n", mesh.vertices),
-                           ("vn %r %r %r\n", mesh.normals),
-                           ("f %d %d %d\n", mesh.faces + 1)):
+        for line, rows, strings in (("v %r %r %r\n", mesh.vertices, None),
+                                    ("vn %s %s %s\n", index.reshape(-1, 3), reprs),
+                                    ("f %d %d %d\n", mesh.faces + 1, None)):
             for k in range(0, len(rows), _OBJ_BLOCK_ROWS):
-                block = rows[k : k + _OBJ_BLOCK_ROWS]
-                fh.write(line * len(block) % tuple(block.ravel().tolist()))
+                block = rows[k : k + _OBJ_BLOCK_ROWS].ravel()
+                if strings is not None:
+                    block = strings[block]
+                fh.write(line * (len(block) // 3) % tuple(block.tolist()))

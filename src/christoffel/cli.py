@@ -83,14 +83,26 @@ def _repeated_floats(tokens) -> np.ndarray:
     return np.fromiter(map(parsed.__getitem__, tokens), float, count=len(tokens))
 
 
+def _plain_ascii(text: str) -> bool:
+    """False when ``text`` holds a character that ``float`` reads but a
+    number should not have: a digit-group underscore or a non-ASCII
+    character, such as a non-ASCII digit."""
+    return text.isascii() and "_" not in text
+
+
 def _raise_first_bad_row(rows):
-    """ParseError naming the first data row that is not three numbers."""
+    """ParseError naming the first data row that is blank or not three
+    plain ASCII numbers."""
     for k, row in enumerate(rows):
+        if not row.strip():
+            raise ParseError("blank row", line=k + 2)
         parts = row.split(",")
         if len(parts) != 3:
             raise ParseError("expected three comma-separated fields", line=k + 2)
         for part in parts:
             try:
+                if not _plain_ascii(part):
+                    raise ValueError(part)
                 float(part)
             except ValueError as exc:
                 raise ParseError(f"bad value {part!r}", line=k + 2) from exc
@@ -101,9 +113,14 @@ def _field_from_csv(path: str, grid) -> np.ndarray:
     """Read a theta,phi,value CSV whose rows are the grid's nodes in order
     and return its values.
 
-    Every row's angles must match its node's within 1e-9; the first row
-    that does not raises GridMismatch naming its line, and the first value
-    that is not finite ParseError.
+    Blank lines at the end of the file are ignored.  Every row's angles
+    must match its node's within 1e-9; the first row that does not raises
+    GridMismatch naming its line.  A blank row, a row that is not three
+    numbers, a number that only Python's ``float`` reads (``2_0``, a
+    non-ASCII digit) and a value that is not finite each raise ParseError
+    naming the first such line.  The rows are checked one by one only on
+    these error paths: when their count is wrong or the whole-text parse
+    has failed.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -113,13 +130,19 @@ def _field_from_csv(path: str, grid) -> np.ndarray:
     if not lines or lines[0].strip().lower() != "theta,phi,value":
         raise ParseError("expected header 'theta,phi,value'", line=1)
     rows = lines[1:]
+    while rows and not rows[-1].strip():
+        rows.pop()
     if len(rows) != grid.node_count:
+        if not all(map(str.strip, rows)):
+            _raise_first_bad_row(rows)
         raise GridMismatch(
             f"file has {len(rows)} rows, grid expects {grid.node_count}"
         )
-    fields = ",".join(rows).split(",")
+    data = ",".join(rows)
+    plain, fields = _plain_ascii(data), data.split(",")
+    del data  # freed before the values are parsed, as a temporary would be
     try:
-        if len(fields) != 3 * len(rows):
+        if len(fields) != 3 * len(rows) or not plain:
             raise ValueError("not three fields per row")
         values = np.fromiter(map(float, fields[2::3]), float, count=len(rows))
         thetas, phis = _repeated_floats(fields[0::3]), _repeated_floats(fields[1::3])
@@ -151,12 +174,16 @@ _F_MIN, _F_MAX = 1e-100, 1e100
 
 
 def _parse_params(spec: str):
-    """``key=number`` pairs: a number that does not parse is a ParseError,
+    """``key=number`` pairs: a number that does not parse, or that only
+    Python's ``float`` reads (``1_0``, a non-ASCII digit), is a ParseError,
     one that is not finite an InvalidParameter."""
     out = {}
+    plain = _plain_ascii(spec)
     for item in spec.split(",") if spec else ():
         key, _, val = item.partition("=")
         try:
+            if not (plain or _plain_ascii(item)):
+                raise ValueError(item)
             value = float(val)  # "" when the item has no "="
         except ValueError as exc:
             raise ParseError(f"malformed parameter {item!r}") from exc

@@ -25,6 +25,11 @@ per (L, L_max) the one Legendre table at the Gauss nodes of grid L
 azimuth table (:func:`_azimuth_plan`).  Every cached array is read-only,
 so a stray in-place write raises ValueError instead of corrupting later
 transforms, and results are bit-identical to building the tables afresh.
+Building a table does its fixed work once: :func:`_legendre_packed` forms
+the recursion coefficients and target rows of all its diagonals in one
+vectorized pass, and each recursion step only slices them.  These caches
+are the package's only state between calls: emptying them (``cache_clear``)
+makes a command pay what it pays in a fresh process.
 
 Every transform runs on one core.  The gather packs the coefficients into
 columns per (m, l) pair: c_lm and c_l,-m for values, and for derivatives
@@ -224,7 +229,8 @@ def _legendre_packed(t: np.ndarray, L_max: int) -> np.ndarray:
     contiguous row), t = cos theta.  Normalization: the basis function built
     from pair (l, m) and its azimuth factor has unit L^2 norm on the sphere.
     The degree recursion is vectorized across all orders m one diagonal
-    l - m at a time.
+    l - m at a time; the coefficients and target rows of every diagonal
+    come from one pass, which each step slices.
     """
     m_arr, _, offsets = _pair_index(L_max)
     t = np.asarray(t, dtype=float)
@@ -241,13 +247,20 @@ def _legendre_packed(t: np.ndarray, L_max: int) -> np.ndarray:
         mv = np.arange(L_max)
         coef = np.sqrt(2.0 * mv + 3.0)
         P[offsets[mv] + 1] = coef[:, None] * t[None, :] * P[offsets[mv]]
+    # every diagonal's coefficients and target rows in one pass, diagonal
+    # k = l - m >= 2 in entries starts[k - 2]..starts[k - 1]
+    ks = np.arange(2, L_max + 1)
+    starts = np.concatenate([[0], np.cumsum(L_max + 1 - ks)])
+    kv = np.repeat(ks, L_max + 1 - ks)
+    mv = np.arange(starts[-1]) - starts[kv - 2]
+    lv = mv + kv
+    a = np.sqrt((4.0 * lv * lv - 1.0) / (lv * lv - mv * mv))[:, None]
+    b = np.sqrt(((lv - 1.0) ** 2 - mv * mv) / (4.0 * (lv - 1.0) ** 2 - 1.0))[:, None]
+    tgt = offsets[mv] + kv
     for k in range(2, L_max + 1):
-        mv = np.arange(L_max - k + 1)
-        lv = mv + k
-        a = np.sqrt((4.0 * lv * lv - 1.0) / (lv * lv - mv * mv))
-        b = np.sqrt(((lv - 1.0) ** 2 - mv * mv) / (4.0 * (lv - 1.0) ** 2 - 1.0))
-        tgt = offsets[mv] + k
-        P[tgt] = a[:, None] * (t[None, :] * P[tgt - 1] - b[:, None] * P[tgt - 2])
+        step = slice(starts[k - 2], starts[k - 1])
+        rows = tgt[step]
+        P[rows] = a[step] * (t * P[rows - 1] - b[step] * P[rows - 2])
     return P
 
 

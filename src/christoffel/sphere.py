@@ -86,16 +86,26 @@ class SphereGrid:
     @cached_property
     def frame(self) -> NodeFrame:
         """The frame of every node, formed once per grid, read-only: no node
-        is a pole, so every grid derivative and 2x2 form lives in it."""
-        theta = np.repeat(self.thetas, self.azimuth_count)
-        phi = np.tile(self.phis, self.L)
-        st, ct = np.sin(theta), np.cos(theta)
-        cp, sp = np.cos(phi), np.sin(phi)
-        e_th = np.stack([ct * cp, ct * sp, -st], axis=-1)
-        e_ph = np.stack([-sp, cp, np.zeros_like(sp)], axis=-1)
-        for a in (st, ct, e_th, e_ph):
+        is a pole, so every grid derivative and 2x2 form lives in it.
+
+        Nodes on one ring share theta and nodes on one meridian share phi,
+        so sin and cos are taken of the L polar angles and the 2L azimuths
+        alone, then repeated per ring resp. tiled over the rings; each
+        entry is the product a per-node evaluation forms, bit for bit."""
+        n_phi = self.azimuth_count
+        st, ct = np.sin(self.thetas), np.cos(self.thetas)
+        cp, sp = np.cos(self.phis), np.sin(self.phis)
+        e_th = np.empty((self.L, n_phi, 3))
+        np.multiply.outer(ct, cp, out=e_th[..., 0])
+        np.multiply.outer(ct, sp, out=e_th[..., 1])
+        e_th[..., 2] = -st[:, None]
+        e_ph = np.zeros((self.L, n_phi, 3))
+        e_ph[..., 0], e_ph[..., 1] = -sp, cp
+        arrays = (np.repeat(st, n_phi), np.repeat(ct, n_phi),
+                  e_th.reshape(-1, 3), e_ph.reshape(-1, 3))
+        for a in arrays:
             a.flags.writeable = False
-        return NodeFrame(st, ct, e_th, e_ph)
+        return NodeFrame(*arrays)
 
     def integrate(self, values) -> float:
         """Quadrature sum over the grid (fixed, deterministic order)."""

@@ -18,6 +18,34 @@ def clear_program_caches():
                     obj.cache_clear()
 
 
+L16 = ["--L", "16", "--Lmax", "8"]
+
+
+def cli_commands(tmp):
+    """Every subcommand at a small size, a ``file:`` input, ``--project``,
+    an orthogonality error and a failing ``lp``: (argv, expected exit code,
+    expected error type or None)."""
+    u_csv, obj = str(tmp / "u.csv"), str(tmp / "body.obj")
+    degree1 = "family:harmonic:l=1,m=0,eps=0.6,base=2"
+    bump = "family:harmonic:l=2,m=1,eps=0.1,base=2"
+    return [
+        (["solve", "--input", "family:constant:c=2", "--out", u_csv] + L16, 0, None),
+        (["solve", "--input", f"file:{u_csv}"] + L16, 0, None),
+        (["solve", "--input", degree1] + L16, 1, "OrthogonalityViolation"),
+        (["solve", "--input", degree1, "--project"] + L16, 0, None),
+        (["check", "--input", "family:ellipsoid:a=1,b=1.2,c=1.5", "--L", "16", "--Lmax", "10"],
+         0, None),
+        (["lp", "--p", "4", "--input", bump] + L16, 0, None),
+        (["lp", "--p", "2", "--input", bump] + L16, 0, None),
+        (["lp", "--p", "4", "--input", "family:ellipsoid:a=0.8,b=1.2,c=1.6"] + L16,
+         1, "NonConvergence"),
+        (["gamma", "--n", "2", "--alpha", "0.5", "--mc-samples", "1000"], 0, None),
+        (["kernels", "--n", "2", "--out", str(tmp / "kernels.csv")], 0, None),
+        (["reconstruct", "--input", "family:ellipsoid:a=1,b=1.2,c=0.8", "--obj", obj,
+          "--out", u_csv] + L16, 0, None),
+    ]
+
+
 @pytest.fixture(scope="session")
 def grid16():
     return sphere.make_grid(16)
@@ -288,6 +316,15 @@ def principal_radii(u, x):
     D2U = harmonics.extension_hessian_at(u.coeffs, xc[None, :])[0]
     r = np.linalg.eigvalsh(E.T @ D2U @ E)
     return float(r[0]), float(r[1])
+
+
+def ref_obj_text(mesh):
+    """Reference OBJ text of :func:`body.write_obj`: every float of the v
+    and vn lines formatted by its own %r, no value shared."""
+    return "".join(line * len(rows) % tuple(rows.ravel().tolist())
+                   for line, rows in (("v %r %r %r\n", mesh.vertices),
+                                      ("vn %r %r %r\n", mesh.normals),
+                                      ("f %d %d %d\n", mesh.faces + 1)))
 
 
 # ----------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from conftest import (
     ellipsoid_principal_radii,
     harmonic_field,
     principal_radii,
+    ref_obj_text,
 )
 
 
@@ -37,18 +40,6 @@ def loop_embed_faces(u):
         faces.append((ni, idx(0, j), idx(0, j + 1)))
         faces.append((si, idx(L - 1, j + 1), idx(L - 1, j)))
     return np.asarray(faces, dtype=int)
-
-
-def loop_obj_text(mesh):
-    """Reference OBJ text, one line at a time."""
-    lines = []
-    for v in mesh.vertices:
-        lines.append(f"v {float(v[0])!r} {float(v[1])!r} {float(v[2])!r}")
-    for n in mesh.normals:
-        lines.append(f"vn {float(n[0])!r} {float(n[1])!r} {float(n[2])!r}")
-    for f in mesh.faces:
-        lines.append(f"f {f[0] + 1} {f[1] + 1} {f[2] + 1}")
-    return "\n".join(lines) + "\n"
 
 
 # a ball, where every quad's diagonals tie by symmetry, and two ellipsoids
@@ -292,7 +283,7 @@ class TestLoopReference:
         mesh = body.embed(mesh_u)
         path = tmp_path / "body.obj"
         body.write_obj(mesh, path)
-        assert path.read_bytes() == loop_obj_text(mesh).encode("utf-8")
+        assert path.read_bytes() == ref_obj_text(mesh).encode("utf-8")
 
     @pytest.mark.parametrize("rows", [1, 7, 10**6])
     def test_obj_independent_of_block_size(self, grid16, rows, tmp_path, monkeypatch):
@@ -305,7 +296,42 @@ class TestLoopReference:
         assert path.read_bytes() == default.read_bytes()
 
 
+def signed_zero_mesh(L):
+    """Mesh of an ellipsoid on grid L with 0.0 and -0.0 planted among the
+    coordinates of its first vertices and normals."""
+    u = body.support_function(body.Ellipsoid(1.0, 1.2, 1.5), sphere.make_grid(L), 2 * L // 3)
+    mesh = body.embed(u)
+    vertices, normals = mesh.vertices.copy(), mesh.normals.copy()
+    vertices[:3] = [[0.0, -0.0, 1.0], [-0.0, 0.0, -0.0], [0.0, 0.0, 0.0]]
+    normals[:2] = [[-0.0, 0.0, 1.0], [0.0, -0.0, -1.0]]
+    return dataclasses.replace(mesh, vertices=vertices, normals=normals)
+
+
 class TestObj:
+    @pytest.mark.parametrize("rows", [4096, 1, 7, 10**6])
+    @pytest.mark.parametrize("L", [16, 17])
+    def test_signed_zeros_match_reference(self, L, rows, tmp_path, monkeypatch):
+        # each distinct bit pattern of the normals is formatted once, so
+        # -0.0 and 0.0 must stay apart; odd L puts z = 0.0 on the equator
+        mesh = signed_zero_mesh(L)
+        for a in (mesh.vertices, mesh.normals):
+            zero = a == 0.0
+            assert np.any(zero & np.signbit(a)) and np.any(zero & ~np.signbit(a))
+        assert np.any(mesh.normals[: mesh.node_vertex_count, 2] == 0.0) == (L % 2 == 1)
+        monkeypatch.setattr(body, "_OBJ_BLOCK_ROWS", rows)
+        path = tmp_path / "body.obj"
+        body.write_obj(mesh, path)
+        assert path.read_bytes() == ref_obj_text(mesh).encode("utf-8")
+
+    @pytest.mark.parametrize("L", [16, 17])
+    def test_normals_read_back_bit_exact(self, L, tmp_path):
+        mesh = signed_zero_mesh(L)
+        path = tmp_path / "body.obj"
+        body.write_obj(mesh, path)
+        vn = np.array([[float(x) for x in ln.split()[1:]]
+                       for ln in path.read_text().splitlines() if ln.startswith("vn ")])
+        assert np.array_equal(vn.view(np.int64), mesh.normals.view(np.int64))
+
     def test_format(self, grid16, tmp_path):
         u = body.support_function(Sphere(1.0), grid16, L_max=8)
         mesh = body.embed(u)

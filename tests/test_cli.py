@@ -140,6 +140,39 @@ class TestFieldSources:
             cli._field_from_csv(str(bad), grid16)
         assert exc.value.line == 4
 
+    @pytest.mark.parametrize("tail", ["\n", "\n\n", "  \n\t\n"])
+    def test_csv_trailing_blank_lines_ignored(self, grid16, tmp_path, tail):
+        f, _ = cli.parse_field_source("family:harmonic:l=3,m=1,eps=0.2,base=2", grid16, 8)
+        path = tmp_path / "tail.csv"
+        path.write_text(cli._field_to_csv(f) + tail)
+        assert np.array_equal(cli._field_from_csv(str(path), grid16), f.values)
+
+    @pytest.mark.parametrize("replace", [False, True], ids=["inserted", "replacing"])
+    @pytest.mark.parametrize("blank", ["", "   "], ids=repr)
+    def test_csv_blank_row_names_its_line(self, grid16, tmp_path, blank, replace):
+        # an inserted blank row makes the count wrong, a replacing one the parse
+        f, _ = cli.parse_field_source("family:constant:c=2", grid16, 8)
+        lines = cli._field_to_csv(f).splitlines()
+        lines[7 : 8 if replace else 7] = [blank]
+        path = tmp_path / "blank.csv"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match="blank row") as exc:
+            cli._field_from_csv(str(path), grid16)
+        assert exc.value.line == 8
+
+    @pytest.mark.parametrize("value", ["2_0", "\u0662", "2.\u0660", "2.0\u00a0"])
+    def test_csv_numbers_only_python_reads(self, grid16, tmp_path, value):
+        # float() reads digit-group underscores, non-ASCII digits and
+        # non-ASCII spaces; a field file must hold plain ASCII numbers
+        f, _ = cli.parse_field_source("family:constant:c=2", grid16, 8)
+        lines = cli._field_to_csv(f).splitlines()
+        lines[5] = lines[5].rsplit(",", 1)[0] + "," + value
+        path = tmp_path / "odd.csv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ParseError, match="bad value") as exc:
+            cli._field_from_csv(str(path), grid16)
+        assert exc.value.line == 6
+
 
 class TestCommands:
     def test_solve_constant(self, tmp_path):
@@ -545,25 +578,32 @@ class TestErrors:
         ("family:harmonic:l=2,m=0,eps=0.1,base=1e308", "InvalidParameter"),
         ("family:harmonic:l=0,m=0,eps=1e308,base=5e307", "InvalidParameter"),
         ("family:constant:c=two", "ParseError"),
+        ("family:ellipsoid:a=1_0,b=1", "ParseError"),
+        ("family:ellipsoid:a=1,b=\u0661", "ParseError"),
+        ("family:constant:c=\uff12", "ParseError"),
         ("file", "ParseError"),
+        ("file:2_0", "ParseError"),
     ])
     def test_bad_field_source_reported(self, source, kind, tmp_path):
         # not-finite parameters and values, a degree or order that is not
         # an integer, and values whose coefficients or transform overflow
         # end in a typed error in the report, with no warning or traceback
-        if source == "file":
+        if source.startswith("file"):
+            value = source[5:] or "nan"
             f, _ = cli.parse_field_source("family:constant:c=2", make_grid(16), 8)
             lines = cli._field_to_csv(f).splitlines()
-            lines[5] = lines[5].rsplit(",", 1)[0] + ",nan"
-            (tmp_path / "nan.csv").write_text("\n".join(lines) + "\n")
-            source = f"file:{tmp_path / 'nan.csv'}"
+            lines[5] = lines[5].rsplit(",", 1)[0] + "," + value
+            (tmp_path / "bad.csv").write_text("\n".join(lines) + "\n")
+            source = f"file:{tmp_path / 'bad.csv'}"
         report, code = run_cli(["solve", "--input", source, "--L", "16", "--Lmax", "8"],
                                tmp_path)
         assert code == 1
         assert report["error"]["type"] == kind
         assert set(report) == {"config", "error"}
-        if kind == "ParseError" and "nan" in source:
+        if kind == "ParseError" and source.startswith("file"):
             assert report["error"]["message"].startswith("line 6:")
+        elif kind == "ParseError" and "=" in source:
+            assert "malformed parameter" in report["error"]["message"]
 
     @pytest.mark.parametrize("command", FIELD_COMMANDS + PROJECTED, ids=" ".join)
     def test_band_limit_zero(self, command, tmp_path):

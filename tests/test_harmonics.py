@@ -966,6 +966,22 @@ class TestTransformPlan:
             harmonics.synthesize_at(coeffs, grid.nodes[:3])
         assert_matches_reference(L, L_max, seed=4)
 
+    @pytest.mark.parametrize("L_max", [0, 1, 2, 3])
+    def test_legendre_small_bands_bitwise(self, L_max):
+        # bands with no recursion step (0, 1) and with one or two diagonals
+        t = np.concatenate([sphere._polar_rule(5)[0], [-1.0, 0.0, 1.0]])
+        P = harmonics._legendre_packed(t, L_max)
+        assert np.array_equal(P.view(np.int64), ref_legendre_packed(t, L_max).view(np.int64))
+
+    def test_legendre_underflow_bitwise(self):
+        # at (256, 192) the recursion underflows towards the poles: its
+        # subnormal entries and its zeros, of either sign, come out bit for bit
+        t = sphere._polar_rule(256)[0]
+        P = harmonics._legendre_packed(t, 192)
+        assert np.sum((P != 0.0) & (np.abs(P) < np.finfo(float).tiny)) == 188
+        assert np.sum(P == 0.0) == 1122 and np.any((P == 0.0) & np.signbit(P))
+        assert np.array_equal(P.view(np.int64), ref_legendre_packed(t, 192).view(np.int64))
+
     def test_check_reads_one_table_per_grid(self, tmp_path, monkeypatch):
         # from empty caches, a check builds a single Legendre table per (L,
         # L_max) and one stacked azimuth table per grid: no derivative tables

@@ -21,7 +21,7 @@ import pytest
 import christoffel
 from christoffel import cli, convexity, kernels, lp, sphere
 
-from conftest import clear_program_caches
+from conftest import cli_commands, clear_program_caches
 
 MODULES = sorted(p.stem for p in Path(christoffel.__file__).parent.glob("*.py")
                  if p.stem != "__init__")
@@ -43,9 +43,6 @@ ALLOWLIST = {
     "harmonics.extension_hessian_at": "item 3",
     "harmonics.HarmonicCoeffs.extension_channels": "item 3",
 }
-
-L16 = ["--L", "16", "--Lmax", "8"]
-
 
 def public_callables():
     """Code object -> ``module.name`` or ``module.Class.name`` of every
@@ -74,29 +71,6 @@ def public_callables():
     return out
 
 
-def commands(tmp):
-    """(argv, expected exit code, expected error type or None)."""
-    u_csv, obj = str(tmp / "u.csv"), str(tmp / "body.obj")
-    degree1 = "family:harmonic:l=1,m=0,eps=0.6,base=2"
-    bump = "family:harmonic:l=2,m=1,eps=0.1,base=2"
-    return [
-        (["solve", "--input", "family:constant:c=2", "--out", u_csv] + L16, 0, None),
-        (["solve", "--input", f"file:{u_csv}"] + L16, 0, None),
-        (["solve", "--input", degree1] + L16, 1, "OrthogonalityViolation"),
-        (["solve", "--input", degree1, "--project"] + L16, 0, None),
-        (["check", "--input", "family:ellipsoid:a=1,b=1.2,c=1.5", "--L", "16", "--Lmax", "10"],
-         0, None),
-        (["lp", "--p", "4", "--input", bump] + L16, 0, None),
-        (["lp", "--p", "2", "--input", bump] + L16, 0, None),
-        (["lp", "--p", "4", "--input", "family:ellipsoid:a=0.8,b=1.2,c=1.6"] + L16,
-         1, "NonConvergence"),
-        (["gamma", "--n", "2", "--alpha", "0.5", "--mc-samples", "1000"], 0, None),
-        (["kernels", "--n", "2", "--out", str(tmp / "kernels.csv")], 0, None),
-        (["reconstruct", "--input", "family:ellipsoid:a=1,b=1.2,c=0.8", "--obj", obj,
-          "--out", u_csv] + L16, 0, None),
-    ]
-
-
 @pytest.fixture(scope="module")
 def traced(tmp_path_factory):
     """Code objects called by the commands, and each command's report.
@@ -111,7 +85,7 @@ def traced(tmp_path_factory):
             seen.add(frame.f_code)
 
     reports = {}
-    for k, (argv, code, error) in enumerate(commands(tmp)):
+    for k, (argv, code, error) in enumerate(cli_commands(tmp)):
         path = tmp / f"report{k}.json"
         sys.setprofile(profile)
         try:

@@ -4,7 +4,7 @@ import pytest
 from christoffel import harmonics, sphere
 from christoffel.errors import ResolutionTooLow
 
-from conftest import constant_field
+from conftest import constant_field, frame_vectors
 
 
 def geodesic_dist(x, z):
@@ -97,6 +97,18 @@ class TestGrid:
         assert np.max(np.abs(frame.cos - x[:, 2])) <= 1e-15
         for arr in frame:
             assert not arr.flags.writeable
+
+    @pytest.mark.parametrize("L", [4, 48, 97])
+    def test_node_frame_bitwise_per_node(self, L):
+        # the frame takes sin and cos once per ring and per azimuth: every
+        # entry is the one that the angles of its own node give
+        grid = sphere.make_grid(L)
+        theta = np.repeat(grid.thetas, grid.azimuth_count)
+        phi = np.tile(grid.phis, L)
+        want = (np.sin(theta), np.cos(theta)) + frame_vectors(theta, phi)
+        for got, ref in zip(grid.frame, want):
+            assert got.shape == ref.shape
+            assert np.array_equal(got.view(np.int64), ref.view(np.int64))
 
     def test_harmonic_exactness_up_to_2L_minus_1(self):
         # quadrature integrates all Y_l^m with l <= 2L-1 exactly
