@@ -90,6 +90,19 @@ def _plain_ascii(text: str) -> bool:
     return text.isascii() and "_" not in text
 
 
+def _plain_number(convert):
+    """argparse type that reads a number by ``convert`` (int or float)
+    only from plain ASCII text, as field input reads it: ``1_6`` or a
+    non-ASCII digit is a usage error."""
+    def parse(text):
+        if not _plain_ascii(text):
+            raise ValueError(text)
+        return convert(text)
+
+    parse.__name__ = convert.__name__  # argparse names it in its message
+    return parse
+
+
 def _raise_first_bad_row(rows):
     """ParseError naming the first data row that is blank or not three
     plain ASCII numbers."""
@@ -276,6 +289,7 @@ def _make_parser():
         "criteria, kernels, L_p extension, and body reconstruction.",
     )
     sub = ap.add_subparsers(dest="command", required=True)
+    plain_int, plain_float = _plain_number(int), _plain_number(float)
 
     def command(name, summary, field=True, linear=True):
         # field commands other than lp solve (Laplacian + 2) u = f: they
@@ -285,11 +299,11 @@ def _make_parser():
         if field:
             p.add_argument("--input", type=str, default="family:constant:c=2",
                            help="field source: file:<path> or family:<name>:<params>")
-            p.add_argument("--L", type=int, default=harmonics.DEFAULT_GRID_L,
+            p.add_argument("--L", type=plain_int, default=harmonics.DEFAULT_GRID_L,
                            help=f"grid resolution, 4 to {MAX_GRID_L}")
-            p.add_argument("--Lmax", type=int, default=harmonics.DEFAULT_L_MAX,
+            p.add_argument("--Lmax", type=plain_int, default=harmonics.DEFAULT_L_MAX,
                            help="band limit")
-            p.add_argument("--tol", type=float, default=1e-8, help=(
+            p.add_argument("--tol", type=plain_float, default=1e-8, help=(
                 "tolerance relative to max|f|: the degree-1 defect may not exceed "
                 "tol*max|f|, the residual 10*tol*max|f|" if linear else
                 "absolute tolerance of the max-norm residual"))
@@ -297,7 +311,7 @@ def _make_parser():
                 p.add_argument("--project", action="store_true",
                                help="project out the degree-1 component instead of erroring")
         else:
-            p.add_argument("--n", type=int, default=2,
+            p.add_argument("--n", type=plain_int, default=2,
                            help=f"sphere dimension, 2 to {kernels.N_MAX}")
         return p
 
@@ -307,18 +321,18 @@ def _make_parser():
     p = command("check", "convexity criteria and sufficient conditions")
     p.add_argument("--criteria", type=str, default="cr1,cr2",
                    help="comma-separated criteria to sweep (cr1, cr2)")
-    p.add_argument("--alpha", type=float, default=0.5,
+    p.add_argument("--alpha", type=plain_float, default=0.5,
                    help="Hoelder exponent of the threshold condition")
 
     p = command("lp", "solve the L_p problem", linear=False)
-    p.add_argument("--p", type=float, default=4.0,
+    p.add_argument("--p", type=plain_float, default=4.0,
                    help="exponent p >= 2 (p = 2 is the eigenproblem)")
 
     p = command("gamma", "threshold constant gamma_{n, alpha}", field=False)
-    p.add_argument("--alpha", type=float, default=1.0, help="Hoelder exponent alpha")
-    p.add_argument("--mc-samples", type=int, default=10**6,
+    p.add_argument("--alpha", type=plain_float, default=1.0, help="Hoelder exponent alpha")
+    p.add_argument("--mc-samples", type=plain_int, default=10**6,
                    help="Monte-Carlo samples of each cross-check")
-    p.add_argument("--seed", type=int, default=0, help="seed of the Monte-Carlo cross-checks")
+    p.add_argument("--seed", type=plain_int, default=0, help="seed of the Monte-Carlo cross-checks")
 
     p = command("kernels", "dump kernel tables as CSV", field=False)
     p.add_argument("--out", type=str, default=None, help="write the CSV here")
@@ -330,7 +344,10 @@ def _make_parser():
 
 
 def _config_echo(args) -> dict:
-    return dict(sorted(vars(args).items()))
+    """The parsed options by name; a number that is not finite is echoed
+    as its repr ("nan", "inf"), since strict JSON has no token for it."""
+    return {key: repr(value) if isinstance(value, float) and not np.isfinite(value) else value
+            for key, value in sorted(vars(args).items())}
 
 
 def _criteria_names(spec: str) -> list:

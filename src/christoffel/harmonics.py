@@ -17,55 +17,38 @@ Transform plan: every table a transform reads is built once per size and
 then shared, as in SHTns (Schaeffer 2013), in module-level
 ``functools.lru_cache`` entries that keep the last 4 to 16 keys, enough
 for every size one command uses: per band limit L_max the pair layout
-(:func:`_pair_index`), the one coefficient gather (:func:`_ladder_plan`),
-the Legendre blocks of the off-grid profiles (:func:`_profile_blocks`) and
-the gathers of multiplication by the coordinates (:func:`_coordinate_plan`);
-per (L, L_max) the one Legendre table at the Gauss nodes of grid L
-(:func:`_grid_legendre`, per order :func:`_grid_blocks`) and the one
-azimuth table (:func:`_azimuth_plan`).  Every cached array is read-only,
-so a stray in-place write raises ValueError instead of corrupting later
-transforms, and results are bit-identical to building the tables afresh.
-Building a table does its fixed work once: :func:`_legendre_packed` forms
-the recursion coefficients and target rows of all its diagonals in one
-vectorized pass, and each recursion step only slices them.  These caches
-are the package's only state between calls: emptying them (``cache_clear``)
-makes a command pay what it pays in a fresh process.
+(:func:`_pair_index`), the one coefficient gather (:func:`_ladder_plan`)
+and the gathers of multiplication by the coordinates
+(:func:`_coordinate_plan`); per (L, L_max) the one Legendre table at the
+Gauss nodes of grid L (:func:`_grid_legendre`, per order
+:func:`_grid_blocks`) and the one azimuth table (:func:`_azimuth_plan`).
+Every cached array is read-only, so a stray in-place write raises
+ValueError instead of corrupting later transforms, and results are
+bit-identical to building the tables afresh.  Building a table does its
+fixed work once: :func:`_legendre_packed` forms the recursion coefficients
+and target rows of all its diagonals in one vectorized pass, and each
+recursion step only slices them.  These caches are the package's only
+state between calls: emptying them (``cache_clear``) makes a command pay
+what it pays in a fresh process.
 
 Every transform runs on one core.  The gather packs the coefficients into
 columns per (m, l) pair: c_lm and c_l,-m for values, and for derivatives
 the Laplacian -l(l + 1) c and the rungs of the order ladder (the
 theta-derivative of P_l^m combines P_l^(m-1) and P_l^(m+1)).  One product
 per order of the Legendre block with those columns (:func:`_contract`)
-gives the theta profiles of one expansion or of a stack of channels, on
-the grid (:func:`synthesize_channels`, :attr:`SphericalField._profiles`)
-or off it (:func:`_theta_profiles`).  One product with the azimuth table
-turns grid profiles into values; :func:`analyze` is the adjoint, with the
-same table, blocks and gather.  phi-derivatives multiply the profiles by
-m and m^2, and the theta-theta entry is the Laplacian minus the phi-phi
-entry; each field keeps its derivatives in its node frame
-(:attr:`SphericalField.gradient`, :attr:`SphericalField.hessian`).
+gives the theta profiles of one expansion or of a stack of channels at the
+rings (:func:`synthesize_channels`, :attr:`SphericalField._profiles`).
+One product with the azimuth table turns the profiles into values;
+:func:`analyze` is the adjoint, with the same table, blocks and gather.
+phi-derivatives multiply the profiles by m and m^2, and the theta-theta
+entry is the Laplacian minus the phi-phi entry; each field keeps its
+derivatives in its node frame (:attr:`SphericalField.gradient`,
+:attr:`SphericalField.hessian`).
 
 The solvability condition int x f = 0 concerns the degree-1 part of f
 alone, and the real Y_1^m are sqrt(3/4pi) (x_2, x_3, x_1): so
 :func:`orthogonality_defect` and :func:`project_out_linear` read it from
 the coefficients and run no quadrature.
-
-Off-grid derivatives come from one object, the derivative channels of the
-1-homogeneous extension G(y) = |y| g(y/|y|): on S^2, DG = grad g + g x and
-D^2 G = E (Hess g + g I) E^T for any tangent frame E (Schneider, "Convex
-Bodies", 2nd ed., 2014, section 2.5).  A degree-l term contributes only
-d_i h, x_i h, d_ij h, x_i d_j h and x_i x_j h of its solid harmonic h, so
-the 3 entries of DG are spherical polynomials of degree <= L_max + 1 and the
-6 entries of D^2 G of degree <= L_max + 2.  Their coefficients come from
-the coefficients of g alone, once per coefficient set
-(:attr:`HarmonicCoeffs.extension_channels`): multiplication by a coordinate
-x_j moves each degree to its two neighbours (:func:`coordinate_product`),
-and the ambient derivatives of a homogeneous extension are weighted sums of
-those two parts (:func:`ambient_gradient`), so no grid and no quadrature is
-involved.  Point gradients and ambient Hessians then only synthesize
-channels, all channels of one band from one set of theta profiles: no
-(theta, phi) frame, no tangent basis and no pole test, so the points may be
-poles.
 """
 
 from __future__ import annotations
@@ -125,19 +108,6 @@ class HarmonicCoeffs:
         c = self.c / D
         c[1:4] = 0.0
         return HarmonicCoeffs(L_max=self.L_max, c=c)
-
-    @cached_property
-    def extension_channels(self) -> ExtensionChannels:
-        """Derivative channels of the 1-homogeneous extension, built on
-        first use and kept with these coefficients."""
-        return _extension_channels(self)
-
-
-class ExtensionChannels(NamedTuple):
-    """Coefficients of the derivatives of G(y) = |y| g(y/|y|) on S^2."""
-
-    grad: tuple  # DG_i, i = 0..2, each HarmonicCoeffs at band L_max + 1
-    hess: tuple  # D^2 G_ij, i <= j packed as _SYM_ROWS/_SYM_COLS, band L_max + 2
 
 
 def operator_diagonal(L_max: int) -> np.ndarray:
@@ -264,13 +234,6 @@ def _legendre_packed(t: np.ndarray, L_max: int) -> np.ndarray:
     return P
 
 
-def _order_blocks(P: np.ndarray, L_max: int):
-    """Per-order views of a packed table (n_pairs, n_pts): entry m is
-    (L_max + 1 - m, n_pts), row l - m."""
-    offsets = _pair_index(L_max)[2]
-    return tuple(P[offsets[m] : offsets[m + 1]] for m in range(L_max + 1))
-
-
 @lru_cache(maxsize=16)
 def _grid_legendre(L: int, L_max: int) -> np.ndarray:
     """Packed P at the Gauss nodes of grid L: the one table that every grid
@@ -280,16 +243,10 @@ def _grid_legendre(L: int, L_max: int) -> np.ndarray:
 
 @lru_cache(maxsize=16)
 def _grid_blocks(L: int, L_max: int):
-    return _order_blocks(_grid_legendre(L, L_max), L_max)
-
-
-@lru_cache(maxsize=4)
-def _profile_blocks(L_max: int):
-    """Per-order Legendre blocks at the L_max + 2 colatitudes
-    pi j / (L_max + 1) of :func:`_theta_profiles`."""
-    n = L_max + 1
-    P = _legendre_packed(np.cos(np.pi * np.arange(n + 1) / n), L_max)
-    return _order_blocks(_read_only(P)[0], L_max)
+    """Per-order views of :func:`_grid_legendre`: entry m is (L_max + 1 -
+    m, L), row l - m."""
+    P, offsets = _grid_legendre(L, L_max), _pair_index(L_max)[2]
+    return tuple(P[offsets[m] : offsets[m + 1]] for m in range(L_max + 1))
 
 
 @lru_cache(maxsize=8)
@@ -327,14 +284,6 @@ def _ladder_plan(L_max: int):
     w = np.stack([np.ones(len(m)), lap, down, np.where(m > 0, up, 0.0),
                   m > 0, np.where(m > 0, lap, 0.0), down, np.where(m > 1, up, 0.0)], axis=1)
     return _read_only(np.where(w != 0.0, src, 0), w)
-
-
-def _value_columns(c: np.ndarray, L_max: int) -> np.ndarray:
-    """Packed pair columns (n_pairs, 2C) of the flat coefficients c, (K,)
-    or (K, C) for C channels: c_lm of every channel, then c_l,-m (0 at m =
-    0), by columns 0 and 4 of :func:`_ladder_plan`."""
-    src, w = (a[:, (0, 4)] for a in _ladder_plan(L_max))
-    return (c[src] * w.reshape(w.shape + (1,) * (c.ndim - 1))).reshape(len(src), -1)
 
 
 def _contract(blocks, cols: np.ndarray, L_max: int) -> np.ndarray:
@@ -400,10 +349,14 @@ def synthesize(coeffs: HarmonicCoeffs, grid: SphereGrid) -> SphericalField:
 def synthesize_channels(c: np.ndarray, grid: SphereGrid) -> np.ndarray:
     """Values on the grid of the expansion with flat coefficients c, (K,)
     -> (N,), or of the C expansions that are the columns of c, (K, C) ->
-    (N, C): one product per order for all channels (:func:`_contract`),
-    then one with the azimuth table."""
+    (N, C): one product per order for all channels (:func:`_contract`) of
+    the pair columns c_lm of every channel, then c_l,-m (0 at m = 0), by
+    columns 0 and 4 of :func:`_ladder_plan`, then one with the azimuth
+    table."""
     L_max = math.isqrt(c.shape[0]) - 1
-    prof = _contract(_grid_blocks(grid.L, L_max), _value_columns(c, L_max), L_max)
+    src, w = (a[:, (0, 4)] for a in _ladder_plan(L_max))
+    cols = (c[src] * w.reshape(w.shape + (1,) * (c.ndim - 1))).reshape(len(src), -1)
+    prof = _contract(_grid_blocks(grid.L, L_max), cols, L_max)
     # rows (order, cosine and sine) as the table's, columns (channel, ring)
     vals = prof.reshape(2 * (L_max + 1), -1).T @ _azimuth_plan(grid.L, L_max)
     return np.moveaxis(vals.reshape(c.shape[1:] + (grid.node_count,)), -1, 0)
@@ -531,106 +484,15 @@ def ambient_gradient(c: np.ndarray, d: int) -> np.ndarray:
     return (l + d + 2) * lower + (d + 1 - l) * upper
 
 
-# ----------------------------------------------------------------------
-# Point evaluation and tangential derivatives
-# ----------------------------------------------------------------------
-
-def _points_angles(points):
-    pts = np.asarray(points, dtype=float)
-    # arctan2 keeps full relative accuracy near the poles, where arccos(z)
-    # loses about half the digits
-    theta = np.arctan2(np.hypot(pts[:, 0], pts[:, 1]), pts[:, 2])
-    phi = np.arctan2(pts[:, 1], pts[:, 0])
-    return pts, theta, phi
-
-
-def _theta_profiles(coeffs, theta):
-    """Theta profiles of every order at arbitrary colatitudes: (A, B), the
-    cosine and the sine profiles, each (n_pts, L_max + 1).  ``coeffs`` is
-    one coefficient set, or a sequence of sets of one band whose profiles
-    then carry a trailing channel axis: all channels share one FFT and one
-    product.
-
-    A_m(theta) = sum_l c_lm P_l^m(cos theta) is a trigonometric polynomial
-    of degree <= L_max, a cosine series for even m and a sine series for
-    odd m, with A_m(2 pi - theta) = (-1)^m A_m(theta) (the double Fourier
-    sphere of Townsend, Wilber & Wright 2016).  Its values at the L_max + 2
-    colatitudes pi j / (L_max + 1), from the one per-order product of
-    :func:`_contract` with the blocks of :func:`_profile_blocks`, mirrored
-    onto the circle, give its coefficients by one real FFT.  One real
-    matrix product with cos k theta and sin k theta then gives every
-    profile at the points.
-    """
-    if isinstance(coeffs, HarmonicCoeffs):
-        L_max, c = coeffs.L_max, coeffs.c
-    else:
-        L_max, c = coeffs[0].L_max, np.stack([ch.c for ch in coeffs], axis=1)
-    n = L_max + 1
-    # (order, column, colatitude): columns c_lm, then c_l,-m of each channel
-    prof = _contract(_profile_blocks(L_max), _value_columns(c, L_max), L_max)
-    sign = ((-1.0) ** np.arange(n))[:, None, None]
-    circle = np.concatenate([prof, sign * prof[..., -2:0:-1]], axis=-1)
-    F = np.fft.rfft(circle)[..., :n] / n  # the Nyquist term is zero
-    F[..., 0] *= 0.5
-    # rows a_0 b_0 a_1 ..., columns (order, column)
-    W = np.moveaxis(np.stack([F.real, -F.imag], axis=-1), (2, 3), (0, 1)).reshape(2 * n, -1)
-    # exp(i k theta) viewed as float interleaves cos k theta and sin k theta
-    # in the row order of W
-    P = np.exp(1j * np.multiply.outer(theta, np.arange(n))).view(float) @ W
-    P = P.reshape((len(theta), n, 2) + c.shape[1:])
-    return P[:, :, 0], P[:, :, 1]
-
-
-def synthesize_at(coeffs, points) -> np.ndarray:
-    """Evaluate the expansion at arbitrary unit vectors, shape (N, 3).
-
-    The theta profiles come from :func:`_theta_profiles` and are contracted
-    with the azimuth factors of each point; memory is O(n_pts L_max).
-    ``coeffs`` may also be a sequence of coefficient sets of one band: the
-    result is then (N, len(coeffs)), from one set of profiles for all.
-    """
-    _, theta, phi = _points_angles(points)
-    A, B = _theta_profiles(coeffs, theta)
-    m = np.arange(A.shape[1])[None, :]
-    z = np.where(m > 0, np.sqrt(2.0), 1.0) * np.exp(1j * m * phi[:, None])
-    z = z.reshape(z.shape + (1,) * (A.ndim - 2))
-    return np.sum(A * z.real + B * z.imag, axis=1)
-
-
 def _sym_pack(P: np.ndarray) -> np.ndarray:
     """Symmetric parts of stacks of 3x3 matrices P (..., 3, 3), packed
     (..., 6) in the order of _SYM_ROWS/_SYM_COLS."""
     return 0.5 * (P[..., _SYM_ROWS, _SYM_COLS] + P[..., _SYM_COLS, _SYM_ROWS])
 
 
-def _extension_channels(coeffs: HarmonicCoeffs) -> ExtensionChannels:
-    """DG and D^2 G of the 1-homogeneous extension by
-    :func:`ambient_gradient`: DG_i at d = 1, D^2 G_ij = d_j DG_i at d = 0."""
-    DG = ambient_gradient(coeffs.c, 1)
-    D2G = _sym_pack(ambient_gradient(DG, 0))
-    return ExtensionChannels(
-        grad=tuple(HarmonicCoeffs(L_max=coeffs.L_max + 1, c=ch) for ch in DG.T),
-        hess=tuple(HarmonicCoeffs(L_max=coeffs.L_max + 2, c=ch) for ch in D2G.T))
-
-
-def values_and_gradient_at(coeffs: HarmonicCoeffs, points):
-    """Field values and tangential gradients as ambient 3-vectors, (N,) and
-    (N, 3): grad g(x) = DG(x) - g(x) x."""
-    pts = np.asarray(points, dtype=float)
-    vals = synthesize_at(coeffs, pts)
-    DG = synthesize_at(coeffs.extension_channels.grad, pts)
-    return vals, DG - vals[:, None] * pts
-
-
-def extension_hessian_at(coeffs: HarmonicCoeffs, points) -> np.ndarray:
-    """Ambient Hessian D^2 G of the 1-homogeneous extension, (N, 3, 3).
-
-    On S^2 it is E (Hess g + g I) E^T: it annihilates x, and its eigenvalues
-    on the tangent plane are those of Hess g + g I (the principal radii when
-    g is a support function).
-    """
-    return synthesize_at(coeffs.extension_channels.hess, points)[:, _SYM_FULL]
-
+# ----------------------------------------------------------------------
+# Grid derivatives
+# ----------------------------------------------------------------------
 
 def _grid_derivatives(field: SphericalField, hessian: bool) -> np.ndarray:
     """Rows f_theta and f_phi or, with ``hessian``, f_theta_phi, f_phi_phi

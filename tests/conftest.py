@@ -7,6 +7,8 @@ import pytest
 from christoffel import body, convexity, harmonics, sphere
 from christoffel.errors import InvalidParameter
 
+import offgrid
+
 
 def clear_program_caches():
     """Empty every functools cache of the package, as a fresh process has
@@ -22,15 +24,19 @@ L16 = ["--L", "16", "--Lmax", "8"]
 
 
 def cli_commands(tmp):
-    """Every subcommand at a small size, a ``file:`` input, ``--project``,
-    an orthogonality error and a failing ``lp``: (argv, expected exit code,
-    expected error type or None)."""
+    """Every subcommand at a small size, a ``file:`` input, one with the
+    grid's row count and a malformed value (written here), ``--project``,
+    an orthogonality error, a failing ``lp`` and the kernels of an odd
+    dimension: (argv, expected exit code, expected error type or None)."""
     u_csv, obj = str(tmp / "u.csv"), str(tmp / "body.obj")
+    bad_csv = tmp / "bad.csv"
+    bad_csv.write_text("theta,phi,value\n" + "0,0,1\n" * 511 + "0,0,1x\n", encoding="utf-8")
     degree1 = "family:harmonic:l=1,m=0,eps=0.6,base=2"
     bump = "family:harmonic:l=2,m=1,eps=0.1,base=2"
     return [
         (["solve", "--input", "family:constant:c=2", "--out", u_csv] + L16, 0, None),
         (["solve", "--input", f"file:{u_csv}"] + L16, 0, None),
+        (["solve", "--input", f"file:{bad_csv}"] + L16, 1, "ParseError"),
         (["solve", "--input", degree1] + L16, 1, "OrthogonalityViolation"),
         (["solve", "--input", degree1, "--project"] + L16, 0, None),
         (["check", "--input", "family:ellipsoid:a=1,b=1.2,c=1.5", "--L", "16", "--Lmax", "10"],
@@ -41,6 +47,8 @@ def cli_commands(tmp):
          1, "NonConvergence"),
         (["gamma", "--n", "2", "--alpha", "0.5", "--mc-samples", "1000"], 0, None),
         (["kernels", "--n", "2", "--out", str(tmp / "kernels.csv")], 0, None),
+        # odd n takes the sin-power route of the kernels
+        (["kernels", "--n", "7", "--out", str(tmp / "kernels7.csv")], 0, None),
         (["reconstruct", "--input", "family:ellipsoid:a=1,b=1.2,c=0.8", "--obj", obj,
           "--out", u_csv] + L16, 0, None),
     ]
@@ -150,7 +158,7 @@ def hessian_at(coeffs, points):
     pts = np.asarray(points, dtype=float)
     band = coeffs.L_max + 2
     g = harmonics.HarmonicCoeffs(L_max=band, c=np.pad(coeffs.c, (0, (band + 1) ** 2 - coeffs.c.size)))
-    chans = harmonics.synthesize_at(coeffs.extension_channels.hess + (g,), pts)
+    chans = offgrid.synthesize_at(offgrid.extension_channels(coeffs).hess + (g,), pts)
     E = np.stack(sphere.tangent_bases(pts), axis=2)
     T = np.einsum("nki,nkl,nlj->nij", E, chans[:, harmonics._SYM_FULL], E)
     return T - chans[:, -1, None, None] * np.eye(2)
@@ -216,7 +224,7 @@ def table_profiles(coeffs, t):
     three pairs, each (n_pts, L_max + 1)."""
     L_max = coeffs.L_max
     stacks = ref_coeff_stacks(coeffs)
-    return [ref_theta_stacks(harmonics._order_blocks(table, L_max), *stacks, L_max)
+    return [ref_theta_stacks(offgrid.order_blocks(table, L_max), *stacks, L_max)
             for table in legendre_theta_tables(t, L_max)]
 
 
@@ -313,7 +321,7 @@ def principal_radii(u, x):
     which are those of Hess u(x) + u(x) I, returned sorted ascending."""
     xc = np.asarray(x, dtype=float)
     E = np.stack(sphere.tangent_bases(xc[None]), axis=2)[0]
-    D2U = harmonics.extension_hessian_at(u.coeffs, xc[None, :])[0]
+    D2U = offgrid.extension_hessian_at(u.coeffs, xc[None, :])[0]
     r = np.linalg.eigvalsh(E.T @ D2U @ E)
     return float(r[0]), float(r[1])
 
@@ -448,7 +456,7 @@ def rotate_forms(H, frame, bases):
 
 def theta_profile_derivatives(coeffs, theta, nderiv):
     """The first ``nderiv`` theta-derivatives of the profiles that
-    :func:`harmonics._theta_profiles` evaluates, at colatitudes ``theta``: a
+    :func:`offgrid.theta_profiles` evaluates, at colatitudes ``theta``: a
     list of ``nderiv`` pairs (A, B), each (n_pts, L_max + 1).
 
     Each profile is a series sum_k a_k cos k theta + b_k sin k theta, from
@@ -457,7 +465,7 @@ def theta_profile_derivatives(coeffs, theta, nderiv):
     coefficients (a_k, b_k) to (k b_k, -k a_k).
     """
     L_max, n = coeffs.L_max, coeffs.L_max + 1
-    A, B = ref_theta_stacks(harmonics._profile_blocks(L_max), *ref_coeff_stacks(coeffs), L_max)
+    A, B = ref_theta_stacks(offgrid.profile_blocks(L_max), *ref_coeff_stacks(coeffs), L_max)
     prof = np.concatenate([A, B], axis=1)
     circle = np.concatenate([prof, np.tile((-1.0) ** np.arange(n), 2) * prof[-2:0:-1]])
     F = np.fft.rfft(circle, axis=0)[:n] / n
@@ -495,15 +503,15 @@ def orbit_values_and_slopes(coeffs, points, dirs, n_phi):
     point: it is folded into the same azimuth spectrum.  Orders m >= n_phi
     alias onto m mod n_phi.  Returns (values, slopes), each (n, n_phi).
     Points within SIN_GUARD of a pole take
-    :func:`harmonics.values_and_gradient_at` at every rotated point.
+    :func:`offgrid.values_and_gradient_at` at every rotated point.
     """
-    pts, theta, phi = harmonics._points_angles(points)
+    pts, theta, phi = offgrid.points_angles(points)
     dirs = np.asarray(dirs, dtype=float)
     st = np.sin(theta)
     e_th, e_ph = frame_vectors(theta, phi)
     alpha = np.sum(dirs * e_th, axis=1)[:, None]
     beta = (np.sum(dirs * e_ph, axis=1) / np.maximum(st, SIN_GUARD))[:, None]
-    A, B = harmonics._theta_profiles(coeffs, theta)
+    A, B = offgrid.theta_profiles(coeffs, theta)
     (dA, dB), = theta_profile_derivatives(coeffs, theta, 1)
     m = np.arange(coeffs.L_max + 1)
     r = m % n_phi
@@ -527,7 +535,7 @@ def orbit_values_and_slopes(coeffs, points, dirs, n_phi):
     c, s = np.cos(ang), np.sin(ang)
     for p in np.nonzero(st <= SIN_GUARD)[0]:
         (x, y, z), (u, v, t) = pts[p], dirs[p]
-        out[0, p], g = harmonics.values_and_gradient_at(
+        out[0, p], g = offgrid.values_and_gradient_at(
             coeffs, np.stack([c * x - s * y, s * x + c * y, np.full(n_phi, z)], axis=1))
         out[1, p] = g[:, 0] * (c * u - s * v) + g[:, 1] * (s * u + c * v) + g[:, 2] * t
     return out[0], out[1]

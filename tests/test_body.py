@@ -15,6 +15,8 @@ from conftest import (
     ref_obj_text,
 )
 
+import offgrid
+
 
 def loop_embed_faces(u):
     """Reference triangulation: the quad loop that embed vectorises."""
@@ -242,7 +244,7 @@ class TestPoleApices:
         # the fan apices are the boundary points Du(+-e_z), as the extension
         # channels give them
         poles = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
-        vals, grad = harmonics.values_and_gradient_at(u.coeffs, poles)
+        vals, grad = offgrid.values_and_gradient_at(u.coeffs, poles)
         du = grad + vals[:, None] * poles
         mesh = body.embed(u)
         scale = np.max(np.abs(mesh.vertices[: mesh.node_vertex_count]))

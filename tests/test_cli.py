@@ -56,6 +56,26 @@ DIMENSIONS = ([["kernels", "--n", n] for n in LARGE_N]
               + [["gamma", "--n", n, "--mc-samples", "2000"] for n in LARGE_N])
 
 
+# numbers that Python's int and float read as 16 and field input refuses
+# (cli._plain_ascii): a digit-group underscore, Arabic-Indic and fullwidth
+# digits, for every numeric option
+NOT_PLAIN = [[command, option, value]
+             for command, option in (("solve", "--L"), ("solve", "--Lmax"), ("solve", "--tol"),
+                                     ("lp", "--p"), ("check", "--alpha"), ("gamma", "--alpha"),
+                                     ("kernels", "--n"), ("gamma", "--mc-samples"),
+                                     ("gamma", "--seed"))
+             for value in ("1_6", "\u0661\u0666", "\uff11\uff16")]
+
+# options that are not finite: each ends in a typed error, and the config
+# echo holds them as text
+NOT_FINITE = [
+    ["lp", "--p", "nan", "--L", "16", "--Lmax", "8"],
+    ["solve", "--tol", "nan", "--L", "16", "--Lmax", "8"],
+    ["check", "--alpha", "inf", "--L", "16", "--Lmax", "8"],
+    ["gamma", "--alpha", "nan", "--mc-samples", "2000"],
+]
+
+
 def scaled(command, c):
     return command + ["--input", f"family:constant:c={c}", "--L", "8", "--Lmax", "4"]
 
@@ -66,6 +86,7 @@ EDGE_INPUTS = (
        for c in OUT_OF_SCALE + ["1e-100", "1e100"]]
     + DIMENSIONS
     + UNWRITABLE
+    + NOT_FINITE
 )
 
 
@@ -449,12 +470,20 @@ class TestErrors:
         ["lp", "--project"],         # lp never projects
         ["check", "--dirs", "8"],
         ["solve", "--threads", "2"],
-    ])
+    ] + NOT_PLAIN)
     def test_usage_error_exits_1(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
         assert exc.value.code == 1
         assert "usage:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", NOT_FINITE, ids=" ".join)
+    def test_not_finite_option_echoed_as_text(self, argv, tmp_path):
+        report, code = run_cli(argv, tmp_path)
+        assert code == 1
+        assert report["error"]["type"] == "InvalidParameter"
+        option = argv[1][2:]
+        assert report["config"][option] == argv[2]
 
     def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -881,25 +910,6 @@ class TestSharedWork:
             assert code == 0
             # f and the solution u, each once
             assert len(seen) == 2 and len({id(f) for f in seen}) == 2, p
-
-    def test_commands_build_no_extension_channels(self, tmp_path, monkeypatch):
-        # every CLI output comes from grid derivatives; the off-grid
-        # derivative channels stay unbuilt
-        built = []
-        monkeypatch.setattr(harmonics, "_extension_channels",
-                            lambda coeffs: built.append(coeffs) or pytest.fail("built"))
-        for argv in (
-            ["solve", "--input", "family:ellipsoid:a=1,b=1.2,c=1.5", "--L", "16",
-             "--Lmax", "10", "--out", str(tmp_path / "u.csv")],
-            self.CHECK,
-            self.LP,
-            self.LP[:2] + ["2"] + self.LP[3:],
-            ["reconstruct", "--input", "family:ellipsoid:a=1,b=1.2,c=1.5", "--L", "16",
-             "--Lmax", "10", "--obj", str(tmp_path / "body.obj")],
-        ):
-            _, code = run_cli(argv, tmp_path)
-            assert code in (0, 3), argv[0]
-        assert built == []
 
     def test_one_legendre_recursion_per_node_set(self, tmp_path, monkeypatch):
         # the transform plan runs the P recursion once per (node set, L_max)

@@ -25,12 +25,14 @@ from conftest import (
     t33_samples,
 )
 
+import offgrid
+
 
 def spectral_second_derivative(u, x, xi):
     """Ground truth <U(x) xi, xi> from the spectral solution's Hessian."""
     e1, e2 = (e[0] for e in sphere.tangent_bases(x[None]))
     H = hessian_at(u.coeffs, x[None, :])[0]
-    uval = harmonics.synthesize_at(u.coeffs, x[None, :])[0]
+    uval = offgrid.synthesize_at(u.coeffs, x[None, :])[0]
     q = np.array([xi @ e1, xi @ e2])
     return float(q @ H @ q + uval * (q @ q))
 
@@ -462,7 +464,7 @@ class TestRingPaths:
             for k, t in enumerate(ts):
                 for s, sign in enumerate((1.0, -1.0)):
                     q = (nodes + sign * t * xi) / np.sqrt(1.0 + t * t)
-                    v, g = harmonics.values_and_gradient_at(f.coeffs, q)
+                    v, g = offgrid.values_and_gradient_at(f.coeffs, q)
                     assert np.max(np.abs(vals[a, k, s] - v)) <= 1e-12 * scale
                     assert np.max(np.abs(dxi[a, k, s] - np.sum(g * xi, axis=1))) <= 1e-11 * scale
 
@@ -690,7 +692,7 @@ class TestSufficientConditions:
         def dxi(y):
             r = np.linalg.norm(y)
             yh = y / r
-            v, g = harmonics.values_and_gradient_at(coeffs, yh[None, :])
+            v, g = offgrid.values_and_gradient_at(coeffs, yh[None, :])
             return (g[0] @ xi - v[0] * (yh @ xi)) / r**2
 
         lhs = dxi(x + t * xi) - dxi(x - t * xi)
@@ -852,14 +854,17 @@ class TestT33:
         assert not sampled and worst > 0.0
 
     def test_evaluates_no_point(self, grid24, monkeypatch):
-        # the verdict reads f's kept grid Hessian: no orbit and no point
+        # the verdict reads f's kept grid Hessian: its one Legendre table is
+        # at the Gauss nodes of f's grid, so no orbit and no point is read
         f = random_positive_field(grid24, np.random.default_rng(25), L_max=16)
-        for name in ("_theta_profiles", "synthesize_at"):
-            monkeypatch.setattr(harmonics, name,
-                                lambda *a, _name=name, **kw: pytest.fail(f"{_name} called"))
+        nodes = []
+        packed = harmonics._legendre_packed
+        monkeypatch.setattr(harmonics, "_legendre_packed",
+                            lambda t, L_max: nodes.append(np.asarray(t)) or packed(t, L_max))
         clear_program_caches()
         holds, min_val, _ = convexity.check_T33(f)
         assert holds == (min_val >= -1e-8 * np.max(np.abs(f.values)))
+        assert nodes and all(np.array_equal(t, grid24.polar_nodes) for t in nodes)
 
     @pytest.mark.parametrize(
         "kind, k, delta",
@@ -907,7 +912,7 @@ class TestT33:
             for a, ang in enumerate(angles):
                 xi = np.cos(ang) * e_th + np.sin(ang) * e_ph
                 (p, dp), (q, dq) = great_circle(x, xi, th), great_circle(x, xi, -th)
-                (gp, grad_p), (gq, grad_q) = (harmonics.values_and_gradient_at(f.coeffs, y)
+                (gp, grad_p), (gq, grad_q) = (offgrid.values_and_gradient_at(f.coeffs, y)
                                               for y in (p, q))
                 G, dG = 0.5 * (gp + gq), 0.5 * (np.sum(grad_p * dp, 1) - np.sum(grad_q * dq, 1))
                 dE = np.cos(th) * dG - np.sin(th) * G
@@ -930,7 +935,7 @@ class TestT33:
             for i, t in zip(rng.integers(0, grid24.node_count, 6), rng.uniform(0, np.pi, 6))]
         forms = []
         for i, direction in cases:
-            g = harmonics.synthesize_at(
+            g = offgrid.synthesize_at(
                 f.coeffs, great_circle(grid24.nodes[i], direction, 2 * np.pi * np.arange(n) / n)[0])
             E2 = float(np.real(np.sum(-k * k * np.fft.fft(g)) / n)) - f.values[i]
             v1, v2 = direction @ e1s[i], direction @ e2s[i]

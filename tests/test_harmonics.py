@@ -32,6 +32,8 @@ from conftest import (
     theta_profile_derivatives,
 )
 
+import offgrid
+
 
 def random_coeffs(L_max, seed, decay=0.3):
     rng = np.random.default_rng(seed)
@@ -210,7 +212,7 @@ def ref_circle_derivatives(coeffs, x, d):
     trigonometric polynomial of degree <= L_max)."""
     K = 2 * coeffs.L_max + 2
     ts = 2.0 * np.pi * np.arange(K) / K
-    F = np.fft.rfft(harmonics.synthesize_at(coeffs, np.outer(np.cos(ts), x) + np.outer(np.sin(ts), d)))
+    F = np.fft.rfft(offgrid.synthesize_at(coeffs, np.outer(np.cos(ts), x) + np.outer(np.sin(ts), d)))
     k = np.arange(len(F))
     a = 2.0 * np.real(F) / K
     a[0] *= 0.5
@@ -228,7 +230,7 @@ def ref_point_derivatives(coeffs, points):
     pts = np.asarray(points, dtype=float)
     theta = np.arctan2(np.hypot(pts[:, 0], pts[:, 1]), pts[:, 2])
     phi = np.arctan2(pts[:, 1], pts[:, 0])
-    A, B = harmonics._theta_profiles(coeffs, theta)
+    A, B = offgrid.theta_profiles(coeffs, theta)
     (dA, dB), (d2A, d2B) = theta_profile_derivatives(coeffs, theta, 2)
     m = np.arange(coeffs.L_max + 1)[None, :]
     z = np.where(m > 0, np.sqrt(2.0), 1.0) * np.exp(1j * m * phi[:, None])
@@ -337,7 +339,7 @@ class TestTransforms:
         for l, m in [(0, 0), (1, 0), (2, 1), (3, 2), (5, 4)]:
             c = np.zeros(64)
             c[harmonics.HarmonicCoeffs.index(l, m)] = 1.0
-            ours = harmonics.synthesize_at(
+            ours = offgrid.synthesize_at(
                 harmonics.HarmonicCoeffs(L_max=7, c=c), pt[None, :]
             )[0]
             ylm = sph_harm_y(l, m, theta, phi)
@@ -361,7 +363,7 @@ class TestTransforms:
 class TestDerivatives:
     def test_gradient_constant(self, grid16):
         f = constant_field(grid16, 5.0, L_max=8)
-        g = harmonics.values_and_gradient_at(f.coeffs, grid16.nodes[7:8])[1][0]
+        g = offgrid.values_and_gradient_at(f.coeffs, grid16.nodes[7:8])[1][0]
         assert np.linalg.norm(g) < 1e-12
 
     def test_gradient_linear_field(self):
@@ -369,7 +371,7 @@ class TestDerivatives:
         c = np.zeros(4)
         c[harmonics.HarmonicCoeffs.index(1, 0)] = np.sqrt(4 * np.pi / 3)
         coeffs = harmonics.HarmonicCoeffs(L_max=1, c=c)
-        g = harmonics.values_and_gradient_at(coeffs, np.array([[1.0, 0.0, 0.0]]))[1][0]
+        g = offgrid.values_and_gradient_at(coeffs, np.array([[1.0, 0.0, 0.0]]))[1][0]
         assert np.max(np.abs(g - np.array([0.0, 0.0, 1.0]))) < 1e-12
 
     def test_gradient_finite_difference(self, grid16):
@@ -377,7 +379,7 @@ class TestDerivatives:
         rng = np.random.default_rng(8)
         pts = rng.standard_normal((10, 3))
         pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-        grads = harmonics.values_and_gradient_at(coeffs, pts)[1]
+        grads = offgrid.values_and_gradient_at(coeffs, pts)[1]
         h = 1e-5
         for i, x in enumerate(pts):
             e1, e2 = (e[0] for e in sphere.tangent_bases(x[None]))
@@ -385,8 +387,8 @@ class TestDerivatives:
                 plus = np.cos(h) * x + np.sin(h) * d
                 minus = np.cos(h) * x - np.sin(h) * d
                 fd = (
-                    harmonics.synthesize_at(coeffs, plus[None, :])[0]
-                    - harmonics.synthesize_at(coeffs, minus[None, :])[0]
+                    offgrid.synthesize_at(coeffs, plus[None, :])[0]
+                    - offgrid.synthesize_at(coeffs, minus[None, :])[0]
                 ) / (2 * h)
                 assert abs(grads[i] @ d - fd) < 1e-6
 
@@ -404,7 +406,7 @@ class TestDerivatives:
             for idx in (40, 222):
                 x = grid16.nodes[idx]
                 H = hessian_at(coeffs, x[None, :])[0]
-                y = harmonics.synthesize_at(coeffs, x[None, :])[0]
+                y = offgrid.synthesize_at(coeffs, x[None, :])[0]
                 assert abs(H[0, 0] + H[1, 1] + l * (l + 1) * y) < 1e-8
 
     def test_hessian_finite_difference(self, grid16):
@@ -416,15 +418,15 @@ class TestDerivatives:
         h = 1e-4
         for i, x in enumerate(pts):
             e1, e2 = (e[0] for e in sphere.tangent_bases(x[None]))
-            f0 = harmonics.synthesize_at(coeffs, x[None, :])[0]
+            f0 = offgrid.synthesize_at(coeffs, x[None, :])[0]
             for q, d in [((1.0, 0.0), e1), ((0.0, 1.0), e2),
                          ((1 / np.sqrt(2), 1 / np.sqrt(2)), (e1 + e2) / np.sqrt(2))]:
                 plus = np.cos(h) * x + np.sin(h) * d
                 minus = np.cos(h) * x - np.sin(h) * d
                 fd2 = (
-                    harmonics.synthesize_at(coeffs, plus[None, :])[0]
+                    offgrid.synthesize_at(coeffs, plus[None, :])[0]
                     - 2 * f0
-                    + harmonics.synthesize_at(coeffs, minus[None, :])[0]
+                    + offgrid.synthesize_at(coeffs, minus[None, :])[0]
                 ) / h**2
                 qv = np.array(q)
                 assert abs(qv @ H[i] @ qv - fd2) < 1e-5
@@ -433,16 +435,16 @@ class TestDerivatives:
         # the extension channels need no pole test
         coeffs = random_coeffs(8, seed=10)
         pole = np.array([[0.0, 0.0, 1.0]])
-        g = harmonics.values_and_gradient_at(coeffs, pole)[1][0]
+        g = offgrid.values_and_gradient_at(coeffs, pole)[1][0]
         H = hessian_at(coeffs, pole)[0]
         e1, e2 = (e[0] for e in sphere.tangent_bases(pole))
         h = 1e-5
         for k, d in enumerate((e1, e2)):
             plus = np.cos(h) * pole[0] + np.sin(h) * d
             minus = np.cos(h) * pole[0] - np.sin(h) * d
-            vp = harmonics.synthesize_at(coeffs, plus[None, :])[0]
-            vm = harmonics.synthesize_at(coeffs, minus[None, :])[0]
-            v0 = harmonics.synthesize_at(coeffs, pole)[0]
+            vp = offgrid.synthesize_at(coeffs, plus[None, :])[0]
+            vm = offgrid.synthesize_at(coeffs, minus[None, :])[0]
+            v0 = offgrid.synthesize_at(coeffs, pole)[0]
             assert abs((vp - vm) / (2 * h) - g @ d) < 1e-6
             assert abs((vp - 2 * v0 + vm) / h**2 - H[k, k]) < 1e-4
 
@@ -462,7 +464,7 @@ class TestDerivatives:
         for j in range(n_phi):
             a = 2 * np.pi * j / n_phi
             R = np.array([[np.cos(a), -np.sin(a), 0], [np.sin(a), np.cos(a), 0], [0, 0, 1.0]])
-            v, g = harmonics.values_and_gradient_at(coeffs, pts @ R.T)
+            v, g = offgrid.values_and_gradient_at(coeffs, pts @ R.T)
             assert np.max(np.abs(vals[:, j] - v)) < 1e-12
             assert np.max(np.abs(slopes[:, j] - np.sum(g * (dirs @ R.T), axis=1))) < 1e-11
 
@@ -507,7 +509,7 @@ def frame_truth(f):
     grid = f.grid
     E = np.stack([grid.frame.e_th, grid.frame.e_ph], axis=2)
     grad = harmonics.synthesize_channels(harmonics.ambient_gradient(f.coeffs.c, 0), grid)
-    hess = np.stack([ch.c for ch in f.coeffs.extension_channels.hess], axis=1)
+    hess = np.stack([ch.c for ch in offgrid.extension_channels(f.coeffs).hess], axis=1)
     D2G = harmonics.synthesize_channels(hess, grid)[:, harmonics._SYM_FULL]
     return grad, np.einsum("nki,nkl,nlj->nij", E, D2G, E) - f.values[:, None, None] * np.eye(2)
 
@@ -551,9 +553,9 @@ class TestExtensionChannels:
     def test_matches_frame_oracle(self, L, L_max):
         _, u = solved_pair(L, L_max, seed=L)
         pts = probe_points(2000, seed=L)
-        scale = np.max(np.abs(harmonics.extension_hessian_at(u.coeffs, pts)))
+        scale = np.max(np.abs(offgrid.extension_hessian_at(u.coeffs, pts)))
         vals, grad, H = ref_point_derivatives(u.coeffs, pts)
-        v, g = harmonics.values_and_gradient_at(u.coeffs, pts)
+        v, g = offgrid.values_and_gradient_at(u.coeffs, pts)
         assert np.array_equal(v, vals)
         assert np.max(np.abs(g - grad)) <= 1e-11 * scale
         assert np.max(np.abs(hessian_at(u.coeffs, pts) - H)) <= 1e-11 * scale
@@ -563,9 +565,9 @@ class TestExtensionChannels:
         # tr D^2 U = Laplacian u + 2 u = f, and D^2 U x = 0 by 1-homogeneity
         f, u = solved_pair(L, L_max, seed=L + 1)
         pts = probe_points(500, seed=L + 1)
-        D2U = harmonics.extension_hessian_at(u.coeffs, pts)
+        D2U = offgrid.extension_hessian_at(u.coeffs, pts)
         assert np.array_equal(D2U, np.swapaxes(D2U, 1, 2))
-        trace_err = np.trace(D2U, axis1=1, axis2=2) - harmonics.synthesize_at(f.coeffs, pts)
+        trace_err = np.trace(D2U, axis1=1, axis2=2) - offgrid.synthesize_at(f.coeffs, pts)
         assert np.max(np.abs(trace_err)) <= 1e-11 * np.max(np.abs(f.values))
         null = np.einsum("nij,nj->ni", D2U, pts)
         assert np.max(np.abs(null)) <= 1e-13 * np.max(np.abs(D2U))
@@ -586,7 +588,7 @@ class TestExtensionChannels:
         pts = probe_points(500, seed=L)
         analytic = np.stack([ellipsoid_ambient_hessian(ell, x) for x in pts])
         assert gap <= bound
-        assert np.max(np.abs(harmonics.extension_hessian_at(u.coeffs, pts) - analytic)) <= bound
+        assert np.max(np.abs(offgrid.extension_hessian_at(u.coeffs, pts) - analytic)) <= bound
 
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), steps=st.integers(1, 23))
@@ -597,22 +599,22 @@ class TestExtensionChannels:
         R = np.array([[np.cos(angle), -np.sin(angle), 0.0],
                       [np.sin(angle), np.cos(angle), 0.0], [0.0, 0.0, 1.0]])
         pts = probe_points(50, seed)
-        D2F = harmonics.extension_hessian_at(f.coeffs, pts)
-        D2G = harmonics.extension_hessian_at(rotate_about_z(f.coeffs, angle), pts @ R.T)
+        D2F = offgrid.extension_hessian_at(f.coeffs, pts)
+        D2G = offgrid.extension_hessian_at(rotate_about_z(f.coeffs, angle), pts @ R.T)
         assert np.max(np.abs(D2G - R @ D2F @ R.T)) <= 1e-12 * np.max(np.abs(D2F))
 
     def test_built_once_per_coefficient_set(self, monkeypatch):
         built = []
-        real = harmonics._extension_channels
-        monkeypatch.setattr(harmonics, "_extension_channels",
+        real = offgrid._extension_channels
+        monkeypatch.setattr(offgrid, "_extension_channels",
                             lambda coeffs: built.append(coeffs) or real(coeffs))
         coeffs = random_coeffs(6, seed=30)
         pts = probe_points(5, seed=30)
         hessian_at(coeffs, pts)
-        harmonics.values_and_gradient_at(coeffs, pts)
-        harmonics.extension_hessian_at(coeffs, pts)
+        offgrid.values_and_gradient_at(coeffs, pts)
+        offgrid.extension_hessian_at(coeffs, pts)
         assert built == [coeffs]
-        harmonics.synthesize_at(random_coeffs(6, seed=31), pts)
+        offgrid.synthesize_at(random_coeffs(6, seed=31), pts)
         assert built == [coeffs]
 
     @pytest.mark.parametrize("L_max", [0, 1, 2, 12, 32])
@@ -620,7 +622,7 @@ class TestExtensionChannels:
         # the channels from the coefficients equal the grid derivatives of
         # the field on the Gauss grid L_max + 3, analyzed there
         coeffs = random_coeffs(L_max, seed=50 + L_max, decay=0.0)
-        chans = coeffs.extension_channels
+        chans = offgrid.extension_channels(coeffs)
         for got, want in zip(chans, grid_extension_channels(coeffs)):
             got = np.stack([ch.c for ch in got], axis=1)
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
@@ -630,7 +632,7 @@ class TestExtensionChannels:
         coeffs = harmonics.HarmonicCoeffs(L_max=0, c=np.array([2.0 * np.sqrt(4 * np.pi)]))
         pts = probe_points(20, seed=32)
         want = 2.0 * (np.eye(3) - pts[:, :, None] * pts[:, None, :])
-        assert np.max(np.abs(harmonics.extension_hessian_at(coeffs, pts) - want)) <= 1e-14
+        assert np.max(np.abs(offgrid.extension_hessian_at(coeffs, pts) - want)) <= 1e-14
 
 
 def degrees(band):
@@ -717,7 +719,7 @@ class TestThetaProfiles:
     def test_matches_legendre_recursion(self, L_max):
         coeffs = random_coeffs(L_max, seed=20 + L_max)
         theta = np.random.default_rng(21).uniform(0.05, np.pi - 0.05, 200)
-        got = [harmonics._theta_profiles(coeffs, theta)]
+        got = [offgrid.theta_profiles(coeffs, theta)]
         got += theta_profile_derivatives(coeffs, theta, 2)
         for bound, got_d, want in zip((1e-13, 1e-12, 1e-11), got,
                                       table_profiles(coeffs, np.cos(theta))):
@@ -732,11 +734,11 @@ class TestThetaProfiles:
         # synthesize_at gives channel by channel
         channels = [random_coeffs(L_max, seed=40 + k) for k in range(6)]
         pts = probe_points(300, seed=41)
-        want = np.stack([harmonics.synthesize_at(c, pts) for c in channels], axis=-1)
+        want = np.stack([offgrid.synthesize_at(c, pts) for c in channels], axis=-1)
         ffts = []
         rfft = np.fft.rfft
         monkeypatch.setattr(np.fft, "rfft", lambda *a, **kw: ffts.append(1) or rfft(*a, **kw))
-        got = harmonics.synthesize_at(channels, pts)
+        got = offgrid.synthesize_at(channels, pts)
         assert len(ffts) == 1
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
@@ -747,10 +749,10 @@ class TestThetaProfiles:
         # profiles per call
         coeffs = random_coeffs(L_max, seed=42 + L_max)
         pts = probe_points(50, seed=43)
-        coeffs.extension_channels  # built before counting
+        offgrid.extension_channels(coeffs)  # built before counting
         calls = []
-        profiles = harmonics._theta_profiles
-        monkeypatch.setattr(harmonics, "_theta_profiles",
+        profiles = offgrid.theta_profiles
+        monkeypatch.setattr(offgrid, "theta_profiles",
                             lambda *a, **kw: calls.append(1) or profiles(*a, **kw))
         hessian_at(coeffs, pts)
         assert len(calls) == 1
@@ -769,7 +771,7 @@ class TestThetaProfiles:
         for z in (np.cos(theta), -np.cos(theta)):
             pts = np.stack([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi),
                             np.full_like(phi, z)], axis=1)
-            assert np.max(np.abs(harmonics.synthesize_at(coeffs, pts) - exact(pts))) <= 1e-15
+            assert np.max(np.abs(offgrid.synthesize_at(coeffs, pts) - exact(pts))) <= 1e-15
 
 
 class TestOrthogonality:
@@ -936,7 +938,7 @@ def assert_matches_reference(L, L_max, seed):
     assert np.array_equal(harmonics.grid_hessian(f), ref_grid_hessian(f))
     pts = rng.standard_normal((50, 3))
     pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-    assert np.array_equal(harmonics.synthesize_at(coeffs, pts), ref_synthesize_at(coeffs, pts))
+    assert np.array_equal(offgrid.synthesize_at(coeffs, pts), ref_synthesize_at(coeffs, pts))
 
 
 def plan_caches():
@@ -963,7 +965,6 @@ class TestTransformPlan:
             grid = sphere.make_grid(filler_L)
             coeffs = random_coeffs(filler_Lmax, seed=filler_L)
             harmonics.grid_hessian(harmonics.synthesize(coeffs, grid))
-            harmonics.synthesize_at(coeffs, grid.nodes[:3])
         assert_matches_reference(L, L_max, seed=4)
 
     @pytest.mark.parametrize("L_max", [0, 1, 2, 3])
@@ -1004,7 +1005,7 @@ class TestTransformPlan:
     def test_cached_tables_read_only(self):
         calls = {
             "_pair_index": (8,), "_grid_legendre": (12, 8),
-            "_grid_blocks": (12, 8), "_profile_blocks": (8,), "_azimuth_plan": (12, 8),
+            "_grid_blocks": (12, 8), "_azimuth_plan": (12, 8),
             "_coordinate_plan": (8,), "_ladder_plan": (8,),
         }
         caches = plan_caches()

@@ -16,6 +16,8 @@ from conftest import (
     rotate_about_z,
 )
 
+import offgrid
+
 
 def ellipsoid_field(grid, L_max, axes):
     """Curvature data of the ellipsoid, as the ``family:ellipsoid`` source."""
@@ -46,9 +48,9 @@ def scattered_residual_inf(sol, f, grid):
     every factor evaluated point by point from its coefficients."""
     nodes = grid.nodes
     uc = sol.u.coeffs
-    lap2 = harmonics.synthesize_at(uc.apply_operator(), nodes)
-    uv = harmonics.synthesize_at(uc, nodes)
-    fv = harmonics.synthesize_at(f.coeffs, nodes)
+    lap2 = offgrid.synthesize_at(uc.apply_operator(), nodes)
+    uv = offgrid.synthesize_at(uc, nodes)
+    fv = offgrid.synthesize_at(f.coeffs, nodes)
     scale = 1.0 if sol.lam is None else sol.lam
     return float(np.max(np.abs(lap2 - scale * fv * uv ** (sol.p - 1.0))))
 

@@ -1,12 +1,13 @@
-"""Every public function and method of the package is reached by a command.
+"""Every function and public method of the package is reached by a command.
 
 A fixed set of CLI commands runs in process under a call profiler
-(``sys.setprofile``): every subcommand, a ``file:`` input, ``--project``,
-an orthogonality error and a failing ``lp``.  A public function or method
-defined in ``src/christoffel`` that none of them calls serves only the
-tests, and belongs in the tests as an oracle, unless ALLOWLIST keeps it,
-naming the ROADMAP item that holds it.  An allowlist entry that a command
-now calls, or that no longer exists, is stale.
+(``sys.setprofile``): every subcommand, a ``file:`` input, a malformed one,
+``--project``, an orthogonality error and a failing ``lp``.  A module-level
+function, public or private, or a public method defined in
+``src/christoffel`` that none of them calls serves only the tests, and
+belongs in the tests as an oracle, unless ALLOWLIST keeps it, naming the
+ROADMAP item that holds it.  An allowlist entry that a command now calls,
+or that no longer exists, is stale.
 """
 
 import importlib
@@ -19,7 +20,7 @@ from pathlib import Path
 import pytest
 
 import christoffel
-from christoffel import cli, convexity, kernels, lp, sphere
+from christoffel import cli, convexity, harmonics, kernels, lp, sphere
 
 from conftest import cli_commands, clear_program_caches
 
@@ -37,26 +38,23 @@ ALLOWLIST = {
     "lp.solve_lp_eigen": "item 1",
     # item 1: bench/tests reads the binding convexity.tangent_bases
     "sphere.tangent_bases": "item 1",
-    # item 3: the off-grid reads of certified norms
-    "harmonics.synthesize_at": "item 3",
-    "harmonics.values_and_gradient_at": "item 3",
-    "harmonics.extension_hessian_at": "item 3",
-    "harmonics.HarmonicCoeffs.extension_channels": "item 3",
 }
 
-def public_callables():
+
+def guarded_callables():
     """Code object -> ``module.name`` or ``module.Class.name`` of every
-    public function, and every public method, property or cached property
-    of a public class, defined in the package."""
+    module-level function, public or private (through a ``functools``
+    cache), and every public method, property or cached property of a
+    public class, defined in the package."""
     out = {}
     for short in MODULES:
         mod = importlib.import_module(f"christoffel.{short}")
         for name, obj in vars(mod).items():
-            if name.startswith("_") or getattr(obj, "__module__", None) != mod.__name__:
+            if getattr(obj, "__module__", None) != mod.__name__:
                 continue
-            if inspect.isfunction(obj):
+            if inspect.isfunction(inspect.unwrap(obj)):
                 out[inspect.unwrap(obj).__code__] = f"{short}.{name}"
-            elif inspect.isclass(obj):
+            elif inspect.isclass(obj) and not name.startswith("_"):
                 for attr, member in vars(obj).items():
                     if attr.startswith("_"):
                         continue
@@ -99,16 +97,31 @@ def traced(tmp_path_factory):
     return seen, reports
 
 
-def test_every_public_callable_is_reached(traced):
+def unreached(seen):
+    return sorted(name for code, name in guarded_callables().items()
+                  if code not in seen and name not in ALLOWLIST)
+
+
+def test_every_callable_is_reached(traced):
     seen, _ = traced
-    unreached = sorted(name for code, name in public_callables().items()
-                       if code not in seen and name not in ALLOWLIST)
-    assert unreached == []
+    assert unreached(seen) == []
+
+
+def test_planted_private_helper_is_caught(traced, monkeypatch):
+    # a module-level private helper that only a test calls
+    def _planted(x):
+        return 2.0 * x
+
+    _planted.__module__ = harmonics.__name__
+    monkeypatch.setattr(harmonics, "_planted", _planted, raising=False)
+    assert harmonics._planted(1.0) == 2.0
+    seen, _ = traced
+    assert unreached(seen) == ["harmonics._planted"]
 
 
 def test_allowlist_is_not_stale(traced):
     seen, _ = traced
-    callables = public_callables()
+    callables = guarded_callables()
     names = set(callables.values())
     reached = {name for code, name in callables.items() if code in seen}
     assert sorted(set(ALLOWLIST) - names) == []

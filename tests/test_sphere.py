@@ -6,6 +6,8 @@ from christoffel.errors import ResolutionTooLow
 
 from conftest import constant_field, frame_vectors
 
+import offgrid
+
 
 def geodesic_dist(x, z):
     """Spherical distance arccos<x, z>, clamped for floating-point safety."""
@@ -18,7 +20,7 @@ def ambient_directional_derivative_minus1(f, z, xi) -> float:
     F(y) = f(y/|y|)/|y| at a sphere point z along an ambient unit vector xi
     (not necessarily tangent): <grad_S f(z), xi> - f(z) <xi, z>."""
     z, xi = np.asarray(z, float), np.asarray(xi, float)
-    val, grad = harmonics.values_and_gradient_at(f.coeffs, z[None, :])
+    val, grad = offgrid.values_and_gradient_at(f.coeffs, z[None, :])
     return float(grad[0] @ xi - val[0] * (xi @ z))
 
 
@@ -196,7 +198,7 @@ class TestMinus1Derivative:
 
         def extension(y):
             r = np.linalg.norm(y)
-            return harmonics.synthesize_at(coeffs, (y / r)[None, :])[0] / r
+            return offgrid.synthesize_at(coeffs, (y / r)[None, :])[0] / r
 
         h = 1e-5
         for idx in (11, 205, 388):
