@@ -45,6 +45,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 import time
 
@@ -274,8 +275,21 @@ def _witness_json(witness):
     return {"x": list(x.coords), "xi": list(xi.dir)}
 
 
+# a token that reads as a negative number: digits with an optional point
+# and exponent, or inf, infinity or nan
+_NEGATIVE_NUMBER = re.compile(r"-(?:(?:\d+\.?\d*|\.\d+)(?:e[+-]?\d+)?|inf(?:inity)?|nan)\Z",
+                              re.IGNORECASE | re.ASCII)
+
+
 class _ArgumentParser(argparse.ArgumentParser):
-    """Usage errors exit 1, the error code, not argparse's 2 ("fails")."""
+    """Usage errors exit 1, the error code, not argparse's 2 ("fails").
+    Every token that reads as a negative number (-1e-3, -inf, -2e0, not
+    only argparse's -1 and -0.5) is an option's value, as no option name
+    looks like a number; subparsers are of this class too."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
 
     def error(self, message):
         self.print_usage(sys.stderr)

@@ -53,7 +53,9 @@ Pogorelov condition (:func:`check_T33` gives the proof), so it is decided
 from the same form and evaluates f at no point off the grid.  The Hoelder
 grid seminorm finds the largest pair by bound and prune, evaluating only
 the (ring, ring, azimuth offset) entries that triangle and range bounds
-cannot rule out, and forms each node separation where it reads it.
+cannot rule out, and forms each node separation where it reads it: the
+bounds only inside each ring pair's closed-form azimuth window, the offsets
+near enough for the pair's value range to beat the seeds.
 """
 
 from __future__ import annotations
@@ -71,8 +73,11 @@ from .sphere import SpherePoint, TangentDirection, tangent_bases  # noqa: F401
 
 # rounding-floor factor of the sweep error band (see :func:`sweep`)
 _BAND_KAPPA = 4.0
-# node differences per chunk of the Hoelder search (see :func:`holder_seminorm`)
+# node differences per chunk of the Hoelder search, and window entries per
+# group of ring pairs whose bounds are formed together (see
+# :func:`holder_seminorm`)
 _HOLDER_CHUNK = 1 << 18
+_HOLDER_GROUP = 1 << 12
 # relative tolerance of the T33 and Guan-Ma verdicts on their form minima
 _FORM_RTOL = 1e-8
 
@@ -261,14 +266,19 @@ def holder_seminorm(f, alpha: float) -> float:
     optimization (Hansen & Jaumard, "Lipschitz optimization", 1995), not by
     forming all O(L^2 n^2) differences:
 
-    * Seeds: the same-ring entries A_i(d) = num(i, i, d), symmetric in d so
-      half of them are formed, and the same-azimuth entries
-      D0(i, k) = num(i, k, 0) are evaluated; their maximum is the first
-      ``best``.
-    * Bound: num(i, k, d) <= min(R_ik, (D0(i, k) + min(A_i(d), A_k(d)))
-      (1 + 1e-12)), with R_ik = max(max F_i - min F_k, max F_k - min F_i)
-      the range of the two rings and the second term the triangle
-      inequality through node (i, j + d) or (k, j).
+    * Window: num(i, k, d) <= R_ik = max(max F_i - min F_k, max F_k - min
+      F_i), the range of the two rings, so an entry can exceed a value
+      ``best`` only where dist < (R_ik / best)^(1/alpha).  The separation
+      grows with the offset |d| (taken modulo n), so this is a window |d| <
+      W_ik in closed form, widened by a relative 1e-6 in R_ik / best and by
+      1e-9 in the cosine so that rounding cannot shut out an entry.
+    * Seeds: the same-azimuth entries D0(i, k) = num(i, k, 0) give the
+      first ``best``; the same-ring entries A_i(d) = num(i, i, d),
+      symmetric in d so half of them are formed, are evaluated for the
+      offsets inside the widest window, and their maximum raises ``best``.
+    * Bound: inside the window of each ring pair, num(i, k, d) <= min(R_ik,
+      (D0(i, k) + min(A_i(d), A_k(d))) (1 + 1e-12)), the second term the
+      triangle inequality through node (i, j + d) or (k, j).
     * Search: the entries whose bound / dist^alpha exceeds ``best`` are
       evaluated in descending bound order, ``_HOLDER_CHUNK`` differences
       at a time, each chunk re-pruned against ``best``; the search stops
@@ -276,9 +286,10 @@ def holder_seminorm(f, alpha: float) -> float:
 
     The result is the full table's maximum to the last bit: evaluated
     entries use the same float expression, rounding is monotone, and the
-    1e-12 margin covers the rounding of the bound's sum, so every pruned
-    entry has v <= bound <= best.  The bounds are formed ring by ring, so
-    the memory is O(L n) per ring plus the kept bounds.
+    margins cover the rounding of the window and of the bound's sum, so
+    every entry that is not evaluated has v <= bound <= best.  The bounds
+    are formed only inside the windows, ``_HOLDER_GROUP`` entries at a
+    time, so the memory is O(L n) for the seeds plus the kept bounds.
 
     The grid value is a lower bound of the true seminorm, so threshold
     checks based on it are conservative only up to discretization.
@@ -289,8 +300,7 @@ def holder_seminorm(f, alpha: float) -> float:
     # [k, d, j] = F[k, j + d]: ring k turned by d azimuth steps, a view
     shifted = np.lib.stride_tricks.sliding_window_view(
         np.concatenate([F, F[:, :-1]], axis=1), n, axis=1)
-    az = np.arange(n)
-    fold = np.minimum(az, n - az)  # A_i(d) = A_i(n - d)
+    fold = np.minimum(np.arange(n), n - np.arange(n))  # A_i(d) = A_i(n - d)
     t = grid.polar_nodes
     st = np.sqrt(1.0 - t * t)
     cos_d = np.cos(grid.phis)
@@ -303,23 +313,52 @@ def holder_seminorm(f, alpha: float) -> float:
         out[s > cos_min] = np.inf
         return out
 
-    A = np.empty((L, n))
+    hi, lo = np.max(F, axis=1), np.min(F, axis=1)
+    rng = np.maximum(hi[:, None] - lo, hi - lo[:, None])  # R_ik
+    # cos dist(i, k, d) = P_ik cos phi_d + Q_ik; -cos phi_d ascends on 0..n/2
+    P, Q, rising = np.outer(st, st), np.outer(t, t), -cos_d[: n // 2 + 1]
+
+    def windows(best):
+        # W_ik: the count of offsets 0..n/2 whose entries may exceed best
+        with np.errstate(divide="ignore"):
+            log_theta = (np.log(rng) - np.log(best) + 1e-6) / alpha if best > 0.0 else np.inf
+        cap = np.log(np.pi)
+        cos_theta = np.where(log_theta < cap, np.cos(np.exp(np.minimum(log_theta, cap))), -np.inf)
+        return np.searchsorted(rising, (Q - (cos_theta - 1e-9)) / P)
+
+    rings = np.arange(L)[:, None]
     D0 = np.zeros((L, L))  # k >= i; the zeros below add nothing to the seed
     for i in range(L):
-        A[i] = np.max(np.abs(F[i] - shifted[i, : n // 2 + 1]), axis=1)[fold]
         D0[i, i:] = np.max(np.abs(F[i] - F[i:]), axis=1)
-    rings = np.arange(L)[:, None]
-    best = max(float(np.max(A / dist_alpha(rings, rings, az))),
-               float(np.max(D0 / dist_alpha(rings, rings.T, 0))))
-    hi, lo = np.max(F, axis=1), np.min(F, axis=1)
-    flat, bound = [], []
+    best = float(np.max(D0 / dist_alpha(rings, rings.T, 0)))
+    reach = int(np.max(windows(best)))
+    A = np.empty((L, reach))  # A_i(d) for 0 <= d < reach
     for i in range(L):
-        tri = (D0[i, i:, None] + np.minimum(A[i], A[i:])) * (1.0 + 1e-12)
-        rng = np.maximum(hi[i] - lo[i:], hi[i:] - lo[i])
-        ub = (np.minimum(rng[:, None], tri) / dist_alpha(i, rings[i:], az)).ravel()
+        A[i] = np.max(np.abs(F[i] - shifted[i, :reach]), axis=1)
+    near = np.flatnonzero(fold < reach)
+    best = max(best, float(np.max(A[:, fold[near]] / dist_alpha(rings, rings, near))))
+    # the window entries of every ring pair k >= i, e = 2 W - 1 of them
+    # (n at most): the offsets 0..W - 1 and n - W + 1..n - 1, d ascending
+    pi, pk = np.triu_indices(L)
+    w = windows(best)[pi, pk]
+    e = np.where(w > 0, np.minimum(2 * w - 1, n), 0)
+    first = np.cumsum(e) - e  # index of each pair's first entry
+
+    def kept_bounds(pairs):
+        # (flat index, bound) of the window entries of ``pairs`` whose
+        # bound exceeds best
+        p = np.repeat(pairs, e[pairs])
+        j = np.arange(len(p)) + first[pairs[0]] - first[p]
+        i, k, d = pi[p], pk[p], np.where(j < w[p], j, j + n - e[p])
+        tri = (D0[i, k] + np.minimum(A[i, fold[d]], A[k, fold[d]])) * (1.0 + 1e-12)
+        ub = np.minimum(rng[i, k], tri) / dist_alpha(i, k, d)
         keep = np.flatnonzero(ub > best)
-        flat.append(keep + i * (L + 1) * n)
-        bound.append(ub[keep])
+        return ((i * L + k) * n + d)[keep], ub[keep]
+
+    # the pairs whose entries start in the same stretch of _HOLDER_GROUP
+    # entries form one group
+    cuts = np.flatnonzero(np.diff(first // _HOLDER_GROUP)) + 1
+    flat, bound = zip(*map(kept_bounds, np.split(np.arange(len(e)), cuts)))
     bound = np.concatenate(bound)
     order = np.argsort(bound)[::-1]
     flat, bound = np.concatenate(flat)[order], bound[order]

@@ -13,23 +13,29 @@ The solver inverts (Laplace-Beltrami + 2) on S^2 degree by degree:
 the operator acts on degree l as multiplication by 2 - l*(l+1), with the
 degree-1 harmonics spanning its kernel.
 
-Transform plan: every table a transform reads is built once per size and
-then shared, as in SHTns (Schaeffer 2013), in module-level
+Transform plan: every table a transform reads is built once per command
+and then shared, as in SHTns (Schaeffer 2013), in module-level
 ``functools.lru_cache`` entries that keep the last 4 to 16 keys, enough
-for every size one command uses: per band limit L_max the pair layout
-(:func:`_pair_index`), the one coefficient gather (:func:`_ladder_plan`)
-and the gathers of multiplication by the coordinates
-(:func:`_coordinate_plan`); per (L, L_max) the one Legendre table at the
-Gauss nodes of grid L (:func:`_grid_legendre`, per order
-:func:`_grid_blocks`) and the one azimuth table (:func:`_azimuth_plan`).
-Every cached array is read-only, so a stray in-place write raises
-ValueError instead of corrupting later transforms, and results are
-bit-identical to building the tables afresh.  Building a table does its
-fixed work once: :func:`_legendre_packed` forms the recursion coefficients
-and target rows of all its diagonals in one vectorized pass, and each
-recursion step only slices them.  These caches are the package's only
-state between calls: emptying them (``cache_clear``) makes a command pay
-what it pays in a fresh process.
+for every size one command uses.  Per band limit L_max come the pair
+layout (:func:`_pair_index`) and the one coefficient gather
+(:func:`_ladder_plan`).  Per grid L there is one Legendre table at the
+Gauss nodes of grid L (:func:`_grid_legendre`) and one azimuth table
+(:func:`_azimuth_plan`), and per command one table of the terms of
+multiplication by the coordinates (:func:`_coordinate_plan`), each kept
+at the widest band asked for so far (:func:`_table_store`).  A request at
+a wider band, such as the L_max + 2 of the criterion channels, extends the
+kept table by its new degrees and orders only, by the same expressions;
+a narrower band reads views of it: the per-order blocks of
+:func:`_grid_blocks`, the first rows of the azimuth table, and the gathers
+cut from the coordinate terms.  Every cached array is read-only, so a
+stray in-place write raises ValueError instead of corrupting later
+transforms, and results are bit-identical to building the tables afresh
+at each band.  Building a table does its fixed work once:
+:func:`_legendre_packed` forms the recursion coefficients and target rows
+of all its degrees in one vectorized pass, and each recursion step only
+slices them.  These caches are the package's only state between calls:
+emptying them (``cache_clear``) makes a command pay what it pays in a
+fresh process, and import fills none of them.
 
 Every transform runs on one core.  The gather packs the coefficients into
 columns per (m, l) pair: c_lm and c_l,-m for values, and for derivatives
@@ -192,75 +198,115 @@ def _pair_index(L_max: int):
     return _read_only(m_arr, l_arr, offsets)
 
 
-def _legendre_packed(t: np.ndarray, L_max: int) -> np.ndarray:
+def _packed_band(P: np.ndarray) -> int:
+    """Band limit of a packed table with (L_max + 1)(L_max + 2) / 2 rows."""
+    return (math.isqrt(8 * P.shape[0] + 1) - 3) // 2
+
+
+def _legendre_packed(t: np.ndarray, L_max: int, base: np.ndarray | None = None) -> np.ndarray:
     """Normalized associated Legendre values in the packed pair layout.
 
     Returns shape (n_pairs, len(t)) (pairs-major, so each pair is a
     contiguous row), t = cos theta.  Normalization: the basis function built
     from pair (l, m) and its azimuth factor has unit L^2 norm on the sphere.
-    The degree recursion is vectorized across all orders m one diagonal
-    l - m at a time; the coefficients and target rows of every diagonal
-    come from one pass, which each step slices.
+    The sectoral rows P_m^m run up the orders, the rows P_(m+1)^m take one
+    vectorized step, and the three-term degree recursion is vectorized
+    across all orders m one degree l at a time; the coefficients and target
+    rows of every degree come from one pass, which each step slices.
+
+    ``base``, the packed table of a narrower band at the same t, is
+    extended: its rows are copied and the recursion runs for the new
+    degrees and orders only.  Every entry is the same expression of the
+    same entries as in a table built from scratch, so the two are
+    bit-identical.
     """
-    m_arr, _, offsets = _pair_index(L_max)
+    m_arr, l_arr, offsets = _pair_index(L_max)
     t = np.asarray(t, dtype=float)
     s = np.sqrt(np.maximum(0.0, 1.0 - t * t))
-    n_pts = t.shape[0]
-    P = np.empty((len(m_arr), n_pts))
-
-    pmm = np.full(n_pts, np.sqrt(1.0 / (4.0 * np.pi)))
-    P[offsets[0]] = pmm
-    for m in range(1, L_max + 1):
+    P = np.empty((len(m_arr), t.shape[0]))
+    old = -1 if base is None else _packed_band(base)
+    if base is None:
+        P[0] = np.sqrt(1.0 / (4.0 * np.pi))
+    else:
+        P[l_arr <= old] = base
+    pmm = P[offsets[max(old, 0)]]
+    for m in range(max(old, 0) + 1, L_max + 1):
         pmm = pmm * s * np.sqrt((2.0 * m + 1.0) / (2.0 * m))
         P[offsets[m]] = pmm
-    if L_max >= 1:
-        mv = np.arange(L_max)
-        coef = np.sqrt(2.0 * mv + 3.0)
-        P[offsets[mv] + 1] = coef[:, None] * t[None, :] * P[offsets[mv]]
-    # every diagonal's coefficients and target rows in one pass, diagonal
-    # k = l - m >= 2 in entries starts[k - 2]..starts[k - 1]
-    ks = np.arange(2, L_max + 1)
-    starts = np.concatenate([[0], np.cumsum(L_max + 1 - ks)])
-    kv = np.repeat(ks, L_max + 1 - ks)
-    mv = np.arange(starts[-1]) - starts[kv - 2]
-    lv = mv + kv
+    # the new rows P_(m+1)^m: degree m + 1 > old
+    mv = np.arange(max(old, 0), L_max)
+    coef = np.sqrt(2.0 * mv + 3.0)
+    P[offsets[mv] + 1] = coef[:, None] * t[None, :] * P[offsets[mv]]
+    # every new degree's coefficients and target rows in one pass, degree
+    # ls[j] >= 2 and orders m <= l - 2 in entries starts[j]..starts[j + 1]
+    ls = np.arange(max(old + 1, 2), L_max + 1)
+    starts = np.concatenate([[0], np.cumsum(ls - 1)])
+    j = np.repeat(np.arange(len(ls)), ls - 1)
+    lv, mv = ls[j], np.arange(starts[-1]) - starts[j]
     a = np.sqrt((4.0 * lv * lv - 1.0) / (lv * lv - mv * mv))[:, None]
     b = np.sqrt(((lv - 1.0) ** 2 - mv * mv) / (4.0 * (lv - 1.0) ** 2 - 1.0))[:, None]
-    tgt = offsets[mv] + kv
-    for k in range(2, L_max + 1):
-        step = slice(starts[k - 2], starts[k - 1])
+    tgt = offsets[mv] + lv - mv
+    for j in range(len(ls)):
+        step = slice(starts[j], starts[j + 1])
         rows = tgt[step]
         P[rows] = a[step] * (t * P[rows - 1] - b[step] * P[rows - 2])
     return P
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=8)
+def _table_store(L: int | None) -> dict:
+    """The one slot of each grown table of a command, name -> (table,
+    band) (:func:`_widest`): grid L keeps its Legendre and its azimuth
+    table, L = None the terms of multiplication by the coordinates.
+    Emptying this cache drops them."""
+    return {}
+
+
+def _widest(store: dict, name: str, band: int, extend) -> np.ndarray:
+    """The table ``name`` of ``store`` at band ``band`` or wider: the kept
+    one, or, when that is narrower or missing, ``extend(old)`` of the old
+    table (None when missing), which is kept in its place.  Every table is
+    read-only."""
+    kept = store.get(name)
+    if kept is None or kept[1] < band:
+        kept = store[name] = (extend(None if kept is None else kept[0]), band)
+    return kept[0]
+
+
 def _grid_legendre(L: int, L_max: int) -> np.ndarray:
-    """Packed P at the Gauss nodes of grid L: the one table that every grid
-    transform of band L_max reads."""
-    return _read_only(_legendre_packed(_polar_rule(L)[0], L_max))[0]
+    """Packed P at the Gauss nodes of grid L, at band L_max or wider: the
+    one table of grid L in a command, which every grid transform reads
+    and a wider band extends (:func:`_legendre_packed`)."""
+    return _widest(_table_store(L), "legendre", L_max,
+                   lambda base: _read_only(_legendre_packed(_polar_rule(L)[0], L_max, base))[0])
 
 
 @lru_cache(maxsize=16)
 def _grid_blocks(L: int, L_max: int):
-    """Per-order views of :func:`_grid_legendre`: entry m is (L_max + 1 -
-    m, L), row l - m."""
-    P, offsets = _grid_legendre(L, L_max), _pair_index(L_max)[2]
-    return tuple(P[offsets[m] : offsets[m + 1]] for m in range(L_max + 1))
+    """Per-order views of :func:`_grid_legendre` cut to band L_max: entry
+    m is (L_max + 1 - m, L), row l - m."""
+    P = _grid_legendre(L, L_max)
+    offsets = _pair_index(_packed_band(P))[2]
+    return tuple(P[offsets[m] : offsets[m] + L_max + 1 - m] for m in range(L_max + 1))
 
 
-@lru_cache(maxsize=8)
-def _azimuth_plan(L: int, L_max: int):
+def _azimuth_plan(L: int, L_max: int) -> np.ndarray:
     """The azimuth table of grid L, (2(L_max + 1), 2L): rows 2m and 2m + 1
     are cos m phi and sin m phi with the sqrt(2) factor for m > 0, in the
     row order of the profiles of :func:`_contract`, so that synthesis and
     the grid derivatives take one product with it and :func:`analyze` one
-    with its transpose, with no reordering copy."""
-    m = np.arange(L_max + 1)[:, None]
-    arg = m * _azimuths(L)[None, :]
-    scale = np.where(m > 0, np.sqrt(2.0), 1.0)
-    table = np.stack([scale * np.cos(arg), scale * np.sin(arg)], axis=1)
-    return _read_only(table.reshape(2 * (L_max + 1), -1))[0]
+    with its transpose, with no reordering copy.  It is a view of the
+    first rows of the one table of grid L in a command, to which a wider
+    band appends the rows of its new orders."""
+
+    def extend(old):
+        m = np.arange(0 if old is None else len(old) // 2, L_max + 1)[:, None]
+        arg = m * _azimuths(L)[None, :]
+        scale = np.where(m > 0, np.sqrt(2.0), 1.0)
+        rows = np.stack([scale * np.cos(arg), scale * np.sin(arg)], axis=1).reshape(-1, 2 * L)
+        return _read_only(rows if old is None else np.concatenate([old, rows]))[0]
+
+    return _widest(_table_store(L), "azimuth", L_max, extend)[: 2 * (L_max + 1)]
 
 
 @lru_cache(maxsize=8)
@@ -413,10 +459,29 @@ def _coordinate_plan(band: int):
     into a cosine and slot 1 into a sine target.  A cosine source of order
     0 weighs sqrt(2) and a sine one does not exist; target order 0 takes
     slot 1 alone, times sqrt(2).  z c draws on order m in slot 0.
+
+    The gathers are cut from the one table of terms of a command
+    (:func:`_coordinate_terms`), to which a wider band appends the targets
+    of its new degrees: the terms whose source lies above ``band`` drop out.
     """
-    n = band + 2
-    l = np.repeat(np.arange(n), 2 * np.arange(n) + 1)
-    m = np.arange(n * n) - l * l - l
+    src, w = _widest(_table_store(None), "coordinates", band,
+                     lambda old: _coordinate_terms(old, band + 1))
+    degrees = np.arange(band + 2)
+    l = np.repeat(degrees, 2 * degrees + 1)
+    src, w = src[:, :, : len(l)], w[:, :, : len(l)]
+    ok = (src >= 0) & (src < (band + 1) ** 2)
+    return _read_only(np.where(ok, src, 0), np.where(ok, w, 0.0), l)
+
+
+def _coordinate_terms(old, top: int):
+    """The terms (src, w) of :func:`_coordinate_plan` of the targets of
+    degree <= ``top`` at any band, read-only: the source index src is -1
+    where a term has no source.  ``old``, the terms up to a lower degree,
+    is extended by the targets above it."""
+    lo = 0 if old is None else math.isqrt(old[0].shape[2])
+    degrees = np.arange(lo, top + 1)
+    l = np.repeat(degrees, 2 * degrees + 1)
+    m = np.arange(lo * lo, (top + 1) ** 2) - l * l - l
     mu, sine = np.abs(m), m < 0
     step = np.array([[-1], [1]])  # the lowering and the raising part
     ls = l - step  # source degree, (2, K)
@@ -429,8 +494,8 @@ def _coordinate_plan(band: int):
     P = np.where(up, root((ls + k + 1) * (ls + k + 2)), -root((ls - k) * (ls - k - 1)))
     Q = np.where(up, -root((ls - q + 1) * (ls - q + 2)), root((ls + q) * (ls + q - 1)))
     Z = root(np.where(up, (ls + 1) ** 2, ls * ls) - mu * mu)
-    orders = np.empty((2, n * n, 3), dtype=int)
-    weights = np.zeros((2, 2, n * n, 3))
+    orders = np.empty((2, len(l), 3), dtype=int)
+    weights = np.zeros((2, 2, len(l), 3))
     for j, from_sine in ((0, sine), (1, ~sine)):
         # the factors of slot 0 and slot 1 at each target
         f0 = np.where(m == 0, 0.0, np.where(k == 0, np.where(from_sine, 0.0, np.sqrt(2.0)), 1.0))
@@ -444,9 +509,11 @@ def _coordinate_plan(band: int):
     orders[0, :, 2], orders[1, :, 2] = m, 0
     weights[:, 0, :, 2] = Z
     ls = ls[:, None, :, None]
-    ok = (ls >= 0) & (ls <= band) & (np.abs(orders) <= ls) & (weights != 0.0)
-    src = np.where(ok, ls * ls + ls + orders, 0)
-    return _read_only(src, np.where(ok, weights, 0.0), l)
+    ok = (ls >= 0) & (np.abs(orders) <= ls) & (weights != 0.0)
+    new = np.where(ok, ls * ls + ls + orders, -1), np.where(ok, weights, 0.0)
+    if old is not None:
+        new = (np.concatenate(pair, axis=2) for pair in zip(old, new))
+    return _read_only(*new)
 
 
 def coordinate_product(c: np.ndarray) -> np.ndarray:

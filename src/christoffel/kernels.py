@@ -20,7 +20,12 @@ Berg functions and gamma_{n, alpha} by a fixed Gauss-Jacobi rule are direct
 formulas; the functions that validate by adaptive quadrature
 (``omega_radial``, ``firey_theta`` and ``gamma_const_info``) share one
 numpy Gauss-Kronrod routine, :func:`_gauss_kronrod`, in place of
-``scipy.integrate.quad``.
+``scipy.integrate.quad``.  It integrates a batch of independent integrals
+in lockstep: each keeps its own panel heap and stopping rule, so it gets
+the panels and sums it would get alone, while the integrand is called
+once per round for the new panels of all of them.  A single integral is
+a batch of one, and :func:`kernel_table` integrates the ray kernels at all
+39 values of s in one batch per route.
 """
 
 from __future__ import annotations
@@ -92,75 +97,111 @@ _GK_WEIGHTS = np.array([list(w[:-1]) + list(w[::-1]) for w in (_WGK, _WG)])
 _GK_LIMIT = 200
 
 
-def _gauss_kronrod(f, a: float, b: float, epsabs: float = 1e-10, epsrel: float = 1e-10):
-    """int_a^b f(x) dx by global adaptive Gauss-Kronrod quadrature.
+def _gauss_kronrod(f, a, b, epsabs: float = 1e-10, epsrel: float = 1e-10):
+    """int_a^b f(x) dx for a batch of integrals by global adaptive
+    Gauss-Kronrod quadrature, all integrals in lockstep.
 
-    Returns (value, error_estimate).  Each panel is integrated by the
-    10/21-point Gauss-Kronrod pair, K21 giving the value and |K21 - G10|
-    the panel's error estimate (QUADPACK scales this difference down; the
-    raw difference is the more cautious bound).  The panel with the largest
-    estimate is bisected until the estimates sum to at most
-    max(epsabs, epsrel |value|) or ``_GK_LIMIT`` panels exist; the panels are
-    summed with ``math.fsum``.  ``f`` is vectorized: it is called once per
-    panel, on the array of its 21 nodes, and never at an end point.
-    b = inf is mapped onto t in [0, 1) by x = a + t/(1 - t); b < a
-    integrates over [b, a] and negates.
+    ``a`` and ``b`` are scalars or arrays (B,) of the limits; returns
+    (values, error_estimates), arrays (B,).  Each panel is integrated by
+    the 10/21-point Gauss-Kronrod pair, K21 giving the value and |K21 -
+    G10| the panel's error estimate (QUADPACK scales this difference down;
+    the raw difference is the more cautious bound).  Every integral keeps
+    its own heap of panels: its panel with the largest estimate is bisected
+    until its estimates sum to at most max(epsabs, epsrel |value|) or
+    ``_GK_LIMIT`` panels exist, and its panels are summed with
+    ``math.fsum``.  So each integral takes the same panels and sums as it
+    would alone, and a batch of one is the scalar routine.  One round
+    bisects the top panel of every integral that is not done, and all their
+    halves are evaluated by one call ``f(x, k)``: x (P, 21) holds the nodes
+    of P panels, k (P,) the integral of each, and the result is f at x.
+    ``f`` is never called at an end point.  b = inf (in every integral of
+    the batch or in none) is mapped onto t in [0, 1) by x = a + t/(1 - t);
+    b < a integrates over [b, a] and negates.
     """
-    if b < a:
-        val, err = _gauss_kronrod(f, b, a, epsabs, epsrel)
-        return -val, err
-    if b == math.inf:
-        g, x0 = f, a
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    sign = np.where(b < a, -1.0, 1.0)
+    lo, hi = np.minimum(a, b).ravel(), np.maximum(a, b).ravel()
+    if np.isinf(hi).any():
+        g, x0 = f, lo
 
-        def f(t):
-            return g(x0 + t / (1.0 - t)) / (1.0 - t) ** 2
+        def f(t, k):
+            return g(x0[k, None] + t / (1.0 - t), k) / (1.0 - t) ** 2
 
-        a, b = 0.0, 1.0
+        lo, hi = np.zeros_like(lo), np.ones_like(hi)
+
+    def panels(lo, hi, k):
+        # (-error, value) of the panels [lo, hi] of the integrals k, as lists
+        half = 0.5 * (hi - lo)
+        x = (0.5 * (lo + hi))[:, None] + half[:, None] * _GK_NODES
+        kg = half[:, None] * np.matmul(_GK_WEIGHTS, f(x, k)[..., None])[..., 0]
+        return (-np.abs(kg[:, 0] - kg[:, 1])).tolist(), kg[:, 0].tolist()
 
     # heap entries (-error, lo, hi, value): the top panel has the largest error
-    def panel(lo, hi):
-        half = 0.5 * (hi - lo)
-        k, g10 = half * (_GK_WEIGHTS @ f(0.5 * (lo + hi) + half * _GK_NODES))
-        return (-abs(k - g10), lo, hi, k)
-
-    heap = [panel(a, b)]
-    total_val, total_err = heap[0][3], -heap[0][0]
-    while total_err > max(epsabs, epsrel * abs(total_val)) and len(heap) < _GK_LIMIT:
-        neg_err, lo, hi, val = heapq.heappop(heap)
-        mid = 0.5 * (lo + hi)
-        for part in (panel(lo, mid), panel(mid, hi)):
-            heapq.heappush(heap, part)
-            total_val += part[3]
-            total_err -= part[0]
-        total_val -= val
-        total_err += neg_err
-    return math.fsum(p[3] for p in heap), math.fsum(-p[0] for p in heap)
+    neg, val = panels(lo, hi, np.arange(len(lo)))
+    heaps = [[p] for p in zip(neg, lo.tolist(), hi.tolist(), val)]
+    total_val, total_err = list(val), [-e for e in neg]
+    while True:
+        todo = [i for i, heap in enumerate(heaps)
+                if total_err[i] > max(epsabs, epsrel * abs(total_val[i]))
+                and len(heap) < _GK_LIMIT]
+        if not todo:
+            break
+        tops = [heapq.heappop(heaps[i]) for i in todo]
+        # the two halves of each top panel, side by side
+        edges = [(lo, 0.5 * (lo + hi), hi) for _, lo, hi, _ in tops]
+        lows = [x for lo, mid, _ in edges for x in (lo, mid)]
+        highs = [x for _, mid, hi in edges for x in (mid, hi)]
+        neg, val = panels(np.array(lows), np.array(highs), np.repeat(todo, 2))
+        for j, (i, top) in enumerate(zip(todo, tops)):
+            for h in (2 * j, 2 * j + 1):
+                heapq.heappush(heaps[i], (neg[h], lows[h], highs[h], val[h]))
+                total_val[i] += val[h]
+                total_err[i] -= neg[h]
+            total_val[i] -= top[3]
+            total_err[i] += top[0]
+    values = np.array([math.fsum(p[3] for p in heap) for heap in heaps])
+    errors = np.array([math.fsum(-p[0] for p in heap) for heap in heaps])
+    return sign.ravel() * values, errors
 
 
 # ----------------------------------------------------------------------
 # Ray kernels omega and hat-omega
 # ----------------------------------------------------------------------
 
-def _check_s(s: float):
-    if not -1.0 < s < 1.0:
-        raise SingularEvaluation(f"kernel argument must satisfy |s| < 1, got s={s}")
+def _check_s(s):
+    """The arguments s, a scalar or an array, as a list of floats;
+    SingularEvaluation unless every |s| < 1."""
+    values = np.ravel(s).tolist()
+    for x in values:
+        if not -1.0 < x < 1.0:
+            raise SingularEvaluation(f"kernel argument must satisfy |s| < 1, got s={x}")
+    return values
 
 
-def omega_radial(s: float, n: int) -> float:
+def _per_s(s, values):
+    """``values`` (a list) shaped as the kernel argument s: a float for a
+    scalar s, else an array."""
+    return values[0] if np.ndim(s) == 0 else np.array(values).reshape(np.shape(s))
+
+
+def omega_radial(s, n: int):
     """Ray integral -int_0^inf r^(n-1) (r^2 - 2 s r + 1)^(-(n+1)/2) dr.
 
-    Adaptive quadrature in the substituted variable rho = (r - s)/sqrt(1-s^2).
+    Adaptive quadrature in the substituted variable rho = (r - s)/sqrt(1-s^2),
+    one integral per value of ``s`` (a scalar or an array), all of them in
+    one batch of :func:`_gauss_kronrod`.
     """
     _require_dimension(n)
-    _check_s(s)
-    q = math.sqrt(1.0 - s * s)
+    sv = _check_s(s)
+    qv = [math.sqrt(1.0 - x * x) for x in sv]
+    S, Q = np.array(sv), np.array(qv)
 
-    def integrand(rho):
-        r = s + q * rho
+    def integrand(rho, k):
+        r = S[k, None] + Q[k, None] * rho
         return r ** (n - 1) * (rho * rho + 1.0) ** (-(n + 1) / 2.0)
 
-    val, _ = _gauss_kronrod(integrand, -s / q, math.inf)
-    return -(q ** -n) * val
+    val, _ = _gauss_kronrod(integrand, [-x / q for x, q in zip(sv, qv)], math.inf)
+    return _per_s(s, [-(q ** -n) * v for q, v in zip(qv, val.tolist())])
 
 
 def _hypergeometric_1(b: float, c: float, w: float) -> float:
@@ -255,20 +296,20 @@ def omega_closed(s: float, n: int) -> float:
     return -((1.0 - s * s) ** (-n / 2.0)) * _sin_power_integral(n - 1, theta, math.pi)
 
 
-def firey_theta(s: float, n: int) -> float:
+def firey_theta(s, n: int):
     """Firey's kernel Theta(s) = (1-s^2)^(-n/2) int_pi^arccos(s) sin^(n-1) t dt.
 
     Evaluated by adaptive Gauss-Kronrod quadrature of the defining formula
-    (:func:`_gauss_kronrod`, tolerance 1e-13), kept independent of the
+    (:func:`_gauss_kronrod`, tolerance 1e-13), one integral per value of
+    ``s`` (a scalar or an array) in one batch, kept independent of the
     antiderivatives behind :func:`omega_closed` so the identity between the
     two is a genuine cross-check.
     """
     _require_dimension(n)
-    _check_s(s)
-    val, _ = _gauss_kronrod(
-        lambda t: np.sin(t) ** (n - 1), math.pi, math.acos(s), epsabs=1e-13, epsrel=1e-13,
-    )
-    return (1.0 - s * s) ** (-n / 2.0) * val
+    sv = _check_s(s)
+    val, _ = _gauss_kronrod(lambda t, k: np.sin(t) ** (n - 1), math.pi,
+                            [math.acos(x) for x in sv], epsabs=1e-13, epsrel=1e-13)
+    return _per_s(s, [(1.0 - x * x) ** (-n / 2.0) * v for x, v in zip(sv, val.tolist())])
 
 
 def kernel_table(n: int):
@@ -276,11 +317,13 @@ def kernel_table(n: int):
 
     Returns (rows, summary): rows (s, omega_radial, omega_closed,
     firey_theta) at s = -0.95 to 0.95 in steps of 0.05, each quadrature
-    evaluated once, and their largest gaps ``max_abs_radial_minus_closed``
-    and ``max_abs_closed_minus_firey`` with ``dimensions`` [n].
+    evaluated once (the two quadratures each in one batch over s), and
+    their largest gaps ``max_abs_radial_minus_closed`` and
+    ``max_abs_closed_minus_firey`` with ``dimensions`` [n].
     """
-    rows = [(s, omega_radial(s, n), omega_closed(s, n), firey_theta(s, n))
-            for s in map(float, np.arange(-0.95, 0.951, 0.05))]
+    s = np.arange(-0.95, 0.951, 0.05)
+    rows = list(zip(s.tolist(), omega_radial(s, n).tolist(),
+                    [omega_closed(x, n) for x in s.tolist()], firey_theta(s, n).tolist()))
     return rows, {
         "max_abs_radial_minus_closed": max(abs(rc - oc) for _, rc, oc, _ in rows),
         "max_abs_closed_minus_firey": max(abs(oc - ft) for _, _, oc, ft in rows),
@@ -415,12 +458,14 @@ def gamma_const_info(n: int, alpha: float):
     _check_gamma_args(n, alpha)
     h0 = _sin_power_integral(n - 1, 0.0, math.pi)
 
-    def integrand(theta):
-        inner = np.array([_sin_power_integral(n - 1, t, math.pi) for t in theta])
+    def integrand(theta, k):
+        inner = np.array([_sin_power_integral(n - 1, t, math.pi)
+                          for t in theta.ravel().tolist()]).reshape(theta.shape)
         return theta ** (alpha - 1.0) * (theta / np.sin(theta) * inner - h0)
 
     # tighter than the default: gamma_const is held to 1e-13 against this
-    rest, err = _gauss_kronrod(integrand, 0.0, math.pi, epsabs=1e-12, epsrel=1e-12)
+    rest, err = (float(v[0]) for v in _gauss_kronrod(
+        integrand, 0.0, math.pi, epsabs=1e-12, epsrel=1e-12))
     I1 = h0 * math.pi**alpha / alpha + rest
     omega_nm1 = sphere_surface_measure(n - 1)
     I = omega_nm1 * I1

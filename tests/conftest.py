@@ -371,7 +371,7 @@ def galerkin_matrix(values, grid, L_max):
     signed = np.arange(K) - l * l - l  # flat index l^2 + l + m, m < 0 sine
     order = np.abs(signed)
     group = 2 * order + (signed < 0)  # the 2 m' + s column group
-    P = harmonics._grid_legendre(L, L_max)
+    P = np.concatenate(harmonics._grid_blocks(L, L_max))
     offsets = harmonics._pair_index(L_max)[2]
     # packed order: by m, the cosine then the sine terms, each l-ascending;
     # order m occupies [start[m], start[m + 1])

@@ -728,6 +728,20 @@ class TestErrors:
         assert report["error"]["type"] == "InvalidParameter"
         assert set(report) == {"config", "error"}
 
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--tol", "-1e-3"], ["check", "--alpha", "-inf"], ["lp", "--p", "-2e0"],
+        ["solve", "--tol", "-.5E+1"], ["lp", "--p", "-NaN"],
+    ], ids=" ".join)
+    def test_negative_number_in_any_form_is_a_value(self, argv, tmp_path):
+        # argparse on its own reads only -1 and -0.5 as values: -1e-3 or
+        # -inf would be an option name, ending in "expected one argument"
+        report, code = run_cli(argv + ["--input", "family:constant:c=2", "--L", "16",
+                                       "--Lmax", "8"], tmp_path)
+        assert code == 1
+        assert report["error"]["type"] == "InvalidParameter"
+        value = float(argv[2])
+        assert report["config"][argv[1][2:]] == (value if np.isfinite(value) else repr(value))
+
     @pytest.mark.parametrize("command", [["check"], ["lp", "--p", "2"]])
     def test_unresolvable_band_limit_reported(self, command, tmp_path):
         report, code = run_cli(
@@ -912,15 +926,18 @@ class TestSharedWork:
             assert len(seen) == 2 and len({id(f) for f in seen}) == 2, p
 
     def test_one_legendre_recursion_per_node_set(self, tmp_path, monkeypatch):
-        # the transform plan runs the P recursion once per (node set, L_max)
-        # in a command, derivative tables included, and emptying the caches
-        # leaves nothing behind for the next command
-        keys = []
+        # a command runs the P recursion once per node set, derivative
+        # tables and the channels' wider band included: a wider band extends
+        # the node set's one table from the band it holds, so no degree is
+        # formed twice, and emptying the caches leaves nothing behind for
+        # the next command
+        calls = []
         packed = harmonics._legendre_packed
 
-        def spy(t, L_max, *args):
-            keys.append((np.asarray(t).tobytes(), L_max))
-            return packed(t, L_max, *args)
+        def spy(t, L_max, base=None):
+            old = None if base is None else harmonics._packed_band(base)
+            calls.append((np.asarray(t).tobytes(), L_max, old))
+            return packed(t, L_max, base)
 
         monkeypatch.setattr(harmonics, "_legendre_packed", spy)
         runs = []
@@ -928,13 +945,19 @@ class TestSharedWork:
             counts = []
             for argv in (self.LP, self.CHECK):
                 clear_program_caches()
-                keys.clear()
+                calls.clear()
                 _, code = run_cli(argv, tmp_path)
                 assert code in (0, 3)
-                assert keys and len(keys) == len(set(keys)), argv[0]
-                counts.append(len(keys))
+                held = {}
+                for key, L_max, old in calls:
+                    assert old == held.get(key) and L_max > (-1 if old is None else old), argv[0]
+                    held[key] = L_max
+                assert held, argv[0]
+                counts.append([(L_max, old) for _, L_max, old in calls])
             runs.append(counts)
         assert runs[0] == runs[1]
+        # check: f's table at L_max, extended once to the channels' L_max + 2
+        assert runs[0][1] == [(10, None), (12, 10)]
 
     def test_check_builds_no_legendre_table_above_channel_band(self, tmp_path, monkeypatch):
         # every transform of check stays within the channel band L_max + 2:
@@ -955,14 +978,18 @@ class TestSharedWork:
     @pytest.mark.parametrize("n", [2, 3])
     def test_kernels_evaluates_each_quadrature_once(self, tmp_path, monkeypatch, n):
         # the CSV rows and the kernel_equivalence summary share one
-        # evaluation per s, in the dimension n alone
-        seen = []
-        real = kernels.omega_radial
-        monkeypatch.setattr(kernels, "omega_radial",
-                            lambda s, dim: seen.append((dim, s)) or real(s, dim))
+        # evaluation per s, in the dimension n alone: one batch of 39
+        # integrals for omega_radial and one for firey_theta
+        seen, batches = [], []
+        real, batched = kernels.omega_radial, kernels._gauss_kronrod
+        monkeypatch.setattr(kernels, "omega_radial", lambda s, dim: seen.extend(
+            (dim, x) for x in np.ravel(s).tolist()) or real(s, dim))
+        monkeypatch.setattr(kernels, "_gauss_kronrod", lambda f, a, b, **tol: batches.append(
+            np.broadcast(a, b).size) or batched(f, a, b, **tol))
         report, code = run_cli(["kernels", "--n", str(n), "--out", str(tmp_path / "k.csv")],
                                tmp_path)
         assert code == 0
         assert len(seen) == len(set(seen)) == 39
         assert {dim for dim, _ in seen} == {n}
+        assert batches == [39, 39]
         assert report["kernel_equivalence"]["dimensions"] == [n]

@@ -415,11 +415,21 @@ class TestHolderSearch:
     def test_equals_full_table(self, L, L_max, kind):
         # the pruned search returns the full table's value to the last bit
         f = HOLDER_FIELDS[kind](sphere.make_grid(L), L_max)
-        for alpha in (0.25, 0.5, 0.9, 1):
+        for alpha in (1e-100, 1e-3, 0.25, 0.3, 0.5, 0.9, 1):
             want = ref_holder_seminorm(f, alpha)
-            assert convexity.holder_seminorm(f, alpha) == want, alpha
+            assert repr(convexity.holder_seminorm(f, alpha)) == repr(want), alpha
             if kind == "constant":
                 assert want == 0.0
+
+    @pytest.mark.parametrize("group", [1, 7, 300])
+    def test_bound_groups_equal_full_table(self, group, monkeypatch):
+        # the window bounds formed a few ring pairs at a time, down to one
+        # pair per group, give the full table's value to the last bit
+        monkeypatch.setattr(convexity, "_HOLDER_GROUP", group)
+        for kind in sorted(HOLDER_FIELDS):
+            f = HOLDER_FIELDS[kind](sphere.make_grid(17), 16)
+            for alpha in (1e-3, 0.5, 1):
+                assert convexity.holder_seminorm(f, alpha) == ref_holder_seminorm(f, alpha), kind
 
     def test_heap_below_one_separation_table(self):
         # separations are formed where they are read: the search allocates
@@ -860,7 +870,7 @@ class TestT33:
         nodes = []
         packed = harmonics._legendre_packed
         monkeypatch.setattr(harmonics, "_legendre_packed",
-                            lambda t, L_max: nodes.append(np.asarray(t)) or packed(t, L_max))
+                            lambda t, *args: nodes.append(np.asarray(t)) or packed(t, *args))
         clear_program_caches()
         holds, min_val, _ = convexity.check_T33(f)
         assert holds == (min_val >= -1e-8 * np.max(np.abs(f.values)))

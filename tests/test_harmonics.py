@@ -984,29 +984,45 @@ class TestTransformPlan:
         assert np.array_equal(P.view(np.int64), ref_legendre_packed(t, 192).view(np.int64))
 
     def test_check_reads_one_table_per_grid(self, tmp_path, monkeypatch):
-        # from empty caches, a check builds a single Legendre table per (L,
-        # L_max) and one stacked azimuth table per grid: no derivative tables
+        # from empty caches, a check builds one Legendre table and one
+        # azimuth table of its grid and one table of coordinate terms, and
+        # no derivative tables: the channels' wider band L_max + 2 extends
+        # each kept table, which then equals a table built afresh at the
+        # widest band
         clear_program_caches()
-        built = {"_grid_legendre": [], "_azimuth_plan": []}
-        for name, entries in built.items():
-            real = getattr(harmonics, name)
-            monkeypatch.setattr(harmonics, name, lambda *key, real=real, entries=entries:
-                                entries.append((key, real(*key))) or entries[-1][1])
+        grown = []
+        widest = harmonics._widest
+
+        def spy(store, name, band, extend):
+            def traced(old):
+                grown.append((id(store), name, old, extend(old)))
+                return grown[-1][-1]
+            return widest(store, name, band, traced)
+
+        monkeypatch.setattr(harmonics, "_widest", spy)
         assert cli.main(["check", "--L", "16", "--Lmax", "8",
                          "--report", str(tmp_path / "report.json")]) == 0
-        assert built["_grid_legendre"] and built["_azimuth_plan"]
-        for (L, L_max), P in built["_grid_legendre"]:
-            assert isinstance(P, np.ndarray)
-            assert P.shape == ((L_max + 1) * (L_max + 2) // 2, L)
-        for (L, L_max), table in built["_azimuth_plan"]:
-            assert isinstance(table, np.ndarray)
-            assert table.shape == (2 * (L_max + 1), 2 * L)
+        kept = {}
+        for store, name, old, new in grown:
+            assert old is kept.get((store, name)), name
+            kept[store, name] = new
+        assert sorted(name for _, name in kept) == ["azimuth", "coordinates", "legendre"]
+        # each extended once, from f's band to the channels' band
+        assert sorted(name for _, name, old, _ in grown if old is not None) == [
+            "azimuth", "coordinates", "legendre"]
+        final = {name: table for (_, name), table in kept.items()}
+        t = sphere._polar_rule(16)[0]
+        assert np.array_equal(final["legendre"].view(np.int64),
+                              ref_legendre_packed(t, 10).view(np.int64))
+        assert np.array_equal(final["azimuth"].view(np.int64),
+                              ref_azimuth_table(sphere.make_grid(16).phis, 10).view(np.int64))
+        for table, fresh in zip(final["coordinates"], harmonics._coordinate_terms(None, 10)):
+            assert np.array_equal(table, fresh)
 
     def test_cached_tables_read_only(self):
         calls = {
-            "_pair_index": (8,), "_grid_legendre": (12, 8),
-            "_grid_blocks": (12, 8), "_azimuth_plan": (12, 8),
-            "_coordinate_plan": (8,), "_ladder_plan": (8,),
+            "_pair_index": [(8,)], "_grid_blocks": [(12, 8)], "_coordinate_plan": [(8,)],
+            "_ladder_plan": [(8,)], "_table_store": [(12,), (None,)],
         }
         caches = plan_caches()
         assert set(caches) == set(calls)
@@ -1017,13 +1033,22 @@ class TestTransformPlan:
             elif isinstance(obj, (tuple, list)):
                 for item in obj:
                     yield from arrays(item)
+            elif isinstance(obj, dict):
+                yield from arrays(list(obj.values()))
 
-        for name, args in calls.items():
-            found = list(arrays(caches[name](*args)))
-            assert found, name
-            for arr in found:
-                with pytest.raises(ValueError):
-                    arr.flat[0] = 1.0
+        clear_program_caches()
+        harmonics._azimuth_plan(12, 8)  # beside the grid's Legendre table
+        for name, keys in calls.items():
+            for args in keys:
+                found = list(arrays(caches[name](*args)))
+                assert found, name
+                for arr in found:
+                    with pytest.raises(ValueError):
+                        arr.flat[0] = 1.0
+        # the grid's Legendre and azimuth tables, and the coordinate terms
+        assert [len(list(arrays(caches["_table_store"](key)))) for key in (12, None)] == [2, 2]
+        with pytest.raises(ValueError):
+            harmonics._azimuth_plan(12, 8)[0, 0] = 1.0
         t, wt = sphere._polar_rule(12)
         for arr in (t, wt, *sphere.make_grid(12).frame):
             with pytest.raises(ValueError):

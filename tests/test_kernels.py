@@ -1,3 +1,4 @@
+import heapq
 import math
 
 import numpy as np
@@ -8,6 +9,91 @@ from christoffel import kernels
 from christoffel.errors import InvalidDimension, InvalidParameter, SingularEvaluation
 
 P2, P3, P4 = 2, 3, 4
+
+
+def ref_gauss_kronrod(f, a: float, b: float, epsabs: float = 1e-10, epsrel: float = 1e-10):
+    """Scalar adaptive Gauss-Kronrod quadrature, one integral at a time:
+    the oracle that :func:`kernels._gauss_kronrod` reproduces bit for bit
+    in every integral of a batch.
+
+    The same 10/21-point pair, panel heap and stopping rule: the panel
+    with the largest |K21 - G10| is bisected until the estimates sum to at
+    most max(epsabs, epsrel |value|) or ``kernels._GK_LIMIT`` panels
+    exist, and the panels are summed with ``math.fsum``.  ``f`` is called
+    once per panel on the array of its 21 nodes.  b = inf is mapped onto t
+    in [0, 1) by x = a + t/(1 - t); b < a integrates over [b, a] and
+    negates.  Returns (value, error_estimate).
+    """
+    if b < a:
+        val, err = ref_gauss_kronrod(f, b, a, epsabs, epsrel)
+        return -val, err
+    if b == math.inf:
+        g, x0 = f, a
+
+        def f(t):
+            return g(x0 + t / (1.0 - t)) / (1.0 - t) ** 2
+
+        a, b = 0.0, 1.0
+
+    def panel(lo, hi):
+        half = 0.5 * (hi - lo)
+        k, g10 = half * (kernels._GK_WEIGHTS @ f(0.5 * (lo + hi) + half * kernels._GK_NODES))
+        return (-abs(k - g10), lo, hi, k)
+
+    heap = [panel(a, b)]
+    total_val, total_err = heap[0][3], -heap[0][0]
+    while total_err > max(epsabs, epsrel * abs(total_val)) and len(heap) < kernels._GK_LIMIT:
+        neg_err, lo, hi, val = heapq.heappop(heap)
+        mid = 0.5 * (lo + hi)
+        for part in (panel(lo, mid), panel(mid, hi)):
+            heapq.heappush(heap, part)
+            total_val += part[3]
+            total_err -= part[0]
+        total_val -= val
+        total_err += neg_err
+    return math.fsum(p[3] for p in heap), math.fsum(-p[0] for p in heap)
+
+
+def ref_omega_radial(s, n):
+    """:func:`kernels.omega_radial` of one s by the scalar oracle."""
+    q = math.sqrt(1.0 - s * s)
+
+    def integrand(rho):
+        r = s + q * rho
+        return r ** (n - 1) * (rho * rho + 1.0) ** (-(n + 1) / 2.0)
+
+    val, _ = ref_gauss_kronrod(integrand, -s / q, math.inf)
+    return -(q ** -n) * val
+
+
+def ref_firey_theta(s, n):
+    """:func:`kernels.firey_theta` of one s by the scalar oracle."""
+    val, _ = ref_gauss_kronrod(lambda t: np.sin(t) ** (n - 1), math.pi, math.acos(s),
+                               epsabs=1e-13, epsrel=1e-13)
+    return (1.0 - s * s) ** (-n / 2.0) * val
+
+
+def ref_gamma_const_info(n, alpha):
+    """:func:`kernels.gamma_const_info` by the scalar oracle."""
+    h0 = kernels._sin_power_integral(n - 1, 0.0, math.pi)
+
+    def integrand(theta):
+        inner = np.array([kernels._sin_power_integral(n - 1, t, math.pi) for t in theta])
+        return theta ** (alpha - 1.0) * (theta / np.sin(theta) * inner - h0)
+
+    rest, err = ref_gauss_kronrod(integrand, 0.0, math.pi, epsabs=1e-12, epsrel=1e-12)
+    omega_nm1 = kernels.sphere_surface_measure(n - 1)
+    I = omega_nm1 * (h0 * math.pi**alpha / alpha + rest)
+    K = kernels.sphere_surface_measure(n) / (n * (n + 1.0))
+    return K / I, K * omega_nm1 * err / I**2
+
+
+def one_integral(f, a, b, **tol):
+    """(value, error) of one integral of f(x) by :func:`kernels._gauss_kronrod`,
+    a batch of one."""
+    val, err = kernels._gauss_kronrod(lambda x, k: f(x), a, b, **tol)
+    assert val.shape == err.shape == (1,)
+    return float(val[0]), float(err[0])
 
 
 def fundamental(x, y, n):
@@ -53,7 +139,7 @@ def hat_omega(s, c, n):
         u = rho * rho + 1.0
         return (q * q * u - (n + 1) * c2 * r * r) * r ** (n - 1) * u ** (-(n + 3) / 2.0)
 
-    val, _ = kernels._gauss_kronrod(integrand, -s / q, math.inf)
+    val, _ = ref_gauss_kronrod(integrand, -s / q, math.inf)
     return val * q ** (-n - 2) / kernels.sphere_surface_measure(n)
 
 
@@ -106,7 +192,7 @@ class TestGaussKronrod:
     def test_smooth_matches_quad(self):
         f = lambda x: np.exp(-x) * np.cos(5.0 * x)
         ref, _ = quad(f, 0.0, 3.0, epsabs=1e-14, epsrel=1e-14)
-        val, err = kernels._gauss_kronrod(f, 0.0, 3.0)
+        val, err = one_integral(f, 0.0, 3.0)
         assert abs(val - ref) <= 1e-14
         assert err <= 1e-10
 
@@ -115,14 +201,14 @@ class TestGaussKronrod:
         f = lambda x: 1.0 / (1.0 + x * x) + np.exp(-x * x)
         for a in (-3.0, 0.0, 2.5):
             ref, _ = quad(f, a, np.inf, epsabs=1e-13, epsrel=1e-13, limit=200)
-            val, err = kernels._gauss_kronrod(f, a, math.inf)
+            val, err = one_integral(f, a, math.inf)
             assert abs(val - ref) <= 1e-12 * abs(ref)
             assert err <= 1e-10 * abs(val)
 
     def test_reversed_limits(self):
         f = lambda x: np.sin(x) ** 3
-        forward, err_f = kernels._gauss_kronrod(f, 0.4, 2.9)
-        backward, err_b = kernels._gauss_kronrod(f, 2.9, 0.4)
+        forward, err_f = one_integral(f, 0.4, 2.9)
+        backward, err_b = one_integral(f, 2.9, 0.4)
         ref, _ = quad(f, 2.9, 0.4, epsabs=1e-13, epsrel=1e-13)
         assert backward == -forward and err_b == err_f
         assert abs(backward - ref) <= 1e-14
@@ -134,9 +220,42 @@ class TestGaussKronrod:
         f = lambda x: x ** -0.5 + np.cos(30.0 * x)
         exact = 2.0 + math.sin(30.0) / 30.0
         monkeypatch.setattr(kernels, "_GK_LIMIT", limit)
-        val, err = kernels._gauss_kronrod(f, 0.0, 1.0)
+        val, err = one_integral(f, 0.0, 1.0)
         assert abs(val - exact) > 1e-8
         assert abs(val - exact) <= err
+
+    def test_batch_integrals_match_scalar_oracle(self):
+        # each integral of a batch takes the panels it takes alone: values
+        # and estimates equal the scalar oracle's bit for bit, whatever the
+        # other integrals of the batch need (reversed limits included)
+        w = np.array([0.5, 3.0, 30.0, 7.0])
+        a, b = np.array([0.0, 0.2, 2.9, -1.0]), np.array([1.0, 2.9, 0.4, 0.0])
+        val, err = kernels._gauss_kronrod(lambda x, k: np.cos(w[k, None] * x), a, b)
+        for i in range(len(w)):
+            ref = ref_gauss_kronrod(lambda x: np.cos(w[i] * x), a[i], b[i])
+            assert (val[i], err[i]) == ref, i
+
+
+S_TABLE = np.arange(-0.95, 0.951, 0.05).tolist()
+
+
+class TestBatchedQuadratureOracle:
+    """The batched routes reproduce the scalar oracle bit for bit."""
+
+    @pytest.mark.parametrize("n", range(2, kernels.N_MAX + 1))
+    def test_ray_kernels_at_every_table_s(self, n):
+        assert len(S_TABLE) == 39
+        radial, firey = kernels.omega_radial(np.array(S_TABLE), n), kernels.firey_theta(S_TABLE, n)
+        assert radial.tolist() == [ref_omega_radial(s, n) for s in S_TABLE]
+        assert firey.tolist() == [ref_firey_theta(s, n) for s in S_TABLE]
+        # a scalar s is a batch of one
+        assert kernels.omega_radial(S_TABLE[7], n) == radial[7]
+        assert kernels.firey_theta(S_TABLE[7], n) == firey[7]
+
+    @pytest.mark.parametrize("n", range(2, kernels.N_MAX + 1))
+    def test_gamma_const_info(self, n):
+        for alpha in (1e-100, 1e-3, 0.5, 1.0):
+            assert kernels.gamma_const_info(n, alpha) == ref_gamma_const_info(n, alpha), alpha
 
 
 class TestFundamental:

@@ -10,10 +10,15 @@ small size, and require each global to be the same object with the same
 contents.
 """
 
+import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 
+import christoffel
 from christoffel import cli, harmonics
 
 from conftest import clear_program_caches, cli_commands
@@ -94,3 +99,23 @@ def test_rebound_global_and_array_write_are_caught(monkeypatch):
             "christoffel.harmonics.DEFAULT_L_MAX", "christoffel.harmonics._SYM_ROWS"]
     finally:
         rows[0] -= 1
+
+
+def test_import_fills_no_cache():
+    # fixed work belongs in the commands that need it, not in import, where
+    # every process pays it: a fresh ``import christoffel.cli`` leaves
+    # every functools cache of the package empty
+    probe = (
+        "import json, sys\n"
+        "import christoffel.cli\n"
+        "print(json.dumps({f'{name}.{attr}': obj.cache_info().currsize\n"
+        "    for name, mod in list(sys.modules.items()) if name.startswith('christoffel.')\n"
+        "    for attr, obj in vars(mod).items()\n"
+        "    if hasattr(obj, 'cache_clear') and getattr(obj, '__module__', None) == name}))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(christoffel.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    sizes = json.loads(out)
+    assert {"christoffel.sphere._polar_rule", "christoffel.harmonics._table_store"} <= set(sizes)
+    assert {name: size for name, size in sizes.items() if size} == {}
