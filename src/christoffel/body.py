@@ -25,10 +25,10 @@ class Ellipsoid:
     c: float
 
     def __post_init__(self):
-        # the support function sums the squares: each must be finite
-        if not all(0.0 < v and v * v < np.inf for v in (self.a, self.b, self.c)):
+        # the support function sums the squares: each must be positive and finite
+        if not all(0.0 < v and 0.0 < v * v < np.inf for v in (self.a, self.b, self.c)):
             raise InvalidParameter(
-                "ellipsoid semi-axes must be positive with finite squares, got "
+                "ellipsoid semi-axes must have positive finite squares, got "
                 f"({self.a!r}, {self.b!r}, {self.c!r})")
 
     @property
@@ -38,6 +38,13 @@ class Ellipsoid:
     def support_values(self, points):
         pts = np.asarray(points, dtype=float)
         return np.sqrt(pts**2 @ self.axes_sq)
+
+    def curvature_values(self, points):
+        """f = (Laplacian + 2) u, the sum of the principal radii, in closed form
+        (a^2+b^2+c^2 - sum a_i^4 x_i^2/h^2)/h, h = u: no h^3 to underflow."""
+        pts = np.asarray(points, dtype=float)
+        A, h2 = self.axes_sq, pts**2 @ self.axes_sq
+        return (A.sum() - (pts**2 @ A**2) / h2) / np.sqrt(h2)
 
 
 @dataclass(frozen=True)

@@ -228,9 +228,10 @@ def _require_range(values, not_positive: str) -> None:
 def parse_field_source(spec: str, grid, L_max: int):
     """Build a positive field from a CLI field source string.
 
-    Returns (field with coefficients, truncation error of the band-limit
-    re-analysis; zero for exactly band-limited families).  Every source
-    raises BandLimitExceeded when the grid cannot resolve L_max, and
+    Returns (field with coefficients, truncation error: of the band-limit
+    re-analysis of a file, of f against its closed form at the nodes for an
+    ellipsoid, zero for exactly band-limited families).  Every source raises
+    BandLimitExceeded when the grid cannot resolve L_max, and
     InvalidParameter when a value of f lies outside [_F_MIN, _F_MAX].
     """
     harmonics.require_band_limit(grid, L_max)
@@ -263,6 +264,8 @@ def parse_field_source(spec: str, grid, L_max: int):
     else:
         raise ParseError(f"unknown family {name!r}")
     _require_range(field.values, not_positive)
+    if name == "ellipsoid":
+        return field, float(np.max(np.abs(field.values - ell.curvature_values(grid.nodes))))
     return field, 0.0
 
 

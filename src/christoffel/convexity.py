@@ -67,10 +67,13 @@ import numpy as np
 
 from . import harmonics, kernels
 from .errors import NotPositive
-from .harmonics import _SYM_FULL, HarmonicCoeffs, _sym_pack
+from .harmonics import HarmonicCoeffs
 # tangent_bases is unused here; bench/tests/test_bench.py reads this binding
 from .sphere import SpherePoint, TangentDirection, tangent_bases  # noqa: F401
 
+# packed symmetric 3x3 matrices: entries (0,0) (0,1) (0,2) (1,1) (1,2) (2,2)
+_SYM_ROWS, _SYM_COLS = np.triu_indices(3)
+_SYM_FULL = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])
 # rounding-floor factor of the sweep error band (see :func:`sweep`)
 _BAND_KAPPA = 4.0
 # node differences per chunk of the Hoelder search, and window entries per
@@ -118,6 +121,12 @@ def _multipliers(crit: Criterion, L_max: int) -> np.ndarray:
     if crit is Criterion.CR1:
         return 4.0 * np.pi * H
     return 0.5 * harmonics.operator_diagonal(band) * H
+
+
+def _sym_pack(P: np.ndarray) -> np.ndarray:
+    """Symmetric parts of stacks of 3x3 matrices P (..., 3, 3), packed
+    (..., 6) in the order of _SYM_ROWS/_SYM_COLS."""
+    return 0.5 * (P[..., _SYM_ROWS, _SYM_COLS] + P[..., _SYM_COLS, _SYM_ROWS])
 
 
 def criterion_forms(f, criterion: Criterion | str):

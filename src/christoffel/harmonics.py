@@ -13,29 +13,26 @@ The solver inverts (Laplace-Beltrami + 2) on S^2 degree by degree:
 the operator acts on degree l as multiplication by 2 - l*(l+1), with the
 degree-1 harmonics spanning its kernel.
 
-Transform plan: every table a transform reads is built once per command
-and then shared, as in SHTns (Schaeffer 2013), in module-level
-``functools.lru_cache`` entries that keep the last 4 to 16 keys, enough
-for every size one command uses.  Per band limit L_max come the pair
-layout (:func:`_pair_index`) and the one coefficient gather
-(:func:`_ladder_plan`).  Per grid L there is one Legendre table at the
-Gauss nodes of grid L (:func:`_grid_legendre`) and one azimuth table
-(:func:`_azimuth_plan`), and per command one table of the terms of
-multiplication by the coordinates (:func:`_coordinate_plan`), each kept
-at the widest band asked for so far (:func:`_table_store`).  A request at
-a wider band, such as the L_max + 2 of the criterion channels, extends the
-kept table by its new degrees and orders only, by the same expressions;
-a narrower band reads views of it: the per-order blocks of
-:func:`_grid_blocks`, the first rows of the azimuth table, and the gathers
-cut from the coordinate terms.  Every cached array is read-only, so a
-stray in-place write raises ValueError instead of corrupting later
-transforms, and results are bit-identical to building the tables afresh
-at each band.  Building a table does its fixed work once:
+Transform plan: every table a transform reads is built once and shared,
+as in SHTns (Schaeffer 2013).  A grid's tables live in its slot
+:attr:`SphereGrid.tables` and die with it: one Legendre table at its Gauss
+nodes (:func:`_grid_blocks`) and one azimuth table (:func:`_azimuth_plan`).
+The only caches here are module-level ``functools.lru_cache`` entries keyed
+by band limit: the pair layout (:func:`_pair_index`), the coefficient
+gather (:func:`_ladder_plan`) and the gathers of multiplication by the
+coordinates (:func:`_coordinate_plan`), cut from one grown table of terms
+that depend on no grid (:func:`_coordinate_store`).  Each grown table is
+kept at the widest band asked for so far (:func:`_widest`): a wider band,
+such as the L_max + 2 of the criterion channels, extends it by its new
+degrees and orders only, by the same expressions, and a narrower band
+reads views of it.  Every kept array is read-only, so a stray write raises
+ValueError instead of corrupting later transforms, and results are
+bit-identical to tables built afresh at each band.
 :func:`_legendre_packed` forms the recursion coefficients and target rows
-of all its degrees in one vectorized pass, and each recursion step only
-slices them.  These caches are the package's only state between calls:
-emptying them (``cache_clear``) makes a command pay what it pays in a
-fresh process, and import fills none of them.
+of all its degrees in one vectorized pass, which each step slices.  The
+caches are the package's only module state: as each command builds its own
+grid, emptying them (``cache_clear``) makes it pay what a fresh process
+pays, and import fills none of them.
 
 Every transform runs on one core.  The gather packs the coefficients into
 columns per (m, l) pair: c_lm and c_l,-m for values, and for derivatives
@@ -72,14 +69,11 @@ from .errors import (
     InvalidParameter,
     OrthogonalityViolation,
 )
-from .sphere import SphereGrid, _azimuths, _polar_rule
+from .sphere import SphereGrid
 
 DEFAULT_L_MAX = 32
 DEFAULT_GRID_L = 48
 
-# packed symmetric 3x3 matrices: entries (0,0) (0,1) (0,2) (1,1) (1,2) (2,2)
-_SYM_ROWS, _SYM_COLS = np.triu_indices(3)
-_SYM_FULL = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])
 # sqrt(3/4pi): the real Y_1^m, m = -1, 0, 1, are _Y1_NORM (x_2, x_3, x_1)
 _Y1_NORM = np.sqrt(3.0 / (4.0 * np.pi))
 
@@ -148,7 +142,7 @@ class SphericalField:
         up rung (axis 2)."""
         L_max = self.coeffs.L_max
         src, w = _ladder_plan(L_max)
-        prof = _contract(_grid_blocks(self.grid.L, L_max), self.coeffs.c[src] * w, L_max)
+        prof = _contract(_grid_blocks(self.grid, L_max), self.coeffs.c[src] * w, L_max)
         return _read_only(prof.reshape(L_max + 1, 2, 4, self.grid.L))[0]
 
     @cached_property
@@ -253,60 +247,47 @@ def _legendre_packed(t: np.ndarray, L_max: int, base: np.ndarray | None = None) 
     return P
 
 
-@lru_cache(maxsize=8)
-def _table_store(L: int | None) -> dict:
-    """The one slot of each grown table of a command, name -> (table,
-    band) (:func:`_widest`): grid L keeps its Legendre and its azimuth
-    table, L = None the terms of multiplication by the coordinates.
-    Emptying this cache drops them."""
-    return {}
-
-
-def _widest(store: dict, name: str, band: int, extend) -> np.ndarray:
-    """The table ``name`` of ``store`` at band ``band`` or wider: the kept
-    one, or, when that is narrower or missing, ``extend(old)`` of the old
-    table (None when missing), which is kept in its place.  Every table is
-    read-only."""
+def _widest(store: dict, name: str, band: int, extend):
+    """The entry (table, band, views) of ``name`` in ``store`` at band
+    ``band`` or wider: the kept one or, when that is narrower or missing, a
+    new one holding ``extend(old)`` of the old table (None when missing).
+    ``views`` holds the cuts callers keep of the table; they die with it."""
     kept = store.get(name)
     if kept is None or kept[1] < band:
-        kept = store[name] = (extend(None if kept is None else kept[0]), band)
-    return kept[0]
+        kept = store[name] = (extend(None if kept is None else kept[0]), band, {})
+    return kept
 
 
-def _grid_legendre(L: int, L_max: int) -> np.ndarray:
-    """Packed P at the Gauss nodes of grid L, at band L_max or wider: the
-    one table of grid L in a command, which every grid transform reads
-    and a wider band extends (:func:`_legendre_packed`)."""
-    return _widest(_table_store(L), "legendre", L_max,
-                   lambda base: _read_only(_legendre_packed(_polar_rule(L)[0], L_max, base))[0])
+def _grid_blocks(grid: SphereGrid, L_max: int):
+    """Per-order views of the grid's one Legendre table cut to band L_max,
+    entry m (L_max + 1 - m, L) with row l - m, kept beside the table.  The
+    table is the packed P at the grid's Gauss nodes (:func:`_legendre_packed`)
+    in :attr:`SphereGrid.tables`, at the widest band asked for so far."""
+    P, band, views = _widest(grid.tables, "legendre", L_max, lambda base: _read_only(
+        _legendre_packed(grid.polar_nodes, L_max, base))[0])
+    if L_max not in views:
+        offsets = _pair_index(band)[2]
+        views[L_max] = tuple(P[offsets[m] : offsets[m] + L_max + 1 - m] for m in range(L_max + 1))
+    return views[L_max]
 
 
-@lru_cache(maxsize=16)
-def _grid_blocks(L: int, L_max: int):
-    """Per-order views of :func:`_grid_legendre` cut to band L_max: entry
-    m is (L_max + 1 - m, L), row l - m."""
-    P = _grid_legendre(L, L_max)
-    offsets = _pair_index(_packed_band(P))[2]
-    return tuple(P[offsets[m] : offsets[m] + L_max + 1 - m] for m in range(L_max + 1))
-
-
-def _azimuth_plan(L: int, L_max: int) -> np.ndarray:
-    """The azimuth table of grid L, (2(L_max + 1), 2L): rows 2m and 2m + 1
+def _azimuth_plan(grid: SphereGrid, L_max: int) -> np.ndarray:
+    """The azimuth table of the grid, (2(L_max + 1), 2L): rows 2m and 2m + 1
     are cos m phi and sin m phi with the sqrt(2) factor for m > 0, in the
     row order of the profiles of :func:`_contract`, so that synthesis and
     the grid derivatives take one product with it and :func:`analyze` one
     with its transpose, with no reordering copy.  It is a view of the
-    first rows of the one table of grid L in a command, to which a wider
-    band appends the rows of its new orders."""
+    first rows of the grid's one azimuth table in :attr:`SphereGrid.tables`,
+    to which a wider band appends the rows of its new orders."""
 
     def extend(old):
         m = np.arange(0 if old is None else len(old) // 2, L_max + 1)[:, None]
-        arg = m * _azimuths(L)[None, :]
+        arg = m * grid.phis[None, :]
         scale = np.where(m > 0, np.sqrt(2.0), 1.0)
-        rows = np.stack([scale * np.cos(arg), scale * np.sin(arg)], axis=1).reshape(-1, 2 * L)
+        rows = np.stack([scale * np.cos(arg), scale * np.sin(arg)], axis=1).reshape(-1, 2 * grid.L)
         return _read_only(rows if old is None else np.concatenate([old, rows]))[0]
 
-    return _widest(_table_store(L), "azimuth", L_max, extend)[: 2 * (L_max + 1)]
+    return _widest(grid.tables, "azimuth", L_max, extend)[0][: 2 * (L_max + 1)]
 
 
 @lru_cache(maxsize=8)
@@ -374,10 +355,10 @@ def analyze(grid: SphereGrid, values: np.ndarray, L_max: int) -> HarmonicCoeffs:
     offsets = _pair_index(L_max)[2]
     out = np.empty((len(src), 2))
     with np.errstate(over="ignore", invalid="ignore"):
-        F = values.reshape(grid.L, -1) @ _azimuth_plan(grid.L, L_max).T * (np.pi / grid.L)
+        F = values.reshape(grid.L, -1) @ _azimuth_plan(grid, L_max).T * (np.pi / grid.L)
         F *= grid.polar_weights[:, None]
         F = F.reshape(grid.L, n, 2)  # (ring, order, cosine and sine)
-        for m, block in enumerate(_grid_blocks(grid.L, L_max)):
+        for m, block in enumerate(_grid_blocks(grid, L_max)):
             np.matmul(block, F[:, m], out=out[offsets[m] : offsets[m + 1]])
     c = np.empty(n * n)
     # the order-0 sine column lands on src 0, where the cosine scatter,
@@ -402,9 +383,9 @@ def synthesize_channels(c: np.ndarray, grid: SphereGrid) -> np.ndarray:
     L_max = math.isqrt(c.shape[0]) - 1
     src, w = (a[:, (0, 4)] for a in _ladder_plan(L_max))
     cols = (c[src] * w.reshape(w.shape + (1,) * (c.ndim - 1))).reshape(len(src), -1)
-    prof = _contract(_grid_blocks(grid.L, L_max), cols, L_max)
+    prof = _contract(_grid_blocks(grid, L_max), cols, L_max)
     # rows (order, cosine and sine) as the table's, columns (channel, ring)
-    vals = prof.reshape(2 * (L_max + 1), -1).T @ _azimuth_plan(grid.L, L_max)
+    vals = prof.reshape(2 * (L_max + 1), -1).T @ _azimuth_plan(grid, L_max)
     return np.moveaxis(vals.reshape(c.shape[1:] + (grid.node_count,)), -1, 0)
 
 
@@ -464,13 +445,21 @@ def _coordinate_plan(band: int):
     (:func:`_coordinate_terms`), to which a wider band appends the targets
     of its new degrees: the terms whose source lies above ``band`` drop out.
     """
-    src, w = _widest(_table_store(None), "coordinates", band,
-                     lambda old: _coordinate_terms(old, band + 1))
+    src, w = _widest(_coordinate_store(), "coordinates", band,
+                     lambda old: _coordinate_terms(old, band + 1))[0]
     degrees = np.arange(band + 2)
     l = np.repeat(degrees, 2 * degrees + 1)
     src, w = src[:, :, : len(l)], w[:, :, : len(l)]
     ok = (src >= 0) & (src < (band + 1) ** 2)
     return _read_only(np.where(ok, src, 0), np.where(ok, w, 0.0), l)
+
+
+@lru_cache(maxsize=1)
+def _coordinate_store() -> dict:
+    """The slot of the terms of multiplication by the coordinates, which
+    depend on no grid, kept at the widest band asked for so far
+    (:func:`_widest`).  Emptying this cache drops them."""
+    return {}
 
 
 def _coordinate_terms(old, top: int):
@@ -551,12 +540,6 @@ def ambient_gradient(c: np.ndarray, d: int) -> np.ndarray:
     return (l + d + 2) * lower + (d + 1 - l) * upper
 
 
-def _sym_pack(P: np.ndarray) -> np.ndarray:
-    """Symmetric parts of stacks of 3x3 matrices P (..., 3, 3), packed
-    (..., 6) in the order of _SYM_ROWS/_SYM_COLS."""
-    return 0.5 * (P[..., _SYM_ROWS, _SYM_COLS] + P[..., _SYM_COLS, _SYM_ROWS])
-
-
 # ----------------------------------------------------------------------
 # Grid derivatives
 # ----------------------------------------------------------------------
@@ -579,7 +562,7 @@ def _grid_derivatives(field: SphericalField, hessian: bool) -> np.ndarray:
             else [dth, turn * val[:, ::-1]])
     # rows (order, cosine and sine) as the table's, columns (row, ring)
     X = np.stack(rows, axis=2).reshape(2 * n, -1)
-    return (X.T @ _azimuth_plan(field.grid.L, n - 1)).reshape(len(rows), -1)
+    return (X.T @ _azimuth_plan(field.grid, n - 1)).reshape(len(rows), -1)
 
 
 def grid_gradient(field: SphericalField) -> np.ndarray:

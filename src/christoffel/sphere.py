@@ -67,7 +67,9 @@ class SphereGrid:
 
     Nodes are ordered theta-major: node index = i_polar * (2L) + j_azimuth,
     with theta increasing (no poles among the nodes).  The rule integrates
-    every spherical harmonic of degree <= 2L-1 exactly.
+    every spherical harmonic of degree <= 2L-1 exactly.  Every array is
+    read-only, as the tables in :attr:`SphereGrid.tables` are formed from
+    ``polar_nodes`` and ``phis``: no write puts the two out of step.
     """
 
     L: int
@@ -78,6 +80,11 @@ class SphereGrid:
     azimuth_count: int
     thetas: np.ndarray = field(repr=False)
     phis: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        for a in (self.nodes, self.weights, self.polar_nodes, self.polar_weights,
+                  self.thetas, self.phis):
+            a.flags.writeable = False
 
     @property
     def node_count(self) -> int:
@@ -107,6 +114,13 @@ class SphereGrid:
             a.flags.writeable = False
         return NodeFrame(*arrays)
 
+    @cached_property
+    def tables(self) -> dict:
+        """The slot, kept as :attr:`SphereGrid.frame` is, in which
+        :mod:`christoffel.harmonics` grows the grid's one Legendre and one
+        azimuth table with their views; they die with the grid."""
+        return {}
+
     def integrate(self, values) -> float:
         """Quadrature sum over the grid (fixed, deterministic order)."""
         return float(self.weights @ np.asarray(values, dtype=float))
@@ -115,17 +129,11 @@ class SphereGrid:
 @lru_cache(maxsize=8)
 def _polar_rule(L: int):
     """The L-point Gauss-Legendre rule in cos(theta), ordered so that theta
-    ascends: (nodes, weights), shared read-only by every caller."""
+    ascends: (nodes, weights), shared read-only by every grid of size L."""
     t, wt = np.polynomial.legendre.leggauss(L)
     t, wt = t[::-1].copy(), wt[::-1].copy()
     t.flags.writeable = wt.flags.writeable = False
     return t, wt
-
-
-def _azimuths(L: int) -> np.ndarray:
-    """The 2L uniform azimuths 2 pi j / (2L) of grid L."""
-    n_phi = 2 * L
-    return 2.0 * np.pi * np.arange(n_phi) / n_phi
 
 
 def make_grid(L: int) -> SphereGrid:
@@ -143,26 +151,15 @@ def make_grid(L: int) -> SphereGrid:
     """
     if L < 4:
         raise ResolutionTooLow(f"grid needs L >= 4, got {L}")
-    t, wt = (a.copy() for a in _polar_rule(L))
-    thetas = np.arccos(t)
+    t, wt = _polar_rule(L)
     n_phi = 2 * L
-    phis = _azimuths(L)
+    phis = 2.0 * np.pi * np.arange(n_phi) / n_phi
     st = np.sqrt(1.0 - t**2)
-    x = np.outer(st, np.cos(phis))
-    y = np.outer(st, np.sin(phis))
-    z = np.outer(t, np.ones(n_phi))
-    nodes = np.stack([x.ravel(), y.ravel(), z.ravel()], axis=1)
-    weights = np.repeat(wt * (np.pi / L), n_phi)
-    return SphereGrid(
-        L=L,
-        nodes=nodes,
-        weights=weights,
-        polar_nodes=t,
-        polar_weights=wt,
-        azimuth_count=n_phi,
-        thetas=thetas,
-        phis=phis,
-    )
+    nodes = np.stack([np.outer(st, np.cos(phis)).ravel(), np.outer(st, np.sin(phis)).ravel(),
+                      np.repeat(t, n_phi)], axis=1)
+    return SphereGrid(L=L, nodes=nodes, weights=np.repeat(wt * (np.pi / L), n_phi),
+                      polar_nodes=t, polar_weights=wt, azimuth_count=n_phi,
+                      thetas=np.arccos(t), phis=phis)
 
 
 def tangent_bases(points: np.ndarray):

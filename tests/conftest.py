@@ -160,7 +160,7 @@ def hessian_at(coeffs, points):
     g = harmonics.HarmonicCoeffs(L_max=band, c=np.pad(coeffs.c, (0, (band + 1) ** 2 - coeffs.c.size)))
     chans = offgrid.synthesize_at(offgrid.extension_channels(coeffs).hess + (g,), pts)
     E = np.stack(sphere.tangent_bases(pts), axis=2)
-    T = np.einsum("nki,nkl,nlj->nij", E, chans[:, harmonics._SYM_FULL], E)
+    T = np.einsum("nki,nkl,nlj->nij", E, chans[:, convexity._SYM_FULL], E)
     return T - chans[:, -1, None, None] * np.eye(2)
 
 
@@ -234,7 +234,7 @@ def table_grid_derivatives(field):
     the theta-theta entry from the second-derivative table."""
     grid, L_max = field.grid, field.coeffs.L_max
     (A0, B0), (A1, B1), (A2, B2) = table_profiles(field.coeffs, grid.polar_nodes)
-    table = harmonics._azimuth_plan(grid.L, L_max)
+    table = harmonics._azimuth_plan(grid, L_max)
     cos_t, sin_t = table[0::2], table[1::2]
     m = np.arange(L_max + 1)[None, :]
 
@@ -276,14 +276,14 @@ def grid_coordinate_product(c, j, grid):
 def grid_extension_channels(coeffs):
     """DG and D^2 G of the 1-homogeneous extension from the grid gradient
     and Hessian of g on :func:`channel_grid`, analyzed at their exact
-    bands: (DG (K1, 3), D^2 G (K2, 6) packed as harmonics._SYM_ROWS/COLS)."""
+    bands: (DG (K1, 3), D^2 G (K2, 6) packed as convexity._SYM_ROWS/COLS)."""
     L_max = coeffs.L_max
     field = harmonics.synthesize(coeffs, channel_grid(L_max))
     grid, g = field.grid, field.values
     DG = field.gradient + g[:, None] * grid.nodes
     E = np.stack([grid.frame.e_th, grid.frame.e_ph], axis=2)  # (N, 3, 2)
     H = field.hessian + g[:, None, None] * np.eye(2)
-    D2G = np.einsum("nik,nkl,njl->nij", E, H, E)[:, harmonics._SYM_ROWS, harmonics._SYM_COLS]
+    D2G = np.einsum("nik,nkl,njl->nij", E, H, E)[:, convexity._SYM_ROWS, convexity._SYM_COLS]
     return (np.stack([harmonics.analyze(grid, v, L_max + 1).c for v in DG.T], axis=1),
             np.stack([harmonics.analyze(grid, v, L_max + 2).c for v in D2G.T], axis=1))
 
@@ -298,7 +298,7 @@ def grid_criterion_forms(f, criterion):
     L_max = coeffs.L_max
     g = harmonics.synthesize(coeffs, channel_grid(L_max))
     Z = g.grid.nodes
-    rows, cols = harmonics._SYM_ROWS, harmonics._SYM_COLS
+    rows, cols = convexity._SYM_ROWS, convexity._SYM_COLS
     if crit is convexity.Criterion.CR1:
         V = g.gradient - g.values[:, None] * Z
         chans = 0.5 * (Z[:, rows] * V[:, cols] + Z[:, cols] * V[:, rows])
@@ -307,7 +307,7 @@ def grid_criterion_forms(f, criterion):
     mu = convexity._multipliers(crit, L_max)
     S = np.stack([harmonics.synthesize(harmonics.HarmonicCoeffs(
         L_max=L_max + 2, c=mu * harmonics.analyze(g.grid, v, L_max + 2).c), f.grid).values
-        for v in chans.T], axis=-1)[:, harmonics._SYM_FULL]
+        for v in chans.T], axis=-1)[:, convexity._SYM_FULL]
     if crit is convexity.Criterion.CR1:
         return np.zeros(len(S)), S
     scalar = harmonics.HarmonicCoeffs(
@@ -371,7 +371,7 @@ def galerkin_matrix(values, grid, L_max):
     signed = np.arange(K) - l * l - l  # flat index l^2 + l + m, m < 0 sine
     order = np.abs(signed)
     group = 2 * order + (signed < 0)  # the 2 m' + s column group
-    P = np.concatenate(harmonics._grid_blocks(L, L_max))
+    P = np.concatenate(harmonics._grid_blocks(grid, L_max))
     offsets = harmonics._pair_index(L_max)[2]
     # packed order: by m, the cosine then the sine terms, each l-ascending;
     # order m occupies [start[m], start[m + 1])

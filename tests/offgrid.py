@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from christoffel import harmonics
+from christoffel import convexity, harmonics
 from christoffel.harmonics import HarmonicCoeffs
 
 
@@ -122,7 +122,7 @@ class ExtensionChannels(NamedTuple):
     """Coefficients of the derivatives of G(y) = |y| g(y/|y|) on S^2."""
 
     grad: tuple  # DG_i, i = 0..2, each HarmonicCoeffs at band L_max + 1
-    hess: tuple  # D^2 G_ij, i <= j packed as harmonics._SYM_ROWS/_SYM_COLS, band L_max + 2
+    hess: tuple  # D^2 G_ij, i <= j packed as convexity._SYM_ROWS/_SYM_COLS, band L_max + 2
 
 
 def _extension_channels(coeffs):
@@ -130,7 +130,7 @@ def _extension_channels(coeffs):
     ``harmonics.ambient_gradient``: DG_i at d = 1, D^2 G_ij = d_j DG_i at
     d = 0."""
     DG = harmonics.ambient_gradient(coeffs.c, 1)
-    D2G = harmonics._sym_pack(harmonics.ambient_gradient(DG, 0))
+    D2G = convexity._sym_pack(harmonics.ambient_gradient(DG, 0))
     return ExtensionChannels(
         grad=tuple(HarmonicCoeffs(L_max=coeffs.L_max + 1, c=ch) for ch in DG.T),
         hess=tuple(HarmonicCoeffs(L_max=coeffs.L_max + 2, c=ch) for ch in D2G.T))
@@ -162,4 +162,4 @@ def extension_hessian_at(coeffs, points):
     on the tangent plane are those of Hess g + g I (the principal radii when
     g is a support function).
     """
-    return synthesize_at(extension_channels(coeffs).hess, points)[:, harmonics._SYM_FULL]
+    return synthesize_at(extension_channels(coeffs).hess, points)[:, convexity._SYM_FULL]

@@ -79,7 +79,7 @@ class TestSupport:
         assert abs(ellipsoid.support_values(np.array([[0.0, 1.0, 0.0]]))[0] - 1.2) < 1e-15
 
     def test_parameter_gates(self):
-        for axes in ((1.0, -1.0, 1.0), (np.nan, 1.0, 1.0), (1.0, 1.0, 1e200)):
+        for axes in ((1.0, -1.0, 1.0), (np.nan, 1.0, 1.0), (1.0, 1.0, 1e200), (1e-170, 1.0, 1.0)):
             with pytest.raises(InvalidParameter):
                 body.Ellipsoid(*axes)
         with pytest.raises(InvalidParameter):

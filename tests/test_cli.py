@@ -12,7 +12,7 @@ from christoffel import body, cli, convexity, harmonics, kernels, sphere
 from christoffel.errors import GridMismatch, NotPositive, ParseError
 from christoffel.sphere import make_grid
 
-from conftest import Sphere, clear_program_caches, hessian_at
+from conftest import Sphere, clear_program_caches, ellipsoid_forward_f, hessian_at
 
 
 def loop_field_to_csv(field):
@@ -108,6 +108,37 @@ class TestFieldSources:
     def test_ellipsoid_family_positive(self, grid16):
         f, _ = cli.parse_field_source("family:ellipsoid:a=1,b=1.2,c=0.8", grid16, 12)
         assert np.min(f.values) > 0
+
+    @pytest.mark.parametrize("L, L_max, axes", [(16, 8, (0.5, 1.0, 2.0)),
+                                                (48, 32, (0.5, 1.0, 2.0)),
+                                                (48, 32, (1.0, 1.2, 1.5))])
+    def test_ellipsoid_truncation_error(self, tmp_path, L, L_max, axes):
+        # the report gives the largest gap at the nodes between the
+        # band-limited f and the closed-form curvature data, which
+        # body.Ellipsoid gives as the oracle does, to rounding
+        ell = body.Ellipsoid(*axes)
+        grid = make_grid(L)
+        exact = ellipsoid_forward_f(ell, grid.nodes)
+        curvature = ell.curvature_values(grid.nodes)
+        assert np.max(np.abs(curvature - exact) / exact) < 4e-15
+        spec = "family:ellipsoid:a={},b={},c={}".format(*axes)
+        f, trunc = cli.parse_field_source(spec, grid, L_max)
+        assert trunc == np.max(np.abs(f.values - curvature)) > 0.0
+        assert abs(trunc - np.max(np.abs(f.values - exact))) <= 4e-15 * np.max(exact)
+        report, code = run_cli(["solve", "--L", str(L), "--Lmax", str(L_max), "--input", spec],
+                               tmp_path)
+        assert code == 0 and report["band_limit_truncation_error"] == trunc
+
+    @pytest.mark.parametrize("a", [1e-120, 1e-160])
+    def test_thin_ellipsoid_truncation_error_finite(self, tmp_path, a):
+        # at odd L the node (1, 0, 0) has h = a, whose cube underflows: the
+        # closed form stays finite (2/h there) and so does the reported gap
+        grid, top = make_grid(17), 2.0 / np.sqrt(a * a)
+        spec = f"family:ellipsoid:a={a!r},b=1,c=1"
+        curvature = body.Ellipsoid(a, 1.0, 1.0).curvature_values(grid.nodes)
+        assert np.all(np.isfinite(curvature)) and np.max(curvature) == pytest.approx(top)
+        report, code = run_cli(["solve", "--L", "17", "--Lmax", "8", "--input", spec], tmp_path)
+        assert code == 0 and report["band_limit_truncation_error"] == pytest.approx(top)
 
     def test_unknown_family(self, grid16):
         with pytest.raises(ParseError):

@@ -865,8 +865,10 @@ class TestT33:
 
     def test_evaluates_no_point(self, grid24, monkeypatch):
         # the verdict reads f's kept grid Hessian: its one Legendre table is
-        # at the Gauss nodes of f's grid, so no orbit and no point is read
+        # at the Gauss nodes of f's grid, so no orbit and no point is read.
+        # f moves to a fresh grid, which holds no table yet
         f = random_positive_field(grid24, np.random.default_rng(25), L_max=16)
+        f = harmonics.SphericalField(grid=sphere.make_grid(24), values=f.values, coeffs=f.coeffs)
         nodes = []
         packed = harmonics._legendre_packed
         monkeypatch.setattr(harmonics, "_legendre_packed",

@@ -1,11 +1,13 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from christoffel import body, cli, harmonics, sphere
+from christoffel import body, cli, convexity, harmonics, sphere
 from christoffel.errors import (
     BandLimitExceeded,
     InvalidParameter,
@@ -510,7 +512,7 @@ def frame_truth(f):
     E = np.stack([grid.frame.e_th, grid.frame.e_ph], axis=2)
     grad = harmonics.synthesize_channels(harmonics.ambient_gradient(f.coeffs.c, 0), grid)
     hess = np.stack([ch.c for ch in offgrid.extension_channels(f.coeffs).hess], axis=1)
-    D2G = harmonics.synthesize_channels(hess, grid)[:, harmonics._SYM_FULL]
+    D2G = harmonics.synthesize_channels(hess, grid)[:, convexity._SYM_FULL]
     return grad, np.einsum("nki,nkl,nlj->nij", E, D2G, E) - f.values[:, None, None] * np.eye(2)
 
 
@@ -542,10 +544,11 @@ class TestGridDerivatives:
         f = harmonics.synthesize(random_coeffs(8, seed=71), grid16)
         calls = []
         real = harmonics._grid_blocks
-        monkeypatch.setattr(harmonics, "_grid_blocks", lambda *key: calls.append(key) or real(*key))
+        monkeypatch.setattr(harmonics, "_grid_blocks",
+                            lambda grid, L_max: calls.append((grid, L_max)) or real(grid, L_max))
         assert f.gradient.shape == (grid16.node_count, 3)
         assert f.hessian.shape == (grid16.node_count, 2, 2)
-        assert calls == [(16, 8)]
+        assert len(calls) == 1 and calls[0][0] is grid16 and calls[0][1] == 8
 
 
 class TestExtensionChannels:
@@ -923,10 +926,9 @@ class TestSolver:
 PLAN_SIZES = [(16, 15), (16, 10), (16, 3), (17, 16), (17, 11), (17, 4), (48, 32)]
 
 
-def assert_matches_reference(L, L_max, seed):
-    """Every cached-plan transform at (L, L_max) equals the per-call
-    reference bit for bit."""
-    grid = sphere.make_grid(L)
+def assert_matches_reference(grid, L_max, seed):
+    """Every transform at band L_max on ``grid``, through its kept tables and
+    the cached plans, equals the per-call reference bit for bit."""
     coeffs = random_coeffs(L_max, seed)
     f = harmonics.synthesize(coeffs, grid)
     assert np.array_equal(f.values, ref_synthesize(coeffs, grid))
@@ -949,23 +951,27 @@ def plan_caches():
 class TestTransformPlan:
     @pytest.mark.parametrize("L, L_max", PLAN_SIZES)
     def test_bitwise_reference(self, L, L_max):
-        # from empty caches, then again from the entries the first pass built
+        # from empty caches and a fresh grid, then again from the entries
+        # and the grid tables the first pass built
         clear_program_caches()
-        assert_matches_reference(L, L_max, seed=L + L_max)
-        assert_matches_reference(L, L_max, seed=L + L_max + 1)
+        grid = sphere.make_grid(L)
+        assert_matches_reference(grid, L_max, seed=L + L_max)
+        assert_matches_reference(grid, L_max, seed=L + L_max + 1)
 
     def test_bitwise_reference_after_eviction(self):
         L, L_max = PLAN_SIZES[1]
-        assert_matches_reference(L, L_max, seed=3)
+        grid = sphere.make_grid(L)
+        assert_matches_reference(grid, L_max, seed=3)
         # more sizes than any plan cache holds, each a new key of every cache
         fillers = [(L_max + 1 + L_max % 3, L_max) for L_max in range(2, 22)]
         largest = max(cache.cache_info().maxsize for cache in plan_caches().values())
         assert len(fillers) > largest
         for filler_L, filler_Lmax in fillers:
-            grid = sphere.make_grid(filler_L)
             coeffs = random_coeffs(filler_Lmax, seed=filler_L)
-            harmonics.grid_hessian(harmonics.synthesize(coeffs, grid))
-        assert_matches_reference(L, L_max, seed=4)
+            harmonics.grid_hessian(harmonics.synthesize(coeffs, sphere.make_grid(filler_L)))
+        # the kept grid tables beside the rebuilt plans, then all afresh
+        assert_matches_reference(grid, L_max, seed=4)
+        assert_matches_reference(sphere.make_grid(L), L_max, seed=5)
 
     @pytest.mark.parametrize("L_max", [0, 1, 2, 3])
     def test_legendre_small_bands_bitwise(self, L_max):
@@ -985,10 +991,10 @@ class TestTransformPlan:
 
     def test_check_reads_one_table_per_grid(self, tmp_path, monkeypatch):
         # from empty caches, a check builds one Legendre table and one
-        # azimuth table of its grid and one table of coordinate terms, and
-        # no derivative tables: the channels' wider band L_max + 2 extends
-        # each kept table, which then equals a table built afresh at the
-        # widest band
+        # azimuth table in its grid's slot and one table of coordinate terms
+        # in the module's, and no derivative tables: the channels' wider
+        # band L_max + 2 extends each kept table, which then equals a table
+        # built afresh at the widest band
         clear_program_caches()
         grown = []
         widest = harmonics._widest
@@ -1007,6 +1013,8 @@ class TestTransformPlan:
             assert old is kept.get((store, name)), name
             kept[store, name] = new
         assert sorted(name for _, name in kept) == ["azimuth", "coordinates", "legendre"]
+        slot = {name: store for store, name in kept}
+        assert slot["legendre"] == slot["azimuth"] != slot["coordinates"]
         # each extended once, from f's band to the channels' band
         assert sorted(name for _, name, old, _ in grown if old is not None) == [
             "azimuth", "coordinates", "legendre"]
@@ -1019,11 +1027,35 @@ class TestTransformPlan:
         for table, fresh in zip(final["coordinates"], harmonics._coordinate_terms(None, 10)):
             assert np.array_equal(table, fresh)
 
+    @pytest.mark.parametrize("L, L_max", [(16, 8), (48, 32)])
+    def test_check_keeps_one_legendre_table_per_grid(self, tmp_path, monkeypatch, L, L_max):
+        # the sweep grows the grid's band-L_max table to L_max + 2: nothing
+        # keeps the narrower one alive, and the grid's slot holds one
+        # Legendre and one azimuth table
+        grids, built = [], []
+        make_grid, packed = cli.make_grid, harmonics._legendre_packed
+
+        def spy(t, band, base=None):
+            P = packed(t, band, base)
+            built.append((band, weakref.ref(P)))
+            return P
+
+        monkeypatch.setattr(cli, "make_grid", lambda n: grids.append(make_grid(n)) or grids[-1])
+        monkeypatch.setattr(harmonics, "_legendre_packed", spy)
+        clear_program_caches()
+        assert cli.main(["check", "--L", str(L), "--Lmax", str(L_max),
+                         "--report", str(tmp_path / "report.json")]) == 0
+        gc.collect()
+        assert [band for band, _ in built] == [L_max, L_max + 2]
+        assert built[0][1]() is None
+        (grid,) = grids
+        assert sorted(grid.tables) == ["azimuth", "legendre"]
+        assert built[1][1]() is grid.tables["legendre"][0]
+        assert grid.tables["azimuth"][0].shape == (2 * (L_max + 3), 2 * L)
+
     def test_cached_tables_read_only(self):
-        calls = {
-            "_pair_index": [(8,)], "_grid_blocks": [(12, 8)], "_coordinate_plan": [(8,)],
-            "_ladder_plan": [(8,)], "_table_store": [(12,), (None,)],
-        }
+        calls = {"_pair_index": [(8,)], "_coordinate_plan": [(8,)], "_ladder_plan": [(8,)],
+                 "_coordinate_store": [()]}
         caches = plan_caches()
         assert set(caches) == set(calls)
 
@@ -1037,7 +1069,9 @@ class TestTransformPlan:
                 yield from arrays(list(obj.values()))
 
         clear_program_caches()
-        harmonics._azimuth_plan(12, 8)  # beside the grid's Legendre table
+        grid = sphere.make_grid(12)
+        harmonics._grid_blocks(grid, 8)
+        harmonics._azimuth_plan(grid, 8)
         for name, keys in calls.items():
             for args in keys:
                 found = list(arrays(caches[name](*args)))
@@ -1045,11 +1079,17 @@ class TestTransformPlan:
                 for arr in found:
                     with pytest.raises(ValueError):
                         arr.flat[0] = 1.0
-        # the grid's Legendre and azimuth tables, and the coordinate terms
-        assert [len(list(arrays(caches["_table_store"](key)))) for key in (12, None)] == [2, 2]
+        # the grid's azimuth table, its Legendre table with the 9 per-order
+        # views of band 8, and the coordinate terms
+        assert sorted(grid.tables) == ["azimuth", "legendre"]
+        assert [len(list(arrays(grid.tables[name]))) for name in ("azimuth", "legendre")] == [1, 10]
+        assert len(list(arrays(caches["_coordinate_store"]()))) == 2
+        for arr in arrays(grid.tables):
+            with pytest.raises(ValueError):
+                arr.flat[0] = 1.0
         with pytest.raises(ValueError):
-            harmonics._azimuth_plan(12, 8)[0, 0] = 1.0
+            harmonics._azimuth_plan(grid, 8)[0, 0] = 1.0
         t, wt = sphere._polar_rule(12)
-        for arr in (t, wt, *sphere.make_grid(12).frame):
+        for arr in (t, wt, *grid.frame):
             with pytest.raises(ValueError):
                 arr[0] = 0.0

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 import christoffel
-from christoffel import cli, harmonics
+from christoffel import cli, convexity, harmonics
 
 from conftest import clear_program_caches, cli_commands
 
@@ -76,13 +76,13 @@ def test_commands_leave_module_state_unchanged(tmp_path):
 
 
 def test_planted_memo_is_caught(tmp_path, monkeypatch):
-    # a module-level dict that memoizes the Legendre tables, beside the
-    # functools cache, outlives every cache_clear
+    # a module-level dict that memoizes the Legendre blocks by grid size,
+    # beside the grid's own slot, outlives every grid and every cache_clear
     memo = {}
-    real = harmonics._grid_legendre
+    real = harmonics._grid_blocks
     monkeypatch.setattr(harmonics, "_TABLE_MEMO", memo, raising=False)
-    monkeypatch.setattr(harmonics, "_grid_legendre",
-                        lambda L, L_max: memo.setdefault((L, L_max), real(L, L_max)))
+    monkeypatch.setattr(harmonics, "_grid_blocks",
+                        lambda grid, L_max: memo.setdefault((grid.L, L_max), real(grid, L_max)))
     before = module_state()
     run_commands(tmp_path)
     assert memo
@@ -92,11 +92,11 @@ def test_planted_memo_is_caught(tmp_path, monkeypatch):
 def test_rebound_global_and_array_write_are_caught(monkeypatch):
     before = module_state()
     monkeypatch.setattr(harmonics, "DEFAULT_L_MAX", harmonics.DEFAULT_L_MAX + 1)
-    rows = harmonics._SYM_ROWS
+    rows = convexity._SYM_ROWS
     rows[0] += 1
     try:
         assert changed_globals(before, module_state()) == [
-            "christoffel.harmonics.DEFAULT_L_MAX", "christoffel.harmonics._SYM_ROWS"]
+            "christoffel.convexity._SYM_ROWS", "christoffel.harmonics.DEFAULT_L_MAX"]
     finally:
         rows[0] -= 1
 
@@ -117,5 +117,5 @@ def test_import_fills_no_cache():
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, check=True).stdout
     sizes = json.loads(out)
-    assert {"christoffel.sphere._polar_rule", "christoffel.harmonics._table_store"} <= set(sizes)
+    assert {"christoffel.sphere._polar_rule", "christoffel.harmonics._coordinate_store"} <= set(sizes)
     assert {name: size for name, size in sizes.items() if size} == {}

@@ -1,7 +1,9 @@
-"""Every module-level private name of the package is used in the package.
+"""Every module-level private name of the package is used in the package,
+and only in the module that defines it.
 
 A private helper whose last caller is gone is dead code that the tests
-alone would keep alive.  The source is read with ``ast``, so a name
+alone would keep alive, and one that another module reaches into is a
+format with two owners.  The source is read with ``ast``, so a name
 mentioned only in a docstring or comment does not count as a use, nor does
 a reference from inside the name's own definition.
 """
@@ -44,3 +46,35 @@ def test_every_private_name_is_used():
               for name, node in private_definitions(tree)
               if not any(name in names for stmt, names in loads if stmt is not node)]
     assert unused == []
+
+
+def private_imports(tree):
+    """``module._name`` of each private name of another package module that
+    ``tree`` imports (``from .module import _name``) or reads as an
+    attribute of a package module it imported (``module._name``)."""
+    modules = {}  # local name -> package module
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            for alias in node.names:
+                if node.module is None:
+                    modules[alias.asname or alias.name] = alias.name
+                elif alias.name.startswith("_"):
+                    found.append(f"{node.module}.{alias.name}")
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules and node.attr.startswith("_")):
+            found.append(f"{modules[node.value.id]}.{node.attr}")
+    return found
+
+
+def test_no_private_name_crosses_modules():
+    crossings = [f"{path.stem} <- {name}" for path in SOURCES
+                 for name in private_imports(ast.parse(path.read_text(encoding="utf-8")))]
+    assert crossings == []
+
+
+def test_crossing_guard_sees_both_forms():
+    planted = ast.parse("from . import harmonics\nfrom .sphere import _polar_rule, make_grid\n"
+                        "x = harmonics._widest\ny = harmonics.analyze\n")
+    assert private_imports(planted) == ["sphere._polar_rule", "harmonics._widest"]

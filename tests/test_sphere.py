@@ -53,22 +53,34 @@ class TestGrid:
         monkeypatch.setattr(np.polynomial.legendre, "leggauss",
                             lambda L: calls.append(L) or leggauss(L))
         sphere._polar_rule.cache_clear()
-        harmonics._grid_blocks.cache_clear()
         try:
             grids = [sphere.make_grid(20) for _ in range(2)]
-            for L_max in (12, 19):
-                harmonics._grid_blocks(20, L_max)
+            for g in grids:
+                for L_max in (12, 19):
+                    harmonics._grid_blocks(g, L_max)
         finally:
             sphere._polar_rule.cache_clear()
-            harmonics._grid_blocks.cache_clear()
         assert calls == [20]
-        # each grid owns writable copies of the shared read-only rule
+        # the grids share the one read-only rule: every write raises
         t, wt = np.polynomial.legendre.leggauss(20)
         for g in grids:
             assert np.array_equal(g.polar_nodes, t[::-1])
             assert np.array_equal(g.polar_weights, wt[::-1])
-            assert g.polar_nodes.flags.writeable and g.polar_weights.flags.writeable
-        assert grids[0].polar_nodes is not grids[1].polar_nodes
+            for arr in (g.polar_nodes, g.polar_weights):
+                with pytest.raises(ValueError):
+                    arr[0] = 0.0
+        assert grids[0].polar_nodes is grids[1].polar_nodes
+
+    def test_grid_arrays_read_only(self):
+        # the transform tables derive from the polar nodes and the azimuths:
+        # no array of a grid takes a write that would put them out of step
+        g = sphere.make_grid(8)
+        for name in ("nodes", "weights", "polar_nodes", "polar_weights", "thetas", "phis"):
+            arr = getattr(g, name)
+            with pytest.raises(ValueError):
+                arr.flat[0] = 0.5
+            with pytest.raises(ValueError):
+                arr *= 2.0
 
     def test_resolution_gate(self):
         with pytest.raises(ResolutionTooLow):
